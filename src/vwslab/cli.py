@@ -20,21 +20,21 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .coeffs import check_hypotheses, preset, regularise
-from .doi import (DoiParams, SymbolGrid, assemble_a2, build_d, build_q,
-                  calibrate_K, check_doi, check_escape, dual_xi)
-from .evolve import EvolutionProblem, Forcing, smoothing_report, solve
-from .grid import Field, GridSpec, make_grid, plane_wave
-from .mollify import (Mollifier, ScaleFn, derivative_bound_probe, scale_omega,
+from .coeffs import preset, regularise
+from .doi import (DoiParams, assemble_a2, build_d, build_q, calibrate_K,
+                  check_doi, check_escape, dual_xi)
+from .evolve import EvolutionProblem, Forcing, solve
+from .grid import Field, GridError, GridSpec, make_grid, plane_wave
+from .mollify import (Mollifier, MollifyError, ScaleFn, derivative_bound_probe,
                       sobolev_boost_probe)
 from .vwsnet import (NetParams, consistency_run, delta_field, gaussian_field,
-                     moderateness_fit, rough_field, run_net, uniqueness_probe)
+                     ladder, moderateness_fit, rough_field, run_net,
+                     uniqueness_probe, validate)
 
 EXPERIMENT_KINDS = ("validate-hypotheses", "doi-check", "solve", "net",
                     "uniqueness", "consistency", "mollifier-bench")
@@ -121,13 +121,13 @@ def parse_config(text: str, kind: str | None = None) -> dict:
         raise ConfigError(f"config.experiment.kind must be one of "
                           f"{EXPERIMENT_KINDS}")
 
-    M = cfg["grid"]["M"]
-    if M < 2 or (M & (M - 1)) != 0:
-        raise ConfigError("config.grid.M must be a power of two")
-    if cfg["grid"]["n"] not in (1, 2):
-        raise ConfigError("config.grid.n must be 1 or 2")
-    if cfg["grid"]["L"] <= 0:
-        raise ConfigError("config.grid.L must be positive")
+    # the grid, mollifier and scale classes own their allowed values
+    for section, build in (("grid", _grid), ("mollifier", _data_mollifier),
+                           ("scale", _scale)):
+        try:
+            build(cfg)
+        except (GridError, MollifyError) as exc:
+            raise ConfigError(f"config.{section}: {exc}") from exc
 
     ladder = cfg["ladder"]
     if any(not isinstance(e, (int, float)) or not 0 < e <= 1 for e in ladder):
@@ -165,6 +165,15 @@ def _grid(cfg) -> GridSpec:
     return make_grid(g["n"], g["M"], float(g["L"]))
 
 
+def _scale(cfg) -> ScaleFn:
+    return ScaleFn(cfg["scale"]["kind"], k=float(cfg["scale"]["k"]))
+
+
+def _data_mollifier(cfg) -> Mollifier:
+    m = cfg["mollifier"]
+    return Mollifier(m["kind"], order=m["moment_order"])
+
+
 def _model(cfg):
     return preset(cfg["model"]["preset"], n=cfg["grid"]["n"],
                   **cfg["model"]["params"])
@@ -183,20 +192,18 @@ def _data(cfg, spec: GridSpec) -> Field:
     raise ConfigError(f"config.data.kind {d['kind']!r} not recognised")
 
 
-def _net_params(cfg, spec: GridSpec, mollify_data: bool = True) -> NetParams:
+def _net_params(cfg, spec: GridSpec) -> NetParams:
     ev = cfg["evolution"]
     dt = None if ev["dt"] == "auto" else float(ev["dt"])
-    m = cfg["mollifier"]
     return NetParams(
         spec=spec,
         eps_ladder=tuple(cfg["ladder"]),
-        scale=ScaleFn(cfg["scale"]["kind"], k=float(cfg["scale"]["k"])),
+        scale=_scale(cfg),
         T=float(ev["T"]),
         dt=dt,
         s_list=tuple(float(s) for s in ev["s"]),
         N_weight=ev["N"],
-        data_mollifier=Mollifier(m["kind"], order=m["moment_order"]),
-        mollify_data=mollify_data,
+        data_mollifier=_data_mollifier(cfg),
     )
 
 
@@ -204,15 +211,9 @@ def _net_params(cfg, spec: GridSpec, mollify_data: bool = True) -> NetParams:
 # experiment pipelines (each returns a JSON-able verdict dict)
 
 
-def _run_validate_hypotheses(cfg, out: Path, workers: int) -> dict:
-    spec = _grid(cfg)
+def _run_validate_hypotheses(cfg, out: Path) -> dict:
     model = _model(cfg)
-    moll = Mollifier("gaussian")
-    scale = ScaleFn(cfg["scale"]["kind"], k=float(cfg["scale"]["k"]))
-    sets = [regularise(model, moll, e, scale, spec) for e in cfg["ladder"]]
-    report = check_hypotheses(sets, nu=max(model.nu, 0.05),
-                              c0=max(model.c0, 0.05), N=model.N)
-    d = report.to_dict()
+    d = validate(model, ladder(model, _net_params(cfg, _grid(cfg)))).to_dict()
     d["pass"] = d.pop("passed")
     return d
 
@@ -225,16 +226,14 @@ def _doi_one(cs, xi, C1):
     return a2, q
 
 
-def _run_doi_check(cfg, out: Path, workers: int) -> dict:
+def _run_doi_check(cfg, out: Path) -> dict:
     spec = _grid(cfg)
     model = _model(cfg)
-    moll = Mollifier("gaussian")
-    scale = ScaleFn(cfg["scale"]["kind"], k=float(cfg["scale"]["k"]))
     C1 = 4.0
     N = cfg["evolution"]["N"]
-    sets = [regularise(model, moll, e, scale, spec) for e in cfg["ladder"]]
     xi = dual_xi(spec)
-    pairs = [_doi_one(cs, xi, C1) for cs in sets]
+    pairs = [_doi_one(m["cs"], xi, C1)
+             for m in ladder(model, _net_params(cfg, spec)).values()]
     K = calibrate_K([q for _, q in pairs])
     params = DoiParams(C1=C1, K=K, N=N)
     per_eps, c2s, cstars = [], [], []
@@ -288,28 +287,24 @@ def _write_snapshots(out: Path, eps: float, states, stride: int) -> None:
         json.dumps(snaps), encoding="utf-8")
 
 
-def _run_solve(cfg, out: Path, workers: int) -> dict:
+def _run_solve(cfg, out: Path) -> dict:
+    # NetParams needs 4 epsilons; solve accepts shorter ladders, so it
+    # regularises on its own
     spec = _grid(cfg)
     model = _model(cfg)
     u0 = _data(cfg, spec)
     moll = Mollifier("gaussian")
-    scale = ScaleFn(cfg["scale"]["kind"], k=float(cfg["scale"]["k"]))
+    scale = _scale(cfg)
     ev = cfg["evolution"]
     dt = None if ev["dt"] == "auto" else float(ev["dt"])
     stride = cfg["output"]["stride"]
-
-    def job(eps):
+    sups = {}
+    for eps in cfg["ladder"]:
         cs = regularise(model, moll, eps, scale, spec)
         prob = EvolutionProblem(cs, u0, Forcing(), T=float(ev["T"]), dt=dt,
                                 s_list=tuple(float(s) for s in ev["s"]),
                                 N_weight=ev["N"])
-        return eps, solve(prob, record_states=stride > 0)
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = dict(pool.map(job, cfg["ladder"]))
-    sups = {}
-    for eps in cfg["ladder"]:
-        res = results[eps]
+        res = solve(prob, record_states=stride > 0)
         _write_series(out, eps, res.series)
         _write_snapshots(out, eps, res.states, stride)
         sups[str(eps)] = {str(s): res.series.sup_norm(s)
@@ -318,7 +313,7 @@ def _run_solve(cfg, out: Path, workers: int) -> dict:
     return {"pass": bool(finite), "sup_norms": sups}
 
 
-def _run_net(cfg, out: Path, workers: int) -> dict:
+def _run_net(cfg, out: Path) -> dict:
     spec = _grid(cfg)
     model = _model(cfg)
     u0 = _data(cfg, spec)
@@ -339,7 +334,7 @@ def _run_net(cfg, out: Path, workers: int) -> dict:
     }
 
 
-def _run_uniqueness(cfg, out: Path, workers: int) -> dict:
+def _run_uniqueness(cfg, out: Path) -> dict:
     spec = _grid(cfg)
     fit = uniqueness_probe(_model(cfg), cfg["experiment"]["q"],
                            _data(cfg, spec), _net_params(cfg, spec))
@@ -348,12 +343,11 @@ def _run_uniqueness(cfg, out: Path, workers: int) -> dict:
     return d
 
 
-def _run_consistency(cfg, out: Path, workers: int) -> dict:
+def _run_consistency(cfg, out: Path) -> dict:
     spec = _grid(cfg)
     tol = cfg["experiment"]["tolerances"].get("final_error", 1e-4)
     params = _net_params(cfg, spec)
     if params.data_mollifier.kind == "gaussian":
-        params = _net_params(cfg, spec)
         params.data_mollifier = Mollifier("vanishing-moment",
                                           order=cfg["mollifier"]["moment_order"])
     fit = consistency_run(_model(cfg), _data(cfg, spec), params, tol=tol)
@@ -362,7 +356,7 @@ def _run_consistency(cfg, out: Path, workers: int) -> dict:
     return d
 
 
-def _run_mollifier_bench(cfg, out: Path, workers: int) -> dict:
+def _run_mollifier_bench(cfg, out: Path) -> dict:
     spec = _grid(cfg)
     scale = ScaleFn("power", k=1.0)
     eps = [2.0**-j for j in range(2, 8)]
@@ -433,8 +427,8 @@ def _jsonable(obj):
     return obj
 
 
-def run(cfg: dict, out_dir: str | None = None, workers: int = 1,
-        seed: int | None = None, verbose: bool = False) -> int:
+def run(cfg: dict, out_dir: str | None = None, seed: int | None = None,
+        verbose: bool = False) -> int:
     """Execute the configured experiment; returns the process exit status."""
     if seed is not None:
         cfg = {**cfg, "seed": seed}
@@ -443,7 +437,7 @@ def run(cfg: dict, out_dir: str | None = None, workers: int = 1,
     kind = cfg["experiment"]["kind"]
     t0 = time.perf_counter()
     try:
-        verdict = _PIPELINES[kind](cfg, out, workers)
+        verdict = _PIPELINES[kind](cfg, out)
     except Exception as exc:
         verdict = {"pass": False, "error": f"{type(exc).__name__}: {exc}"}
     elapsed = time.perf_counter() - t0
@@ -475,7 +469,6 @@ def main(argv: list | None = None) -> int:
         p = sub.add_parser(kind)
         p.add_argument("config", help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
@@ -485,8 +478,7 @@ def main(argv: list | None = None) -> int:
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg, out_dir=args.out, workers=args.workers, seed=args.seed,
-               verbose=args.verbose)
+    return run(cfg, out_dir=args.out, seed=args.seed, verbose=args.verbose)
 
 
 if __name__ == "__main__":

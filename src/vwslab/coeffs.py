@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, GridSpec, forward, inverse, spectral_derivative
+from .grid import GridSpec, forward, inverse, spectral_derivative
 from .mollify import Mollifier, ScaleFn, fit_slope, scale_omega
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientSet
-from .grid import Field, GridSpec, forward, inverse, sobolev_norm
+from .grid import Field, GridSpec, sobolev_norm
 
 
 class SymbolError(ValueError):

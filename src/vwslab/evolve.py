@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import expm
 
 from .coeffs import CoefficientSet
-from .grid import Field, GridSpec, sobolev_norm, spectral_derivative
+from .grid import Field, sobolev_norm, spectral_derivative
 
 #: RK4 stability interval on the imaginary axis is about |z| <= 2.8
 RK4_IMAG_LIMIT = 2.8
@@ -60,9 +58,10 @@ class EvolutionProblem:
             raise EvolveError("horizon T must be positive")
         if self.u0.spec != self.cs.spec:
             raise EvolveError("initial data grid does not match coefficients")
+        limit = stable_dt(self.cs)
         if self.dt is None:
-            self.dt = stable_dt(self.cs)
-        bound = stable_dt(self.cs) / SAFETY  # the un-safetied limit
+            self.dt = limit
+        bound = limit / SAFETY  # the un-safetied limit
         if self.dt > bound * (1.0 + 1e-9):
             raise EvolveError(f"dt = {self.dt} exceeds stability bound {bound}")
 
@@ -177,8 +176,9 @@ def solve(prob: EvolutionProblem, record_states: bool = False) -> SolveResult:
     ts = np.array(ts)
     norms = {s: np.array(v) for s, v in norms.items()}
     integrand = {s: np.array(v) for s, v in integrand.items()}
+    # cumulative trapezoid rule
     integral = {
-        s: np.concatenate([[0.0], cumulative_trapezoid(v, ts)])
+        s: np.concatenate([[0.0], np.cumsum(np.diff(ts) * (v[1:] + v[:-1]) / 2.0)])
         for s, v in integrand.items()
     }
     return SolveResult(u, NormSeries(ts, norms, integrand, integral), states)
@@ -221,6 +221,8 @@ def dense_oracle(prob: EvolutionProblem) -> Field:
             out = out + S @ (phi * (Sinv @ gvec))
     else:
         # defective generator: scaling-and-squaring on the augmented system
+        from scipy.linalg import expm
+
         if gvec is None:
             out = expm(gen * T) @ u0
         else:
@@ -233,11 +235,11 @@ def dense_oracle(prob: EvolutionProblem) -> Field:
 
 
 def smoothing_report(series_by_eps: dict, s: float, N: int, rhs_by_eps: dict,
-                     T: float, weighted: bool = False) -> dict:
+                     T: float) -> dict:
     """Fit the a-priori smoothing estimate across an epsilon ladder.
 
     series_by_eps maps eps -> (omega, NormSeries); rhs_by_eps maps
-    eps -> (||u0||_s^2, int ||g||_s^2 dt) (or the weighted-g variant).
+    eps -> (||u0||_s^2, int ||g||_s^2 dt).
     Returns fitted (C1, k1, C2) with the envelope
     LHS <= C2 exp(C1 omega^{-k1} T) * RHS.
     """

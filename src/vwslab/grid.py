@@ -108,10 +108,6 @@ def make_grid(n: int, M: int, L: float) -> GridSpec:
     return GridSpec(n, M, L)
 
 
-def field_from_values(spec: GridSpec, values: np.ndarray) -> Field:
-    return Field(spec, values)
-
-
 def _phase(spec: GridSpec) -> np.ndarray:
     # fft indexes nodes from x = -L, so raw coefficients pick up a factor
     # exp(i*kappa_k*L) = (-1)^k per axis relative to the e^{i kappa x} basis.

@@ -36,7 +36,7 @@ class Mollifier:
     order: int = 4
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "vanishing-moment", "flat-band"):
+        if self.kind not in ("gaussian", "vanishing-moment"):
             raise MollifyError(f"unknown mollifier kind {self.kind!r}")
         if self.kind == "vanishing-moment" and (self.order < 2 or self.order % 2):
             raise MollifyError("vanishing-moment order must be a positive even integer")
@@ -45,16 +45,11 @@ class Mollifier:
         """phi_hat as a function of |xi|^2."""
         if self.kind == "gaussian":
             return np.exp(-xi_sq / 2.0)
-        if self.kind == "vanishing-moment":
-            # q(t) = sum_{j<order/2} t^j / (2^j j!)  truncates the expansion of
-            # e^{t/2}, so q(t) e^{-t/2} = 1 + O(t^{order/2}).
-            m = self.order // 2
-            q = sum(xi_sq**j / (2.0**j * math.factorial(j)) for j in range(m))
-            return q * np.exp(-xi_sq / 2.0)
-        # flat-band: identity on |xi| <= 1, smooth gaussian roll-off beyond;
-        # test profile for band-limited consistency checks.
-        t = np.maximum(xi_sq - 1.0, 0.0)
-        return np.exp(-(t**2) / 2.0)
+        # vanishing-moment: q(t) = sum_{j<order/2} t^j / (2^j j!) truncates the
+        # expansion of e^{t/2}, so q(t) e^{-t/2} = 1 + O(t^{order/2}).
+        m = self.order // 2
+        q = sum(xi_sq**j / (2.0**j * math.factorial(j)) for j in range(m))
+        return q * np.exp(-xi_sq / 2.0)
 
 
 @dataclass(frozen=True)
@@ -64,15 +59,13 @@ class ScaleFn:
     kind "loglog": (log log(1/eps))^{-1}, clamped to LOGLOG_CLAMP for
     eps >= e^{-e} where the formula leaves (0,1).
     kind "power": eps^k.
-    kind "constant-test": fixed value, for degenerate-probe tests only.
     """
 
     kind: str = "loglog"
     k: float = 1.0
-    constant: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("loglog", "power", "constant-test"):
+        if self.kind not in ("loglog", "power"):
             raise MollifyError(f"unknown scale kind {self.kind!r}")
         if self.kind == "power" and self.k <= 0:
             raise MollifyError("power scale needs k > 0")
@@ -87,8 +80,6 @@ def scale_omega(scale: ScaleFn, eps: float) -> float:
         raise MollifyError(f"epsilon must lie in (0, 1], got {eps}")
     if scale.kind == "power":
         return eps**scale.k
-    if scale.kind == "constant-test":
-        return scale.constant
     # loglog
     if eps >= math.exp(-math.e):
         return LOGLOG_CLAMP

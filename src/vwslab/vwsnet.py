@@ -3,15 +3,15 @@ classical-consistency verdicts for the regularised Cauchy problems."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .coeffs import (CoefficientModel, CoefficientSet, HypothesisReport,
                      check_hypotheses, regularise, sample)
-from .evolve import EvolutionProblem, Forcing, SolveResult, solve, stable_dt
-from .grid import Field, GridSpec, forward, inverse, sobolev_norm
-from .mollify import Mollifier, ScaleFn, fit_slope, mollify, scale_omega
+from .evolve import EvolutionProblem, Forcing, solve, stable_dt
+from .grid import Field, GridSpec, inverse, sobolev_norm
+from .mollify import Mollifier, ScaleFn, fit_slope, mollify
 
 
 class NetError(ValueError):
@@ -72,7 +72,6 @@ class NetParams:
     N_weight: int = 2
     data_mollifier: Mollifier = field(default_factory=Mollifier)
     mollify_data: bool = True
-    record_states: bool = False
 
     def __post_init__(self):
         eps = list(self.eps_ladder)
@@ -115,36 +114,47 @@ class FitReport:
         }
 
 
-def _mollify_data(u: Field | None, m: Mollifier, eps: float) -> Field | None:
-    # Cauchy data are regularised at parameter eps itself, not omega(eps)
-    if u is None:
-        return None
-    return mollify(u, m, eps)
+def ladder(model: CoefficientModel, params: NetParams, u0: Field | None = None,
+           forcing: Forcing = Forcing()) -> dict:
+    """The regularised problems of the net: eps -> dict(cs, u0, forcing).
+
+    Coefficients are mollified with the gaussian at omega(eps); the Cauchy
+    data and forcing with ``params.data_mollifier`` at eps, or passed through
+    unchanged when ``params.mollify_data`` is off.  With ``u0=None`` the
+    members carry coefficients only.
+    """
+    moll, dm = Mollifier("gaussian"), params.data_mollifier
+    members = {}
+    for eps in params.eps_ladder:
+        cs = regularise(model, moll, eps, params.scale, params.spec)
+        u0_eps, g_eps = u0, forcing
+        if params.mollify_data:
+            # Cauchy data are regularised at parameter eps itself, not omega(eps)
+            u0_eps = None if u0 is None else mollify(u0, dm, eps)
+            g_eps = Forcing(None if forcing.G is None else mollify(forcing.G, dm, eps),
+                            forcing.rate)
+        members[eps] = {"cs": cs, "u0": u0_eps, "forcing": g_eps}
+    return members
+
+
+def validate(model: CoefficientModel, members: dict) -> HypothesisReport:
+    """(H1)-(H5) on the ladder's coefficient sets, nu and c0 floored at 0.05."""
+    return check_hypotheses([m["cs"] for m in members.values()],
+                            nu=max(model.nu, 0.05), c0=max(model.c0, 0.05),
+                            N=model.N)
 
 
 def run_net(model: CoefficientModel, u0: Field, params: NetParams,
             forcing: Forcing = Forcing(), skip_hypotheses: bool = False) -> EpsilonNet:
     """Regularise, solve and collect norms for every epsilon on the ladder."""
-    moll = Mollifier("gaussian")
-    sets = [regularise(model, moll, e, params.scale, params.spec)
-            for e in params.eps_ladder]
-    report = check_hypotheses(sets, nu=max(model.nu, 0.05), c0=max(model.c0, 0.05),
-                              N=model.N)
+    members = ladder(model, params, u0, forcing)
+    report = validate(model, members)
     if not (report.passed or skip_hypotheses):
         raise HypothesisFailure(report)
-
-    members = {}
-    for eps, cs in zip(params.eps_ladder, sets):
-        if params.mollify_data:
-            u0_eps = _mollify_data(u0, params.data_mollifier, eps)
-            g_eps = Forcing(_mollify_data(forcing.G, params.data_mollifier, eps),
-                            forcing.rate)
-        else:
-            u0_eps, g_eps = u0, forcing
-        prob = EvolutionProblem(cs, u0_eps, g_eps, T=params.T, dt=params.dt,
-                                s_list=params.s_list, N_weight=params.N_weight)
-        result = solve(prob, record_states=params.record_states)
-        members[eps] = {"cs": cs, "u0": u0_eps, "forcing": g_eps, "result": result}
+    for m in members.values():
+        m["result"] = solve(EvolutionProblem(
+            m["cs"], m["u0"], m["forcing"], T=params.T, dt=params.dt,
+            s_list=params.s_list, N_weight=params.N_weight))
     return EpsilonNet(params, model, report, members)
 
 
@@ -165,8 +175,7 @@ def moderateness_fit(net: EpsilonNet, s: float, n_cap: float = 10.0,
 def hs_mode(model: CoefficientModel, u0: Field, params: NetParams,
             forcing: Forcing = Forcing()) -> EpsilonNet:
     """H^s pipeline: data held fixed across epsilon, only coefficients vary."""
-    fixed = NetParams(**{**params.__dict__, "mollify_data": False})
-    return run_net(model, u0, fixed, forcing)
+    return run_net(model, u0, replace(params, mollify_data=False), forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +210,19 @@ def _h2_margin(cs: CoefficientSet) -> float:
     return float(np.min(sv))
 
 
+def _states(cs: CoefficientSet, u0: Field, forcing: Forcing, params: NetParams,
+            dt: float, s: float) -> list:
+    """March one problem to params.T at step dt, keeping every state."""
+    return solve(EvolutionProblem(cs, u0, forcing, T=params.T, dt=dt,
+                                  s_list=(s,), N_weight=params.N_weight),
+                 record_states=True).states
+
+
+def _sup_diff(xs: list, ys: list, spec: GridSpec, s: float) -> float:
+    """sup over t of ||x(t) - y(t)||_s for two state histories."""
+    return max(sobolev_norm(Field(spec, a - b), s) for a, b in zip(xs, ys))
+
+
 def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
                      params: NetParams, forcing: Forcing = Forcing()) -> FitReport:
     """Negligible-in, negligible-out: solve the base and the eps^q-perturbed
@@ -208,38 +230,26 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
     if q < 1:
         raise NetError("perturbation order q must be >= 1")
     s = params.s_list[0]
-    moll = Mollifier("gaussian")
+    spec = params.spec
     eps_used, diffs, dropped = [], [], []
-    for eps in params.eps_ladder:
-        cs = regularise(model, moll, eps, params.scale, params.spec)
+    for eps, m in ladder(model, params, u0, forcing).items():
+        cs, g = m["cs"], m["forcing"]
         cs_p = _perturbed_set(cs, eps, q, model.N)
         if _h2_margin(cs_p) <= 0.0:
             dropped.append(eps)  # shrink eps_0: perturbation broke (H2)
             continue
-        u0_eps = _mollify_data(u0, params.data_mollifier, eps) \
-            if params.mollify_data else u0
-        g = Forcing(_mollify_data(forcing.G, params.data_mollifier, eps),
-                    forcing.rate) if params.mollify_data else forcing
         # data perturbations eps^q * bump on both slots
-        du = Field(params.spec, u0_eps.values + eps**q
-                   * bump_perturbation(params.spec, model.N, seed_shift=3.0))
+        du = Field(spec, m["u0"].values + eps**q
+                   * bump_perturbation(spec, model.N, seed_shift=3.0))
         gG = g.G.values if g.G is not None else 0.0
-        g_p = Forcing(Field(params.spec, gG + eps**q
-                            * bump_perturbation(params.spec, model.N, seed_shift=4.0)),
+        g_p = Forcing(Field(spec, gG + eps**q
+                            * bump_perturbation(spec, model.N, seed_shift=4.0)),
                       g.rate)
         dt = min(stable_dt(cs), stable_dt(cs_p))
-        base = solve(EvolutionProblem(cs, u0_eps, g, T=params.T, dt=dt,
-                                      s_list=(s,), N_weight=params.N_weight),
-                     record_states=True)
-        pert = solve(EvolutionProblem(cs_p, du, g_p, T=params.T, dt=dt,
-                                      s_list=(s,), N_weight=params.N_weight),
-                     record_states=True)
-        sup_diff = max(
-            sobolev_norm(Field(params.spec, a - b), s)
-            for a, b in zip(base.states, pert.states)
-        )
+        base = _states(cs, m["u0"], g, params, dt, s)
+        pert = _states(cs_p, du, g_p, params, dt, s)
         eps_used.append(eps)
-        diffs.append(sup_diff)
+        diffs.append(_sup_diff(base, pert, spec, s))
     if len(eps_used) < 4:
         raise NetError(f"fewer than 4 usable epsilons (dropped {dropped})")
     diffs = np.array(diffs)
@@ -266,31 +276,13 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams,
         raise NetError("consistency requires a vanishing-moment data mollifier")
     s = params.s_list[0]
     cs0 = sample(model, params.spec)
-    moll = Mollifier("gaussian")
-    sets = {e: regularise(model, moll, e, params.scale, params.spec)
-            for e in params.eps_ladder}
-    dt = min([stable_dt(cs0)] + [stable_dt(cs) for cs in sets.values()])
-    classical = solve(
-        EvolutionProblem(cs0, u0, forcing, T=params.T, dt=dt, s_list=(s,),
-                         N_weight=params.N_weight),
-        record_states=True,
-    )
-    errors = []
-    for eps in params.eps_ladder:
-        u0_eps = _mollify_data(u0, params.data_mollifier, eps)
-        g_eps = Forcing(_mollify_data(forcing.G, params.data_mollifier, eps),
-                        forcing.rate)
-        run = solve(
-            EvolutionProblem(sets[eps], u0_eps, g_eps, T=params.T, dt=dt,
-                             s_list=(s,), N_weight=params.N_weight),
-            record_states=True,
-        )
-        err = max(
-            sobolev_norm(Field(params.spec, a - b), s)
-            for a, b in zip(classical.states, run.states)
-        )
-        errors.append(err)
-    errors = np.array(errors)
+    members = ladder(model, params, u0, forcing)
+    dt = min([stable_dt(cs0)] + [stable_dt(m["cs"]) for m in members.values()])
+    classical = _states(cs0, u0, forcing, params, dt, s)
+    errors = np.array([
+        _sup_diff(classical, _states(m["cs"], m["u0"], m["forcing"], params, dt, s),
+                  params.spec, s)
+        for m in members.values()])
     values = {float(e): float(v) for e, v in zip(params.eps_ladder, errors)}
     decreasing = bool(np.all(np.diff(errors) < 0.0))
     final_ok = bool(errors[-1] < tol)

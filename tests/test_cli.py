@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vwslab
 from vwslab.cli import ConfigError, main, parse_config, run
 
 
@@ -78,6 +83,21 @@ class TestParseConfig:
     def test_bad_dt_string(self):
         with pytest.raises(ConfigError, match="dt"):
             parse_config(cfg_text(evolution={"dt": "fast"}))
+
+    @pytest.mark.parametrize("override, section", [
+        ({"grid": {"n": 1, "M": 4, "L": 8.0}}, "config.grid"),
+        ({"scale": {"kind": "constant-test"}}, "config.scale"),
+        ({"mollifier": {"kind": "flat-band"}}, "config.mollifier"),
+    ])
+    def test_rejected_by_grid_mollifier_and_scale(self, override, section,
+                                                   tmp_path, capsys):
+        with pytest.raises(ConfigError, match=section):
+            parse_config(cfg_text(**override))
+        path = tmp_path / "bad.json"
+        path.write_text(cfg_text(**override))
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+        assert section in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_bad_tolerance(self):
         with pytest.raises(ConfigError, match="tolerances"):
@@ -156,6 +176,18 @@ class TestRunReportContract:
         run(cfg, out_dir=str(tmp_path))
         text = (tmp_path / "report.json").read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+def test_import_loads_no_scipy():
+    src = Path(vwslab.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, vwslab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestMain:

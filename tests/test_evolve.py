@@ -150,6 +150,16 @@ class TestSolve:
         assert np.all(res.series.integrand[0.0] >= 0.0)
         assert np.all(np.diff(res.series.integral[0.0]) >= 0.0)
 
+    def test_integral_matches_scipy_trapezoid(self):
+        from scipy.integrate import cumulative_trapezoid
+
+        spec = make_grid(1, 32, 8.0)
+        res = solve(EvolutionProblem(free_set(spec), random_field(spec, seed=8),
+                                     Forcing(), T=0.5, s_list=(0.0, 1.0)))
+        for s, v in res.series.integrand.items():
+            ref = np.concatenate([[0.0], cumulative_trapezoid(v, res.series.t)])
+            assert np.array_equal(res.series.integral[s], ref)
+
     def test_spectral_exactness_under_refinement(self):
         # band-limited coefficient x band-limited state: doubling M must
         # not change apply_spatial on the shared nodes
@@ -201,6 +211,22 @@ class TestDenseOracle:
         exact = dense_oracle(prob)
         gap = sobolev_norm(Field(spec, stepped.values - exact.values), 0.0)
         assert gap / sobolev_norm(exact, 0.0) < 1e-6
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_scaling_and_squaring_matches_eigen_path(self, forced,
+                                                     monkeypatch):
+        spec = make_grid(1, 16, 8.0)
+        cs = regularise(preset("jump-drift", n=1), Mollifier("gaussian"),
+                        2**-4, ScaleFn("loglog"), spec)
+        g = Forcing(random_field(spec, seed=15)) if forced else Forcing()
+        prob = EvolutionProblem(cs, random_field(spec, seed=14), g, T=0.5,
+                                dt=1e-3)
+        eigen = dense_oracle(prob)
+        # an ill-conditioned eigenbasis sends the oracle to the expm branch
+        monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: np.inf)
+        expm_out = dense_oracle(prob)
+        gap = sobolev_norm(Field(spec, expm_out.values - eigen.values), 0.0)
+        assert gap / sobolev_norm(eigen, 0.0) < 1e-10
 
     def test_size_limit(self):
         spec = make_grid(1, 64, 8.0)

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import LADDER
-from vwslab.coeffs import preset, regularise
+from vwslab.coeffs import check_hypotheses, preset, regularise
 from vwslab.evolve import EvolutionProblem, Forcing, solve
 from vwslab.grid import Field, make_grid, sobolev_norm
-from vwslab.mollify import Mollifier, ScaleFn
+from vwslab.mollify import Mollifier, ScaleFn, mollify, scale_omega
 from vwslab.vwsnet import (EpsilonNet, HypothesisFailure, NetError, NetParams,
                            consistency_run, delta_field, gaussian_field,
-                           hs_mode, moderateness_fit, rough_field, run_net,
-                           uniqueness_probe)
+                           hs_mode, ladder, moderateness_fit, rough_field,
+                           run_net, uniqueness_probe, validate)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,57 @@ class TestNetParams:
     def test_out_of_range_rejected(self, spec):
         with pytest.raises(NetError):
             NetParams(spec=spec, eps_ladder=(2.0, 0.5, 0.25, 0.125))
+
+
+class TestLadder:
+    @staticmethod
+    def lparams(spec, **kw):
+        return NetParams(spec=spec, scale=ScaleFn("power", k=0.5),
+                         data_mollifier=Mollifier("vanishing-moment", order=4),
+                         **kw)
+
+    def test_coefficients_at_omega_of_eps(self, spec):
+        p = self.lparams(spec)
+        members = ladder(preset("delta-potential", n=1), p)
+        assert list(members) == list(p.eps_ladder)
+        for eps, m in members.items():
+            assert m["cs"].eps == eps
+            assert m["cs"].omega == scale_omega(p.scale, eps)
+
+    def test_data_mollified_at_eps(self, spec):
+        p = self.lparams(spec)
+        u0 = rough_field(spec, 0.0, seed=3)
+        g = Forcing(gaussian_field(spec, width=0.5), rate=2.0)
+        members = ladder(preset("free", n=1), p, u0, g)
+        for eps, m in members.items():
+            assert np.array_equal(m["u0"].values,
+                                  mollify(u0, p.data_mollifier, eps).values)
+            assert np.array_equal(m["forcing"].G.values,
+                                  mollify(g.G, p.data_mollifier, eps).values)
+            assert m["forcing"].rate == 2.0
+
+    def test_unmollified_data_pass_through(self, spec):
+        p = self.lparams(spec, mollify_data=False)
+        u0, g = gaussian_field(spec), Forcing(gaussian_field(spec))
+        for m in ladder(preset("free", n=1), p, u0, g).values():
+            assert m["u0"] is u0
+            assert m["forcing"] is g
+
+    def test_coefficient_only_members(self, spec):
+        for m in ladder(preset("free", n=1), self.lparams(spec)).values():
+            assert set(m) == {"cs", "u0", "forcing"}
+            assert m["u0"] is None
+            assert m["forcing"].G is None
+
+    def test_validate_floors_nu_and_c0(self, spec):
+        model = preset("delta-potential", n=1)
+        assert model.nu == model.c0 == 0.0
+        members = ladder(model, self.lparams(spec))
+        report = validate(model, members)
+        direct = check_hypotheses([m["cs"] for m in members.values()],
+                                  nu=0.05, c0=0.05, N=model.N)
+        assert report.to_dict() == direct.to_dict()
+        assert report.h3_bound == report.h4_bound == pytest.approx(0.1)
 
 
 class TestRunNet:
