@@ -267,8 +267,7 @@ class CoefficientSet:
 def _mollifier_multiplier(m: Mollifier | None, omega: float, spec: GridSpec):
     if m is None:
         return np.ones(spec.shape)
-    k2 = sum(km**2 for km in spec.kappa_mesh())
-    return m.hat(omega**2 * k2)
+    return m.hat(omega**2 * spec.kappa_sq())
 
 
 def regularise(model: CoefficientModel, m: Mollifier, eps: float,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientSet
-from .grid import Field, sobolev_norm, spectral_derivative
+from .grid import Field, forward, inverse
 
 #: RK4 stability interval on the imaginary axis is about |z| <= 2.8
 RK4_IMAG_LIMIT = 2.8
@@ -52,6 +52,8 @@ class EvolutionProblem:
     dt: float | None = None
     s_list: tuple = (0.0,)
     N_weight: int = 2
+    #: the un-safetied RK4 step bound, limit / SAFETY
+    dt_bound: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.T <= 0:
@@ -61,9 +63,10 @@ class EvolutionProblem:
         limit = stable_dt(self.cs)
         if self.dt is None:
             self.dt = limit
-        bound = limit / SAFETY  # the un-safetied limit
-        if self.dt > bound * (1.0 + 1e-9):
-            raise EvolveError(f"dt = {self.dt} exceeds stability bound {bound}")
+        self.dt_bound = limit / SAFETY
+        if self.dt > self.dt_bound * (1.0 + 1e-9):
+            raise EvolveError(
+                f"dt = {self.dt} exceeds stability bound {self.dt_bound}")
 
 
 def stable_dt(cs: CoefficientSet) -> float:
@@ -79,17 +82,16 @@ def stable_dt(cs: CoefficientSet) -> float:
 
 
 def apply_spatial(cs: CoefficientSet, u: Field | np.ndarray) -> np.ndarray:
-    """A u + B u + V u on raw values."""
+    """A u + B u + V u on raw values, from 2n + 2 transforms."""
     vals = u.values if isinstance(u, Field) else u
     spec = cs.spec
     n = spec.n
-    du = [-1j * spectral_derivative(vals, spec, j) for j in range(n)]
-    out = np.zeros_like(vals)
-    for i in range(n):
-        acc = np.zeros_like(vals)
-        for j in range(n):
-            acc += cs.a[i][j] * du[j]
-        out += -1j * spectral_derivative(acc, spec, i)
+    km = spec.kappa_mesh()
+    uh = forward(vals, spec)
+    du = [inverse(km[j] * uh, spec) for j in range(n)]
+    flux = [forward(sum(cs.a[i][j] * du[j] for j in range(n)), spec)
+            for i in range(n)]
+    out = inverse(sum(km[i] * flux[i] for i in range(n)), spec)
     for k in range(n):
         out += cs.b[k] * du[k]
     out += cs.V * vals
@@ -139,11 +141,24 @@ class NormSeries:
         return float(self.integral[s][-1])
 
 
-def _smoothing_integrand(u: Field, s: float, N: int) -> float:
-    from .grid import apply_lambda, weight_field
+def _diagnostics(u: Field, s_list, N: int) -> list:
+    """(||u||_s, ||<x>^{-N/2} Lambda^{s+1/2} u||_0^2) for each s in s_list.
 
-    v = weight_field(apply_lambda(u, s + 0.5), -N / 2.0)
-    return sobolev_norm(v, 0.0) ** 2
+    One forward transform of u serves every s, and one inverse per s gives
+    the weighted values, whose L^2 norm is taken by Plancherel on the grid.
+    """
+    spec = u.spec
+    uh = forward(u)
+    power = np.abs(uh) ** 2
+    bra = spec.kappa_bracket()
+    weight = (1.0 + spec.x_norm_sq()) ** (-N / 4.0)
+    vol = (2.0 * spec.L) ** spec.n
+    out = []
+    for s in s_list:
+        v = inverse(uh * bra ** (s + 0.5), spec) * weight
+        out.append((float(np.sqrt(vol * np.sum(bra ** (2.0 * s) * power))),
+                    spec.h**spec.n * float(np.sum(np.abs(v) ** 2))))
+    return out
 
 
 @dataclass
@@ -155,27 +170,26 @@ class SolveResult:
 
 def solve(prob: EvolutionProblem, record_states: bool = False) -> SolveResult:
     """March to T recording norms at every step."""
-    dt = prob.dt
-    steps = max(1, int(round(prob.T / dt)))
+    steps = max(1, int(round(prob.T / prob.dt)))
+    if prob.T / steps > prob.dt_bound:
+        steps += 1  # round() went down past the stability bound
     dt = prob.T / steps  # land exactly on T
     u = prob.u0.copy()
     ts = [0.0]
-    norms = {s: [sobolev_norm(u, s)] for s in prob.s_list}
-    integrand = {s: [_smoothing_integrand(u, s, prob.N_weight)] for s in prob.s_list}
+    rows = [_diagnostics(u, prob.s_list, prob.N_weight)]
     states = [u.values.copy()] if record_states else None
     t = 0.0
     for _ in range(steps):
         u = step_rk4(u, t, dt, prob)
         t += dt
         ts.append(t)
-        for s in prob.s_list:
-            norms[s].append(sobolev_norm(u, s))
-            integrand[s].append(_smoothing_integrand(u, s, prob.N_weight))
+        rows.append(_diagnostics(u, prob.s_list, prob.N_weight))
         if record_states:
             states.append(u.values.copy())
     ts = np.array(ts)
-    norms = {s: np.array(v) for s, v in norms.items()}
-    integrand = {s: np.array(v) for s, v in integrand.items()}
+    rows = np.array(rows)  # (step, s, [norm, integrand])
+    norms = {s: rows[:, i, 0] for i, s in enumerate(prob.s_list)}
+    integrand = {s: rows[:, i, 1] for i, s in enumerate(prob.s_list)}
     # cumulative trapezoid rule
     integral = {
         s: np.concatenate([[0.0], np.cumsum(np.diff(ts) * (v[1:] + v[:-1]) / 2.0)])

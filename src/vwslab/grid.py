@@ -6,11 +6,18 @@ k = -M/2, ..., M/2 - 1 per axis.  Fourier coefficients are normalised so
 that the constant field 1 has zero-mode coefficient 1; with that choice
 the Sobolev norm of the constant field on (1, M, L) is sqrt(2L)
 independently of the order.
+
+Every array that depends on the grid alone (the meshes, |kappa|^2,
+<kappa>, |x|^2 and the transform phase) is built once per GridSpec and
+shared by all callers, so these arrays are read-only: derive new arrays
+from them instead of writing into them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,21 +73,47 @@ class GridSpec:
 
     def x_mesh(self) -> tuple:
         """Meshed coordinates, one array per axis."""
-        ax = self.x_axis()
-        return np.meshgrid(*([ax] * self.n), indexing="ij")
+        return _tables(self).x
 
     def kappa_mesh(self) -> tuple:
         """Meshed dual frequencies in FFT order, one array per axis."""
-        ka = self.kappa_axis()
-        return np.meshgrid(*([ka] * self.n), indexing="ij")
+        return _tables(self).kappa
+
+    def kappa_sq(self) -> np.ndarray:
+        """|kappa|^2 on the meshed dual lattice."""
+        return _tables(self).kappa_sq
 
     def x_norm_sq(self) -> np.ndarray:
-        return sum(xm**2 for xm in self.x_mesh())
+        return _tables(self).x_sq
 
     def kappa_bracket(self) -> np.ndarray:
         """Japanese bracket <kappa> on the meshed dual lattice."""
-        k2 = sum(km**2 for km in self.kappa_mesh())
-        return np.sqrt(1.0 + k2)
+        return _tables(self).bracket
+
+
+class _Tables(NamedTuple):
+    x: tuple
+    kappa: tuple
+    kappa_sq: np.ndarray
+    bracket: np.ndarray
+    x_sq: np.ndarray
+    phase: np.ndarray
+
+
+# Bounded so that a long process sweeping many grids does not keep every
+# table alive; the pipelines use one or two grids at a time.
+@functools.lru_cache(maxsize=32)
+def _tables(spec: GridSpec) -> _Tables:
+    x = tuple(np.meshgrid(*([spec.x_axis()] * spec.n), indexing="ij"))
+    kappa = tuple(np.meshgrid(*([spec.kappa_axis()] * spec.n), indexing="ij"))
+    kappa_sq = sum(km**2 for km in kappa)
+    # fft indexes nodes from x = -L, so raw coefficients pick up a factor
+    # exp(i*kappa_k*L) = (-1)^k per axis relative to the e^{i kappa x} basis.
+    tables = _Tables(x, kappa, kappa_sq, np.sqrt(1.0 + kappa_sq),
+                     sum(xm**2 for xm in x), np.exp(1j * spec.L * sum(kappa)))
+    for arr in (*x, *kappa, *tables[2:]):
+        arr.setflags(write=False)
+    return tables
 
 
 @dataclass
@@ -109,11 +142,7 @@ def make_grid(n: int, M: int, L: float) -> GridSpec:
 
 
 def _phase(spec: GridSpec) -> np.ndarray:
-    # fft indexes nodes from x = -L, so raw coefficients pick up a factor
-    # exp(i*kappa_k*L) = (-1)^k per axis relative to the e^{i kappa x} basis.
-    km = spec.kappa_mesh()
-    total = sum(km)
-    return np.exp(1j * spec.L * total)
+    return _tables(spec).phase
 
 
 def forward(u: Field | np.ndarray, spec: GridSpec | None = None) -> np.ndarray:

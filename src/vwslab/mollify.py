@@ -91,8 +91,7 @@ def mollify(u: Field, m: Mollifier, omega: float) -> Field:
     if not (0.0 < omega <= 1.0):
         raise MollifyError(f"omega must lie in (0, 1], got {omega}")
     uh = forward(u)
-    k2 = sum(km**2 for km in u.spec.kappa_mesh())
-    vals = inverse(uh * m.hat(omega**2 * k2), u.spec)
+    vals = inverse(uh * m.hat(omega**2 * u.spec.kappa_sq()), u.spec)
     return Field(u.spec, vals)
 
 

@@ -8,6 +8,10 @@ from vwslab.evolve import (EvolutionProblem, EvolveError, Forcing,
                            smoothing_report, solve, stable_dt, step_rk4)
 from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
 from vwslab.mollify import Mollifier, ScaleFn
+from vwslab import evolve
+from vwslab.evolve import SAFETY, _diagnostics
+from vwslab.grid import apply_lambda, spectral_derivative, weight_field
+from vwslab.vwsnet import rough_field
 
 
 def free_set(spec):
@@ -279,3 +283,95 @@ class TestSmoothingReport:
         assert rep["holds"]
         assert all(np.isfinite(v) and v > 0 for v in rep["lhs"])
         assert rep["C1"] > 0 and rep["C2"] > 0 and rep["k1"] >= 0.0
+
+
+def _apply_spatial_per_axis(cs, vals):
+    """Reference form of A u + B u + V u: one spectral derivative per axis."""
+    spec, n = cs.spec, cs.spec.n
+    du = [-1j * spectral_derivative(vals, spec, j) for j in range(n)]
+    out = np.zeros_like(vals)
+    for i in range(n):
+        acc = sum(cs.a[i][j] * du[j] for j in range(n))
+        out += -1j * spectral_derivative(acc, spec, i)
+    for k in range(n):
+        out += cs.b[k] * du[k]
+    return out + cs.V * vals
+
+
+def _counting(monkeypatch, module, names):
+    calls = {"n": 0}
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls["n"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+CASES = {
+    "ultra-diagonal-2d": (make_grid(2, 32, 8.0), "ultra-diagonal"),
+    "delta-potential-1d": (make_grid(1, 128, 8.0), "delta-potential"),
+    "jump-drift-1d": (make_grid(1, 128, 8.0), "jump-drift"),
+}
+
+
+class TestOneTransformPaths:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_apply_spatial_matches_per_axis_form(self, case):
+        spec, name = CASES[case]
+        cs = regularise(preset(name), Mollifier("gaussian"), 2**-5,
+                        ScaleFn("loglog"), spec)
+        u = rough_field(spec, 0.0, seed=4)
+        ref = _apply_spatial_per_axis(cs, u.values)
+        np.testing.assert_allclose(apply_spatial(cs, u), ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("N", [0, 2, 4])
+    def test_diagnostics_match_reference(self, n, N):
+        spec = make_grid(n, 32, 6.0)
+        u = rough_field(spec, 0.0, seed=n + N)
+        s_list = (-0.5, 0.0, 1.0, 2.0)
+        for s, (norm, integrand) in zip(s_list, _diagnostics(u, s_list, N)):
+            assert norm == pytest.approx(sobolev_norm(u, s), rel=1e-12)
+            ref = sobolev_norm(weight_field(apply_lambda(u, s + 0.5), -N / 2.0),
+                               0.0) ** 2
+            assert integrand == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n, ffts", [(1, 4), (2, 6)])
+    def test_apply_spatial_fft_budget(self, monkeypatch, n, ffts):
+        spec = make_grid(n, 16, np.pi)
+        cs = free_set(spec)
+        calls = _counting(monkeypatch, evolve, ("forward", "inverse"))
+        apply_spatial(cs, random_field(spec, seed=2))
+        assert calls["n"] == ffts
+
+    @pytest.mark.parametrize("s_list", [(0.0,), (0.0, 1.0), (-0.5, 0.0, 1.0, 2.0)])
+    def test_diagnostics_fft_budget(self, monkeypatch, s_list):
+        spec = make_grid(2, 16, np.pi)
+        calls = _counting(monkeypatch, evolve, ("forward", "inverse"))
+        _diagnostics(random_field(spec, seed=3), s_list, 2)
+        assert calls["n"] == 1 + len(s_list)
+
+
+class TestStepCount:
+    def test_rounding_down_never_exceeds_bound(self):
+        spec = make_grid(1, 32, np.pi)
+        cs = free_set(spec)
+        limit = stable_dt(cs)
+        # T/dt = 1.12 rounds to one step of 1.12 times the bound
+        prob = EvolutionProblem(cs, random_field(spec, seed=5), T=1.4 * limit,
+                                dt=limit / SAFETY)
+        ts = solve(prob).series.t
+        assert len(ts) == 3
+        assert np.max(np.diff(ts)) <= prob.dt_bound
+
+    def test_rounding_down_within_bound_keeps_count(self):
+        spec = make_grid(1, 32, np.pi)
+        cs = free_set(spec)
+        prob = EvolutionProblem(cs, random_field(spec, seed=5),
+                                T=3.02 * stable_dt(cs))
+        assert len(solve(prob).series.t) == 4

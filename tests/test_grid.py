@@ -139,3 +139,41 @@ def test_spectral_derivative_of_sine():
     x = spec.x_axis()
     du = spectral_derivative(np.sin(2 * x).astype(complex), spec, 0)
     assert np.allclose(du, 2 * np.cos(2 * x), atol=1e-12)
+
+
+class TestGridTables:
+    def test_equal_specs_share_arrays(self):
+        a, b = make_grid(2, 16, 4.0), make_grid(2, 16, 4.0)
+        assert a is not b
+        assert all(x is y for x, y in zip(a.kappa_mesh(), b.kappa_mesh()))
+        assert all(x is y for x, y in zip(a.x_mesh(), b.x_mesh()))
+        assert a.kappa_sq() is b.kappa_sq()
+        assert a.kappa_bracket() is b.kappa_bracket()
+        assert a.x_norm_sq() is b.x_norm_sq()
+
+    @pytest.mark.parametrize("table", [
+        lambda s: s.kappa_mesh()[0], lambda s: s.kappa_bracket(),
+        lambda s: s.x_norm_sq(), lambda s: s.x_mesh()[0],
+        lambda s: s.kappa_sq()])
+    def test_tables_are_read_only(self, table):
+        arr = table(make_grid(2, 16, 4.0))
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr += 1.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tables_equal_fresh_build(self, n):
+        spec = make_grid(n, 32, 5.0)
+        h = 2.0 * 5.0 / 32
+        ka = 2.0 * np.pi * np.fft.fftfreq(32, d=h)
+        km = np.meshgrid(*([ka] * n), indexing="ij")
+        xm = np.meshgrid(*([-5.0 + h * np.arange(32)] * n), indexing="ij")
+        k2 = sum(k**2 for k in km)
+        for got, want in zip(spec.kappa_mesh(), km):
+            assert np.array_equal(got, want)
+        for got, want in zip(spec.x_mesh(), xm):
+            assert np.array_equal(got, want)
+        assert np.array_equal(spec.kappa_sq(), k2)
+        assert np.array_equal(spec.kappa_bracket(), np.sqrt(1.0 + k2))
+        assert np.array_equal(spec.x_norm_sq(), sum(x**2 for x in xm))
