@@ -263,6 +263,13 @@ class CoefficientSet:
                 out[..., i, j] = self.a[i][j]
         return out
 
+    def abs_eigenvalues(self) -> np.ndarray:
+        """|eigenvalues| of the coefficient matrix at every node, shape
+        (size, n).  a is symmetric by construction, so these are its
+        singular values."""
+        A = self.matrix_at().reshape(-1, self.n, self.n)
+        return np.abs(np.linalg.eigvalsh(A))
+
 
 def _mollifier_multiplier(m: Mollifier | None, omega: float, spec: GridSpec):
     if m is None:

@@ -4,6 +4,14 @@ The first-order form is du/dt = i(A u + B u + V u + g) with
 A u = sum_ij D_i(a_ij (D_j u)), B u = sum_k b_k (D_k u), V u = V u and
 D = -i d/dx computed spectrally.  The stepper is classical RK4 with the
 step bounded by the imaginary-axis stability interval.
+
+``solve`` marches the raw FFT coefficients u_hat = ``grid.fft(u)`` and
+forms grid values only for the final state and for recorded states.  The
+operator is built once per problem: coefficients that are constant on the
+grid (zero ones included) are applied as one exact Fourier symbol
+sum c_ij kappa_i kappa_j + sum b_k kappa_k + V, and only the variable
+ones go through transforms to the grid and back.  ``apply_spatial`` is that
+operator between one forward and one inverse transform.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientSet
-from .grid import Field, forward, inverse
+from .grid import Field, GridSpec, fft, ifft
 
 #: RK4 stability interval on the imaginary axis is about |z| <= 2.8
 RK4_IMAG_LIMIT = 2.8
@@ -58,6 +66,8 @@ class EvolutionProblem:
     def __post_init__(self):
         if self.T <= 0:
             raise EvolveError("horizon T must be positive")
+        if self.dt is not None and not self.dt > 0:
+            raise EvolveError(f"time step dt must be positive, got {self.dt}")
         if self.u0.spec != self.cs.spec:
             raise EvolveError("initial data grid does not match coefficients")
         limit = stable_dt(self.cs)
@@ -73,56 +83,115 @@ def stable_dt(cs: CoefficientSet) -> float:
     """SAFETY * 2.8 / rho with rho a spectral-radius surrogate of the generator."""
     spec = cs.spec
     kmax = float(np.max(np.abs(spec.kappa_axis())))
-    A = cs.matrix_at().reshape(-1, spec.n, spec.n)
-    anorm = float(np.max(np.linalg.norm(A, ord=2, axis=(1, 2))))
+    anorm = float(np.max(cs.abs_eigenvalues()))
     bmax = max((float(np.max(np.abs(bk))) for bk in cs.b), default=0.0)
     vmax = float(np.max(np.abs(cs.V)))
     rho = anorm * kmax**2 + bmax * kmax + vmax
     return SAFETY * RK4_IMAG_LIMIT / rho
 
 
+def _constant(arr: np.ndarray):
+    """The value of arr if it is the same at every node, else None."""
+    first = arr.flat[0]
+    return first if np.all(arr == first) else None
+
+
+class _Operator:
+    """Raw coefficients u_hat (``grid.fft``) -> raw coefficients of (A + B + V) u.
+
+    Built once per problem.  Every coefficient that is constant on the grid
+    enters the symbol sum c_ij kappa_i kappa_j + sum b_k kappa_k + V; the
+    variable ones take one inverse per needed D_j u, one forward per row i
+    of variable a_ij and one forward shared by the variable b_k and V.
+    """
+
+    def __init__(self, cs: CoefficientSet):
+        n = cs.n
+        km = cs.spec.kappa_mesh()
+        symbol = np.zeros(cs.spec.shape)
+        self.rows = []  # (kappa_i, [(j, a_ij)]) for each row with a variable entry
+        for i in range(n):
+            variable = []
+            for j in range(n):
+                c = _constant(cs.a[i][j])
+                if c is None:
+                    variable.append((j, cs.a[i][j]))
+                elif c != 0:
+                    symbol = symbol + c * km[i] * km[j]
+            if variable:
+                self.rows.append((km[i], variable))
+        self.drift = []  # (k, b_k) for each variable b_k
+        for k in range(n):
+            c = _constant(cs.b[k])
+            if c is None:
+                self.drift.append((k, cs.b[k]))
+            elif c != 0:
+                symbol = symbol + c * km[k]
+        c = _constant(cs.V)
+        self.V = cs.V if c is None else None
+        if c is not None and c != 0:
+            symbol = symbol + c
+        self.symbol = symbol if np.any(symbol) else None
+        needed = {j for _, row in self.rows for j, _ in row}
+        needed |= {k for k, _ in self.drift}
+        self.kappa = [(j, km[j]) for j in sorted(needed)]
+
+    def __call__(self, uh: np.ndarray) -> np.ndarray:
+        du = {j: ifft(kj * uh) for j, kj in self.kappa}
+        out = np.zeros_like(uh) if self.symbol is None else self.symbol * uh
+        for ki, row in self.rows:
+            out += ki * fft(sum(a * du[j] for j, a in row))
+        if self.drift or self.V is not None:
+            lower = 0.0 if self.V is None else self.V * ifft(uh)
+            for k, bk in self.drift:
+                lower = lower + bk * du[k]
+            out += fft(lower)
+        return out
+
+
 def apply_spatial(cs: CoefficientSet, u: Field | np.ndarray) -> np.ndarray:
-    """A u + B u + V u on raw values, from 2n + 2 transforms."""
+    """A u + B u + V u on raw values: the coefficient-space operator of
+    ``solve`` between one forward and one inverse transform."""
     vals = u.values if isinstance(u, Field) else u
-    spec = cs.spec
-    n = spec.n
-    km = spec.kappa_mesh()
-    uh = forward(vals, spec)
-    du = [inverse(km[j] * uh, spec) for j in range(n)]
-    flux = [forward(sum(cs.a[i][j] * du[j] for j in range(n)), spec)
-            for i in range(n)]
-    out = inverse(sum(km[i] * flux[i] for i in range(n)), spec)
-    for k in range(n):
-        out += cs.b[k] * du[k]
-    out += cs.V * vals
-    return out
+    return ifft(_Operator(cs)(fft(vals)))
 
 
-def _rhs(cs: CoefficientSet, vals: np.ndarray, t: float, forcing: Forcing) -> np.ndarray:
-    g = forcing.at(t)
-    total = apply_spatial(cs, vals)
-    if g is not None:
-        total = total + g
-    return 1j * total
+def _forcing_coefficients(forcing: Forcing) -> np.ndarray | None:
+    return None if forcing.G is None else fft(forcing.G.values)
 
 
-def step_rk4(u: Field, t: float, dt: float, prob: EvolutionProblem) -> Field:
-    """One classical RK4 step of the first-order system."""
-    cs, forcing = prob.cs, prob.forcing
-    v = u.values
-    k1 = _rhs(cs, v, t, forcing)
-    k2 = _rhs(cs, v + 0.5 * dt * k1, t + 0.5 * dt, forcing)
-    k3 = _rhs(cs, v + 0.5 * dt * k2, t + 0.5 * dt, forcing)
-    k4 = _rhs(cs, v + dt * k3, t + dt, forcing)
-    new = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    before = np.linalg.norm(v)
+def _step(op: _Operator, gh: np.ndarray | None, rate: float, uh: np.ndarray,
+          t: float, dt: float) -> np.ndarray:
+    """One classical RK4 step on raw coefficients; gh holds those of G."""
+
+    def rhs(v, tau):
+        total = op(v)
+        if gh is not None:
+            total += gh if rate == 0.0 else np.exp(1j * rate * tau) * gh
+        return 1j * total
+
+    k1 = rhs(uh, t)
+    k2 = rhs(uh + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rhs(uh + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(uh + dt * k3, t + dt)
+    new = uh + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # by Parseval the coefficient norms have the ratio of the value norms
+    before = np.linalg.norm(uh)
     after = np.linalg.norm(new)
     if before > 0 and after > 10.0 * before:
         raise Instability(
             f"norm grew x{after / before:.1f} in one step at t = {t:.4g} "
             f"(dt = {dt:.3g}); generator likely under-resolved"
         )
-    return Field(u.spec, new)
+    return new
+
+
+def step_rk4(u: Field, t: float, dt: float, prob: EvolutionProblem) -> Field:
+    """One classical RK4 step of the first-order system, the step ``solve``
+    takes, on grid values."""
+    gh = _forcing_coefficients(prob.forcing)
+    new = _step(_Operator(prob.cs), gh, prob.forcing.rate, fft(u.values), t, dt)
+    return Field(u.spec, ifft(new))
 
 
 @dataclass
@@ -141,24 +210,27 @@ class NormSeries:
         return float(self.integral[s][-1])
 
 
-def _diagnostics(u: Field, s_list, N: int) -> list:
-    """(||u||_s, ||<x>^{-N/2} Lambda^{s+1/2} u||_0^2) for each s in s_list.
+class _Diagnostics:
+    """Raw coefficients -> (||u||_s, ||<x>^{-N/2} Lambda^{s+1/2} u||_0^2) for
+    each s in s_list.
 
-    One forward transform of u serves every s, and one inverse per s gives
-    the weighted values, whose L^2 norm is taken by Plancherel on the grid.
+    The norm needs no transform; each integrand takes one inverse, and its
+    L^2 norm is taken by Plancherel on the grid values.
     """
-    spec = u.spec
-    uh = forward(u)
-    power = np.abs(uh) ** 2
-    bra = spec.kappa_bracket()
-    weight = (1.0 + spec.x_norm_sq()) ** (-N / 4.0)
-    vol = (2.0 * spec.L) ** spec.n
-    out = []
-    for s in s_list:
-        v = inverse(uh * bra ** (s + 0.5), spec) * weight
-        out.append((float(np.sqrt(vol * np.sum(bra ** (2.0 * s) * power))),
-                    spec.h**spec.n * float(np.sum(np.abs(v) ** 2))))
-    return out
+
+    def __init__(self, spec: GridSpec, s_list, N: int):
+        bra = spec.kappa_bracket()
+        # forward() = fft / size up to a unimodular phase
+        vol = (2.0 * spec.L) ** spec.n / spec.size**2
+        self.norm_weights = [vol * bra ** (2.0 * s) for s in s_list]
+        self.lifts = [bra ** (s + 0.5) for s in s_list]
+        self.x_weight = spec.h**spec.n * (1.0 + spec.x_norm_sq()) ** (-N / 2.0)
+
+    def __call__(self, uh: np.ndarray) -> list:
+        power = np.abs(uh) ** 2
+        return [(float(np.sqrt(np.sum(w * power))),
+                 float(np.sum(self.x_weight * np.abs(ifft(uh * lift)) ** 2)))
+                for w, lift in zip(self.norm_weights, self.lifts)]
 
 
 @dataclass
@@ -169,23 +241,31 @@ class SolveResult:
 
 
 def solve(prob: EvolutionProblem, record_states: bool = False) -> SolveResult:
-    """March to T recording norms at every step."""
+    """March to T recording norms at every step.
+
+    The march runs on the raw coefficients of u; grid values are formed
+    only for the final state and for the recorded states.
+    """
     steps = max(1, int(round(prob.T / prob.dt)))
     if prob.T / steps > prob.dt_bound:
         steps += 1  # round() went down past the stability bound
     dt = prob.T / steps  # land exactly on T
-    u = prob.u0.copy()
+    spec = prob.cs.spec
+    op = _Operator(prob.cs)
+    gh = _forcing_coefficients(prob.forcing)
+    diagnose = _Diagnostics(spec, prob.s_list, prob.N_weight)
+    uh = fft(prob.u0.values)
     ts = [0.0]
-    rows = [_diagnostics(u, prob.s_list, prob.N_weight)]
-    states = [u.values.copy()] if record_states else None
+    rows = [diagnose(uh)]
+    states = [prob.u0.values.copy()] if record_states else None
     t = 0.0
     for _ in range(steps):
-        u = step_rk4(u, t, dt, prob)
+        uh = _step(op, gh, prob.forcing.rate, uh, t, dt)
         t += dt
         ts.append(t)
-        rows.append(_diagnostics(u, prob.s_list, prob.N_weight))
+        rows.append(diagnose(uh))
         if record_states:
-            states.append(u.values.copy())
+            states.append(ifft(uh))
     ts = np.array(ts)
     rows = np.array(rows)  # (step, s, [norm, integrand])
     norms = {s: rows[:, i, 0] for i, s in enumerate(prob.s_list)}
@@ -195,7 +275,8 @@ def solve(prob: EvolutionProblem, record_states: bool = False) -> SolveResult:
         s: np.concatenate([[0.0], np.cumsum(np.diff(ts) * (v[1:] + v[:-1]) / 2.0)])
         for s, v in integrand.items()
     }
-    return SolveResult(u, NormSeries(ts, norms, integrand, integral), states)
+    return SolveResult(Field(spec, ifft(uh)), NormSeries(ts, norms, integrand, integral),
+                       states)
 
 
 def dense_oracle(prob: EvolutionProblem) -> Field:

@@ -7,6 +7,10 @@ that the constant field 1 has zero-mode coefficient 1; with that choice
 the Sobolev norm of the constant field on (1, M, L) is sqrt(2L)
 independently of the order.
 
+``fft``/``ifft`` are the raw transform pair underneath ``forward`` and
+``inverse``: no 1/size and no phase, for code that stays in coefficient
+space and only needs the pair to invert each other.
+
 Every array that depends on the grid alone (the meshes, |kappa|^2,
 <kappa>, |x|^2 and the transform phase) is built once per GridSpec and
 shared by all callers, so these arrays are read-only: derive new arrays
@@ -145,6 +149,21 @@ def _phase(spec: GridSpec) -> np.ndarray:
     return _tables(spec).phase
 
 
+def fft(values: np.ndarray) -> np.ndarray:
+    """Raw discrete Fourier coefficients of grid values: no 1/size, no phase.
+
+    ``ifft`` inverts it exactly.  ``forward`` and ``inverse`` are these two
+    with the normalisation and the phase of the e^{i kappa x} basis applied.
+    """
+    # same numbers as fftn; the 1D call skips fftn's per-axis set-up
+    return np.fft.fft(values) if values.ndim == 1 else np.fft.fftn(values)
+
+
+def ifft(coeffs: np.ndarray) -> np.ndarray:
+    """Grid values of raw coefficients, the inverse of :func:`fft`."""
+    return np.fft.ifft(coeffs) if coeffs.ndim == 1 else np.fft.ifftn(coeffs)
+
+
 def forward(u: Field | np.ndarray, spec: GridSpec | None = None) -> np.ndarray:
     """Fourier coefficients u_hat_k of u with respect to e^{i kappa_k x}.
 
@@ -154,12 +173,12 @@ def forward(u: Field | np.ndarray, spec: GridSpec | None = None) -> np.ndarray:
         spec, values = u.spec, u.values
     else:
         values = u
-    return np.fft.fftn(values) / spec.size * _phase(spec)
+    return fft(values) / spec.size * _phase(spec)
 
 
 def inverse(coeffs: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Inverse of :func:`forward`, returning grid values."""
-    return np.fft.ifftn(coeffs / _phase(spec) * spec.size)
+    return ifft(coeffs / _phase(spec) * spec.size)
 
 
 def sobolev_norm(u: Field, s: float) -> float:
@@ -187,9 +206,8 @@ def weight_field(u: Field, p: float) -> Field:
 
 def spectral_derivative(values: np.ndarray, spec: GridSpec, axis: int) -> np.ndarray:
     """d/dx_axis computed in Fourier space."""
-    coeffs = np.fft.fftn(values)
     km = spec.kappa_mesh()[axis]
-    return np.fft.ifftn(1j * km * coeffs)
+    return ifft(1j * km * fft(values))
 
 
 def plane_wave(spec: GridSpec, k: tuple | int) -> Field:

@@ -205,9 +205,7 @@ def _perturbed_set(cs: CoefficientSet, eps: float, q: int, N: int) -> Coefficien
 
 
 def _h2_margin(cs: CoefficientSet) -> float:
-    A = cs.matrix_at().reshape(-1, cs.n, cs.n)
-    sv = np.linalg.svd(A, compute_uv=False)
-    return float(np.min(sv))
+    return float(np.min(cs.abs_eigenvalues()))
 
 
 def _states(cs: CoefficientSet, u0: Field, forcing: Forcing, params: NetParams,

@@ -9,9 +9,10 @@ from vwslab.evolve import (EvolutionProblem, EvolveError, Forcing,
 from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
 from vwslab.mollify import Mollifier, ScaleFn
 from vwslab import evolve
-from vwslab.evolve import SAFETY, _diagnostics
-from vwslab.grid import apply_lambda, spectral_derivative, weight_field
-from vwslab.vwsnet import rough_field
+from vwslab.evolve import RK4_IMAG_LIMIT, SAFETY, _Diagnostics, _Operator
+from vwslab.grid import apply_lambda, fft, spectral_derivative, weight_field
+from vwslab.coeffs import enveloped_bump
+from vwslab.vwsnet import _h2_margin, _perturbed_set, rough_field
 
 
 def free_set(spec):
@@ -63,6 +64,14 @@ class TestStepRK4:
                                 T=1.0, dt=None)
         with pytest.raises(Instability):
             step_rk4(prob.u0, 0.0, 50 * stable_dt(cs), prob)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01], ids=["zero", "negative"])
+    def test_problem_rejects_non_positive_dt(self, dt):
+        spec = make_grid(1, 32, np.pi)
+        cs = regularise(preset("delta-potential"), Mollifier("gaussian"),
+                        2**-4, ScaleFn("loglog"), spec)
+        with pytest.raises(EvolveError, match="must be positive"):
+            EvolutionProblem(cs, random_field(spec, seed=1), T=0.1, dt=dt)
 
     def test_problem_rejects_unstable_dt(self):
         spec = make_grid(1, 64, np.pi)
@@ -335,26 +344,29 @@ class TestOneTransformPaths:
         spec = make_grid(n, 32, 6.0)
         u = rough_field(spec, 0.0, seed=n + N)
         s_list = (-0.5, 0.0, 1.0, 2.0)
-        for s, (norm, integrand) in zip(s_list, _diagnostics(u, s_list, N)):
+        rows = _Diagnostics(spec, s_list, N)(fft(u.values))
+        for s, (norm, integrand) in zip(s_list, rows):
             assert norm == pytest.approx(sobolev_norm(u, s), rel=1e-12)
             ref = sobolev_norm(weight_field(apply_lambda(u, s + 0.5), -N / 2.0),
                                0.0) ** 2
             assert integrand == pytest.approx(ref, rel=1e-12)
 
-    @pytest.mark.parametrize("n, ffts", [(1, 4), (2, 6)])
+    @pytest.mark.parametrize("n, ffts", [(1, 2), (2, 2)])
     def test_apply_spatial_fft_budget(self, monkeypatch, n, ffts):
         spec = make_grid(n, 16, np.pi)
         cs = free_set(spec)
-        calls = _counting(monkeypatch, evolve, ("forward", "inverse"))
+        calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
         apply_spatial(cs, random_field(spec, seed=2))
         assert calls["n"] == ffts
 
     @pytest.mark.parametrize("s_list", [(0.0,), (0.0, 1.0), (-0.5, 0.0, 1.0, 2.0)])
     def test_diagnostics_fft_budget(self, monkeypatch, s_list):
         spec = make_grid(2, 16, np.pi)
-        calls = _counting(monkeypatch, evolve, ("forward", "inverse"))
-        _diagnostics(random_field(spec, seed=3), s_list, 2)
-        assert calls["n"] == 1 + len(s_list)
+        diagnose = _Diagnostics(spec, s_list, 2)
+        uh = fft(random_field(spec, seed=3).values)
+        calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
+        diagnose(uh)
+        assert calls["n"] == len(s_list)
 
 
 class TestStepCount:
@@ -375,3 +387,178 @@ class TestStepCount:
         prob = EvolutionProblem(cs, random_field(spec, seed=5),
                                 T=3.02 * stable_dt(cs))
         assert len(solve(prob).series.t) == 4
+
+
+def _physical_rk4(prob, steps):
+    """Reference march: classical RK4 on grid values through apply_spatial."""
+    cs, forcing = prob.cs, prob.forcing
+    dt = prob.T / steps
+
+    def rhs(v, t):
+        g = forcing.at(t)
+        total = apply_spatial(cs, v)
+        return 1j * (total if g is None else total + g)
+
+    v, t = prob.u0.values.copy(), 0.0
+    states = [v]
+    for _ in range(steps):
+        k1 = rhs(v, t)
+        k2 = rhs(v + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(v + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(v + dt * k3, t + dt)
+        v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+        states.append(v)
+    return states
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+
+MARCH_CASES = {
+    "delta-potential-1d": (make_grid(1, 64, 8.0), "delta-potential"),
+    "jump-drift-1d": (make_grid(1, 64, 8.0), "jump-drift"),
+    "smooth-consistency-1d": (make_grid(1, 64, 8.0), "smooth-consistency"),
+    "ultra-diagonal-2d": (make_grid(2, 16, 8.0), "ultra-diagonal"),
+}
+
+
+def _off_diagonal_model(perturbed):
+    """Constant C with a non-zero off-diagonal; optionally a variable a_00,
+    drift and potential beside the constant entries."""
+    extra = {}
+    if perturbed:
+        extra = dict(perturb={(0, 0): enveloped_bump(2, 0.05)},
+                     drift_im={1: enveloped_bump(2, 0.05)},
+                     potential=enveloped_bump(2, 0.5))
+    return CoefficientModel("off-diagonal", 2, [[1.0, 0.3], [0.3, -1.0]],
+                            **extra)
+
+
+class TestCoefficientMarch:
+    @pytest.mark.parametrize("rate", [0.0, 3.0])
+    @pytest.mark.parametrize("case", sorted(MARCH_CASES))
+    def test_solve_matches_physical_rk4(self, case, rate):
+        spec, name = MARCH_CASES[case]
+        cs = regularise(preset(name), Mollifier("gaussian"), 2**-4,
+                        ScaleFn("loglog"), spec)
+        s_list, N = (0.0, 1.0), 2
+        prob = EvolutionProblem(cs, random_field(spec, seed=20),
+                                Forcing(random_field(spec, seed=21), rate),
+                                T=0.1, s_list=s_list, N_weight=N)
+        res = solve(prob, record_states=True)
+        ref = _physical_rk4(prob, len(res.series.t) - 1)
+        _close(res.final.values, ref[-1])
+        assert len(res.states) == len(ref)
+        for got, want in zip(res.states, ref):
+            _close(got, want)
+        fields = [Field(spec, v) for v in ref]
+        for s in s_list:
+            np.testing.assert_allclose(
+                res.series.norms[s], [sobolev_norm(f, s) for f in fields],
+                rtol=1e-12)
+            np.testing.assert_allclose(
+                res.series.integrand[s],
+                [sobolev_norm(weight_field(apply_lambda(f, s + 0.5), -N / 2.0),
+                              0.0) ** 2 for f in fields],
+                rtol=1e-12)
+
+    def test_step_rk4_is_the_step_of_solve(self):
+        spec, name = MARCH_CASES["jump-drift-1d"]
+        cs = regularise(preset(name), Mollifier("gaussian"), 2**-4,
+                        ScaleFn("loglog"), spec)
+        prob = EvolutionProblem(cs, random_field(spec, seed=22),
+                                Forcing(random_field(spec, seed=23), 2.0),
+                                T=0.03)
+        res = solve(prob, record_states=True)
+        t, dt = res.series.t, np.diff(res.series.t)
+        u = prob.u0
+        for k in range(len(dt)):
+            u = step_rk4(u, t[k], dt[k], prob)
+            _close(u.values, res.states[k + 1])
+
+    @pytest.mark.parametrize("perturbed", [False, True],
+                             ids=["constant", "mixed"])
+    def test_off_diagonal_matches_per_axis_form(self, perturbed):
+        spec = make_grid(2, 32, 8.0)
+        cs = regularise(_off_diagonal_model(perturbed), Mollifier("gaussian"),
+                        2**-5, ScaleFn("loglog"), spec)
+        u = rough_field(spec, 0.0, seed=6)
+        _close(apply_spatial(cs, u), _apply_spatial_per_axis(cs, u.values))
+
+    def test_constant_drift_and_potential_enter_the_symbol(self, monkeypatch):
+        spec = make_grid(2, 32, 8.0)
+        cs = regularise(_off_diagonal_model(False), Mollifier("gaussian"),
+                        2**-5, ScaleFn("loglog"), spec)
+        cs.b = [np.full(spec.shape, 0.2 + 0.1j), np.full(spec.shape, -0.4j)]
+        cs.V = np.full(spec.shape, 0.7)
+        u = rough_field(spec, 0.0, seed=7)
+        _close(apply_spatial(cs, u), _apply_spatial_per_axis(cs, u.values))
+        op, uh = _Operator(cs), fft(u.values)
+        calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
+        op(uh)
+        assert calls["n"] == 0
+
+    @pytest.mark.parametrize("name, n, ffts", [
+        ("free", 1, 0), ("free", 2, 0), ("delta-potential", 1, 2),
+        ("jump-drift", 1, 2), ("smooth-consistency", 1, 4),
+        ("ultra-diagonal", 2, 4)])
+    def test_rhs_fft_budget(self, monkeypatch, name, n, ffts):
+        spec = make_grid(n, 16, np.pi)
+        cs = regularise(preset(name, n=n), Mollifier("gaussian"), 2**-4,
+                        ScaleFn("loglog"), spec)
+        op, uh = _Operator(cs), fft(random_field(spec, seed=2).values)
+        calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
+        op(uh)
+        assert calls["n"] == ffts
+
+    def test_solve_transforms_no_step_to_the_grid(self, monkeypatch):
+        spec = make_grid(1, 32, np.pi)
+        prob = EvolutionProblem(free_set(spec), random_field(spec, seed=3),
+                                T=0.5, s_list=(0.0,))
+        calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
+        steps = len(solve(prob).series.t) - 1
+        # u0 in, one integrand per diagnostics row, the final state out
+        assert calls["n"] == 1 + (steps + 1) + 1
+
+
+SPECTRAL_CASES = [("free", 1), ("free", 2), ("ultra-diagonal", 2),
+                  ("elliptic-lipschitz", 1), ("elliptic-lipschitz", 2),
+                  ("delta-potential", 1), ("jump-drift", 1),
+                  ("smooth-consistency", 1), ("smooth-consistency", 2)]
+
+
+class TestSpectralNorms:
+    @staticmethod
+    def svd_reference(cs):
+        A = cs.matrix_at().reshape(-1, cs.n, cs.n)
+        return np.linalg.svd(A, compute_uv=False)
+
+    @staticmethod
+    def check(cs):
+        sv = TestSpectralNorms.svd_reference(cs)
+        kmax = float(np.max(np.abs(cs.spec.kappa_axis())))
+        bmax = max(float(np.max(np.abs(bk))) for bk in cs.b)
+        rho = np.max(sv) * kmax**2 + bmax * kmax + float(np.max(np.abs(cs.V)))
+        assert stable_dt(cs) == pytest.approx(SAFETY * RK4_IMAG_LIMIT / rho,
+                                              rel=1e-14)
+        assert _h2_margin(cs) == pytest.approx(np.min(sv), rel=1e-14)
+        np.testing.assert_allclose(np.sort(cs.abs_eigenvalues(), axis=1),
+                                   np.sort(sv, axis=1), rtol=1e-14)
+
+    @pytest.mark.parametrize("name, n", SPECTRAL_CASES)
+    def test_presets_match_svd(self, name, n):
+        spec = make_grid(n, 32, 8.0)
+        self.check(regularise(preset(name, n=n), Mollifier("gaussian"), 2**-4,
+                              ScaleFn("loglog"), spec))
+
+    @pytest.mark.parametrize("model", ["off-diagonal", "ultra-diagonal"])
+    def test_perturbed_sets_match_svd(self, model):
+        spec = make_grid(2, 32, 8.0)
+        m = (_off_diagonal_model(True) if model == "off-diagonal"
+             else preset(model))
+        cs = regularise(m, Mollifier("gaussian"), 2**-2, ScaleFn("loglog"),
+                        spec)
+        self.check(_perturbed_set(cs, 2**-2, 1, 2))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_field
-from vwslab.grid import (Field, GridError, apply_lambda, forward, inverse,
-                         make_grid, plane_wave, sobolev_norm,
+from vwslab.grid import (Field, GridError, apply_lambda, fft, forward, ifft,
+                         inverse, make_grid, plane_wave, sobolev_norm,
                          spectral_derivative, weight_field)
 
 
@@ -177,3 +177,23 @@ class TestGridTables:
         assert np.array_equal(spec.kappa_sq(), k2)
         assert np.array_equal(spec.kappa_bracket(), np.sqrt(1.0 + k2))
         assert np.array_equal(spec.x_norm_sq(), sum(x**2 for x in xm))
+
+
+class TestRawTransforms:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_raw_pair_is_numpy_fftn(self, n):
+        spec = make_grid(n, 16, 3.0)
+        u = random_field(spec, seed=n)
+        uh = fft(u.values)
+        assert np.array_equal(uh, np.fft.fftn(u.values))
+        assert np.array_equal(ifft(uh), np.fft.ifftn(uh))
+        assert np.allclose(ifft(uh), u.values, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_forward_is_raw_times_phase_over_size(self, n):
+        spec = make_grid(n, 16, 3.0)
+        u = random_field(spec, seed=n + 2)
+        phase = np.exp(1j * spec.L * sum(spec.kappa_mesh()))
+        assert np.array_equal(forward(u), fft(u.values) / spec.size * phase)
+        c = forward(u)
+        assert np.array_equal(inverse(c, spec), ifft(c / phase * spec.size))
