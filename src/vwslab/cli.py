@@ -220,8 +220,7 @@ def _run_validate_hypotheses(cfg, out: Path) -> dict:
 
 def _doi_one(cs, xi, C1):
     a2 = assemble_a2(cs, xi)
-    mu = float(np.sqrt(np.max(np.linalg.svd(
-        cs.matrix_at().reshape(-1, cs.n, cs.n), compute_uv=False))))
+    mu = float(np.sqrt(np.max(cs.abs_eigenvalues())))
     q = build_q(cs, C1, mu, xi)
     return a2, q
 

@@ -5,13 +5,14 @@ A u = sum_ij D_i(a_ij (D_j u)), B u = sum_k b_k (D_k u), V u = V u and
 D = -i d/dx computed spectrally.  The stepper is classical RK4 with the
 step bounded by the imaginary-axis stability interval.
 
-``solve`` marches the raw FFT coefficients u_hat = ``grid.fft(u)`` and
-forms grid values only for the final state and for recorded states.  The
-operator is built once per problem: coefficients that are constant on the
-grid (zero ones included) are applied as one exact Fourier symbol
-sum c_ij kappa_i kappa_j + sum b_k kappa_k + V, and only the variable
-ones go through transforms to the grid and back.  ``apply_spatial`` is that
-operator between one forward and one inverse transform.
+``march``, the one time loop, yields the raw FFT coefficients
+u_hat = ``grid.fft(u)`` at every step; ``solve`` and ``sup_differences``
+consume it and form grid values only for the final and recorded states.
+The operator is built once per problem: coefficients that are constant on
+the grid (zero ones included) are applied as one exact Fourier symbol
+sum c_ij kappa_i kappa_j + sum b_k kappa_k + V, and only the variable ones
+go through transforms.  ``apply_spatial`` is that operator between one
+forward and one inverse transform.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .coeffs import CoefficientSet
 from .grid import Field, GridSpec, fft, ifft
+from .mollify import fit_slope
 
 #: RK4 stability interval on the imaginary axis is about |z| <= 2.8
 RK4_IMAG_LIMIT = 2.8
@@ -210,6 +212,11 @@ class NormSeries:
         return float(self.integral[s][-1])
 
 
+def _norm_weight(spec: GridSpec, s: float) -> np.ndarray:
+    """w with ||u||_s^2 = sum w |fft(u)|^2; forward() = fft / size up to a phase."""
+    return (2.0 * spec.L) ** spec.n / spec.size**2 * spec.kappa_bracket() ** (2.0 * s)
+
+
 class _Diagnostics:
     """Raw coefficients -> (||u||_s, ||<x>^{-N/2} Lambda^{s+1/2} u||_0^2) for
     each s in s_list.
@@ -220,9 +227,7 @@ class _Diagnostics:
 
     def __init__(self, spec: GridSpec, s_list, N: int):
         bra = spec.kappa_bracket()
-        # forward() = fft / size up to a unimodular phase
-        vol = (2.0 * spec.L) ** spec.n / spec.size**2
-        self.norm_weights = [vol * bra ** (2.0 * s) for s in s_list]
+        self.norm_weights = [_norm_weight(spec, s) for s in s_list]
         self.lifts = [bra ** (s + 0.5) for s in s_list]
         self.x_weight = spec.h**spec.n * (1.0 + spec.x_norm_sq()) ** (-N / 2.0)
 
@@ -240,28 +245,33 @@ class SolveResult:
     states: list | None = None
 
 
-def solve(prob: EvolutionProblem, record_states: bool = False) -> SolveResult:
-    """March to T recording norms at every step.
+def _step_count(T: float, dt: float, dt_bound: float) -> int:
+    steps = max(1, int(round(T / dt)))
+    return steps + 1 if T / steps > dt_bound else steps  # round() went past the bound
 
-    The march runs on the raw coefficients of u; grid values are formed
-    only for the final state and for the recorded states.
-    """
-    steps = max(1, int(round(prob.T / prob.dt)))
-    if prob.T / steps > prob.dt_bound:
-        steps += 1  # round() went down past the stability bound
-    dt = prob.T / steps  # land exactly on T
-    spec = prob.cs.spec
+
+def march(prob: EvolutionProblem, steps: int | None = None):
+    """Yield (t, fft(u)) at t = 0 and after each of `steps` equal RK4 steps
+    to T; by default round(T/dt) steps, one more if they exceed the bound."""
+    if steps is None:
+        steps = _step_count(prob.T, prob.dt, prob.dt_bound)
+    dt = prob.T / steps
     op = _Operator(prob.cs)
     gh = _forcing_coefficients(prob.forcing)
-    diagnose = _Diagnostics(spec, prob.s_list, prob.N_weight)
-    uh = fft(prob.u0.values)
-    ts = [0.0]
-    rows = [diagnose(uh)]
-    states = [prob.u0.values.copy()] if record_states else None
-    t = 0.0
+    uh, t = fft(prob.u0.values), 0.0
+    yield t, uh
     for _ in range(steps):
         uh = _step(op, gh, prob.forcing.rate, uh, t, dt)
         t += dt
+        yield t, uh
+
+
+def solve(prob: EvolutionProblem, record_states: bool = False) -> SolveResult:
+    """March to T recording norms at every step."""
+    spec = prob.cs.spec
+    diagnose = _Diagnostics(spec, prob.s_list, prob.N_weight)
+    ts, rows, states = [], [], []
+    for t, uh in march(prob):
         ts.append(t)
         rows.append(diagnose(uh))
         if record_states:
@@ -276,7 +286,25 @@ def solve(prob: EvolutionProblem, record_states: bool = False) -> SolveResult:
         for s, v in integrand.items()
     }
     return SolveResult(Field(spec, ifft(uh)), NormSeries(ts, norms, integrand, integral),
-                       states)
+                       states if record_states else None)
+
+
+def sup_differences(ref: EvolutionProblem, others: list, s: float) -> list:
+    """sup over t of ||u_other(t) - u_ref(t)||_s for each problem in others.
+
+    All problems are marched in lockstep, at the smallest dt and the
+    smallest step bound among them, so they share every time level; only
+    the current states are held.
+    """
+    probs = [ref, *others]
+    if any(p.T != ref.T or p.cs.spec != ref.cs.spec for p in others):
+        raise EvolveError("compared problems must share the grid and T")
+    steps = _step_count(ref.T, min(p.dt for p in probs), min(p.dt_bound for p in probs))
+    weight, sq = _norm_weight(ref.cs.spec, s), np.zeros(len(others))
+    for (_, uh_ref), *levels in zip(*(march(p, steps) for p in probs)):
+        sq = np.maximum(sq, [np.sum(weight * np.abs(uh - uh_ref) ** 2)
+                             for _, uh in levels])
+    return np.sqrt(sq).tolist()
 
 
 def dense_oracle(prob: EvolutionProblem) -> Field:
@@ -365,8 +393,6 @@ def smoothing_report(series_by_eps: dict, s: float, N: int, rhs_by_eps: dict,
         out.update(C1=0.0, k1=0.0, C2=1.0, residual=0.0, holds=True)
         return out
     if np.min(growth) > 0.0 and spread > 1.0 + 1e-9:
-        from .mollify import fit_slope
-
         k1, resid = fit_slope(np.log(1.0 / omegas), np.log(growth))
         k1 = max(0.0, k1)
         C1 = float(np.exp(np.mean(np.log(growth) - k1 * np.log(1.0 / omegas))) / T)

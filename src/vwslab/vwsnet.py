@@ -9,8 +9,8 @@ import numpy as np
 
 from .coeffs import (CoefficientModel, CoefficientSet, HypothesisReport,
                      check_hypotheses, regularise, sample)
-from .evolve import EvolutionProblem, Forcing, solve, stable_dt
-from .grid import Field, GridSpec, inverse, sobolev_norm
+from .evolve import EvolutionProblem, Forcing, solve, sup_differences
+from .grid import Field, GridSpec, inverse, spectral_derivative
 from .mollify import Mollifier, ScaleFn, fit_slope, mollify
 
 
@@ -67,7 +67,7 @@ class NetParams:
     eps_ladder: tuple = (2**-3, 2**-4, 2**-5, 2**-6, 2**-7)
     scale: ScaleFn = field(default_factory=ScaleFn)
     T: float = 0.5
-    dt: float | None = None      # None: per-eps stability step
+    dt: float | None = None      # None: stability step, smallest of compared ones
     s_list: tuple = (0.0,)
     N_weight: int = 2
     data_mollifier: Mollifier = field(default_factory=Mollifier)
@@ -144,6 +144,12 @@ def validate(model: CoefficientModel, members: dict) -> HypothesisReport:
                             N=model.N)
 
 
+def _problem(cs: CoefficientSet, u0: Field, forcing: Forcing,
+             params: NetParams) -> EvolutionProblem:
+    return EvolutionProblem(cs, u0, forcing, T=params.T, dt=params.dt,
+                            s_list=params.s_list, N_weight=params.N_weight)
+
+
 def run_net(model: CoefficientModel, u0: Field, params: NetParams,
             forcing: Forcing = Forcing(), skip_hypotheses: bool = False) -> EpsilonNet:
     """Regularise, solve and collect norms for every epsilon on the ladder."""
@@ -152,9 +158,7 @@ def run_net(model: CoefficientModel, u0: Field, params: NetParams,
     if not (report.passed or skip_hypotheses):
         raise HypothesisFailure(report)
     for m in members.values():
-        m["result"] = solve(EvolutionProblem(
-            m["cs"], m["u0"], m["forcing"], T=params.T, dt=params.dt,
-            s_list=params.s_list, N_weight=params.N_weight))
+        m["result"] = solve(_problem(m["cs"], m["u0"], m["forcing"], params))
     return EpsilonNet(params, model, report, members)
 
 
@@ -184,8 +188,6 @@ def hs_mode(model: CoefficientModel, u0: Field, params: NetParams,
 
 def _perturbed_set(cs: CoefficientSet, eps: float, q: int, N: int) -> CoefficientSet:
     """Coefficients plus eps^q times fixed smooth bumps (symmetric in (i,j))."""
-    from .grid import spectral_derivative
-
     spec = cs.spec
     n = spec.n
     amp = eps**q
@@ -208,17 +210,12 @@ def _h2_margin(cs: CoefficientSet) -> float:
     return float(np.min(cs.abs_eigenvalues()))
 
 
-def _states(cs: CoefficientSet, u0: Field, forcing: Forcing, params: NetParams,
-            dt: float, s: float) -> list:
-    """March one problem to params.T at step dt, keeping every state."""
-    return solve(EvolutionProblem(cs, u0, forcing, T=params.T, dt=dt,
-                                  s_list=(s,), N_weight=params.N_weight),
-                 record_states=True).states
-
-
-def _sup_diff(xs: list, ys: list, spec: GridSpec, s: float) -> float:
-    """sup over t of ||x(t) - y(t)||_s for two state histories."""
-    return max(sobolev_norm(Field(spec, a - b), s) for a, b in zip(xs, ys))
+def _log_fit(eps, values) -> tuple:
+    """Slope and residual of log values against log eps; (inf, 0) when every
+    value is zero."""
+    if np.max(values) == 0.0:
+        return float("inf"), 0.0
+    return fit_slope(np.log(eps), np.log(np.maximum(values, 1e-300)))
 
 
 def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
@@ -243,19 +240,13 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
         g_p = Forcing(Field(spec, gG + eps**q
                             * bump_perturbation(spec, model.N, seed_shift=4.0)),
                       g.rate)
-        dt = min(stable_dt(cs), stable_dt(cs_p))
-        base = _states(cs, m["u0"], g, params, dt, s)
-        pert = _states(cs_p, du, g_p, params, dt, s)
         eps_used.append(eps)
-        diffs.append(_sup_diff(base, pert, spec, s))
+        diffs += sup_differences(_problem(cs, m["u0"], g, params),
+                                 [_problem(cs_p, du, g_p, params)], s)
     if len(eps_used) < 4:
         raise NetError(f"fewer than 4 usable epsilons (dropped {dropped})")
-    diffs = np.array(diffs)
     values = {float(e): float(d) for e, d in zip(eps_used, diffs)}
-    if np.max(diffs) == 0.0:
-        return FitReport(float("inf"), 0.0, True, q - 0.5, values,
-                         extra={"dropped_eps": dropped})
-    slope, resid = fit_slope(np.log(eps_used), np.log(np.maximum(diffs, 1e-300)))
+    slope, resid = _log_fit(eps_used, diffs)
     return FitReport(slope, resid, bool(slope >= q - 0.5), q - 0.5, values,
                      extra={"dropped_eps": dropped})
 
@@ -273,22 +264,14 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams,
     if params.data_mollifier.kind == "gaussian":
         raise NetError("consistency requires a vanishing-moment data mollifier")
     s = params.s_list[0]
-    cs0 = sample(model, params.spec)
-    members = ladder(model, params, u0, forcing)
-    dt = min([stable_dt(cs0)] + [stable_dt(m["cs"]) for m in members.values()])
-    classical = _states(cs0, u0, forcing, params, dt, s)
-    errors = np.array([
-        _sup_diff(classical, _states(m["cs"], m["u0"], m["forcing"], params, dt, s),
-                  params.spec, s)
-        for m in members.values()])
+    classical = _problem(sample(model, params.spec), u0, forcing, params)
+    errors = np.array(sup_differences(classical, [
+        _problem(m["cs"], m["u0"], m["forcing"], params)
+        for m in ladder(model, params, u0, forcing).values()], s))
     values = {float(e): float(v) for e, v in zip(params.eps_ladder, errors)}
     decreasing = bool(np.all(np.diff(errors) < 0.0))
     final_ok = bool(errors[-1] < tol)
-    if np.max(errors) > 0.0:
-        slope, resid = fit_slope(np.log(params.eps_ladder),
-                                 np.log(np.maximum(errors, 1e-300)))
-    else:
-        slope, resid = float("inf"), 0.0
+    slope, resid = _log_fit(params.eps_ladder, errors)
     return FitReport(slope, resid, decreasing and final_ok, tol, values,
                      extra={"monotone_decreasing": decreasing,
                             "final_error": float(errors[-1])})

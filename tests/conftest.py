@@ -36,3 +36,21 @@ def random_field(spec, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
     return Field(spec, vals)
+
+
+def record_marches(monkeypatch):
+    """Make every ``evolve.march`` record the times it yields; returns the
+    list of recorded time lists, one per march."""
+    from vwslab import evolve
+
+    marches, real = [], evolve.march
+
+    def recording(*args):
+        ts = []
+        marches.append(ts)
+        for t, uh in real(*args):
+            ts.append(t)
+            yield t, uh
+
+    monkeypatch.setattr(evolve, "march", recording)
+    return marches

@@ -156,6 +156,16 @@ class TestRunReportContract:
         assert report["all_pass"] is False
         assert "error" in report["verdict"]
 
+    @pytest.mark.parametrize("kind, model", [("uniqueness", "delta-potential"),
+                                             ("consistency", "smooth-consistency")])
+    def test_dt_above_the_bound_gives_exit_1(self, tmp_path, kind, model):
+        cfg = parse_config(cfg_text(experiment={"kind": kind},
+                                    model={"preset": model},
+                                    evolution={"T": 0.5, "dt": 0.5}))
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["verdict"]["error"].startswith("EvolveError: dt = 0.5 exceeds")
+
     def test_deterministic_reports(self, tmp_path):
         cfg = parse_config(cfg_text(
             experiment={"kind": "validate-hypotheses"},

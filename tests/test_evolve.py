@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import LADDER, random_field
-from vwslab.coeffs import CoefficientModel, Pointwise, preset, regularise
+from conftest import LADDER, random_field, record_marches
+from vwslab.coeffs import (CoefficientModel, Pointwise, preset, regularise,
+                           sample)
 from vwslab.evolve import (EvolutionProblem, EvolveError, Forcing,
                            Instability, apply_spatial, dense_oracle,
-                           smoothing_report, solve, stable_dt, step_rk4)
+                           march, smoothing_report, solve, stable_dt,
+                           step_rk4, sup_differences)
 from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
 from vwslab.mollify import Mollifier, ScaleFn
 from vwslab import evolve
 from vwslab.evolve import RK4_IMAG_LIMIT, SAFETY, _Diagnostics, _Operator
 from vwslab.grid import apply_lambda, fft, spectral_derivative, weight_field
 from vwslab.coeffs import enveloped_bump
-from vwslab.vwsnet import _h2_margin, _perturbed_set, rough_field
+from vwslab.vwsnet import _h2_margin, _perturbed_set, delta_field, rough_field
 
 
 def free_set(spec):
@@ -562,3 +564,125 @@ class TestSpectralNorms:
         cs = regularise(m, Mollifier("gaussian"), 2**-2, ScaleFn("loglog"),
                         spec)
         self.check(_perturbed_set(cs, 2**-2, 1, 2))
+
+
+def _reference_sup_differences(ref, others, s, dt):
+    """Each problem solved on its own at step dt, keeping every state, and
+    the H^s norm of every difference."""
+    def states(p):
+        return solve(EvolutionProblem(p.cs, p.u0, p.forcing, T=p.T, dt=dt),
+                     record_states=True).states
+
+    base = states(ref)
+    out = []
+    for p in others:
+        xs = states(p)
+        assert len(xs) == len(base)
+        out.append(max(sobolev_norm(Field(p.cs.spec, x - b), s)
+                       for x, b in zip(xs, base)))
+    return out
+
+
+def _perturbed_pair(spec, name):
+    """An eps = 2^-4 member and its eps^1-perturbed coefficients, with data
+    and forcing that differ too."""
+    eps, model = 2**-4, preset(name, n=spec.n)
+    cs = regularise(model, Mollifier("gaussian"), eps, ScaleFn("loglog"), spec)
+    u0, g = random_field(spec, seed=30), random_field(spec, seed=31)
+    u0_p = Field(spec, u0.values + eps * random_field(spec, seed=32).values)
+    return (EvolutionProblem(cs, u0, Forcing(g, 2.0), T=0.1),
+            [EvolutionProblem(_perturbed_set(cs, eps, 1, model.N), u0_p,
+                              Forcing(g, 2.0), T=0.1)])
+
+
+def _classical_and_mollified(spec):
+    """The classical smooth-consistency problem and two mollified members."""
+    model = preset("smooth-consistency", n=spec.n)
+    u0 = random_field(spec, seed=33)
+    return (EvolutionProblem(sample(model, spec), u0, T=0.1),
+            [EvolutionProblem(regularise(model, Mollifier("gaussian"), eps,
+                                         ScaleFn("power", k=1.0), spec), u0, T=0.1)
+             for eps in (2**-2, 2**-4)])
+
+
+SUP_CASES = {
+    "delta-potential-1d": lambda: _perturbed_pair(make_grid(1, 64, 8.0),
+                                                  "delta-potential"),
+    "ultra-diagonal-2d": lambda: _perturbed_pair(make_grid(2, 16, 8.0),
+                                                 "ultra-diagonal"),
+    "smooth-consistency-1d": lambda: _classical_and_mollified(make_grid(1, 64, 8.0)),
+}
+
+
+class TestMarch:
+    def test_yields_the_coefficients_of_every_level(self):
+        spec, name = MARCH_CASES["jump-drift-1d"]
+        cs = regularise(preset(name), Mollifier("gaussian"), 2**-4,
+                        ScaleFn("loglog"), spec)
+        prob = EvolutionProblem(cs, random_field(spec, seed=24),
+                                Forcing(random_field(spec, seed=25), 2.0), T=0.03)
+        levels = list(march(prob))
+        ref = _physical_rk4(prob, len(levels) - 1)
+        np.testing.assert_allclose([t for t, _ in levels],
+                                   np.linspace(0.0, prob.T, len(levels)), rtol=1e-12)
+        for (_, uh), want in zip(levels, ref):
+            _close(evolve.ifft(uh), want)
+
+    def test_given_step_count(self):
+        spec = make_grid(1, 32, np.pi)
+        prob = EvolutionProblem(free_set(spec), random_field(spec, seed=26),
+                                T=0.5)
+        steps = len(list(march(prob))) - 1 + 3
+        ts = [t for t, _ in march(prob, steps)]
+        assert len(ts) == steps + 1
+        np.testing.assert_allclose(np.diff(ts), 0.5 / steps, rtol=1e-12)
+
+
+class TestSupDifferences:
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    @pytest.mark.parametrize("case", sorted(SUP_CASES))
+    def test_matches_state_histories(self, case, s):
+        ref, others = SUP_CASES[case]()
+        dt = min(p.dt for p in [ref, *others])
+        got = sup_differences(ref, others, s)
+        want = _reference_sup_differences(ref, others, s, dt)
+        assert all(w > 0 for w in want)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_problems_share_the_step_count(self, monkeypatch):
+        # T = 1.3 dt: alone, the base problem takes one step and the
+        # perturbed one, whose bound is smaller, takes two
+        spec, model, eps = make_grid(1, 32, 8.0), preset("delta-potential", n=1), 2**-3
+        cs = regularise(model, Mollifier("gaussian"), eps, ScaleFn("loglog"), spec)
+        cs_p = _perturbed_set(cs, eps, 1, model.N)
+        dt = min(stable_dt(cs), stable_dt(cs_p))
+        u0 = delta_field(spec)
+        alone = [len(solve(EvolutionProblem(c, u0, T=1.3 * dt, dt=dt)).series.t)
+                 for c in (cs, cs_p)]
+        assert alone == [2, 3]
+        base, pert = (EvolutionProblem(c, u0, T=1.3 * dt) for c in (cs, cs_p))
+        want = _reference_sup_differences(base, [pert], 1.0, 0.65 * dt)
+        marches = record_marches(monkeypatch)
+        got = sup_differences(base, [pert], 1.0)
+        assert len(marches) == 2
+        assert marches[0] == marches[1]
+        assert len(marches[0]) == 3
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_takes_no_transform_beside_the_marches(self, monkeypatch):
+        # no state goes back to the grid and no difference is transformed
+        ref, others = SUP_CASES["ultra-diagonal-2d"]()
+        marches = record_marches(monkeypatch)
+        calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
+        sup_differences(ref, others, 1.0)
+        lockstep, calls["n"] = calls["n"], 0
+        for p in [ref, *others]:
+            for _ in march(p, len(marches[0]) - 1):
+                pass
+        assert lockstep == calls["n"]
+
+    def test_rejects_mismatched_horizons(self):
+        ref, others = SUP_CASES["delta-potential-1d"]()
+        with pytest.raises(EvolveError):
+            sup_differences(ref, [EvolutionProblem(others[0].cs, others[0].u0,
+                                                   T=0.2)], 0.0)

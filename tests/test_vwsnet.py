@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import LADDER
+from dataclasses import replace
+
+from conftest import LADDER, record_marches
+from vwslab import evolve
 from vwslab.coeffs import check_hypotheses, preset, regularise
-from vwslab.evolve import EvolutionProblem, Forcing, solve
+from vwslab.evolve import EvolutionProblem, EvolveError, Forcing, solve
 from vwslab.grid import Field, make_grid, sobolev_norm
 from vwslab.mollify import Mollifier, ScaleFn, mollify, scale_omega
 from vwslab.vwsnet import (EpsilonNet, HypothesisFailure, NetError, NetParams,
@@ -218,3 +221,68 @@ class TestConsistencyRun:
         assert fit.passed
         assert fit.extra["monotone_decreasing"]
         assert fit.extra["final_error"] < 1e-4
+
+
+def _count_stable_dt(monkeypatch):
+    """Make ``evolve.stable_dt`` record (cs, result) for every call."""
+    calls, real = [], evolve.stable_dt
+
+    def counted(cs):
+        calls.append((cs, real(cs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(evolve, "stable_dt", counted)
+    return calls
+
+
+class TestComparedProblemsStep:
+    """uniqueness_probe and consistency_run march compared problems at one
+    step: params.dt when it is set, else the smallest stability step."""
+
+    @staticmethod
+    def cases(spec):
+        cparams = TestConsistencyRun.cparams(spec)
+        return {
+            "uniqueness": lambda p: uniqueness_probe(
+                preset("delta-potential", n=1), 1, delta_field(spec), p),
+            "consistency": lambda p: consistency_run(
+                preset("smooth-consistency", n=1), gaussian_field(spec),
+                replace(p, data_mollifier=cparams.data_mollifier,
+                        scale=cparams.scale)),
+        }
+
+    @pytest.mark.parametrize("kind, problems", [("uniqueness", 10),
+                                                ("consistency", 6)])
+    def test_stable_dt_once_per_problem(self, monkeypatch, spec, kind, problems):
+        calls = _count_stable_dt(monkeypatch)
+        self.cases(spec)[kind](NetParams(spec=spec, T=0.1))
+        assert len(calls) == problems
+        assert len({id(cs) for cs, _ in calls}) == problems
+
+    @pytest.mark.parametrize("kind", ["uniqueness", "consistency"])
+    def test_dt_above_the_bound_raises(self, spec, kind):
+        with pytest.raises(EvolveError):
+            self.cases(spec)[kind](NetParams(spec=spec, T=0.5, dt=0.5))
+
+    @pytest.mark.parametrize("kind", ["uniqueness", "consistency"])
+    def test_given_dt_is_used(self, monkeypatch, spec, kind):
+        marches = record_marches(monkeypatch)
+        self.cases(spec)[kind](NetParams(spec=spec, T=0.05, dt=0.002))
+        assert marches
+        for ts in marches:
+            assert len(ts) == 26
+            np.testing.assert_allclose(np.diff(ts), 0.002, rtol=1e-9)
+
+    @pytest.mark.parametrize("kind, group", [("uniqueness", 2),
+                                             ("consistency", 6)])
+    def test_auto_dt_is_the_smallest_stability_step(self, monkeypatch, spec,
+                                                    kind, group):
+        limits = _count_stable_dt(monkeypatch)
+        marches = record_marches(monkeypatch)
+        T = 0.1
+        self.cases(spec)[kind](NetParams(spec=spec, T=T))
+        assert len(marches) == len(limits)
+        for k in range(0, len(marches), group):
+            dt = min(limit for _, limit in limits[k:k + group])
+            for ts in marches[k:k + group]:
+                assert len(ts) - 1 == round(T / dt)
