@@ -32,9 +32,9 @@ from .evolve import EvolutionProblem, Forcing, solve
 from .grid import Field, GridError, GridSpec, make_grid, plane_wave
 from .mollify import (Mollifier, MollifyError, ScaleFn, derivative_bound_probe,
                       sobolev_boost_probe)
-from .vwsnet import (NetParams, consistency_run, delta_field, gaussian_field,
-                     ladder, moderateness_fit, rough_field, run_net,
-                     uniqueness_probe, validate)
+from .vwsnet import (FitReport, NetParams, consistency_run, delta_field,
+                     gaussian_field, ladder, moderateness_fit, rough_field,
+                     run_net, uniqueness_probe, validate)
 
 EXPERIMENT_KINDS = ("validate-hypotheses", "doi-check", "solve", "net",
                     "uniqueness", "consistency", "mollifier-bench")
@@ -330,16 +330,24 @@ def _run_net(cfg, out: Path) -> dict:
         "pass": all(f["passed"] for f in fits.values()),
         "hypotheses": net.hypothesis_report.to_dict(),
         "moderateness": fits,
+        "health": {eps: m["health"] for eps, m in net.members.items()},
     }
+
+
+def _fit_verdict(fit: FitReport) -> dict:
+    """A fit as a verdict: "passed" becomes "pass", and the per-eps march
+    health moves from its extra to the top, where the net has it."""
+    d = fit.to_dict()
+    d["pass"] = d.pop("passed")
+    d["extra"] = dict(d["extra"])
+    d["health"] = d["extra"].pop("health")
+    return d
 
 
 def _run_uniqueness(cfg, out: Path) -> dict:
     spec = _grid(cfg)
-    fit = uniqueness_probe(_model(cfg), cfg["experiment"]["q"],
-                           _data(cfg, spec), _net_params(cfg, spec))
-    d = fit.to_dict()
-    d["pass"] = d.pop("passed")
-    return d
+    return _fit_verdict(uniqueness_probe(_model(cfg), cfg["experiment"]["q"],
+                                         _data(cfg, spec), _net_params(cfg, spec)))
 
 
 def _run_consistency(cfg, out: Path) -> dict:
@@ -349,10 +357,7 @@ def _run_consistency(cfg, out: Path) -> dict:
     if params.data_mollifier.kind == "gaussian":
         params.data_mollifier = Mollifier("vanishing-moment",
                                           order=cfg["mollifier"]["moment_order"])
-    fit = consistency_run(_model(cfg), _data(cfg, spec), params, tol=tol)
-    d = fit.to_dict()
-    d["pass"] = d.pop("passed")
-    return d
+    return _fit_verdict(consistency_run(_model(cfg), _data(cfg, spec), params, tol=tol))
 
 
 def _run_mollifier_bench(cfg, out: Path) -> dict:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .coeffs import (CoefficientModel, CoefficientSet, HypothesisReport,
                      check_hypotheses, regularise, sample)
-from .evolve import EvolutionProblem, Forcing, solve, sup_differences
+from .evolve import EvolutionProblem, Forcing, shared_steps, solve, sup_differences
 from .grid import Field, GridSpec, inverse, spectral_derivative
 from .mollify import Mollifier, ScaleFn, fit_slope, mollify
 
@@ -67,7 +67,7 @@ class NetParams:
     eps_ladder: tuple = (2**-3, 2**-4, 2**-5, 2**-6, 2**-7)
     scale: ScaleFn = field(default_factory=ScaleFn)
     T: float = 0.5
-    dt: float | None = None      # None: stability step, smallest of compared ones
+    dt: float | None = None      # None: the default step, smallest of compared ones
     s_list: tuple = (0.0,)
     N_weight: int = 2
     data_mollifier: Mollifier = field(default_factory=Mollifier)
@@ -150,6 +150,12 @@ def _problem(cs: CoefficientSet, u0: Field, forcing: Forcing,
                             s_list=params.s_list, N_weight=params.N_weight)
 
 
+def _health(probs: list) -> dict:
+    """dt and step count of the march that takes probs to T in lockstep."""
+    steps = shared_steps(probs)
+    return {"dt": probs[0].T / steps, "steps": steps}
+
+
 def run_net(model: CoefficientModel, u0: Field, params: NetParams,
             forcing: Forcing = Forcing(), skip_hypotheses: bool = False) -> EpsilonNet:
     """Regularise, solve and collect norms for every epsilon on the ladder."""
@@ -158,7 +164,9 @@ def run_net(model: CoefficientModel, u0: Field, params: NetParams,
     if not (report.passed or skip_hypotheses):
         raise HypothesisFailure(report)
     for m in members.values():
-        m["result"] = solve(_problem(m["cs"], m["u0"], m["forcing"], params))
+        prob = _problem(m["cs"], m["u0"], m["forcing"], params)
+        m["health"] = _health([prob])
+        m["result"] = solve(prob)
     return EpsilonNet(params, model, report, members)
 
 
@@ -186,23 +194,35 @@ def hs_mode(model: CoefficientModel, u0: Field, params: NetParams,
 # uniqueness
 
 
-def _perturbed_set(cs: CoefficientSet, eps: float, q: int, N: int) -> CoefficientSet:
-    """Coefficients plus eps^q times fixed smooth bumps (symmetric in (i,j))."""
+def _bumps(spec: GridSpec, N: int) -> dict:
+    """The fixed bumps of the uniqueness perturbation by slot: ("a", i, j)
+    for i <= j, ("b", k), "V", and "u0" and "g" for the data."""
+    n = spec.n
+    out = {("a", i, j): bump_perturbation(spec, N, seed_shift=0.3 * (i + j))
+           for i in range(n) for j in range(i, n)}
+    for k in range(n):
+        out["b", k] = bump_perturbation(spec, N, seed_shift=1.0 + k)
+    out["V"] = bump_perturbation(spec, N, seed_shift=2.0)
+    out["u0"] = bump_perturbation(spec, N, seed_shift=3.0)
+    out["g"] = bump_perturbation(spec, N, seed_shift=4.0)
+    return out
+
+
+def _perturbed_set(cs: CoefficientSet, eps: float, q: int, bumps: dict) -> CoefficientSet:
+    """Coefficients plus eps^q times the bumps of ``_bumps`` (symmetric in (i,j))."""
     spec = cs.spec
     n = spec.n
     amp = eps**q
     a = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            bump = bump_perturbation(spec, N, seed_shift=0.3 * (i + j))
-            arr = cs.a[i][j] + amp * bump
+            arr = cs.a[i][j] + amp * bumps["a", i, j]
             a[i][j] = arr
             a[j][i] = arr
     da = [[[spectral_derivative(a[i][j], spec, k).real for j in range(n)]
            for i in range(n)] for k in range(n)]
-    b = [cs.b[k] + amp * bump_perturbation(spec, N, seed_shift=1.0 + k)
-         for k in range(n)]
-    V = cs.V + amp * bump_perturbation(spec, N, seed_shift=2.0)
+    b = [cs.b[k] + amp * bumps["b", k] for k in range(n)]
+    V = cs.V + amp * bumps["V"]
     return CoefficientSet(spec, cs.eps, cs.omega, a, da, b, V)
 
 
@@ -226,29 +246,28 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
         raise NetError("perturbation order q must be >= 1")
     s = params.s_list[0]
     spec = params.spec
-    eps_used, diffs, dropped = [], [], []
+    bumps = _bumps(spec, model.N)
+    eps_used, diffs, dropped, health = [], [], [], {}
     for eps, m in ladder(model, params, u0, forcing).items():
         cs, g = m["cs"], m["forcing"]
-        cs_p = _perturbed_set(cs, eps, q, model.N)
+        cs_p = _perturbed_set(cs, eps, q, bumps)
         if _h2_margin(cs_p) <= 0.0:
             dropped.append(eps)  # shrink eps_0: perturbation broke (H2)
             continue
         # data perturbations eps^q * bump on both slots
-        du = Field(spec, m["u0"].values + eps**q
-                   * bump_perturbation(spec, model.N, seed_shift=3.0))
+        du = Field(spec, m["u0"].values + eps**q * bumps["u0"])
         gG = g.G.values if g.G is not None else 0.0
-        g_p = Forcing(Field(spec, gG + eps**q
-                            * bump_perturbation(spec, model.N, seed_shift=4.0)),
-                      g.rate)
+        g_p = Forcing(Field(spec, gG + eps**q * bumps["g"]), g.rate)
         eps_used.append(eps)
-        diffs += sup_differences(_problem(cs, m["u0"], g, params),
-                                 [_problem(cs_p, du, g_p, params)], s)
+        pair = [_problem(cs, m["u0"], g, params), _problem(cs_p, du, g_p, params)]
+        health[float(eps)] = _health(pair)
+        diffs += sup_differences(pair[0], pair[1:], s)
     if len(eps_used) < 4:
         raise NetError(f"fewer than 4 usable epsilons (dropped {dropped})")
     values = {float(e): float(d) for e, d in zip(eps_used, diffs)}
     slope, resid = _log_fit(eps_used, diffs)
     return FitReport(slope, resid, bool(slope >= q - 0.5), q - 0.5, values,
-                     extra={"dropped_eps": dropped})
+                     extra={"dropped_eps": dropped, "health": health})
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +284,16 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams,
         raise NetError("consistency requires a vanishing-moment data mollifier")
     s = params.s_list[0]
     classical = _problem(sample(model, params.spec), u0, forcing, params)
-    errors = np.array(sup_differences(classical, [
-        _problem(m["cs"], m["u0"], m["forcing"], params)
-        for m in ladder(model, params, u0, forcing).values()], s))
+    members = [_problem(m["cs"], m["u0"], m["forcing"], params)
+               for m in ladder(model, params, u0, forcing).values()]
+    errors = np.array(sup_differences(classical, members, s))
     values = {float(e): float(v) for e, v in zip(params.eps_ladder, errors)}
     decreasing = bool(np.all(np.diff(errors) < 0.0))
     final_ok = bool(errors[-1] < tol)
     slope, resid = _log_fit(params.eps_ladder, errors)
+    # one march takes the classical problem and every member to T
+    shared = _health([classical, *members])
     return FitReport(slope, resid, decreasing and final_ok, tol, values,
                      extra={"monotone_decreasing": decreasing,
-                            "final_error": float(errors[-1])})
+                            "final_error": float(errors[-1]),
+                            "health": {float(e): shared for e in params.eps_ladder}})

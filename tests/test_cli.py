@@ -159,12 +159,44 @@ class TestRunReportContract:
     @pytest.mark.parametrize("kind, model", [("uniqueness", "delta-potential"),
                                              ("consistency", "smooth-consistency")])
     def test_dt_above_the_bound_gives_exit_1(self, tmp_path, kind, model):
+        # the remainder bounds of these problems lie between 1.6 and 8.4
         cfg = parse_config(cfg_text(experiment={"kind": kind},
                                     model={"preset": model},
-                                    evolution={"T": 0.5, "dt": 0.5}))
+                                    evolution={"T": 0.5, "dt": 20.0}))
         assert run(cfg, out_dir=str(tmp_path)) == 1
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["verdict"]["error"].startswith("EvolveError: dt = 0.5 exceeds")
+        assert report["verdict"]["error"].startswith("EvolveError: dt = 20.0 exceeds")
+
+    def test_net_report_holds_each_march(self, tmp_path):
+        # the net-1d-delta benchmark config
+        cfg = parse_config(json.dumps({
+            "grid": {"n": 1, "M": 256, "L": 8}, "model": {"preset": "delta-potential"},
+            "scale": {"kind": "loglog"}, "data": {"kind": "delta"},
+            "evolution": {"T": 0.125, "s": [0.0, 1.0]}, "experiment": {"kind": "net"}}))
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        health = json.loads((tmp_path / "report.json").read_text())["verdict"]["health"]
+        assert set(health) == {str(eps) for eps in cfg["ladder"]}
+        for h in health.values():
+            assert h["steps"] == 16
+            assert h["dt"] == pytest.approx(0.125 / 16, rel=1e-15)
+
+    @pytest.mark.parametrize("kind, model, dt", [
+        ("uniqueness", "delta-potential", "auto"),
+        ("consistency", "smooth-consistency", "auto"),
+        ("consistency", "smooth-consistency", 0.01)])
+    def test_compared_report_holds_each_march(self, tmp_path, kind, model, dt):
+        # the loglog consistency verdict fails on this grid; the report
+        # still holds the marches
+        cfg = parse_config(cfg_text(experiment={"kind": kind}, model={"preset": model},
+                                    evolution={"T": 0.5, "dt": dt}))
+        run(cfg, out_dir=str(tmp_path))
+        verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
+        assert "error" not in verdict
+        assert set(verdict["health"]) == {str(eps) for eps in cfg["ladder"]}
+        assert "health" not in verdict["extra"]
+        for h in verdict["health"].values():
+            assert h["steps"] == (16 if dt == "auto" else 50)
+            assert h["dt"] * h["steps"] == pytest.approx(0.5, rel=1e-12)
 
     def test_deterministic_reports(self, tmp_path):
         cfg = parse_config(cfg_text(

@@ -6,10 +6,12 @@ from dataclasses import replace
 from conftest import LADDER, record_marches
 from vwslab import evolve
 from vwslab.coeffs import check_hypotheses, preset, regularise
-from vwslab.evolve import EvolutionProblem, EvolveError, Forcing, solve
+from vwslab.evolve import LEVELS, EvolutionProblem, EvolveError, Forcing, solve
 from vwslab.grid import Field, make_grid, sobolev_norm
 from vwslab.mollify import Mollifier, ScaleFn, mollify, scale_omega
+from vwslab import vwsnet
 from vwslab.vwsnet import (EpsilonNet, HypothesisFailure, NetError, NetParams,
+                           _bumps, _perturbed_set, bump_perturbation,
                            consistency_run, delta_field, gaussian_field,
                            hs_mode, ladder, moderateness_fit, rough_field,
                            run_net, uniqueness_probe, validate)
@@ -190,6 +192,27 @@ class TestUniquenessProbe:
             uniqueness_probe(preset("free", n=1), 0, gaussian_field(spec),
                              params)
 
+    def test_bumps_are_built_once(self, monkeypatch, spec, params):
+        # a_00, b_0, V and the two data slots, for all five epsilons
+        calls, real = [], bump_perturbation
+        monkeypatch.setattr(vwsnet, "bump_perturbation",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        uniqueness_probe(preset("delta-potential", n=1), 1, delta_field(spec), params)
+        assert len(calls) == 5
+
+    def test_perturbed_set_adds_each_slot_bump(self):
+        spec = make_grid(2, 16, 8.0)
+        cs = regularise(preset("ultra-diagonal"), Mollifier("gaussian"), 2**-2,
+                        ScaleFn("loglog"), spec)
+        cs_p = _perturbed_set(cs, 0.5, 2, _bumps(spec, 2))
+        for got, base, shift in ((cs_p.a[0][0], cs.a[0][0], 0.0),
+                                 (cs_p.a[0][1], cs.a[0][1], 0.3),
+                                 (cs_p.a[1][0], cs.a[1][0], 0.3),
+                                 (cs_p.a[1][1], cs.a[1][1], 0.6),
+                                 (cs_p.b[0], cs.b[0], 1.0), (cs_p.b[1], cs.b[1], 2.0),
+                                 (cs_p.V, cs.V, 2.0)):
+            np.testing.assert_array_equal(got, base + 0.25 * bump_perturbation(spec, 2, shift))
+
 
 class TestConsistencyRun:
     @staticmethod
@@ -237,7 +260,8 @@ def _count_stable_dt(monkeypatch):
 
 class TestComparedProblemsStep:
     """uniqueness_probe and consistency_run march compared problems at one
-    step: params.dt when it is set, else the smallest stability step."""
+    step: params.dt when it is set, else the smallest default step,
+    min(T / LEVELS, stability step)."""
 
     @staticmethod
     def cases(spec):
@@ -261,8 +285,9 @@ class TestComparedProblemsStep:
 
     @pytest.mark.parametrize("kind", ["uniqueness", "consistency"])
     def test_dt_above_the_bound_raises(self, spec, kind):
+        # the remainder bounds of these problems lie between 0.4 and 8.4
         with pytest.raises(EvolveError):
-            self.cases(spec)[kind](NetParams(spec=spec, T=0.5, dt=0.5))
+            self.cases(spec)[kind](NetParams(spec=spec, T=0.5, dt=20.0))
 
     @pytest.mark.parametrize("kind", ["uniqueness", "consistency"])
     def test_given_dt_is_used(self, monkeypatch, spec, kind):
@@ -275,6 +300,18 @@ class TestComparedProblemsStep:
 
     @pytest.mark.parametrize("kind, group", [("uniqueness", 2),
                                              ("consistency", 6)])
+    def test_health_is_the_lockstep_march(self, monkeypatch, spec, kind, group):
+        # at T = 2 the eps = 2^-3 perturbed problem's bound sets the step
+        marches = record_marches(monkeypatch)
+        fit = self.cases(spec)[kind](NetParams(spec=spec, T=2.0))
+        steps = [len(ts) - 1 for ts in marches[::group]]
+        if kind == "consistency":
+            steps = steps * len(fit.values)
+        assert [h["steps"] for h in fit.extra["health"].values()] == steps
+        assert {h["dt"] * h["steps"] for h in fit.extra["health"].values()} == {2.0}
+
+    @pytest.mark.parametrize("kind, group", [("uniqueness", 2),
+                                             ("consistency", 6)])
     def test_auto_dt_is_the_smallest_stability_step(self, monkeypatch, spec,
                                                     kind, group):
         limits = _count_stable_dt(monkeypatch)
@@ -283,6 +320,6 @@ class TestComparedProblemsStep:
         self.cases(spec)[kind](NetParams(spec=spec, T=T))
         assert len(marches) == len(limits)
         for k in range(0, len(marches), group):
-            dt = min(limit for _, limit in limits[k:k + group])
+            dt = min(T / LEVELS, *(limit for _, limit in limits[k:k + group]))
             for ts in marches[k:k + group]:
                 assert len(ts) - 1 == round(T / dt)
