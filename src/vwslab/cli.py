@@ -16,6 +16,7 @@ Defaults (applied by parse_config):
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import sys
@@ -110,7 +111,7 @@ def parse_config(text: str, kind: str | None = None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     _check_keys(raw, _SCHEMA, "config")
-    cfg = _merge(_DEFAULTS, raw)
+    cfg = _merge(copy.deepcopy(_DEFAULTS), raw)
     if kind is not None:
         stated = cfg["experiment"]["kind"]
         if stated is not None and stated != kind:
@@ -339,7 +340,6 @@ def _fit_verdict(fit: FitReport) -> dict:
     health moves from its extra to the top, where the net has it."""
     d = fit.to_dict()
     d["pass"] = d.pop("passed")
-    d["extra"] = dict(d["extra"])
     d["health"] = d["extra"].pop("health")
     return d
 

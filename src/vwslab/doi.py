@@ -198,7 +198,7 @@ def build_q(cs: CoefficientSet, C1: float, mu: float,
     xmesh = [x.reshape(spec.shape + (1,) * n) for x in spec.x_mesh()]
     scale = C1 * mu**2
 
-    def dxi_a2(j, a=None, d=None):
+    def dxi_a2(j, a=None):
         # d_xi_j a2 = 2 sum_i a_ij xi_i, evaluated analytically
         coeff = a if a is not None else cs.a
         total = np.zeros(spec.shape + xim[0].shape)
@@ -263,10 +263,10 @@ def build_f(K: float, N: int, t_max: float | None = None) -> FTable:
 
 class SmoothStep:
     """C^inf monotone step: 0 for t <= 1, 1 for t >= 2, a normalised
-    bump-integral in between."""
+    bump-integral in between, tabulated on 4001 points."""
 
-    def __init__(self, samples: int = 4001):
-        u = np.linspace(0.0, 1.0, samples)
+    def __init__(self):
+        u = np.linspace(0.0, 1.0, 4001)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             bump = np.exp(-1.0 / (u * (1.0 - u)))
         bump[~np.isfinite(bump)] = 0.0
@@ -290,32 +290,30 @@ _STEP = SmoothStep()
 
 @dataclass
 class DoiParams:
-    """Parameters of the order-zero symbol construction."""
+    """Parameters of the order-zero symbol construction; the cutoff width
+    delta is fixed at 0.1 and f is built from K and N."""
 
     C1: float = 4.0
-    delta: float = 0.1
     K: float = 1.0
     N: int = 2
-    f: FTable | None = None
+    delta: float = field(default=0.1, init=False)
+    f: FTable = field(init=False)
 
     def __post_init__(self):
         if self.C1 <= 0:
             raise SymbolError("C1 must be positive")
-        if not (0.0 < self.delta <= 0.25):
-            raise SymbolError("delta must lie in (0, 1/4]")
         if self.N <= 1:
             raise SymbolError("N must exceed 1")
-        if self.f is None:
-            self.f = build_f(self.K, self.N)
+        self.f = build_f(self.K, self.N)
 
 
-def calibrate_K(qs: list, margin: float = 1.1) -> float:
-    """K = margin * sup |q| / <x>, maximised over a ladder of q symbols."""
+def calibrate_K(qs: list) -> float:
+    """K = 1.1 * sup |q| / <x>, maximised over a ladder of q symbols."""
     best = 0.0
     for q in qs:
         w = _broadcast_x(np.sqrt(1.0 + q.spec.x_norm_sq()), q)
         best = max(best, float(np.max(np.abs(q.values) / w)))
-    return margin * best
+    return 1.1 * best
 
 
 def build_d(q: SymbolGrid, p: DoiParams) -> SymbolGrid:

@@ -136,9 +136,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise GridError("field contains non-finite entries")
 
-    def copy(self) -> "Field":
-        return Field(self.spec, self.values.copy())
-
 
 def make_grid(n: int, M: int, L: float) -> GridSpec:
     """Validated grid constructor."""

@@ -3,14 +3,14 @@ classical-consistency verdicts for the regularised Cauchy problems."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .coeffs import (CoefficientModel, CoefficientSet, HypothesisReport,
                      check_hypotheses, regularise, sample)
 from .evolve import EvolutionProblem, Forcing, shared_steps, solve, sup_differences
-from .grid import Field, GridSpec, inverse, spectral_derivative
+from .grid import Field, GridSpec, inverse
 from .mollify import Mollifier, ScaleFn, fit_slope, mollify
 
 
@@ -28,13 +28,13 @@ class HypothesisFailure(NetError):
 # data generators
 
 
-def rough_field(spec: GridSpec, s: float, seed: int, offset: float = 0.51) -> Field:
-    """Fourier coefficients <k>^{-s-offset} with random phases: borderline
+def rough_field(spec: GridSpec, s: float, seed: int) -> Field:
+    """Fourier coefficients <k>^{-s-0.51} with random phases: borderline
     H^s data."""
     rng = np.random.default_rng(seed)
     bra = spec.kappa_bracket()
     phases = np.exp(2j * np.pi * rng.random(spec.shape))
-    coeffs = bra ** (-(s + offset)) * phases
+    coeffs = bra ** (-(s + 0.51)) * phases
     return Field(spec, inverse(coeffs, spec))
 
 
@@ -104,14 +104,7 @@ class FitReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "residual": self.residual,
-            "passed": self.passed,
-            "bound": self.bound,
-            "values": self.values,
-            "extra": self.extra,
-        }
+        return asdict(self)
 
 
 def ladder(model: CoefficientModel, params: NetParams, u0: Field | None = None,
@@ -210,20 +203,14 @@ def _bumps(spec: GridSpec, N: int) -> dict:
 
 def _perturbed_set(cs: CoefficientSet, eps: float, q: int, bumps: dict) -> CoefficientSet:
     """Coefficients plus eps^q times the bumps of ``_bumps`` (symmetric in (i,j))."""
-    spec = cs.spec
-    n = spec.n
+    n = cs.n
     amp = eps**q
     a = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            arr = cs.a[i][j] + amp * bumps["a", i, j]
-            a[i][j] = arr
-            a[j][i] = arr
-    da = [[[spectral_derivative(a[i][j], spec, k).real for j in range(n)]
-           for i in range(n)] for k in range(n)]
-    b = [cs.b[k] + amp * bumps["b", k] for k in range(n)]
-    V = cs.V + amp * bumps["V"]
-    return CoefficientSet(spec, cs.eps, cs.omega, a, da, b, V)
+            a[i][j] = a[j][i] = cs.a[i][j] + amp * bumps["a", i, j]
+    return replace(cs, a=a, b=[cs.b[k] + amp * bumps["b", k] for k in range(n)],
+                   V=cs.V + amp * bumps["V"])
 
 
 def _h2_margin(cs: CoefficientSet) -> float:

@@ -38,6 +38,17 @@ def random_field(spec, seed=0):
     return Field(spec, vals)
 
 
+def assert_da_is_the_derivative_of_a(cs):
+    """cs.da[k][i][j] is the spectral x_k-derivative of cs.a[i][j], exactly."""
+    from vwslab.grid import spectral_derivative
+
+    for k in range(cs.n):
+        for i in range(cs.n):
+            for j in range(cs.n):
+                np.testing.assert_array_equal(
+                    cs.da[k][i][j], spectral_derivative(cs.a[i][j], cs.spec, k).real)
+
+
 def record_marches(monkeypatch):
     """Make every ``evolve.march`` record the times it yields; returns the
     list of recorded time lists, one per march."""

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import vwslab
+from vwslab import cli
 from vwslab.cli import ConfigError, main, parse_config, run
 
 
@@ -71,6 +73,12 @@ class TestParseConfig:
         raw = json.dumps({"grid": {"n": 1, "M": 32, "L": 8.0}})
         cfg = parse_config(raw, kind="solve")
         assert cfg["experiment"]["kind"] == "solve"
+
+    def test_parse_leaves_the_defaults_alone(self):
+        saved = copy.deepcopy(cli._DEFAULTS)
+        assert parse_config("{}", kind="solve")["experiment"]["kind"] == "solve"
+        assert parse_config("{}", kind="net")["experiment"]["kind"] == "net"
+        assert cli._DEFAULTS == saved
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="experiment.kind"):

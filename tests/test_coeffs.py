@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import LADDER
+from conftest import LADDER, assert_da_is_the_derivative_of_a
 from vwslab.coeffs import (CoefficientModel, Delta, ModelError, Pointwise,
                            SquareWave, check_hypotheses, preset, regularise,
                            sample)
@@ -129,6 +129,31 @@ class TestCheckHypotheses:
         sets = ladder_sets(preset("free", n=1), grid_1d)[:3]
         with pytest.raises(ModelError):
             check_hypotheses(sets, nu=0.05, c0=0.05, N=2)
+
+    @pytest.mark.parametrize("C", [[[2.0, 0.3], [0.3, -1.0]],   # max |lambda| rules
+                                   [[0.4, 0.1], [0.1, -1.0]]])  # 1/min |lambda| rules
+    def test_mu_is_the_eigenvalue_bound(self, C):
+        # a non-diagonal a: its eigenvectors lie off the coordinate axes
+        model = CoefficientModel("tilted", 2, np.array(C))
+        rep = check_hypotheses(ladder_sets(model, make_grid(2, 8, 8.0)),
+                               nu=0.05, c0=0.05, N=2)
+        lam = np.abs(np.linalg.eigvalsh(np.array(C)))
+        mu = max(lam.max(), 1.0 / lam.min())
+        assert rep.mu == pytest.approx(mu, rel=1e-12)
+        np.testing.assert_allclose(rep.mu_values, mu, rtol=1e-12)
+
+    def test_singular_a_fails_h2(self):
+        # a_22 = 0: no mu bounds |lambda| from below
+        model = CoefficientModel("degenerate", 2, np.diag([1.0, 0.0]))
+        rep = check_hypotheses(ladder_sets(model, make_grid(2, 8, 8.0)),
+                               nu=0.05, c0=0.05, N=2)
+        assert rep.mu == np.inf
+        assert not rep.passed
+
+
+def test_da_is_the_spectral_derivative_of_a(grid_2d, gaussian, loglog):
+    assert_da_is_the_derivative_of_a(
+        regularise(preset("ultra-diagonal"), gaussian, 2**-4, loglog, grid_2d))
 
 
 class TestCustomModel:

@@ -3,11 +3,12 @@ import pytest
 
 from dataclasses import replace
 
-from conftest import LADDER, record_marches
+from conftest import LADDER, assert_da_is_the_derivative_of_a, record_marches
+import vwslab
 from vwslab import evolve
 from vwslab.coeffs import check_hypotheses, preset, regularise
 from vwslab.evolve import LEVELS, EvolutionProblem, EvolveError, Forcing, solve
-from vwslab.grid import Field, make_grid, sobolev_norm
+from vwslab.grid import Field, make_grid, sobolev_norm, spectral_derivative
 from vwslab.mollify import Mollifier, ScaleFn, mollify, scale_omega
 from vwslab import vwsnet
 from vwslab.vwsnet import (EpsilonNet, HypothesisFailure, NetError, NetParams,
@@ -212,6 +213,29 @@ class TestUniquenessProbe:
                                  (cs_p.b[0], cs.b[0], 1.0), (cs_p.b[1], cs.b[1], 2.0),
                                  (cs_p.V, cs.V, 2.0)):
             np.testing.assert_array_equal(got, base + 0.25 * bump_perturbation(spec, 2, shift))
+
+    def test_perturbed_set_derives_da_from_its_own_a(self):
+        spec = make_grid(2, 16, 8.0)
+        cs = regularise(preset("ultra-diagonal"), Mollifier("gaussian"), 2**-2,
+                        ScaleFn("loglog"), spec)
+        cs.da  # a derivative of the base set must not leak into the copy
+        assert_da_is_the_derivative_of_a(_perturbed_set(cs, 0.5, 2, _bumps(spec, 2)))
+
+    def test_no_coefficient_derivatives(self, monkeypatch):
+        # the probe never validates its sets, so it never reads da
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return spectral_derivative(*args)
+
+        for module in vars(vwslab).values():
+            if hasattr(module, "spectral_derivative"):
+                monkeypatch.setattr(module, "spectral_derivative", counting)
+        spec = make_grid(2, 16, 8.0)
+        uniqueness_probe(preset("ultra-diagonal"), 3, gaussian_field(spec),
+                         NetParams(spec=spec, T=0.05))
+        assert calls == []
 
 
 class TestConsistencyRun:
