@@ -19,23 +19,26 @@ import argparse
 import copy
 import csv
 import json
+import math
+import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .coeffs import preset, regularise
+from .coeffs import ModelError, preset
 from .doi import (DoiParams, assemble_a2, build_d, build_q, calibrate_K,
                   check_doi, check_escape, dual_xi)
-from .evolve import EvolutionProblem, Forcing, solve
-from .grid import Field, GridError, GridSpec, make_grid, plane_wave
-from .mollify import (Mollifier, MollifyError, ScaleFn, derivative_bound_probe,
+from .evolve import solve
+from .grid import Field, GridSpec, make_grid, plane_wave
+from .mollify import (Mollifier, ScaleFn, derivative_bound_probe,
                       sobolev_boost_probe)
 from .vwsnet import (FitReport, NetParams, consistency_run, delta_field,
-                     gaussian_field, ladder, moderateness_fit, rough_field,
-                     run_net, uniqueness_probe, validate)
+                     gaussian_field, ladder, moderateness_fit, problem,
+                     rough_field, run_net, uniqueness_probe, validate)
 
 EXPERIMENT_KINDS = ("validate-hypotheses", "doi-check", "solve", "net",
                     "uniqueness", "consistency", "mollifier-bench")
@@ -92,6 +95,18 @@ def _check_keys(section: dict, schema: dict, path: str) -> None:
                               f"{type(value).__name__}")
 
 
+def _check_finite(value, path: str) -> None:
+    """Python's json reads NaN and +-Infinity; no config value may be one."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value}")
+
+
 def _merge(defaults, given):
     if not isinstance(defaults, dict):
         return given
@@ -122,22 +137,23 @@ def parse_config(text: str, kind: str | None = None) -> dict:
         raise ConfigError(f"config.experiment.kind must be one of "
                           f"{EXPERIMENT_KINDS}")
 
-    # the grid, mollifier and scale classes own their allowed values
-    for section, build in (("grid", _grid), ("mollifier", _data_mollifier),
-                           ("scale", _scale)):
+    ladder = cfg["ladder"]
+    if any(not isinstance(e, (int, float)) for e in ladder):
+        raise ConfigError("config.ladder entries must be numbers")
+    # the grid, mollifier, scale, net and model classes own their allowed values;
+    # int() or float() of a bad model parameter raises ValueError or TypeError
+    for section, build in (
+            ("grid", _grid), ("mollifier", _data_mollifier), ("scale", _scale),
+            ("ladder", lambda c: NetParams(_grid(c), tuple(c["ladder"]))),
+            ("model", _model)):
         try:
             build(cfg)
-        except (GridError, MollifyError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"config.{section}: {exc}") from exc
-
-    ladder = cfg["ladder"]
-    if any(not isinstance(e, (int, float)) or not 0 < e <= 1 for e in ladder):
-        raise ConfigError("config.ladder entries must be numbers in (0, 1]")
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("config.ladder must be strictly decreasing")
     if len(ladder) < 4 and cfg["experiment"]["kind"] not in (
             "solve", "mollifier-bench"):
         raise ConfigError("config.ladder needs at least 4 epsilon values")
+    _check_finite(cfg, "config")
 
     if cfg["evolution"]["T"] <= 0:
         raise ConfigError("config.evolution.T must be positive")
@@ -176,8 +192,11 @@ def _data_mollifier(cfg) -> Mollifier:
 
 
 def _model(cfg):
-    return preset(cfg["model"]["preset"], n=cfg["grid"]["n"],
-                  **cfg["model"]["params"])
+    params = cfg["model"]["params"]
+    if "n" in params:
+        raise ModelError("params.n is not a model parameter: grid.n sets "
+                         "the dimension")
+    return preset(cfg["model"]["preset"], n=cfg["grid"]["n"], **params)
 
 
 def _data(cfg, spec: GridSpec) -> Field:
@@ -266,7 +285,7 @@ def _run_doi_check(cfg, out: Path) -> dict:
 
 
 def _write_series(out: Path, eps: float, series) -> None:
-    path = out / f"norms-eps-{eps:g}.csv"
+    path = out / f"norms-eps-{eps!r}.csv"
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "s", "norm", "smooth_integrand", "smooth_integral"])
@@ -283,28 +302,19 @@ def _write_snapshots(out: Path, eps: float, states, stride: int) -> None:
         return
     snaps = [[ [float(z.real), float(z.imag)] for z in np.ravel(u)]
              for u in states[::stride]]
-    (out / f"snapshots-eps-{eps:g}.json").write_text(
+    (out / f"snapshots-eps-{eps!r}.json").write_text(
         json.dumps(snaps), encoding="utf-8")
 
 
 def _run_solve(cfg, out: Path) -> dict:
-    # NetParams needs 4 epsilons; solve accepts shorter ladders, so it
-    # regularises on its own
+    # the ladder's coefficients with the Cauchy data held fixed
     spec = _grid(cfg)
-    model = _model(cfg)
-    u0 = _data(cfg, spec)
-    moll = Mollifier("gaussian")
-    scale = _scale(cfg)
-    ev = cfg["evolution"]
-    dt = None if ev["dt"] == "auto" else float(ev["dt"])
+    params = replace(_net_params(cfg, spec), mollify_data=False)
     stride = cfg["output"]["stride"]
     sups = {}
-    for eps in cfg["ladder"]:
-        cs = regularise(model, moll, eps, scale, spec)
-        prob = EvolutionProblem(cs, u0, Forcing(), T=float(ev["T"]), dt=dt,
-                                s_list=tuple(float(s) for s in ev["s"]),
-                                N_weight=ev["N"])
-        res = solve(prob, record_states=stride > 0)
+    for eps, m in ladder(_model(cfg), params, _data(cfg, spec)).items():
+        res = solve(problem(m["cs"], m["u0"], m["forcing"], params),
+                    record_states=stride > 0)
         _write_series(out, eps, res.series)
         _write_snapshots(out, eps, res.states, stride)
         sups[str(eps)] = {str(s): res.series.sup_norm(s)
@@ -375,11 +385,9 @@ def _run_mollifier_bench(cfg, out: Path) -> dict:
         "delta_boost_l2": sobolev_boost_probe(delta_field(spec), -1.0, 2,
                                               scale, eps),
     }
-    rows = []
-    for name, pr in probes.items():
-        key = "sup_norms" if "sup_norms" in pr else "norms"
-        for om, v in zip(pr["omegas"], pr[key]):
-            rows.append([name, f"{om:.12g}", f"{v:.12g}", f"{pr['slope']:.12g}"])
+    rows = [[name, f"{om:.12g}", f"{v:.12g}", f"{pr['slope']:.12g}"]
+            for name, pr in probes.items()
+            for om, v in zip(pr["omegas"], pr["norms"])]
     with (out / "mollifier-bench.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["probe", "omega", "sup_norm", "slope"])
@@ -431,6 +439,17 @@ def _jsonable(obj):
     return obj
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file beside path, so that a failed write
+    leaves an earlier file at path whole."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def run(cfg: dict, out_dir: str | None = None, seed: int | None = None,
         verbose: bool = False) -> int:
     """Execute the configured experiment; returns the process exit status."""
@@ -454,8 +473,7 @@ def run(cfg: dict, out_dir: str | None = None, seed: int | None = None,
         "timings": {"wall_seconds": elapsed},
         "version": __version__,
     }
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    _write_atomic(out / "report.json", json.dumps(report, indent=2, sort_keys=True))
     if verbose:
         print(json.dumps(report["verdict"], indent=2, sort_keys=True))
     print(f"{kind}: {'PASS' if all_pass else 'FAIL'} "

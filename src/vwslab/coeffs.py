@@ -36,9 +36,7 @@ PRESETS = (
 
 
 class Component:
-    """Scalar generator evaluable as exact Fourier coefficients on a grid."""
-
-    is_real = True
+    """Real scalar generator evaluable as exact Fourier coefficients on a grid."""
 
     def coefficients(self, spec: GridSpec) -> np.ndarray:
         raise NotImplementedError
@@ -50,41 +48,38 @@ class Zero(Component):
 
 
 class Delta(Component):
-    """Dirac delta at the origin: flat coefficients (2L)^{-n}."""
+    """strength times the Dirac delta at the origin: flat coefficients
+    strength * (2L)^{-n}."""
+
+    def __init__(self, strength: float = 1.0):
+        self.strength = strength
 
     def coefficients(self, spec):
-        return np.full(spec.shape, (2.0 * spec.L) ** (-spec.n), dtype=complex)
+        return np.full(spec.shape, self.strength * (2.0 * spec.L) ** (-spec.n),
+                       dtype=complex)
 
 
 class SquareWave(Component):
-    """Balanced periodic jump sign(sin(pi*x_axis/L)): 2/(i*pi*k) on odd modes."""
-
-    def __init__(self, axis: int = 0, amplitude: float = 1.0):
-        self.axis = axis
-        self.amplitude = amplitude
+    """Balanced periodic jump sign(sin(pi*x_0/L)): 2/(i*pi*k) on odd modes."""
 
     def coefficients(self, spec):
         k = np.fft.fftfreq(spec.M, d=1.0 / spec.M).astype(int)  # integer modes
         line = np.zeros(spec.M, dtype=complex)
         odd = k % 2 != 0
-        line[odd] = self.amplitude * 2.0 / (1j * np.pi * k[odd])
+        line[odd] = 2.0 / (1j * np.pi * k[odd])
         if spec.n == 1:
             return line
-        # constant along the other axis: only its zero mode is populated
+        # constant along x_1: only its zero mode is populated
         c = np.zeros(spec.shape, dtype=complex)
-        if self.axis == 0:
-            c[:, 0] = line
-        else:
-            c[0, :] = line
+        c[:, 0] = line
         return c
 
 
 class Pointwise(Component):
     """Smooth closed-form generator sampled on the grid and transformed."""
 
-    def __init__(self, fn, is_real: bool = True):
+    def __init__(self, fn):
         self.fn = fn
-        self.is_real = is_real
 
     def coefficients(self, spec):
         vals = np.asarray(self.fn(*spec.x_mesh()), dtype=complex)
@@ -101,12 +96,12 @@ def enveloped_bump(N: int, amplitude: float, width: float = 1.0):
     return Pointwise(fn)
 
 
-def enveloped_lipschitz(N: int, amplitude: float, period: float = 2.0):
-    """<x>^{-N} * amplitude * triangle wave: Lipschitz but not C^1."""
+def enveloped_lipschitz(N: int, amplitude: float):
+    """<x>^{-N} * amplitude * triangle wave of period 2: Lipschitz but not C^1."""
 
     def fn(*xs):
         r2 = sum(x**2 for x in xs)
-        tri = 2.0 * np.abs(xs[0] / period - np.floor(xs[0] / period + 0.5))
+        tri = 2.0 * np.abs(xs[0] / 2.0 - np.floor(xs[0] / 2.0 + 0.5))
         return amplitude * (1.0 + r2) ** (-N / 2.0) * (2.0 * tri - 1.0)
 
     return Pointwise(fn)
@@ -192,13 +187,12 @@ def preset(name: str, **params) -> CoefficientModel:
     if name == "delta-potential":
         strength = float(params.pop("strength", 1.0))
         _reject_extra(params)
-        pot = Delta() if strength == 1.0 else _scaled(Delta(), strength)
         return CoefficientModel("delta-potential", n, np.eye(n),
-                                potential=pot, N=N, nu=0.0, c0=0.0)
+                                potential=Delta(strength), N=N, nu=0.0, c0=0.0)
 
     if name == "jump-drift":
         _reject_extra(params)
-        drift_re = {0: SquareWave(axis=0)}
+        drift_re = {0: SquareWave()}
         drift_im = {0: enveloped_bump(N, c0)} if c0 > 0 else {}
         return CoefficientModel("jump-drift", n, np.eye(n),
                                 drift_re=drift_re, drift_im=drift_im,
@@ -217,16 +211,6 @@ def preset(name: str, **params) -> CoefficientModel:
                             potential=pot, N=N, nu=nu, c0=c0, smooth=True)
 
 
-def _scaled(comp: Component, factor: float) -> Component:
-    class Scaled(Component):
-        is_real = comp.is_real
-
-        def coefficients(self, spec):
-            return factor * comp.coefficients(spec)
-
-    return Scaled()
-
-
 def _reject_extra(params):
     if params:
         raise ModelError(f"unknown model parameters: {sorted(params)}")
@@ -240,9 +224,9 @@ def _reject_extra(params):
 class CoefficientSet:
     """Grid realisation of the epsilon-regularised coefficients.
 
-    a[i][j] are real arrays, b[k] complex arrays, V a real or complex
-    array.  da[k][i][j], the spectral x_k-derivative of a[i][j], is derived
-    from a on first read and kept.
+    a[i][j] are real arrays, b[k] complex arrays, V a real array.
+    da[k][i][j], the spectral x_k-derivative of a[i][j], is derived from a
+    on first read and kept.
     """
 
     spec: GridSpec
@@ -278,12 +262,6 @@ class CoefficientSet:
         return np.abs(np.linalg.eigvalsh(A))
 
 
-def _mollifier_multiplier(m: Mollifier | None, omega: float, spec: GridSpec):
-    if m is None:
-        return np.ones(spec.shape)
-    return m.hat(omega**2 * spec.kappa_sq())
-
-
 def regularise(model: CoefficientModel, m: Mollifier, eps: float,
                scale: ScaleFn, spec: GridSpec) -> CoefficientSet:
     """Mollify every coefficient of the model at scale omega(eps)."""
@@ -303,7 +281,8 @@ def sample(model: CoefficientModel, spec: GridSpec) -> CoefficientSet:
 
 
 def _build_set(model, m, eps, omega, spec) -> CoefficientSet:
-    mult = _mollifier_multiplier(m, omega, spec)
+    # sample() passes no mollifier: the coefficients are taken unmollified
+    mult = 1.0 if m is None else m.hat(omega**2 * spec.kappa_sq())
     n = model.n
 
     def realise(comp: Component) -> np.ndarray:
@@ -325,10 +304,7 @@ def _build_set(model, m, eps, omega, spec) -> CoefficientSet:
         if k in model.drift_im:
             vals = vals + 1j * realise(model.drift_im[k]).real
         b.append(vals)
-    V = realise(model.potential)
-    if model.potential.is_real:
-        V = V.real
-    return CoefficientSet(spec, eps, omega, a, b, V)
+    return CoefficientSet(spec, eps, omega, a, b, realise(model.potential).real)
 
 
 # ---------------------------------------------------------------------------

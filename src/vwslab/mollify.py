@@ -70,9 +70,6 @@ class ScaleFn:
         if self.kind == "power" and self.k <= 0:
             raise MollifyError("power scale needs k > 0")
 
-    def __call__(self, eps: float) -> float:
-        return scale_omega(self, eps)
-
 
 def scale_omega(scale: ScaleFn, eps: float) -> float:
     """Evaluate omega(eps) in (0, 1)."""
@@ -106,13 +103,24 @@ def fit_slope(xs, ys) -> tuple[float, float]:
     return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
 
 
-def _omega_ladder(scale: ScaleFn, eps_list) -> np.ndarray:
+def _scaling_probe(u: Field, scale: ScaleFn, eps_list, measure) -> dict:
+    """Mollify u with the gaussian at each omega(eps) of the ladder, measure
+    each result and fit log measure against log omega (slope 0 when the
+    values are flat)."""
     eps_list = list(eps_list)
     if len(eps_list) < 4:
         raise MollifyError("need at least 4 epsilon values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise MollifyError("epsilon ladder must be strictly decreasing")
-    return np.array([scale_omega(scale, e) for e in eps_list])
+    omegas = np.array([scale_omega(scale, e) for e in eps_list])
+    moll = Mollifier("gaussian")
+    norms = np.array([measure(mollify(u, moll, om)) for om in omegas])
+    if np.max(norms) <= 0 or np.max(norms) / max(np.min(norms), 1e-300) < 1.0 + 1e-12:
+        slope, resid = 0.0, 0.0
+    else:
+        slope, resid = fit_slope(np.log(omegas), np.log(norms))
+    return {"omegas": omegas.tolist(), "norms": norms.tolist(),
+            "slope": slope, "residual": resid}
 
 
 def derivative_bound_probe(u: Field, beta: tuple | int, scale: ScaleFn, eps_list):
@@ -126,48 +134,23 @@ def derivative_bound_probe(u: Field, beta: tuple | int, scale: ScaleFn, eps_list
         beta = (int(beta),)
     if len(beta) != u.spec.n or any(b < 0 for b in beta):
         raise MollifyError(f"bad multi-index {beta} for dimension {u.spec.n}")
-    omegas = _omega_ladder(scale, eps_list)
-    moll = Mollifier("gaussian")
-    sups = []
-    for om in omegas:
-        vals = mollify(u, moll, om).values
+
+    def sup_of_derivative(v: Field) -> float:
+        vals = v.values
         for axis, b in enumerate(beta):
             for _ in range(b):
-                vals = spectral_derivative(vals, u.spec, axis)
-        sups.append(float(np.max(np.abs(vals))))
-    sups = np.array(sups)
-    if np.max(sups) <= 0 or np.max(sups) / max(np.min(sups), 1e-300) < 1.0 + 1e-12:
-        slope, resid = 0.0, 0.0
-    else:
-        slope, resid = fit_slope(np.log(omegas), np.log(sups))
-    order = int(sum(beta))
-    return {
-        "omegas": omegas.tolist(),
-        "sup_norms": sups.tolist(),
-        "slope": slope,
-        "residual": resid,
-        "floor_bounded": -float(order),
-        "floor_lipschitz": -float(order) + 1.0,
-    }
+                vals = spectral_derivative(vals, v.spec, axis)
+        return float(np.max(np.abs(vals)))
+
+    order = float(sum(beta))
+    return {**_scaling_probe(u, scale, eps_list, sup_of_derivative),
+            "floor_bounded": -order, "floor_lipschitz": 1.0 - order}
 
 
 def sobolev_boost_probe(u: Field, s: float, ell: int, scale: ScaleFn, eps_list):
     """Slope of log ||u * phi_omega||_{s+ell} vs log omega; floor is -ell."""
     if ell < 1:
         raise MollifyError("ell must be >= 1")
-    omegas = _omega_ladder(scale, eps_list)
-    moll = Mollifier("gaussian")
-    norms = np.array(
-        [sobolev_norm(mollify(u, moll, om), s + ell) for om in omegas]
-    )
-    if np.max(norms) <= 0 or np.max(norms) / max(np.min(norms), 1e-300) < 1.0 + 1e-12:
-        slope, resid = 0.0, 0.0
-    else:
-        slope, resid = fit_slope(np.log(omegas), np.log(norms))
-    return {
-        "omegas": omegas.tolist(),
-        "norms": norms.tolist(),
-        "slope": slope,
-        "residual": resid,
-        "floor": -float(ell),
-    }
+    return {**_scaling_probe(u, scale, eps_list,
+                             lambda v: sobolev_norm(v, s + ell)),
+            "floor": -float(ell)}

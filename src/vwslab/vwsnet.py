@@ -75,12 +75,12 @@ class NetParams:
 
     def __post_init__(self):
         eps = list(self.eps_ladder)
-        if len(eps) < 4:
-            raise NetError("epsilon ladder must have at least 4 values")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise NetError("epsilon ladder must be strictly decreasing")
+        if not eps:
+            raise NetError("epsilon ladder is empty")
         if any(not (0.0 < e <= 1.0) for e in eps):
             raise NetError("epsilon values must lie in (0, 1]")
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise NetError("epsilon ladder must be strictly decreasing")
 
 
 @dataclass
@@ -137,8 +137,9 @@ def validate(model: CoefficientModel, members: dict) -> HypothesisReport:
                             N=model.N)
 
 
-def _problem(cs: CoefficientSet, u0: Field, forcing: Forcing,
-             params: NetParams) -> EvolutionProblem:
+def problem(cs: CoefficientSet, u0: Field, forcing: Forcing,
+            params: NetParams) -> EvolutionProblem:
+    """The Cauchy problem of one member, marched as ``params`` set out."""
     return EvolutionProblem(cs, u0, forcing, T=params.T, dt=params.dt,
                             s_list=params.s_list, N_weight=params.N_weight)
 
@@ -157,7 +158,7 @@ def run_net(model: CoefficientModel, u0: Field, params: NetParams,
     if not (report.passed or skip_hypotheses):
         raise HypothesisFailure(report)
     for m in members.values():
-        prob = _problem(m["cs"], m["u0"], m["forcing"], params)
+        prob = problem(m["cs"], m["u0"], m["forcing"], params)
         m["health"] = _health([prob])
         m["result"] = solve(prob)
     return EpsilonNet(params, model, report, members)
@@ -246,7 +247,7 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
         gG = g.G.values if g.G is not None else 0.0
         g_p = Forcing(Field(spec, gG + eps**q * bumps["g"]), g.rate)
         eps_used.append(eps)
-        pair = [_problem(cs, m["u0"], g, params), _problem(cs_p, du, g_p, params)]
+        pair = [problem(cs, m["u0"], g, params), problem(cs_p, du, g_p, params)]
         health[float(eps)] = _health(pair)
         diffs += sup_differences(pair[0], pair[1:], s)
     if len(eps_used) < 4:
@@ -269,9 +270,11 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams,
         raise NetError("consistency requires a smooth-coefficient model")
     if params.data_mollifier.kind == "gaussian":
         raise NetError("consistency requires a vanishing-moment data mollifier")
+    if len(params.eps_ladder) < 4:
+        raise NetError("consistency needs at least 4 epsilon values")
     s = params.s_list[0]
-    classical = _problem(sample(model, params.spec), u0, forcing, params)
-    members = [_problem(m["cs"], m["u0"], m["forcing"], params)
+    classical = problem(sample(model, params.spec), u0, forcing, params)
+    members = [problem(m["cs"], m["u0"], m["forcing"], params)
                for m in ladder(model, params, u0, forcing).values()]
     errors = np.array(sup_differences(classical, members, s))
     values = {float(e): float(v) for e, v in zip(params.eps_ladder, errors)}

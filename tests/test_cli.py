@@ -113,6 +113,50 @@ class TestParseConfig:
                 experiment={"kind": "net", "tolerances": {"residual": -1}}))
 
 
+class TestConfigErrors:
+    """Each of these configs fails at parse: exit 2, the cause on stderr and
+    no report."""
+
+    @staticmethod
+    def assert_config_error(tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        kind = json.loads(text)["experiment"]["kind"]
+        assert main([kind, str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("model, message", [
+        ({"preset": "nonsense"}, "unknown preset 'nonsense'"),
+        ({"preset": "free", "params": {"frobnicate": 2}},
+         "unknown model parameters: ['frobnicate']")])
+    def test_unknown_preset_or_model_parameter(self, tmp_path, capsys, model,
+                                               message):
+        self.assert_config_error(tmp_path, capsys, cfg_text(model=model),
+                                 f"config.model: {message}")
+
+    def test_model_dimension_parameter(self, tmp_path, capsys):
+        text = cfg_text(model={"preset": "free", "params": {"n": 2}})
+        self.assert_config_error(tmp_path, capsys, text,
+                                 "grid.n sets the dimension")
+
+    def test_empty_ladder(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, cfg_text(ladder=[]),
+                                 "config.ladder: epsilon ladder is empty")
+
+    @pytest.mark.parametrize("override, path", [
+        ({"evolution": {"T": float("nan")}}, "config.evolution.T"),
+        ({"experiment": {"kind": "net", "tolerances": {"n_cap": float("nan")}}},
+         "config.experiment.tolerances.n_cap"),
+        ({"scale": {"kind": "power", "k": float("inf")}}, "config.scale.k"),
+        ({"data": {"width": float("-inf")}}, "config.data.width")])
+    def test_non_finite_number(self, tmp_path, capsys, override, path):
+        # Python's json reads NaN, Infinity and -Infinity
+        self.assert_config_error(tmp_path, capsys, cfg_text(**override),
+                                 f"{path} must be a finite number")
+
+
 @pytest.fixture(scope="module")
 def outcome(tmp_path_factory):
     out = tmp_path_factory.mktemp("solve")
@@ -153,7 +197,34 @@ class TestRunSolve:
         assert len(snaps[0][0]) == 2
 
 
+def test_close_epsilons_write_apart(tmp_path):
+    # 0.50000001 and 0.5 agree to six significant digits
+    cfg = parse_config(cfg_text(ladder=[0.50000001, 0.5],
+                                evolution={"T": 0.01, "dt": 1e-3},
+                                output={"stride": 5}))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    for stem, ext in (("norms", "csv"), ("snapshots", "json")):
+        assert sorted(p.name for p in tmp_path.glob(f"{stem}-eps-*")) == [
+            f"{stem}-eps-0.5.{ext}", f"{stem}-eps-0.50000001.{ext}"]
+
+
 class TestRunReportContract:
+    def test_failed_write_keeps_the_earlier_report(self, tmp_path, monkeypatch):
+        cfg = parse_config(cfg_text(experiment={"kind": "validate-hypotheses"}))
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        first = (tmp_path / "report.json").read_text()
+
+        def truncate_and_fail(path, *args, **kwargs):
+            path.open("w").close()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", truncate_and_fail)
+        with pytest.raises(OSError, match="disk full"):
+            run(cfg, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        assert (tmp_path / "report.json").read_text() == first
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_failure_gives_exit_1_and_error_field(self, tmp_path):
         # a 3-step ladder passes parse for solve but breaks the net pipeline
         cfg = parse_config(cfg_text(ladder=[0.5, 0.25, 0.125]))

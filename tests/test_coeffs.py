@@ -3,8 +3,8 @@ import pytest
 
 from conftest import LADDER, assert_da_is_the_derivative_of_a
 from vwslab.coeffs import (CoefficientModel, Delta, ModelError, Pointwise,
-                           SquareWave, check_hypotheses, preset, regularise,
-                           sample)
+                           SquareWave, check_hypotheses, enveloped_bump, preset,
+                           regularise, sample)
 from vwslab.grid import forward, make_grid
 from vwslab.mollify import Mollifier, ScaleFn
 
@@ -141,6 +141,23 @@ class TestCheckHypotheses:
         mu = max(lam.max(), 1.0 / lam.min())
         assert rep.mu == pytest.approx(mu, rel=1e-12)
         np.testing.assert_allclose(rep.mu_values, mu, rtol=1e-12)
+
+    # negative controls: one bump of weighted sup about 0.5 breaks the
+    # (H3)/(H4) bound 2*nu (2*c0) at 0.05 and meets it at 0.5
+    @pytest.mark.parametrize("slot", ["h3", "h4"])
+    def test_bound_fails_below_the_perturbation(self, grid_1d, slot):
+        bump = enveloped_bump(2, 0.5, 5.0)
+        model = (CoefficientModel("h3-control", 1, np.eye(1), perturb={(0, 0): bump})
+                 if slot == "h3" else
+                 CoefficientModel("h4-control", 1, np.eye(1), drift_im={0: bump}))
+        sets = ladder_sets(model, grid_1d)
+        for small, passed in ((0.05, False), (0.5, True)):
+            rep = check_hypotheses(sets, nu=small, c0=small, N=2)
+            sup, bound = ((rep.h3_weighted_sup, rep.h3_bound) if slot == "h3"
+                          else (rep.h4_weighted_im_sup, rep.h4_bound))
+            assert bound == 2 * small
+            assert (max(sup) <= bound) is passed
+            assert rep.passed is passed
 
     def test_singular_a_fails_h2(self):
         # a_22 = 0: no mu bounds |lambda| from below

@@ -6,7 +6,7 @@ from dataclasses import replace
 from conftest import LADDER, assert_da_is_the_derivative_of_a, record_marches
 import vwslab
 from vwslab import evolve
-from vwslab.coeffs import check_hypotheses, preset, regularise
+from vwslab.coeffs import ModelError, check_hypotheses, preset, regularise
 from vwslab.evolve import LEVELS, EvolutionProblem, EvolveError, Forcing, solve
 from vwslab.grid import Field, make_grid, sobolev_norm, spectral_derivative
 from vwslab.mollify import Mollifier, ScaleFn, mollify, scale_omega
@@ -29,9 +29,23 @@ def params(spec):
 
 
 class TestNetParams:
-    def test_short_ladder_rejected(self, spec):
-        with pytest.raises(NetError):
-            NetParams(spec=spec, eps_ladder=(0.5, 0.25, 0.125))
+    def test_short_ladders_accepted_empty_rejected(self, spec):
+        for eps in ((0.5,), (0.5, 0.25), (0.5, 0.25, 0.125)):
+            assert NetParams(spec=spec, eps_ladder=eps).eps_ladder == eps
+        with pytest.raises(NetError, match="empty"):
+            NetParams(spec=spec, eps_ladder=())
+
+    def test_slope_pipelines_reject_three_rungs(self, spec):
+        # the four-rung minimum lives where a slope is fitted
+        p = NetParams(spec=spec, T=0.05, eps_ladder=(0.5, 0.25, 0.125),
+                      data_mollifier=Mollifier("vanishing-moment", order=4))
+        u0 = gaussian_field(spec)
+        with pytest.raises(ModelError, match="at least 4"):
+            run_net(preset("free", n=1), u0, p)
+        with pytest.raises(NetError, match="fewer than 4"):
+            uniqueness_probe(preset("free", n=1), 2, u0, p)
+        with pytest.raises(NetError, match="at least 4"):
+            consistency_run(preset("smooth-consistency", n=1), u0, p)
 
     def test_non_decreasing_ladder_rejected(self, spec):
         with pytest.raises(NetError):
