@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .coeffs import ModelError, preset
 from .doi import (DoiParams, assemble_a2, build_d, build_q, calibrate_K,
-                  check_doi, check_escape, dual_xi)
+                  check_doi, check_escape)
 from .evolve import solve
 from .grid import Field, GridSpec, make_grid, plane_wave
 from .mollify import (Mollifier, ScaleFn, derivative_bound_probe,
@@ -238,11 +238,9 @@ def _run_validate_hypotheses(cfg, out: Path) -> dict:
     return d
 
 
-def _doi_one(cs, xi, C1):
-    a2 = assemble_a2(cs, xi)
+def _doi_one(cs, C1):
     mu = float(np.sqrt(np.max(cs.abs_eigenvalues())))
-    q = build_q(cs, C1, mu, xi)
-    return a2, q
+    return assemble_a2(cs), build_q(cs, C1, mu)
 
 
 def _run_doi_check(cfg, out: Path) -> dict:
@@ -250,11 +248,10 @@ def _run_doi_check(cfg, out: Path) -> dict:
     model = _model(cfg)
     C1 = 4.0
     N = cfg["evolution"]["N"]
-    xi = dual_xi(spec)
-    pairs = [_doi_one(m["cs"], xi, C1)
+    pairs = [_doi_one(m["cs"], C1)
              for m in ladder(model, _net_params(cfg, spec)).values()]
     K = calibrate_K([q for _, q in pairs])
-    params = DoiParams(C1=C1, K=K, N=N)
+    params = DoiParams(K=K, N=N)
     per_eps, c2s, cstars = [], [], []
     for eps, (a2, q) in zip(cfg["ladder"], pairs):
         esc = check_escape(q, a2, C1)

@@ -167,6 +167,8 @@ def preset(name: str, **params) -> CoefficientModel:
         c2 = float(params.pop("c2", -1.0))
         width = float(params.pop("width", 5.0))
         _reject_extra(params)
+        if n != 2:
+            raise ModelError(f"ultra-diagonal is two-dimensional, got n={n}")
         if c1 <= 0:
             raise ModelError("ultra-diagonal requires c1 > 0")
         if c2 == 0:

@@ -2,12 +2,12 @@
 the escape function q, the order-zero symbol d, inequality checks, symbol
 seminorms, and a dense Kohn-Nirenberg quantizer for small grids.
 
-Symbols live on the product of the spatial grid and a xi-lattice (by
-default the dual lattice, sorted ascending).  x-derivatives are spectral;
-xi-derivatives use 4th-order finite differences.  Symbols that carry
-explicit x_j or <x> factors are not periodic on the torus, so their
-builders attach exact chain-rule x-gradients which the bracket uses in
-place of the spectral derivative.
+Symbols live on the product of the spatial grid and its dual lattice,
+sorted ascending, so the GridSpec alone fixes a symbol grid.  x-derivatives
+are spectral; xi-derivatives use 4th-order finite differences.  Symbols
+that carry explicit x_j or <x> factors are not periodic on the torus, so
+their builders attach exact chain-rule x-gradients which the bracket uses
+in place of the spectral derivative.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoefficientSet
-from .grid import Field, GridSpec, sobolev_norm
+from .coeffs import CoefficientSet, _multi_indices
+from .grid import Field, GridSpec, sobolev_norm, spectral_derivative
+from .mollify import cumulative_trapezoid
 
 
 class SymbolError(ValueError):
@@ -30,19 +31,18 @@ class SymbolError(ValueError):
 
 @dataclass
 class SymbolGrid:
-    """Sampled function on the (x, xi) product grid.
+    """Sampled function on the (x, xi) product grid of spec.
 
-    values has shape spec.shape + (len(xi[0]), ...).  grad_x, when present,
-    holds one array per spatial axis with the exact x-gradient.
+    values has shape spec.shape * 2, the xi axes last.  grad_x, when
+    present, holds one array per spatial axis with the exact x-gradient.
     """
 
     spec: GridSpec
-    xi: tuple
     values: np.ndarray = field(repr=False)
     grad_x: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        expected = self.spec.shape + tuple(len(ax) for ax in self.xi)
+        expected = self.spec.shape * 2
         if self.values.shape != expected:
             raise SymbolError(f"symbol shape {self.values.shape}, expected {expected}")
         if not np.all(np.isfinite(self.values)):
@@ -52,13 +52,9 @@ class SymbolGrid:
     def n(self) -> int:
         return self.spec.n
 
-    def xi_mesh(self) -> tuple:
-        return np.meshgrid(*self.xi, indexing="ij")
-
-    def same_grid(self, other: "SymbolGrid") -> bool:
-        return self.spec == other.spec and all(
-            np.array_equal(a, b) for a, b in zip(self.xi, other.xi)
-        )
+    @property
+    def xi(self) -> tuple:
+        return dual_xi(self.spec)
 
 
 def dual_xi(spec: GridSpec) -> tuple:
@@ -67,20 +63,19 @@ def dual_xi(spec: GridSpec) -> tuple:
     return (ax,) * spec.n
 
 
-def _broadcast_x(arr: np.ndarray, sym: SymbolGrid) -> np.ndarray:
-    """Expand an x-grid array over the xi axes."""
-    return arr.reshape(arr.shape + (1,) * sym.n)
+def _xi_mesh(spec: GridSpec) -> list:
+    """Meshed xi axes.  They broadcast over the (x, xi) grid as they are,
+    since numpy aligns them with its trailing (xi) axes."""
+    return np.meshgrid(*dual_xi(spec), indexing="ij")
 
 
-def _broadcast_xi(arrs: tuple, sym: SymbolGrid) -> list:
-    """Expand meshed xi arrays over the x axes."""
-    return [a.reshape((1,) * sym.n + a.shape) for a in arrs]
+def _lift(arr: np.ndarray) -> np.ndarray:
+    """An x-grid array with unit xi axes appended, to broadcast over (x, xi)."""
+    return arr.reshape(arr.shape + (1,) * arr.ndim)
 
 
 def xi_bracket(sym: SymbolGrid) -> np.ndarray:
-    xm = sym.xi_mesh()
-    k2 = sum(a**2 for a in xm)
-    return np.sqrt(1.0 + k2).reshape((1,) * sym.n + k2.shape)
+    return np.sqrt(1.0 + sum(a**2 for a in _xi_mesh(sym.spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,101 +108,77 @@ def fd4(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(out, 0, axis) / h
 
 
-def sym_dxi(sym: SymbolGrid, axis: int) -> np.ndarray:
-    """d/dxi_axis of the symbol values by finite differences."""
-    ax = sym.xi[axis]
-    h = float(ax[1] - ax[0])
-    return fd4(sym.values, sym.n + axis, h)
+def _dxi(values: np.ndarray, spec: GridSpec, axis: int) -> np.ndarray:
+    """d/dxi_axis of (x, xi) values by finite differences."""
+    ax = dual_xi(spec)[axis]
+    return fd4(values, spec.n + axis, float(ax[1] - ax[0]))
 
 
-def sym_dx_spectral(values: np.ndarray, spec: GridSpec, axis: int) -> np.ndarray:
-    """Spectral d/dx_axis of an (x, xi) array along one x axis."""
-    kappa = spec.kappa_axis()
-    shape = [1] * values.ndim
-    shape[axis] = len(kappa)
-    coeffs = np.fft.fft(values, axis=axis)
-    return np.fft.ifft(1j * kappa.reshape(shape) * coeffs, axis=axis)
-
-
-def sym_dx(sym: SymbolGrid, axis: int) -> np.ndarray:
+def _dx(sym: SymbolGrid, axis: int) -> np.ndarray:
+    """d/dx_axis of the symbol: its exact gradient when it carries one."""
     if sym.grad_x is not None:
         return sym.grad_x[axis]
-    out = sym_dx_spectral(sym.values, sym.spec, axis)
-    if np.isrealobj(sym.values):
-        out = out.real
-    return out
+    out = spectral_derivative(sym.values, sym.spec, axis)
+    return out.real if np.isrealobj(sym.values) else out
 
 
 def poisson_bracket(a: SymbolGrid, b: SymbolGrid) -> SymbolGrid:
     """{a, b} = sum_j (d_xi_j a · d_x_j b - d_x_j a · d_xi_j b)."""
-    if not a.same_grid(b):
+    if a.spec != b.spec:
         raise SymbolError("poisson_bracket: symbol grids do not match")
     vals = np.zeros(a.values.shape, dtype=np.result_type(a.values, b.values, float))
     for j in range(a.n):
-        vals = vals + sym_dxi(a, j) * sym_dx(b, j) - sym_dx(a, j) * sym_dxi(b, j)
-    return SymbolGrid(a.spec, a.xi, vals)
+        vals = (vals + _dxi(a.values, a.spec, j) * _dx(b, j)
+                - _dx(a, j) * _dxi(b.values, b.spec, j))
+    return SymbolGrid(a.spec, vals)
 
 
 # ---------------------------------------------------------------------------
 # symbol assembly
 
 
-def assemble_a2(cs: CoefficientSet, xi: tuple | None = None) -> SymbolGrid:
+def assemble_a2(cs: CoefficientSet) -> SymbolGrid:
     """Principal symbol sum_ij a_ij(x) xi_i xi_j, with exact x-gradient."""
-    spec = cs.spec
-    if xi is None:
-        xi = dual_xi(spec)
-    n = spec.n
-    xim = np.meshgrid(*xi, indexing="ij")
-    vals = np.zeros(spec.shape + xim[0].shape)
+    spec, n = cs.spec, cs.spec.n
+    xi = _xi_mesh(spec)
+    vals = np.zeros(spec.shape * 2)
     grads = [np.zeros_like(vals) for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            quad = (xim[i] * xim[j]).reshape((1,) * n + xim[0].shape)
-            vals += cs.a[i][j].reshape(spec.shape + (1,) * n) * quad
+            quad = xi[i] * xi[j]
+            vals += _lift(cs.a[i][j]) * quad
             for k in range(n):
-                grads[k] += cs.da[k][i][j].reshape(spec.shape + (1,) * n) * quad
-    return SymbolGrid(spec, xi, vals, grad_x=grads)
+                grads[k] += _lift(cs.da[k][i][j]) * quad
+    return SymbolGrid(spec, vals, grad_x=grads)
 
 
-def assemble_a1(cs: CoefficientSet, xi: tuple | None = None) -> SymbolGrid:
+def assemble_a1(cs: CoefficientSet) -> SymbolGrid:
     """Subprincipal symbol sum_ij (D_x_i a_ij)(x) xi_j with D = -i d/dx."""
-    spec = cs.spec
-    if xi is None:
-        xi = dual_xi(spec)
-    n = spec.n
-    xim = np.meshgrid(*xi, indexing="ij")
-    vals = np.zeros(spec.shape + xim[0].shape, dtype=complex)
+    spec, n = cs.spec, cs.spec.n
+    xi = _xi_mesh(spec)
+    vals = np.zeros(spec.shape * 2, dtype=complex)
     for i in range(n):
         for j in range(n):
-            lin = xim[j].reshape((1,) * n + xim[0].shape)
-            dai = (-1j * cs.da[i][i][j]).reshape(spec.shape + (1,) * n)
-            vals = vals + dai * lin
-    return SymbolGrid(spec, xi, vals)
+            vals = vals + _lift(-1j * cs.da[i][i][j]) * xi[j]
+    return SymbolGrid(spec, vals)
 
 
-def build_q(cs: CoefficientSet, C1: float, mu: float,
-            xi: tuple | None = None) -> SymbolGrid:
+def build_q(cs: CoefficientSet, C1: float, mu: float) -> SymbolGrid:
     """Escape symbol C1 mu^2 <xi>^{-1} sum_j x_j d_xi_j a2."""
-    spec = cs.spec
-    if xi is None:
-        xi = dual_xi(spec)
-    n = spec.n
-    xim = np.meshgrid(*xi, indexing="ij")
-    bra = np.sqrt(1.0 + sum(a**2 for a in xim)).reshape((1,) * n + xim[0].shape)
-    xmesh = [x.reshape(spec.shape + (1,) * n) for x in spec.x_mesh()]
+    spec, n = cs.spec, cs.spec.n
+    xi = _xi_mesh(spec)
+    bra = np.sqrt(1.0 + sum(a**2 for a in xi))
+    x = [_lift(a) for a in spec.x_mesh()]
     scale = C1 * mu**2
 
-    def dxi_a2(j, a=None):
+    def dxi_a2(j, a=cs.a):
         # d_xi_j a2 = 2 sum_i a_ij xi_i, evaluated analytically
-        coeff = a if a is not None else cs.a
-        total = np.zeros(spec.shape + xim[0].shape)
+        total = np.zeros(spec.shape * 2)
         for i in range(n):
-            total += 2.0 * coeff[i][j].reshape(spec.shape + (1,) * n) \
-                * xim[i].reshape((1,) * n + xim[0].shape)
+            total += 2.0 * _lift(a[i][j]) * xi[i]
         return total
 
-    core = sum(xmesh[j] * dxi_a2(j) for j in range(n))
+    core = sum(x[j] * dxi_a2(j) for j in range(n))
     vals = scale / bra * core
     grads = []
     for k in range(n):
@@ -215,9 +186,9 @@ def build_q(cs: CoefficientSet, C1: float, mu: float,
         # coefficients contribute through their cached derivatives
         g = dxi_a2(k)
         for j in range(n):
-            g = g + xmesh[j] * dxi_a2(j, a=cs.da[k])
+            g = g + x[j] * dxi_a2(j, a=cs.da[k])
         grads.append(scale / bra * g)
-    return SymbolGrid(spec, xi, vals, grad_x=grads)
+    return SymbolGrid(spec, vals, grad_x=grads)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +211,7 @@ class FTable:
         step = K / 100.0
         self.ts = np.arange(0.0, t_max + step, step)
         self.t_max = float(self.ts[-1])
-        integrand = self.lam(self.ts / K - 10.0)
-        self.table = np.concatenate(
-            [[0.0], np.cumsum((integrand[1:] + integrand[:-1]) / 2.0 * np.diff(self.ts))]
-        )
+        self.table = cumulative_trapezoid(self.ts, self.lam(self.ts / K - 10.0))
 
     def lam(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -257,10 +225,6 @@ class FTable:
         return self.lam(np.asarray(t, dtype=float) / self.K - 10.0)
 
 
-def build_f(K: float, N: int, t_max: float | None = None) -> FTable:
-    return FTable(K, N, t_max)
-
-
 class SmoothStep:
     """C^inf monotone step: 0 for t <= 1, 1 for t >= 2, a normalised
     bump-integral in between, tabulated on 4001 points."""
@@ -270,7 +234,7 @@ class SmoothStep:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             bump = np.exp(-1.0 / (u * (1.0 - u)))
         bump[~np.isfinite(bump)] = 0.0
-        cdf = np.concatenate([[0.0], np.cumsum((bump[1:] + bump[:-1]) / 2.0 * np.diff(u))])
+        cdf = cumulative_trapezoid(u, bump)
         self.u = u
         self.norm = cdf[-1]
         self.cdf = cdf / self.norm
@@ -293,38 +257,34 @@ class DoiParams:
     """Parameters of the order-zero symbol construction; the cutoff width
     delta is fixed at 0.1 and f is built from K and N."""
 
-    C1: float = 4.0
     K: float = 1.0
     N: int = 2
     delta: float = field(default=0.1, init=False)
     f: FTable = field(init=False)
 
     def __post_init__(self):
-        if self.C1 <= 0:
-            raise SymbolError("C1 must be positive")
-        if self.N <= 1:
-            raise SymbolError("N must exceed 1")
-        self.f = build_f(self.K, self.N)
+        self.f = FTable(self.K, self.N)
+
+
+def _over_x(q: SymbolGrid) -> tuple:
+    """<x> lifted onto the (x, xi) grid, q/<x> and sup |q|/<x>."""
+    w = _lift(np.sqrt(1.0 + q.spec.x_norm_sq()))
+    r = q.values / w
+    return w, r, float(np.max(np.abs(r)))
 
 
 def calibrate_K(qs: list) -> float:
     """K = 1.1 * sup |q| / <x>, maximised over a ladder of q symbols."""
-    best = 0.0
-    for q in qs:
-        w = _broadcast_x(np.sqrt(1.0 + q.spec.x_norm_sq()), q)
-        best = max(best, float(np.max(np.abs(q.values) / w)))
-    return 1.1 * best
+    return 1.1 * max((_over_x(q)[2] for q in qs), default=0.0)
 
 
 def build_d(q: SymbolGrid, p: DoiParams) -> SymbolGrid:
     """Order-zero symbol (q/<x>) phi0 + (f(|q|) + 2 delta)(psi+ - psi-)."""
-    w = _broadcast_x(np.sqrt(1.0 + q.spec.x_norm_sq()), q)
-    sup_ratio = float(np.max(np.abs(q.values) / w))
+    w, r, sup_ratio = _over_x(q)
     if p.K < sup_ratio * (1.0 - 1e-12):
         raise SymbolError(
             f"DoiParams.K = {p.K} below measured sup |q|/<x> = {sup_ratio}"
         )
-    r = q.values / w
     plus = _STEP(r / p.delta)
     minus = _STEP(-r / p.delta)
     phi0 = 1.0 - plus - minus
@@ -341,13 +301,12 @@ def build_d(q: SymbolGrid, p: DoiParams) -> SymbolGrid:
         # f(|q|) only enters where the cutoffs are active, away from q = 0,
         # so sign(q) is well-defined there
         dd_dq = p.f.derivative(absq) * np.sign(q.values) * (plus - minus)
-        xmesh = [x.reshape(q.spec.shape + (1,) * q.n) for x in q.spec.x_mesh()]
         grads = []
-        for k in range(q.n):
-            dw = xmesh[k] / w
+        for k, x in enumerate(q.spec.x_mesh()):
+            dw = _lift(x) / w
             dr = (q.grad_x[k] * w - q.values * dw) / w**2
             grads.append(dd_dr * dr + dd_dq * q.grad_x[k])
-    return SymbolGrid(q.spec, q.xi, vals, grad_x=grads)
+    return SymbolGrid(q.spec, vals, grad_x=grads)
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +316,15 @@ def build_d(q: SymbolGrid, p: DoiParams) -> SymbolGrid:
 def check_escape(q: SymbolGrid, a2: SymbolGrid, C1: float) -> dict:
     """Grid minimum of H_{a2} q - C1 |xi| (should exceed -C2)."""
     H = poisson_bracket(a2, q).values
-    xim = _broadcast_xi(q.xi_mesh(), q)
-    xi_abs = np.sqrt(sum(a**2 for a in xim))
-    gap = H - C1 * xi_abs
+    gap = H - C1 * np.sqrt(sum(a**2 for a in _xi_mesh(q.spec)))
     return {"min_gap": float(np.min(gap)), "C2": float(max(0.0, -np.min(gap)))}
 
 
 def check_doi(d: SymbolGrid, a2: SymbolGrid, N: int) -> dict:
     """Grid maximum C* of <x>^{-N} |xi| - H_{a2} d (the Doi constant)."""
-    if not d.same_grid(a2):
-        raise SymbolError("check_doi: symbol grids do not match")
     H = poisson_bracket(a2, d).values
-    xim = _broadcast_xi(d.xi_mesh(), d)
-    xi_abs = np.sqrt(sum(a**2 for a in xim))
-    w = _broadcast_x((1.0 + d.spec.x_norm_sq()) ** (-N / 2.0), d)
+    xi_abs = np.sqrt(sum(a**2 for a in _xi_mesh(d.spec)))
+    w = _lift((1.0 + d.spec.x_norm_sq()) ** (-N / 2.0))
     deficit = w * xi_abs - H
     cstar = float(np.max(deficit))
     return {
@@ -389,8 +343,7 @@ def symbol_seminorm(a: SymbolGrid, m: float, k: int) -> float:
     best = 0.0
     n = a.n
     for total in range(k + 1):
-        for ax_order in _orders(n, total):
-            alpha, beta = ax_order
+        for alpha, beta in _orders(n, total):
             vals = a.values
             first_x = True
             # x-derivatives first; the attached exact gradient replaces the
@@ -400,12 +353,11 @@ def symbol_seminorm(a: SymbolGrid, m: float, k: int) -> float:
                     if first_x and a.grad_x is not None:
                         vals = a.grad_x[axis]
                     else:
-                        vals = sym_dx_spectral(vals, a.spec, axis)
+                        vals = spectral_derivative(vals, a.spec, axis)
                     first_x = False
             for axis in range(n):
-                h = float(a.xi[axis][1] - a.xi[axis][0])
                 for _ in range(alpha[axis]):
-                    vals = fd4(vals, n + axis, h)
+                    vals = _dxi(vals, a.spec, axis)
             weight = bra ** (-(m - sum(alpha)))
             best = max(best, float(np.max(np.abs(vals) * weight)))
     return best
@@ -413,14 +365,9 @@ def symbol_seminorm(a: SymbolGrid, m: float, k: int) -> float:
 
 def _orders(n: int, total: int):
     """All (alpha, beta) multi-index pairs with |alpha| + |beta| = total."""
-    def splits(t):
-        if n == 1:
-            return [(t,)]
-        return [(i, t - i) for i in range(t + 1)]
-
     for a_tot in range(total + 1):
-        for alpha in splits(a_tot):
-            for beta in splits(total - a_tot):
+        for alpha in _multi_indices(n, a_tot):
+            for beta in _multi_indices(n, total - a_tot):
                 yield alpha, beta
 
 
@@ -432,9 +379,6 @@ def quantize(a: SymbolGrid) -> np.ndarray:
     """Dense matrix of Op(a): (Op(a)u)(x_j) = sum_k a(x_j, kappa_k) u_hat_k
     e^{i kappa_k x_j}, acting on flattened field values."""
     spec = a.spec
-    expected = dual_xi(spec)
-    if not all(np.array_equal(p, q) for p, q in zip(a.xi, expected)):
-        raise SymbolError("quantize requires the dual lattice as xi grid")
     if spec.n == 1 and spec.M > 64:
         raise SymbolError("dense quantizer limited to M <= 64 in 1D")
     if spec.n == 2 and spec.M > 16:
@@ -442,8 +386,7 @@ def quantize(a: SymbolGrid) -> np.ndarray:
 
     xm = spec.x_mesh()
     xflat = [x.ravel() for x in xm]
-    km = np.meshgrid(*a.xi, indexing="ij")
-    kflat = [k.ravel() for k in km]
+    kflat = [k.ravel() for k in _xi_mesh(spec)]
     phase = sum(np.outer(x, k) for x, k in zip(xflat, kflat))
     E = np.exp(1j * phase)  # rows x_j, cols kappa_k
     F = np.exp(-1j * phase).T / spec.size  # forward transform, u -> u_hat
@@ -453,7 +396,7 @@ def quantize(a: SymbolGrid) -> np.ndarray:
 
 def exp_symbol_operator(d: SymbolGrid) -> np.ndarray:
     """Dense operator Op(e^{d})."""
-    return quantize(SymbolGrid(d.spec, d.xi, np.exp(d.values)))
+    return quantize(SymbolGrid(d.spec, np.exp(d.values)))
 
 
 def energy_norm(E: np.ndarray, u: Field, s: float) -> float:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .coeffs import CoefficientSet
 from .grid import Field, GridSpec, fft, ifft
-from .mollify import fit_slope
+from .mollify import cumulative_trapezoid, fit_slope
 
 #: RK4 stability interval on the imaginary axis is about |z| <= 2.8; it
 #: bounds the remainder that the ETD-RK4 stages take explicitly
@@ -367,11 +367,7 @@ def solve(prob: EvolutionProblem, record_states: bool = False) -> SolveResult:
     rows = np.array(rows)  # (step, s, [norm, integrand])
     norms = {s: rows[:, i, 0] for i, s in enumerate(prob.s_list)}
     integrand = {s: rows[:, i, 1] for i, s in enumerate(prob.s_list)}
-    # cumulative trapezoid rule
-    integral = {
-        s: np.concatenate([[0.0], np.cumsum(np.diff(ts) * (v[1:] + v[:-1]) / 2.0)])
-        for s, v in integrand.items()
-    }
+    integral = {s: cumulative_trapezoid(ts, v) for s, v in integrand.items()}
     return SolveResult(Field(spec, ifft(uh)), NormSeries(ts, norms, integrand, integral),
                        states if record_states else None)
 
@@ -444,12 +440,13 @@ def dense_oracle(prob: EvolutionProblem) -> Field:
     return Field(spec, out.reshape(spec.shape))
 
 
-def smoothing_report(series_by_eps: dict, s: float, N: int, rhs_by_eps: dict,
+def smoothing_report(series_by_eps: dict, s: float, rhs_by_eps: dict,
                      T: float) -> dict:
     """Fit the a-priori smoothing estimate across an epsilon ladder.
 
-    series_by_eps maps eps -> (omega, NormSeries); rhs_by_eps maps
-    eps -> (||u0||_s^2, int ||g||_s^2 dt).
+    series_by_eps maps eps -> (omega, NormSeries), whose integrands carry
+    their <x> weight already; rhs_by_eps maps eps -> (||u0||_s^2,
+    int ||g||_s^2 dt).
     Returns fitted (C1, k1, C2) with the envelope
     LHS <= C2 exp(C1 omega^{-k1} T) * RHS.
     """

@@ -202,9 +202,14 @@ def weight_field(u: Field, p: float) -> Field:
 
 
 def spectral_derivative(values: np.ndarray, spec: GridSpec, axis: int) -> np.ndarray:
-    """d/dx_axis computed in Fourier space."""
+    """d/dx_axis computed in Fourier space along that axis alone.
+
+    Axes after the grid's ride along, so this also differentiates an array
+    on the (x, xi) grid of a phase-space symbol in x.
+    """
     km = spec.kappa_mesh()[axis]
-    return ifft(1j * km * fft(values))
+    km = km.reshape(km.shape + (1,) * (values.ndim - km.ndim))
+    return np.fft.ifft(1j * km * np.fft.fft(values, axis=axis), axis=axis)
 
 
 def plane_wave(spec: GridSpec, k: tuple | int) -> Field:

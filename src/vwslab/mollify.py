@@ -103,6 +103,11 @@ def fit_slope(xs, ys) -> tuple[float, float]:
     return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
 
 
+def cumulative_trapezoid(xs, ys) -> np.ndarray:
+    """Running trapezoid-rule integral of ys over xs, starting from 0."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0)])
+
+
 def _scaling_probe(u: Field, scale: ScaleFn, eps_list, measure) -> dict:
     """Mollify u with the gaussian at each omega(eps) of the ladder, measure
     each result and fit log measure against log omega (slope 0 when the

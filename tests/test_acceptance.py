@@ -7,9 +7,9 @@ import pytest
 
 from conftest import LADDER, random_field
 from vwslab.coeffs import check_hypotheses, preset, regularise
-from vwslab.doi import (DoiParams, assemble_a2, build_d, build_f, build_q,
-                        calibrate_K, check_doi, check_escape, dual_xi,
-                        energy_norm, exp_symbol_operator)
+from vwslab.doi import (DoiParams, FTable, assemble_a2, build_d, build_q,
+                        calibrate_K, check_doi, check_escape, energy_norm,
+                        exp_symbol_operator)
 from vwslab.evolve import (EvolutionProblem, Forcing, dense_oracle,
                            smoothing_report, solve)
 from vwslab.grid import Field, inverse, make_grid, plane_wave, sobolev_norm
@@ -157,15 +157,13 @@ def test_07_doi_inequalities():
     for name, n, M in (("free", 1, 64), ("ultra-diagonal", 2, 8)):
         spec = make_grid(n, M, 8.0)
         model = preset(name, n=n)
-        xi = dual_xi(spec)
         pairs = []
         for eps in LADDER:
             cs = regularise(model, GAUSS, eps, LOGLOG, spec)
             A = cs.matrix_at().reshape(-1, n, n)
             mu = float(np.max(np.linalg.svd(A, compute_uv=False)))
-            pairs.append((assemble_a2(cs, xi), build_q(cs, 4.0, mu, xi)))
-        params = DoiParams(C1=4.0, K=calibrate_K([q for _, q in pairs]),
-                           N=model.N)
+            pairs.append((assemble_a2(cs), build_q(cs, 4.0, mu)))
+        params = DoiParams(K=calibrate_K([q for _, q in pairs]), N=model.N)
         gaps, margins = [], []
         for a2, q in pairs:
             gaps.append(check_escape(q, a2, 4.0)["min_gap"])
@@ -178,7 +176,7 @@ def test_07_doi_inequalities():
             assert min(vals) > -1e3
             assert np.ptp(vals) <= 0.10 * max(np.mean(np.abs(vals)), 1.0)
 
-    f = build_f(params.K, model.N)
+    f = FTable(params.K, model.N)
     assert f(0.0) == 0.0
     ts = np.linspace(0.0, f.t_max, 1000)
     assert np.all(f.derivative(ts) >= f.lam(ts / f.K - 10.0) - 1e-12)
@@ -187,10 +185,9 @@ def test_07_doi_inequalities():
 def test_08_energy_norm_equivalence():
     spec = make_grid(1, 32, 8.0)
     model = preset("delta-potential", n=1)
-    xi = dual_xi(spec)
     sets = [regularise(model, GAUSS, e, LOGLOG, spec) for e in LADDER]
-    qs = [build_q(cs, 4.0, 1.0, xi) for cs in sets]
-    params = DoiParams(C1=4.0, K=calibrate_K(qs), N=2)
+    qs = [build_q(cs, 4.0, 1.0) for cs in sets]
+    params = DoiParams(K=calibrate_K(qs), N=2)
     rng = np.random.default_rng(17)
     omegas, c_eps = [], []
     for cs, q in zip(sets, qs):
@@ -264,7 +261,7 @@ def test_12_smoothing_estimate():
                                      N_weight=2))
         series[eps] = (cs.omega, res.series)
         rhs[eps] = (sobolev_norm(u0, 0.0) ** 2, 0.0)
-    rep = smoothing_report(series, 0.0, 2, rhs, 0.5)
+    rep = smoothing_report(series, 0.0, rhs, 0.5)
     assert rep["holds"]
     assert all(np.isfinite(v) and v > 0.0 for v in rep["lhs"])
     assert rep["C1"] > 0.0 and rep["C2"] > 0.0 and rep["k1"] >= 0.0

@@ -130,7 +130,9 @@ class TestConfigErrors:
     @pytest.mark.parametrize("model, message", [
         ({"preset": "nonsense"}, "unknown preset 'nonsense'"),
         ({"preset": "free", "params": {"frobnicate": 2}},
-         "unknown model parameters: ['frobnicate']")])
+         "unknown model parameters: ['frobnicate']"),
+        # cfg_text's grid has n = 1
+        ({"preset": "ultra-diagonal"}, "ultra-diagonal is two-dimensional, got n=1")])
     def test_unknown_preset_or_model_parameter(self, tmp_path, capsys, model,
                                                message):
         self.assert_config_error(tmp_path, capsys, cfg_text(model=model),

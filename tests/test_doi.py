@@ -3,8 +3,8 @@ import pytest
 
 from conftest import LADDER, random_field
 from vwslab.coeffs import preset, regularise
-from vwslab.doi import (DoiParams, SymbolError, SymbolGrid, assemble_a1,
-                        assemble_a2, build_d, build_f, build_q, calibrate_K,
+from vwslab.doi import (DoiParams, FTable, SymbolError, SymbolGrid,
+                        assemble_a1, assemble_a2, build_d, build_q, calibrate_K,
                         check_doi, check_escape, dual_xi, energy_norm,
                         exp_symbol_operator, poisson_bracket, quantize,
                         symbol_seminorm, xi_bracket)
@@ -20,12 +20,11 @@ def sets_for(name, spec, **params):
 
 
 def q_ladder(sets, C1=4.0):
-    xi = dual_xi(sets[0].spec)
     out = []
     for cs in sets:
         A = cs.matrix_at().reshape(-1, cs.n, cs.n)
         mu = float(np.max(np.linalg.svd(A, compute_uv=False)))
-        out.append((assemble_a2(cs, xi), build_q(cs, C1, mu, xi)))
+        out.append((assemble_a2(cs), build_q(cs, C1, mu)))
     return out
 
 
@@ -44,7 +43,7 @@ def symbol_from(spec, fn, grad_fns=None):
     grad = None
     if grad_fns is not None:
         grad = [np.broadcast_to(g(*xs, *xis), full).copy() for g in grad_fns]
-    return SymbolGrid(spec, xi, np.broadcast_to(fn(*xs, *xis), full).copy(),
+    return SymbolGrid(spec, np.broadcast_to(fn(*xs, *xis), full).copy(),
                       grad_x=grad)
 
 
@@ -52,7 +51,7 @@ class TestAssemble:
     def test_free_principal_symbol(self, grid_1d):
         cs = sets_for("free", grid_1d)[0]
         a2 = assemble_a2(cs)
-        xi = a2.xi_mesh()[0]
+        xi = a2.xi[0]
         assert np.allclose(a2.values, np.broadcast_to(xi**2, a2.values.shape),
                            atol=1e-12)
 
@@ -112,7 +111,7 @@ class TestPoissonBracket:
         a = symbol_from(grid_1d_pi, lambda x, xi: np.cos(x) + 0.1 * xi**2)
         b = symbol_from(grid_1d_pi, lambda x, xi: np.sin(x) * xi)
         c = symbol_from(grid_1d_pi, lambda x, xi: 1.0 + 0.05 * xi**2 + 0.0 * x)
-        bc = SymbolGrid(grid_1d_pi, a.xi, b.values * c.values)
+        bc = SymbolGrid(grid_1d_pi, b.values * c.values)
         lhs = poisson_bracket(a, bc).values
         rhs = (b.values * poisson_bracket(a, c).values
                + c.values * poisson_bracket(a, b).values)
@@ -130,7 +129,7 @@ class TestBuildQ:
     def test_free_closed_form(self, grid_1d):
         cs = sets_for("free", grid_1d)[0]
         xi = dual_xi(grid_1d)
-        q = build_q(cs, 4.0, 1.0, xi)
+        q = build_q(cs, 4.0, 1.0)
         x = grid_1d.x_axis().reshape(-1, 1)
         z = np.asarray(xi[0]).reshape(1, -1)
         expected = 2 * 4.0 * x * z / np.sqrt(1 + z**2)
@@ -138,50 +137,50 @@ class TestBuildQ:
 
     def test_vanishes_at_zero_frequency(self, grid_1d):
         cs = sets_for("delta-potential", grid_1d)[0]
-        q = build_q(cs, 4.0, 1.0, dual_xi(grid_1d))
+        q = build_q(cs, 4.0, 1.0)
         zero = np.argmin(np.abs(np.asarray(q.xi[0])))
         assert np.max(np.abs(q.values[:, zero])) < 1e-12
 
 
 class TestBuildF:
     def test_zero_at_zero(self):
-        f = build_f(1.0, 2)
+        f = FTable(1.0, 2)
         assert f(0.0) == 0.0
 
     def test_identity_on_the_ramp(self):
-        f = build_f(1.0, 2)
+        f = FTable(1.0, 2)
         ts = np.linspace(0.0, 10.0, 11)
         assert np.allclose(f(ts), ts, rtol=1e-6)
 
     def test_bounded_limit(self):
-        f = build_f(1.0, 2, t_max=400.0)
+        f = FTable(1.0, 2, t_max=400.0)
         # f(inf) <= 10 + int <s>^{-2} ds = 10 + pi/2
         assert f(400.0) <= 10 + np.pi / 2 + 0.05
         assert f(400.0) >= 10.0
 
     def test_monotone(self):
-        f = build_f(2.5, 2)
+        f = FTable(2.5, 2)
         ts = np.linspace(0.0, f.t_max, 500)
         assert np.all(np.diff(f(ts)) >= 0.0)
 
     def test_derivative_dominates_lambda(self):
-        f = build_f(3.0, 2)
+        f = FTable(3.0, 2)
         ts = np.linspace(0.0, f.t_max, 700)
         assert np.all(f.derivative(ts) >= f.lam(ts / 3.0 - 10.0) - 1e-12)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(SymbolError):
-            build_f(0.0, 2)
+            FTable(0.0, 2)
         with pytest.raises(SymbolError):
-            build_f(1.0, 1)
+            FTable(1.0, 1)
 
 
 class TestBuildD:
     def setup_method(self):
         self.spec = make_grid(1, 32, 8.0)
         cs = sets_for("free", self.spec)[0]
-        self.q = build_q(cs, 4.0, 1.0, dual_xi(self.spec))
-        self.params = DoiParams(C1=4.0, K=calibrate_K([self.q]), N=2)
+        self.q = build_q(cs, 4.0, 1.0)
+        self.params = DoiParams(K=calibrate_K([self.q]), N=2)
 
     def test_inner_region_is_rescaled_q(self):
         d = build_d(self.q, self.params)
@@ -200,14 +199,14 @@ class TestBuildD:
         assert np.allclose(d.values[outer], expected, atol=1e-10)
 
     def test_odd_in_q(self):
-        neg = SymbolGrid(self.spec, self.q.xi, -self.q.values,
+        neg = SymbolGrid(self.spec, -self.q.values,
                          grad_x=[-g for g in self.q.grad_x])
         d_pos = build_d(self.q, self.params)
         d_neg = build_d(neg, self.params)
         assert np.allclose(d_neg.values, -d_pos.values, atol=1e-12)
 
     def test_rejects_miscalibrated_K(self):
-        bad = DoiParams(C1=4.0, K=self.params.K / 100.0, N=2)
+        bad = DoiParams(K=self.params.K / 100.0, N=2)
         with pytest.raises(SymbolError):
             build_d(self.q, bad)
 
@@ -223,7 +222,7 @@ class TestInequalities:
         spec = make_grid(2, 8, 8.0)
         pairs = q_ladder(sets_for("ultra-diagonal", spec, nu=0.0, c0=0.0))
         K = calibrate_K([q for _, q in pairs])
-        params = DoiParams(C1=4.0, K=K, N=2)
+        params = DoiParams(K=K, N=2)
         stars = []
         for a2, q in pairs:
             d = build_d(q, params)
@@ -235,7 +234,7 @@ class TestInequalities:
         spec = make_grid(2, 8, 8.0)
         pairs = q_ladder(sets_for("ultra-diagonal", spec))
         K = calibrate_K([q for _, q in pairs])
-        params = DoiParams(C1=4.0, K=K, N=2)
+        params = DoiParams(K=K, N=2)
         gaps, stars = [], []
         for a2, q in pairs:
             gaps.append(check_escape(q, a2, 4.0)["min_gap"])
@@ -270,11 +269,10 @@ class TestSymbolSeminorm:
         model = preset("elliptic-lipschitz", n=1, nu=0.4)
         m = Mollifier("gaussian")
         scale = ScaleFn("power", k=1.0)
-        xi = dual_xi(make_grid(1, 64, 8.0))
         vals, omegas = [], []
         for eps in (2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5):
             cs = regularise(model, m, eps, scale, spec)
-            a2 = assemble_a2(cs, xi)
+            a2 = assemble_a2(cs)
             vals.append(symbol_seminorm(a2, 2.0, 2))
             omegas.append(cs.omega)
         slope, _ = fit_slope(np.log(omegas), np.log(vals))
@@ -283,7 +281,7 @@ class TestSymbolSeminorm:
     def test_doi_symbol_class_growth(self, grid_1d):
         pairs = q_ladder(sets_for("delta-potential", grid_1d))
         K = calibrate_K([q for _, q in pairs])
-        params = DoiParams(C1=4.0, K=K, N=2)
+        params = DoiParams(K=K, N=2)
         s1, s2, omegas = [], [], []
         for cs, (a2, q) in zip(sets_for("delta-potential", grid_1d), pairs):
             d = build_d(q, params)
@@ -332,7 +330,7 @@ class TestEnergyNorm:
         sets = sets_for("delta-potential", spec)
         pairs = q_ladder(sets)
         K = calibrate_K([q for _, q in pairs])
-        params = DoiParams(C1=4.0, K=K, N=2)
+        params = DoiParams(K=K, N=2)
         rng = np.random.default_rng(11)
         cs_omegas, c_eps = [], []
         for cs, (a2, q) in zip(sets, pairs):

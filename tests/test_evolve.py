@@ -281,7 +281,7 @@ class TestSmoothingReport:
 
     def test_smooth_preset_has_flat_exponent(self):
         series, rhs = self.ladder_series("smooth-consistency")
-        rep = smoothing_report(series, 0.0, 2, rhs, 0.5)
+        rep = smoothing_report(series, 0.0, rhs, 0.5)
         assert rep["holds"]
         assert rep["k1"] == pytest.approx(0.0, abs=0.3)
         assert max(rep["ratio"]) < 50.0
@@ -296,13 +296,13 @@ class TestSmoothingReport:
                                          s_list=(0.0,)))
             series[eps] = (0.5, res.series)
             rhs[eps] = (0.0, 0.0)
-        rep = smoothing_report(series, 0.0, 2, rhs, 0.2)
+        rep = smoothing_report(series, 0.0, rhs, 0.2)
         assert rep["holds"]
         assert rep["C2"] == 1.0
 
     def test_delta_potential_gain_is_finite(self):
         series, rhs = self.ladder_series("delta-potential")
-        rep = smoothing_report(series, 0.0, 2, rhs, 0.5)
+        rep = smoothing_report(series, 0.0, rhs, 0.5)
         assert rep["holds"]
         assert all(np.isfinite(v) and v > 0 for v in rep["lhs"])
         assert rep["C1"] > 0 and rep["C2"] > 0 and rep["k1"] >= 0.0

@@ -172,8 +172,7 @@ class TestModeratenessFit:
         for k in (1.0, 2.0):
             p = NetParams(spec=spec, T=0.25, scale=ScaleFn("power", k=k),
                           eps_ladder=(2**-1, 2**-2, 2**-3, 2**-4))
-            net = run_net(preset("delta-potential", n=1), delta_field(spec),
-                          p, skip_hypotheses=True)
+            net = run_net(preset("delta-potential", n=1), delta_field(spec), p)
             slopes.append(moderateness_fit(net, 0.0).slope)
         assert slopes[1] >= slopes[0] - 0.05
 
