@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .coeffs import ModelError, preset
-from .doi import (DoiParams, assemble_a2, build_d, build_q, calibrate_K,
+from .doi import (FTable, assemble_a2, build_d, build_q, calibrate_K,
                   check_doi, check_escape)
 from .evolve import solve
 from .grid import Field, GridSpec, make_grid, plane_wave
@@ -42,6 +42,8 @@ from .vwsnet import (FitReport, NetParams, consistency_run, delta_field,
 
 EXPERIMENT_KINDS = ("validate-hypotheses", "doi-check", "solve", "net",
                     "uniqueness", "consistency", "mollifier-bench")
+#: the tolerance names each subcommand reads; any other name is rejected
+_TOLERANCES = {"net": ("n_cap", "residual"), "consistency": ("final_error",)}
 
 
 class ConfigError(ValueError):
@@ -133,7 +135,8 @@ def parse_config(text: str, kind: str | None = None) -> dict:
             raise ConfigError(f"config.experiment.kind={stated!r} conflicts "
                               f"with subcommand {kind!r}")
         cfg["experiment"]["kind"] = kind
-    if cfg["experiment"]["kind"] not in EXPERIMENT_KINDS:
+    kind = cfg["experiment"]["kind"]
+    if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"config.experiment.kind must be one of "
                           f"{EXPERIMENT_KINDS}")
 
@@ -150,8 +153,7 @@ def parse_config(text: str, kind: str | None = None) -> dict:
             build(cfg)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"config.{section}: {exc}") from exc
-    if len(ladder) < 4 and cfg["experiment"]["kind"] not in (
-            "solve", "mollifier-bench"):
+    if len(ladder) < 4 and kind not in ("solve", "mollifier-bench"):
         raise ConfigError("config.ladder needs at least 4 epsilon values")
     _check_finite(cfg, "config")
 
@@ -162,7 +164,13 @@ def parse_config(text: str, kind: str | None = None) -> dict:
         raise ConfigError('config.evolution.dt must be a number or "auto"')
     if isinstance(dt, (int, float)) and dt <= 0:
         raise ConfigError("config.evolution.dt must be positive")
+    if cfg["data"]["kind"] not in _DATA:
+        raise ConfigError(f"config.data.kind {cfg['data']['kind']!r} not "
+                          f"recognised; choose from {tuple(_DATA)}")
     for name, tol in cfg["experiment"]["tolerances"].items():
+        if name not in _TOLERANCES.get(kind, ()):
+            raise ConfigError(f"config.experiment.tolerances.{name} is not "
+                              f"read by {kind}")
         if not isinstance(tol, (int, float)) or tol <= 0:
             raise ConfigError(f"config.experiment.tolerances.{name} "
                               "must be a positive number")
@@ -199,17 +207,17 @@ def _model(cfg):
     return preset(cfg["model"]["preset"], n=cfg["grid"]["n"], **params)
 
 
+#: data.kind -> the Cauchy data, built from (spec, config.data, config.seed)
+_DATA = {
+    "gaussian": lambda spec, d, seed: gaussian_field(spec, d["width"], d["amplitude"]),
+    "delta": lambda spec, d, seed: delta_field(spec),
+    "plane-wave": lambda spec, d, seed: plane_wave(spec, tuple(int(k) for k in d["k"])),
+    "rough": lambda spec, d, seed: rough_field(spec, float(d["s"]), seed=seed),
+}
+
+
 def _data(cfg, spec: GridSpec) -> Field:
-    d = cfg["data"]
-    if d["kind"] == "gaussian":
-        return gaussian_field(spec, d["width"], d["amplitude"])
-    if d["kind"] == "delta":
-        return delta_field(spec)
-    if d["kind"] == "plane-wave":
-        return plane_wave(spec, tuple(int(k) for k in d["k"]))
-    if d["kind"] == "rough":
-        return rough_field(spec, float(d["s"]), seed=cfg["seed"])
-    raise ConfigError(f"config.data.kind {d['kind']!r} not recognised")
+    return _DATA[cfg["data"]["kind"]](spec, cfg["data"], cfg["seed"])
 
 
 def _net_params(cfg, spec: GridSpec) -> NetParams:
@@ -251,11 +259,11 @@ def _run_doi_check(cfg, out: Path) -> dict:
     pairs = [_doi_one(m["cs"], C1)
              for m in ladder(model, _net_params(cfg, spec)).values()]
     K = calibrate_K([q for _, q in pairs])
-    params = DoiParams(K=K, N=N)
+    f = FTable(K, N)
     per_eps, c2s, cstars = [], [], []
     for eps, (a2, q) in zip(cfg["ladder"], pairs):
         esc = check_escape(q, a2, C1)
-        d = build_d(q, params)
+        d = build_d(q, f)
         doi = check_doi(d, a2, N)
         per_eps.append({"eps": eps, **esc, **doi})
         c2s.append(esc["C2"])
@@ -267,7 +275,6 @@ def _run_doi_check(cfg, out: Path) -> dict:
     v2, vs = variation(c2s), variation(cstars)
     ok = bool(np.all(np.isfinite(c2s)) and np.all(np.isfinite(cstars))
               and v2 < 0.10 and vs < 0.10)
-    f = params.f
     ts = np.linspace(0.0, f.t_max, 257)
     fprime_ok = bool(np.all(f.derivative(ts) >= f.lam(ts / f.K - 10.0) - 1e-12))
     return {

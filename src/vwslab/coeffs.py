@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, forward, inverse, spectral_derivative
+from .grid import (GridSpec, forward, inverse, partial_derivative,
+                   spectral_derivative)
 from .mollify import Mollifier, ScaleFn, fit_slope, scale_omega
 
 
@@ -264,27 +265,26 @@ class CoefficientSet:
         return np.abs(np.linalg.eigvalsh(A))
 
 
-def regularise(model: CoefficientModel, m: Mollifier, eps: float,
-               scale: ScaleFn, spec: GridSpec) -> CoefficientSet:
-    """Mollify every coefficient of the model at scale omega(eps)."""
-    if m.kind != "gaussian":
-        raise ModelError("coefficient regularisation requires the gaussian mollifier")
+def regularise(model: CoefficientModel, eps: float, scale: ScaleFn,
+               spec: GridSpec) -> CoefficientSet:
+    """Mollify every coefficient of the model with the gaussian at scale
+    omega(eps)."""
     if spec.n != model.n:
         raise ModelError(f"grid dimension {spec.n} != model dimension {model.n}")
-    omega = scale_omega(scale, eps)
-    return _build_set(model, m, eps, omega, spec)
+    return _build_set(model, eps, scale_omega(scale, eps), spec)
 
 
 def sample(model: CoefficientModel, spec: GridSpec) -> CoefficientSet:
     """Grid realisation with no mollification (classical coefficients)."""
     if not model.smooth:
         raise ModelError("unmollified sampling only makes sense for smooth models")
-    return _build_set(model, None, 0.0, 0.0, spec)
+    return _build_set(model, 0.0, 0.0, spec)
 
 
-def _build_set(model, m, eps, omega, spec) -> CoefficientSet:
-    # sample() passes no mollifier: the coefficients are taken unmollified
-    mult = 1.0 if m is None else m.hat(omega**2 * spec.kappa_sq())
+def _build_set(model, eps, omega, spec) -> CoefficientSet:
+    # at omega = 0 the gaussian multiplier is exactly 1: sample()'s
+    # coefficients are unmollified
+    mult = Mollifier("gaussian").hat(omega**2 * spec.kappa_sq())
     n = model.n
 
     def realise(comp: Component) -> np.ndarray:
@@ -343,16 +343,8 @@ def _variation(vals: np.ndarray) -> float:
 
 def _derivative_sup(vals: np.ndarray, spec: GridSpec, order: int) -> float:
     """max over |beta| = order of sup |d^beta vals| (spectral derivatives)."""
-    if order == 0:
-        return float(np.max(np.abs(vals)))
-    best = 0.0
-    for beta in _multi_indices(spec.n, order):
-        d = vals
-        for axis, reps in enumerate(beta):
-            for _ in range(reps):
-                d = spectral_derivative(d, spec, axis)
-        best = max(best, float(np.max(np.abs(d))))
-    return best
+    return max(float(np.max(np.abs(partial_derivative(vals, spec, beta))))
+               for beta in _multi_indices(spec.n, order))
 
 
 def _multi_indices(n: int, total: int):

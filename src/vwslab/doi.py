@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientSet, _multi_indices
-from .grid import Field, GridSpec, sobolev_norm, spectral_derivative
+from .grid import (Field, GridSpec, partial_derivative, sobolev_norm,
+                   spectral_derivative)
 from .mollify import cumulative_trapezoid
 
 
@@ -252,18 +253,8 @@ class SmoothStep:
 _STEP = SmoothStep()
 
 
-@dataclass
-class DoiParams:
-    """Parameters of the order-zero symbol construction; the cutoff width
-    delta is fixed at 0.1 and f is built from K and N."""
-
-    K: float = 1.0
-    N: int = 2
-    delta: float = field(default=0.1, init=False)
-    f: FTable = field(init=False)
-
-    def __post_init__(self):
-        self.f = FTable(self.K, self.N)
+#: width of the cutoffs psi+- and phi0 in the order-zero symbol d
+DELTA = 0.1
 
 
 def _over_x(q: SymbolGrid) -> tuple:
@@ -278,29 +269,29 @@ def calibrate_K(qs: list) -> float:
     return 1.1 * max((_over_x(q)[2] for q in qs), default=0.0)
 
 
-def build_d(q: SymbolGrid, p: DoiParams) -> SymbolGrid:
-    """Order-zero symbol (q/<x>) phi0 + (f(|q|) + 2 delta)(psi+ - psi-)."""
+def build_d(q: SymbolGrid, f: FTable) -> SymbolGrid:
+    """Order-zero symbol (q/<x>) phi0 + (f(|q|) + 2 DELTA)(psi+ - psi-)."""
     w, r, sup_ratio = _over_x(q)
-    if p.K < sup_ratio * (1.0 - 1e-12):
+    if f.K < sup_ratio * (1.0 - 1e-12):
         raise SymbolError(
-            f"DoiParams.K = {p.K} below measured sup |q|/<x> = {sup_ratio}"
+            f"FTable.K = {f.K} below measured sup |q|/<x> = {sup_ratio}"
         )
-    plus = _STEP(r / p.delta)
-    minus = _STEP(-r / p.delta)
+    plus = _STEP(r / DELTA)
+    minus = _STEP(-r / DELTA)
     phi0 = 1.0 - plus - minus
     absq = np.abs(q.values)
-    fq = p.f(absq)
-    vals = r * phi0 + (fq + 2.0 * p.delta) * (plus - minus)
+    fq = f(absq)
+    vals = r * phi0 + (fq + 2.0 * DELTA) * (plus - minus)
 
     grads = None
     if q.grad_x is not None:
-        dplus = _STEP.derivative(r / p.delta) / p.delta
-        dminus = -_STEP.derivative(-r / p.delta) / p.delta
+        dplus = _STEP.derivative(r / DELTA) / DELTA
+        dminus = -_STEP.derivative(-r / DELTA) / DELTA
         dphi0 = -(dplus + dminus)
-        dd_dr = phi0 + r * dphi0 + (fq + 2.0 * p.delta) * (dplus - dminus)
+        dd_dr = phi0 + r * dphi0 + (fq + 2.0 * DELTA) * (dplus - dminus)
         # f(|q|) only enters where the cutoffs are active, away from q = 0,
         # so sign(q) is well-defined there
-        dd_dq = p.f.derivative(absq) * np.sign(q.values) * (plus - minus)
+        dd_dq = f.derivative(absq) * np.sign(q.values) * (plus - minus)
         grads = []
         for k, x in enumerate(q.spec.x_mesh()):
             dw = _lift(x) / w
@@ -344,17 +335,13 @@ def symbol_seminorm(a: SymbolGrid, m: float, k: int) -> float:
     n = a.n
     for total in range(k + 1):
         for alpha, beta in _orders(n, total):
-            vals = a.values
-            first_x = True
+            vals, beta = a.values, list(beta)
             # x-derivatives first; the attached exact gradient replaces the
             # spectral derivative at the first order when available
-            for axis in range(n):
-                for _ in range(beta[axis]):
-                    if first_x and a.grad_x is not None:
-                        vals = a.grad_x[axis]
-                    else:
-                        vals = spectral_derivative(vals, a.spec, axis)
-                    first_x = False
+            if a.grad_x is not None and any(beta):
+                axis = next(i for i, b in enumerate(beta) if b)
+                vals, beta[axis] = a.grad_x[axis], beta[axis] - 1
+            vals = partial_derivative(vals, a.spec, beta)
             for axis in range(n):
                 for _ in range(alpha[axis]):
                     vals = _dxi(vals, a.spec, axis)

@@ -392,7 +392,13 @@ def sup_differences(ref: EvolutionProblem, others: list, s: float) -> list:
 
 def dense_oracle(prob: EvolutionProblem) -> Field:
     """Exact-in-time solution of the semi-discrete system via the dense
-    generator matrix; independent of the time stepper."""
+    generator matrix G; independent of the time stepper.
+
+    u(T) is the head of expm(T [[G, g], [0, 0]]) [u0, 1], with g the
+    forcing (zero when there is none) and scipy's scaling-and-squaring
+    ``expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009)),
+    imported here so that no pipeline loads scipy.
+    """
     spec = prob.cs.spec
     if spec.n == 1 and spec.M > 32:
         raise EvolveError("dense oracle limited to M <= 32 in 1D")
@@ -401,42 +407,20 @@ def dense_oracle(prob: EvolutionProblem) -> Field:
     if prob.forcing.G is not None and prob.forcing.rate != 0.0:
         raise EvolveError("dense oracle requires time-constant forcing")
 
+    from scipy.linalg import expm
+
     size = spec.size
-    gen = np.empty((size, size), dtype=complex)
+    aug = np.zeros((size + 1, size + 1), dtype=complex)
     basis = np.zeros(size, dtype=complex)
     for j in range(size):
         basis[:] = 0.0
         basis[j] = 1.0
-        gen[:, j] = 1j * apply_spatial(prob.cs, basis.reshape(spec.shape)).ravel()
-
-    u0 = prob.u0.values.ravel()
+        aug[:size, j] = 1j * apply_spatial(prob.cs, basis.reshape(spec.shape)).ravel()
     g = prob.forcing.at(0.0)
-    gvec = 1j * g.ravel() if g is not None else None
-    T = prob.T
-
-    w, S = np.linalg.eig(gen)
-    if np.linalg.cond(S) < 1e10:
-        Sinv = np.linalg.inv(S)
-        ew = np.exp(w * T)
-        out = S @ (ew * (Sinv @ u0))
-        if gvec is not None:
-            # phi(w) = (e^{wT} - 1)/w with the removable singularity at 0
-            small = np.abs(w) < 1e-12
-            phi = np.where(small, T, np.expm1(np.where(small, 1.0, w * T))
-                           / np.where(small, 1.0, w))
-            out = out + S @ (phi * (Sinv @ gvec))
-    else:
-        # defective generator: scaling-and-squaring on the augmented system
-        from scipy.linalg import expm
-
-        if gvec is None:
-            out = expm(gen * T) @ u0
-        else:
-            aug = np.zeros((size + 1, size + 1), dtype=complex)
-            aug[:size, :size] = gen
-            aug[:size, size] = gvec
-            state = np.concatenate([u0, [1.0]])
-            out = (expm(aug * T) @ state)[:size]
+    if g is not None:
+        aug[:size, size] = 1j * g.ravel()
+    state = np.concatenate([prob.u0.values.ravel(), [1.0]])
+    out = (expm(aug * prob.T) @ state)[:size]
     return Field(spec, out.reshape(spec.shape))
 
 

@@ -212,6 +212,15 @@ def spectral_derivative(values: np.ndarray, spec: GridSpec, axis: int) -> np.nda
     return np.fft.ifft(1j * km * np.fft.fft(values, axis=axis), axis=axis)
 
 
+def partial_derivative(values: np.ndarray, spec: GridSpec, beta: tuple) -> np.ndarray:
+    """d^beta values: ``spectral_derivative`` once per order, axis by axis;
+    beta = 0 returns values unchanged."""
+    for axis, order in enumerate(beta):
+        for _ in range(order):
+            values = spectral_derivative(values, spec, axis)
+    return values
+
+
 def plane_wave(spec: GridSpec, k: tuple | int) -> Field:
     """e^{i <kappa_k, x>} for integer mode numbers k (per axis)."""
     if np.isscalar(k):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, forward, inverse, sobolev_norm, spectral_derivative
+from .grid import Field, forward, inverse, partial_derivative, sobolev_norm
 
 #: clamp value returned by the loglog scale for epsilon >= e^{-e}
 LOGLOG_CLAMP = 1.0 - 1e-6
@@ -141,11 +141,7 @@ def derivative_bound_probe(u: Field, beta: tuple | int, scale: ScaleFn, eps_list
         raise MollifyError(f"bad multi-index {beta} for dimension {u.spec.n}")
 
     def sup_of_derivative(v: Field) -> float:
-        vals = v.values
-        for axis, b in enumerate(beta):
-            for _ in range(b):
-                vals = spectral_derivative(vals, v.spec, axis)
-        return float(np.max(np.abs(vals)))
+        return float(np.max(np.abs(partial_derivative(v.values, v.spec, beta))))
 
     order = float(sum(beta))
     return {**_scaling_probe(u, scale, eps_list, sup_of_derivative),

@@ -90,9 +90,6 @@ class EpsilonNet:
     hypothesis_report: HypothesisReport
     members: dict  # eps -> dict(cs, u0, forcing, result)
 
-    def omega(self, eps: float) -> float:
-        return self.members[eps]["cs"].omega
-
 
 @dataclass
 class FitReport:
@@ -116,10 +113,10 @@ def ladder(model: CoefficientModel, params: NetParams, u0: Field | None = None,
     unchanged when ``params.mollify_data`` is off.  With ``u0=None`` the
     members carry coefficients only.
     """
-    moll, dm = Mollifier("gaussian"), params.data_mollifier
+    dm = params.data_mollifier
     members = {}
     for eps in params.eps_ladder:
-        cs = regularise(model, moll, eps, params.scale, params.spec)
+        cs = regularise(model, eps, params.scale, params.spec)
         u0_eps, g_eps = u0, forcing
         if params.mollify_data:
             # Cauchy data are regularised at parameter eps itself, not omega(eps)
@@ -176,12 +173,6 @@ def moderateness_fit(net: EpsilonNet, s: float, n_cap: float = 10.0,
     passed = bool(slope <= n_cap and resid < resid_cap)
     return FitReport(slope, resid, passed, n_cap,
                      {float(e): float(v) for e, v in zip(eps, sups)})
-
-
-def hs_mode(model: CoefficientModel, u0: Field, params: NetParams,
-            forcing: Forcing = Forcing()) -> EpsilonNet:
-    """H^s pipeline: data held fixed across epsilon, only coefficients vary."""
-    return run_net(model, u0, replace(params, mollify_data=False), forcing)
 
 
 # ---------------------------------------------------------------------------

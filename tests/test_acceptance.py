@@ -7,7 +7,7 @@ import pytest
 
 from conftest import LADDER, random_field
 from vwslab.coeffs import check_hypotheses, preset, regularise
-from vwslab.doi import (DoiParams, FTable, assemble_a2, build_d, build_q,
+from vwslab.doi import (FTable, assemble_a2, build_d, build_q,
                         calibrate_K, check_doi, check_escape, energy_norm,
                         exp_symbol_operator)
 from vwslab.evolve import (EvolutionProblem, Forcing, dense_oracle,
@@ -19,15 +19,13 @@ from vwslab.vwsnet import (NetParams, consistency_run, delta_field,
                            gaussian_field, moderateness_fit, rough_field,
                            run_net, uniqueness_probe)
 
-GAUSS = Mollifier("gaussian")
 LOGLOG = ScaleFn("loglog")
 POWER1 = ScaleFn("power", k=1.0)
 DYADIC = [2.0**-j for j in range(2, 8)]
 
 
 def fixed_set(name, spec, eps=2.0**-4, **params):
-    return regularise(preset(name, n=spec.n, **params), GAUSS, eps, LOGLOG,
-                      spec)
+    return regularise(preset(name, n=spec.n, **params), eps, LOGLOG, spec)
 
 
 def rel_gap(u, v, s=0.0):
@@ -136,7 +134,7 @@ def test_06_hypothesis_validation():
     spec = make_grid(2, 32, 8.0)
     c1, c2 = 1.0, -1.0
     model = preset("ultra-diagonal", c1=c1, c2=c2)
-    sets = [regularise(model, GAUSS, e, LOGLOG, spec) for e in LADDER]
+    sets = [regularise(model, e, LOGLOG, spec) for e in LADDER]
     report = check_hypotheses(sets, nu=model.nu, c0=model.c0, N=model.N)
     assert report.passed
 
@@ -159,15 +157,15 @@ def test_07_doi_inequalities():
         model = preset(name, n=n)
         pairs = []
         for eps in LADDER:
-            cs = regularise(model, GAUSS, eps, LOGLOG, spec)
+            cs = regularise(model, eps, LOGLOG, spec)
             A = cs.matrix_at().reshape(-1, n, n)
             mu = float(np.max(np.linalg.svd(A, compute_uv=False)))
             pairs.append((assemble_a2(cs), build_q(cs, 4.0, mu)))
-        params = DoiParams(K=calibrate_K([q for _, q in pairs]), N=model.N)
+        f = FTable(calibrate_K([q for _, q in pairs]), model.N)
         gaps, margins = [], []
         for a2, q in pairs:
             gaps.append(check_escape(q, a2, 4.0)["min_gap"])
-            margins.append(check_doi(build_d(q, params), a2,
+            margins.append(check_doi(build_d(q, f), a2,
                                      model.N)["min_margin"])
         for vals in (gaps, margins):
             assert all(np.isfinite(v) for v in vals)
@@ -176,7 +174,6 @@ def test_07_doi_inequalities():
             assert min(vals) > -1e3
             assert np.ptp(vals) <= 0.10 * max(np.mean(np.abs(vals)), 1.0)
 
-    f = FTable(params.K, model.N)
     assert f(0.0) == 0.0
     ts = np.linspace(0.0, f.t_max, 1000)
     assert np.all(f.derivative(ts) >= f.lam(ts / f.K - 10.0) - 1e-12)
@@ -185,13 +182,13 @@ def test_07_doi_inequalities():
 def test_08_energy_norm_equivalence():
     spec = make_grid(1, 32, 8.0)
     model = preset("delta-potential", n=1)
-    sets = [regularise(model, GAUSS, e, LOGLOG, spec) for e in LADDER]
+    sets = [regularise(model, e, LOGLOG, spec) for e in LADDER]
     qs = [build_q(cs, 4.0, 1.0) for cs in sets]
-    params = DoiParams(K=calibrate_K(qs), N=2)
+    f = FTable(calibrate_K(qs), 2)
     rng = np.random.default_rng(17)
     omegas, c_eps = [], []
     for cs, q in zip(sets, qs):
-        E = exp_symbol_operator(build_d(q, params))
+        E = exp_symbol_operator(build_d(q, f))
         worst = 1.0
         for _ in range(50):
             u = Field(spec, rng.standard_normal(32)
@@ -256,7 +253,7 @@ def test_12_smoothing_estimate():
     u0 = rough_field(spec, 0.0, seed=13)
     series, rhs = {}, {}
     for eps in LADDER:
-        cs = regularise(model, GAUSS, eps, LOGLOG, spec)
+        cs = regularise(model, eps, LOGLOG, spec)
         res = solve(EvolutionProblem(cs, u0, Forcing(), T=0.5, s_list=(0.0,),
                                      N_weight=2))
         series[eps] = (cs.omega, res.series)

@@ -147,6 +147,21 @@ class TestConfigErrors:
         self.assert_config_error(tmp_path, capsys, cfg_text(ladder=[]),
                                  "config.ladder: epsilon ladder is empty")
 
+    def test_unknown_data_kind(self, tmp_path, capsys):
+        text = cfg_text(experiment={"kind": "net"}, data={"kind": "bogus"})
+        self.assert_config_error(tmp_path, capsys, text,
+                                 "config.data.kind 'bogus' not recognised")
+
+    @pytest.mark.parametrize("kind, name", [("net", "residul"),
+                                            ("solve", "n_cap"),
+                                            ("consistency", "residual")])
+    def test_tolerance_the_subcommand_does_not_read(self, tmp_path, capsys,
+                                                     kind, name):
+        text = cfg_text(experiment={"kind": kind, "tolerances": {name: 0.1}})
+        self.assert_config_error(tmp_path, capsys, text,
+                                 f"config.experiment.tolerances.{name} is not "
+                                 f"read by {kind}")
+
     @pytest.mark.parametrize("override, path", [
         ({"evolution": {"T": float("nan")}}, "config.evolution.T"),
         ({"experiment": {"kind": "net", "tolerances": {"n_cap": float("nan")}}},
@@ -301,16 +316,26 @@ class TestRunReportContract:
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
+    # scipy.linalg doubles the resident set; only the dense oracle, which
+    # the tests alone call, may import it.  Each benchmark workload is run
+    # after the import, in the same interpreter.
     src = Path(vwslab.__file__).resolve().parents[1]
+    workloads = sorted((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "workloads").glob("*.json"))
+    assert workloads
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, vwslab.cli; "
+    code = ("import sys, pathlib, vwslab.cli as cli\n"
+            "for i, path in enumerate(sys.argv[1:]):\n"
+            "    cfg = cli.parse_config(pathlib.Path(path).read_text())\n"
+            "    assert cli.run(cfg, out_dir=str(i)) == 0, path\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, *map(str, workloads)],
+                         env=env, cwd=tmp_path, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 class TestMain:

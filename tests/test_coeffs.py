@@ -5,14 +5,13 @@ from conftest import LADDER, assert_da_is_the_derivative_of_a
 from vwslab.coeffs import (CoefficientModel, Delta, ModelError, Pointwise,
                            SquareWave, check_hypotheses, enveloped_bump, preset,
                            regularise, sample)
-from vwslab.grid import forward, make_grid
-from vwslab.mollify import Mollifier, ScaleFn
+from vwslab.grid import forward, inverse, make_grid
+from vwslab.mollify import ScaleFn
 
 
 def ladder_sets(model, spec, scale=None):
     scale = scale or ScaleFn("loglog")
-    m = Mollifier("gaussian")
-    return [regularise(model, m, e, scale, spec) for e in LADDER]
+    return [regularise(model, e, scale, spec) for e in LADDER]
 
 
 class TestPreset:
@@ -44,29 +43,23 @@ class TestPreset:
 
 
 class TestRegularise:
-    def test_constants_are_fixed_points(self, grid_1d, gaussian, loglog):
-        cs = regularise(preset("free", n=1), gaussian, 0.1, loglog, grid_1d)
+    def test_constants_are_fixed_points(self, grid_1d, loglog):
+        cs = regularise(preset("free", n=1), 0.1, loglog, grid_1d)
         assert np.array_equal(cs.a[0][0], np.ones(64))
         assert np.array_equal(cs.b[0], np.zeros(64))
         assert np.array_equal(np.asarray(cs.V), np.zeros(64))
 
-    def test_symmetry_exact(self, grid_2d, gaussian, loglog):
+    def test_symmetry_exact(self, grid_2d, loglog):
         model = preset("ultra-diagonal")
-        cs = regularise(model, gaussian, 2**-4, loglog, grid_2d)
+        cs = regularise(model, 2**-4, loglog, grid_2d)
         assert cs.a[0][1] is cs.a[1][0]
 
-    def test_dimension_mismatch(self, grid_1d, gaussian, loglog):
+    def test_dimension_mismatch(self, grid_1d, loglog):
         with pytest.raises(ModelError):
-            regularise(preset("ultra-diagonal"), gaussian, 0.1, loglog, grid_1d)
+            regularise(preset("ultra-diagonal"), 0.1, loglog, grid_1d)
 
-    def test_requires_gaussian(self, grid_1d, loglog):
-        vm = Mollifier("vanishing-moment", order=4)
-        with pytest.raises(ModelError):
-            regularise(preset("free", n=1), vm, 0.1, loglog, grid_1d)
-
-    def test_delta_potential_coefficients(self, grid_1d, gaussian, loglog):
-        cs = regularise(preset("delta-potential", n=1), gaussian, 2**-4,
-                        loglog, grid_1d)
+    def test_delta_potential_coefficients(self, grid_1d, loglog):
+        cs = regularise(preset("delta-potential", n=1), 2**-4, loglog, grid_1d)
         kap = grid_1d.kappa_mesh()[0]
         expected = (16.0) ** -1 * np.exp(-((cs.omega * kap) ** 2) / 2)
         assert np.allclose(forward(cs.V.astype(complex), grid_1d), expected,
@@ -77,9 +70,17 @@ class TestRegularise:
             sample(preset("delta-potential", n=1), grid_1d)
 
     def test_sample_matches_model(self, grid_1d):
-        cs = sample(preset("smooth-consistency", n=1), grid_1d)
+        model = preset("smooth-consistency", n=1)
+        cs = sample(model, grid_1d)
         assert cs.eps == 0.0
-        assert np.all(np.isfinite(cs.a[0][0]))
+
+        def unmollified(comp):
+            return inverse(comp.coefficients(grid_1d), grid_1d).real
+
+        assert np.array_equal(cs.a[0][0],
+                              model.C[0, 0] + unmollified(model.perturb[0, 0]))
+        assert np.array_equal(cs.b[0], 1j * unmollified(model.drift_im[0]))
+        assert np.array_equal(cs.V, unmollified(model.potential))
 
 
 class TestSquareWave:
@@ -168,9 +169,9 @@ class TestCheckHypotheses:
         assert not rep.passed
 
 
-def test_da_is_the_spectral_derivative_of_a(grid_2d, gaussian, loglog):
+def test_da_is_the_spectral_derivative_of_a(grid_2d, loglog):
     assert_da_is_the_derivative_of_a(
-        regularise(preset("ultra-diagonal"), gaussian, 2**-4, loglog, grid_2d))
+        regularise(preset("ultra-diagonal"), 2**-4, loglog, grid_2d))
 
 
 class TestCustomModel:
@@ -178,12 +179,12 @@ class TestCustomModel:
         with pytest.raises(ModelError):
             CoefficientModel("bad", 2, np.array([[1.0, 0.2], [0.0, 1.0]]))
 
-    def test_pointwise_component(self, grid_1d, gaussian, loglog):
+    def test_pointwise_component(self, grid_1d, loglog):
         model = CoefficientModel(
             "sine", 1, np.eye(1),
             perturb={(0, 0): Pointwise(lambda x: 0.1 * np.sin(np.pi * x / 8))},
             smooth=True)
-        cs = regularise(model, gaussian, 2**-4, loglog, grid_1d)
+        cs = regularise(model, 2**-4, loglog, grid_1d)
         kap = np.pi / 8
         factor = np.exp(-((cs.omega * kap) ** 2) / 2)
         x = grid_1d.x_mesh()[0]

@@ -3,20 +3,19 @@ import pytest
 
 from conftest import LADDER, random_field
 from vwslab.coeffs import preset, regularise
-from vwslab.doi import (DoiParams, FTable, SymbolError, SymbolGrid,
+from vwslab.doi import (DELTA, FTable, SymbolError, SymbolGrid,
                         assemble_a1, assemble_a2, build_d, build_q, calibrate_K,
                         check_doi, check_escape, dual_xi, energy_norm,
                         exp_symbol_operator, poisson_bracket, quantize,
                         symbol_seminorm, xi_bracket)
 from vwslab.grid import Field, apply_lambda, make_grid, sobolev_norm
-from vwslab.mollify import Mollifier, ScaleFn, fit_slope
+from vwslab.mollify import ScaleFn, fit_slope
 
 
 def sets_for(name, spec, **params):
     model = preset(name, n=spec.n, **params)
-    m = Mollifier("gaussian")
     scale = ScaleFn("loglog")
-    return [regularise(model, m, e, scale, spec) for e in LADDER]
+    return [regularise(model, e, scale, spec) for e in LADDER]
 
 
 def q_ladder(sets, C1=4.0):
@@ -75,8 +74,7 @@ class TestAssemble:
             "sine", 1, np.eye(1),
             perturb={(0, 0): Pointwise(lambda x: 0.1 * np.sin(x))},
             smooth=True)
-        cs = regularise(model, Mollifier("gaussian"), 2**-4,
-                        ScaleFn("loglog"), spec)
+        cs = regularise(model, 2**-4, ScaleFn("loglog"), spec)
         a1 = assemble_a1(cs)
         factor = np.exp(-cs.omega**2 / 2)
         x = spec.x_axis().reshape(-1, 1)
@@ -180,33 +178,32 @@ class TestBuildD:
         self.spec = make_grid(1, 32, 8.0)
         cs = sets_for("free", self.spec)[0]
         self.q = build_q(cs, 4.0, 1.0)
-        self.params = DoiParams(K=calibrate_K([self.q]), N=2)
+        self.f = FTable(calibrate_K([self.q]), 2)
 
     def test_inner_region_is_rescaled_q(self):
-        d = build_d(self.q, self.params)
+        d = build_d(self.q, self.f)
         w = np.sqrt(1 + self.spec.x_norm_sq()).reshape(-1, 1)
         r = self.q.values / w
-        inner = np.abs(r) <= self.params.delta
+        inner = np.abs(r) <= DELTA
         assert np.allclose(d.values[inner], r[inner], atol=1e-12)
 
     def test_outer_region_is_plateau(self):
-        d = build_d(self.q, self.params)
+        d = build_d(self.q, self.f)
         w = np.sqrt(1 + self.spec.x_norm_sq()).reshape(-1, 1)
         r = self.q.values / w
-        f = self.params.f
-        outer = r >= 2 * self.params.delta
-        expected = f(np.abs(self.q.values[outer])) + 2 * self.params.delta
+        outer = r >= 2 * DELTA
+        expected = self.f(np.abs(self.q.values[outer])) + 2 * DELTA
         assert np.allclose(d.values[outer], expected, atol=1e-10)
 
     def test_odd_in_q(self):
         neg = SymbolGrid(self.spec, -self.q.values,
                          grad_x=[-g for g in self.q.grad_x])
-        d_pos = build_d(self.q, self.params)
-        d_neg = build_d(neg, self.params)
+        d_pos = build_d(self.q, self.f)
+        d_neg = build_d(neg, self.f)
         assert np.allclose(d_neg.values, -d_pos.values, atol=1e-12)
 
     def test_rejects_miscalibrated_K(self):
-        bad = DoiParams(K=self.params.K / 100.0, N=2)
+        bad = FTable(self.f.K / 100.0, 2)
         with pytest.raises(SymbolError):
             build_d(self.q, bad)
 
@@ -222,10 +219,10 @@ class TestInequalities:
         spec = make_grid(2, 8, 8.0)
         pairs = q_ladder(sets_for("ultra-diagonal", spec, nu=0.0, c0=0.0))
         K = calibrate_K([q for _, q in pairs])
-        params = DoiParams(K=K, N=2)
+        f = FTable(K, 2)
         stars = []
         for a2, q in pairs:
-            d = build_d(q, params)
+            d = build_d(q, f)
             stars.append(check_doi(d, a2, 2)["C_star"])
         # constant coefficients: no epsilon dependence at all
         assert np.ptp(stars) < 1e-12
@@ -234,11 +231,11 @@ class TestInequalities:
         spec = make_grid(2, 8, 8.0)
         pairs = q_ladder(sets_for("ultra-diagonal", spec))
         K = calibrate_K([q for _, q in pairs])
-        params = DoiParams(K=K, N=2)
+        f = FTable(K, 2)
         gaps, stars = [], []
         for a2, q in pairs:
             gaps.append(check_escape(q, a2, 4.0)["min_gap"])
-            stars.append(check_doi(build_d(q, params), a2, 2)["min_margin"])
+            stars.append(check_doi(build_d(q, f), a2, 2)["min_margin"])
         assert all(np.isfinite(gaps)) and all(np.isfinite(stars))
         for vals in (gaps, stars):
             mid = np.mean(np.abs(vals))
@@ -261,17 +258,24 @@ class TestSymbolSeminorm:
         with pytest.raises(SymbolError):
             symbol_seminorm(a, 0.0, 4)
 
+    def test_first_x_derivative_is_the_attached_gradient(self):
+        # zero values with a constant attached gradient: only the gradient,
+        # taken on the axis of beta, gives the order-1 seminorm
+        spec = make_grid(2, 8, 8.0)
+        zero = np.zeros(spec.shape * 2)
+        a = SymbolGrid(spec, zero, grad_x=[zero + 1.5, zero - 2.5])
+        assert symbol_seminorm(a, 0.0, 1) == 2.5
+
     def test_lipschitz_principal_growth(self):
         # second x-derivative of a mollified Lipschitz coefficient grows
         # like omega^{-1}; the k=2, m=2 seminorm inherits that rate once
         # the singular term dominates the O(1) background
         spec = make_grid(1, 512, 8.0)
         model = preset("elliptic-lipschitz", n=1, nu=0.4)
-        m = Mollifier("gaussian")
         scale = ScaleFn("power", k=1.0)
         vals, omegas = [], []
         for eps in (2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5):
-            cs = regularise(model, m, eps, scale, spec)
+            cs = regularise(model, eps, scale, spec)
             a2 = assemble_a2(cs)
             vals.append(symbol_seminorm(a2, 2.0, 2))
             omegas.append(cs.omega)
@@ -281,10 +285,10 @@ class TestSymbolSeminorm:
     def test_doi_symbol_class_growth(self, grid_1d):
         pairs = q_ladder(sets_for("delta-potential", grid_1d))
         K = calibrate_K([q for _, q in pairs])
-        params = DoiParams(K=K, N=2)
+        f = FTable(K, 2)
         s1, s2, omegas = [], [], []
         for cs, (a2, q) in zip(sets_for("delta-potential", grid_1d), pairs):
-            d = build_d(q, params)
+            d = build_d(q, f)
             s1.append(symbol_seminorm(d, 0.0, 1))
             s2.append(symbol_seminorm(d, 0.0, 2))
             omegas.append(cs.omega)
@@ -330,11 +334,11 @@ class TestEnergyNorm:
         sets = sets_for("delta-potential", spec)
         pairs = q_ladder(sets)
         K = calibrate_K([q for _, q in pairs])
-        params = DoiParams(K=K, N=2)
+        f = FTable(K, 2)
         rng = np.random.default_rng(11)
         cs_omegas, c_eps = [], []
         for cs, (a2, q) in zip(sets, pairs):
-            E = exp_symbol_operator(build_d(q, params))
+            E = exp_symbol_operator(build_d(q, f))
             worst = 1.0
             for _ in range(20):
                 u = Field(spec, rng.standard_normal(32)

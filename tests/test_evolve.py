@@ -11,7 +11,7 @@ from vwslab.evolve import (EvolutionProblem, EvolveError, Forcing,
                            march, smoothing_report, solve, stable_dt,
                            step_rk4, sup_differences)
 from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
-from vwslab.mollify import Mollifier, ScaleFn
+from vwslab.mollify import ScaleFn
 from vwslab import evolve
 from vwslab.evolve import LEVELS, RK4_IMAG_LIMIT, SAFETY, _Diagnostics, _Operator
 from vwslab.grid import (apply_lambda, fft, inverse, spectral_derivative,
@@ -22,8 +22,7 @@ from vwslab.vwsnet import (NetParams, _bumps, _h2_margin, _perturbed_set,
 
 
 def preset_set(name, spec, eps=2**-4):
-    return regularise(preset(name, n=spec.n), Mollifier("gaussian"),
-                      eps, ScaleFn("loglog"), spec)
+    return regularise(preset(name, n=spec.n), eps, ScaleFn("loglog"), spec)
 
 
 def free_set(spec):
@@ -39,8 +38,8 @@ class TestApplySpatial:
 
     def test_ultra_diagonal_null_direction(self):
         spec = make_grid(2, 16, np.pi)
-        cs = regularise(preset("ultra-diagonal", nu=0.0, c0=0.0),
-                        Mollifier("gaussian"), 2**-4, ScaleFn("loglog"), spec)
+        cs = regularise(preset("ultra-diagonal", nu=0.0, c0=0.0), 2**-4,
+                        ScaleFn("loglog"), spec)
         u = plane_wave(spec, (1, 1))
         out = apply_spatial(cs, u)
         assert np.max(np.abs(out)) < 1e-12
@@ -50,8 +49,7 @@ class TestApplySpatial:
         model = CoefficientModel("shifted", 1, np.eye(1),
                                  potential=Pointwise(lambda x: 3.0 + 0 * x),
                                  smooth=True)
-        cs = regularise(model, Mollifier("gaussian"), 2**-4,
-                        ScaleFn("loglog"), spec)
+        cs = regularise(model, 2**-4, ScaleFn("loglog"), spec)
         base = apply_spatial(free_set(spec), plane_wave(spec, (2,)))
         out = apply_spatial(cs, plane_wave(spec, (2,)))
         assert np.allclose(out, base + 3.0 * plane_wave(spec, (2,)).values,
@@ -78,8 +76,7 @@ class TestStepRK4:
     @pytest.mark.parametrize("dt", [0.0, -0.01], ids=["zero", "negative"])
     def test_problem_rejects_non_positive_dt(self, dt):
         spec = make_grid(1, 32, np.pi)
-        cs = regularise(preset("delta-potential"), Mollifier("gaussian"),
-                        2**-4, ScaleFn("loglog"), spec)
+        cs = regularise(preset("delta-potential"), 2**-4, ScaleFn("loglog"), spec)
         with pytest.raises(EvolveError, match="must be positive"):
             EvolutionProblem(cs, random_field(spec, seed=1), T=0.1, dt=dt)
 
@@ -132,8 +129,7 @@ class TestSolve:
 
     def test_delta_potential_l2_conservation(self):
         spec = make_grid(1, 64, 8.0)
-        cs = regularise(preset("delta-potential", n=1), Mollifier("gaussian"),
-                        2**-5, ScaleFn("loglog"), spec)
+        cs = regularise(preset("delta-potential", n=1), 2**-5, ScaleFn("loglog"), spec)
         u0 = self.localised_data(spec, seed=3)
         res = solve(EvolutionProblem(cs, u0, Forcing(), T=1.0, dt=1e-3))
         norms = res.series.norms[0.0]
@@ -151,8 +147,7 @@ class TestSolve:
 
     def test_duhamel_linearity(self):
         spec = make_grid(1, 32, 8.0)
-        cs = regularise(preset("jump-drift", n=1), Mollifier("gaussian"),
-                        2**-4, ScaleFn("loglog"), spec)
+        cs = regularise(preset("jump-drift", n=1), 2**-4, ScaleFn("loglog"), spec)
         ua, ub = random_field(spec, seed=4), random_field(spec, seed=5)
         ga = Forcing(random_field(spec, seed=6))
         gb = Forcing(random_field(spec, seed=7))
@@ -199,8 +194,7 @@ class TestSolve:
         outs = {}
         for M in (64, 128):
             spec = make_grid(1, M, 8.0)
-            cs = regularise(model(), Mollifier("gaussian"), 2**-4,
-                            ScaleFn("loglog"), spec)
+            cs = regularise(model(), 2**-4, ScaleFn("loglog"), spec)
             u = plane_wave(spec, (5,))
             outs[M] = apply_spatial(cs, u)
         assert np.allclose(outs[64], outs[128][::2], atol=1e-11)
@@ -219,8 +213,7 @@ class TestDenseOracle:
 
     def test_unitary_preservation(self):
         spec = make_grid(1, 16, 8.0)
-        cs = regularise(preset("delta-potential", n=1), Mollifier("gaussian"),
-                        2**-4, ScaleFn("loglog"), spec)
+        cs = regularise(preset("delta-potential", n=1), 2**-4, ScaleFn("loglog"), spec)
         u0 = random_field(spec, seed=9)
         prob = EvolutionProblem(cs, u0, Forcing(), T=1.0, dt=1e-2)
         out = dense_oracle(prob)
@@ -229,8 +222,7 @@ class TestDenseOracle:
 
     def test_forced_oracle_matches_stepper(self):
         spec = make_grid(1, 16, 8.0)
-        cs = regularise(preset("jump-drift", n=1), Mollifier("gaussian"),
-                        2**-4, ScaleFn("loglog"), spec)
+        cs = regularise(preset("jump-drift", n=1), 2**-4, ScaleFn("loglog"), spec)
         u0 = random_field(spec, seed=10)
         g = Forcing(random_field(spec, seed=11))
         prob = EvolutionProblem(cs, u0, g, T=0.5, dt=1e-3)
@@ -238,22 +230,6 @@ class TestDenseOracle:
         exact = dense_oracle(prob)
         gap = sobolev_norm(Field(spec, stepped.values - exact.values), 0.0)
         assert gap / sobolev_norm(exact, 0.0) < 1e-6
-
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_scaling_and_squaring_matches_eigen_path(self, forced,
-                                                     monkeypatch):
-        spec = make_grid(1, 16, 8.0)
-        cs = regularise(preset("jump-drift", n=1), Mollifier("gaussian"),
-                        2**-4, ScaleFn("loglog"), spec)
-        g = Forcing(random_field(spec, seed=15)) if forced else Forcing()
-        prob = EvolutionProblem(cs, random_field(spec, seed=14), g, T=0.5,
-                                dt=1e-3)
-        eigen = dense_oracle(prob)
-        # an ill-conditioned eigenbasis sends the oracle to the expm branch
-        monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: np.inf)
-        expm_out = dense_oracle(prob)
-        gap = sobolev_norm(Field(spec, expm_out.values - eigen.values), 0.0)
-        assert gap / sobolev_norm(eigen, 0.0) < 1e-10
 
     def test_size_limit(self):
         spec = make_grid(1, 64, 8.0)
@@ -271,8 +247,7 @@ class TestSmoothingReport:
         u0 = random_field(spec, u0_seed)
         series, rhs = {}, {}
         for eps in LADDER:
-            cs = regularise(model, Mollifier("gaussian"), eps,
-                            ScaleFn("loglog"), spec)
+            cs = regularise(model, eps, ScaleFn("loglog"), spec)
             res = solve(EvolutionProblem(cs, u0, Forcing(), T=0.5,
                                          s_list=(0.0,), N_weight=2))
             series[eps] = (cs.omega, res.series)
@@ -345,8 +320,7 @@ class TestOneTransformPaths:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_apply_spatial_matches_per_axis_form(self, case):
         spec, name = CASES[case]
-        cs = regularise(preset(name), Mollifier("gaussian"), 2**-5,
-                        ScaleFn("loglog"), spec)
+        cs = regularise(preset(name), 2**-5, ScaleFn("loglog"), spec)
         u = rough_field(spec, 0.0, seed=4)
         ref = _apply_spatial_per_axis(cs, u.values)
         np.testing.assert_allclose(apply_spatial(cs, u), ref, rtol=1e-12,
@@ -532,8 +506,7 @@ class TestCoefficientMarch:
     @pytest.mark.parametrize("case", sorted(MARCH_CASES))
     def test_solve_matches_physical_rk4(self, case, rate):
         spec, name = MARCH_CASES[case]
-        cs = regularise(preset(name), Mollifier("gaussian"), 2**-4,
-                        ScaleFn("loglog"), spec)
+        cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
         s_list, N = (0.0, 1.0), 2
         prob = EvolutionProblem(cs, random_field(spec, seed=20),
                                 Forcing(random_field(spec, seed=21), rate),
@@ -557,8 +530,7 @@ class TestCoefficientMarch:
 
     def test_step_rk4_is_the_step_of_solve(self):
         spec, name = MARCH_CASES["jump-drift-1d"]
-        cs = regularise(preset(name), Mollifier("gaussian"), 2**-4,
-                        ScaleFn("loglog"), spec)
+        cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
         prob = EvolutionProblem(cs, random_field(spec, seed=22),
                                 Forcing(random_field(spec, seed=23), 2.0),
                                 T=0.03)
@@ -573,15 +545,13 @@ class TestCoefficientMarch:
                              ids=["constant", "mixed"])
     def test_off_diagonal_matches_per_axis_form(self, perturbed):
         spec = make_grid(2, 32, 8.0)
-        cs = regularise(_off_diagonal_model(perturbed), Mollifier("gaussian"),
-                        2**-5, ScaleFn("loglog"), spec)
+        cs = regularise(_off_diagonal_model(perturbed), 2**-5, ScaleFn("loglog"), spec)
         u = rough_field(spec, 0.0, seed=6)
         _close(apply_spatial(cs, u), _apply_spatial_per_axis(cs, u.values))
 
     def test_constant_drift_and_potential_enter_the_symbol(self, monkeypatch):
         spec = make_grid(2, 32, 8.0)
-        cs = regularise(_off_diagonal_model(False), Mollifier("gaussian"),
-                        2**-5, ScaleFn("loglog"), spec)
+        cs = regularise(_off_diagonal_model(False), 2**-5, ScaleFn("loglog"), spec)
         cs.b = [np.full(spec.shape, 0.2 + 0.1j), np.full(spec.shape, -0.4j)]
         cs.V = np.full(spec.shape, 0.7)
         u = rough_field(spec, 0.0, seed=7)
@@ -597,8 +567,7 @@ class TestCoefficientMarch:
         ("ultra-diagonal", 2, 4)])
     def test_rhs_fft_budget(self, monkeypatch, name, n, ffts):
         spec = make_grid(n, 16, np.pi)
-        cs = regularise(preset(name, n=n), Mollifier("gaussian"), 2**-4,
-                        ScaleFn("loglog"), spec)
+        cs = regularise(preset(name, n=n), 2**-4, ScaleFn("loglog"), spec)
         op, uh = _Operator(cs), fft(random_field(spec, seed=2).values)
         calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
         op(uh)
@@ -655,16 +624,14 @@ class TestSpectralNorms:
     @pytest.mark.parametrize("name, n", SPECTRAL_CASES)
     def test_presets_match_svd(self, name, n):
         spec = make_grid(n, 32, 8.0)
-        self.check(regularise(preset(name, n=n), Mollifier("gaussian"), 2**-4,
-                              ScaleFn("loglog"), spec))
+        self.check(regularise(preset(name, n=n), 2**-4, ScaleFn("loglog"), spec))
 
     @pytest.mark.parametrize("model", ["off-diagonal", "ultra-diagonal"])
     def test_perturbed_sets_match_svd(self, model):
         spec = make_grid(2, 32, 8.0)
         m = (_off_diagonal_model(True) if model == "off-diagonal"
              else preset(model))
-        cs = regularise(m, Mollifier("gaussian"), 2**-2, ScaleFn("loglog"),
-                        spec)
+        cs = regularise(m, 2**-2, ScaleFn("loglog"), spec)
         self.check(_perturbed_set(cs, 2**-2, 1, _bumps(spec, 2)))
 
 
@@ -689,7 +656,7 @@ def _perturbed_pair(spec, name):
     """An eps = 2^-4 member and its eps^1-perturbed coefficients, with data
     and forcing that differ too."""
     eps, model = 2**-4, preset(name, n=spec.n)
-    cs = regularise(model, Mollifier("gaussian"), eps, ScaleFn("loglog"), spec)
+    cs = regularise(model, eps, ScaleFn("loglog"), spec)
     u0, g = random_field(spec, seed=30), random_field(spec, seed=31)
     u0_p = Field(spec, u0.values + eps * random_field(spec, seed=32).values)
     return (EvolutionProblem(cs, u0, Forcing(g, 2.0), T=0.1),
@@ -702,8 +669,8 @@ def _classical_and_mollified(spec):
     model = preset("smooth-consistency", n=spec.n)
     u0 = random_field(spec, seed=33)
     return (EvolutionProblem(sample(model, spec), u0, T=0.1),
-            [EvolutionProblem(regularise(model, Mollifier("gaussian"), eps,
-                                         ScaleFn("power", k=1.0), spec), u0, T=0.1)
+            [EvolutionProblem(regularise(model, eps, ScaleFn("power", k=1.0), spec),
+                              u0, T=0.1)
              for eps in (2**-2, 2**-4)])
 
 
@@ -719,8 +686,7 @@ SUP_CASES = {
 class TestMarch:
     def test_yields_the_coefficients_of_every_level(self):
         spec, name = MARCH_CASES["jump-drift-1d"]
-        cs = regularise(preset(name), Mollifier("gaussian"), 2**-4,
-                        ScaleFn("loglog"), spec)
+        cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
         prob = EvolutionProblem(cs, random_field(spec, seed=24),
                                 Forcing(random_field(spec, seed=25), 2.0), T=0.03)
         levels = list(march(prob))
@@ -755,7 +721,7 @@ class TestSupDifferences:
         # T = 1.3 dt: alone, the base problem takes one step and the
         # perturbed one, whose bound is smaller, takes two
         spec, model, eps = make_grid(1, 32, 8.0), preset("delta-potential", n=1), 2**-3
-        cs = regularise(model, Mollifier("gaussian"), eps, ScaleFn("loglog"), spec)
+        cs = regularise(model, eps, ScaleFn("loglog"), spec)
         cs_p = _perturbed_set(cs, eps, 1, _bumps(spec, model.N))
         dt = min(stable_dt(cs), stable_dt(cs_p))
         u0 = delta_field(spec)

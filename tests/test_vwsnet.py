@@ -14,7 +14,7 @@ from vwslab import vwsnet
 from vwslab.vwsnet import (EpsilonNet, HypothesisFailure, NetError, NetParams,
                            _bumps, _perturbed_set, bump_perturbation,
                            consistency_run, delta_field, gaussian_field,
-                           hs_mode, ladder, moderateness_fit, rough_field,
+                           ladder, moderateness_fit, rough_field,
                            run_net, uniqueness_probe, validate)
 
 
@@ -126,7 +126,7 @@ class TestRunNet:
 
     def test_omega_recorded_per_member(self, spec, params):
         net = run_net(preset("free", n=1), gaussian_field(spec), params)
-        omegas = [net.omega(e) for e in LADDER]
+        omegas = [net.members[e]["cs"].omega for e in LADDER]
         assert all(a >= b for a, b in zip(omegas, omegas[1:]))
 
 
@@ -154,8 +154,7 @@ class TestModeratenessFit:
         model = preset("free", n=1)
         base = gaussian_field(spec)
         for eps in LADDER:
-            cs = regularise(model, Mollifier("gaussian"), eps,
-                            ScaleFn("loglog"), spec)
+            cs = regularise(model, eps, ScaleFn("loglog"), spec)
             u0 = Field(spec, eps**q * base.values)
             res = solve(EvolutionProblem(cs, u0, Forcing(), T=0.25,
                                          s_list=(0.0,)))
@@ -180,7 +179,8 @@ class TestModeratenessFit:
 class TestHsMode:
     def test_fixed_data_finite_slope(self, spec, params):
         u0 = rough_field(spec, 0.0, seed=21)
-        net = hs_mode(preset("delta-potential", n=1), u0, params)
+        net = run_net(preset("delta-potential", n=1), u0,
+                      replace(params, mollify_data=False))
         for eps in LADDER:
             assert net.members[eps]["u0"] is u0
         fit = moderateness_fit(net, 0.0)
@@ -216,8 +216,7 @@ class TestUniquenessProbe:
 
     def test_perturbed_set_adds_each_slot_bump(self):
         spec = make_grid(2, 16, 8.0)
-        cs = regularise(preset("ultra-diagonal"), Mollifier("gaussian"), 2**-2,
-                        ScaleFn("loglog"), spec)
+        cs = regularise(preset("ultra-diagonal"), 2**-2, ScaleFn("loglog"), spec)
         cs_p = _perturbed_set(cs, 0.5, 2, _bumps(spec, 2))
         for got, base, shift in ((cs_p.a[0][0], cs.a[0][0], 0.0),
                                  (cs_p.a[0][1], cs.a[0][1], 0.3),
@@ -229,8 +228,7 @@ class TestUniquenessProbe:
 
     def test_perturbed_set_derives_da_from_its_own_a(self):
         spec = make_grid(2, 16, 8.0)
-        cs = regularise(preset("ultra-diagonal"), Mollifier("gaussian"), 2**-2,
-                        ScaleFn("loglog"), spec)
+        cs = regularise(preset("ultra-diagonal"), 2**-2, ScaleFn("loglog"), spec)
         cs.da  # a derivative of the base set must not leak into the copy
         assert_da_is_the_derivative_of_a(_perturbed_set(cs, 0.5, 2, _bumps(spec, 2)))
 
