@@ -53,15 +53,17 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing
 
+#: a type, a tuple of types, a nested section, or [types] for a list whose
+#: entries have those types
 _SCHEMA = {
     "grid": {"n": int, "M": int, "L": (int, float)},
     "model": {"preset": str, "params": dict},
     "mollifier": {"kind": str, "moment_order": int},
     "scale": {"kind": str, "k": (int, float)},
-    "ladder": list,
+    "ladder": [(int, float)],
     "data": {"kind": str, "width": (int, float), "amplitude": (int, float),
-             "k": list, "s": (int, float)},
-    "evolution": {"T": (int, float), "dt": (int, float, str), "s": list,
+             "k": [int], "s": (int, float)},
+    "evolution": {"T": (int, float), "dt": (int, float, str), "s": [(int, float)],
                   "N": int},
     "experiment": {"kind": str, "q": int, "tolerances": dict},
     "output": {"directory": str, "stride": int},
@@ -92,19 +94,32 @@ def _check_keys(section: dict, schema: dict, path: str) -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{path}.{key} must be an object")
             _check_keys(value, expected, f"{path}.{key}")
-        elif not isinstance(value, expected):
-            raise ConfigError(f"{path}.{key} has wrong type "
-                              f"{type(value).__name__}")
+        elif isinstance(expected, list):
+            _check_type(value, list, f"{path}.{key}")
+            for i, item in enumerate(value):
+                _check_type(item, expected[0], f"{path}.{key}[{i}]")
+        else:
+            _check_type(value, expected, f"{path}.{key}")
 
 
-def _check_finite(value, path: str) -> None:
-    """Python's json reads NaN and +-Infinity; no config value may be one."""
+def _check_type(value, expected, path: str) -> None:
+    # bool is a subclass of int, but no config value is a JSON boolean
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ConfigError(f"{path} has wrong type {type(value).__name__}")
+
+
+def _check_values(value, path: str) -> None:
+    """Python's json reads NaN and +-Infinity; no config value may be one,
+    nor a boolean, here in the sections the schema leaves untyped (model
+    parameters, tolerances) too."""
     if isinstance(value, dict):
         for key, item in value.items():
-            _check_finite(item, f"{path}.{key}")
+            _check_values(item, f"{path}.{key}")
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            _check_finite(item, f"{path}[{i}]")
+            _check_values(item, f"{path}[{i}]")
+    elif isinstance(value, bool):
+        raise ConfigError(f"{path} must not be a boolean, got {json.dumps(value)}")
     elif isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{path} must be a finite number, got {value}")
 
@@ -140,9 +155,6 @@ def parse_config(text: str, kind: str | None = None) -> dict:
         raise ConfigError(f"config.experiment.kind must be one of "
                           f"{EXPERIMENT_KINDS}")
 
-    ladder = cfg["ladder"]
-    if any(not isinstance(e, (int, float)) for e in ladder):
-        raise ConfigError("config.ladder entries must be numbers")
     # the grid, mollifier, scale, net and model classes own their allowed values;
     # int() or float() of a bad model parameter raises ValueError or TypeError
     for section, build in (
@@ -153,10 +165,12 @@ def parse_config(text: str, kind: str | None = None) -> dict:
             build(cfg)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"config.{section}: {exc}") from exc
-    if len(ladder) < 4 and kind not in ("solve", "mollifier-bench"):
+    if len(cfg["ladder"]) < 4 and kind not in ("solve", "mollifier-bench"):
         raise ConfigError("config.ladder needs at least 4 epsilon values")
-    _check_finite(cfg, "config")
+    _check_values(cfg, "config")
 
+    if not cfg["evolution"]["s"]:
+        raise ConfigError("config.evolution.s needs at least one Sobolev order")
     if cfg["evolution"]["T"] <= 0:
         raise ConfigError("config.evolution.T must be positive")
     dt = cfg["evolution"]["dt"]
@@ -167,6 +181,8 @@ def parse_config(text: str, kind: str | None = None) -> dict:
     if cfg["data"]["kind"] not in _DATA:
         raise ConfigError(f"config.data.kind {cfg['data']['kind']!r} not "
                           f"recognised; choose from {tuple(_DATA)}")
+    if cfg["data"]["kind"] == "plane-wave" and len(cfg["data"]["k"]) != cfg["grid"]["n"]:
+        raise ConfigError("config.data.k needs one mode number per axis of the grid")
     for name, tol in cfg["experiment"]["tolerances"].items():
         if name not in _TOLERANCES.get(kind, ()):
             raise ConfigError(f"config.experiment.tolerances.{name} is not "
@@ -275,16 +291,12 @@ def _run_doi_check(cfg, out: Path) -> dict:
     v2, vs = variation(c2s), variation(cstars)
     ok = bool(np.all(np.isfinite(c2s)) and np.all(np.isfinite(cstars))
               and v2 < 0.10 and vs < 0.10)
-    ts = np.linspace(0.0, f.t_max, 257)
-    fprime_ok = bool(np.all(f.derivative(ts) >= f.lam(ts / f.K - 10.0) - 1e-12))
     return {
-        "pass": ok and f(0.0) == 0.0 and fprime_ok,
+        "pass": ok,
         "K": K, "C1": C1,
         "per_eps": per_eps,
         "C2_variation": v2,
         "C_star_variation": vs,
-        "f_zero_at_zero": f(0.0) == 0.0,
-        "f_derivative_dominates": fprime_ok,
     }
 
 
@@ -317,7 +329,7 @@ def _run_solve(cfg, out: Path) -> dict:
     stride = cfg["output"]["stride"]
     sups = {}
     for eps, m in ladder(_model(cfg), params, _data(cfg, spec)).items():
-        res = solve(problem(m["cs"], m["u0"], m["forcing"], params),
+        res = solve(problem(m["cs"], m["u0"], params),
                     record_states=stride > 0)
         _write_series(out, eps, res.series)
         _write_snapshots(out, eps, res.states, stride)
@@ -381,14 +393,18 @@ def _run_mollifier_bench(cfg, out: Path) -> dict:
     x0 = spec.x_mesh()[0]
     jump = Field(spec, np.where(np.sin(np.pi * x0 / spec.L) >= 0, 1.0, -1.0)
                  .astype(complex))
+    # the delta lies in H^t for t < -n/2 only, so its mollification at omega
+    # has H^{s+l} norm ~ omega^{-(s + l + n/2)}; the jump's derivative ~ 1/omega
+    s = -1.0
     probes = {
         "jump_beta1": derivative_bound_probe(jump, (1,) + (0,) * (spec.n - 1),
                                              scale, eps),
-        "delta_boost_l1": sobolev_boost_probe(delta_field(spec), -1.0, 1,
-                                              scale, eps),
-        "delta_boost_l2": sobolev_boost_probe(delta_field(spec), -1.0, 2,
-                                              scale, eps),
+        "delta_boost_l1": sobolev_boost_probe(delta_field(spec), s, 1, scale, eps),
+        "delta_boost_l2": sobolev_boost_probe(delta_field(spec), s, 2, scale, eps),
     }
+    predicted = {"jump_beta1": -1.0,
+                 "delta_boost_l1": -(s + 1 + spec.n / 2.0),
+                 "delta_boost_l2": -(s + 2 + spec.n / 2.0)}
     rows = [[name, f"{om:.12g}", f"{v:.12g}", f"{pr['slope']:.12g}"]
             for name, pr in probes.items()
             for om, v in zip(pr["omegas"], pr["norms"])]
@@ -396,10 +412,8 @@ def _run_mollifier_bench(cfg, out: Path) -> dict:
         w = csv.writer(fh)
         w.writerow(["probe", "omega", "sup_norm", "slope"])
         w.writerows(rows)
-    ok = (abs(probes["jump_beta1"]["slope"] + 1.0) < 0.2
-          and abs(probes["delta_boost_l1"]["slope"] + 1.0) < 0.2
-          and abs(probes["delta_boost_l2"]["slope"] + 2.0) < 0.2)
-    return {"pass": bool(ok),
+    ok = all(abs(probes[k]["slope"] - v) < 0.2 for k, v in predicted.items())
+    return {"pass": ok,
             "slopes": {k: pr["slope"] for k, pr in probes.items()}}
 
 
@@ -412,20 +426,6 @@ _PIPELINES = {
     "consistency": _run_consistency,
     "mollifier-bench": _run_mollifier_bench,
 }
-
-
-def _collect_pass_flags(obj) -> list:
-    flags = []
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if key in ("pass", "passed") and isinstance(value, bool):
-                flags.append(value)
-            else:
-                flags.extend(_collect_pass_flags(value))
-    elif isinstance(obj, list):
-        for item in obj:
-            flags.extend(_collect_pass_flags(item))
-    return flags
 
 
 def _jsonable(obj):
@@ -468,8 +468,8 @@ def run(cfg: dict, out_dir: str | None = None, seed: int | None = None,
     except Exception as exc:
         verdict = {"pass": False, "error": f"{type(exc).__name__}: {exc}"}
     elapsed = time.perf_counter() - t0
-    flags = _collect_pass_flags(verdict)
-    all_pass = bool(flags) and all(flags)
+    # every pipeline ANDs its nested checks into its own "pass"
+    all_pass = verdict["pass"] is True
     report = {
         "config": _jsonable(cfg),
         "verdict": _jsonable(verdict),

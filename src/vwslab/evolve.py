@@ -1,8 +1,8 @@
 """Time evolution of the regularised problems and a dense matrix oracle.
 
 The first-order form is du/dt = i(A u + B u + V u + g) with
-A u = sum_ij D_i(a_ij (D_j u)), B u = sum_k b_k (D_k u), V u = V u and
-D = -i d/dx computed spectrally.
+A u = sum_ij D_i(a_ij (D_j u)), B u = sum_k b_k (D_k u), V u = V u,
+D = -i d/dx computed spectrally, and a source g constant in time.
 
 ``march``, the one time loop, works on the raw FFT coefficients
 u_hat = ``grid.fft(u)``; ``solve`` and ``sup_differences`` consume it and
@@ -58,26 +58,12 @@ class Instability(EvolveError):
     """Raised when the norm explodes within a single step."""
 
 
-@dataclass(frozen=True)
-class Forcing:
-    """Separable forcing g(t, x) = e^{i rate t} * G(x); rate 0 means constant."""
-
-    G: Field | None = None
-    rate: float = 0.0
-
-    def at(self, t: float):
-        if self.G is None:
-            return None
-        if self.rate == 0.0:
-            return self.G.values
-        return np.exp(1j * self.rate * t) * self.G.values
-
-
 @dataclass
 class EvolutionProblem:
     cs: CoefficientSet
     u0: Field
-    forcing: Forcing = field(default_factory=Forcing)
+    #: the source term g, constant in time; None is no source
+    forcing: Field | None = None
     T: float = 1.0
     dt: float | None = None
     s_list: tuple = (0.0,)
@@ -92,6 +78,8 @@ class EvolutionProblem:
             raise EvolveError(f"time step dt must be positive, got {self.dt}")
         if self.u0.spec != self.cs.spec:
             raise EvolveError("initial data grid does not match coefficients")
+        if self.forcing is not None and self.forcing.spec != self.cs.spec:
+            raise EvolveError("forcing grid does not match coefficients")
         limit = stable_dt(self.cs)
         if self.dt is None:
             self.dt = min(self.T / LEVELS, limit)
@@ -198,10 +186,6 @@ def apply_spatial(cs: CoefficientSet, u: Field | np.ndarray) -> np.ndarray:
     return ifft(_Operator(cs)(fft(vals)))
 
 
-def _forcing_coefficients(forcing: Forcing) -> np.ndarray | None:
-    return None if forcing.G is None else fft(forcing.G.values)
-
-
 def _phi(z: np.ndarray) -> list:
     """[phi_1(z), phi_2(z), phi_3(z)], phi_k(z) = sum_m z^m / (m + k)!.
 
@@ -228,14 +212,15 @@ class _Step:
     """One ETD-RK4 step of length h on raw coefficients (Kassam & Trefethen's
     form of Cox & Matthews' scheme).
 
-    du/dt = c u + F(u, t) with c = i Lambda the mean symbol and
-    F = i(remainder u + g(t)); e^{ch}, e^{ch/2} and the phi-function
-    weights are built once per step length.
+    du/dt = c u + F(u) with c = i Lambda the mean symbol and
+    F = i(remainder u + g), autonomous since g is constant in time;
+    e^{ch}, e^{ch/2} and the phi-function weights are built once per step
+    length, and g is transformed once.
     """
 
-    def __init__(self, op: _Operator, forcing: Forcing, h: float):
+    def __init__(self, op: _Operator, forcing: Field | None, h: float):
         self.op, self.h = op, h
-        self.gh, self.rate = _forcing_coefficients(forcing), forcing.rate
+        self.gh = None if forcing is None else fft(forcing.values)
         z = 1j * h * op.symbol
         self.E, self.E2 = np.exp(z), np.exp(z / 2.0)
         self.Q = h / 2.0 * _phi(z / 2.0)[0]
@@ -244,22 +229,21 @@ class _Step:
         self.f2 = 2.0 * h * (p2 - 2.0 * p3)
         self.f3 = h * (4.0 * p3 - p2)
 
-    def _F(self, v: np.ndarray, tau: float) -> np.ndarray:
+    def _F(self, v: np.ndarray) -> np.ndarray:
         total = self.op.remainder(v)
         if self.gh is not None:
-            phase = 1.0 if self.rate == 0.0 else np.exp(1j * self.rate * tau)
-            total += phase * self.gh
+            total += self.gh
         return 1j * total
 
     def __call__(self, uh: np.ndarray, t: float) -> np.ndarray:
         h, E2, Q = self.h, self.E2, self.Q
-        Fu = self._F(uh, t)
+        Fu = self._F(uh)
         a = E2 * uh + Q * Fu
-        Fa = self._F(a, t + 0.5 * h)
+        Fa = self._F(a)
         b = E2 * uh + Q * Fa
-        Fb = self._F(b, t + 0.5 * h)
+        Fb = self._F(b)
         c = E2 * a + Q * (2.0 * Fb - Fu)
-        Fc = self._F(c, t + h)
+        Fc = self._F(c)
         new = self.E * uh + self.f1 * Fu + self.f2 * (Fa + Fb) + self.f3 * Fc
         # by Parseval the coefficient norms have the ratio of the value norms
         before = np.linalg.norm(uh)
@@ -404,8 +388,6 @@ def dense_oracle(prob: EvolutionProblem) -> Field:
         raise EvolveError("dense oracle limited to M <= 32 in 1D")
     if spec.n == 2 and spec.M > 8:
         raise EvolveError("dense oracle limited to M <= 8 in 2D")
-    if prob.forcing.G is not None and prob.forcing.rate != 0.0:
-        raise EvolveError("dense oracle requires time-constant forcing")
 
     from scipy.linalg import expm
 
@@ -416,9 +398,8 @@ def dense_oracle(prob: EvolutionProblem) -> Field:
         basis[:] = 0.0
         basis[j] = 1.0
         aug[:size, j] = 1j * apply_spatial(prob.cs, basis.reshape(spec.shape)).ravel()
-    g = prob.forcing.at(0.0)
-    if g is not None:
-        aug[:size, size] = 1j * g.ravel()
+    if prob.forcing is not None:
+        aug[:size, size] = 1j * prob.forcing.values.ravel()
     state = np.concatenate([prob.u0.values.ravel(), [1.0]])
     out = (expm(aug * prob.T) @ state)[:size]
     return Field(spec, out.reshape(spec.shape))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .coeffs import (CoefficientModel, CoefficientSet, HypothesisReport,
                      check_hypotheses, regularise, sample)
-from .evolve import EvolutionProblem, Forcing, shared_steps, solve, sup_differences
+from .evolve import EvolutionProblem, shared_steps, solve, sup_differences
 from .grid import Field, GridSpec, inverse
 from .mollify import Mollifier, ScaleFn, fit_slope, mollify
 
@@ -88,7 +88,7 @@ class EpsilonNet:
     params: NetParams
     model: CoefficientModel
     hypothesis_report: HypothesisReport
-    members: dict  # eps -> dict(cs, u0, forcing, result)
+    members: dict  # eps -> dict(cs, u0, health, result)
 
 
 @dataclass
@@ -104,26 +104,22 @@ class FitReport:
         return asdict(self)
 
 
-def ladder(model: CoefficientModel, params: NetParams, u0: Field | None = None,
-           forcing: Forcing = Forcing()) -> dict:
-    """The regularised problems of the net: eps -> dict(cs, u0, forcing).
+def ladder(model: CoefficientModel, params: NetParams, u0: Field | None = None) -> dict:
+    """The regularised problems of the net: eps -> dict(cs, u0).
 
     Coefficients are mollified with the gaussian at omega(eps); the Cauchy
-    data and forcing with ``params.data_mollifier`` at eps, or passed through
-    unchanged when ``params.mollify_data`` is off.  With ``u0=None`` the
-    members carry coefficients only.
+    data with ``params.data_mollifier`` at eps, or passed through unchanged
+    when ``params.mollify_data`` is off.  With ``u0=None`` the members carry
+    coefficients only.
     """
-    dm = params.data_mollifier
     members = {}
     for eps in params.eps_ladder:
         cs = regularise(model, eps, params.scale, params.spec)
-        u0_eps, g_eps = u0, forcing
-        if params.mollify_data:
+        u0_eps = u0
+        if params.mollify_data and u0 is not None:
             # Cauchy data are regularised at parameter eps itself, not omega(eps)
-            u0_eps = None if u0 is None else mollify(u0, dm, eps)
-            g_eps = Forcing(None if forcing.G is None else mollify(forcing.G, dm, eps),
-                            forcing.rate)
-        members[eps] = {"cs": cs, "u0": u0_eps, "forcing": g_eps}
+            u0_eps = mollify(u0, params.data_mollifier, eps)
+        members[eps] = {"cs": cs, "u0": u0_eps}
     return members
 
 
@@ -134,9 +130,10 @@ def validate(model: CoefficientModel, members: dict) -> HypothesisReport:
                             N=model.N)
 
 
-def problem(cs: CoefficientSet, u0: Field, forcing: Forcing,
-            params: NetParams) -> EvolutionProblem:
-    """The Cauchy problem of one member, marched as ``params`` set out."""
+def problem(cs: CoefficientSet, u0: Field, params: NetParams,
+            forcing: Field | None = None) -> EvolutionProblem:
+    """The Cauchy problem of one member, marched as ``params`` set out, with
+    the time-constant source ``forcing``."""
     return EvolutionProblem(cs, u0, forcing, T=params.T, dt=params.dt,
                             s_list=params.s_list, N_weight=params.N_weight)
 
@@ -147,15 +144,14 @@ def _health(probs: list) -> dict:
     return {"dt": probs[0].T / steps, "steps": steps}
 
 
-def run_net(model: CoefficientModel, u0: Field, params: NetParams,
-            forcing: Forcing = Forcing()) -> EpsilonNet:
+def run_net(model: CoefficientModel, u0: Field, params: NetParams) -> EpsilonNet:
     """Regularise, solve and collect norms for every epsilon on the ladder."""
-    members = ladder(model, params, u0, forcing)
+    members = ladder(model, params, u0)
     report = validate(model, members)
     if not report.passed:
         raise HypothesisFailure(report)
     for m in members.values():
-        prob = problem(m["cs"], m["u0"], m["forcing"], params)
+        prob = problem(m["cs"], m["u0"], params)
         m["health"] = _health([prob])
         m["result"] = solve(prob)
     return EpsilonNet(params, model, report, members)
@@ -218,7 +214,7 @@ def _log_fit(eps, values) -> tuple:
 
 
 def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
-                     params: NetParams, forcing: Forcing = Forcing()) -> FitReport:
+                     params: NetParams) -> FitReport:
     """Negligible-in, negligible-out: solve the base and the eps^q-perturbed
     families and fit the difference-norm slope against log eps."""
     if q < 1:
@@ -227,18 +223,18 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
     spec = params.spec
     bumps = _bumps(spec, model.N)
     eps_used, diffs, dropped, health = [], [], [], {}
-    for eps, m in ladder(model, params, u0, forcing).items():
-        cs, g = m["cs"], m["forcing"]
+    for eps, m in ladder(model, params, u0).items():
+        cs = m["cs"]
         cs_p = _perturbed_set(cs, eps, q, bumps)
         if _h2_margin(cs_p) <= 0.0:
             dropped.append(eps)  # shrink eps_0: perturbation broke (H2)
             continue
-        # data perturbations eps^q * bump on both slots
+        # data perturbations eps^q * bump on both slots: u0, and the source
+        # that the unperturbed member does not have
         du = Field(spec, m["u0"].values + eps**q * bumps["u0"])
-        gG = g.G.values if g.G is not None else 0.0
-        g_p = Forcing(Field(spec, gG + eps**q * bumps["g"]), g.rate)
+        g_p = Field(spec, eps**q * bumps["g"])
         eps_used.append(eps)
-        pair = [problem(cs, m["u0"], g, params), problem(cs_p, du, g_p, params)]
+        pair = [problem(cs, m["u0"], params), problem(cs_p, du, params, g_p)]
         health[float(eps)] = _health(pair)
         diffs += sup_differences(pair[0], pair[1:], s)
     if len(eps_used) < 4:
@@ -254,7 +250,7 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
 
 
 def consistency_run(model: CoefficientModel, u0: Field, params: NetParams,
-                    forcing: Forcing = Forcing(), tol: float = 1e-4) -> FitReport:
+                    tol: float = 1e-4) -> FitReport:
     """Compare the epsilon-net against the classical solution of the smooth
     problem; the data mollifier must be of vanishing-moment type."""
     if not model.smooth:
@@ -264,9 +260,9 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams,
     if len(params.eps_ladder) < 4:
         raise NetError("consistency needs at least 4 epsilon values")
     s = params.s_list[0]
-    classical = problem(sample(model, params.spec), u0, forcing, params)
-    members = [problem(m["cs"], m["u0"], m["forcing"], params)
-               for m in ladder(model, params, u0, forcing).values()]
+    classical = problem(sample(model, params.spec), u0, params)
+    members = [problem(m["cs"], m["u0"], params)
+               for m in ladder(model, params, u0).values()]
     errors = np.array(sup_differences(classical, members, s))
     values = {float(e): float(v) for e, v in zip(params.eps_ladder, errors)}
     decreasing = bool(np.all(np.diff(errors) < 0.0))

@@ -147,6 +147,13 @@ class TestConfigErrors:
         self.assert_config_error(tmp_path, capsys, cfg_text(ladder=[]),
                                  "config.ladder: epsilon ladder is empty")
 
+    @pytest.mark.parametrize("k", [[], [1, 2]])
+    def test_plane_wave_modes_per_axis(self, tmp_path, capsys, k):
+        # cfg_text's grid has n = 1
+        text = cfg_text(data={"kind": "plane-wave", "k": k})
+        self.assert_config_error(tmp_path, capsys, text,
+                                 "config.data.k needs one mode number per axis")
+
     def test_unknown_data_kind(self, tmp_path, capsys):
         text = cfg_text(experiment={"kind": "net"}, data={"kind": "bogus"})
         self.assert_config_error(tmp_path, capsys, text,
@@ -172,6 +179,32 @@ class TestConfigErrors:
         # Python's json reads NaN, Infinity and -Infinity
         self.assert_config_error(tmp_path, capsys, cfg_text(**override),
                                  f"{path} must be a finite number")
+
+    @pytest.mark.parametrize("kind", ["net", "uniqueness"])
+    def test_no_sobolev_order(self, tmp_path, capsys, kind):
+        text = cfg_text(experiment={"kind": kind}, evolution={"s": []})
+        self.assert_config_error(tmp_path, capsys, text,
+                                 "config.evolution.s needs at least one Sobolev order")
+
+    @pytest.mark.parametrize("override, message", [
+        ({"evolution": {"s": [0.0, "1"]}}, "config.evolution.s[1] has wrong type str"),
+        ({"data": {"kind": "plane-wave", "k": ["x"]}}, "config.data.k[0] has wrong type str"),
+        ({"data": {"k": [1.5]}}, "config.data.k[0] has wrong type float"),
+        ({"ladder": 0.5}, "config.ladder has wrong type float")])
+    def test_list_entry_of_wrong_type(self, tmp_path, capsys, override, message):
+        self.assert_config_error(tmp_path, capsys, cfg_text(**override), message)
+
+    @pytest.mark.parametrize("override, message", [
+        ({"grid": {"n": 1, "M": 32, "L": True}}, "config.grid.L has wrong type bool"),
+        ({"grid": {"n": True, "M": 32, "L": 8.0}}, "config.grid.n has wrong type bool"),
+        ({"ladder": [True, 0.5, 0.25, 0.125]}, "config.ladder[0] has wrong type bool"),
+        ({"model": {"preset": "delta-potential", "params": {"strength": True}}},
+         "config.model.params.strength must not be a boolean, got true"),
+        ({"experiment": {"kind": "net", "tolerances": {"n_cap": True}}},
+         "config.experiment.tolerances.n_cap must not be a boolean, got true")])
+    def test_boolean_is_no_number(self, tmp_path, capsys, override, message):
+        # bool is a subclass of int in Python
+        self.assert_config_error(tmp_path, capsys, cfg_text(**override), message)
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +347,24 @@ class TestRunReportContract:
         run(cfg, out_dir=str(tmp_path))
         text = (tmp_path / "report.json").read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("grid, slopes, status", [
+    ({"n": 1, "M": 1024, "L": 1.0}, (-1.0, -0.5, -1.5), 0),
+    ({"n": 2, "M": 256, "L": np.pi}, (-1.0, -1.0, -2.0), 0),
+    # h = 1/4 does not resolve omega down to 2^-7: the slopes flatten
+    ({"n": 1, "M": 64, "L": 8.0}, None, 1)], ids=["1d", "2d", "1d-coarse"])
+def test_mollifier_bench(tmp_path, grid, slopes, status):
+    # the delta boost tends to -(s + l + n/2) with s = -1, the jump's
+    # derivative to -1
+    cfg = parse_config(json.dumps({"grid": grid,
+                                   "experiment": {"kind": "mollifier-bench"}}))
+    assert run(cfg, out_dir=str(tmp_path)) == status
+    got = json.loads((tmp_path / "report.json").read_text())["verdict"]["slopes"]
+    if slopes is not None:
+        for name, want in zip(("jump_beta1", "delta_boost_l1", "delta_boost_l2"),
+                              slopes):
+            assert got[name] == pytest.approx(want, abs=0.2), name
 
 
 def test_import_loads_no_scipy(tmp_path):

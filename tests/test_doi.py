@@ -3,7 +3,7 @@ import pytest
 
 from conftest import LADDER, random_field
 from vwslab.coeffs import preset, regularise
-from vwslab.doi import (DELTA, FTable, SymbolError, SymbolGrid,
+from vwslab.doi import (DELTA, FTable, SmoothStep, SymbolError, SymbolGrid,
                         assemble_a1, assemble_a2, build_d, build_q, calibrate_K,
                         check_doi, check_escape, dual_xi, energy_norm,
                         exp_symbol_operator, poisson_bracket, quantize,
@@ -194,6 +194,16 @@ class TestBuildD:
         outer = r >= 2 * DELTA
         expected = self.f(np.abs(self.q.values[outer])) + 2 * DELTA
         assert np.allclose(d.values[outer], expected, atol=1e-10)
+
+    def test_cutoff_transition(self):
+        # q/<x> = 0.15 lies inside the transition of psi+, where d depends on
+        # the cutoff width 0.1 itself
+        q = symbol_from(self.spec, lambda x, xi: 0.15 * np.sqrt(1 + x**2) + 0 * xi)
+        f = FTable(calibrate_K([q]), 2)
+        plus = SmoothStep()(0.15 / 0.1)
+        assert 0.0 < plus < 1.0
+        expected = 0.15 * (1.0 - plus) + (f(np.abs(q.values)) + 0.2) * plus
+        assert np.allclose(build_d(q, f).values, expected, atol=1e-12)
 
     def test_odd_in_q(self):
         neg = SymbolGrid(self.spec, -self.q.values,

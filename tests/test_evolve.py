@@ -6,10 +6,10 @@ import pytest
 from conftest import LADDER, random_field, record_marches
 from vwslab.coeffs import (CoefficientModel, Pointwise, preset, regularise,
                            sample)
-from vwslab.evolve import (EvolutionProblem, EvolveError, Forcing,
-                           Instability, apply_spatial, dense_oracle,
-                           march, smoothing_report, solve, stable_dt,
-                           step_rk4, sup_differences)
+from vwslab.evolve import (EvolutionProblem, EvolveError, Instability,
+                           apply_spatial, dense_oracle, march,
+                           smoothing_report, solve, stable_dt, step_rk4,
+                           sup_differences)
 from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
 from vwslab.mollify import ScaleFn
 from vwslab import evolve
@@ -61,15 +61,14 @@ class TestStepRK4:
         spec = make_grid(1, 16, np.pi)
         cs = free_set(spec)
         prob = EvolutionProblem(cs, Field(spec, np.zeros(16, dtype=complex)),
-                                Forcing(), T=1.0, dt=1e-2)
+                                T=1.0, dt=1e-2)
         out = step_rk4(prob.u0, 0.0, prob.dt, prob)
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_instability_detected(self):
         spec = make_grid(1, 64, np.pi)
         cs = preset_set("smooth-consistency", spec)
-        prob = EvolutionProblem(cs, random_field(spec, seed=1), Forcing(),
-                                T=1.0, dt=None)
+        prob = EvolutionProblem(cs, random_field(spec, seed=1), T=1.0, dt=None)
         with pytest.raises(Instability):
             step_rk4(prob.u0, 0.0, 50 * stable_dt(cs), prob)
 
@@ -80,13 +79,22 @@ class TestStepRK4:
         with pytest.raises(EvolveError, match="must be positive"):
             EvolutionProblem(cs, random_field(spec, seed=1), T=0.1, dt=dt)
 
+    @pytest.mark.parametrize("slot", ["initial data", "forcing"])
+    def test_problem_rejects_a_field_on_another_grid(self, slot):
+        spec, other = make_grid(1, 32, np.pi), make_grid(1, 32, 8.0)
+        fields = {"initial data": random_field(spec, seed=1), "forcing": None}
+        fields[slot] = random_field(other, seed=2)
+        with pytest.raises(EvolveError, match=f"{slot} grid does not match"):
+            EvolutionProblem(free_set(spec), fields["initial data"],
+                             fields["forcing"], T=0.1)
+
     def test_problem_rejects_unstable_dt(self):
         # the free flow has no remainder and no bound
         spec = make_grid(1, 64, np.pi)
         cs = preset_set("smooth-consistency", spec)
         with pytest.raises(EvolveError):
-            EvolutionProblem(cs, random_field(spec, seed=1), Forcing(),
-                             T=1.0, dt=10 * stable_dt(cs))
+            EvolutionProblem(cs, random_field(spec, seed=1), T=1.0,
+                             dt=10 * stable_dt(cs))
 
     def test_fourth_order_convergence(self):
         # the step is exact on the free flow, so the order shows only where
@@ -99,7 +107,7 @@ class TestStepRK4:
             exact = dense_oracle(EvolutionProblem(cs, u0, T=1.0, dt=1e-3)).values
 
             def err(dt):
-                prob = EvolutionProblem(cs, u0, Forcing(), T=1.0, dt=dt)
+                prob = EvolutionProblem(cs, u0, T=1.0, dt=dt)
                 res = solve(prob)
                 return np.max(np.abs(res.final.values - exact))
 
@@ -122,7 +130,7 @@ class TestSolve:
         spec = make_grid(1, 64, 8.0)
         cs = free_set(spec)
         u0 = self.localised_data(spec, seed=2)
-        res = solve(EvolutionProblem(cs, u0, Forcing(), T=1.0, dt=1e-3))
+        res = solve(EvolutionProblem(cs, u0, T=1.0, dt=1e-3))
         norms = res.series.norms[0.0]
         ref = sobolev_norm(u0, 0.0)
         assert np.max(np.abs(norms - ref)) / ref < 1e-8
@@ -131,7 +139,7 @@ class TestSolve:
         spec = make_grid(1, 64, 8.0)
         cs = regularise(preset("delta-potential", n=1), 2**-5, ScaleFn("loglog"), spec)
         u0 = self.localised_data(spec, seed=3)
-        res = solve(EvolutionProblem(cs, u0, Forcing(), T=1.0, dt=1e-3))
+        res = solve(EvolutionProblem(cs, u0, T=1.0, dt=1e-3))
         norms = res.series.norms[0.0]
         ref = sobolev_norm(u0, 0.0)
         assert np.max(np.abs(norms - ref)) / ref < 1e-8
@@ -141,7 +149,7 @@ class TestSolve:
         cs = free_set(spec)
         g = Field(spec, np.full(32, 2.0, dtype=complex))
         u0 = Field(spec, np.zeros(32, dtype=complex))
-        res = solve(EvolutionProblem(cs, u0, Forcing(g), T=1.0, dt=1e-3))
+        res = solve(EvolutionProblem(cs, u0, g, T=1.0, dt=1e-3))
         zero_mode = forward(res.final)[0]
         assert zero_mode == pytest.approx(2.0j, rel=1e-8)
 
@@ -149,13 +157,12 @@ class TestSolve:
         spec = make_grid(1, 32, 8.0)
         cs = regularise(preset("jump-drift", n=1), 2**-4, ScaleFn("loglog"), spec)
         ua, ub = random_field(spec, seed=4), random_field(spec, seed=5)
-        ga = Forcing(random_field(spec, seed=6))
-        gb = Forcing(random_field(spec, seed=7))
+        ga, gb = random_field(spec, seed=6), random_field(spec, seed=7)
         dt = stable_dt(cs)
         ra = solve(EvolutionProblem(cs, ua, ga, T=0.5, dt=dt)).final.values
         rb = solve(EvolutionProblem(cs, ub, gb, T=0.5, dt=dt)).final.values
         both = Field(spec, ua.values + ub.values)
-        gsum = Forcing(Field(spec, ga.G.values + gb.G.values))
+        gsum = Field(spec, ga.values + gb.values)
         rc = solve(EvolutionProblem(cs, both, gsum, T=0.5, dt=dt)).final.values
         scale = np.max(np.abs(rc))
         assert np.max(np.abs(rc - ra - rb)) / scale < 1e-10
@@ -164,7 +171,7 @@ class TestSolve:
         spec = make_grid(1, 32, 8.0)
         cs = free_set(spec)
         res = solve(EvolutionProblem(cs, random_field(spec, seed=8),
-                                     Forcing(), T=0.5, s_list=(0.0, 1.0)))
+                                     T=0.5, s_list=(0.0, 1.0)))
         t = res.series.t
         assert t[0] == 0.0 and t[-1] == pytest.approx(0.5)
         assert np.all(np.diff(t) > 0)
@@ -177,7 +184,7 @@ class TestSolve:
 
         spec = make_grid(1, 32, 8.0)
         res = solve(EvolutionProblem(free_set(spec), random_field(spec, seed=8),
-                                     Forcing(), T=0.5, s_list=(0.0, 1.0)))
+                                     T=0.5, s_list=(0.0, 1.0)))
         for s, v in res.series.integrand.items():
             ref = np.concatenate([[0.0], cumulative_trapezoid(v, res.series.t)])
             assert np.array_equal(res.series.integral[s], ref)
@@ -206,7 +213,7 @@ class TestDenseOracle:
         cs = free_set(spec)
         k = 2
         u0 = plane_wave(spec, (k,))
-        prob = EvolutionProblem(cs, u0, Forcing(), T=0.7, dt=1e-2)
+        prob = EvolutionProblem(cs, u0, T=0.7, dt=1e-2)
         out = dense_oracle(prob)
         exact = u0.values * np.exp(1j * k**2 * 0.7)
         assert np.max(np.abs(out.values - exact)) < 1e-10
@@ -215,7 +222,7 @@ class TestDenseOracle:
         spec = make_grid(1, 16, 8.0)
         cs = regularise(preset("delta-potential", n=1), 2**-4, ScaleFn("loglog"), spec)
         u0 = random_field(spec, seed=9)
-        prob = EvolutionProblem(cs, u0, Forcing(), T=1.0, dt=1e-2)
+        prob = EvolutionProblem(cs, u0, T=1.0, dt=1e-2)
         out = dense_oracle(prob)
         assert sobolev_norm(out, 0.0) == pytest.approx(
             sobolev_norm(u0, 0.0), rel=1e-12)
@@ -224,7 +231,7 @@ class TestDenseOracle:
         spec = make_grid(1, 16, 8.0)
         cs = regularise(preset("jump-drift", n=1), 2**-4, ScaleFn("loglog"), spec)
         u0 = random_field(spec, seed=10)
-        g = Forcing(random_field(spec, seed=11))
+        g = random_field(spec, seed=11)
         prob = EvolutionProblem(cs, u0, g, T=0.5, dt=1e-3)
         stepped = solve(prob).final
         exact = dense_oracle(prob)
@@ -234,7 +241,7 @@ class TestDenseOracle:
     def test_size_limit(self):
         spec = make_grid(1, 64, 8.0)
         prob = EvolutionProblem(free_set(spec), random_field(spec, seed=12),
-                                Forcing(), T=0.5)
+                                T=0.5)
         with pytest.raises(EvolveError):
             dense_oracle(prob)
 
@@ -248,7 +255,7 @@ class TestSmoothingReport:
         series, rhs = {}, {}
         for eps in LADDER:
             cs = regularise(model, eps, ScaleFn("loglog"), spec)
-            res = solve(EvolutionProblem(cs, u0, Forcing(), T=0.5,
+            res = solve(EvolutionProblem(cs, u0, T=0.5,
                                          s_list=(0.0,), N_weight=2))
             series[eps] = (cs.omega, res.series)
             rhs[eps] = (sobolev_norm(u0, 0.0) ** 2, 0.0)
@@ -267,7 +274,7 @@ class TestSmoothingReport:
         u0 = Field(spec, np.zeros(32, dtype=complex))
         series, rhs = {}, {}
         for eps in LADDER[:4]:
-            res = solve(EvolutionProblem(cs, u0, Forcing(), T=0.2,
+            res = solve(EvolutionProblem(cs, u0, T=0.2,
                                          s_list=(0.0,)))
             series[eps] = (0.5, res.series)
             rhs[eps] = (0.0, 0.0)
@@ -452,26 +459,24 @@ def _physical_rk4(prob, steps):
     def mult(m, v):
         return inverse(m * forward(v, spec), spec)
 
-    def F(v, t):
-        g = forcing.at(t)
+    def F(v):
         total = _apply_spatial_per_axis(rest, v)
-        return 1j * (total if g is None else total + g)
+        return 1j * (total if forcing is None else total + forcing.values)
 
     E, p1, p2, p3 = _phi_table(1j * h * lam)
     E2, q1, _, _ = _phi_table(0.5j * h * lam)
-    v, t = prob.u0.values.copy(), 0.0
+    v = prob.u0.values.copy()
     states = [v]
     for _ in range(steps):
-        Fv = F(v, t)
+        Fv = F(v)
         x = mult(E2, v) + 0.5 * h * mult(q1, Fv)
-        Fx = F(x, t + 0.5 * h)
+        Fx = F(x)
         y = mult(E2, v) + 0.5 * h * mult(q1, Fx)
-        Fy = F(y, t + 0.5 * h)
+        Fy = F(y)
         w = mult(E2, x) + 0.5 * h * mult(q1, 2.0 * Fy - Fv)
-        Fw = F(w, t + h)
+        Fw = F(w)
         v = (mult(E, v) + h * mult(p1 - 3.0 * p2 + 4.0 * p3, Fv)
              + 2.0 * h * mult(p2 - 2.0 * p3, Fx + Fy) + h * mult(4.0 * p3 - p2, Fw))
-        t += h
         states.append(v)
     return states
 
@@ -502,14 +507,13 @@ def _off_diagonal_model(perturbed):
 
 
 class TestCoefficientMarch:
-    @pytest.mark.parametrize("rate", [0.0, 3.0])
     @pytest.mark.parametrize("case", sorted(MARCH_CASES))
-    def test_solve_matches_physical_rk4(self, case, rate):
+    def test_solve_matches_physical_rk4(self, case):
         spec, name = MARCH_CASES[case]
         cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
         s_list, N = (0.0, 1.0), 2
         prob = EvolutionProblem(cs, random_field(spec, seed=20),
-                                Forcing(random_field(spec, seed=21), rate),
+                                random_field(spec, seed=21),
                                 T=0.1, s_list=s_list, N_weight=N)
         res = solve(prob, record_states=True)
         ref = _physical_rk4(prob, len(res.series.t) - 1)
@@ -532,7 +536,7 @@ class TestCoefficientMarch:
         spec, name = MARCH_CASES["jump-drift-1d"]
         cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
         prob = EvolutionProblem(cs, random_field(spec, seed=22),
-                                Forcing(random_field(spec, seed=23), 2.0),
+                                random_field(spec, seed=23),
                                 T=0.03)
         res = solve(prob, record_states=True)
         t, dt = res.series.t, np.diff(res.series.t)
@@ -659,9 +663,9 @@ def _perturbed_pair(spec, name):
     cs = regularise(model, eps, ScaleFn("loglog"), spec)
     u0, g = random_field(spec, seed=30), random_field(spec, seed=31)
     u0_p = Field(spec, u0.values + eps * random_field(spec, seed=32).values)
-    return (EvolutionProblem(cs, u0, Forcing(g, 2.0), T=0.1),
+    return (EvolutionProblem(cs, u0, g, T=0.1),
             [EvolutionProblem(_perturbed_set(cs, eps, 1, _bumps(spec, model.N)), u0_p,
-                              Forcing(g, 2.0), T=0.1)])
+                              g, T=0.1)])
 
 
 def _classical_and_mollified(spec):
@@ -688,7 +692,7 @@ class TestMarch:
         spec, name = MARCH_CASES["jump-drift-1d"]
         cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
         prob = EvolutionProblem(cs, random_field(spec, seed=24),
-                                Forcing(random_field(spec, seed=25), 2.0), T=0.03)
+                                random_field(spec, seed=25), T=0.03)
         levels = list(march(prob))
         ref = _physical_rk4(prob, len(levels) - 1)
         np.testing.assert_allclose([t for t, _ in levels],

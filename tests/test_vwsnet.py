@@ -7,7 +7,7 @@ from conftest import LADDER, assert_da_is_the_derivative_of_a, record_marches
 import vwslab
 from vwslab import evolve
 from vwslab.coeffs import ModelError, check_hypotheses, preset, regularise
-from vwslab.evolve import LEVELS, EvolutionProblem, EvolveError, Forcing, solve
+from vwslab.evolve import LEVELS, EvolutionProblem, EvolveError, solve
 from vwslab.grid import Field, make_grid, sobolev_norm, spectral_derivative
 from vwslab.mollify import Mollifier, ScaleFn, mollify, scale_omega
 from vwslab import vwsnet
@@ -74,27 +74,21 @@ class TestLadder:
     def test_data_mollified_at_eps(self, spec):
         p = self.lparams(spec)
         u0 = rough_field(spec, 0.0, seed=3)
-        g = Forcing(gaussian_field(spec, width=0.5), rate=2.0)
-        members = ladder(preset("free", n=1), p, u0, g)
+        members = ladder(preset("free", n=1), p, u0)
         for eps, m in members.items():
             assert np.array_equal(m["u0"].values,
                                   mollify(u0, p.data_mollifier, eps).values)
-            assert np.array_equal(m["forcing"].G.values,
-                                  mollify(g.G, p.data_mollifier, eps).values)
-            assert m["forcing"].rate == 2.0
 
     def test_unmollified_data_pass_through(self, spec):
         p = self.lparams(spec, mollify_data=False)
-        u0, g = gaussian_field(spec), Forcing(gaussian_field(spec))
-        for m in ladder(preset("free", n=1), p, u0, g).values():
+        u0 = gaussian_field(spec)
+        for m in ladder(preset("free", n=1), p, u0).values():
             assert m["u0"] is u0
-            assert m["forcing"] is g
 
     def test_coefficient_only_members(self, spec):
         for m in ladder(preset("free", n=1), self.lparams(spec)).values():
-            assert set(m) == {"cs", "u0", "forcing"}
+            assert set(m) == {"cs", "u0"}
             assert m["u0"] is None
-            assert m["forcing"].G is None
 
     def test_validate_floors_nu_and_c0(self, spec):
         model = preset("delta-potential", n=1)
@@ -156,10 +150,9 @@ class TestModeratenessFit:
         for eps in LADDER:
             cs = regularise(model, eps, ScaleFn("loglog"), spec)
             u0 = Field(spec, eps**q * base.values)
-            res = solve(EvolutionProblem(cs, u0, Forcing(), T=0.25,
+            res = solve(EvolutionProblem(cs, u0, T=0.25,
                                          s_list=(0.0,)))
-            members[eps] = {"cs": cs, "u0": u0, "forcing": Forcing(),
-                            "result": res}
+            members[eps] = {"cs": cs, "u0": u0, "result": res}
         net = EpsilonNet(params, model, None, members)
         fit = moderateness_fit(net, 0.0)
         assert fit.slope == pytest.approx(-q, abs=0.05)
