@@ -11,6 +11,9 @@ Defaults (applied by parse_config):
   experiment  kind from the subcommand, q=3, tolerances {}
   output      directory="out", stride=0 (no snapshots)
   seed        0
+
+mollifier-bench fits over its own omega ladder under its own scale: a
+config for it that sets scale or ladder is rejected.
 """
 
 from __future__ import annotations
@@ -32,13 +35,12 @@ from . import __version__
 from .coeffs import ModelError, preset
 from .doi import (FTable, assemble_a2, build_d, build_q, calibrate_K,
                   check_doi, check_escape)
-from .evolve import solve
 from .grid import Field, GridSpec, make_grid, plane_wave
 from .mollify import (Mollifier, ScaleFn, derivative_bound_probe,
                       sobolev_boost_probe)
 from .vwsnet import (FitReport, NetParams, consistency_run, delta_field,
-                     gaussian_field, ladder, moderateness_fit, problem,
-                     rough_field, run_net, uniqueness_probe, validate)
+                     gaussian_field, ladder, moderateness_fit, rough_field,
+                     run_net, solve_ladder, uniqueness_probe, validate)
 
 EXPERIMENT_KINDS = ("validate-hypotheses", "doi-check", "solve", "net",
                     "uniqueness", "consistency", "mollifier-bench")
@@ -194,6 +196,13 @@ def parse_config(text: str, kind: str | None = None) -> dict:
         raise ConfigError("config.experiment.q must be >= 1")
     if cfg["output"]["stride"] < 0:
         raise ConfigError("config.output.stride must be >= 0")
+    if kind == "mollifier-bench":
+        # the bench fits over its own omega ladder; the filled config keeps
+        # only what the bench reads, so that its report's config parses again
+        for key in ("ladder", "scale"):
+            if key in raw:
+                raise ConfigError(f"config.{key} is not read by mollifier-bench")
+            del cfg[key]
     return cfg
 
 
@@ -327,16 +336,16 @@ def _run_solve(cfg, out: Path) -> dict:
     spec = _grid(cfg)
     params = replace(_net_params(cfg, spec), mollify_data=False)
     stride = cfg["output"]["stride"]
-    sups = {}
-    for eps, m in ladder(_model(cfg), params, _data(cfg, spec)).items():
-        res = solve(problem(m["cs"], m["u0"], params),
-                    record_states=stride > 0)
+    sups, health = {}, {}
+    members = ladder(_model(cfg), params, _data(cfg, spec))
+    for eps, res, member_health in solve_ladder(members, params, stride > 0):
+        health[eps] = member_health
         _write_series(out, eps, res.series)
         _write_snapshots(out, eps, res.states, stride)
         sups[str(eps)] = {str(s): res.series.sup_norm(s)
                           for s in res.series.norms}
     finite = all(np.isfinite(v) for per in sups.values() for v in per.values())
-    return {"pass": bool(finite), "sup_norms": sups}
+    return {"pass": bool(finite), "sup_norms": sups, "health": health}
 
 
 def _run_net(cfg, out: Path) -> dict:
@@ -463,10 +472,17 @@ def run(cfg: dict, out_dir: str | None = None, seed: int | None = None,
     out.mkdir(parents=True, exist_ok=True)
     kind = cfg["experiment"]["kind"]
     t0 = time.perf_counter()
+    crashed = False
     try:
         verdict = _PIPELINES[kind](cfg, out)
     except Exception as exc:
-        verdict = {"pass": False, "error": f"{type(exc).__name__}: {exc}"}
+        # a run that could not finish, apart from a verdict that ran and
+        # failed; traceback is imported here, off the path of every run
+        import traceback
+
+        crashed = True
+        verdict = {"pass": False, "error": f"{type(exc).__name__}: {exc}",
+                   "traceback": traceback.format_exc()}
     elapsed = time.perf_counter() - t0
     # every pipeline ANDs its nested checks into its own "pass"
     all_pass = verdict["pass"] is True
@@ -480,9 +496,9 @@ def run(cfg: dict, out_dir: str | None = None, seed: int | None = None,
     _write_atomic(out / "report.json", json.dumps(report, indent=2, sort_keys=True))
     if verbose:
         print(json.dumps(report["verdict"], indent=2, sort_keys=True))
-    print(f"{kind}: {'PASS' if all_pass else 'FAIL'} "
-          f"({elapsed:.2f}s, report in {out / 'report.json'})")
-    return 0 if all_pass else 1
+    outcome = "ERROR" if crashed else "PASS" if all_pass else "FAIL"
+    print(f"{kind}: {outcome} ({elapsed:.2f}s, report in {out / 'report.json'})")
+    return 3 if crashed else 0 if all_pass else 1
 
 
 def main(argv: list | None = None) -> int:

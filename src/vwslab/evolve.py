@@ -29,6 +29,20 @@ within 2e-3 of a 2048-step march.  Worst relative errors on that ladder:
     step                      steps   u(T)     int s=0   int s=1
     RK4 at its bound            141   0.57     0.26      0.53
     ETD-RK4, T / LEVELS          16   1.2e-3   3.9e-4    4.7e-4
+
+An epsilon-ladder marches at fewer levels where that is as accurate:
+``vwsnet.probe_levels`` marches its smallest eps at LEVELS and at COARSE = 4
+levels, and the other members take COARSE levels when u(T) and the reported
+numbers of the two agree within TOL = 1e-3 relative, half the 2e-3 above.
+On net-1d-delta the 4-vs-16 gap of u(T) understates the 4-level error by at
+most 1.15x.  The 4-vs-16 gap of the smallest eps on the benchmark ladders:
+
+    ladder          u(T)     reported numbers       levels
+    uniq-2d-ultra   8.4e-8   2.5e-7 sup difference  COARSE
+    net-1d-delta    2.7e-3   0.16 smoothing int     LEVELS
+
+net-1d-delta keeps LEVELS: its smoothing integrals are trapezoids over the
+level times, and with delta data four intervals miss them by 16%.
 """
 
 from __future__ import annotations
@@ -48,6 +62,10 @@ RK4_IMAG_LIMIT = 2.8
 SAFETY = 0.8
 #: time levels of the default step when the remainder bound allows it
 LEVELS = 16
+#: time levels of an epsilon-ladder whose probe shows COARSE levels agree
+#: with LEVELS to TOL relative (``vwsnet.probe_levels``)
+COARSE = 4
+TOL = 1e-3
 
 
 class EvolveError(RuntimeError):
@@ -312,12 +330,17 @@ class SolveResult:
     states: list | None = None
 
 
-def shared_steps(probs: list) -> int:
+def shared_steps(probs: list, levels: int | None = None) -> int:
     """The number of equal steps that march problems with one horizon T in
-    lockstep: round(T/dt) at their smallest dt, one more if the steps then
+    lockstep: round(T/dt) at their smallest dt, or, given ``levels``, at
+    min(T / levels, their smallest stable_dt); one more if the steps then
     exceed their smallest bound."""
     T = probs[0].T
-    steps = max(1, int(round(T / min(p.dt for p in probs))))
+    if levels is None:
+        dt = min(p.dt for p in probs)
+    else:
+        dt = min(T / levels, SAFETY * min(p.dt_bound for p in probs))
+    steps = max(1, int(round(T / dt)))
     # round() can go past the bound
     return steps + 1 if T / steps > min(p.dt_bound for p in probs) else steps
 
@@ -337,12 +360,14 @@ def march(prob: EvolutionProblem, steps: int | None = None):
         yield t, uh
 
 
-def solve(prob: EvolutionProblem, record_states: bool = False) -> SolveResult:
-    """March to T recording norms at every step."""
+def solve(prob: EvolutionProblem, record_states: bool = False,
+          steps: int | None = None) -> SolveResult:
+    """March to T in `steps` equal steps, by default ``shared_steps([prob])``,
+    recording norms at every step."""
     spec = prob.cs.spec
     diagnose = _Diagnostics(spec, prob.s_list, prob.N_weight)
     ts, rows, states = [], [], []
-    for t, uh in march(prob):
+    for t, uh in march(prob, steps):
         ts.append(t)
         rows.append(diagnose(uh))
         if record_states:
@@ -356,22 +381,26 @@ def solve(prob: EvolutionProblem, record_states: bool = False) -> SolveResult:
                        states if record_states else None)
 
 
-def sup_differences(ref: EvolutionProblem, others: list, s: float) -> list:
-    """sup over t of ||u_other(t) - u_ref(t)||_s for each problem in others.
+def sup_differences(ref: EvolutionProblem, others: list, s: float,
+                    steps: int | None = None) -> tuple:
+    """(sup over t of ||u_other(t) - u_ref(t)||_s for each problem in others,
+    [fft(u(T)) of ref and of each problem in others]).
 
-    All problems are marched in lockstep, at the smallest dt and the
-    smallest step bound among them, so they share every time level; only
-    the current states are held.
+    All problems are marched in lockstep, in `steps` equal steps, by default
+    ``shared_steps`` of them all, so they share every time level; only the
+    current states are held.
     """
     probs = [ref, *others]
     if any(p.T != ref.T or p.cs.spec != ref.cs.spec for p in others):
         raise EvolveError("compared problems must share the grid and T")
-    steps = shared_steps(probs)
+    if steps is None:
+        steps = shared_steps(probs)
     weight, sq = _norm_weight(ref.cs.spec, s), np.zeros(len(others))
-    for (_, uh_ref), *levels in zip(*(march(p, steps) for p in probs)):
+    for level in zip(*(march(p, steps) for p in probs)):
+        uh_ref = level[0][1]
         sq = np.maximum(sq, [np.sum(weight * np.abs(uh - uh_ref) ** 2)
-                             for _, uh in levels])
-    return np.sqrt(sq).tolist()
+                             for _, uh in level[1:]])
+    return np.sqrt(sq).tolist(), [uh for _, uh in level]
 
 
 def dense_oracle(prob: EvolutionProblem) -> Field:

@@ -9,7 +9,8 @@ import numpy as np
 
 from .coeffs import (CoefficientModel, CoefficientSet, HypothesisReport,
                      check_hypotheses, regularise, sample)
-from .evolve import EvolutionProblem, shared_steps, solve, sup_differences
+from .evolve import (COARSE, LEVELS, TOL, EvolutionProblem, shared_steps, solve,
+                     sup_differences)
 from .grid import Field, GridSpec, inverse
 from .mollify import Mollifier, ScaleFn, fit_slope, mollify
 
@@ -138,10 +139,90 @@ def problem(cs: CoefficientSet, u0: Field, params: NetParams,
                             s_list=params.s_list, N_weight=params.N_weight)
 
 
-def _health(probs: list) -> dict:
-    """dt and step count of the march that takes probs to T in lockstep."""
-    steps = shared_steps(probs)
-    return {"dt": probs[0].T / steps, "steps": steps}
+@dataclass
+class LevelProbe:
+    """The level count of a ladder, chosen on its smallest-eps member."""
+
+    eps: float | None     # None: an explicit dt, and no probe
+    levels: int | None    # COARSE or LEVELS; None with an explicit dt
+    gap: float | None     # the COARSE-vs-LEVELS gap; None if not measured
+
+    def health(self, T: float, steps: int) -> dict:
+        """dt and step count of one member's march, and the probe."""
+        return {"dt": T / steps, "steps": steps, "levels": self.levels,
+                "probe_eps": self.eps, "probe_gap": self.gap}
+
+
+def _relative_gap(fine, coarse) -> float:
+    """||fine - coarse|| / ||fine||; 0 when both vanish."""
+    diff, size = np.linalg.norm(fine - coarse), np.linalg.norm(fine)
+    return float(diff / size) if size > 0 else (0.0 if diff == 0 else np.inf)
+
+
+def probe_levels(eps: float, probs: list, answer, params: NetParams) -> tuple:
+    """March the smallest-eps member of a ladder, and choose from it the
+    level count of every other member.
+
+    ``answer(probs, steps)`` marches the member's problems in lockstep in
+    `steps` equal steps and returns (result, finals, numbers): the member's
+    result, u(T) of each problem and the numbers the member reports.
+
+    - With ``params.dt`` set, the member marches at it and nothing is probed.
+    - Else the member marches at LEVELS, and that result is kept.  If the
+      remainder bound forces LEVELS steps or more, the ladder keeps LEVELS.
+    - Else the member marches once more at COARSE levels, or at the bound's
+      count if that is larger.  The ladder takes COARSE levels if every u(T)
+      (in L^2) and every number of the two answers agree within TOL
+      relative, else LEVELS.
+
+    Returns (LevelProbe, the member's step count, its result).
+    """
+    if params.dt is not None:
+        steps = shared_steps(probs)
+        return LevelProbe(None, None, None), steps, answer(probs, steps)[0]
+    fine, coarse = shared_steps(probs, LEVELS), shared_steps(probs, COARSE)
+    result, *kept = answer(probs, fine)
+    if coarse >= fine:
+        return LevelProbe(eps, LEVELS, None), fine, result
+    _, *trial = answer(probs, coarse)
+    gap = max(_relative_gap(a, b) for side, trial_side in zip(kept, trial)
+              for a, b in zip(side, trial_side))
+    return LevelProbe(eps, COARSE if gap <= TOL else LEVELS, gap), fine, result
+
+
+def _solve_answer(record_states: bool):
+    """``probe_levels``'s answer for a member of one problem: its SolveResult,
+    u(T), and the sup norm and final smoothing integral for each s."""
+    def answer(probs, steps):
+        res = solve(probs[0], record_states, steps)
+        series = res.series
+        return res, [res.final.values], [f(s) for f in (series.sup_norm,
+                                                         series.final_integral)
+                                          for s in series.norms]
+    return answer
+
+
+def march_ladder(ladder_eps: list, build, answer, params: NetParams):
+    """Yield (eps, result, health) for every eps of a ladder, in its order,
+    at the level count that ``probe_levels`` chooses on the last, smallest
+    eps; that member is marched first.  ``build(eps)`` gives a member's
+    problems, built only when they are marched, and ``answer`` is that of
+    ``probe_levels``."""
+    *rest, last = ladder_eps
+    probe, last_steps, last_result = probe_levels(last, build(last), answer, params)
+    for eps in rest:
+        probs = build(eps)
+        steps = shared_steps(probs, probe.levels)
+        yield eps, answer(probs, steps)[0], probe.health(params.T, steps)
+    yield last, last_result, probe.health(params.T, last_steps)
+
+
+def solve_ladder(members: dict, params: NetParams, record_states: bool = False):
+    """``march_ladder`` over the members of ``ladder``, one problem each,
+    yielding their SolveResults."""
+    def build(eps):
+        return [problem(members[eps]["cs"], members[eps]["u0"], params)]
+    return march_ladder(list(members), build, _solve_answer(record_states), params)
 
 
 def run_net(model: CoefficientModel, u0: Field, params: NetParams) -> EpsilonNet:
@@ -150,10 +231,8 @@ def run_net(model: CoefficientModel, u0: Field, params: NetParams) -> EpsilonNet
     report = validate(model, members)
     if not report.passed:
         raise HypothesisFailure(report)
-    for m in members.values():
-        prob = problem(m["cs"], m["u0"], params)
-        m["health"] = _health([prob])
-        m["result"] = solve(prob)
+    for eps, result, health in solve_ladder(members, params):
+        members[eps].update(result=result, health=health)
     return EpsilonNet(params, model, report, members)
 
 
@@ -222,27 +301,40 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
     s = params.s_list[0]
     spec = params.spec
     bumps = _bumps(spec, model.N)
-    eps_used, diffs, dropped, health = [], [], [], {}
-    for eps, m in ladder(model, params, u0).items():
-        cs = m["cs"]
-        cs_p = _perturbed_set(cs, eps, q, bumps)
-        if _h2_margin(cs_p) <= 0.0:
-            dropped.append(eps)  # shrink eps_0: perturbation broke (H2)
-            continue
+    members = ladder(model, params, u0)
+    # shrink eps_0: drop the eps whose perturbation breaks (H2)
+    dropped = [eps for eps, m in members.items()
+               if _h2_margin(_perturbed_set(m["cs"], eps, q, bumps)) <= 0.0]
+    used = [eps for eps in members if eps not in dropped]
+    if len(used) < 4:
+        raise NetError(f"fewer than 4 usable epsilons (dropped {dropped})")
+
+    def pair(eps):
         # data perturbations eps^q * bump on both slots: u0, and the source
         # that the unperturbed member does not have
+        m = members[eps]
         du = Field(spec, m["u0"].values + eps**q * bumps["u0"])
         g_p = Field(spec, eps**q * bumps["g"])
-        eps_used.append(eps)
-        pair = [problem(cs, m["u0"], params), problem(cs_p, du, params, g_p)]
-        health[float(eps)] = _health(pair)
-        diffs += sup_differences(pair[0], pair[1:], s)
-    if len(eps_used) < 4:
-        raise NetError(f"fewer than 4 usable epsilons (dropped {dropped})")
-    values = {float(e): float(d) for e, d in zip(eps_used, diffs)}
-    slope, resid = _log_fit(eps_used, diffs)
+        return [problem(m["cs"], m["u0"], params),
+                problem(_perturbed_set(m["cs"], eps, q, bumps), du, params, g_p)]
+
+    values, health = {}, {}
+    for eps, diff, member_health in march_ladder(used, pair, _difference_answer(s),
+                                                 params):
+        values[float(eps)], health[float(eps)] = diff, member_health
+    slope, resid = _log_fit(used, list(values.values()))
     return FitReport(slope, resid, bool(slope >= q - 0.5), q - 0.5, values,
                      extra={"dropped_eps": dropped, "health": health})
+
+
+def _difference_answer(s: float):
+    """``probe_levels``'s answer for a member compared with a reference, the
+    first of its two problems: sup_t ||u - u_ref||_s, both u(T), and that
+    difference."""
+    def answer(probs, steps):
+        diffs, finals = sup_differences(probs[0], probs[1:], s, steps)
+        return diffs[0], finals, diffs
+    return answer
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +355,19 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams,
     classical = problem(sample(model, params.spec), u0, params)
     members = [problem(m["cs"], m["u0"], params)
                for m in ladder(model, params, u0).values()]
-    errors = np.array(sup_differences(classical, members, s))
+    *rest, last = members
+    probe, last_steps, last_error = probe_levels(
+        params.eps_ladder[-1], [classical, last], _difference_answer(s), params)
+    # one march takes the classical problem and every other member to T
+    steps = shared_steps([classical, *rest], probe.levels)
+    errors = np.array(sup_differences(classical, rest, s, steps)[0] + [last_error])
     values = {float(e): float(v) for e, v in zip(params.eps_ladder, errors)}
     decreasing = bool(np.all(np.diff(errors) < 0.0))
     final_ok = bool(errors[-1] < tol)
     slope, resid = _log_fit(params.eps_ladder, errors)
-    # one march takes the classical problem and every member to T
-    shared = _health([classical, *members])
+    health = {float(e): probe.health(params.T, steps) for e in params.eps_ladder[:-1]}
+    health[float(params.eps_ladder[-1])] = probe.health(params.T, last_steps)
     return FitReport(slope, resid, decreasing and final_ok, tol, values,
                      extra={"monotone_decreasing": decreasing,
                             "final_error": float(errors[-1]),
-                            "health": {float(e): shared for e in params.eps_ladder}})
+                            "health": health})

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import vwslab
-from vwslab import cli
+from vwslab import cli, evolve
 from vwslab.cli import ConfigError, main, parse_config, run
+from vwslab.evolve import COARSE, LEVELS, TOL
 
 
 def cfg_text(**overrides) -> str:
@@ -194,6 +195,26 @@ class TestConfigErrors:
     def test_list_entry_of_wrong_type(self, tmp_path, capsys, override, message):
         self.assert_config_error(tmp_path, capsys, cfg_text(**override), message)
 
+    @pytest.mark.parametrize("override", [{"ladder": [0.5, 0.25]},
+                                          {"scale": {"kind": "loglog", "k": 3}}],
+                             ids=["ladder", "scale"])
+    def test_mollifier_bench_reads_no_ladder_or_scale(self, tmp_path, capsys,
+                                                      override):
+        # the bench fits over its own omega ladder under its own scale
+        raw = json.loads(cfg_text(experiment={"kind": "mollifier-bench"}))
+        del raw["ladder"]
+        raw.update(override)
+        key, = override
+        self.assert_config_error(tmp_path, capsys, json.dumps(raw),
+                                 f"config.{key} is not read by mollifier-bench")
+
+    def test_mollifier_bench_config_holds_no_ladder_or_scale(self):
+        # so that a report's config parses again
+        cfg = parse_config(json.dumps({"grid": {"n": 1, "M": 64, "L": 8.0}}),
+                           kind="mollifier-bench")
+        assert "ladder" not in cfg and "scale" not in cfg
+        assert parse_config(json.dumps(cfg)) == cfg
+
     @pytest.mark.parametrize("override, message", [
         ({"grid": {"n": 1, "M": 32, "L": True}}, "config.grid.L has wrong type bool"),
         ({"grid": {"n": True, "M": 32, "L": 8.0}}, "config.grid.n has wrong type bool"),
@@ -275,26 +296,44 @@ class TestRunReportContract:
         assert (tmp_path / "report.json").read_text() == first
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
-    def test_failure_gives_exit_1_and_error_field(self, tmp_path):
+    def test_crash_gives_exit_3_and_error_field(self, tmp_path, capsys):
         # a 3-step ladder passes parse for solve but breaks the net pipeline
         cfg = parse_config(cfg_text(ladder=[0.5, 0.25, 0.125]))
         cfg["experiment"]["kind"] = "net"
         status = run(cfg, out_dir=str(tmp_path))
-        assert status == 1
+        assert status == 3
+        assert "net: ERROR" in capsys.readouterr().out
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["all_pass"] is False
-        assert "error" in report["verdict"]
+        assert report["verdict"]["error"].startswith("ModelError: ")
+        assert report["verdict"]["traceback"].startswith("Traceback")
+        assert "ModelError" in report["verdict"]["traceback"].splitlines()[-1]
 
     @pytest.mark.parametrize("kind, model", [("uniqueness", "delta-potential"),
                                              ("consistency", "smooth-consistency")])
-    def test_dt_above_the_bound_gives_exit_1(self, tmp_path, kind, model):
+    def test_dt_above_the_bound_gives_exit_3(self, tmp_path, kind, model):
         # the remainder bounds of these problems lie between 1.6 and 8.4
         cfg = parse_config(cfg_text(experiment={"kind": kind},
                                     model={"preset": model},
                                     evolution={"T": 0.5, "dt": 20.0}))
-        assert run(cfg, out_dir=str(tmp_path)) == 1
+        assert run(cfg, out_dir=str(tmp_path)) == 3
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["verdict"]["error"].startswith("EvolveError: dt = 20.0 exceeds")
+        assert "traceback" in report["verdict"]
+
+    def test_instability_gives_exit_3(self, tmp_path, monkeypatch):
+        # without its stability bound, one step of T = 0.5 blows up
+        monkeypatch.setattr(evolve, "stable_dt", lambda cs: np.inf)
+        model = {"preset": "delta-potential", "params": {"strength": 100.0}}
+        cfg = parse_config(cfg_text(experiment={"kind": "uniqueness"}, model=model,
+                                    evolution={"T": 0.5, "dt": 0.5}))
+        assert run(cfg, out_dir=str(tmp_path)) == 3
+        verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
+        assert verdict["pass"] is False
+        assert verdict["error"].startswith("Instability: norm grew x")
+        assert "in one step at t = 0" in verdict["error"]
+        assert verdict["traceback"].splitlines()[-1].startswith(
+            "vwslab.evolve.Instability: norm grew x")
 
     def test_net_report_holds_each_march(self, tmp_path):
         # the net-1d-delta benchmark config
@@ -315,7 +354,8 @@ class TestRunReportContract:
         ("consistency", "smooth-consistency", 0.01)])
     def test_compared_report_holds_each_march(self, tmp_path, kind, model, dt):
         # the loglog consistency verdict fails on this grid; the report
-        # still holds the marches
+        # still holds the marches.  With dt "auto" the smallest eps, the
+        # probe, marches LEVELS and both ladders take COARSE levels.
         cfg = parse_config(cfg_text(experiment={"kind": kind}, model={"preset": model},
                                     evolution={"T": 0.5, "dt": dt}))
         run(cfg, out_dir=str(tmp_path))
@@ -323,9 +363,44 @@ class TestRunReportContract:
         assert "error" not in verdict
         assert set(verdict["health"]) == {str(eps) for eps in cfg["ladder"]}
         assert "health" not in verdict["extra"]
-        for h in verdict["health"].values():
-            assert h["steps"] == (16 if dt == "auto" else 50)
+        probe = str(cfg["ladder"][-1])
+        for eps, h in verdict["health"].items():
+            if dt != "auto":
+                assert h["steps"] == 50
+            else:
+                assert h["steps"] == (LEVELS if eps == probe else COARSE)
             assert h["dt"] * h["steps"] == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, model, data, T, levels", [
+        ("solve", "smooth-consistency", "gaussian", 0.1, COARSE),
+        ("net", "smooth-consistency", "gaussian", 0.1, COARSE),
+        ("uniqueness", "delta-potential", "gaussian", 0.5, COARSE),
+        ("consistency", "smooth-consistency", "gaussian", 0.5, COARSE),
+        # the trapezoid smoothing integrals at 4 levels miss by more than TOL
+        ("solve", "delta-potential", "gaussian", 0.5, LEVELS),
+        ("net", "delta-potential", "delta", 0.5, LEVELS)])
+    def test_health_reports_the_level_probe(self, tmp_path, kind, model, data, T,
+                                            levels):
+        cfg = parse_config(cfg_text(experiment={"kind": kind}, model={"preset": model},
+                                    data={"kind": data}, evolution={"T": T}))
+        run(cfg, out_dir=str(tmp_path))
+        health = json.loads((tmp_path / "report.json").read_text())["verdict"]["health"]
+        probe = cfg["ladder"][-1]
+        assert set(health) == {str(eps) for eps in cfg["ladder"]}
+        for eps, h in health.items():
+            assert set(h) == {"dt", "steps", "levels", "probe_eps", "probe_gap"}
+            assert (h["levels"], h["probe_eps"]) == (levels, probe)
+            assert (h["probe_gap"] <= TOL) == (levels == COARSE)
+            assert h["steps"] == (LEVELS if float(eps) == probe else levels)
+
+    def test_given_dt_reports_no_probe(self, tmp_path):
+        cfg = parse_config(cfg_text(experiment={"kind": "net"},
+                                    evolution={"T": 0.5, "dt": 0.01}))
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        health = json.loads((tmp_path / "report.json").read_text())["verdict"]["health"]
+        for h in health.values():
+            assert h == {"dt": pytest.approx(0.01, rel=1e-12), "steps": 50,
+                         "levels": None, "probe_eps": None, "probe_gap": None}
 
     def test_deterministic_reports(self, tmp_path):
         cfg = parse_config(cfg_text(

@@ -13,7 +13,8 @@ from vwslab.evolve import (EvolutionProblem, EvolveError, Instability,
 from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
 from vwslab.mollify import ScaleFn
 from vwslab import evolve
-from vwslab.evolve import LEVELS, RK4_IMAG_LIMIT, SAFETY, _Diagnostics, _Operator
+from vwslab.evolve import (COARSE, LEVELS, RK4_IMAG_LIMIT, SAFETY, _Diagnostics,
+                           _Operator, shared_steps)
 from vwslab.grid import (apply_lambda, fft, inverse, spectral_derivative,
                          weight_field)
 from vwslab.coeffs import enveloped_bump
@@ -398,6 +399,29 @@ class TestDefaultStep:
         assert EvolutionProblem(free_set(spec), random_field(spec, seed=5),
                                 T=0.5).dt == 0.5 / LEVELS
 
+    def test_shared_steps_at_a_level_count(self):
+        # T / levels where the bound allows it, else the bound's count
+        spec = make_grid(1, 32, 8.0)
+        cs = preset_set("smooth-consistency", spec)
+        u0, limit = random_field(spec, seed=5), stable_dt(cs)
+        for levels in (COARSE, LEVELS):
+            assert shared_steps([EvolutionProblem(cs, u0, T=0.5)], levels) == levels
+            prob = EvolutionProblem(cs, u0, T=100 * limit)
+            assert shared_steps([prob], levels) == shared_steps([prob]) == 100
+        # a given dt sets the count without levels, and levels replace it
+        prob = EvolutionProblem(cs, u0, T=0.5, dt=0.01)
+        assert (shared_steps([prob]), shared_steps([prob], COARSE)) == (50, COARSE)
+
+    def test_solve_takes_a_step_count(self):
+        spec = make_grid(1, 32, 8.0)
+        prob = EvolutionProblem(preset_set("smooth-consistency", spec),
+                                random_field(spec, seed=5), T=0.5)
+        got = solve(prob, steps=COARSE)
+        np.testing.assert_allclose(got.series.t, np.linspace(0.0, 0.5, COARSE + 1),
+                                   rtol=1e-12)
+        want = list(march(prob, COARSE))[-1][1]
+        _close(got.final.values, evolve.ifft(want))
+
     @pytest.mark.parametrize("data", ["delta", "rough"])
     @pytest.mark.parametrize("name", ["free", "delta-potential"])
     def test_l2_conserved(self, name, data):
@@ -716,7 +740,7 @@ class TestSupDifferences:
     def test_matches_state_histories(self, case, s):
         ref, others = SUP_CASES[case]()
         dt = min(p.dt for p in [ref, *others])
-        got = sup_differences(ref, others, s)
+        got, _ = sup_differences(ref, others, s)
         want = _reference_sup_differences(ref, others, s, dt)
         assert all(w > 0 for w in want)
         np.testing.assert_allclose(got, want, rtol=1e-9)
@@ -735,10 +759,29 @@ class TestSupDifferences:
         base, pert = (EvolutionProblem(c, u0, T=1.3 * dt, dt=dt) for c in (cs, cs_p))
         want = _reference_sup_differences(base, [pert], 1.0, 0.65 * dt)
         marches = record_marches(monkeypatch)
-        got = sup_differences(base, [pert], 1.0)
+        got, _ = sup_differences(base, [pert], 1.0)
         assert len(marches) == 2
         assert marches[0] == marches[1]
         assert len(marches[0]) == 3
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(SUP_CASES))
+    def test_returns_each_final_state(self, case):
+        ref, others = SUP_CASES[case]()
+        _, finals = sup_differences(ref, others, 0.0)
+        assert len(finals) == 1 + len(others)
+        steps = evolve.shared_steps([ref, *others])
+        for p, uh in zip([ref, *others], finals):
+            _close(evolve.ifft(uh), solve(p, steps=steps).final.values)
+
+    def test_given_step_count(self, monkeypatch):
+        ref, others = SUP_CASES["delta-potential-1d"]()
+        steps = evolve.shared_steps([ref, *others]) + 3
+        marches = record_marches(monkeypatch)
+        got, _ = sup_differences(ref, others, 1.0, steps)
+        assert [len(ts) - 1 for ts in marches] == [steps, steps]
+        monkeypatch.undo()
+        want = _reference_sup_differences(ref, others, 1.0, ref.T / steps)
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_takes_no_transform_beside_the_marches(self, monkeypatch):

@@ -7,15 +7,17 @@ from conftest import LADDER, assert_da_is_the_derivative_of_a, record_marches
 import vwslab
 from vwslab import evolve
 from vwslab.coeffs import ModelError, check_hypotheses, preset, regularise
-from vwslab.evolve import LEVELS, EvolutionProblem, EvolveError, solve
+from vwslab.evolve import (COARSE, LEVELS, TOL, EvolutionProblem, EvolveError,
+                           solve, stable_dt)
 from vwslab.grid import Field, make_grid, sobolev_norm, spectral_derivative
 from vwslab.mollify import Mollifier, ScaleFn, mollify, scale_omega
 from vwslab import vwsnet
 from vwslab.vwsnet import (EpsilonNet, HypothesisFailure, NetError, NetParams,
-                           _bumps, _perturbed_set, bump_perturbation,
-                           consistency_run, delta_field, gaussian_field,
-                           ladder, moderateness_fit, rough_field,
-                           run_net, uniqueness_probe, validate)
+                           LevelProbe, _bumps, _perturbed_set,
+                           bump_perturbation, consistency_run, delta_field,
+                           gaussian_field, ladder, moderateness_fit,
+                           probe_levels, rough_field, run_net,
+                           uniqueness_probe, validate)
 
 
 @pytest.fixture(scope="module")
@@ -329,25 +331,173 @@ class TestComparedProblemsStep:
     @pytest.mark.parametrize("kind, group", [("uniqueness", 2),
                                              ("consistency", 6)])
     def test_health_is_the_lockstep_march(self, monkeypatch, spec, kind, group):
-        # at T = 2 the eps = 2^-3 perturbed problem's bound sets the step
+        # at T = 2 the eps = 2^-3 perturbed problem's bound sets its step,
+        # and the consistency probe's trial takes its bound's count, 7
         marches = record_marches(monkeypatch)
         fit = self.cases(spec)[kind](NetParams(spec=spec, T=2.0))
-        steps = [len(ts) - 1 for ts in marches[::group]]
+        health = fit.extra["health"]
+        assert health[min(health)]["probe_gap"] is not None
+        # the probe's problems at LEVELS and at the trial count; then the
+        # other uniqueness pairs one by one, or the classical problem with
+        # the other consistency members at once
+        sizes = [2, 2] + ([group] * (len(health) - 1) if kind == "uniqueness"
+                          else [group - 1])
+        assert sum(sizes) == len(marches)
+        starts = np.cumsum([0] + sizes)
+        groups = [marches[a:b] for a, b in zip(starts, starts[1:])]
+        for lockstep in groups:
+            assert all(ts == lockstep[0] for ts in lockstep)
+        fine, trial, *rest = [len(g[0]) - 1 for g in groups]
+        assert (fine, trial) == ((16, 4) if kind == "uniqueness" else (16, 7))
         if kind == "consistency":
-            steps = steps * len(fit.values)
-        assert [h["steps"] for h in fit.extra["health"].values()] == steps
-        assert {h["dt"] * h["steps"] for h in fit.extra["health"].values()} == {2.0}
+            rest = rest * (len(health) - 1)
+        assert [h["steps"] for h in health.values()] == rest + [fine]
+        assert {h["dt"] * h["steps"] for h in health.values()} == {2.0}
 
     @pytest.mark.parametrize("kind, group", [("uniqueness", 2),
                                              ("consistency", 6)])
     def test_auto_dt_is_the_smallest_stability_step(self, monkeypatch, spec,
                                                     kind, group):
-        limits = _count_stable_dt(monkeypatch)
+        # each march is at min(T / levels, the smallest stability step of
+        # the problems it takes): the probe's problems at LEVELS and at
+        # COARSE, then every other member at the level count chosen
+        calls = _count_stable_dt(monkeypatch)
         marches = record_marches(monkeypatch)
         T = 0.1
-        self.cases(spec)[kind](NetParams(spec=spec, T=T))
-        assert len(marches) == len(limits)
-        for k in range(0, len(marches), group):
-            dt = min(T / LEVELS, *(limit for _, limit in limits[k:k + group]))
-            for ts in marches[k:k + group]:
+        fit = self.cases(spec)[kind](NetParams(spec=spec, T=T))
+        limits = [limit for _, limit in calls]
+        (levels, gap), = {(h["levels"], h["probe_gap"])
+                          for h in fit.extra["health"].values()}
+        assert levels == (COARSE if gap <= TOL else LEVELS)
+        if kind == "uniqueness":
+            # each pair is built when it is marched, the probe's first
+            probe, *rest = [limits[k:k + group] for k in range(0, len(limits), group)]
+        else:
+            probe, rest = [limits[0], limits[-1]], [limits[:-1]]
+        want = [(probe, LEVELS), (probe, COARSE)] + [(g, levels) for g in rest]
+        assert sum(len(g) for g, _ in want) == len(marches)
+        k = 0
+        for g, count in want:
+            dt = min(T / count, *g)
+            for ts in marches[k:k + len(g)]:
                 assert len(ts) - 1 == round(T / dt)
+            k += len(g)
+
+
+def _delta_net_params():
+    """The net-1d-delta benchmark ladder."""
+    return NetParams(spec=make_grid(1, 256, 8.0), T=0.125, s_list=(0.0, 1.0))
+
+
+class TestLevelProbe:
+    """``probe_levels`` marches the smallest eps at LEVELS, keeps that
+    result, and gives the ladder COARSE levels when one more march at COARSE
+    agrees within TOL."""
+
+    @staticmethod
+    def probs(T, dt=None):
+        spec = make_grid(1, 32, 8.0)
+        cs = regularise(preset("smooth-consistency", n=1), 2**-4, ScaleFn("loglog"),
+                        spec)
+        return [EvolutionProblem(cs, gaussian_field(spec), T=T, dt=dt)]
+
+    @staticmethod
+    def answers(gap_at):
+        """An answer that records its step counts; at the counts in gap_at
+        its u(T) and number move by that relative gap."""
+        calls = []
+
+        def answer(probs, steps):
+            calls.append(steps)
+            final, number = 1.0 + np.array(gap_at.get(steps, (0.0, 0.0)))
+            return f"result@{steps}", [np.array([3.0, 4.0]) * final], [2.0 * number]
+        return answer, calls
+
+    def test_coarse_when_the_trial_agrees(self):
+        answer, calls = self.answers({COARSE: (0.5 * TOL, 0.0)})
+        probe, steps, result = probe_levels(
+            0.5, self.probs(0.5), answer, NetParams(spec=make_grid(1, 32, 8.0)))
+        assert calls == [LEVELS, COARSE]
+        assert (steps, result) == (LEVELS, f"result@{LEVELS}")
+        assert probe == LevelProbe(0.5, COARSE, pytest.approx(0.5 * TOL))
+
+    @pytest.mark.parametrize("rel", [(2.0 * TOL, 0.0), (0.0, 2.0 * TOL)],
+                             ids=["u(T)", "number"])
+    def test_levels_when_any_part_of_the_trial_disagrees(self, rel):
+        answer, calls = self.answers({COARSE: rel})
+        probe, steps, _ = probe_levels(
+            0.5, self.probs(0.5), answer, NetParams(spec=make_grid(1, 32, 8.0)))
+        assert calls == [LEVELS, COARSE]
+        assert steps == LEVELS
+        assert probe == LevelProbe(0.5, LEVELS, pytest.approx(2.0 * TOL))
+
+    def test_zero_answers_agree(self):
+        def answer(probs, steps):
+            return None, [np.zeros(3)], [0.0]
+        probe, _, _ = probe_levels(0.5, self.probs(0.5), answer,
+                                   NetParams(spec=make_grid(1, 32, 8.0)))
+        assert (probe.levels, probe.gap) == (COARSE, 0.0)
+
+    def test_trial_at_the_bound_count(self):
+        # the bound forces 10 steps: the trial takes them
+        limit = stable_dt(self.probs(1.0)[0].cs)
+        answer, calls = self.answers({})
+        probe, steps, _ = probe_levels(0.5, self.probs(10 * limit), answer,
+                                       NetParams(spec=make_grid(1, 32, 8.0)))
+        assert calls == [LEVELS, 10]
+        assert (probe.levels, steps) == (COARSE, LEVELS)
+
+    def test_no_trial_where_the_bound_forces_levels(self):
+        limit = stable_dt(self.probs(1.0)[0].cs)
+        answer, calls = self.answers({})
+        probe, steps, _ = probe_levels(0.5, self.probs(20 * limit), answer,
+                                       NetParams(spec=make_grid(1, 32, 8.0)))
+        assert calls == [steps] == [20]
+        assert probe == LevelProbe(0.5, LEVELS, None)
+
+    def test_no_probe_with_a_given_dt(self):
+        answer, calls = self.answers({})
+        params = NetParams(spec=make_grid(1, 32, 8.0), dt=0.01)
+        probe, steps, _ = probe_levels(0.5, self.probs(0.5, dt=0.01), answer, params)
+        assert calls == [steps] == [50]
+        assert probe == LevelProbe(None, None, None)
+
+    def test_net_ladder_rejects_coarse(self):
+        # negative control: on the net-1d-delta ladder the trapezoid
+        # smoothing integrals at 4 levels miss by about 10^-1
+        params = _delta_net_params()
+        u0 = delta_field(params.spec)
+        net = run_net(preset("delta-potential", n=1), u0, params)
+        for h in (m["health"] for m in net.members.values()):
+            assert (h["levels"], h["steps"]) == (LEVELS, LEVELS)
+            assert h["probe_eps"] == params.eps_ladder[-1]
+            assert h["probe_gap"] > 10 * TOL
+
+    def test_net_ladder_marches_each_member_once(self, monkeypatch):
+        # the probe's two marches, then one march for each other member
+        marches = record_marches(monkeypatch)
+        params = _delta_net_params()
+        run_net(preset("delta-potential", n=1), delta_field(params.spec), params)
+        assert [len(ts) - 1 for ts in marches] == [LEVELS, COARSE] + [LEVELS] * 4
+
+    @pytest.mark.parametrize("name", ["uniq-2d-reduced", "delta-potential-1d"])
+    def test_uniqueness_matches_a_converged_march(self, name):
+        # every member's sup difference at the chosen count against 256
+        # levels; both ladders take COARSE
+        spec, model, params = {
+            # uniq-2d-ultra at M = 32
+            "uniq-2d-reduced": (make_grid(2, 32, 8.0), preset("ultra-diagonal"),
+                                {"T": 0.25}),
+            # the 1D uniqueness config of the CLI tests
+            "delta-potential-1d": (make_grid(1, 32, 8.0), preset("delta-potential", n=1),
+                                   {"T": 0.5, "eps_ladder": (0.5, 0.25, 0.125, 0.0625)}),
+        }[name]
+        params = NetParams(spec=spec, **params)
+        u0 = gaussian_field(spec)
+        got = uniqueness_probe(model, 3, u0, params)
+        conv = uniqueness_probe(model, 3, u0, replace(params, dt=params.T / 256))
+        assert {h["levels"] for h in got.extra["health"].values()} == {COARSE}
+        assert {h["steps"] for h in conv.extra["health"].values()} == {256}
+        assert got.values.keys() == conv.values.keys()
+        for eps, want in conv.values.items():
+            assert got.values[eps] == pytest.approx(want, rel=2e-3), eps
