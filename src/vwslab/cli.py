@@ -271,9 +271,11 @@ def _run_validate_hypotheses(cfg, out: Path) -> dict:
     return d
 
 
-def _doi_one(cs, C1):
-    mu = float(np.sqrt(np.max(cs.abs_eigenvalues())))
-    return assemble_a2(cs), build_q(cs, C1, mu)
+def _doi_member(cs, q, f, C1, N) -> dict:
+    """Escape and Doi checks of one ladder member; its a2 and d are freed
+    on return, before the next member builds its own."""
+    a2 = assemble_a2(cs)
+    return {**check_escape(q, a2, C1), **check_doi(build_d(q, f), a2, N)}
 
 
 def _run_doi_check(cfg, out: Path) -> dict:
@@ -281,18 +283,17 @@ def _run_doi_check(cfg, out: Path) -> dict:
     model = _model(cfg)
     C1 = 4.0
     N = cfg["evolution"]["N"]
-    pairs = [_doi_one(m["cs"], C1)
-             for m in ladder(model, _net_params(cfg, spec)).values()]
-    K = calibrate_K([q for _, q in pairs])
+    sets = [m["cs"] for m in ladder(model, _net_params(cfg, spec)).values()]
+    # K needs every q first; a2 is built afterwards, one eps at a time, so
+    # only the q symbols are held across the ladder
+    qs = [build_q(cs, C1, float(np.sqrt(np.max(cs.abs_eigenvalues()))))
+          for cs in sets]
+    K = calibrate_K(qs)
     f = FTable(K, N)
-    per_eps, c2s, cstars = [], [], []
-    for eps, (a2, q) in zip(cfg["ladder"], pairs):
-        esc = check_escape(q, a2, C1)
-        d = build_d(q, f)
-        doi = check_doi(d, a2, N)
-        per_eps.append({"eps": eps, **esc, **doi})
-        c2s.append(esc["C2"])
-        cstars.append(doi["C_star"])
+    per_eps = [{"eps": eps, **_doi_member(cs, q, f, C1, N)}
+               for eps, cs, q in zip(cfg["ladder"], sets, qs)]
+    c2s = [e["C2"] for e in per_eps]
+    cstars = [e["C_star"] for e in per_eps]
     def variation(vals):
         vals = np.asarray(vals)
         mid = np.mean(np.abs(vals))

@@ -204,8 +204,8 @@ def apply_spatial(cs: CoefficientSet, u: Field | np.ndarray) -> np.ndarray:
     return ifft(_Operator(cs)(fft(vals)))
 
 
-def _phi(z: np.ndarray) -> list:
-    """[phi_1(z), phi_2(z), phi_3(z)], phi_k(z) = sum_m z^m / (m + k)!.
+def _phi(z: np.ndarray, last: int = 3) -> list:
+    """[phi_1(z), ..., phi_last(z)], phi_k(z) = sum_m z^m / (m + k)!.
 
     Closed forms phi_k = (phi_{k-1} - 1/(k-1)!) / z, phi_0 = e^z, where
     |z| >= 0.2, so rounding grows by at most 1/|z|^3 = 125; a ten-term
@@ -215,7 +215,7 @@ def _phi(z: np.ndarray) -> list:
     small = np.abs(z) < 0.2
     w, zs = np.where(small, 1.0, z), z[small]
     out, p = [], np.exp(w)
-    for k in range(1, 4):
+    for k in range(1, last + 1):
         p = (p - 1.0 / math.factorial(k - 1)) / w
         series = np.zeros_like(zs)
         for m in range(9, -1, -1):  # Horner on 1/(m+k)!
@@ -241,7 +241,7 @@ class _Step:
         self.gh = None if forcing is None else fft(forcing.values)
         z = 1j * h * op.symbol
         self.E, self.E2 = np.exp(z), np.exp(z / 2.0)
-        self.Q = h / 2.0 * _phi(z / 2.0)[0]
+        self.Q = h / 2.0 * _phi(z / 2.0, last=1)[0]
         p1, p2, p3 = _phi(z)
         self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
         self.f2 = 2.0 * h * (p2 - 2.0 * p3)

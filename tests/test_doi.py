@@ -6,7 +6,7 @@ from vwslab.coeffs import preset, regularise
 from vwslab.doi import (DELTA, FTable, SmoothStep, SymbolError, SymbolGrid,
                         assemble_a1, assemble_a2, build_d, build_q, calibrate_K,
                         check_doi, check_escape, dual_xi, energy_norm,
-                        exp_symbol_operator, poisson_bracket, quantize,
+                        exp_symbol_operator, fd4, poisson_bracket, quantize,
                         symbol_seminorm, xi_bracket)
 from vwslab.grid import Field, apply_lambda, make_grid, sobolev_norm
 from vwslab.mollify import ScaleFn, fit_slope
@@ -123,6 +123,22 @@ class TestPoissonBracket:
             poisson_bracket(a, b)
 
 
+class TestFd4:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_exact_on_quartics(self, axis):
+        # every stencil, the one-sided edge ones included, is exact to degree 4
+        t = np.linspace(-1.5, 2.0, 11)
+        shape = [3, 4, 5]
+        shape[axis] = t.size
+        lead = np.arange(1.0, 1.0 + np.prod(shape) / t.size).reshape(
+            [1 if k == axis else s for k, s in enumerate(shape)])
+        tt = t.reshape([-1 if k == axis else 1 for k in range(3)])
+        got = fd4(lead * (tt**4 - 2 * tt**3 + tt), axis, t[1] - t[0])
+        want = lead * (4 * tt**3 - 6 * tt**2 + 1)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestBuildQ:
     def test_free_closed_form(self, grid_1d):
         cs = sets_for("free", grid_1d)[0]
@@ -171,6 +187,38 @@ class TestBuildF:
             FTable(0.0, 2)
         with pytest.raises(SymbolError):
             FTable(1.0, 1)
+
+
+class TestTableLookups:
+    """FTable and SmoothStep index their uniform tables directly; the values
+    are np.interp's on the same tables, fills and clamps included."""
+
+    @staticmethod
+    def _close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_ftable_is_np_interp(self):
+        f = FTable(2.5, 2)
+        rng = np.random.default_rng(3)
+        t = np.concatenate([[-3.0, -1e-9], rng.uniform(0.0, f.t_max, 500),
+                            f.ts[::37], [f.t_max, f.t_max + 1e-9, 3 * f.t_max]])
+        self._close(f(t), np.interp(t, f.ts, f.table))
+        # held at f(0) = 0 below the table and at the last entry past it
+        assert f(-3.0) == 0.0
+        assert f(3 * f.t_max) == f.table[-1]
+
+    def test_smooth_step_is_np_interp(self):
+        step = SmoothStep()
+        rng = np.random.default_rng(4)
+        t = np.concatenate([[-5.0, 0.5, 1.0], rng.uniform(1.0, 2.0, 500),
+                            1.0 + step.u[::41], [2.0, 2.0 + 1e-9, 7.0]])
+        self._close(step(t), np.interp(t - 1.0, step.u, step.cdf,
+                                       left=0.0, right=1.0))
+        self._close(step.derivative(t),
+                    np.interp(t - 1.0, step.u, step.bump, left=0.0, right=0.0))
+        outside = np.array([-5.0, 0.5, 1.0, 2.5, 7.0])
+        assert np.array_equal(step(outside), [0.0, 0.0, 0.0, 1.0, 1.0])
+        assert np.array_equal(step.derivative(outside), np.zeros(5))
 
 
 class TestBuildD:
@@ -250,6 +298,125 @@ class TestInequalities:
         for vals in (gaps, stars):
             mid = np.mean(np.abs(vals))
             assert np.ptp(vals) <= 0.10 * max(mid, 1.0)
+
+
+def _lift(arr):
+    return arr.reshape(arr.shape + (1,) * arr.ndim)
+
+
+def _reference_a2(cs):
+    """a2 and its x-gradient as loops of broadcast products.  It carries no
+    xi-gradient, so a bracket takes fd4 of its values."""
+    spec, n = cs.spec, cs.n
+    xi = np.meshgrid(*dual_xi(spec), indexing="ij")
+    vals = np.zeros(spec.shape * 2)
+    grads = [np.zeros_like(vals) for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            vals += _lift(cs.a[i][j]) * xi[i] * xi[j]
+            for k in range(n):
+                grads[k] += _lift(cs.da[k][i][j]) * xi[i] * xi[j]
+    return SymbolGrid(spec, vals, grad_x=grads)
+
+
+def _reference_q(cs, C1, mu):
+    """q = C1 mu^2 <xi>^{-1} sum_j x_j d_xi_j a2 and its product-rule
+    x-gradient, as loops of broadcast products."""
+    spec, n = cs.spec, cs.n
+    xi = np.meshgrid(*dual_xi(spec), indexing="ij")
+    x = [_lift(a) for a in spec.x_mesh()]
+    scale = C1 * mu**2 / np.sqrt(1.0 + sum(z**2 for z in xi))
+
+    def dxi_a2(j, a):
+        return sum(2.0 * _lift(a[i][j]) * xi[i] for i in range(n))
+
+    vals = scale * sum(x[j] * dxi_a2(j, cs.a) for j in range(n))
+    grads = [scale * (dxi_a2(k, cs.a)
+                      + sum(x[j] * dxi_a2(j, cs.da[k]) for j in range(n)))
+             for k in range(n)]
+    return SymbolGrid(spec, vals, grad_x=grads)
+
+
+def _reference_d(q, f):
+    """d with np.interp lookups and psi+ and psi- evaluated one by one."""
+    step = SmoothStep()
+
+    def psi(t):
+        return np.interp(t - 1.0, step.u, step.cdf, left=0.0, right=1.0)
+
+    def dpsi(t):
+        return np.interp(t - 1.0, step.u, step.bump, left=0.0, right=0.0)
+
+    w = _lift(np.sqrt(1.0 + q.spec.x_norm_sq()))
+    r = q.values / w
+    plus, minus = psi(r / DELTA), psi(-r / DELTA)
+    phi0 = 1.0 - plus - minus
+    lift = np.interp(np.abs(q.values), f.ts, f.table) + 2.0 * DELTA
+    dplus, dminus = dpsi(r / DELTA) / DELTA, -dpsi(-r / DELTA) / DELTA
+    dd_dr = phi0 - r * (dplus + dminus) + lift * (dplus - dminus)
+    dd_dq = (f.derivative(np.abs(q.values)) * np.sign(q.values)
+             * (plus - minus))
+    grads = []
+    for k, x in enumerate(q.spec.x_mesh()):
+        dr = (q.grad_x[k] * w - q.values * _lift(x) / w) / w**2
+        grads.append(dd_dr * dr + dd_dq * q.grad_x[k])
+    return SymbolGrid(q.spec, r * phi0 + lift * (plus - minus), grad_x=grads)
+
+
+class TestAgainstLoopReference:
+    """The matrix-product builders, the analytic d_xi a2 and the direct
+    table lookups agree with loops of broadcast products, fd4 on a2 and
+    np.interp, on a ladder whose escape gap and Doi constant are not zero."""
+
+    def setup_method(self):
+        spec = make_grid(2, 16, 8.0)
+        self.sets = sets_for("ultra-diagonal", spec, nu=2.0, width=0.5)
+        self.mus = [float(np.sqrt(np.max(cs.abs_eigenvalues())))
+                    for cs in self.sets]
+
+    @staticmethod
+    def _close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def _close_symbols(self, got, want):
+        self._close(got.values, want.values)
+        for g, w in zip(got.grad_x, want.grad_x, strict=True):
+            self._close(g, w)
+
+    def test_ladder(self):
+        qs = [build_q(cs, 4.0, mu) for cs, mu in zip(self.sets, self.mus)]
+        f = FTable(calibrate_K(qs), 2)
+        gaps, stars = [], []
+        for cs, mu, q in zip(self.sets, self.mus, qs):
+            a2, ref_a2 = assemble_a2(cs), _reference_a2(cs)
+            ref_q = _reference_q(cs, 4.0, mu)
+            d, ref_d = build_d(q, f), _reference_d(ref_q, f)
+            self._close_symbols(a2, ref_a2)
+            self._close_symbols(q, ref_q)
+            self._close_symbols(d, ref_d)
+            self._close(poisson_bracket(a2, q).values,
+                        poisson_bracket(ref_a2, ref_q).values)
+            self._close(poisson_bracket(a2, d).values,
+                        poisson_bracket(ref_a2, ref_d).values)
+            gaps.append(check_escape(q, a2, 4.0)["min_gap"])
+            stars.append(check_doi(d, a2, 2)["C_star"])
+        # the checks see more than the clamped zeros of the xi = 0 column
+        assert all(g < 0.0 for g in gaps)
+        assert max(stars) > 0.0
+
+    @pytest.mark.parametrize("n, M, name", [(1, 64, "delta-potential"),
+                                            (2, 16, "ultra-diagonal")])
+    def test_xi_gradient_of_a2_is_fd4_of_its_values(self, n, M, name):
+        # fd4 is exact on quadratics, its one-sided edge stencils included
+        spec = make_grid(n, M, 8.0)
+        a2 = assemble_a2(sets_for(name, spec)[-1])
+        h = float(np.diff(dual_xi(spec)[0])[0])
+        edges = [0, 1, M - 2, M - 1]
+        for j in range(n):
+            want = fd4(a2.values, n + j, h)
+            self._close(a2.grad_xi[j], want)
+            self._close(np.take(a2.grad_xi[j], edges, axis=n + j),
+                        np.take(want, edges, axis=n + j))
 
 
 class TestSymbolSeminorm:

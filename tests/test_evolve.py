@@ -464,6 +464,22 @@ def _phi_table(z):
     return [row[:, k].reshape(np.shape(z)) for k in range(4)]
 
 
+class TestPhi:
+    # z crosses the closed-form/series switch at |z| = 0.2 on both sides,
+    # on the imaginary axis where the mean symbol puts it and off it
+    Z = np.concatenate([1j * np.linspace(-3.0, 3.0, 601),
+                        np.linspace(-2.0, 0.5, 51) + 0.1j])
+
+    def test_against_expm(self):
+        for got, want in zip(evolve._phi(self.Z), _phi_table(self.Z)[1:]):
+            assert np.max(np.abs(got - want) / np.abs(want)) < 2e-13
+
+    def test_phi_1_alone_is_the_first_of_three(self):
+        assert np.array_equal(evolve._phi(self.Z, last=1)[0],
+                              evolve._phi(self.Z)[0])
+        assert len(evolve._phi(self.Z, last=1)) == 1
+
+
 def _physical_rk4(prob, steps):
     """Reference march: ETD-RK4 (Cox & Matthews) on grid values.
 
