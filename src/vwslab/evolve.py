@@ -5,14 +5,29 @@ A u = sum_ij D_i(a_ij (D_j u)), B u = sum_k b_k (D_k u), V u = V u,
 D = -i d/dx computed spectrally, and a source g constant in time.
 
 ``march``, the one time loop, works on the raw FFT coefficients
-u_hat = ``grid.fft(u)``; ``solve`` and ``sup_differences`` consume it and
-form grid values only for the final and recorded states.  The operator is
-built once per problem.  Every a_ij, b_k and V is split into its grid mean
-and a variable remainder; an entry that is constant on the grid, zero
-included, leaves no remainder.  The means make one Fourier symbol
+u_hat = ``grid.fft(u)`` of a stack of problems that share grid, T and step
+count, with a leading problem axis on u_hat, on the operator's symbol and
+remainders, on the step's tables and on the diagnostics; each member gets
+the numbers it would get marched alone, bit for bit.  ``solve_stack``,
+``solve`` (a stack of one) and ``sup_differences`` consume it and form grid
+values only for the final and recorded states.  The operator is built once
+per stack.  Every a_ij, b_k and V is split into its grid mean and a
+variable remainder; an entry that is constant on the grid, zero included,
+leaves no remainder.  The means make one Fourier symbol
 Lambda = sum mean(a_ij) kappa_i kappa_j + sum mean(b_k) kappa_k + mean(V),
 and only the remainders go through transforms.  ``apply_spatial`` is the
 whole operator between one forward and one inverse transform.
+
+Which marches are stacked: ``vwsnet.march_ladder`` marches the members of
+a ``net`` or ``solve`` ladder after its probe as one stack for each step
+count among them, so on net-1d-delta (1D, M=256) four members share every
+transform and array pass of one 16-level march.  ``sup_differences``
+marches each problem as its own stack of one, in lockstep, so uniqueness
+pairs and the consistency ladder are not stacked: a stack pays for the
+union of its members' variable coefficients (the base problem of a
+uniqueness pair would take the perturbed one's variable a_12, b and V), and
+uniq-2d-ultra with each pair stacked ran slower in-process (median of six
+runs on a 2-vCPU VM: 0.31 s against 0.29 s apart).
 
 The stepper is ETD-RK4 (exponential time differencing with RK4 stages;
 Cox & Matthews, J. Comput. Phys. 176 (2002), in the form of Kassam &
@@ -73,7 +88,23 @@ class EvolveError(RuntimeError):
 
 
 class Instability(EvolveError):
-    """Raised when the norm explodes within a single step."""
+    """Raised when the norm of one member of a march grows more than
+    tenfold in one step.
+
+    ``member`` is its position in the marched stack, or in the lockstep of
+    ``sup_differences``; ``eps`` is None until a caller that knows the
+    member's epsilon sets it, and the message then names it.
+    """
+
+    def __init__(self, ratio: float, t: float, dt: float, member: int):
+        super().__init__(ratio, t, dt, member)
+        self.ratio, self.t, self.dt, self.member = ratio, t, dt, member
+        self.eps = None
+
+    def __str__(self) -> str:
+        where = "" if self.eps is None else f" for eps = {self.eps!r}"
+        return (f"norm grew x{self.ratio:.1f} in one step at t = {self.t:.4g} "
+                f"(dt = {self.dt:.3g}){where}; generator likely under-resolved")
 
 
 @dataclass
@@ -146,23 +177,37 @@ def stable_dt(cs: CoefficientSet) -> float:
 
 
 class _Operator:
-    """Raw coefficients u_hat (``grid.fft``) -> raw coefficients of (A + B + V) u.
+    """Raw coefficients u_hat (``grid.fft``) -> raw coefficients of (A + B + V) u,
+    for a stack of problems on one grid: u_hat has a leading problem axis.
 
-    Built once per problem.  The grid means of all coefficients make the
-    symbol sum mean(a_ij) kappa_i kappa_j + sum mean(b_k) kappa_k + mean(V);
+    Built once per stack.  The grid means of each member's coefficients make
+    its symbol sum mean(a_ij) kappa_i kappa_j + sum mean(b_k) kappa_k + mean(V);
     the remainders take one inverse per needed D_j u, one forward per row i
     with a variable a_ij and one forward shared by the variable b_k and V.
+    An entry variable in any member has a remainder in all, zero where it is
+    constant; the zero terms add exactly, so each member gets the numbers of
+    a stack of its own.
     """
 
-    def __init__(self, cs: CoefficientSet):
-        n = cs.n
-        km = cs.spec.kappa_mesh()
-        symbol = np.zeros(cs.spec.shape)
+    def __init__(self, sets: list):
+        spec, n = sets[0].spec, sets[0].n
+        self.n, km = n, spec.kappa_mesh()
+
+        def split(arrs):
+            # (means shaped to broadcast over the stack, stacked remainders or None)
+            parts = [_split(arr) for arr in arrs]
+            means = np.reshape([c for c, _ in parts], (len(parts),) + (1,) * n)
+            if all(r is None for _, r in parts):
+                return means, None
+            return means, np.stack([np.zeros(spec.shape) if r is None else r
+                                    for _, r in parts])
+
+        symbol = np.zeros((len(sets),) + spec.shape)
         self.rows = []  # (kappa_i, [(j, remainder of a_ij)]) for each row with one
         for i in range(n):
             variable = []
             for j in range(n):
-                c, r = _split(cs.a[i][j])
+                c, r = split([cs.a[i][j] for cs in sets])
                 symbol = symbol + c * km[i] * km[j]
                 if r is not None:
                     variable.append((j, r))
@@ -170,11 +215,11 @@ class _Operator:
                 self.rows.append((km[i], variable))
         self.drift = []  # (k, remainder of b_k) for each variable b_k
         for k in range(n):
-            c, r = _split(cs.b[k])
+            c, r = split([cs.b[k] for cs in sets])
             symbol = symbol + c * km[k]
             if r is not None:
                 self.drift.append((k, r))
-        c, self.V = _split(cs.V)
+        c, self.V = split([cs.V for cs in sets])
         self.symbol = symbol + c
         needed = {j for _, row in self.rows for j, _ in row}
         needed |= {k for k, _ in self.drift}
@@ -182,15 +227,16 @@ class _Operator:
 
     def remainder(self, uh: np.ndarray) -> np.ndarray:
         """The variable part alone: (A + B + V) u minus the symbol term."""
-        du = {j: ifft(kj * uh) for j, kj in self.kappa}
+        n = self.n
+        du = {j: ifft(kj * uh, n) for j, kj in self.kappa}
         out = np.zeros_like(uh)
         for ki, row in self.rows:
-            out += ki * fft(sum(r * du[j] for j, r in row))
+            out += ki * fft(sum(r * du[j] for j, r in row), n)
         if self.drift or self.V is not None:
-            lower = 0.0 if self.V is None else self.V * ifft(uh)
+            lower = 0.0 if self.V is None else self.V * ifft(uh, n)
             for k, rk in self.drift:
                 lower = lower + rk * du[k]
-            out += fft(lower)
+            out += fft(lower, n)
         return out
 
     def __call__(self, uh: np.ndarray) -> np.ndarray:
@@ -201,7 +247,8 @@ def apply_spatial(cs: CoefficientSet, u: Field | np.ndarray) -> np.ndarray:
     """A u + B u + V u on raw values: the coefficient-space operator of
     ``solve`` between one forward and one inverse transform."""
     vals = u.values if isinstance(u, Field) else u
-    return ifft(_Operator(cs)(fft(vals)))
+    n = cs.spec.n
+    return ifft(_Operator([cs])(fft(vals[None], n)), n)[0]
 
 
 def _phi(z: np.ndarray, last: int = 3) -> list:
@@ -227,18 +274,22 @@ def _phi(z: np.ndarray, last: int = 3) -> list:
 
 
 class _Step:
-    """One ETD-RK4 step of length h on raw coefficients (Kassam & Trefethen's
-    form of Cox & Matthews' scheme).
+    """One ETD-RK4 step of length h on the raw coefficients of a stack
+    (Kassam & Trefethen's form of Cox & Matthews' scheme).
 
     du/dt = c u + F(u) with c = i Lambda the mean symbol and
     F = i(remainder u + g), autonomous since g is constant in time;
     e^{ch}, e^{ch/2} and the phi-function weights are built once per step
-    length, and g is transformed once.
+    length, and g is transformed once, zero for a member without one.
     """
 
-    def __init__(self, op: _Operator, forcing: Field | None, h: float):
+    def __init__(self, op: _Operator, forcings: list, h: float):
         self.op, self.h = op, h
-        self.gh = None if forcing is None else fft(forcing.values)
+        self.gh = None
+        if any(g is not None for g in forcings):
+            shape = op.symbol.shape[1:]
+            self.gh = fft(np.stack([np.zeros(shape) if g is None else g.values
+                                    for g in forcings]), op.n)
         z = 1j * h * op.symbol
         self.E, self.E2 = np.exp(z), np.exp(z / 2.0)
         self.Q = h / 2.0 * _phi(z / 2.0, last=1)[0]
@@ -263,22 +314,21 @@ class _Step:
         c = E2 * a + Q * (2.0 * Fb - Fu)
         Fc = self._F(c)
         new = self.E * uh + self.f1 * Fu + self.f2 * (Fa + Fb) + self.f3 * Fc
-        # by Parseval the coefficient norms have the ratio of the value norms
-        before = np.linalg.norm(uh)
-        after = np.linalg.norm(new)
-        if before > 0 and after > 10.0 * before:
-            raise Instability(
-                f"norm grew x{after / before:.1f} in one step at t = {t:.4g} "
-                f"(dt = {h:.3g}); generator likely under-resolved"
-            )
+        # by Parseval the coefficient norms have the ratio of the value
+        # norms; each member is checked against its own norm
+        for p, (u0, u1) in enumerate(zip(uh, new)):
+            before, after = np.linalg.norm(u0), np.linalg.norm(u1)
+            if before > 0 and after > 10.0 * before:
+                raise Instability(float(after / before), t, h, p)
         return new
 
 
 def step_rk4(u: Field, t: float, dt: float, prob: EvolutionProblem) -> Field:
     """One ETD-RK4 step of the first-order system, the step ``march``
     takes, on grid values."""
-    step = _Step(_Operator(prob.cs), prob.forcing, dt)
-    return Field(u.spec, ifft(step(fft(u.values), t)))
+    step = _Step(_Operator([prob.cs]), [prob.forcing], dt)
+    n = u.spec.n
+    return Field(u.spec, ifft(step(fft(u.values[None], n), t), n)[0])
 
 
 @dataclass
@@ -303,11 +353,11 @@ def _norm_weight(spec: GridSpec, s: float) -> np.ndarray:
 
 
 class _Diagnostics:
-    """Raw coefficients -> (||u||_s, ||<x>^{-N/2} Lambda^{s+1/2} u||_0^2) for
-    each s in s_list.
+    """Raw coefficients of a stack -> (problem, s, [||u||_s,
+    ||<x>^{-N/2} Lambda^{s+1/2} u||_0^2]) for each s in s_list.
 
-    The norm needs no transform; each integrand takes one inverse, and its
-    L^2 norm is taken by Plancherel on the grid values.
+    The norm needs no transform; each integrand takes one inverse of the
+    stack, and its L^2 norm is taken by Plancherel on the grid values.
     """
 
     def __init__(self, spec: GridSpec, s_list, N: int):
@@ -315,12 +365,16 @@ class _Diagnostics:
         self.norm_weights = [_norm_weight(spec, s) for s in s_list]
         self.lifts = [bra ** (s + 0.5) for s in s_list]
         self.x_weight = spec.h**spec.n * (1.0 + spec.x_norm_sq()) ** (-N / 2.0)
+        self.n, self.axes = spec.n, tuple(range(-spec.n, 0))
 
-    def __call__(self, uh: np.ndarray) -> list:
+    def __call__(self, uh: np.ndarray) -> np.ndarray:
         power = np.abs(uh) ** 2
-        return [(float(np.sqrt(np.sum(w * power))),
-                 float(np.sum(self.x_weight * np.abs(ifft(uh * lift)) ** 2)))
-                for w, lift in zip(self.norm_weights, self.lifts)]
+        out = np.empty((len(uh), len(self.lifts), 2))
+        for k, (w, lift) in enumerate(zip(self.norm_weights, self.lifts)):
+            out[:, k, 0] = np.sqrt(np.sum(w * power, axis=self.axes))
+            out[:, k, 1] = np.sum(self.x_weight * np.abs(ifft(uh * lift, self.n)) ** 2,
+                                  axis=self.axes)
+        return out
 
 
 @dataclass
@@ -345,14 +399,22 @@ def shared_steps(probs: list, levels: int | None = None) -> int:
     return steps + 1 if T / steps > min(p.dt_bound for p in probs) else steps
 
 
-def march(prob: EvolutionProblem, steps: int | None = None):
-    """Yield (t, fft(u)) at t = 0 and after each of `steps` equal ETD-RK4
-    steps to T; by default ``shared_steps([prob])``."""
+def _check_shared(probs: list) -> None:
+    first = probs[0]
+    if any(p.T != first.T or p.cs.spec != first.cs.spec for p in probs):
+        raise EvolveError("marched problems must share the grid and T")
+
+
+def march(probs: list, steps: int | None = None):
+    """Yield (t, u_hat) at t = 0 and after each of `steps` equal ETD-RK4
+    steps to T, by default ``shared_steps(probs)``; u_hat stacks fft(u) of
+    the problems, which share grid and T, along a leading axis."""
+    _check_shared(probs)
     if steps is None:
-        steps = shared_steps([prob])
-    dt = prob.T / steps
-    step = _Step(_Operator(prob.cs), prob.forcing, dt)
-    uh, t = fft(prob.u0.values), 0.0
+        steps = shared_steps(probs)
+    dt, n = probs[0].T / steps, probs[0].cs.spec.n
+    step = _Step(_Operator([p.cs for p in probs]), [p.forcing for p in probs], dt)
+    uh, t = fft(np.stack([p.u0.values for p in probs]), n), 0.0
     yield t, uh
     for _ in range(steps):
         uh = step(uh, t)
@@ -360,25 +422,53 @@ def march(prob: EvolutionProblem, steps: int | None = None):
         yield t, uh
 
 
-def solve(prob: EvolutionProblem, record_states: bool = False,
-          steps: int | None = None) -> SolveResult:
-    """March to T in `steps` equal steps, by default ``shared_steps([prob])``,
-    recording norms at every step."""
-    spec = prob.cs.spec
-    diagnose = _Diagnostics(spec, prob.s_list, prob.N_weight)
+def solve_stack(probs: list, record_states: bool = False,
+                steps: int | None = None) -> list:
+    """``solve`` of each problem, in one march of them all as a stack: they
+    share grid, T, s_list and N_weight and march `steps` equal steps, by
+    default ``shared_steps(probs)``.  Each SolveResult has the numbers of
+    its problem solved alone."""
+    first = probs[0]
+    if any(p.s_list != first.s_list or p.N_weight != first.N_weight for p in probs):
+        raise EvolveError("stacked problems must share s_list and N_weight")
+    spec = first.cs.spec
+    diagnose = _Diagnostics(spec, first.s_list, first.N_weight)
     ts, rows, states = [], [], []
-    for t, uh in march(prob, steps):
+    for t, uh in march(probs, steps):
         ts.append(t)
         rows.append(diagnose(uh))
         if record_states:
-            states.append(ifft(uh))
+            states.append(ifft(uh, spec.n))
     ts = np.array(ts)
-    rows = np.array(rows)  # (step, s, [norm, integrand])
-    norms = {s: rows[:, i, 0] for i, s in enumerate(prob.s_list)}
-    integrand = {s: rows[:, i, 1] for i, s in enumerate(prob.s_list)}
-    integral = {s: cumulative_trapezoid(ts, v) for s, v in integrand.items()}
-    return SolveResult(Field(spec, ifft(uh)), NormSeries(ts, norms, integrand, integral),
-                       states if record_states else None)
+    rows = np.array(rows)  # (level, problem, s, [norm, integrand])
+    finals = ifft(uh, spec.n)
+    results = []
+    for p, final in enumerate(finals):
+        norms = {s: rows[:, p, i, 0] for i, s in enumerate(first.s_list)}
+        integrand = {s: rows[:, p, i, 1] for i, s in enumerate(first.s_list)}
+        integral = {s: cumulative_trapezoid(ts, v) for s, v in integrand.items()}
+        results.append(SolveResult(Field(spec, final),
+                                   NormSeries(ts, norms, integrand, integral),
+                                   [u[p] for u in states] if record_states else None))
+    return results
+
+
+def solve(prob: EvolutionProblem, record_states: bool = False,
+          steps: int | None = None) -> SolveResult:
+    """March to T in `steps` equal steps, by default ``shared_steps([prob])``,
+    recording norms at every step: ``solve_stack`` of a stack of one."""
+    return solve_stack([prob], record_states, steps)[0]
+
+
+def _lockstep_member(k: int, prob: EvolutionProblem, steps: int):
+    """(t, fft(u)) of ``march`` of prob alone, as member k of a lockstep:
+    an Instability of its march says k."""
+    try:
+        for t, uh in march([prob], steps):
+            yield t, uh[0]
+    except Instability as exc:
+        exc.member = k
+        raise
 
 
 def sup_differences(ref: EvolutionProblem, others: list, s: float,
@@ -387,16 +477,15 @@ def sup_differences(ref: EvolutionProblem, others: list, s: float,
     [fft(u(T)) of ref and of each problem in others]).
 
     All problems are marched in lockstep, in `steps` equal steps, by default
-    ``shared_steps`` of them all, so they share every time level; only the
-    current states are held.
+    ``shared_steps`` of them all, so they share every time level; each is
+    a stack of its own, and only the current states are held.
     """
     probs = [ref, *others]
-    if any(p.T != ref.T or p.cs.spec != ref.cs.spec for p in others):
-        raise EvolveError("compared problems must share the grid and T")
+    _check_shared(probs)
     if steps is None:
         steps = shared_steps(probs)
     weight, sq = _norm_weight(ref.cs.spec, s), np.zeros(len(others))
-    for level in zip(*(march(p, steps) for p in probs)):
+    for level in zip(*(_lockstep_member(k, p, steps) for k, p in enumerate(probs))):
         uh_ref = level[0][1]
         sq = np.maximum(sq, [np.sum(weight * np.abs(uh - uh_ref) ** 2)
                              for _, uh in level[1:]])
@@ -420,13 +509,13 @@ def dense_oracle(prob: EvolutionProblem) -> Field:
 
     from scipy.linalg import expm
 
-    size = spec.size
+    size, n = spec.size, spec.n
     aug = np.zeros((size + 1, size + 1), dtype=complex)
-    basis = np.zeros(size, dtype=complex)
-    for j in range(size):
-        basis[:] = 0.0
-        basis[j] = 1.0
-        aug[:size, j] = 1j * apply_spatial(prob.cs, basis.reshape(spec.shape)).ravel()
+    # G applied to every unit vector at once, a stack that the operator of
+    # the one problem broadcasts over; row j of the stack is column j of G
+    basis = np.eye(size, dtype=complex).reshape((size,) + spec.shape)
+    columns = ifft(_Operator([prob.cs])(fft(basis, n)), n)
+    aug[:size, :size] = 1j * columns.reshape(size, size).T
     if prob.forcing is not None:
         aug[:size, size] = 1j * prob.forcing.values.ravel()
     state = np.concatenate([prob.u0.values.ravel(), [1.0]])

@@ -9,7 +9,9 @@ independently of the order.
 
 ``fft``/``ifft`` are the raw transform pair underneath ``forward`` and
 ``inverse``: no 1/size and no phase, for code that stays in coefficient
-space and only needs the pair to invert each other.
+space and only needs the pair to invert each other.  They transform the
+trailing n spatial axes only, so a leading axis of a stack of fields rides
+along.
 
 Every array that depends on the grid alone (the meshes, |kappa|^2,
 <kappa>, |x|^2 and the transform phase) is built once per GridSpec and
@@ -146,19 +148,25 @@ def _phase(spec: GridSpec) -> np.ndarray:
     return _tables(spec).phase
 
 
-def fft(values: np.ndarray) -> np.ndarray:
-    """Raw discrete Fourier coefficients of grid values: no 1/size, no phase.
+def fft(values: np.ndarray, n: int) -> np.ndarray:
+    """Raw discrete Fourier coefficients of grid values over their trailing
+    n axes: no 1/size, no phase.  Leading axes are a stack of fields, each
+    transformed as it would be alone.
 
     ``ifft`` inverts it exactly.  ``forward`` and ``inverse`` are these two
     with the normalisation and the phase of the e^{i kappa x} basis applied.
     """
-    # same numbers as fftn; the 1D call skips fftn's per-axis set-up
-    return np.fft.fft(values) if values.ndim == 1 else np.fft.fftn(values)
+    # the same numbers as fftn, which also takes the last axis first, without
+    # its per-call set-up
+    out = np.fft.fft(values)
+    return out if n == 1 else np.fft.fft(out, axis=-2)
 
 
-def ifft(coeffs: np.ndarray) -> np.ndarray:
-    """Grid values of raw coefficients, the inverse of :func:`fft`."""
-    return np.fft.ifft(coeffs) if coeffs.ndim == 1 else np.fft.ifftn(coeffs)
+def ifft(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Grid values of raw coefficients over their trailing n axes, the
+    inverse of :func:`fft`."""
+    out = np.fft.ifft(coeffs)
+    return out if n == 1 else np.fft.ifft(out, axis=-2)
 
 
 def forward(u: Field | np.ndarray, spec: GridSpec | None = None) -> np.ndarray:
@@ -170,12 +178,12 @@ def forward(u: Field | np.ndarray, spec: GridSpec | None = None) -> np.ndarray:
         spec, values = u.spec, u.values
     else:
         values = u
-    return fft(values) / spec.size * _phase(spec)
+    return fft(values, spec.n) / spec.size * _phase(spec)
 
 
 def inverse(coeffs: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Inverse of :func:`forward`, returning grid values."""
-    return ifft(coeffs / _phase(spec) * spec.size)
+    return ifft(coeffs / _phase(spec) * spec.size, spec.n)
 
 
 def sobolev_norm(u: Field, s: float) -> float:

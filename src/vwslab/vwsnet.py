@@ -3,14 +3,15 @@ classical-consistency verdicts for the regularised Cauchy problems."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .coeffs import (CoefficientModel, CoefficientSet, HypothesisReport,
                      check_hypotheses, regularise, sample)
-from .evolve import (COARSE, LEVELS, TOL, EvolutionProblem, shared_steps, solve,
-                     sup_differences)
+from .evolve import (COARSE, LEVELS, TOL, EvolutionProblem, Instability,
+                     shared_steps, solve_stack, sup_differences)
 from .grid import Field, GridSpec, inverse
 from .mollify import Mollifier, ScaleFn, fit_slope, mollify
 
@@ -163,9 +164,10 @@ def probe_levels(eps: float, probs: list, answer, params: NetParams) -> tuple:
     """March the smallest-eps member of a ladder, and choose from it the
     level count of every other member.
 
-    ``answer(probs, steps)`` marches the member's problems in lockstep in
-    `steps` equal steps and returns (result, finals, numbers): the member's
-    result, u(T) of each problem and the numbers the member reports.
+    ``answer(members, steps)`` marches members, a dict eps -> the member's
+    problems, in `steps` equal steps, the problems of each in lockstep, and
+    returns for each member in order (result, finals, numbers): its result,
+    u(T) of each of its problems and the numbers it reports.
 
     - With ``params.dt`` set, the member marches at it and nothing is probed.
     - Else the member marches at LEVELS, and that result is kept.  If the
@@ -177,52 +179,85 @@ def probe_levels(eps: float, probs: list, answer, params: NetParams) -> tuple:
 
     Returns (LevelProbe, the member's step count, its result).
     """
+    def alone(steps):
+        return answer({eps: probs}, steps)[0]
+
     if params.dt is not None:
         steps = shared_steps(probs)
-        return LevelProbe(None, None, None), steps, answer(probs, steps)[0]
+        return LevelProbe(None, None, None), steps, alone(steps)[0]
     fine, coarse = shared_steps(probs, LEVELS), shared_steps(probs, COARSE)
-    result, *kept = answer(probs, fine)
+    result, *kept = alone(fine)
     if coarse >= fine:
         return LevelProbe(eps, LEVELS, None), fine, result
-    _, *trial = answer(probs, coarse)
+    _, *trial = alone(coarse)
     gap = max(_relative_gap(a, b) for side, trial_side in zip(kept, trial)
               for a, b in zip(side, trial_side))
     return LevelProbe(eps, COARSE if gap <= TOL else LEVELS, gap), fine, result
 
 
+@contextmanager
+def _naming(eps_of: list):
+    """Let an Instability name the eps of the member that blew up:
+    eps_of[its member]."""
+    try:
+        yield
+    except Instability as exc:
+        exc.eps = eps_of[exc.member]
+        raise
+
+
 def _solve_answer(record_states: bool):
-    """``probe_levels``'s answer for a member of one problem: its SolveResult,
-    u(T), and the sup norm and final smoothing integral for each s."""
-    def answer(probs, steps):
-        res = solve(probs[0], record_states, steps)
-        series = res.series
-        return res, [res.final.values], [f(s) for f in (series.sup_norm,
-                                                         series.final_integral)
-                                          for s in series.norms]
+    """``probe_levels``'s answer for members of one problem each, marched as
+    one stack: each SolveResult, u(T), and the sup norm and final smoothing
+    integral for each s."""
+    def answer(members, steps):
+        with _naming(list(members)):
+            results = solve_stack([probs[0] for probs in members.values()],
+                                  record_states, steps)
+        return [(res, [res.final.values],
+                 [f(s) for f in (res.series.sup_norm, res.series.final_integral)
+                  for s in res.series.norms])
+                for res in results]
     return answer
 
 
-def march_ladder(ladder_eps: list, build, answer, params: NetParams):
-    """Yield (eps, result, health) for every eps of a ladder, in its order,
-    at the level count that ``probe_levels`` chooses on the last, smallest
-    eps; that member is marched first.  ``build(eps)`` gives a member's
-    problems, built only when they are marched, and ``answer`` is that of
-    ``probe_levels``."""
+def march_ladder(ladder_eps: list, build, answer, params: NetParams,
+                 stack: bool = False) -> list:
+    """(eps, result, health) for every eps of a ladder, in its order, at the
+    level count that ``probe_levels`` chooses on the last, smallest eps;
+    that member is marched first.  ``build(eps)`` gives a member's problems
+    and ``answer`` is that of ``probe_levels``.  With ``stack`` the other
+    members go to ``answer`` together, one call for each step count among
+    them; else one by one, each built when it is marched."""
     *rest, last = ladder_eps
     probe, last_steps, last_result = probe_levels(last, build(last), answer, params)
+    done = {}
+
+    def record(members, steps):
+        for eps, (result, *_) in zip(members, answer(members, steps)):
+            done[eps] = result, probe.health(params.T, steps)
+
+    groups = {}  # step count -> {eps: problems}
     for eps in rest:
         probs = build(eps)
         steps = shared_steps(probs, probe.levels)
-        yield eps, answer(probs, steps)[0], probe.health(params.T, steps)
-    yield last, last_result, probe.health(params.T, last_steps)
+        if stack:
+            groups.setdefault(steps, {})[eps] = probs
+        else:
+            record({eps: probs}, steps)
+    for steps, members in groups.items():
+        record(members, steps)
+    return ([(eps, *done[eps]) for eps in rest]
+            + [(last, last_result, probe.health(params.T, last_steps))])
 
 
-def solve_ladder(members: dict, params: NetParams, record_states: bool = False):
+def solve_ladder(members: dict, params: NetParams, record_states: bool = False) -> list:
     """``march_ladder`` over the members of ``ladder``, one problem each,
-    yielding their SolveResults."""
+    stacked, with their SolveResults."""
     def build(eps):
         return [problem(members[eps]["cs"], members[eps]["u0"], params)]
-    return march_ladder(list(members), build, _solve_answer(record_states), params)
+    return march_ladder(list(members), build, _solve_answer(record_states), params,
+                        stack=True)
 
 
 def run_net(model: CoefficientModel, u0: Field, params: NetParams) -> EpsilonNet:
@@ -328,12 +363,16 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
 
 
 def _difference_answer(s: float):
-    """``probe_levels``'s answer for a member compared with a reference, the
-    first of its two problems: sup_t ||u - u_ref||_s, both u(T), and that
-    difference."""
-    def answer(probs, steps):
-        diffs, finals = sup_differences(probs[0], probs[1:], s, steps)
-        return diffs[0], finals, diffs
+    """``probe_levels``'s answer for members compared with a reference, the
+    first of each member's two problems, marched member by member:
+    sup_t ||u - u_ref||_s, both u(T), and that difference."""
+    def answer(members, steps):
+        out = []
+        for eps, probs in members.items():
+            with _naming([eps] * len(probs)):
+                diffs, finals = sup_differences(probs[0], probs[1:], s, steps)
+            out.append((diffs[0], finals, diffs))
+        return out
     return answer
 
 
@@ -358,9 +397,11 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams,
     *rest, last = members
     probe, last_steps, last_error = probe_levels(
         params.eps_ladder[-1], [classical, last], _difference_answer(s), params)
-    # one march takes the classical problem and every other member to T
+    # one lockstep takes the classical problem and every other member to T
     steps = shared_steps([classical, *rest], probe.levels)
-    errors = np.array(sup_differences(classical, rest, s, steps)[0] + [last_error])
+    with _naming([None, *params.eps_ladder[:-1]]):
+        diffs = sup_differences(classical, rest, s, steps)[0]
+    errors = np.array(diffs + [last_error])
     values = {float(e): float(v) for e, v in zip(params.eps_ladder, errors)}
     decreasing = bool(np.all(np.diff(errors) < 0.0))
     final_ok = bool(errors[-1] < tol)

@@ -332,6 +332,8 @@ class TestRunReportContract:
         assert verdict["pass"] is False
         assert verdict["error"].startswith("Instability: norm grew x")
         assert "in one step at t = 0" in verdict["error"]
+        # the probe, the smallest eps, blows up first
+        assert f"for eps = {cfg['ladder'][-1]!r};" in verdict["error"]
         assert verdict["traceback"].splitlines()[-1].startswith(
             "vwslab.evolve.Instability: norm grew x")
 

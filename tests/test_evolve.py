@@ -8,8 +8,8 @@ from vwslab.coeffs import (CoefficientModel, Pointwise, preset, regularise,
                            sample)
 from vwslab.evolve import (EvolutionProblem, EvolveError, Instability,
                            apply_spatial, dense_oracle, march,
-                           smoothing_report, solve, stable_dt, step_rk4,
-                           sup_differences)
+                           smoothing_report, solve, solve_stack, stable_dt,
+                           step_rk4, sup_differences)
 from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
 from vwslab.mollify import ScaleFn
 from vwslab import evolve
@@ -340,7 +340,7 @@ class TestOneTransformPaths:
         spec = make_grid(n, 32, 6.0)
         u = rough_field(spec, 0.0, seed=n + N)
         s_list = (-0.5, 0.0, 1.0, 2.0)
-        rows = _Diagnostics(spec, s_list, N)(fft(u.values))
+        rows = _Diagnostics(spec, s_list, N)(fft(u.values[None], n))[0]
         for s, (norm, integrand) in zip(s_list, rows):
             assert norm == pytest.approx(sobolev_norm(u, s), rel=1e-12)
             ref = sobolev_norm(weight_field(apply_lambda(u, s + 0.5), -N / 2.0),
@@ -359,7 +359,7 @@ class TestOneTransformPaths:
     def test_diagnostics_fft_budget(self, monkeypatch, s_list):
         spec = make_grid(2, 16, np.pi)
         diagnose = _Diagnostics(spec, s_list, 2)
-        uh = fft(random_field(spec, seed=3).values)
+        uh = fft(random_field(spec, seed=3).values[None], spec.n)
         calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
         diagnose(uh)
         assert calls["n"] == len(s_list)
@@ -419,8 +419,8 @@ class TestDefaultStep:
         got = solve(prob, steps=COARSE)
         np.testing.assert_allclose(got.series.t, np.linspace(0.0, 0.5, COARSE + 1),
                                    rtol=1e-12)
-        want = list(march(prob, COARSE))[-1][1]
-        _close(got.final.values, evolve.ifft(want))
+        want = list(march([prob], COARSE))[-1][1]
+        _close(got.final.values, evolve.ifft(want, spec.n)[0])
 
     @pytest.mark.parametrize("data", ["delta", "rough"])
     @pytest.mark.parametrize("name", ["free", "delta-potential"])
@@ -600,7 +600,7 @@ class TestCoefficientMarch:
         cs.V = np.full(spec.shape, 0.7)
         u = rough_field(spec, 0.0, seed=7)
         _close(apply_spatial(cs, u), _apply_spatial_per_axis(cs, u.values))
-        op, uh = _Operator(cs), fft(u.values)
+        op, uh = _Operator([cs]), fft(u.values[None], spec.n)
         calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
         op(uh)
         assert calls["n"] == 0
@@ -612,7 +612,7 @@ class TestCoefficientMarch:
     def test_rhs_fft_budget(self, monkeypatch, name, n, ffts):
         spec = make_grid(n, 16, np.pi)
         cs = regularise(preset(name, n=n), 2**-4, ScaleFn("loglog"), spec)
-        op, uh = _Operator(cs), fft(random_field(spec, seed=2).values)
+        op, uh = _Operator([cs]), fft(random_field(spec, seed=2).values[None], n)
         calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
         op(uh)
         assert calls["n"] == ffts
@@ -733,21 +733,129 @@ class TestMarch:
         cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
         prob = EvolutionProblem(cs, random_field(spec, seed=24),
                                 random_field(spec, seed=25), T=0.03)
-        levels = list(march(prob))
+        levels = list(march([prob]))
         ref = _physical_rk4(prob, len(levels) - 1)
         np.testing.assert_allclose([t for t, _ in levels],
                                    np.linspace(0.0, prob.T, len(levels)), rtol=1e-12)
         for (_, uh), want in zip(levels, ref):
-            _close(evolve.ifft(uh), want)
+            _close(evolve.ifft(uh, spec.n)[0], want)
 
     def test_given_step_count(self):
         spec = make_grid(1, 32, np.pi)
         prob = EvolutionProblem(free_set(spec), random_field(spec, seed=26),
                                 T=0.5)
-        steps = len(list(march(prob))) - 1 + 3
-        ts = [t for t, _ in march(prob, steps)]
+        steps = len(list(march([prob]))) - 1 + 3
+        ts = [t for t, _ in march([prob], steps)]
         assert len(ts) == steps + 1
         np.testing.assert_allclose(np.diff(ts), 0.5 / steps, rtol=1e-12)
+
+
+def _assert_same_result(got, want):
+    """Two SolveResults hold the same numbers, bit for bit."""
+    assert np.array_equal(got.final.values, want.final.values)
+    assert np.array_equal(got.series.t, want.series.t)
+    for table in ("norms", "integrand", "integral"):
+        a, b = getattr(got.series, table), getattr(want.series, table)
+        assert a.keys() == b.keys()
+        for s in a:
+            assert np.array_equal(a[s], b[s]), (table, s)
+    assert (got.states is None) == (want.states is None)
+    if want.states is not None:
+        assert len(got.states) == len(want.states)
+        for x, y in zip(got.states, want.states):
+            assert np.array_equal(x, y)
+
+
+def _stack_case(case):
+    """Problems of one grid and T that differ in coefficients, data and
+    forcing, with the s list of the net-1d-delta workload."""
+    if case == "delta-potential-1d":
+        # the net-1d-delta ladder on a smaller grid
+        spec = make_grid(1, 64, 8.0)
+        params = NetParams(spec=spec, T=0.125, s_list=(0.0, 1.0))
+        members = ladder(preset("delta-potential", n=1), params, delta_field(spec))
+        return [EvolutionProblem(m["cs"], m["u0"], T=params.T, s_list=params.s_list)
+                for m in members.values()]
+    if case == "ultra-diagonal-2d":
+        spec = make_grid(2, 16, 8.0)
+        sets = [preset_set("ultra-diagonal", spec, eps) for eps in (2**-3, 2**-5, 2**-7)]
+    else:
+        # a source on some members only, and members that differ in which
+        # coefficients are constant: none, V, b or a_11 variable
+        spec = make_grid(1, 64, 8.0)
+        sets = [preset_set(name, spec) for name in
+                ("free", "delta-potential", "jump-drift", "smooth-consistency")]
+    forcing = case == "forcing-1d"
+    return [EvolutionProblem(cs, random_field(spec, seed=40 + k),
+                             random_field(spec, seed=50 + k) if forcing and k % 2 else None,
+                             T=0.1, s_list=(0.0, 1.0))
+            for k, cs in enumerate(sets)]
+
+
+class TestSolveStack:
+    """A stack marches each member as it would march alone: the same
+    numbers bit for bit."""
+
+    @pytest.mark.parametrize("record_states", [False, True], ids=["norms", "states"])
+    @pytest.mark.parametrize("case", ["delta-potential-1d", "ultra-diagonal-2d",
+                                      "forcing-1d"])
+    def test_matches_one_by_one(self, case, record_states):
+        probs = _stack_case(case)
+        steps = shared_steps(probs)
+        got = solve_stack(probs, record_states, steps)
+        assert len(got) == len(probs)
+        for prob, res in zip(probs, got):
+            _assert_same_result(res, solve(prob, record_states, steps))
+
+    def test_one_march_for_the_stack(self, monkeypatch):
+        probs = _stack_case("forcing-1d")
+        marches = record_marches(monkeypatch)
+        solve_stack(probs)
+        assert [len(ts) - 1 for ts in marches] == [shared_steps(probs)]
+
+    def test_default_steps_are_shared(self):
+        # the smallest default step of the members sets the count of all: at
+        # T = 4 the jump-drift bound takes more than LEVELS steps
+        probs = [EvolutionProblem(p.cs, p.u0, p.forcing, T=4.0, s_list=p.s_list)
+                 for p in _stack_case("forcing-1d")]
+        got = solve_stack(probs)
+        assert {len(res.series.t) - 1 for res in got} == {shared_steps(probs)}
+        assert shared_steps(probs) > min(shared_steps([p]) for p in probs)
+
+    @pytest.mark.parametrize("change", [{"T": 0.2}, {"s_list": (0.0,)},
+                                        {"N_weight": 4}])
+    def test_rejects_members_that_differ(self, change):
+        probs = _stack_case("forcing-1d")[:2]
+        p = probs[1]
+        probs[1] = EvolutionProblem(p.cs, p.u0, p.forcing, **{
+            "T": p.T, "s_list": p.s_list, "N_weight": p.N_weight, **change})
+        with pytest.raises(EvolveError):
+            solve_stack(probs)
+
+    def test_instability_of_one_member(self):
+        # one step of 50 stability steps blows up the smooth-consistency
+        # member alone; the free members are exact at any step, and their
+        # norms, a million times larger, would hide its growth from a check
+        # of the whole stack
+        spec = make_grid(1, 64, np.pi)
+        cs = preset_set("smooth-consistency", spec)
+        T = 50 * stable_dt(cs)
+        big = Field(spec, 1e6 * random_field(spec, seed=1).values)
+        probs = [EvolutionProblem(free_set(spec), big, T=T),
+                 EvolutionProblem(cs, random_field(spec, seed=2), T=T),
+                 EvolutionProblem(free_set(spec), big, T=T)]
+        with pytest.raises(Instability) as info:
+            solve_stack(probs, steps=1)
+        exc = info.value
+        assert (exc.member, exc.t, exc.dt, exc.eps) == (1, 0.0, T, None)
+        assert exc.ratio > 10.0
+        assert str(exc).startswith(f"norm grew x{exc.ratio:.1f} in one step at t = 0 ")
+        # the free flow keeps norms: the stack as a whole grows far less
+        n0, n1, n2 = (np.linalg.norm(p.u0.values) for p in probs)
+        assert np.sqrt((n0**2 + (exc.ratio * n1)**2 + n2**2)
+                       / (n0**2 + n1**2 + n2**2)) < 10.0
+        for stable in (probs[0], probs[2]):
+            solve(stable, steps=1)
 
 
 class TestSupDifferences:
@@ -788,7 +896,7 @@ class TestSupDifferences:
         assert len(finals) == 1 + len(others)
         steps = evolve.shared_steps([ref, *others])
         for p, uh in zip([ref, *others], finals):
-            _close(evolve.ifft(uh), solve(p, steps=steps).final.values)
+            _close(evolve.ifft(uh, p.cs.spec.n), solve(p, steps=steps).final.values)
 
     def test_given_step_count(self, monkeypatch):
         ref, others = SUP_CASES["delta-potential-1d"]()
@@ -808,7 +916,7 @@ class TestSupDifferences:
         sup_differences(ref, others, 1.0)
         lockstep, calls["n"] = calls["n"], 0
         for p in [ref, *others]:
-            for _ in march(p, len(marches[0]) - 1):
+            for _ in march([p], len(marches[0]) - 1):
                 pass
         assert lockstep == calls["n"]
 

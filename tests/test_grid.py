@@ -184,16 +184,29 @@ class TestRawTransforms:
     def test_raw_pair_is_numpy_fftn(self, n):
         spec = make_grid(n, 16, 3.0)
         u = random_field(spec, seed=n)
-        uh = fft(u.values)
+        uh = fft(u.values, n)
         assert np.array_equal(uh, np.fft.fftn(u.values))
-        assert np.array_equal(ifft(uh), np.fft.ifftn(uh))
-        assert np.allclose(ifft(uh), u.values, atol=1e-14)
+        assert np.array_equal(ifft(uh, n), np.fft.ifftn(uh))
+        assert np.allclose(ifft(uh, n), u.values, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_forward_is_raw_times_phase_over_size(self, n):
         spec = make_grid(n, 16, 3.0)
         u = random_field(spec, seed=n + 2)
         phase = np.exp(1j * spec.L * sum(spec.kappa_mesh()))
-        assert np.array_equal(forward(u), fft(u.values) / spec.size * phase)
+        assert np.array_equal(forward(u), fft(u.values, n) / spec.size * phase)
         c = forward(u)
-        assert np.array_equal(inverse(c, spec), ifft(c / phase * spec.size))
+        assert np.array_equal(inverse(c, spec), ifft(c / phase * spec.size, n))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_raw_pair_of_a_stack_is_row_by_row(self, n):
+        # a leading axis is a stack of fields: a (P, M) stack of 1D fields
+        # is not taken for one 2D field
+        spec = make_grid(n, 16, 3.0)
+        stack = np.stack([random_field(spec, seed=k).values for k in range(3)])
+        for pair in ((fft, ifft), (ifft, fft)):
+            first = pair[0](stack, n)
+            assert first.shape == stack.shape
+            for row, got in zip(stack, first):
+                assert np.array_equal(got, pair[0](row, n))
+            assert np.allclose(pair[1](first, n), stack, atol=1e-13)

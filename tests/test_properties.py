@@ -36,7 +36,7 @@ def close(got, want):
 @given(data=st.data(), spec=grids)
 def test_raw_pair_round_trip(data, spec):
     v = data.draw(values_on(spec))
-    close(ifft(fft(v)), v)
+    close(ifft(fft(v, spec.n), spec.n), v)
 
 
 @SETTINGS

@@ -3,12 +3,13 @@ import pytest
 
 from dataclasses import replace
 
-from conftest import LADDER, assert_da_is_the_derivative_of_a, record_marches
+from conftest import (LADDER, assert_da_is_the_derivative_of_a, random_field,
+                      record_marches)
 import vwslab
 from vwslab import evolve
 from vwslab.coeffs import ModelError, check_hypotheses, preset, regularise
 from vwslab.evolve import (COARSE, LEVELS, TOL, EvolutionProblem, EvolveError,
-                           solve, stable_dt)
+                           Instability, solve, stable_dt)
 from vwslab.grid import Field, make_grid, sobolev_norm, spectral_derivative
 from vwslab.mollify import Mollifier, ScaleFn, mollify, scale_omega
 from vwslab import vwsnet
@@ -16,8 +17,8 @@ from vwslab.vwsnet import (EpsilonNet, HypothesisFailure, NetError, NetParams,
                            LevelProbe, _bumps, _perturbed_set,
                            bump_perturbation, consistency_run, delta_field,
                            gaussian_field, ladder, moderateness_fit,
-                           probe_levels, rough_field, run_net,
-                           uniqueness_probe, validate)
+                           problem, probe_levels, rough_field, run_net,
+                           solve_ladder, uniqueness_probe, validate)
 
 
 @pytest.fixture(scope="module")
@@ -407,10 +408,10 @@ class TestLevelProbe:
         its u(T) and number move by that relative gap."""
         calls = []
 
-        def answer(probs, steps):
+        def answer(members, steps):
             calls.append(steps)
             final, number = 1.0 + np.array(gap_at.get(steps, (0.0, 0.0)))
-            return f"result@{steps}", [np.array([3.0, 4.0]) * final], [2.0 * number]
+            return [(f"result@{steps}", [np.array([3.0, 4.0]) * final], [2.0 * number])]
         return answer, calls
 
     def test_coarse_when_the_trial_agrees(self):
@@ -432,8 +433,8 @@ class TestLevelProbe:
         assert probe == LevelProbe(0.5, LEVELS, pytest.approx(2.0 * TOL))
 
     def test_zero_answers_agree(self):
-        def answer(probs, steps):
-            return None, [np.zeros(3)], [0.0]
+        def answer(members, steps):
+            return [(None, [np.zeros(3)], [0.0])]
         probe, _, _ = probe_levels(0.5, self.probs(0.5), answer,
                                    NetParams(spec=make_grid(1, 32, 8.0)))
         assert (probe.levels, probe.gap) == (COARSE, 0.0)
@@ -474,11 +475,12 @@ class TestLevelProbe:
             assert h["probe_gap"] > 10 * TOL
 
     def test_net_ladder_marches_each_member_once(self, monkeypatch):
-        # the probe's two marches, then one march for each other member
+        # the probe's two marches, then one march of the other members as
+        # one stack
         marches = record_marches(monkeypatch)
         params = _delta_net_params()
         run_net(preset("delta-potential", n=1), delta_field(params.spec), params)
-        assert [len(ts) - 1 for ts in marches] == [LEVELS, COARSE] + [LEVELS] * 4
+        assert [len(ts) - 1 for ts in marches] == [LEVELS, COARSE, LEVELS]
 
     @pytest.mark.parametrize("name", ["uniq-2d-reduced", "delta-potential-1d"])
     def test_uniqueness_matches_a_converged_march(self, name):
@@ -501,3 +503,54 @@ class TestLevelProbe:
         assert got.values.keys() == conv.values.keys()
         for eps, want in conv.values.items():
             assert got.values[eps] == pytest.approx(want, rel=2e-3), eps
+
+
+class TestSolveLadderStack:
+    """``solve_ladder`` marches the members after the probe as one stack
+    for each step count among them."""
+
+    def test_members_keep_their_step_counts(self, monkeypatch):
+        # at T = 100 the remainder bounds of the delta-potential ladder,
+        # 6.7 down to 3.9, give its members 16, 16, 19, 23 and 25 steps
+        spec = make_grid(1, 32, 8.0)
+        params = NetParams(spec=spec, T=100.0)
+        members = ladder(preset("delta-potential", n=1), params, gaussian_field(spec))
+        marches = record_marches(monkeypatch)
+        got = solve_ladder(members, params)
+        assert [eps for eps, _, _ in got] == list(members)
+        assert [h["steps"] for _, _, h in got] == [16, 16, 19, 23, 25]
+        # the probe alone, whose bound skips the trial, then one stack for
+        # each step count
+        assert [len(ts) - 1 for ts in marches] == [25, 16, 19, 23]
+        monkeypatch.undo()
+        for eps, res, h in got:
+            alone = solve(problem(members[eps]["cs"], members[eps]["u0"], params),
+                          steps=h["steps"])
+            assert np.array_equal(res.final.values, alone.final.values)
+            for s in params.s_list:
+                assert np.array_equal(res.series.norms[s], alone.series.norms[s])
+                assert np.array_equal(res.series.integral[s],
+                                      alone.series.integral[s])
+
+    def test_instability_names_the_member(self, monkeypatch):
+        # without stability bounds, one step of 50 of its bound blows up
+        # the smooth-consistency member alone; it marches in the stack
+        # after the free probe
+        spec = make_grid(1, 64, np.pi)
+        eps_ladder = (0.5, 0.25, 0.125)
+        sets = {eps: regularise(preset("smooth-consistency" if eps == 0.25 else "free",
+                                       n=1), eps, ScaleFn("loglog"), spec)
+                for eps in eps_ladder}
+        T = 50 * stable_dt(sets[0.25])
+        params = NetParams(spec=spec, eps_ladder=eps_ladder, T=T, dt=T)
+        monkeypatch.setattr(evolve, "stable_dt", lambda cs: np.inf)
+        members = {eps: {"cs": cs, "u0": random_field(spec, seed=1)}
+                   for eps, cs in sets.items()}
+        marches = record_marches(monkeypatch)
+        with pytest.raises(Instability) as info:
+            solve_ladder(members, params)
+        assert len(marches) == 2
+        assert (info.value.member, info.value.eps) == (1, 0.25)
+        assert str(info.value).startswith("norm grew x")
+        assert "for eps = 0.25;" in str(info.value)
+
