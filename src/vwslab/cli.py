@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +41,8 @@ from .vwsnet import (FitReport, NetParams, consistency_run, delta_field,
                      gaussian_field, ladder, moderateness_fit, rough_field,
                      run_net, solve_ladder, uniqueness_probe, validate)
 
-EXPERIMENT_KINDS = ("validate-hypotheses", "doi-check", "solve", "net",
-                    "uniqueness", "consistency", "mollifier-bench")
-#: the tolerance names each subcommand reads; any other name is rejected
+#: the tolerance names each subcommand reads, the keywords of its fit;
+#: any other name is rejected
 _TOLERANCES = {"net": ("n_cap", "residual"), "consistency": ("final_error",)}
 
 
@@ -335,12 +333,15 @@ def _write_snapshots(out: Path, eps: float, states, stride: int) -> None:
 def _run_solve(cfg, out: Path) -> dict:
     # the ladder's coefficients with the Cauchy data held fixed
     spec = _grid(cfg)
-    params = replace(_net_params(cfg, spec), mollify_data=False)
+    params = _net_params(cfg, spec)
     stride = cfg["output"]["stride"]
-    sups, health = {}, {}
-    members = ladder(_model(cfg), params, _data(cfg, spec))
-    for eps, res, member_health in solve_ladder(members, params, stride > 0):
-        health[eps] = member_health
+    members = ladder(_model(cfg), params)
+    u0 = _data(cfg, spec)
+    for m in members.values():
+        m["u0"] = u0
+    results, health = solve_ladder(members, params, stride > 0)
+    sups = {}
+    for eps, res in results.items():
         _write_series(out, eps, res.series)
         _write_snapshots(out, eps, res.states, stride)
         sups[str(eps)] = {str(s): res.series.sup_norm(s)
@@ -354,20 +355,17 @@ def _run_net(cfg, out: Path) -> dict:
     model = _model(cfg)
     u0 = _data(cfg, spec)
     params = _net_params(cfg, spec)
-    net = run_net(model, u0, params)
+    report, results, health = run_net(model, u0, params)
+    for eps, res in results.items():
+        _write_series(out, eps, res.series)
     tol = cfg["experiment"]["tolerances"]
-    fits = {}
-    for eps, member in net.members.items():
-        _write_series(out, eps, member["result"].series)
-    for s in params.s_list:
-        fits[str(s)] = moderateness_fit(
-            net, s, n_cap=tol.get("n_cap", 10.0),
-            resid_cap=tol.get("residual", 0.5)).to_dict()
+    fits = {str(s): moderateness_fit(results, s, **tol).to_dict()
+            for s in params.s_list}
     return {
         "pass": all(f["passed"] for f in fits.values()),
-        "hypotheses": net.hypothesis_report.to_dict(),
+        "hypotheses": report.to_dict(),
         "moderateness": fits,
-        "health": {eps: m["health"] for eps, m in net.members.items()},
+        "health": health,
     }
 
 
@@ -388,12 +386,12 @@ def _run_uniqueness(cfg, out: Path) -> dict:
 
 def _run_consistency(cfg, out: Path) -> dict:
     spec = _grid(cfg)
-    tol = cfg["experiment"]["tolerances"].get("final_error", 1e-4)
     params = _net_params(cfg, spec)
     if params.data_mollifier.kind == "gaussian":
         params.data_mollifier = Mollifier("vanishing-moment",
                                           order=cfg["mollifier"]["moment_order"])
-    return _fit_verdict(consistency_run(_model(cfg), _data(cfg, spec), params, tol=tol))
+    return _fit_verdict(consistency_run(_model(cfg), _data(cfg, spec), params,
+                                        **cfg["experiment"]["tolerances"]))
 
 
 def _run_mollifier_bench(cfg, out: Path) -> dict:
@@ -436,6 +434,7 @@ _PIPELINES = {
     "consistency": _run_consistency,
     "mollifier-bench": _run_mollifier_bench,
 }
+EXPERIMENT_KINDS = tuple(_PIPELINES)
 
 
 def _jsonable(obj):

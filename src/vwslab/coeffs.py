@@ -13,8 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import (GridSpec, forward, inverse, partial_derivative,
-                   spectral_derivative)
+from .grid import GridSpec, forward, inverse, spectral_derivative
 from .mollify import Mollifier, ScaleFn, fit_slope, scale_omega
 
 
@@ -341,12 +340,6 @@ def _variation(vals: np.ndarray) -> float:
     return float((np.max(vals) - np.min(vals)) / top)
 
 
-def _derivative_sup(vals: np.ndarray, spec: GridSpec, order: int) -> float:
-    """max over |beta| = order of sup |d^beta vals| (spectral derivatives)."""
-    return max(float(np.max(np.abs(partial_derivative(vals, spec, beta))))
-               for beta in _multi_indices(spec.n, order))
-
-
 def _multi_indices(n: int, total: int):
     if n == 1:
         yield (total,)
@@ -355,18 +348,36 @@ def _multi_indices(n: int, total: int):
         yield (first, total - first)
 
 
+def _derivative_sups(vals: np.ndarray, spec: GridSpec) -> list:
+    """[max over |beta| = k of sup |d^beta vals| for k = 0, 1, 2, 3].
+
+    Each order is built from the one before, in the axis order of
+    ``grid.partial_derivative``, so each d^beta is bit for bit its own.
+    """
+    last = spec.n - 1
+    derivs, out = [vals], []
+    for order in range(4):
+        if order:
+            # d^(k, 0) from d^(k-1, 0), then d^(a, k-a) from d^(a, k-1-a)
+            head = [spectral_derivative(derivs[0], spec, 0)] if last else []
+            derivs = head + [spectral_derivative(d, spec, last) for d in derivs]
+        out.append(max(float(np.max(np.abs(d))) for d in derivs))
+    return out
+
+
 def _exponent_shift(sets, arrays_of):
     """Fit sup |d^beta field| ~ omega^{-(|beta| + N*)} for |beta| <= 3 and
-    return (N*, residuals)."""
+    return (N*, residuals).  A field zero everywhere has every sup 0 and is
+    skipped."""
     omegas = np.array([cs.omega for cs in sets])
     shifts, residuals = [], []
     spec = sets[0].spec
-    for order in range(4):
-        sups = np.array([
-            max((_derivative_sup(arr, spec, order) for arr in arrays_of(cs)),
-                default=0.0)
-            for cs in sets
-        ])
+    by_order = np.zeros((len(sets), 4))
+    for row, cs in zip(by_order, sets):
+        for arr in arrays_of(cs):
+            if np.any(arr):
+                np.maximum(row, _derivative_sups(arr, spec), out=row)
+    for order, sups in enumerate(by_order.T):
         if np.max(sups) < 1e-14:
             continue
         if np.max(omegas) / np.min(omegas) < 1.0 + 1e-9:

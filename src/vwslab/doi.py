@@ -60,10 +60,6 @@ class SymbolGrid:
     def n(self) -> int:
         return self.spec.n
 
-    @property
-    def xi(self) -> tuple:
-        return dual_xi(self.spec)
-
 
 def dual_xi(spec: GridSpec) -> tuple:
     """The sorted dual lattice, one axis per dimension."""
@@ -101,10 +97,6 @@ def _separable(fs: list, gs: list) -> np.ndarray:
     left = np.stack([f.ravel() for f in fs], axis=1)
     right = np.stack([g.ravel() for g in gs])
     return (left @ right).reshape(fs[0].shape + gs[0].shape)
-
-
-def xi_bracket(sym: SymbolGrid) -> np.ndarray:
-    return _xi_tables(sym.spec).bracket
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +418,7 @@ def symbol_seminorm(a: SymbolGrid, m: float, k: int) -> float:
     sup |d_x^beta d_xi^alpha a| <xi>^{-(m - |alpha|)}."""
     if k > 3:
         raise SymbolError("seminorm depth limited to k <= 3")
-    bra = xi_bracket(a)
+    bra = _xi_tables(a.spec).bracket
     best = 0.0
     n = a.n
     for total in range(k + 1):

@@ -45,19 +45,8 @@ within 2e-3 of a 2048-step march.  Worst relative errors on that ladder:
     RK4 at its bound            141   0.57     0.26      0.53
     ETD-RK4, T / LEVELS          16   1.2e-3   3.9e-4    4.7e-4
 
-An epsilon-ladder marches at fewer levels where that is as accurate:
-``vwsnet.probe_levels`` marches its smallest eps at LEVELS and at COARSE = 4
-levels, and the other members take COARSE levels when u(T) and the reported
-numbers of the two agree within TOL = 1e-3 relative, half the 2e-3 above.
-On net-1d-delta the 4-vs-16 gap of u(T) understates the 4-level error by at
-most 1.15x.  The 4-vs-16 gap of the smallest eps on the benchmark ladders:
-
-    ladder          u(T)     reported numbers       levels
-    uniq-2d-ultra   8.4e-8   2.5e-7 sup difference  COARSE
-    net-1d-delta    2.7e-3   0.16 smoothing int     LEVELS
-
-net-1d-delta keeps LEVELS: its smoothing integrals are trapezoids over the
-level times, and with delta data four intervals miss them by 16%.
+An epsilon-ladder may march at fewer levels; ``vwsnet.probe_levels`` owns
+that choice.
 """
 
 from __future__ import annotations
@@ -77,10 +66,6 @@ RK4_IMAG_LIMIT = 2.8
 SAFETY = 0.8
 #: time levels of the default step when the remainder bound allows it
 LEVELS = 16
-#: time levels of an epsilon-ladder whose probe shows COARSE levels agree
-#: with LEVELS to TOL relative (``vwsnet.probe_levels``)
-COARSE = 4
-TOL = 1e-3
 
 
 class EvolveError(RuntimeError):

@@ -205,15 +205,15 @@ def test_09_moderateness():
     spec = make_grid(1, 64, 8.0)
     params = NetParams(spec=spec, T=0.5)
 
-    net = run_net(preset("delta-potential", n=1), delta_field(spec), params)
-    fit = moderateness_fit(net, 0.0)
+    _, results, _ = run_net(preset("delta-potential", n=1), delta_field(spec), params)
+    fit = moderateness_fit(results, 0.0)
     assert fit.passed
     assert fit.slope <= 10.0
     assert fit.residual < 0.5
 
-    net = run_net(preset("smooth-consistency", n=1), gaussian_field(spec),
-                  params)
-    fit = moderateness_fit(net, 0.0)
+    _, results, _ = run_net(preset("smooth-consistency", n=1), gaussian_field(spec),
+                            params)
+    fit = moderateness_fit(results, 0.0)
     assert fit.slope == pytest.approx(0.0, abs=0.3)
 
 

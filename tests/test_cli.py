@@ -12,7 +12,8 @@ import pytest
 import vwslab
 from vwslab import cli, evolve
 from vwslab.cli import ConfigError, main, parse_config, run
-from vwslab.evolve import COARSE, LEVELS, TOL
+from vwslab.evolve import LEVELS
+from vwslab.vwsnet import COARSE, TOL
 
 
 def cfg_text(**overrides) -> str:
@@ -266,6 +267,42 @@ class TestRunSolve:
         assert len(snaps) >= 2
         assert len(snaps[0]) == 32
         assert len(snaps[0][0]) == 2
+
+
+def test_solve_holds_the_data_fixed(tmp_path):
+    # every member starts from the one field: mollified at each eps, the
+    # t = 0 rows would differ along the ladder
+    cfg = parse_config(cfg_text(model={"preset": "delta-potential"},
+                                data={"kind": "rough"}, evolution={"T": 0.1}))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    starts = []
+    for path in sorted(tmp_path.glob("norms-eps-*.csv")):
+        with path.open() as fh:
+            starts.append([r for r in csv.DictReader(fh) if float(r["t"]) == 0.0])
+    assert len(starts) == len(cfg["ladder"])
+    assert starts[0] and all(rows == starts[0] for rows in starts)
+
+
+class TestToleranceDefaults:
+    """A fit's default tolerance is the keyword default of the fit; a
+    config passes only the tolerances it sets."""
+
+    @pytest.mark.parametrize("tolerances, bound", [({}, 10.0), ({"n_cap": 5.0}, 5.0)])
+    def test_net_n_cap(self, tmp_path, tolerances, bound):
+        cfg = parse_config(cfg_text(experiment={"kind": "net", "tolerances": tolerances},
+                                    evolution={"T": 0.1, "s": [0.0, 1.0]}))
+        run(cfg, out_dir=str(tmp_path))
+        fits = json.loads((tmp_path / "report.json").read_text())["verdict"]["moderateness"]
+        assert set(fits) == {"0.0", "1.0"}
+        assert {fit["bound"] for fit in fits.values()} == {bound}
+
+    def test_consistency_final_error(self, tmp_path):
+        cfg = parse_config(cfg_text(experiment={"kind": "consistency"},
+                                    model={"preset": "smooth-consistency"},
+                                    evolution={"T": 0.1}))
+        run(cfg, out_dir=str(tmp_path))
+        verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
+        assert verdict["bound"] == 1e-4
 
 
 def test_close_epsilons_write_apart(tmp_path):

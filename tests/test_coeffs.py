@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import LADDER, assert_da_is_the_derivative_of_a
+from vwslab import coeffs
 from vwslab.coeffs import (CoefficientModel, Delta, ModelError, Pointwise,
-                           SquareWave, check_hypotheses, enveloped_bump, preset,
-                           regularise, sample)
-from vwslab.grid import forward, inverse, make_grid
-from vwslab.mollify import ScaleFn
+                           SquareWave, _multi_indices, check_hypotheses,
+                           enveloped_bump, preset, regularise, sample)
+from vwslab.grid import forward, inverse, make_grid, partial_derivative
+from vwslab.mollify import ScaleFn, fit_slope
 
 
 def ladder_sets(model, spec, scale=None):
@@ -167,6 +168,58 @@ class TestCheckHypotheses:
                                nu=0.05, c0=0.05, N=2)
         assert rep.mu == np.inf
         assert not rep.passed
+
+
+def _exponent_shift_from_scratch(sets, arrays_of):
+    """The reference of ``coeffs._exponent_shift``: every d^beta of every
+    field, zero fields included, from ``partial_derivative`` alone."""
+    omegas = np.array([cs.omega for cs in sets])
+    spec = sets[0].spec
+    shifts, residuals = [], []
+    for order in range(4):
+        sups = np.array([
+            max((float(np.max(np.abs(partial_derivative(arr, spec, beta))))
+                 for arr in arrays_of(cs) for beta in _multi_indices(spec.n, order)),
+                default=0.0)
+            for cs in sets])
+        if np.max(sups) < 1e-14 or np.max(omegas) / np.min(omegas) < 1.0 + 1e-9:
+            continue
+        slope, resid = fit_slope(np.log(omegas), np.log(np.maximum(sups, 1e-300)))
+        shifts.append(-slope - order)
+        residuals.append(resid)
+    if not shifts:
+        return 0.0, []
+    return float(max(0.0, np.median(shifts))), residuals
+
+
+class TestExponentShift:
+    """Each derivative order of the (H5) exponent fits is built from the
+    one before; the report is that of derivatives taken from scratch."""
+
+    @pytest.mark.parametrize("name, n", [
+        ("delta-potential", 1), ("jump-drift", 1), ("smooth-consistency", 1),
+        ("ultra-diagonal", 2), ("jump-drift", 2), ("smooth-consistency", 2)])
+    def test_report_is_bit_identical(self, monkeypatch, grid_1d, grid_2d, name, n):
+        sets = ladder_sets(preset(name, n=n), grid_1d if n == 1 else grid_2d)
+        got = check_hypotheses(sets, nu=0.05, c0=0.05, N=2).to_dict()
+        monkeypatch.setattr(coeffs, "_exponent_shift", _exponent_shift_from_scratch)
+        assert got == check_hypotheses(sets, nu=0.05, c0=0.05, N=2).to_dict()
+
+    @pytest.mark.parametrize("name, n, M, calls", [
+        # the net-1d-delta ladder: the zero b is skipped, V takes three
+        # derivatives per eps, and da one
+        ("delta-potential", 1, 256, 40),
+        # b and V are zero: only the eight derivatives of da per eps remain
+        ("ultra-diagonal", 2, 64, 80)])
+    def test_fft_calls(self, monkeypatch, name, n, M, calls):
+        sets = ladder_sets(preset(name, n=n), make_grid(n, M, 8.0))
+        count = []
+        for fn in ("fft", "ifft"):
+            real = getattr(np.fft, fn)
+            monkeypatch.setattr(np.fft, fn, lambda *a, real=real, **k:
+                                count.append(1) or real(*a, **k))
+        check_hypotheses(sets, nu=0.05, c0=0.05, N=2)
+        assert len(count) == calls
 
 
 def test_da_is_the_spectral_derivative_of_a(grid_2d, loglog):

@@ -13,12 +13,12 @@ from vwslab.evolve import (EvolutionProblem, EvolveError, Instability,
 from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
 from vwslab.mollify import ScaleFn
 from vwslab import evolve
-from vwslab.evolve import (COARSE, LEVELS, RK4_IMAG_LIMIT, SAFETY, _Diagnostics,
-                           _Operator, shared_steps)
+from vwslab.evolve import (LEVELS, RK4_IMAG_LIMIT, SAFETY, _Diagnostics, _Operator,
+                           shared_steps)
 from vwslab.grid import (apply_lambda, fft, inverse, spectral_derivative,
                          weight_field)
 from vwslab.coeffs import enveloped_bump
-from vwslab.vwsnet import (NetParams, _bumps, _h2_margin, _perturbed_set,
+from vwslab.vwsnet import (COARSE, NetParams, _bumps, _h2_margin, _perturbed_set,
                            delta_field, ladder, rough_field)
 
 

@@ -8,12 +8,12 @@ from conftest import (LADDER, assert_da_is_the_derivative_of_a, random_field,
 import vwslab
 from vwslab import evolve
 from vwslab.coeffs import ModelError, check_hypotheses, preset, regularise
-from vwslab.evolve import (COARSE, LEVELS, TOL, EvolutionProblem, EvolveError,
-                           Instability, solve, stable_dt)
+from vwslab.evolve import (LEVELS, EvolutionProblem, EvolveError, Instability,
+                           solve, stable_dt)
 from vwslab.grid import Field, make_grid, sobolev_norm, spectral_derivative
 from vwslab.mollify import Mollifier, ScaleFn, mollify, scale_omega
 from vwslab import vwsnet
-from vwslab.vwsnet import (EpsilonNet, HypothesisFailure, NetError, NetParams,
+from vwslab.vwsnet import (COARSE, TOL, HypothesisFailure, NetError, NetParams,
                            LevelProbe, _bumps, _perturbed_set,
                            bump_perturbation, consistency_run, delta_field,
                            gaussian_field, ladder, moderateness_fit,
@@ -29,6 +29,15 @@ def spec():
 @pytest.fixture(scope="module")
 def params(spec):
     return NetParams(spec=spec, T=0.5)
+
+
+def fixed_data_ladder(model, params, u0):
+    """The ladder as ``vws solve`` builds it: the coefficients of
+    ``ladder``, with u0 itself, unmollified, for every member."""
+    members = ladder(model, params)
+    for m in members.values():
+        m["u0"] = u0
+    return members
 
 
 class TestNetParams:
@@ -83,9 +92,11 @@ class TestLadder:
                                   mollify(u0, p.data_mollifier, eps).values)
 
     def test_unmollified_data_pass_through(self, spec):
-        p = self.lparams(spec, mollify_data=False)
+        # the fixed-data ladder of ``vws solve``: coefficients only, then
+        # the one field for every member
         u0 = gaussian_field(spec)
-        for m in ladder(preset("free", n=1), p, u0).values():
+        members = fixed_data_ladder(preset("free", n=1), self.lparams(spec), u0)
+        for m in members.values():
             assert m["u0"] is u0
 
     def test_coefficient_only_members(self, spec):
@@ -106,10 +117,11 @@ class TestLadder:
 
 class TestRunNet:
     def test_smooth_preset_runs_and_is_stable(self, spec, params):
-        net = run_net(preset("smooth-consistency", n=1),
-                      gaussian_field(spec), params)
-        assert net.hypothesis_report.passed
-        sups = [net.members[e]["result"].series.sup_norm(0.0) for e in LADDER]
+        report, results, health = run_net(preset("smooth-consistency", n=1),
+                                          gaussian_field(spec), params)
+        assert report.passed
+        assert list(results) == list(health) == list(LADDER)
+        sups = [results[e].series.sup_norm(0.0) for e in LADDER]
         assert all(np.isfinite(v) for v in sups)
         assert np.ptp(sups) / np.mean(sups) < 0.05
 
@@ -122,23 +134,23 @@ class TestRunNet:
         assert not info.value.report.passed
 
     def test_omega_recorded_per_member(self, spec, params):
-        net = run_net(preset("free", n=1), gaussian_field(spec), params)
-        omegas = [net.members[e]["cs"].omega for e in LADDER]
+        members = ladder(preset("free", n=1), params, gaussian_field(spec))
+        omegas = [members[e]["cs"].omega for e in LADDER]
         assert all(a >= b for a, b in zip(omegas, omegas[1:]))
 
 
 class TestModeratenessFit:
     def test_smooth_slope_is_flat(self, spec, params):
-        net = run_net(preset("smooth-consistency", n=1),
-                      gaussian_field(spec), params)
-        fit = moderateness_fit(net, 0.0)
+        _, results, _ = run_net(preset("smooth-consistency", n=1),
+                                gaussian_field(spec), params)
+        fit = moderateness_fit(results, 0.0)
         assert fit.passed
         assert fit.slope == pytest.approx(0.0, abs=0.3)
 
     def test_delta_potential_is_moderate(self, spec, params):
-        net = run_net(preset("delta-potential", n=1), delta_field(spec),
-                      params)
-        fit = moderateness_fit(net, 0.0)
+        _, results, _ = run_net(preset("delta-potential", n=1), delta_field(spec),
+                                params)
+        fit = moderateness_fit(results, 0.0)
         assert fit.passed
         assert fit.slope <= 10.0
         assert fit.residual < 0.5
@@ -147,17 +159,14 @@ class TestModeratenessFit:
         # u_{0,eps} = eps^q * fixed field evolves linearly, so the fitted
         # moderateness slope is exactly -q
         q = 2
-        cs_by_eps, members = {}, {}
+        results = {}
         model = preset("free", n=1)
         base = gaussian_field(spec)
         for eps in LADDER:
             cs = regularise(model, eps, ScaleFn("loglog"), spec)
             u0 = Field(spec, eps**q * base.values)
-            res = solve(EvolutionProblem(cs, u0, T=0.25,
-                                         s_list=(0.0,)))
-            members[eps] = {"cs": cs, "u0": u0, "result": res}
-        net = EpsilonNet(params, model, None, members)
-        fit = moderateness_fit(net, 0.0)
+            results[eps] = solve(EvolutionProblem(cs, u0, T=0.25, s_list=(0.0,)))
+        fit = moderateness_fit(results, 0.0)
         assert fit.slope == pytest.approx(-q, abs=0.05)
 
     def test_scale_sensitivity_ordering(self, spec):
@@ -167,19 +176,19 @@ class TestModeratenessFit:
         for k in (1.0, 2.0):
             p = NetParams(spec=spec, T=0.25, scale=ScaleFn("power", k=k),
                           eps_ladder=(2**-1, 2**-2, 2**-3, 2**-4))
-            net = run_net(preset("delta-potential", n=1), delta_field(spec), p)
-            slopes.append(moderateness_fit(net, 0.0).slope)
+            _, results, _ = run_net(preset("delta-potential", n=1), delta_field(spec), p)
+            slopes.append(moderateness_fit(results, 0.0).slope)
         assert slopes[1] >= slopes[0] - 0.05
 
 
 class TestHsMode:
     def test_fixed_data_finite_slope(self, spec, params):
         u0 = rough_field(spec, 0.0, seed=21)
-        net = run_net(preset("delta-potential", n=1), u0,
-                      replace(params, mollify_data=False))
+        members = fixed_data_ladder(preset("delta-potential", n=1), params, u0)
         for eps in LADDER:
-            assert net.members[eps]["u0"] is u0
-        fit = moderateness_fit(net, 0.0)
+            assert members[eps]["u0"] is u0
+        results, _ = solve_ladder(members, params)
+        fit = moderateness_fit(results, 0.0)
         assert np.isfinite(fit.slope)
         assert fit.passed
 
@@ -411,7 +420,7 @@ class TestLevelProbe:
         def answer(members, steps):
             calls.append(steps)
             final, number = 1.0 + np.array(gap_at.get(steps, (0.0, 0.0)))
-            return [(f"result@{steps}", [np.array([3.0, 4.0]) * final], [2.0 * number])]
+            return [(f"result@{steps}", [np.array([3.0, 4.0]) * final, 2.0 * number])]
         return answer, calls
 
     def test_coarse_when_the_trial_agrees(self):
@@ -434,7 +443,7 @@ class TestLevelProbe:
 
     def test_zero_answers_agree(self):
         def answer(members, steps):
-            return [(None, [np.zeros(3)], [0.0])]
+            return [(None, [np.zeros(3), 0.0])]
         probe, _, _ = probe_levels(0.5, self.probs(0.5), answer,
                                    NetParams(spec=make_grid(1, 32, 8.0)))
         assert (probe.levels, probe.gap) == (COARSE, 0.0)
@@ -468,8 +477,8 @@ class TestLevelProbe:
         # smoothing integrals at 4 levels miss by about 10^-1
         params = _delta_net_params()
         u0 = delta_field(params.spec)
-        net = run_net(preset("delta-potential", n=1), u0, params)
-        for h in (m["health"] for m in net.members.values()):
+        _, _, health = run_net(preset("delta-potential", n=1), u0, params)
+        for h in health.values():
             assert (h["levels"], h["steps"]) == (LEVELS, LEVELS)
             assert h["probe_eps"] == params.eps_ladder[-1]
             assert h["probe_gap"] > 10 * TOL
@@ -516,16 +525,16 @@ class TestSolveLadderStack:
         params = NetParams(spec=spec, T=100.0)
         members = ladder(preset("delta-potential", n=1), params, gaussian_field(spec))
         marches = record_marches(monkeypatch)
-        got = solve_ladder(members, params)
-        assert [eps for eps, _, _ in got] == list(members)
-        assert [h["steps"] for _, _, h in got] == [16, 16, 19, 23, 25]
+        results, health = solve_ladder(members, params)
+        assert list(results) == list(health) == list(members)
+        assert [h["steps"] for h in health.values()] == [16, 16, 19, 23, 25]
         # the probe alone, whose bound skips the trial, then one stack for
         # each step count
         assert [len(ts) - 1 for ts in marches] == [25, 16, 19, 23]
         monkeypatch.undo()
-        for eps, res, h in got:
+        for eps, res in results.items():
             alone = solve(problem(members[eps]["cs"], members[eps]["u0"], params),
-                          steps=h["steps"])
+                          steps=health[eps]["steps"])
             assert np.array_equal(res.final.values, alone.final.values)
             for s in params.s_list:
                 assert np.array_equal(res.series.norms[s], alone.series.norms[s])
