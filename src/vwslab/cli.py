@@ -3,11 +3,12 @@
 Defaults (applied by parse_config):
   grid        n=1, M=64, L=8
   model       preset="free", params={}
-  mollifier   kind="gaussian", moment_order=4
+  mollifier   kind="gaussian", moment_order=4; consistency:
+              kind="vanishing-moment", and "gaussian" is rejected
   scale       kind="loglog", k=1
   ladder      [2^-3, 2^-4, 2^-5, 2^-6, 2^-7]
-  data        kind="gaussian", width=1.0, amplitude=1.0
-  evolution   T=0.5, dt="auto", s=[0.0], N=2
+  data        kind="gaussian", width=1.0 (> 0), amplitude=1.0
+  evolution   T=0.5, dt="auto", s=[0.0], N=2 (> 1)
   experiment  kind from the subcommand, q=3, tolerances {}
   output      directory="out", stride=0 (no snapshots)
   seed        0
@@ -154,6 +155,12 @@ def parse_config(text: str, kind: str | None = None) -> dict:
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"config.experiment.kind must be one of "
                           f"{EXPERIMENT_KINDS}")
+    if kind == "consistency":
+        # the rate needs a data mollifier with vanishing moments
+        if "kind" not in raw.get("mollifier", {}):
+            cfg["mollifier"]["kind"] = "vanishing-moment"
+        elif cfg["mollifier"]["kind"] == "gaussian":
+            raise ConfigError("config.mollifier.kind: consistency needs vanishing-moment")
 
     # the grid, mollifier, scale, net and model classes own their allowed values;
     # int() or float() of a bad model parameter raises ValueError or TypeError
@@ -173,6 +180,10 @@ def parse_config(text: str, kind: str | None = None) -> dict:
         raise ConfigError("config.evolution.s needs at least one Sobolev order")
     if cfg["evolution"]["T"] <= 0:
         raise ConfigError("config.evolution.T must be positive")
+    if cfg["evolution"]["N"] <= 1:
+        raise ConfigError("config.evolution.N must exceed 1")
+    if cfg["data"]["width"] <= 0:
+        raise ConfigError("config.data.width must be positive")
     dt = cfg["evolution"]["dt"]
     if isinstance(dt, str) and dt != "auto":
         raise ConfigError('config.evolution.dt must be a number or "auto"')
@@ -386,11 +397,8 @@ def _run_uniqueness(cfg, out: Path) -> dict:
 
 def _run_consistency(cfg, out: Path) -> dict:
     spec = _grid(cfg)
-    params = _net_params(cfg, spec)
-    if params.data_mollifier.kind == "gaussian":
-        params.data_mollifier = Mollifier("vanishing-moment",
-                                          order=cfg["mollifier"]["moment_order"])
-    return _fit_verdict(consistency_run(_model(cfg), _data(cfg, spec), params,
+    return _fit_verdict(consistency_run(_model(cfg), _data(cfg, spec),
+                                        _net_params(cfg, spec),
                                         **cfg["experiment"]["tolerances"]))
 
 

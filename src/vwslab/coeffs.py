@@ -314,7 +314,8 @@ def _build_set(model, eps, omega, spec) -> CoefficientSet:
 
 @dataclass
 class HypothesisReport:
-    passed: bool
+    #: that no check failed
+    passed: bool = field(init=False)
     h1_symmetric: bool
     mu: float
     mu_values: list
@@ -329,8 +330,27 @@ class HypothesisReport:
     fit_residuals: dict
     notes: str = ""
 
+    def __post_init__(self):
+        self.passed = not self.failures()
+
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def failures(self) -> list:
+        """Each failed check, with its value and its bound."""
+        h3, h4 = np.max(self.h3_weighted_sup), np.max(self.h4_weighted_im_sup)
+        checks = [
+            (self.h1_symmetric, "(H1) a(x) is not symmetric"),
+            (np.isfinite(self.mu), f"(H2) mu = {self.mu}: a(x) is singular"),
+            (self.mu_variation < 0.05,
+             f"(H2) eps-variation of mu {self.mu_variation:.3g} against 0.05"),
+            (h3 <= self.h3_bound + 1e-12,
+             f"(H3) weighted sup of da {h3:.3g} against {self.h3_bound:.3g}"),
+            (self.h3_variation < 0.10 or h3 < 1e-12,
+             f"(H3) eps-variation {self.h3_variation:.3g} against 0.10"),
+            (h4 <= self.h4_bound + 1e-12,
+             f"(H4) weighted sup of Im b {h4:.3g} against {self.h4_bound:.3g}")]
+        return [message for holds, message in checks if not holds]
 
 
 def _variation(vals: np.ndarray) -> float:
@@ -409,7 +429,7 @@ def check_hypotheses(sets: list, nu: float, c0: float, N: int = 2) -> Hypothesis
         for cs in sets for i in range(n) for j in range(n)
     )
 
-    # a singular a(x) gives mu = inf, which fails the verdict below
+    # a singular a(x) gives mu = inf, which fails (H2)
     with np.errstate(divide="ignore", invalid="ignore"):
         mu_vals = np.array([max(ev.max(), 1.0 / ev.min())
                             for ev in (cs.abs_eigenvalues() for cs in sets)])
@@ -434,24 +454,16 @@ def check_hypotheses(sets: list, nu: float, c0: float, N: int = 2) -> Hypothesis
     resids["drift"] = r1
     resids["potential"] = r2
 
-    h3_bound, h4_bound = 2.0 * nu, 2.0 * c0
-    h3_ok = float(np.max(h3_sups)) <= h3_bound + 1e-12
-    h3_var = _variation(h3_sups)
-    h4_ok = float(np.max(h4_sups)) <= h4_bound + 1e-12
-    passed = bool(h1 and np.isfinite(mu) and mu_var < 0.05 and h3_ok
-                  and (h3_var < 0.10 or np.max(h3_sups) < 1e-12) and h4_ok)
-
     return HypothesisReport(
-        passed=passed,
         h1_symmetric=h1,
         mu=mu,
         mu_values=mu_vals.tolist(),
         mu_variation=mu_var,
         h3_weighted_sup=h3_sups.tolist(),
-        h3_variation=h3_var,
-        h3_bound=h3_bound,
+        h3_variation=_variation(h3_sups),
+        h3_bound=2.0 * nu,
         h4_weighted_im_sup=h4_sups.tolist(),
-        h4_bound=h4_bound,
+        h4_bound=2.0 * c0,
         drift_exponent_N1=n1,
         potential_exponent_N2=n2,
         fit_residuals=resids,

@@ -1,8 +1,9 @@
 """Time evolution of the regularised problems and a dense matrix oracle.
 
-The first-order form is du/dt = i(A u + B u + V u + g) with
-A u = sum_ij D_i(a_ij (D_j u)), B u = sum_k b_k (D_k u), V u = V u,
-D = -i d/dx computed spectrally, and a source g constant in time.
+The first-order form is du/dt = i(A u + B u + V u) with
+A u = sum_ij D_i(a_ij (D_j u)), B u = sum_k b_k (D_k u), V u = V u and
+D = -i d/dx computed spectrally.  The system is homogeneous: a problem is
+its coefficients and its Cauchy data.
 
 ``march``, the one time loop, works on the raw FFT coefficients
 u_hat = ``grid.fft(u)`` of a stack of problems that share grid, T and step
@@ -96,8 +97,6 @@ class Instability(EvolveError):
 class EvolutionProblem:
     cs: CoefficientSet
     u0: Field
-    #: the source term g, constant in time; None is no source
-    forcing: Field | None = None
     T: float = 1.0
     dt: float | None = None
     s_list: tuple = (0.0,)
@@ -112,8 +111,6 @@ class EvolutionProblem:
             raise EvolveError(f"time step dt must be positive, got {self.dt}")
         if self.u0.spec != self.cs.spec:
             raise EvolveError("initial data grid does not match coefficients")
-        if self.forcing is not None and self.forcing.spec != self.cs.spec:
-            raise EvolveError("forcing grid does not match coefficients")
         limit = stable_dt(self.cs)
         if self.dt is None:
             self.dt = min(self.T / LEVELS, limit)
@@ -263,18 +260,12 @@ class _Step:
     (Kassam & Trefethen's form of Cox & Matthews' scheme).
 
     du/dt = c u + F(u) with c = i Lambda the mean symbol and
-    F = i(remainder u + g), autonomous since g is constant in time;
-    e^{ch}, e^{ch/2} and the phi-function weights are built once per step
-    length, and g is transformed once, zero for a member without one.
+    F = i remainder u, autonomous; e^{ch}, e^{ch/2} and the phi-function
+    weights are built once per step length.
     """
 
-    def __init__(self, op: _Operator, forcings: list, h: float):
+    def __init__(self, op: _Operator, h: float):
         self.op, self.h = op, h
-        self.gh = None
-        if any(g is not None for g in forcings):
-            shape = op.symbol.shape[1:]
-            self.gh = fft(np.stack([np.zeros(shape) if g is None else g.values
-                                    for g in forcings]), op.n)
         z = 1j * h * op.symbol
         self.E, self.E2 = np.exp(z), np.exp(z / 2.0)
         self.Q = h / 2.0 * _phi(z / 2.0, last=1)[0]
@@ -284,10 +275,7 @@ class _Step:
         self.f3 = h * (4.0 * p3 - p2)
 
     def _F(self, v: np.ndarray) -> np.ndarray:
-        total = self.op.remainder(v)
-        if self.gh is not None:
-            total += self.gh
-        return 1j * total
+        return 1j * self.op.remainder(v)
 
     def __call__(self, uh: np.ndarray, t: float) -> np.ndarray:
         h, E2, Q = self.h, self.E2, self.Q
@@ -311,7 +299,7 @@ class _Step:
 def step_rk4(u: Field, t: float, dt: float, prob: EvolutionProblem) -> Field:
     """One ETD-RK4 step of the first-order system, the step ``march``
     takes, on grid values."""
-    step = _Step(_Operator([prob.cs]), [prob.forcing], dt)
+    step = _Step(_Operator([prob.cs]), dt)
     n = u.spec.n
     return Field(u.spec, ifft(step(fft(u.values[None], n), t), n)[0])
 
@@ -398,7 +386,7 @@ def march(probs: list, steps: int | None = None):
     if steps is None:
         steps = shared_steps(probs)
     dt, n = probs[0].T / steps, probs[0].cs.spec.n
-    step = _Step(_Operator([p.cs for p in probs]), [p.forcing for p in probs], dt)
+    step = _Step(_Operator([p.cs for p in probs]), dt)
     uh, t = fft(np.stack([p.u0.values for p in probs]), n), 0.0
     yield t, uh
     for _ in range(steps):
@@ -481,10 +469,9 @@ def dense_oracle(prob: EvolutionProblem) -> Field:
     """Exact-in-time solution of the semi-discrete system via the dense
     generator matrix G; independent of the time stepper.
 
-    u(T) is the head of expm(T [[G, g], [0, 0]]) [u0, 1], with g the
-    forcing (zero when there is none) and scipy's scaling-and-squaring
-    ``expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009)),
-    imported here so that no pipeline loads scipy.
+    u(T) is expm(T i G) u0, with scipy's scaling-and-squaring ``expm``
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009)), imported here
+    so that no pipeline loads scipy.
     """
     spec = prob.cs.spec
     if spec.n == 1 and spec.M > 32:
@@ -495,16 +482,11 @@ def dense_oracle(prob: EvolutionProblem) -> Field:
     from scipy.linalg import expm
 
     size, n = spec.size, spec.n
-    aug = np.zeros((size + 1, size + 1), dtype=complex)
     # G applied to every unit vector at once, a stack that the operator of
     # the one problem broadcasts over; row j of the stack is column j of G
     basis = np.eye(size, dtype=complex).reshape((size,) + spec.shape)
     columns = ifft(_Operator([prob.cs])(fft(basis, n)), n)
-    aug[:size, :size] = 1j * columns.reshape(size, size).T
-    if prob.forcing is not None:
-        aug[:size, size] = 1j * prob.forcing.values.ravel()
-    state = np.concatenate([prob.u0.values.ravel(), [1.0]])
-    out = (expm(aug * prob.T) @ state)[:size]
+    out = expm(1j * prob.T * columns.reshape(size, size).T) @ prob.u0.values.ravel()
     return Field(spec, out.reshape(spec.shape))
 
 
@@ -513,8 +495,7 @@ def smoothing_report(series_by_eps: dict, s: float, rhs_by_eps: dict,
     """Fit the a-priori smoothing estimate across an epsilon ladder.
 
     series_by_eps maps eps -> (omega, NormSeries), whose integrands carry
-    their <x> weight already; rhs_by_eps maps eps -> (||u0||_s^2,
-    int ||g||_s^2 dt).
+    their <x> weight already; rhs_by_eps maps eps -> ||u0||_s^2.
     Returns fitted (C1, k1, C2) with the envelope
     LHS <= C2 exp(C1 omega^{-k1} T) * RHS.
     """
@@ -523,7 +504,7 @@ def smoothing_report(series_by_eps: dict, s: float, rhs_by_eps: dict,
     for eps in eps_sorted:
         omega, series = series_by_eps[eps]
         value = series.sup_norm(s) ** 2 + series.final_integral(s)
-        base = sum(rhs_by_eps[eps])
+        base = rhs_by_eps[eps]
         if base == 0.0 and value > 0.0:
             raise EvolveError("RHS base is zero with nonzero LHS")
         lhs.append(value)

@@ -255,7 +255,7 @@ def test_12_smoothing_estimate():
         res = solve(EvolutionProblem(cs, u0, T=0.5, s_list=(0.0,),
                                      N_weight=2))
         series[eps] = (cs.omega, res.series)
-        rhs[eps] = (sobolev_norm(u0, 0.0) ** 2, 0.0)
+        rhs[eps] = sobolev_norm(u0, 0.0) ** 2
     rep = smoothing_report(series, 0.0, rhs, 0.5)
     assert rep["holds"]
     assert all(np.isfinite(v) and v > 0.0 for v in rep["lhs"])

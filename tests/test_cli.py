@@ -109,6 +109,15 @@ class TestParseConfig:
         assert section in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("mollifier, order", [({}, 4), ({"moment_order": 2}, 2)])
+    def test_consistency_records_its_mollifier(self, mollifier, order):
+        # consistency reads a vanishing-moment data mollifier, and the filled
+        # config says so
+        cfg = parse_config(cfg_text(experiment={"kind": "consistency"},
+                                    mollifier=mollifier))
+        assert cfg["mollifier"] == {"kind": "vanishing-moment", "moment_order": order}
+        assert parse_config(json.dumps(cfg)) == cfg
+
     def test_bad_tolerance(self):
         with pytest.raises(ConfigError, match="tolerances"):
             parse_config(cfg_text(
@@ -181,6 +190,17 @@ class TestConfigErrors:
         # Python's json reads NaN, Infinity and -Infinity
         self.assert_config_error(tmp_path, capsys, cfg_text(**override),
                                  f"{path} must be a finite number")
+
+    @pytest.mark.parametrize("kind, override, message", [
+        ("doi-check", {"evolution": {"N": 1}}, "config.evolution.N must exceed 1"),
+        ("net", {"evolution": {"N": -3}}, "config.evolution.N must exceed 1"),
+        ("net", {"data": {"width": 0}}, "config.data.width must be positive"),
+        ("net", {"data": {"width": -1.0}}, "config.data.width must be positive"),
+        ("consistency", {"mollifier": {"kind": "gaussian"}},
+         "config.mollifier.kind: consistency needs vanishing-moment")])
+    def test_out_of_range_value(self, tmp_path, capsys, kind, override, message):
+        text = cfg_text(experiment={"kind": kind}, **override)
+        self.assert_config_error(tmp_path, capsys, text, message)
 
     @pytest.mark.parametrize("kind", ["net", "uniqueness"])
     def test_no_sobolev_order(self, tmp_path, capsys, kind):
@@ -345,6 +365,14 @@ class TestRunReportContract:
         assert report["verdict"]["error"].startswith("ModelError: ")
         assert report["verdict"]["traceback"].startswith("Traceback")
         assert "ModelError" in report["verdict"]["traceback"].splitlines()[-1]
+
+    def test_hypothesis_failure_names_the_check(self, tmp_path):
+        cfg = parse_config(json.dumps({"model": {"preset": "elliptic-lipschitz"}}),
+                           kind="net")
+        assert run(cfg, out_dir=str(tmp_path)) == 3
+        error = json.loads((tmp_path / "report.json").read_text())["verdict"]["error"]
+        assert error == ("HypothesisFailure: coefficient model failed hypothesis "
+                         "validation: (H3) eps-variation 0.73 against 0.10")
 
     @pytest.mark.parametrize("kind, model", [("uniqueness", "delta-potential"),
                                              ("consistency", "smooth-consistency")])

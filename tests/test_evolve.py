@@ -80,14 +80,10 @@ class TestStepRK4:
         with pytest.raises(EvolveError, match="must be positive"):
             EvolutionProblem(cs, random_field(spec, seed=1), T=0.1, dt=dt)
 
-    @pytest.mark.parametrize("slot", ["initial data", "forcing"])
-    def test_problem_rejects_a_field_on_another_grid(self, slot):
+    def test_problem_rejects_data_on_another_grid(self):
         spec, other = make_grid(1, 32, np.pi), make_grid(1, 32, 8.0)
-        fields = {"initial data": random_field(spec, seed=1), "forcing": None}
-        fields[slot] = random_field(other, seed=2)
-        with pytest.raises(EvolveError, match=f"{slot} grid does not match"):
-            EvolutionProblem(free_set(spec), fields["initial data"],
-                             fields["forcing"], T=0.1)
+        with pytest.raises(EvolveError, match="initial data grid does not match"):
+            EvolutionProblem(free_set(spec), random_field(other, seed=2), T=0.1)
 
     def test_problem_rejects_unstable_dt(self):
         # the free flow has no remainder and no bound
@@ -145,26 +141,15 @@ class TestSolve:
         ref = sobolev_norm(u0, 0.0)
         assert np.max(np.abs(norms - ref)) / ref < 1e-8
 
-    def test_zero_mode_sees_only_forcing(self):
-        spec = make_grid(1, 32, np.pi)
-        cs = free_set(spec)
-        g = Field(spec, np.full(32, 2.0, dtype=complex))
-        u0 = Field(spec, np.zeros(32, dtype=complex))
-        res = solve(EvolutionProblem(cs, u0, g, T=1.0, dt=1e-3))
-        zero_mode = forward(res.final)[0]
-        assert zero_mode == pytest.approx(2.0j, rel=1e-8)
-
-    def test_duhamel_linearity(self):
+    def test_linearity_in_data(self):
         spec = make_grid(1, 32, 8.0)
         cs = regularise(preset("jump-drift", n=1), 2**-4, ScaleFn("loglog"), spec)
         ua, ub = random_field(spec, seed=4), random_field(spec, seed=5)
-        ga, gb = random_field(spec, seed=6), random_field(spec, seed=7)
         dt = stable_dt(cs)
-        ra = solve(EvolutionProblem(cs, ua, ga, T=0.5, dt=dt)).final.values
-        rb = solve(EvolutionProblem(cs, ub, gb, T=0.5, dt=dt)).final.values
+        ra = solve(EvolutionProblem(cs, ua, T=0.5, dt=dt)).final.values
+        rb = solve(EvolutionProblem(cs, ub, T=0.5, dt=dt)).final.values
         both = Field(spec, ua.values + ub.values)
-        gsum = Field(spec, ga.values + gb.values)
-        rc = solve(EvolutionProblem(cs, both, gsum, T=0.5, dt=dt)).final.values
+        rc = solve(EvolutionProblem(cs, both, T=0.5, dt=dt)).final.values
         scale = np.max(np.abs(rc))
         assert np.max(np.abs(rc - ra - rb)) / scale < 1e-10
 
@@ -228,17 +213,6 @@ class TestDenseOracle:
         assert sobolev_norm(out, 0.0) == pytest.approx(
             sobolev_norm(u0, 0.0), rel=1e-12)
 
-    def test_forced_oracle_matches_stepper(self):
-        spec = make_grid(1, 16, 8.0)
-        cs = regularise(preset("jump-drift", n=1), 2**-4, ScaleFn("loglog"), spec)
-        u0 = random_field(spec, seed=10)
-        g = random_field(spec, seed=11)
-        prob = EvolutionProblem(cs, u0, g, T=0.5, dt=1e-3)
-        stepped = solve(prob).final
-        exact = dense_oracle(prob)
-        gap = sobolev_norm(Field(spec, stepped.values - exact.values), 0.0)
-        assert gap / sobolev_norm(exact, 0.0) < 1e-6
-
     def test_size_limit(self):
         spec = make_grid(1, 64, 8.0)
         prob = EvolutionProblem(free_set(spec), random_field(spec, seed=12),
@@ -259,7 +233,7 @@ class TestSmoothingReport:
             res = solve(EvolutionProblem(cs, u0, T=0.5,
                                          s_list=(0.0,), N_weight=2))
             series[eps] = (cs.omega, res.series)
-            rhs[eps] = (sobolev_norm(u0, 0.0) ** 2, 0.0)
+            rhs[eps] = sobolev_norm(u0, 0.0) ** 2
         return series, rhs
 
     def test_smooth_preset_has_flat_exponent(self):
@@ -278,7 +252,7 @@ class TestSmoothingReport:
             res = solve(EvolutionProblem(cs, u0, T=0.2,
                                          s_list=(0.0,)))
             series[eps] = (0.5, res.series)
-            rhs[eps] = (0.0, 0.0)
+            rhs[eps] = 0.0
         rep = smoothing_report(series, 0.0, rhs, 0.2)
         assert rep["holds"]
         assert rep["C2"] == 1.0
@@ -487,7 +461,7 @@ def _physical_rk4(prob, steps):
     multiplier through forward/inverse with phi-functions from expm; the
     rest goes through the per-axis form of the remaining coefficients.
     """
-    cs, forcing, spec = prob.cs, prob.forcing, prob.cs.spec
+    cs, spec = prob.cs, prob.cs.spec
     h, n, km = prob.T / steps, spec.n, spec.kappa_mesh()
     a = [[cs.a[i][j].mean() for j in range(n)] for i in range(n)]
     b = [bk.mean() for bk in cs.b]
@@ -500,8 +474,7 @@ def _physical_rk4(prob, steps):
         return inverse(m * forward(v, spec), spec)
 
     def F(v):
-        total = _apply_spatial_per_axis(rest, v)
-        return 1j * (total if forcing is None else total + forcing.values)
+        return 1j * _apply_spatial_per_axis(rest, v)
 
     E, p1, p2, p3 = _phi_table(1j * h * lam)
     E2, q1, _, _ = _phi_table(0.5j * h * lam)
@@ -553,7 +526,6 @@ class TestCoefficientMarch:
         cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
         s_list, N = (0.0, 1.0), 2
         prob = EvolutionProblem(cs, random_field(spec, seed=20),
-                                random_field(spec, seed=21),
                                 T=0.1, s_list=s_list, N_weight=N)
         res = solve(prob, record_states=True)
         ref = _physical_rk4(prob, len(res.series.t) - 1)
@@ -575,9 +547,7 @@ class TestCoefficientMarch:
     def test_step_rk4_is_the_step_of_solve(self):
         spec, name = MARCH_CASES["jump-drift-1d"]
         cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
-        prob = EvolutionProblem(cs, random_field(spec, seed=22),
-                                random_field(spec, seed=23),
-                                T=0.03)
+        prob = EvolutionProblem(cs, random_field(spec, seed=22), T=0.03)
         res = solve(prob, record_states=True)
         t, dt = res.series.t, np.diff(res.series.t)
         u = prob.u0
@@ -683,7 +653,7 @@ def _reference_sup_differences(ref, others, s, dt):
     """Each problem solved on its own at step dt, keeping every state, and
     the H^s norm of every difference."""
     def states(p):
-        return solve(EvolutionProblem(p.cs, p.u0, p.forcing, T=p.T, dt=dt),
+        return solve(EvolutionProblem(p.cs, p.u0, T=p.T, dt=dt),
                      record_states=True).states
 
     base = states(ref)
@@ -698,14 +668,14 @@ def _reference_sup_differences(ref, others, s, dt):
 
 def _perturbed_pair(spec, name):
     """An eps = 2^-4 member and its eps^1-perturbed coefficients, with data
-    and forcing that differ too."""
+    that differ too."""
     eps, model = 2**-4, preset(name, n=spec.n)
     cs = regularise(model, eps, ScaleFn("loglog"), spec)
-    u0, g = random_field(spec, seed=30), random_field(spec, seed=31)
+    u0 = random_field(spec, seed=30)
     u0_p = Field(spec, u0.values + eps * random_field(spec, seed=32).values)
-    return (EvolutionProblem(cs, u0, g, T=0.1),
+    return (EvolutionProblem(cs, u0, T=0.1),
             [EvolutionProblem(_perturbed_set(cs, eps, 1, _bumps(spec, model.N)), u0_p,
-                              g, T=0.1)])
+                              T=0.1)])
 
 
 def _classical_and_mollified(spec):
@@ -731,8 +701,7 @@ class TestMarch:
     def test_yields_the_coefficients_of_every_level(self):
         spec, name = MARCH_CASES["jump-drift-1d"]
         cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
-        prob = EvolutionProblem(cs, random_field(spec, seed=24),
-                                random_field(spec, seed=25), T=0.03)
+        prob = EvolutionProblem(cs, random_field(spec, seed=24), T=0.03)
         levels = list(march([prob]))
         ref = _physical_rk4(prob, len(levels) - 1)
         np.testing.assert_allclose([t for t, _ in levels],
@@ -767,8 +736,8 @@ def _assert_same_result(got, want):
 
 
 def _stack_case(case):
-    """Problems of one grid and T that differ in coefficients, data and
-    forcing, with the s list of the net-1d-delta workload."""
+    """Problems of one grid and T that differ in coefficients and data, with
+    the s list of the net-1d-delta workload."""
     if case == "delta-potential-1d":
         # the net-1d-delta ladder on a smaller grid
         spec = make_grid(1, 64, 8.0)
@@ -780,15 +749,13 @@ def _stack_case(case):
         spec = make_grid(2, 16, 8.0)
         sets = [preset_set("ultra-diagonal", spec, eps) for eps in (2**-3, 2**-5, 2**-7)]
     else:
-        # a source on some members only, and members that differ in which
-        # coefficients are constant: none, V, b or a_11 variable
+        # members that differ in which coefficients are constant: none, V,
+        # b or a_11 variable
         spec = make_grid(1, 64, 8.0)
         sets = [preset_set(name, spec) for name in
                 ("free", "delta-potential", "jump-drift", "smooth-consistency")]
-    forcing = case == "forcing-1d"
-    return [EvolutionProblem(cs, random_field(spec, seed=40 + k),
-                             random_field(spec, seed=50 + k) if forcing and k % 2 else None,
-                             T=0.1, s_list=(0.0, 1.0))
+    return [EvolutionProblem(cs, random_field(spec, seed=40 + k), T=0.1,
+                             s_list=(0.0, 1.0))
             for k, cs in enumerate(sets)]
 
 
@@ -798,7 +765,7 @@ class TestSolveStack:
 
     @pytest.mark.parametrize("record_states", [False, True], ids=["norms", "states"])
     @pytest.mark.parametrize("case", ["delta-potential-1d", "ultra-diagonal-2d",
-                                      "forcing-1d"])
+                                      "mixed-1d"])
     def test_matches_one_by_one(self, case, record_states):
         probs = _stack_case(case)
         steps = shared_steps(probs)
@@ -808,7 +775,7 @@ class TestSolveStack:
             _assert_same_result(res, solve(prob, record_states, steps))
 
     def test_one_march_for_the_stack(self, monkeypatch):
-        probs = _stack_case("forcing-1d")
+        probs = _stack_case("mixed-1d")
         marches = record_marches(monkeypatch)
         solve_stack(probs)
         assert [len(ts) - 1 for ts in marches] == [shared_steps(probs)]
@@ -816,8 +783,8 @@ class TestSolveStack:
     def test_default_steps_are_shared(self):
         # the smallest default step of the members sets the count of all: at
         # T = 4 the jump-drift bound takes more than LEVELS steps
-        probs = [EvolutionProblem(p.cs, p.u0, p.forcing, T=4.0, s_list=p.s_list)
-                 for p in _stack_case("forcing-1d")]
+        probs = [EvolutionProblem(p.cs, p.u0, T=4.0, s_list=p.s_list)
+                 for p in _stack_case("mixed-1d")]
         got = solve_stack(probs)
         assert {len(res.series.t) - 1 for res in got} == {shared_steps(probs)}
         assert shared_steps(probs) > min(shared_steps([p]) for p in probs)
@@ -825,9 +792,9 @@ class TestSolveStack:
     @pytest.mark.parametrize("change", [{"T": 0.2}, {"s_list": (0.0,)},
                                         {"N_weight": 4}])
     def test_rejects_members_that_differ(self, change):
-        probs = _stack_case("forcing-1d")[:2]
+        probs = _stack_case("mixed-1d")[:2]
         p = probs[1]
-        probs[1] = EvolutionProblem(p.cs, p.u0, p.forcing, **{
+        probs[1] = EvolutionProblem(p.cs, p.u0, **{
             "T": p.T, "s_list": p.s_list, "N_weight": p.N_weight, **change})
         with pytest.raises(EvolveError):
             solve_stack(probs)

@@ -212,12 +212,33 @@ class TestUniquenessProbe:
                              params)
 
     def test_bumps_are_built_once(self, monkeypatch, spec, params):
-        # a_00, b_0, V and the two data slots, for all five epsilons
+        # a_00, b_0, V and u0, for all five epsilons
         calls, real = [], bump_perturbation
         monkeypatch.setattr(vwsnet, "bump_perturbation",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         uniqueness_probe(preset("delta-potential", n=1), 1, delta_field(spec), params)
-        assert len(calls) == 5
+        assert len(calls) == 4
+
+    def test_fixed_coefficient_perturbation_fails(self, monkeypatch):
+        # negative control: the coefficient bumps at amplitude 0.05 on every
+        # eps, not eps^q, are not negligible, and the difference stays O(1)
+        spec = make_grid(2, 16, 8.0)
+        params = NetParams(spec=spec, T=0.25)
+
+        def fit():
+            return uniqueness_probe(preset("ultra-diagonal"), 3, gaussian_field(spec),
+                                    params)
+
+        negligible = fit()
+        assert negligible.passed
+        assert negligible.slope == pytest.approx(3.0, abs=0.02)
+        real = vwsnet._perturbed_set
+        # _perturbed_set scales the bumps by its eps ** q
+        monkeypatch.setattr(vwsnet, "_perturbed_set",
+                            lambda cs, eps, q, bumps: real(cs, 0.05 ** (1 / q), q, bumps))
+        fixed = fit()
+        assert not fixed.passed
+        assert fixed.slope == pytest.approx(0.0, abs=0.02)
 
     def test_perturbed_set_adds_each_slot_bump(self):
         spec = make_grid(2, 16, 8.0)
