@@ -260,8 +260,26 @@ class CoefficientSet:
         """|eigenvalues| of the coefficient matrix at every node, shape
         (size, n).  a is symmetric by construction, so these are its
         singular values."""
-        A = self.matrix_at().reshape(-1, self.n, self.n)
-        return np.abs(np.linalg.eigvalsh(A))
+        return _abs_eigenvalues(self.matrix_at().reshape(-1, self.n, self.n))
+
+
+def _abs_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """|eigenvalues| of symmetric 1 x 1 or 2 x 2 matrices stacked along the
+    leading axes, in closed form: shape (..., n).
+
+    For [[a, b], [b, c]] the larger is |m| + r with m = (a + c) / 2 and
+    r = hypot((a - c) / 2, b), a sum of two non-negative terms; the smaller
+    is |det| / that, which the difference |m| - r would lose to
+    cancellation when the two are close.  A zero det, as of a singular
+    diagonal a(x), gives an exact 0.
+    """
+    if mats.shape[-1] == 1:
+        return np.abs(mats[..., 0, :])
+    a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
+    big = np.abs(a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
+    small = np.divide(np.abs(a * c - b * b), big, out=np.zeros_like(big),
+                      where=big > 0.0)
+    return np.stack([small, big], axis=-1)
 
 
 def regularise(model: CoefficientModel, eps: float, scale: ScaleFn,

@@ -21,14 +21,15 @@ whole operator between one forward and one inverse transform.
 
 Which marches are stacked: ``vwsnet.march_ladder`` marches the members of
 a ``net`` or ``solve`` ladder after its probe as one stack for each step
-count among them, so on net-1d-delta (1D, M=256) four members share every
-transform and array pass of one 16-level march.  ``sup_differences``
-marches each problem as its own stack of one, in lockstep, so uniqueness
-pairs and the consistency ladder are not stacked: a stack pays for the
-union of its members' variable coefficients (the base problem of a
-uniqueness pair would take the perturbed one's variable a_12, b and V), and
-uniq-2d-ultra with each pair stacked ran slower in-process (median of six
-runs on a 2-vCPU VM: 0.31 s against 0.29 s apart).
+count among them, the probe member too when the probe keeps no result of
+it, so on net-1d-delta (1D, M=256) all five members share every transform
+and array pass of one 16-level march (348 numpy FFT calls per run).
+``sup_differences`` marches each problem as its own stack of one, in
+lockstep, so uniqueness pairs and the consistency ladder are not stacked: a
+stack pays for the union of its members' variable coefficients (the base
+problem of a uniqueness pair would take the perturbed one's variable a_12,
+b and V), and uniq-2d-ultra with each pair stacked ran slower in-process
+(median of six runs on a 2-vCPU VM: 0.31 s against 0.29 s apart).
 
 The stepper is ETD-RK4 (exponential time differencing with RK4 stages;
 Cox & Matthews, J. Comput. Phys. 176 (2002), in the form of Kassam &
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoefficientSet
+from .coeffs import CoefficientSet, _abs_eigenvalues
 from .grid import Field, GridSpec, fft, ifft
 from .mollify import cumulative_trapezoid, fit_slope
 
@@ -147,7 +148,7 @@ def stable_dt(cs: CoefficientSet) -> float:
             r = _split(cs.a[i][j])[1]
             if r is not None:
                 rest[..., i, j] = r
-    anorm = float(np.max(np.abs(np.linalg.eigvalsh(rest.reshape(-1, n, n)))))
+    anorm = float(np.max(_abs_eigenvalues(rest)))
 
     def sup_rest(arr):
         r = _split(arr)[1]

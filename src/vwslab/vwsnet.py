@@ -5,18 +5,23 @@ classical-consistency verdicts for the regularised Cauchy problems.
 giving each member's result and march health keyed by eps, in ladder order.
 
 Each ladder chooses its level count once, in ``probe_levels``: its smallest
-eps marches at ``evolve.LEVELS`` and at COARSE = 4 levels, and the other
-members take COARSE levels when u(T) and the reported numbers of the two
-agree within TOL = 1e-3 relative, half the 2e-3 to which LEVELS keeps the
-net-1d-delta ladder of a 2048-step march.  On net-1d-delta the 4-vs-16 gap
-of u(T) understates the 4-level error by at most 1.15x.  The 4-vs-16 gap
-of the smallest eps on the benchmark ladders:
+eps marches at 2c steps and at c, c = 4 = COARSE levels unless the
+remainder bound asks for more, and the other members take COARSE levels
+when u(T) and the reported numbers of the two agree within TOL = 1e-3
+relative.  The probe member then keeps its 2c-step result; else every
+member, the probe's included, marches at ``evolve.LEVELS``.  ETD-RK4 is of
+4th order, so the c-vs-2c gap estimates the c-step error: against 256
+levels it understates the 4-level error of u(T) by at most 1.55x on the
+net-1d-delta ladder (at eps = 2^-7) and 1.07x on uniq-2d-ultra, which keeps
+an accepted ladder inside the 2e-3 to which LEVELS keeps the net-1d-delta
+ladder of a 2048-step march.  The 4-vs-8 gap of the smallest eps on the
+benchmark ladders:
 
     ladder          u(T)     reported numbers       levels
-    uniq-2d-ultra   8.4e-8   2.8e-7 sup difference  COARSE
-    net-1d-delta    2.7e-3   0.16 smoothing int     LEVELS
+    uniq-2d-ultra   7.9e-8   2.6e-7 sup difference  COARSE
+    net-1d-delta    2.0e-3   0.15 smoothing int     LEVELS
 
-net-1d-delta keeps LEVELS: its smoothing integrals are trapezoids over the
+net-1d-delta takes LEVELS: its smoothing integrals are trapezoids over the
 level times, and with delta data four intervals miss them by 16%.
 """
 
@@ -35,7 +40,7 @@ from .grid import Field, GridSpec, inverse
 from .mollify import Mollifier, ScaleFn, fit_slope, mollify
 
 #: time levels of an epsilon-ladder whose probe shows COARSE levels agree
-#: with LEVELS to TOL relative
+#: with twice as many to TOL relative
 COARSE = 4
 TOL = 1e-3
 
@@ -153,7 +158,7 @@ class LevelProbe:
 
     eps: float | None     # None: an explicit dt, and no probe
     levels: int | None    # COARSE or LEVELS; None with an explicit dt
-    gap: float | None     # the COARSE-vs-LEVELS gap; None if not measured
+    gap: float | None     # the c-vs-2c gap; None if not measured
 
     def health(self, T: float, steps: int) -> dict:
         """dt and step count of one member's march, and the probe."""
@@ -168,36 +173,36 @@ def _relative_gap(fine, coarse) -> float:
 
 
 def probe_levels(eps: float, probs: list, answer, params: NetParams) -> tuple:
-    """March the smallest-eps member of a ladder, and choose from it the
-    level count of every other member.
+    """Choose the level count of a ladder on its smallest-eps member.
 
     ``answer(members, steps)`` marches members, a dict eps -> the member's
     problems, in `steps` equal steps, the problems of each in lockstep, and
     returns for each member in order (result, compared): its result, and
     u(T) of each of its problems followed by the numbers it reports.
 
-    - With ``params.dt`` set, the member marches at it and nothing is probed.
-    - Else the member marches at LEVELS, and that result is kept.  If the
-      remainder bound forces LEVELS steps or more, the ladder keeps LEVELS.
-    - Else the member marches once more at COARSE levels, or at the bound's
-      count if that is larger.  The ladder takes COARSE levels if every u(T)
-      (in L^2) and every number of the two answers agree within TOL
+    - With ``params.dt`` set, the member marches at it and nothing is
+      probed.
+    - Else, with c = ``shared_steps(probs, COARSE)``, the member marches
+      in 2c steps and then in c steps of twice the length, unless 2c
+      reaches the LEVELS count.  The ladder takes COARSE levels if every
+      u(T) (in L^2) and every number of the two answers agree within TOL
       relative, else LEVELS.
 
-    Returns (LevelProbe, the member's step count, its result).
+    Returns (LevelProbe, kept).  kept is (the member's step count, its
+    result), at the given dt or at 2c when the ladder takes COARSE; else it
+    is None, and the member marches at LEVELS with the others.
     """
-    def alone(steps):
-        return answer({eps: probs}, steps)[0]
-
     if params.dt is not None:
         steps = shared_steps(probs)
-        return LevelProbe(None, None, None), steps, alone(steps)[0]
-    fine, coarse = shared_steps(probs, LEVELS), shared_steps(probs, COARSE)
-    result, kept = alone(fine)
-    if coarse >= fine:
-        return LevelProbe(eps, LEVELS, None), fine, result
-    gap = max(map(_relative_gap, kept, alone(coarse)[1]))
-    return LevelProbe(eps, COARSE if gap <= TOL else LEVELS, gap), fine, result
+        return LevelProbe(None, None, None), (steps, answer({eps: probs}, steps)[0][0])
+    coarse = shared_steps(probs, COARSE)
+    if 2 * coarse >= shared_steps(probs, LEVELS):
+        return LevelProbe(eps, LEVELS, None), None
+    (result, fine), = answer({eps: probs}, 2 * coarse)
+    gap = max(map(_relative_gap, fine, answer({eps: probs}, coarse)[0][1]))
+    if gap > TOL:
+        return LevelProbe(eps, LEVELS, gap), None
+    return LevelProbe(eps, COARSE, gap), (2 * coarse, result)
 
 
 @contextmanager
@@ -230,28 +235,37 @@ def march_ladder(ladder_eps: list, build, answer, params: NetParams,
                  stack: bool = False) -> tuple:
     """(results, health), each a dict keyed by the eps of a ladder in its
     order, at the level count that ``probe_levels`` chooses on the last,
-    smallest eps; that member is marched first.  ``build(eps)`` gives a
-    member's problems and ``answer`` is that of ``probe_levels``.  With
-    ``stack`` the other members go to ``answer`` together, one call for
-    each step count among them; else one by one, each built when it is
-    marched."""
+    smallest eps, which is built and probed first.  ``build(eps)`` gives a
+    member's problems and ``answer`` is that of ``probe_levels``.  When the
+    probe keeps no result of its member, that member marches first of the
+    others.  With ``stack`` the marched members go to ``answer`` together,
+    one call for each step count among them; else one by one, each built
+    when it is marched."""
     *rest, last = ladder_eps
     results, health = dict.fromkeys(ladder_eps), dict.fromkeys(ladder_eps)
-    probe, steps, results[last] = probe_levels(last, build(last), answer, params)
-    health[last] = probe.health(params.T, steps)
+    probs = build(last)
+    probe, kept = probe_levels(last, probs, answer, params)
+    groups = {}  # step count -> {eps: problems}
 
     def record(members, steps):
         for eps, (result, _) in zip(members, answer(members, steps)):
             results[eps], health[eps] = result, probe.health(params.T, steps)
 
-    groups = {}  # step count -> {eps: problems}
-    for eps in rest:
-        probs = build(eps)
+    def enqueue(eps, probs):
         steps = shared_steps(probs, probe.levels)
         if stack:
             groups.setdefault(steps, {})[eps] = probs
         else:
             record({eps: probs}, steps)
+
+    if kept is None:
+        enqueue(last, probs)
+    else:
+        steps, results[last] = kept
+        health[last] = probe.health(params.T, steps)
+    del probs  # done with, unless a stack holds them
+    for eps in rest:
+        enqueue(eps, build(eps))
     for steps, members in groups.items():
         record(members, steps)
     return results, health
@@ -394,20 +408,25 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams,
     classical = problem(sample(model, params.spec), u0, params)
     members = [problem(m["cs"], m["u0"], params)
                for m in ladder(model, params, u0).values()]
-    *rest, last = members
-    probe, last_steps, last_error = probe_levels(
-        params.eps_ladder[-1], [classical, last], _difference_answer(s), params)
-    # one lockstep takes the classical problem and every other member to T
-    steps = shared_steps([classical, *rest], probe.levels)
-    with _naming([None, *params.eps_ladder[:-1]]):
-        diffs = sup_differences(classical, rest, s, steps)[0]
-    errors = np.array(diffs + [last_error])
+    probe, kept = probe_levels(params.eps_ladder[-1], [classical, members[-1]],
+                               _difference_answer(s), params)
+    # one lockstep takes the classical problem and every member the probe
+    # kept no result of to T
+    marched = members if kept is None else members[:-1]
+    eps_marched = params.eps_ladder[:len(marched)]
+    steps = shared_steps([classical, *marched], probe.levels)
+    with _naming([None, *eps_marched]):
+        errors = sup_differences(classical, marched, s, steps)[0]
+    health = {float(e): probe.health(params.T, steps) for e in eps_marched}
+    if kept is not None:
+        last_steps, last_error = kept
+        errors.append(last_error)
+        health[float(params.eps_ladder[-1])] = probe.health(params.T, last_steps)
+    errors = np.array(errors)
     values = {float(e): float(v) for e, v in zip(params.eps_ladder, errors)}
     decreasing = bool(np.all(np.diff(errors) < 0.0))
     final_ok = bool(errors[-1] < final_error)
     slope, resid = _log_fit(params.eps_ladder, errors)
-    health = {float(e): probe.health(params.T, steps) for e in params.eps_ladder[:-1]}
-    health[float(params.eps_ladder[-1])] = probe.health(params.T, last_steps)
     return FitReport(slope, resid, decreasing and final_ok, final_error, values,
                      extra={"monotone_decreasing": decreasing,
                             "final_error": float(errors[-1]),

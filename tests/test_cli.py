@@ -421,8 +421,9 @@ class TestRunReportContract:
         ("consistency", "smooth-consistency", 0.01)])
     def test_compared_report_holds_each_march(self, tmp_path, kind, model, dt):
         # the loglog consistency verdict fails on this grid; the report
-        # still holds the marches.  With dt "auto" the smallest eps, the
-        # probe, marches LEVELS and both ladders take COARSE levels.
+        # still holds the marches.  With dt "auto" both ladders take COARSE
+        # levels, and the smallest eps, the probe, keeps its trial at twice
+        # that.
         cfg = parse_config(cfg_text(experiment={"kind": kind}, model={"preset": model},
                                     evolution={"T": 0.5, "dt": dt}))
         run(cfg, out_dir=str(tmp_path))
@@ -435,7 +436,7 @@ class TestRunReportContract:
             if dt != "auto":
                 assert h["steps"] == 50
             else:
-                assert h["steps"] == (LEVELS if eps == probe else COARSE)
+                assert h["steps"] == (2 * COARSE if eps == probe else COARSE)
             assert h["dt"] * h["steps"] == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("kind, model, data, T, levels", [
@@ -458,7 +459,9 @@ class TestRunReportContract:
             assert set(h) == {"dt", "steps", "levels", "probe_eps", "probe_gap"}
             assert (h["levels"], h["probe_eps"]) == (levels, probe)
             assert (h["probe_gap"] <= TOL) == (levels == COARSE)
-            assert h["steps"] == (LEVELS if float(eps) == probe else levels)
+            # a ladder at COARSE levels keeps the probe's 2 * COARSE trial
+            kept = float(eps) == probe and levels == COARSE
+            assert h["steps"] == (2 * COARSE if kept else levels)
 
     def test_given_dt_reports_no_probe(self, tmp_path):
         cfg = parse_config(cfg_text(experiment={"kind": "net"},

@@ -1,13 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import LADDER, assert_da_is_the_derivative_of_a
-from vwslab import coeffs
+from vwslab import cli, coeffs
 from vwslab.coeffs import (CoefficientModel, Delta, ModelError, Pointwise,
                            SquareWave, _multi_indices, check_hypotheses,
                            enveloped_bump, preset, regularise, sample)
 from vwslab.grid import forward, inverse, make_grid, partial_derivative
 from vwslab.mollify import ScaleFn, fit_slope
+from vwslab.vwsnet import _bumps, _perturbed_set
 
 
 def ladder_sets(model, spec, scale=None):
@@ -168,6 +171,57 @@ class TestCheckHypotheses:
                                nu=0.05, c0=0.05, N=2)
         assert rep.mu == np.inf
         assert not rep.passed
+
+
+class TestAbsEigenvalues:
+    """``coeffs._abs_eigenvalues``, the closed form behind
+    ``CoefficientSet.abs_eigenvalues`` and ``evolve.stable_dt``, against
+    ``np.linalg.eigvalsh``."""
+
+    @staticmethod
+    def check(cs):
+        mats = cs.matrix_at().reshape(-1, cs.n, cs.n)
+        want = np.sort(np.abs(np.linalg.eigvalsh(mats)), axis=1)
+        got = np.sort(cs.abs_eigenvalues(), axis=1)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("M", [64, 16], ids=["uniq-2d-ultra", "doi-2d-ultra"])
+    def test_benchmark_ladders(self, M):
+        spec = make_grid(2, M, 8.0)
+        bumps = _bumps(spec, 2)
+        for cs in ladder_sets(preset("ultra-diagonal"), spec):
+            self.check(cs)
+            # the perturbed uniqueness set has a variable a_12
+            self.check(_perturbed_set(cs, cs.eps, 3, bumps))
+
+    @pytest.mark.parametrize("c2", [1e-8, -1e-8])
+    def test_near_degenerate(self, c2):
+        for cs in ladder_sets(preset("ultra-diagonal", c2=c2), make_grid(2, 16, 8.0)):
+            self.check(cs)
+
+    def test_one_dimension(self, grid_1d):
+        for cs in ladder_sets(preset("elliptic-lipschitz", n=1), grid_1d):
+            self.check(cs)
+            np.testing.assert_array_equal(cs.abs_eigenvalues()[:, 0],
+                                          np.abs(cs.a[0][0]).ravel())
+
+    def test_singular_is_exactly_zero(self):
+        cs = sample(CoefficientModel("degenerate", 2, np.diag([1.0, 0.0]), smooth=True),
+                    make_grid(2, 8, 8.0))
+        self.check(cs)
+        assert np.all(np.min(cs.abs_eigenvalues(), axis=1) == 0.0)
+
+    def test_no_workload_calls_eigvalsh(self, monkeypatch, tmp_path):
+        def eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        workloads = sorted((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "workloads").glob("*.json"))
+        assert workloads
+        for path in workloads:
+            cfg = cli.parse_config(path.read_text())
+            assert cli.run(cfg, out_dir=str(tmp_path / path.stem)) == 0, path
 
 
 def _exponent_shift_from_scratch(sets, arrays_of):

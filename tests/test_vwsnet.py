@@ -363,35 +363,58 @@ class TestComparedProblemsStep:
                                              ("consistency", 6)])
     def test_health_is_the_lockstep_march(self, monkeypatch, spec, kind, group):
         # at T = 2 the eps = 2^-3 perturbed problem's bound sets its step,
-        # and the consistency probe's trial takes its bound's count, 7
+        # and the consistency probe takes its bound's count, 7, and 14
         marches = record_marches(monkeypatch)
         fit = self.cases(spec)[kind](NetParams(spec=spec, T=2.0))
         health = fit.extra["health"]
-        assert health[min(health)]["probe_gap"] is not None
-        # the probe's problems at LEVELS and at the trial count; then the
-        # other uniqueness pairs one by one, or the classical problem with
-        # the other consistency members at once
-        sizes = [2, 2] + ([group] * (len(health) - 1) if kind == "uniqueness"
-                          else [group - 1])
+        probe = health[min(health)]
+        assert probe["probe_gap"] is not None
+        # the probe's problems at 2c and at c steps; then the uniqueness
+        # pairs one by one, the probe's first as it keeps no result, or the
+        # classical problem with the four other consistency members at once
+        (levels, sizes, counts, steps), = [{
+            "uniqueness": (LEVELS, [2] * 7, [8, 4, 16, 17, 16, 16, 16],
+                           [17, 16, 16, 16, 16]),
+            "consistency": (COARSE, [2, 2, group - 1], [14, 7, 7],
+                            [7, 7, 7, 7, 14]),
+        }[kind]]
+        assert probe["levels"] == levels
+        assert (probe["probe_gap"] <= TOL) == (levels == COARSE)
         assert sum(sizes) == len(marches)
         starts = np.cumsum([0] + sizes)
         groups = [marches[a:b] for a, b in zip(starts, starts[1:])]
         for lockstep in groups:
             assert all(ts == lockstep[0] for ts in lockstep)
-        fine, trial, *rest = [len(g[0]) - 1 for g in groups]
-        assert (fine, trial) == ((16, 4) if kind == "uniqueness" else (16, 7))
-        if kind == "consistency":
-            rest = rest * (len(health) - 1)
-        assert [h["steps"] for h in health.values()] == rest + [fine]
+        assert [len(g[0]) - 1 for g in groups] == counts
+        assert [h["steps"] for h in health.values()] == steps
         assert {h["dt"] * h["steps"] for h in health.values()} == {2.0}
+
+    @pytest.mark.parametrize("kind", ["uniqueness", "consistency"])
+    def test_rejected_probe_member_marches_with_the_others(self, monkeypatch,
+                                                           spec, kind):
+        # at TOL = 0 every probe rejects: its member marches at LEVELS as one
+        # more uniqueness pair, or in the classical consistency lockstep, and
+        # every value is that of a march at the LEVELS step
+        monkeypatch.setattr(vwsnet, "TOL", 0.0)
+        marches = record_marches(monkeypatch)
+        T = 0.1
+        fit = self.cases(spec)[kind](NetParams(spec=spec, T=T))
+        health = fit.extra["health"]
+        assert [(h["levels"], h["steps"]) for h in health.values()] == [(LEVELS, LEVELS)] * 5
+        rest = [LEVELS] * 10 if kind == "uniqueness" else [LEVELS] * 6
+        assert [len(ts) - 1 for ts in marches] == [2 * COARSE] * 2 + [COARSE] * 2 + rest
+        monkeypatch.undo()
+        assert fit.values == self.cases(spec)[kind](
+            NetParams(spec=spec, T=T, dt=T / LEVELS)).values
 
     @pytest.mark.parametrize("kind, group", [("uniqueness", 2),
                                              ("consistency", 6)])
     def test_auto_dt_is_the_smallest_stability_step(self, monkeypatch, spec,
                                                     kind, group):
         # each march is at min(T / levels, the smallest stability step of
-        # the problems it takes): the probe's problems at LEVELS and at
-        # COARSE, then every other member at the level count chosen
+        # the problems it takes): the probe's problems at twice COARSE's
+        # count and at that count, then every member the probe kept no
+        # result of at the level count chosen
         calls = _count_stable_dt(monkeypatch)
         marches = record_marches(monkeypatch)
         T = 0.1
@@ -400,19 +423,39 @@ class TestComparedProblemsStep:
         (levels, gap), = {(h["levels"], h["probe_gap"])
                           for h in fit.extra["health"].values()}
         assert levels == (COARSE if gap <= TOL else LEVELS)
+        kept = levels == COARSE
         if kind == "uniqueness":
             # each pair is built when it is marched, the probe's first
             probe, *rest = [limits[k:k + group] for k in range(0, len(limits), group)]
+            if not kept:
+                rest = [probe] + rest
         else:
-            probe, rest = [limits[0], limits[-1]], [limits[:-1]]
-        want = [(probe, LEVELS), (probe, COARSE)] + [(g, levels) for g in rest]
+            probe, rest = [limits[0], limits[-1]], [limits[:-1] if kept else limits]
+
+        def steps(g, count):
+            return round(T / min(T / count, *g))
+        coarse = steps(probe, COARSE)
+        want = [(probe, 2 * coarse), (probe, coarse)] + [(g, steps(g, levels))
+                                                        for g in rest]
         assert sum(len(g) for g, _ in want) == len(marches)
         k = 0
         for g, count in want:
-            dt = min(T / count, *g)
             for ts in marches[k:k + len(g)]:
-                assert len(ts) - 1 == round(T / dt)
+                assert len(ts) - 1 == count
             k += len(g)
+
+
+def _record_stack_sizes(monkeypatch):
+    """Make every ``evolve.march`` record how many problems it stacks;
+    returns the list of sizes, one per march."""
+    sizes, real = [], evolve.march
+
+    def sized(probs, steps=None):
+        sizes.append(len(probs))
+        return real(probs, steps)
+
+    monkeypatch.setattr(evolve, "march", sized)
+    return sizes
 
 
 def _delta_net_params():
@@ -421,9 +464,9 @@ def _delta_net_params():
 
 
 class TestLevelProbe:
-    """``probe_levels`` marches the smallest eps at LEVELS, keeps that
-    result, and gives the ladder COARSE levels when one more march at COARSE
-    agrees within TOL."""
+    """``probe_levels`` marches the smallest eps at 2c and at c steps, c the
+    COARSE count, and gives the ladder COARSE levels, the member keeping its
+    2c-step result, when the two agree within TOL."""
 
     @staticmethod
     def probs(T, dt=None):
@@ -446,51 +489,57 @@ class TestLevelProbe:
 
     def test_coarse_when_the_trial_agrees(self):
         answer, calls = self.answers({COARSE: (0.5 * TOL, 0.0)})
-        probe, steps, result = probe_levels(
+        probe, kept = probe_levels(
             0.5, self.probs(0.5), answer, NetParams(spec=make_grid(1, 32, 8.0)))
-        assert calls == [LEVELS, COARSE]
-        assert (steps, result) == (LEVELS, f"result@{LEVELS}")
+        assert calls == [2 * COARSE, COARSE]
+        assert kept == (2 * COARSE, f"result@{2 * COARSE}")
         assert probe == LevelProbe(0.5, COARSE, pytest.approx(0.5 * TOL))
 
     @pytest.mark.parametrize("rel", [(2.0 * TOL, 0.0), (0.0, 2.0 * TOL)],
                              ids=["u(T)", "number"])
     def test_levels_when_any_part_of_the_trial_disagrees(self, rel):
         answer, calls = self.answers({COARSE: rel})
-        probe, steps, _ = probe_levels(
+        probe, kept = probe_levels(
             0.5, self.probs(0.5), answer, NetParams(spec=make_grid(1, 32, 8.0)))
-        assert calls == [LEVELS, COARSE]
-        assert steps == LEVELS
+        assert calls == [2 * COARSE, COARSE]
+        assert kept is None
         assert probe == LevelProbe(0.5, LEVELS, pytest.approx(2.0 * TOL))
 
     def test_zero_answers_agree(self):
         def answer(members, steps):
             return [(None, [np.zeros(3), 0.0])]
-        probe, _, _ = probe_levels(0.5, self.probs(0.5), answer,
-                                   NetParams(spec=make_grid(1, 32, 8.0)))
+        probe, _ = probe_levels(0.5, self.probs(0.5), answer,
+                                NetParams(spec=make_grid(1, 32, 8.0)))
         assert (probe.levels, probe.gap) == (COARSE, 0.0)
 
     def test_trial_at_the_bound_count(self):
-        # the bound forces 10 steps: the trial takes them
+        # the bound forces c = 7 steps: the trial takes 14 and 7
         limit = stable_dt(self.probs(1.0)[0].cs)
         answer, calls = self.answers({})
-        probe, steps, _ = probe_levels(0.5, self.probs(10 * limit), answer,
-                                       NetParams(spec=make_grid(1, 32, 8.0)))
-        assert calls == [LEVELS, 10]
-        assert (probe.levels, steps) == (COARSE, LEVELS)
+        probe, kept = probe_levels(0.5, self.probs(7 * limit), answer,
+                                   NetParams(spec=make_grid(1, 32, 8.0)))
+        assert calls == [14, 7]
+        assert probe.levels == COARSE
+        assert kept == (14, "result@14")
 
     def test_no_trial_where_the_bound_forces_levels(self):
+        # the bound forces c steps, and 2c reaches the LEVELS count
         limit = stable_dt(self.probs(1.0)[0].cs)
-        answer, calls = self.answers({})
-        probe, steps, _ = probe_levels(0.5, self.probs(20 * limit), answer,
+        for c in (8, 10, 20):
+            answer, calls = self.answers({})
+            probs = self.probs(c * limit)
+            assert evolve.shared_steps(probs, COARSE) == c
+            probe, kept = probe_levels(0.5, probs, answer,
                                        NetParams(spec=make_grid(1, 32, 8.0)))
-        assert calls == [steps] == [20]
-        assert probe == LevelProbe(0.5, LEVELS, None)
+            assert calls == [], c
+            assert (probe, kept) == (LevelProbe(0.5, LEVELS, None), None), c
 
     def test_no_probe_with_a_given_dt(self):
         answer, calls = self.answers({})
         params = NetParams(spec=make_grid(1, 32, 8.0), dt=0.01)
-        probe, steps, _ = probe_levels(0.5, self.probs(0.5, dt=0.01), answer, params)
-        assert calls == [steps] == [50]
+        probe, kept = probe_levels(0.5, self.probs(0.5, dt=0.01), answer, params)
+        assert calls == [50]
+        assert kept == (50, "result@50")
         assert probe == LevelProbe(None, None, None)
 
     def test_net_ladder_rejects_coarse(self):
@@ -505,12 +554,53 @@ class TestLevelProbe:
             assert h["probe_gap"] > 10 * TOL
 
     def test_net_ladder_marches_each_member_once(self, monkeypatch):
-        # the probe's two marches, then one march of the other members as
-        # one stack
+        # the probe's two trial marches, which reject COARSE, then one march
+        # of all five members, the probe's included, as one stack
         marches = record_marches(monkeypatch)
+        sizes = _record_stack_sizes(monkeypatch)
         params = _delta_net_params()
         run_net(preset("delta-potential", n=1), delta_field(params.spec), params)
-        assert [len(ts) - 1 for ts in marches] == [LEVELS, COARSE, LEVELS]
+        assert [len(ts) - 1 for ts in marches] == [2 * COARSE, COARSE, LEVELS]
+        assert sizes == [1, 1, 5]
+
+    def test_probe_member_in_the_stack_is_its_march_alone(self):
+        # on the net-1d-delta ladder the probe rejects, and its member
+        # marches at LEVELS in the stack
+        params = _delta_net_params()
+        members = ladder(preset("delta-potential", n=1), params,
+                         delta_field(params.spec))
+        results, health = solve_ladder(members, params)
+        last = params.eps_ladder[-1]
+        assert (health[last]["levels"], health[last]["steps"]) == (LEVELS, LEVELS)
+        alone = solve(problem(members[last]["cs"], members[last]["u0"], params),
+                      steps=LEVELS)
+        assert np.array_equal(results[last].final.values, alone.final.values)
+        for s in params.s_list:
+            assert np.array_equal(results[last].series.norms[s], alone.series.norms[s])
+            assert np.array_equal(results[last].series.integral[s],
+                                  alone.series.integral[s])
+
+    def test_instability_of_the_probe_member_names_its_eps(self, monkeypatch):
+        # a stability bound patched to T / 8 makes c = 8, so nothing is
+        # probed and the smooth-consistency probe member marches straight in
+        # the stack, at 50 times its true bound a step, and blows up there
+        spec = make_grid(1, 64, np.pi)
+        eps_ladder = (0.5, 0.25, 0.125)
+        sets = {eps: regularise(preset("smooth-consistency" if eps == 0.125 else "free",
+                                       n=1), eps, ScaleFn("loglog"), spec)
+                for eps in eps_ladder}
+        T = LEVELS * 50 * stable_dt(sets[0.125])
+        monkeypatch.setattr(evolve, "stable_dt", lambda cs: T / 8)
+        members = {eps: {"cs": cs, "u0": random_field(spec, seed=1)}
+                   for eps, cs in sets.items()}
+        params = NetParams(spec=spec, eps_ladder=eps_ladder, T=T)
+        sizes = _record_stack_sizes(monkeypatch)
+        with pytest.raises(Instability) as info:
+            solve_ladder(members, params)
+        # the probe member is the first of the stack of three
+        assert sizes == [3]
+        assert (info.value.member, info.value.eps) == (0, 0.125)
+        assert "for eps = 0.125;" in str(info.value)
 
     @pytest.mark.parametrize("name", ["uniq-2d-reduced", "delta-potential-1d"])
     def test_uniqueness_matches_a_converged_march(self, name):
@@ -549,8 +639,8 @@ class TestSolveLadderStack:
         results, health = solve_ladder(members, params)
         assert list(results) == list(health) == list(members)
         assert [h["steps"] for h in health.values()] == [16, 16, 19, 23, 25]
-        # the probe alone, whose bound skips the trial, then one stack for
-        # each step count
+        # one stack for each step count, the first that of the probe
+        # member, whose bound skips the trial
         assert [len(ts) - 1 for ts in marches] == [25, 16, 19, 23]
         monkeypatch.undo()
         for eps, res in results.items():
