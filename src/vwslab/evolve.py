@@ -79,19 +79,19 @@ class Instability(EvolveError):
     tenfold in one step.
 
     ``member`` is its position in the marched stack, or in the lockstep of
-    ``sup_differences``; ``eps`` is None until a caller that knows the
-    member's epsilon sets it, and the message then names it.
+    ``sup_differences``; ``eps`` is the ``CoefficientSet.eps`` of its
+    coefficients, 0.0 for a classical (unmollified) problem, and the
+    message names it.
     """
 
-    def __init__(self, ratio: float, t: float, dt: float, member: int):
-        super().__init__(ratio, t, dt, member)
-        self.ratio, self.t, self.dt, self.member = ratio, t, dt, member
-        self.eps = None
+    def __init__(self, ratio: float, t: float, dt: float, member: int, eps: float):
+        super().__init__(ratio, t, dt, member, eps)
+        self.ratio, self.t, self.dt, self.member, self.eps = ratio, t, dt, member, eps
 
     def __str__(self) -> str:
-        where = "" if self.eps is None else f" for eps = {self.eps!r}"
         return (f"norm grew x{self.ratio:.1f} in one step at t = {self.t:.4g} "
-                f"(dt = {self.dt:.3g}){where}; generator likely under-resolved")
+                f"(dt = {self.dt:.3g}) for eps = {self.eps!r}; "
+                "generator likely under-resolved")
 
 
 @dataclass
@@ -175,6 +175,7 @@ class _Operator:
     def __init__(self, sets: list):
         spec, n = sets[0].spec, sets[0].n
         self.n, km = n, spec.kappa_mesh()
+        self.eps = [cs.eps for cs in sets]
 
         def split(arrs):
             # (means shaped to broadcast over the stack, stacked remainders or None)
@@ -293,7 +294,7 @@ class _Step:
         for p, (u0, u1) in enumerate(zip(uh, new)):
             before, after = np.linalg.norm(u0), np.linalg.norm(u1)
             if before > 0 and after > 10.0 * before:
-                raise Instability(float(after / before), t, h, p)
+                raise Instability(float(after / before), t, h, p, self.op.eps[p])
         return new
 
 

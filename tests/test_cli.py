@@ -402,6 +402,19 @@ class TestRunReportContract:
         assert verdict["traceback"].splitlines()[-1].startswith(
             "vwslab.evolve.Instability: norm grew x")
 
+    def test_instability_in_the_consistency_ladder_is_named(self, tmp_path, monkeypatch):
+        # one step of T = 0.5, about 20 times the classical problem's bound
+        # of 0.026, blows it up first: it is the first of the probe's
+        # lockstep, and its unmollified coefficients have eps 0.0
+        monkeypatch.setattr(evolve, "stable_dt", lambda cs: np.inf)
+        model = {"preset": "smooth-consistency", "params": {"v_amplitude": 100.0}}
+        cfg = parse_config(cfg_text(experiment={"kind": "consistency"}, model=model,
+                                    evolution={"T": 0.5, "dt": 0.5}))
+        assert run(cfg, out_dir=str(tmp_path)) == 3
+        verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
+        assert verdict["error"].startswith("Instability: norm grew x")
+        assert "in one step at t = 0 (dt = 0.5) for eps = 0.0;" in verdict["error"]
+
     def test_net_report_holds_each_march(self, tmp_path):
         # the net-1d-delta benchmark config
         cfg = parse_config(json.dumps({

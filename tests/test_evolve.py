@@ -814,7 +814,7 @@ class TestSolveStack:
         with pytest.raises(Instability) as info:
             solve_stack(probs, steps=1)
         exc = info.value
-        assert (exc.member, exc.t, exc.dt, exc.eps) == (1, 0.0, T, None)
+        assert (exc.member, exc.t, exc.dt, exc.eps) == (1, 0.0, T, cs.eps)
         assert exc.ratio > 10.0
         assert str(exc).startswith(f"norm grew x{exc.ratio:.1f} in one step at t = 0 ")
         # the free flow keeps norms: the stack as a whole grows far less

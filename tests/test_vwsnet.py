@@ -7,7 +7,8 @@ from conftest import (LADDER, assert_da_is_the_derivative_of_a, random_field,
                       record_marches)
 import vwslab
 from vwslab import evolve
-from vwslab.coeffs import ModelError, check_hypotheses, preset, regularise
+from vwslab.coeffs import (ModelError, check_hypotheses, preset, regularise,
+                           sample)
 from vwslab.evolve import (LEVELS, EvolutionProblem, EvolveError, Instability,
                            solve, stable_dt)
 from vwslab.grid import Field, make_grid, sobolev_norm, spectral_derivative
@@ -305,6 +306,43 @@ class TestConsistencyRun:
         assert fit.passed
         assert fit.extra["monotone_decreasing"]
         assert fit.extra["final_error"] < 1e-4
+
+
+class TestDifferenceAnswer:
+    """One call of ``_difference_answer`` marches once the reference problem
+    that all its members hold, in lockstep with each compared problem."""
+
+    @staticmethod
+    def pairs(spec):
+        """Two smooth-consistency members that hold one classical problem."""
+        model, u0 = preset("smooth-consistency", n=1), gaussian_field(spec)
+        ref = EvolutionProblem(sample(model, spec), u0, T=0.1)
+        return {eps: [ref, EvolutionProblem(
+                    regularise(model, eps, ScaleFn("power", k=1.0), spec), u0, T=0.1)]
+                for eps in (0.25, 0.125)}
+
+    def test_members_with_different_references_raise(self, monkeypatch, spec):
+        pairs = self.pairs(spec)
+        ref = pairs[0.125][0]
+        # an equal problem, but not the one the other member holds
+        pairs[0.125][0] = EvolutionProblem(ref.cs, ref.u0, T=ref.T)
+        marches = record_marches(monkeypatch)
+        with pytest.raises(NetError, match="one reference problem"):
+            vwsnet._difference_answer(0.0)(pairs, 4)
+        assert marches == []
+
+    def test_shared_reference_answers_each_pair_alone(self, monkeypatch, spec):
+        pairs = self.pairs(spec)
+        answer = vwsnet._difference_answer(1.0)
+        marches = record_marches(monkeypatch)
+        got = answer(pairs, 4)
+        assert len(marches) == 3
+        for (diff, compared), pair in zip(got, pairs.values()):
+            (want_diff, want_compared), = answer({0.5: pair}, 4)
+            assert diff == want_diff
+            assert len(compared) == len(want_compared) == 3
+            for a, b in zip(compared, want_compared):
+                assert np.array_equal(a, b)
 
 
 def _count_stable_dt(monkeypatch):
