@@ -33,8 +33,7 @@ import numpy as np
 
 from . import __version__
 from .coeffs import ModelError, preset
-from .doi import (FTable, assemble_a2, build_d, build_q, calibrate_K,
-                  check_doi, check_escape)
+from .doi import FTable, build_q, calibrate_K, check_member
 from .grid import Field, GridSpec, make_grid, plane_wave
 from .mollify import (Mollifier, ScaleFn, derivative_bound_probe,
                       sobolev_boost_probe)
@@ -280,26 +279,19 @@ def _run_validate_hypotheses(cfg, out: Path) -> dict:
     return d
 
 
-def _doi_member(cs, q, f, C1, N) -> dict:
-    """Escape and Doi checks of one ladder member; its a2 and d are freed
-    on return, before the next member builds its own."""
-    a2 = assemble_a2(cs)
-    return {**check_escape(q, a2, C1), **check_doi(build_d(q, f), a2, N)}
-
-
 def _run_doi_check(cfg, out: Path) -> dict:
     spec = _grid(cfg)
     model = _model(cfg)
     C1 = 4.0
     N = cfg["evolution"]["N"]
     sets = [m["cs"] for m in ladder(model, _net_params(cfg, spec)).values()]
-    # K needs every q first; a2 is built afterwards, one eps at a time, so
-    # only the q symbols are held across the ladder
+    # K needs every q first, so the q symbols are held across the ladder;
+    # check_member makes nothing else of their size
     qs = [build_q(cs, C1, float(np.sqrt(np.max(cs.abs_eigenvalues()))))
           for cs in sets]
     K = calibrate_K(qs)
     f = FTable(K, N)
-    per_eps = [{"eps": eps, **_doi_member(cs, q, f, C1, N)}
+    per_eps = [{"eps": eps, **check_member(cs, q, f, C1, N)}
                for eps, cs, q in zip(cfg["ladder"], sets, qs)]
     c2s = [e["C2"] for e in per_eps]
     cstars = [e["C_star"] for e in per_eps]

@@ -244,9 +244,7 @@ class CoefficientSet:
 
     @functools.cached_property
     def da(self) -> list:
-        n = self.n
-        return [[[spectral_derivative(self.a[i][j], self.spec, k).real
-                  for j in range(n)] for i in range(n)] for k in range(n)]
+        return _derivatives(self.a, self.spec)
 
     def matrix_at(self) -> np.ndarray:
         """Coefficient matrix stacked over grid nodes, shape (*grid, n, n)."""
@@ -261,6 +259,13 @@ class CoefficientSet:
         (size, n).  a is symmetric by construction, so these are its
         singular values."""
         return _abs_eigenvalues(self.matrix_at().reshape(-1, self.n, self.n))
+
+
+def _derivatives(a: list, spec: GridSpec) -> list:
+    """d[k][i][j], the spectral x_k-derivative of a[i][j]."""
+    n = spec.n
+    return [[[spectral_derivative(a[i][j], spec, k).real
+              for j in range(n)] for i in range(n)] for k in range(n)]
 
 
 def _abs_eigenvalues(mats: np.ndarray) -> np.ndarray:
@@ -456,9 +461,11 @@ def check_hypotheses(sets: list, nu: float, c0: float, N: int = 2) -> Hypothesis
 
     w = (1.0 + spec.x_norm_sq()) ** (N / 2.0)
 
+    # derived here and dropped, not kept as cs.da: a validated net is
+    # marched next, and the march never reads da
     h3_sups = np.array([
-        max(float(np.max(w * np.abs(cs.da[k][i][j])))
-            for k in range(n) for i in range(n) for j in range(n))
+        max(float(np.max(w * np.abs(d)))
+            for dk in _derivatives(cs.a, spec) for row in dk for d in row)
         for cs in sets
     ])
     h4_sups = np.array([

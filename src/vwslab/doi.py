@@ -5,12 +5,22 @@ seminorms, and a dense Kohn-Nirenberg quantizer for small grids.
 Symbols live on the product of the spatial grid and its dual lattice,
 sorted ascending, so the GridSpec alone fixes a symbol grid.  a2, q and
 their x-gradients are sums of products f_r(x) g_r(xi), each built as one
-(M^n x r) @ (r x M^n) matrix product.  x-derivatives are spectral unless a
-symbol carries its exact x-gradient: symbols with explicit x_j or <x>
-factors are not periodic on the torus, so their builders attach chain-rule
-x-gradients, which the bracket uses in place of the spectral derivative.
-xi-derivatives use 4th-order finite differences, except that a2 carries
-its exact xi-gradient 2 sum_i a_ij xi_i, which the bracket uses instead.
+(rows x r) @ (r x M^n) matrix product over some or all x-rows.
+x-derivatives are spectral unless a symbol carries its exact x-gradient:
+symbols with explicit x_j or <x> factors are not periodic on the torus, so
+their builders attach chain-rule x-gradients, which the bracket uses in
+place of the spectral derivative.  xi-derivatives use 4th-order finite
+differences, except that a2 carries its exact xi-gradient
+2 sum_i a_ij xi_i, which the bracket uses instead.
+
+With exact x-gradients every quantity the escape and Doi checks read is
+pointwise in x, so the checks run over blocks of rows of the first x axis,
+each of about _BLOCK (x, xi) points: ``check_member`` evaluates a2's
+gradients, the rows of q, d and both brackets block by block and keeps
+each block's minima, so no array of the full (x, xi) size is made for a ladder
+member beside its q.  ``poisson_bracket`` is the same bracket kernel on
+the whole grid, and ``check_escape`` and ``check_doi`` are the checks'
+block reductions for symbols already built.
 """
 
 from __future__ import annotations
@@ -68,7 +78,9 @@ def dual_xi(spec: GridSpec) -> tuple:
 
 
 class _XiTables(NamedTuple):
+    step: float   # the spacing of the dual lattice
     mesh: tuple
+    quads: tuple  # xi_i xi_j for (i, j) in row-major order
     abs: np.ndarray
     bracket: np.ndarray
 
@@ -78,10 +90,13 @@ class _XiTables(NamedTuple):
 # as they are, since numpy aligns them with its trailing (xi) axes.
 @functools.lru_cache(maxsize=32)
 def _xi_tables(spec: GridSpec) -> _XiTables:
-    mesh = tuple(np.meshgrid(*dual_xi(spec), indexing="ij"))
+    axes = dual_xi(spec)
+    mesh = tuple(np.meshgrid(*axes, indexing="ij"))
+    quads = tuple(a * b for a in mesh for b in mesh)
     sq = sum(a**2 for a in mesh)
-    tables = _XiTables(mesh, np.sqrt(sq), np.sqrt(1.0 + sq))
-    for arr in (*mesh, *tables[1:]):
+    tables = _XiTables(float(axes[0][1] - axes[0][0]), mesh, quads,
+                       np.sqrt(sq), np.sqrt(1.0 + sq))
+    for arr in (*mesh, *quads, tables.abs, tables.bracket):
         arr.setflags(write=False)
     return tables
 
@@ -124,42 +139,62 @@ def fd4(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     mid += v[:-4]
     mid -= v[4:]
     mid /= 12.0 * h
-    out[:2] = np.tensordot(_EDGES / h, v[:5], axes=(1, 0))
-    out[-2:] = -np.tensordot(_EDGES[::-1, ::-1] / h, v[-5:], axes=(1, 0))
+    # the edge stencils as matrix products with the other axes flattened
+    flat_v, flat_out = v.reshape(m, -1), out.reshape(m, -1)
+    flat_out[:2] = np.dot(_EDGES / h, flat_v[:5])
+    flat_out[-2:] = -np.dot(_EDGES[::-1, ::-1] / h, flat_v[-5:])
     return np.moveaxis(out, 0, axis)
 
 
 def _dxi(values: np.ndarray, spec: GridSpec, axis: int) -> np.ndarray:
     """d/dxi_axis of (x, xi) values by finite differences."""
-    ax = dual_xi(spec)[axis]
-    return fd4(values, spec.n + axis, float(ax[1] - ax[0]))
+    return fd4(values, spec.n + axis, _xi_tables(spec).step)
 
 
-def _dx(sym: SymbolGrid, axis: int) -> np.ndarray:
-    """d/dx_axis of the symbol: its exact gradient when it carries one."""
+class _Partials(NamedTuple):
+    """First partials of a symbol on the (x, xi) grid or on a block of its
+    x-rows: dx[j] = d/dx_j and dxi[j] = d/dxi_j there."""
+
+    dx: list
+    dxi: list
+
+
+def _partials(sym: SymbolGrid, rows: slice = slice(None)) -> _Partials:
+    """sym's partials on its x-rows `rows`: the exact gradients it carries;
+    else the spectral x-derivative, of the whole grid and then sliced, and
+    fd4 along the xi axes of the rows."""
+    spec, n = sym.spec, sym.n
     if sym.grad_x is not None:
-        return sym.grad_x[axis]
-    out = spectral_derivative(sym.values, sym.spec, axis)
-    return out.real if np.isrealobj(sym.values) else out
-
-
-def _dxi_symbol(sym: SymbolGrid, axis: int) -> np.ndarray:
-    """d/dxi_axis of the symbol: its exact gradient when it carries one."""
+        dx = [g[rows] for g in sym.grad_x]
+    else:
+        dx = [spectral_derivative(sym.values, spec, j) for j in range(n)]
+        dx = [(g.real if np.isrealobj(sym.values) else g)[rows] for g in dx]
     if sym.grad_xi is not None:
-        return sym.grad_xi[axis]
-    return _dxi(sym.values, sym.spec, axis)
+        return _Partials(dx, [g[rows] for g in sym.grad_xi])
+    return _Partials(dx, [_dxi(sym.values[rows], spec, j) for j in range(n)])
+
+
+def _bracket(a: _Partials, b: _Partials, out: np.ndarray) -> np.ndarray:
+    """out = {a, b} = sum_j (d_xi_j a · d_x_j b - d_x_j a · d_xi_j b), on
+    the grid or block of rows that the partials cover."""
+    out.fill(0.0)
+    for a_dx, a_dxi, b_dx, b_dxi in zip(a.dx, a.dxi, b.dx, b.dxi):
+        term = a_dxi * b_dx
+        out += term
+        out -= np.multiply(a_dx, b_dxi, out=term)
+    return out
+
+
+def _same_grid(a: SymbolGrid, b: SymbolGrid) -> None:
+    if a.spec != b.spec:
+        raise SymbolError("poisson_bracket: symbol grids do not match")
 
 
 def poisson_bracket(a: SymbolGrid, b: SymbolGrid) -> SymbolGrid:
     """{a, b} = sum_j (d_xi_j a · d_x_j b - d_x_j a · d_xi_j b)."""
-    if a.spec != b.spec:
-        raise SymbolError("poisson_bracket: symbol grids do not match")
-    vals = np.zeros(a.values.shape, dtype=np.result_type(a.values, b.values, float))
-    for j in range(a.n):
-        term = _dxi_symbol(a, j) * _dx(b, j)
-        vals += term
-        vals -= np.multiply(_dx(a, j), _dxi_symbol(b, j), out=term)
-    return SymbolGrid(a.spec, vals)
+    _same_grid(a, b)
+    vals = np.empty(a.values.shape, dtype=np.result_type(a.values, b.values, float))
+    return SymbolGrid(a.spec, _bracket(_partials(a), _partials(b), vals))
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +204,19 @@ def poisson_bracket(a: SymbolGrid, b: SymbolGrid) -> SymbolGrid:
 def assemble_a2(cs: CoefficientSet) -> SymbolGrid:
     """Principal symbol sum_ij a_ij(x) xi_i xi_j, with exact x-gradient and
     exact xi-gradient d_xi_j a2 = 2 sum_i a_ij xi_i."""
+    vals = _separable([a for row in cs.a for a in row], _xi_tables(cs.spec).quads)
+    return SymbolGrid(cs.spec, vals, *_a2_partials(cs))
+
+
+def _a2_partials(cs: CoefficientSet, rows: slice = slice(None)) -> _Partials:
+    """a2's exact x- and xi-gradients on the x-rows `rows`."""
     n = cs.spec.n
-    xi = _xi_tables(cs.spec).mesh
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    quads = [xi[i] * xi[j] for i, j in pairs]
-    vals = _separable([cs.a[i][j] for i, j in pairs], quads)
-    grad_x = [_separable([cs.da[k][i][j] for i, j in pairs], quads)
+    tables = _xi_tables(cs.spec)
+    grad_x = [_separable([a[rows] for row in cs.da[k] for a in row], tables.quads)
               for k in range(n)]
-    grad_xi = [_separable([2.0 * cs.a[i][j] for i in range(n)], xi)
+    grad_xi = [_separable([2.0 * cs.a[i][j][rows] for i in range(n)], tables.mesh)
                for j in range(n)]
-    return SymbolGrid(cs.spec, vals, grad_x=grad_x, grad_xi=grad_xi)
+    return _Partials(grad_x, grad_xi)
 
 
 def assemble_a1(cs: CoefficientSet) -> SymbolGrid:
@@ -326,9 +364,26 @@ def calibrate_K(qs: list) -> float:
     return 1.1 * max((_sup_over_x(q) for q in qs), default=0.0)
 
 
-#: (x, xi) points per block of x-rows in build_d: small enough that a
-#: block's temporaries stay in cache and are recycled by the allocator
+#: (x, xi) points per block of x-rows in build_d and the checks: small
+#: enough that a block's temporaries stay in cache and below glibc's mmap
+#: threshold, so that the allocator recycles them from its heap
 _BLOCK = 8192
+
+
+def _row_blocks(spec: GridSpec) -> list:
+    """Slices of the first x axis, each a block of about _BLOCK (x, xi)
+    points."""
+    rows = max(1, _BLOCK * spec.M // spec.size**2)
+    return [slice(lo, lo + rows) for lo in range(0, spec.M, rows)]
+
+
+def _check_calibration(q: SymbolGrid, f: FTable) -> None:
+    """f's table must cover |q| <= K <x>, for the whole of q."""
+    sup_ratio = _sup_over_x(q)
+    if f.K < sup_ratio * (1.0 - 1e-12):
+        raise SymbolError(
+            f"FTable.K = {f.K} below measured sup |q|/<x> = {sup_ratio}"
+        )
 
 
 def build_d(q: SymbolGrid, f: FTable) -> SymbolGrid:
@@ -337,34 +392,26 @@ def build_d(q: SymbolGrid, f: FTable) -> SymbolGrid:
     d and its x-gradient are pointwise in (x, xi), given q and its
     x-gradient, so they are evaluated on blocks of rows of the first x axis.
     """
-    sup_ratio = _sup_over_x(q)
-    if f.K < sup_ratio * (1.0 - 1e-12):
-        raise SymbolError(
-            f"FTable.K = {f.K} below measured sup |q|/<x> = {sup_ratio}"
-        )
-    w = _lift(np.sqrt(1.0 + q.spec.x_norm_sq()))
-    xs = [_lift(x) for x in q.spec.x_mesh()]
-    grads_q = q.grad_x if q.grad_x is not None else []
-    out = [np.empty_like(q.values) for _ in range(1 + len(grads_q))]
-    rows = max(1, _BLOCK * q.spec.M // q.values.size)
-    for lo in range(0, q.spec.M, rows):
-        sl = slice(lo, lo + rows)
-        block = _d_rows(q.values[sl], [g[sl] for g in grads_q], w[sl],
-                        [x[sl] for x in xs], f)
-        for dst, src in zip(out, block):
-            dst[sl] = src
+    _check_calibration(q, f)
+    parts = 1 + (q.n if q.grad_x is not None else 0)
+    out = [np.empty_like(q.values) for _ in range(parts)]
+    for rows in _row_blocks(q.spec):
+        for dst, src in zip(out, _d_rows(q, rows, f)):
+            dst[rows] = src
     return SymbolGrid(q.spec, out[0],
                       grad_x=out[1:] if q.grad_x is not None else None)
 
 
-def _d_rows(qv, grads_q, w, xs, f) -> list:
-    """[d, d_x_1 d, ...] on a block of rows, from q, its x-gradient, <x>
-    and the x coordinates there.
+def _d_rows(q: SymbolGrid, rows: slice, f: FTable) -> list:
+    """[d, d_x_1 d, ...] on the x-rows `rows`, from q and its x-gradient
+    there; [d] alone when q carries no x-gradient.
 
     psi+ and psi- have the disjoint supports r > DELTA and r < -DELTA, with
     r = q/<x>, so one smooth step of |r|/DELTA is psi+ + psi-, and the sign
     of r splits it: psi+ - psi- = sign(r) (psi+ + psi-).
     """
+    qv = q.values[rows]
+    w = _lift(np.sqrt(1.0 + q.spec.x_norm_sq()))[rows]
     r = qv / w
     absr = np.abs(r)
     step = _STEP(absr / DELTA)
@@ -372,7 +419,7 @@ def _d_rows(qv, grads_q, w, xs, f) -> list:
     absq = np.abs(qv)
     lift = f(absq) + 2.0 * DELTA
     vals = r * phi0 + lift * np.copysign(step, r)
-    if not grads_q:
+    if q.grad_x is None:
         return [vals]
     # d(psi+ - psi-)/dr = d(psi+ + psi-)/d|r|, and d phi0/dr is -sign(r)
     # times it, so r d phi0/dr = -|r| times it
@@ -383,27 +430,39 @@ def _d_rows(qv, grads_q, w, xs, f) -> list:
     # d_x_k r = d_x_k q / <x> - r x_k / <x>^2, so d_x_k d is
     # (dd_dr / <x> + dd_dq) d_x_k q - dd_dr r x_k / <x>^2
     per_q, per_x = dd_dr / w + dd_dq, dd_dr * r
-    return [vals] + [per_q * g - per_x * (x / w**2)
-                     for g, x in zip(grads_q, xs)]
+    return [vals] + [per_q * g[rows] - per_x * (_lift(x)[rows] / w**2)
+                     for g, x in zip(q.grad_x, q.spec.x_mesh())]
 
 
 # ---------------------------------------------------------------------------
 # inequality checks and seminorms
 
 
-def check_escape(q: SymbolGrid, a2: SymbolGrid, C1: float) -> dict:
-    """Grid minimum of H_{a2} q - C1 |xi| (should exceed -C2)."""
-    gap = poisson_bracket(a2, q).values
-    gap -= C1 * _xi_tables(q.spec).abs
-    min_gap = float(np.min(gap))
+def _min_excess(a2: _Partials, b: _Partials, envelope: np.ndarray,
+                out: np.ndarray) -> float:
+    """Minimum of H_{a2} b - envelope over a block of rows, with out, of the
+    block's shape, as the work array."""
+    excess = _bracket(a2, b, out)
+    excess -= envelope
+    return float(np.min(excess))
+
+
+def _min_over_rows(a2: SymbolGrid, b: SymbolGrid, envelope) -> float:
+    """Minimum of H_{a2} b - envelope(rows) over the grid, one block of
+    x-rows at a time; a NaN in any block gives NaN, as np.min does."""
+    _same_grid(a2, b)
+    dtype = np.result_type(a2.values, b.values, float)
+    return float(np.min([
+        _min_excess(_partials(a2, rows), _partials(b, rows), envelope(rows),
+                    np.empty(b.values[rows].shape, dtype))
+        for rows in _row_blocks(b.spec)]))
+
+
+def _escape_report(min_gap: float) -> dict:
     return {"min_gap": min_gap, "C2": max(0.0, -min_gap)}
 
 
-def check_doi(d: SymbolGrid, a2: SymbolGrid, N: int) -> dict:
-    """Grid maximum C* of <x>^{-N} |xi| - H_{a2} d (the Doi constant)."""
-    margin = poisson_bracket(a2, d).values
-    margin -= _lift((1.0 + d.spec.x_norm_sq()) ** (-N / 2.0)) * _xi_tables(d.spec).abs
-    min_margin = float(np.min(margin))
+def _doi_report(min_margin: float) -> dict:
     return {
         # the deficit is minus the margin; 0.0 - m, not -m, so that a zero
         # margin gives C* = 0.0 and not -0.0
@@ -411,6 +470,52 @@ def check_doi(d: SymbolGrid, a2: SymbolGrid, N: int) -> dict:
         "min_margin": min_margin,
         "note": "no violation on the sampled (x, xi) box only",
     }
+
+
+def _doi_weight(spec: GridSpec, N: int) -> np.ndarray:
+    """<x>^{-N}, lifted over the xi axes."""
+    return _lift((1.0 + spec.x_norm_sq()) ** (-N / 2.0))
+
+
+def check_escape(q: SymbolGrid, a2: SymbolGrid, C1: float) -> dict:
+    """Grid minimum of H_{a2} q - C1 |xi| (should exceed -C2)."""
+    envelope = C1 * _xi_tables(q.spec).abs
+    return _escape_report(_min_over_rows(a2, q, lambda rows: envelope))
+
+
+def check_doi(d: SymbolGrid, a2: SymbolGrid, N: int) -> dict:
+    """Grid maximum C* of <x>^{-N} |xi| - H_{a2} d (the Doi constant)."""
+    weight, xi_abs = _doi_weight(d.spec, N), _xi_tables(d.spec).abs
+    return _doi_report(_min_over_rows(a2, d, lambda rows: weight[rows] * xi_abs))
+
+
+def check_member(cs: CoefficientSet, q: SymbolGrid, f: FTable, C1: float,
+                 N: int) -> dict:
+    """The escape and Doi checks of one ladder member: the reports of
+    ``check_escape(q, assemble_a2(cs), C1)`` and
+    ``check_doi(build_d(q, f), assemble_a2(cs), N)``, to the bit.
+
+    q is the member's ``build_q`` symbol, with its x-gradient.  a2's
+    gradients (its values enter neither check), d and the two brackets are
+    evaluated on one block of x-rows at a time, and only each block's
+    minima are kept.
+    """
+    if q.spec != cs.spec or q.grad_x is None:
+        raise SymbolError("check_member: q must be build_q's symbol of cs")
+    _check_calibration(q, f)
+    spec = cs.spec
+    xi_abs = _xi_tables(spec).abs
+    escape, weight = C1 * xi_abs, _doi_weight(spec, N)
+    gaps, margins = [], []
+    for rows in _row_blocks(spec):
+        a2 = _a2_partials(cs, rows)
+        d, *grad_d = _d_rows(q, rows, f)
+        out = np.empty_like(d)
+        gaps.append(_min_excess(a2, _partials(q, rows), escape, out))
+        d_partials = _Partials(grad_d, [_dxi(d, spec, j) for j in range(spec.n)])
+        margins.append(_min_excess(a2, d_partials, weight[rows] * xi_abs, out))
+    return {**_escape_report(float(np.min(gaps))),
+            **_doi_report(float(np.min(margins)))}
 
 
 def symbol_seminorm(a: SymbolGrid, m: float, k: int) -> float:

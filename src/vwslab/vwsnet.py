@@ -146,6 +146,14 @@ def validate(model: CoefficientModel, members: dict) -> HypothesisReport:
                             N=model.N)
 
 
+def _require_valid(model: CoefficientModel, members: dict) -> HypothesisReport:
+    """``validate``'s report; HypothesisFailure when it fails."""
+    report = validate(model, members)
+    if not report.passed:
+        raise HypothesisFailure(report)
+    return report
+
+
 def problem(cs: CoefficientSet, u0: Field, params: NetParams) -> EvolutionProblem:
     """The Cauchy problem of one member, marched as ``params`` set out."""
     return EvolutionProblem(cs, u0, T=params.T, dt=params.dt,
@@ -275,10 +283,7 @@ def run_net(model: CoefficientModel, u0: Field, params: NetParams) -> tuple:
     """Regularise, validate and solve every epsilon on the ladder:
     (HypothesisReport, SolveResults, health), the last two keyed by eps."""
     members = ladder(model, params, u0)
-    report = validate(model, members)
-    if not report.passed:
-        raise HypothesisFailure(report)
-    return (report, *solve_ladder(members, params))
+    return (_require_valid(model, members), *solve_ladder(members, params))
 
 
 def moderateness_fit(results: dict, s: float, n_cap: float = 10.0,
@@ -340,7 +345,8 @@ def _log_fit(eps, values) -> tuple:
 def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
                      params: NetParams) -> FitReport:
     """Negligible-in, negligible-out: solve the base and the eps^q-perturbed
-    families and fit the difference-norm slope against log eps."""
+    families and fit the difference-norm slope against log eps.  The base
+    net must pass (H1)-(H5), as in ``run_net``: HypothesisFailure if not."""
     if q < 1:
         raise NetError("perturbation order q must be >= 1")
     s = params.s_list[0]
@@ -353,6 +359,7 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
     used = [float(eps) for eps in members if eps not in dropped]
     if len(used) < 4:
         raise NetError(f"fewer than 4 usable epsilons (dropped {dropped})")
+    _require_valid(model, members)
 
     def pair(eps):
         m = members[eps]

@@ -374,6 +374,17 @@ class TestRunReportContract:
         assert error == ("HypothesisFailure: coefficient model failed hypothesis "
                          "validation: (H3) eps-variation 0.73 against 0.10")
 
+    def test_uniqueness_on_an_invalid_net_exits_3(self, tmp_path):
+        # the net fails (H3), so no slope is fitted on it
+        cfg = parse_config(json.dumps({"model": {"preset": "elliptic-lipschitz"}}),
+                           kind="uniqueness")
+        assert run(cfg, out_dir=str(tmp_path)) == 3
+        verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
+        assert "slope" not in verdict
+        assert verdict["error"] == ("HypothesisFailure: coefficient model failed "
+                                    "hypothesis validation: (H3) eps-variation "
+                                    "0.73 against 0.10")
+
     @pytest.mark.parametrize("kind, model", [("uniqueness", "delta-potential"),
                                              ("consistency", "smooth-consistency")])
     def test_dt_above_the_bound_gives_exit_3(self, tmp_path, kind, model):
@@ -523,6 +534,23 @@ def test_mollifier_bench(tmp_path, grid, slopes, status):
         for name, want in zip(("jump_beta1", "delta_boost_l1", "delta_boost_l2"),
                               slopes):
             assert got[name] == pytest.approx(want, abs=0.2), name
+
+
+def test_doi_check_negative_ladder(tmp_path):
+    # 2D M = 16 ultra-diagonal with nu 2.0, width 0.5: the escape gap drifts
+    # 26x down the ladder and the Doi margin turns negative at eps = 2^-7
+    cfg = parse_config(json.dumps({
+        "grid": {"n": 2, "M": 16, "L": 8},
+        "model": {"preset": "ultra-diagonal", "params": {"nu": 2.0, "width": 0.5}}}),
+        kind="doi-check")
+    assert run(cfg, out_dir=str(tmp_path)) == 1
+    per_eps = json.loads((tmp_path / "report.json").read_text())["verdict"]["per_eps"]
+    assert [e["eps"] for e in per_eps] == cfg["ladder"]
+    assert [e["min_gap"] for e in per_eps] == [
+        -0.3289960726880674, -0.3699066985842776, -0.8352872909884954,
+        -4.239364059930011, -8.719215575396461]
+    assert [e["min_margin"] for e in per_eps] == [0.0, 0.0, 0.0, 0.0,
+                                                  -0.20822995825919388]
 
 
 def test_import_loads_no_scipy(tmp_path):

@@ -113,10 +113,13 @@ class TestCheckHypotheses:
         assert rep.mu_variation < 0.05
 
     def test_ultra_diagonal_h3_stable(self, grid_2d):
-        rep = check_hypotheses(ladder_sets(preset("ultra-diagonal"), grid_2d),
-                               nu=0.05, c0=0.05, N=2)
+        sets = ladder_sets(preset("ultra-diagonal"), grid_2d)
+        rep = check_hypotheses(sets, nu=0.05, c0=0.05, N=2)
         assert rep.h3_variation < 0.10
         assert max(rep.h3_weighted_sup) <= rep.h3_bound
+        # the (H3) derivatives are not kept on the sets as da: a validated
+        # net is marched next, and the march never reads them
+        assert not any("da" in vars(cs) for cs in sets)
 
     def test_delta_potential_exponent(self, grid_1d):
         rep = check_hypotheses(ladder_sets(preset("delta-potential", n=1),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from conftest import LADDER, random_field
 from vwslab.coeffs import preset, regularise
 from vwslab.doi import (DELTA, FTable, SmoothStep, SymbolError, SymbolGrid,
                         assemble_a1, assemble_a2, build_d, build_q, calibrate_K,
-                        check_doi, check_escape, dual_xi, energy_norm,
-                        exp_symbol_operator, fd4, poisson_bracket, quantize,
-                        symbol_seminorm)
+                        check_doi, check_escape, check_member, dual_xi,
+                        energy_norm, exp_symbol_operator, fd4, poisson_bracket,
+                        quantize, symbol_seminorm)
 from vwslab.grid import Field, apply_lambda, make_grid, sobolev_norm
 from vwslab.mollify import ScaleFn, fit_slope
 
@@ -298,6 +300,58 @@ class TestInequalities:
         for vals in (gaps, stars):
             mid = np.mean(np.abs(vals))
             assert np.ptp(vals) <= 0.10 * max(mid, 1.0)
+
+
+class TestCheckMember:
+    """check_member, block by block, gives the reports of check_escape and
+    check_doi on the built symbols to the bit, and those are the minima
+    over the whole grid of the brackets that poisson_bracket builds."""
+
+    @staticmethod
+    def _ladder(n, M, name, **params):
+        spec = make_grid(n, M, 8.0)
+        sets = sets_for(name, spec, **params)
+        qs = [build_q(cs, 4.0, float(np.sqrt(np.max(cs.abs_eigenvalues()))))
+              for cs in sets]
+        return spec, sets, qs, FTable(calibrate_K(qs), 2)
+
+    # 1D M = 256 and 2D M = 16 both take 8 blocks of rows
+    @pytest.mark.parametrize("n, M, name, params", [
+        (1, 256, "delta-potential", {}),
+        (2, 16, "ultra-diagonal", {"nu": 2.0, "width": 0.5})])
+    def test_equals_the_checks_of_built_symbols(self, n, M, name, params):
+        spec, sets, qs, f = self._ladder(n, M, name, **params)
+        xi_abs = np.sqrt(sum(z**2 for z in np.meshgrid(*dual_xi(spec), indexing="ij")))
+        weight = _lift(1.0 / (1.0 + spec.x_norm_sq()))
+        for cs, q in zip(sets, qs):
+            a2, d = assemble_a2(cs), build_d(q, f)
+            want = {**check_escape(q, a2, 4.0), **check_doi(d, a2, 2)}
+            assert check_member(cs, q, f, 4.0, 2) == want
+            gap = poisson_bracket(a2, q).values - 4.0 * xi_abs
+            margin = poisson_bracket(a2, d).values - weight * xi_abs
+            assert want["min_gap"] == float(np.min(gap))
+            assert want["min_margin"] == float(np.min(margin))
+
+    def test_peak_memory_is_under_four_symbol_arrays(self):
+        # one (x, xi) array of 2D M = 16 is 512 KB; building a2 and d whole
+        # and bracketing them peaked at 6.3 MB
+        spec, sets, qs, f = self._ladder(2, 16, "ultra-diagonal")
+        check_member(sets[-1], qs[-1], f, 4.0, 2)
+        tracemalloc.start()
+        try:
+            check_member(sets[-1], qs[-1], f, 4.0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * qs[-1].values.nbytes
+
+    def test_rejects_what_build_d_rejects_and_a_q_without_gradient(self):
+        spec, sets, qs, f = self._ladder(1, 32, "free")
+        with pytest.raises(SymbolError, match="FTable.K"):
+            check_member(sets[0], qs[0], FTable(f.K / 100.0, 2), 4.0, 2)
+        bare = SymbolGrid(spec, qs[0].values)
+        with pytest.raises(SymbolError, match="build_q"):
+            check_member(sets[0], bare, f, 4.0, 2)
 
 
 def _lift(arr):

@@ -260,7 +260,8 @@ class TestUniquenessProbe:
         assert_da_is_the_derivative_of_a(_perturbed_set(cs, 0.5, 2, _bumps(spec, 2)))
 
     def test_no_coefficient_derivatives(self, monkeypatch):
-        # the probe never validates its sets, so it never reads da
+        # the march reads no da: every spectral derivative the probe takes
+        # is one of validating its net
         calls = []
 
         def counting(*args):
@@ -271,9 +272,12 @@ class TestUniquenessProbe:
             if hasattr(module, "spectral_derivative"):
                 monkeypatch.setattr(module, "spectral_derivative", counting)
         spec = make_grid(2, 16, 8.0)
-        uniqueness_probe(preset("ultra-diagonal"), 3, gaussian_field(spec),
-                         NetParams(spec=spec, T=0.05))
-        assert calls == []
+        model, params = preset("ultra-diagonal"), NetParams(spec=spec, T=0.05)
+        assert validate(model, ladder(model, params)).passed
+        validating = len(calls)
+        uniqueness_probe(model, 3, gaussian_field(spec), params)
+        assert validating > 0
+        assert len(calls) == 2 * validating
 
 
 class TestConsistencyRun:
