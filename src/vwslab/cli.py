@@ -9,7 +9,7 @@ Defaults (applied by parse_config):
   ladder      [2^-3, 2^-4, 2^-5, 2^-6, 2^-7]
   data        kind="gaussian", width=1.0 (> 0), amplitude=1.0
   evolution   T=0.5, dt="auto", s=[0.0], N=2 (> 1)
-  experiment  kind from the subcommand, q=3, tolerances {}
+  experiment  kind from the subcommand, q=3
   output      directory="out", stride=0 (no snapshots)
   seed        0
 
@@ -33,17 +33,13 @@ import numpy as np
 
 from . import __version__
 from .coeffs import ModelError, preset
-from .doi import FTable, build_q, calibrate_K, check_member
+from .doi import C1, FTable, build_q, calibrate_K, check_member
 from .grid import Field, GridSpec, make_grid, plane_wave
 from .mollify import (Mollifier, ScaleFn, derivative_bound_probe,
                       sobolev_boost_probe)
 from .vwsnet import (FitReport, NetParams, consistency_run, delta_field,
                      gaussian_field, ladder, moderateness_fit, rough_field,
                      run_net, solve_ladder, uniqueness_probe, validate)
-
-#: the tolerance names each subcommand reads, the keywords of its fit;
-#: any other name is rejected
-_TOLERANCES = {"net": ("n_cap", "residual"), "consistency": ("final_error",)}
 
 
 class ConfigError(ValueError):
@@ -65,7 +61,7 @@ _SCHEMA = {
              "k": [int], "s": (int, float)},
     "evolution": {"T": (int, float), "dt": (int, float, str), "s": [(int, float)],
                   "N": int},
-    "experiment": {"kind": str, "q": int, "tolerances": dict},
+    "experiment": {"kind": str, "q": int},
     "output": {"directory": str, "stride": int},
     "seed": int,
 }
@@ -79,7 +75,7 @@ _DEFAULTS = {
     "data": {"kind": "gaussian", "width": 1.0, "amplitude": 1.0,
              "k": [1], "s": 0.0},
     "evolution": {"T": 0.5, "dt": "auto", "s": [0.0], "N": 2},
-    "experiment": {"kind": None, "q": 3, "tolerances": {}},
+    "experiment": {"kind": None, "q": 3},
     "output": {"directory": "out", "stride": 0},
     "seed": 0,
 }
@@ -110,8 +106,8 @@ def _check_type(value, expected, path: str) -> None:
 
 def _check_values(value, path: str) -> None:
     """Python's json reads NaN and +-Infinity; no config value may be one,
-    nor a boolean, here in the sections the schema leaves untyped (model
-    parameters, tolerances) too."""
+    nor a boolean, here in the model parameters, which the schema leaves
+    untyped, too."""
     if isinstance(value, dict):
         for key, item in value.items():
             _check_values(item, f"{path}.{key}")
@@ -193,13 +189,6 @@ def parse_config(text: str, kind: str | None = None) -> dict:
                           f"recognised; choose from {tuple(_DATA)}")
     if cfg["data"]["kind"] == "plane-wave" and len(cfg["data"]["k"]) != cfg["grid"]["n"]:
         raise ConfigError("config.data.k needs one mode number per axis of the grid")
-    for name, tol in cfg["experiment"]["tolerances"].items():
-        if name not in _TOLERANCES.get(kind, ()):
-            raise ConfigError(f"config.experiment.tolerances.{name} is not "
-                              f"read by {kind}")
-        if not isinstance(tol, (int, float)) or tol <= 0:
-            raise ConfigError(f"config.experiment.tolerances.{name} "
-                              "must be a positive number")
     if cfg["experiment"]["q"] < 1:
         raise ConfigError("config.experiment.q must be >= 1")
     if cfg["output"]["stride"] < 0:
@@ -280,18 +269,14 @@ def _run_validate_hypotheses(cfg, out: Path) -> dict:
 
 
 def _run_doi_check(cfg, out: Path) -> dict:
-    spec = _grid(cfg)
-    model = _model(cfg)
-    C1 = 4.0
-    N = cfg["evolution"]["N"]
-    sets = [m["cs"] for m in ladder(model, _net_params(cfg, spec)).values()]
+    params = _net_params(cfg, _grid(cfg))
+    sets = [m["cs"] for m in ladder(_model(cfg), params).values()]
     # K needs every q first, so the q symbols are held across the ladder;
     # check_member makes nothing else of their size
-    qs = [build_q(cs, C1, float(np.sqrt(np.max(cs.abs_eigenvalues()))))
-          for cs in sets]
+    qs = [build_q(cs) for cs in sets]
     K = calibrate_K(qs)
-    f = FTable(K, N)
-    per_eps = [{"eps": eps, **check_member(cs, q, f, C1, N)}
+    f = FTable(K, cfg["evolution"]["N"])
+    per_eps = [{"eps": eps, **check_member(cs, q, f)}
                for eps, cs, q in zip(cfg["ladder"], sets, qs)]
     c2s = [e["C2"] for e in per_eps]
     cstars = [e["C_star"] for e in per_eps]
@@ -361,8 +346,7 @@ def _run_net(cfg, out: Path) -> dict:
     report, results, health = run_net(model, u0, params)
     for eps, res in results.items():
         _write_series(out, eps, res.series)
-    tol = cfg["experiment"]["tolerances"]
-    fits = {str(s): moderateness_fit(results, s, **tol).to_dict()
+    fits = {str(s): moderateness_fit(results, s).to_dict()
             for s in params.s_list}
     return {
         "pass": all(f["passed"] for f in fits.values()),
@@ -390,8 +374,7 @@ def _run_uniqueness(cfg, out: Path) -> dict:
 def _run_consistency(cfg, out: Path) -> dict:
     spec = _grid(cfg)
     return _fit_verdict(consistency_run(_model(cfg), _data(cfg, spec),
-                                        _net_params(cfg, spec),
-                                        **cfg["experiment"]["tolerances"]))
+                                        _net_params(cfg, spec)))
 
 
 def _run_mollifier_bench(cfg, out: Path) -> dict:

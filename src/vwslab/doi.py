@@ -230,8 +230,14 @@ def assemble_a1(cs: CoefficientSet) -> SymbolGrid:
     return SymbolGrid(spec, vals)
 
 
-def build_q(cs: CoefficientSet, C1: float, mu: float) -> SymbolGrid:
-    """Escape symbol C1 mu^2 <xi>^{-1} sum_j x_j d_xi_j a2.
+#: the escape constant: H_{a2} q >= C1 |xi| - C2, with C1 in q itself
+C1 = 4.0
+
+
+def build_q(cs: CoefficientSet) -> SymbolGrid:
+    """Escape symbol C1 mu^2 <xi>^{-1} sum_j x_j d_xi_j a2, with mu^2 =
+    max |lambda(a(x))| over the grid of cs, not (H2)'s
+    mu = max(max |lambda|, 1 / min |lambda|).
 
     With d_xi_j a2 = 2 sum_i a_ij xi_i this is C1 mu^2 <xi>^{-1} times
     sum_i f_i(x) xi_i for f_i = 2 sum_j x_j a_ij.  Its x_k-gradient has the
@@ -249,6 +255,7 @@ def build_q(cs: CoefficientSet, C1: float, mu: float) -> SymbolGrid:
                          + sum(x[j] * (2.0 * cs.da[k][i][j]) for j in range(n))
                          for i in range(n)], tables.mesh)
              for k in range(n)]
+    mu = float(np.sqrt(np.max(cs.abs_eigenvalues())))
     weight = C1 * mu**2 / tables.bracket
     for arr in (vals, *grads):
         arr *= weight
@@ -287,20 +294,19 @@ class _UniformTable:
 
 class FTable:
     """f(t) = int_0^t lambda(K^{-1} s - 10) ds with lambda(t) = <t>^{-N} for
-    t >= 0 and 1 for t < 0; tabulated with the trapezoid rule, held at
-    f(0) = 0 below the table and at f(t_max) past it."""
+    t >= 0 and 1 for t < 0; tabulated with the trapezoid rule in steps of
+    K / 100 up to t_max, about 40 K + 10, and held at f(0) = 0 below the
+    table and at f(t_max) past it."""
 
-    def __init__(self, K: float, N: int, t_max: float | None = None):
+    def __init__(self, K: float, N: int):
         if K <= 0:
             raise SymbolError("K must be positive")
         if N <= 1:
             raise SymbolError("N must exceed 1")
         self.K = K
         self.N = N
-        if t_max is None:
-            t_max = 40.0 * K + 10.0
         step = K / 100.0
-        self.ts = np.arange(0.0, t_max + step, step)
+        self.ts = np.arange(0.0, 40.0 * K + 10.0 + step, step)
         self.t_max = float(self.ts[-1])
         self.table = cumulative_trapezoid(self.ts, self.lam(self.ts / K - 10.0))
         self._lookup = _UniformTable(0.0, float(self.ts[1]), self.table)
@@ -477,7 +483,7 @@ def _doi_weight(spec: GridSpec, N: int) -> np.ndarray:
     return _lift((1.0 + spec.x_norm_sq()) ** (-N / 2.0))
 
 
-def check_escape(q: SymbolGrid, a2: SymbolGrid, C1: float) -> dict:
+def check_escape(q: SymbolGrid, a2: SymbolGrid) -> dict:
     """Grid minimum of H_{a2} q - C1 |xi| (should exceed -C2)."""
     envelope = C1 * _xi_tables(q.spec).abs
     return _escape_report(_min_over_rows(a2, q, lambda rows: envelope))
@@ -489,11 +495,10 @@ def check_doi(d: SymbolGrid, a2: SymbolGrid, N: int) -> dict:
     return _doi_report(_min_over_rows(a2, d, lambda rows: weight[rows] * xi_abs))
 
 
-def check_member(cs: CoefficientSet, q: SymbolGrid, f: FTable, C1: float,
-                 N: int) -> dict:
+def check_member(cs: CoefficientSet, q: SymbolGrid, f: FTable) -> dict:
     """The escape and Doi checks of one ladder member: the reports of
-    ``check_escape(q, assemble_a2(cs), C1)`` and
-    ``check_doi(build_d(q, f), assemble_a2(cs), N)``, to the bit.
+    ``check_escape(q, assemble_a2(cs))`` and
+    ``check_doi(build_d(q, f), assemble_a2(cs), f.N)``, to the bit.
 
     q is the member's ``build_q`` symbol, with its x-gradient.  a2's
     gradients (its values enter neither check), d and the two brackets are
@@ -505,7 +510,7 @@ def check_member(cs: CoefficientSet, q: SymbolGrid, f: FTable, C1: float,
     _check_calibration(q, f)
     spec = cs.spec
     xi_abs = _xi_tables(spec).abs
-    escape, weight = C1 * xi_abs, _doi_weight(spec, N)
+    escape, weight = C1 * xi_abs, _doi_weight(spec, f.N)
     gaps, margins = [], []
     for rows in _row_blocks(spec):
         a2 = _a2_partials(cs, rows)

@@ -5,18 +5,18 @@ classical-consistency verdicts for the regularised Cauchy problems.
 driver of every pipeline, marches them, giving each member's result and
 march health keyed by eps, in ladder order.
 
-Each ladder chooses its level count once, in ``probe_levels``: its smallest
-eps marches at 2c steps and at c, c = 4 = COARSE levels unless the
-remainder bound asks for more, and the other members take COARSE levels
-when u(T) and the reported numbers of the two agree within TOL = 1e-3
-relative.  The probe member then keeps its 2c-step result; else every
-member, the probe's included, marches at ``evolve.LEVELS``.  ETD-RK4 is of
-4th order, so the c-vs-2c gap estimates the c-step error: against 256
-levels it understates the 4-level error of u(T) by at most 1.55x on the
-net-1d-delta ladder (at eps = 2^-7) and 1.07x on uniq-2d-ultra, which keeps
-an accepted ladder inside the 2e-3 to which LEVELS keeps the net-1d-delta
-ladder of a 2048-step march.  The 4-vs-8 gap of the smallest eps on the
-benchmark ladders:
+Each ladder without a given dt chooses its level count once, in
+``probe_levels``: its smallest eps marches at 2c steps and at c, c = 4 =
+COARSE levels unless the remainder bound asks for more, and the other
+members take COARSE levels when u(T) and the reported numbers of the two
+agree within TOL = 1e-3 relative.  The probe member then keeps its 2c-step
+result; else every member, the probe's included, marches at
+``evolve.LEVELS``.  ETD-RK4 is of 4th order, so the c-vs-2c gap estimates
+the c-step error: against 256 levels it understates the 4-level error of
+u(T) by at most 1.55x on the net-1d-delta ladder (at eps = 2^-7) and 1.07x
+on uniq-2d-ultra, which keeps an accepted ladder inside the 2e-3 to which
+LEVELS keeps the net-1d-delta ladder of a 2048-step march.  The 4-vs-8 gap
+of the smallest eps on the benchmark ladders:
 
     ladder          u(T)     reported numbers       levels
     uniq-2d-ultra   7.9e-8   2.6e-7 sup difference  COARSE
@@ -43,6 +43,13 @@ from .mollify import Mollifier, ScaleFn, fit_slope, mollify
 #: with twice as many to TOL relative
 COARSE = 4
 TOL = 1e-3
+
+#: the verdicts' bounds: a moderateness exponent of at most N_CAP with a
+#: fit residual below RESIDUAL_CAP, and a last consistency error below
+#: FINAL_ERROR
+N_CAP = 10.0
+RESIDUAL_CAP = 0.5
+FINAL_ERROR = 1e-4
 
 
 class NetError(ValueError):
@@ -180,7 +187,7 @@ def _relative_gap(fine, coarse) -> float:
     return float(diff / size) if size > 0 else (0.0 if diff == 0 else np.inf)
 
 
-def probe_levels(eps: float, probs: list, answer, params: NetParams) -> tuple:
+def probe_levels(eps: float, probs: list, answer) -> tuple:
     """Choose the level count of a ladder on its smallest-eps member.
 
     ``answer(members, steps)`` marches members, a dict eps -> the member's
@@ -188,21 +195,16 @@ def probe_levels(eps: float, probs: list, answer, params: NetParams) -> tuple:
     returns for each member in order (result, compared): its result, and
     u(T) of each of its problems followed by the numbers it reports.
 
-    - With ``params.dt`` set, the member marches at it and nothing is
-      probed.
-    - Else, with c = ``shared_steps(probs, COARSE)``, the member marches
-      in 2c steps and then in c steps of twice the length, unless 2c
-      reaches the LEVELS count.  The ladder takes COARSE levels if every
-      u(T) (in L^2) and every number of the two answers agree within TOL
-      relative, else LEVELS.
+    With c = ``shared_steps(probs, COARSE)``, the member marches in 2c
+    steps and then in c steps of twice the length, unless 2c reaches the
+    LEVELS count.  The ladder takes COARSE levels if every u(T) (in L^2)
+    and every number of the two answers agree within TOL relative, else
+    LEVELS.
 
-    Returns (LevelProbe, kept).  kept is (the member's step count, its
-    result), at the given dt or at 2c when the ladder takes COARSE; else it
-    is None, and the member marches at LEVELS with the others.
+    Returns (LevelProbe, kept).  kept is (2c, the member's result at 2c)
+    when the ladder takes COARSE; else it is None, and the member marches
+    at LEVELS with the others.
     """
-    if params.dt is not None:
-        steps = shared_steps(probs)
-        return LevelProbe(None, None, None), (steps, answer({eps: probs}, steps)[0][0])
     coarse = shared_steps(probs, COARSE)
     if 2 * coarse >= shared_steps(probs, LEVELS):
         return LevelProbe(eps, LEVELS, None), None
@@ -231,19 +233,21 @@ def march_ladder(ladder_eps: list, build, answer, params: NetParams,
                  stack: bool = False) -> tuple:
     """(results, health), each a dict keyed by the eps of a ladder in its
     order, at the level count that ``probe_levels`` chooses on the last,
-    smallest eps, which is built and probed first.  ``build(eps)`` gives a
-    member's problems and ``answer`` is that of ``probe_levels``.  When the
-    probe keeps no result of its member, that member marches first of the
-    others.  With ``stack`` the marched members go to ``answer`` together,
-    one call for each step count among them, so all of them are built
-    before the first is marched; else one by one, each built when it is
-    marched.  Uniqueness goes one by one: its pairs hold no common problem
-    to share a march, and building all of them first cost about 1.3 MB
-    more peak RSS on uniq-2d-ultra."""
+    smallest eps, which is built and probed first; with ``params.dt`` set
+    nothing is probed, and every member marches at that dt.  ``build(eps)``
+    gives a member's problems and ``answer`` is that of ``probe_levels``.
+    When the probe keeps no result of its member, that member marches
+    first of the others.  With ``stack`` the marched members go to
+    ``answer`` together, one call for each step count among them, so all
+    of them are built before the first is marched; else one by one, each
+    built when it is marched.  Uniqueness goes one by one: its pairs hold
+    no common problem to share a march, and building all of them first
+    cost about 1.3 MB more peak RSS on uniq-2d-ultra."""
     *rest, last = ladder_eps
     results, health = dict.fromkeys(ladder_eps), dict.fromkeys(ladder_eps)
     probs = build(last)
-    probe, kept = probe_levels(last, probs, answer, params)
+    probe, kept = ((LevelProbe(None, None, None), None) if params.dt is not None
+                   else probe_levels(last, probs, answer))
     groups = {}  # step count -> {eps: problems}
 
     def record(members, steps):
@@ -286,18 +290,17 @@ def run_net(model: CoefficientModel, u0: Field, params: NetParams) -> tuple:
     return (_require_valid(model, members), *solve_ladder(members, params))
 
 
-def moderateness_fit(results: dict, s: float, n_cap: float = 10.0,
-                     residual: float = 0.5) -> FitReport:
+def moderateness_fit(results: dict, s: float) -> FitReport:
     """Slope of log sup_t ||u_eps||_s against log(1/eps) over results, eps
-    -> SolveResult; pass iff the exponent is at most n_cap and the fit's
-    residual below ``residual`` (polynomial moderateness)."""
+    -> SolveResult; pass iff the exponent is at most N_CAP and the fit's
+    residual below RESIDUAL_CAP (polynomial moderateness)."""
     eps = np.array(sorted(results, reverse=True))
     sups = np.array([results[e].series.sup_norm(s) for e in eps])
     if np.max(sups) <= 0.0:
-        return FitReport(0.0, 0.0, True, n_cap, {float(e): 0.0 for e in eps})
+        return FitReport(0.0, 0.0, True, N_CAP, {float(e): 0.0 for e in eps})
     slope, resid = fit_slope(np.log(1.0 / eps), np.log(np.maximum(sups, 1e-300)))
-    passed = bool(slope <= n_cap and resid < residual)
-    return FitReport(slope, resid, passed, n_cap,
+    passed = bool(slope <= N_CAP and resid < RESIDUAL_CAP)
+    return FitReport(slope, resid, passed, N_CAP,
                      {float(e): float(v) for e, v in zip(eps, sups)})
 
 
@@ -330,8 +333,14 @@ def _perturbed_set(cs: CoefficientSet, eps: float, q: int, bumps: dict) -> Coeff
                    V=cs.V + amp * bumps["V"])
 
 
-def _h2_margin(cs: CoefficientSet) -> float:
-    return float(np.min(cs.abs_eigenvalues()))
+def _inertia(cs: CoefficientSet) -> np.ndarray:
+    """The number of negative eigenvalues of the symmetric 1 x 1 or 2 x 2
+    a(x) at every node, -1 where a(x) is singular; where det a(x) > 0 in
+    2D, both eigenvalues have the sign of a_11."""
+    a = cs.a
+    det = a[0][0] if cs.n == 1 else a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return np.where(det == 0.0, -1,
+                    np.where(det < 0.0, 1, np.where(a[0][0] < 0.0, 2, 0)))
 
 
 def _log_fit(eps, values) -> tuple:
@@ -353,9 +362,12 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
     spec = params.spec
     bumps = _bumps(spec, model.N)
     members = ladder(model, params, u0)
-    # shrink eps_0: drop the eps whose perturbation breaks (H2)
+    # shrink eps_0: drop the eps whose perturbation breaks (H2), leaving
+    # a(x) singular or of another inertia at some node (a singular base
+    # fails the validation below)
     dropped = [eps for eps, m in members.items()
-               if _h2_margin(_perturbed_set(m["cs"], eps, q, bumps)) <= 0.0]
+               if np.any(_inertia(_perturbed_set(m["cs"], eps, q, bumps))
+                         != _inertia(m["cs"]))]
     used = [float(eps) for eps in members if eps not in dropped]
     if len(used) < 4:
         raise NetError(f"fewer than 4 usable epsilons (dropped {dropped})")
@@ -393,11 +405,10 @@ def _difference_answer(s: float):
 # consistency
 
 
-def consistency_run(model: CoefficientModel, u0: Field, params: NetParams,
-                    final_error: float = 1e-4) -> FitReport:
+def consistency_run(model: CoefficientModel, u0: Field, params: NetParams) -> FitReport:
     """Compare the epsilon-net against the classical solution of the smooth
     problem; pass iff the error falls along the ladder and ends below
-    ``final_error``.  The data mollifier must be of vanishing-moment type.
+    FINAL_ERROR.  The data mollifier must be of vanishing-moment type.
 
     Each member is the pair (classical problem, its mollified problem),
     with the one classical problem in every pair, marched by
@@ -418,9 +429,9 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams,
                                   stack=True)
     errors = np.array(list(values.values()))
     decreasing = bool(np.all(np.diff(errors) < 0.0))
-    final_ok = bool(errors[-1] < final_error)
+    final_ok = bool(errors[-1] < FINAL_ERROR)
     slope, resid = _log_fit(params.eps_ladder, errors)
-    return FitReport(slope, resid, decreasing and final_ok, final_error, values,
+    return FitReport(slope, resid, decreasing and final_ok, FINAL_ERROR, values,
                      extra={"monotone_decreasing": decreasing,
                             "final_error": float(errors[-1]),
                             "health": health})

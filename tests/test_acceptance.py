@@ -156,13 +156,11 @@ def test_07_doi_inequalities():
         pairs = []
         for eps in LADDER:
             cs = regularise(model, eps, LOGLOG, spec)
-            A = cs.matrix_at().reshape(-1, n, n)
-            mu = float(np.max(np.linalg.svd(A, compute_uv=False)))
-            pairs.append((assemble_a2(cs), build_q(cs, 4.0, mu)))
+            pairs.append((assemble_a2(cs), build_q(cs)))
         f = FTable(calibrate_K([q for _, q in pairs]), model.N)
         gaps, margins = [], []
         for a2, q in pairs:
-            gaps.append(check_escape(q, a2, 4.0)["min_gap"])
+            gaps.append(check_escape(q, a2)["min_gap"])
             margins.append(check_doi(build_d(q, f), a2,
                                      model.N)["min_margin"])
         for vals in (gaps, margins):
@@ -181,7 +179,7 @@ def test_08_energy_norm_equivalence():
     spec = make_grid(1, 32, 8.0)
     model = preset("delta-potential", n=1)
     sets = [regularise(model, e, LOGLOG, spec) for e in LADDER]
-    qs = [build_q(cs, 4.0, 1.0) for cs in sets]
+    qs = [build_q(cs) for cs in sets]
     f = FTable(calibrate_K(qs), 2)
     rng = np.random.default_rng(17)
     omegas, c_eps = [], []

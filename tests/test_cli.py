@@ -12,8 +12,9 @@ import pytest
 import vwslab
 from vwslab import cli, evolve
 from vwslab.cli import ConfigError, main, parse_config, run
+from vwslab.doi import C1, build_q, calibrate_K
 from vwslab.evolve import LEVELS
-from vwslab.vwsnet import COARSE, TOL
+from vwslab.vwsnet import COARSE, TOL, ladder
 
 
 def cfg_text(**overrides) -> str:
@@ -175,15 +176,15 @@ class TestConfigErrors:
                                             ("consistency", "residual")])
     def test_tolerance_the_subcommand_does_not_read(self, tmp_path, capsys,
                                                      kind, name):
+        # a verdict's bounds are constants of vwsnet, which no config sets
         text = cfg_text(experiment={"kind": kind, "tolerances": {name: 0.1}})
         self.assert_config_error(tmp_path, capsys, text,
-                                 f"config.experiment.tolerances.{name} is not "
-                                 f"read by {kind}")
+                                 "unknown key config.experiment.tolerances")
 
     @pytest.mark.parametrize("override, path", [
         ({"evolution": {"T": float("nan")}}, "config.evolution.T"),
-        ({"experiment": {"kind": "net", "tolerances": {"n_cap": float("nan")}}},
-         "config.experiment.tolerances.n_cap"),
+        ({"model": {"preset": "delta-potential", "params": {"strength": float("nan")}}},
+         "config.model.params.strength"),
         ({"scale": {"kind": "power", "k": float("inf")}}, "config.scale.k"),
         ({"data": {"width": float("-inf")}}, "config.data.width")])
     def test_non_finite_number(self, tmp_path, capsys, override, path):
@@ -241,9 +242,7 @@ class TestConfigErrors:
         ({"grid": {"n": True, "M": 32, "L": 8.0}}, "config.grid.n has wrong type bool"),
         ({"ladder": [True, 0.5, 0.25, 0.125]}, "config.ladder[0] has wrong type bool"),
         ({"model": {"preset": "delta-potential", "params": {"strength": True}}},
-         "config.model.params.strength must not be a boolean, got true"),
-        ({"experiment": {"kind": "net", "tolerances": {"n_cap": True}}},
-         "config.experiment.tolerances.n_cap must not be a boolean, got true")])
+         "config.model.params.strength must not be a boolean, got true")])
     def test_boolean_is_no_number(self, tmp_path, capsys, override, message):
         # bool is a subclass of int in Python
         self.assert_config_error(tmp_path, capsys, cfg_text(**override), message)
@@ -304,17 +303,15 @@ def test_solve_holds_the_data_fixed(tmp_path):
 
 
 class TestToleranceDefaults:
-    """A fit's default tolerance is the keyword default of the fit; a
-    config passes only the tolerances it sets."""
+    """A verdict's bound is the constant of vwsnet that its fit reads."""
 
-    @pytest.mark.parametrize("tolerances, bound", [({}, 10.0), ({"n_cap": 5.0}, 5.0)])
-    def test_net_n_cap(self, tmp_path, tolerances, bound):
-        cfg = parse_config(cfg_text(experiment={"kind": "net", "tolerances": tolerances},
+    def test_net_n_cap(self, tmp_path):
+        cfg = parse_config(cfg_text(experiment={"kind": "net"},
                                     evolution={"T": 0.1, "s": [0.0, 1.0]}))
         run(cfg, out_dir=str(tmp_path))
         fits = json.loads((tmp_path / "report.json").read_text())["verdict"]["moderateness"]
         assert set(fits) == {"0.0", "1.0"}
-        assert {fit["bound"] for fit in fits.values()} == {bound}
+        assert {fit["bound"] for fit in fits.values()} == {10.0}
 
     def test_consistency_final_error(self, tmp_path):
         cfg = parse_config(cfg_text(experiment={"kind": "consistency"},
@@ -385,6 +382,26 @@ class TestRunReportContract:
                                     "hypothesis validation: (H3) eps-variation "
                                     "0.73 against 0.10")
 
+    @pytest.mark.parametrize("c2, status", [(-0.05, 0), (-0.02, 3)])
+    def test_uniqueness_drops_the_eps_whose_perturbation_breaks_h2(self, tmp_path,
+                                                                   c2, status):
+        # with q = 1 the eps-perturbation of a(x) flips the sign of det a(x)
+        # at some nodes for eps = 2^-3 (c2 = -0.05), and for 2^-3 to 2^-5
+        # (c2 = -0.02), though no eigenvalue is zero at a node
+        cfg = parse_config(json.dumps({
+            "grid": {"n": 2, "M": 16, "L": 8},
+            "model": {"preset": "ultra-diagonal",
+                      "params": {"c2": c2, "nu": 0.0, "c0": 0.0}},
+            "evolution": {"T": 0.1}, "experiment": {"q": 1}}), kind="uniqueness")
+        assert run(cfg, out_dir=str(tmp_path)) == status
+        verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
+        if status == 0:
+            assert verdict["extra"]["dropped_eps"] == [0.125]
+            assert set(verdict["health"]) == {str(e) for e in cfg["ladder"][1:]}
+        else:
+            assert verdict["error"] == ("NetError: fewer than 4 usable epsilons "
+                                        "(dropped [0.125, 0.0625, 0.03125])")
+
     @pytest.mark.parametrize("kind, model", [("uniqueness", "delta-potential"),
                                              ("consistency", "smooth-consistency")])
     def test_dt_above_the_bound_gives_exit_3(self, tmp_path, kind, model):
@@ -408,15 +425,15 @@ class TestRunReportContract:
         assert verdict["pass"] is False
         assert verdict["error"].startswith("Instability: norm grew x")
         assert "in one step at t = 0" in verdict["error"]
-        # the probe, the smallest eps, blows up first
+        # the smallest eps, marched first, blows up first
         assert f"for eps = {cfg['ladder'][-1]!r};" in verdict["error"]
         assert verdict["traceback"].splitlines()[-1].startswith(
             "vwslab.evolve.Instability: norm grew x")
 
     def test_instability_in_the_consistency_ladder_is_named(self, tmp_path, monkeypatch):
         # one step of T = 0.5, about 20 times the classical problem's bound
-        # of 0.026, blows it up first: it is the first of the probe's
-        # lockstep, and its unmollified coefficients have eps 0.0
+        # of 0.026, blows it up first: it is the first of the lockstep, and
+        # its unmollified coefficients have eps 0.0
         monkeypatch.setattr(evolve, "stable_dt", lambda cs: np.inf)
         model = {"preset": "smooth-consistency", "params": {"v_amplitude": 100.0}}
         cfg = parse_config(cfg_text(experiment={"kind": "consistency"}, model=model,
@@ -551,6 +568,20 @@ def test_doi_check_negative_ladder(tmp_path):
         -4.239364059930011, -8.719215575396461]
     assert [e["min_margin"] for e in per_eps] == [0.0, 0.0, 0.0, 0.0,
                                                   -0.20822995825919388]
+
+
+def test_doi_check_builds_the_q_of_build_q(tmp_path):
+    # the pipeline's q is doi.build_q's on the sets of vwsnet.ladder, the
+    # q that the doi tests check
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+            / "doi-2d-ultra.json")
+    cfg = parse_config(path.read_text(encoding="utf-8"), kind="doi-check")
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
+    params = cli._net_params(cfg, cli._grid(cfg))
+    sets = [m["cs"] for m in ladder(cli._model(cfg), params).values()]
+    assert verdict["K"] == calibrate_K([build_q(cs) for cs in sets])
+    assert verdict["C1"] == C1
 
 
 def test_import_loads_no_scipy(tmp_path):

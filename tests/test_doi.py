@@ -5,7 +5,7 @@ import pytest
 
 from conftest import LADDER, random_field
 from vwslab.coeffs import preset, regularise
-from vwslab.doi import (DELTA, FTable, SmoothStep, SymbolError, SymbolGrid,
+from vwslab.doi import (C1, DELTA, FTable, SmoothStep, SymbolError, SymbolGrid,
                         assemble_a1, assemble_a2, build_d, build_q, calibrate_K,
                         check_doi, check_escape, check_member, dual_xi,
                         energy_norm, exp_symbol_operator, fd4, poisson_bracket,
@@ -20,13 +20,8 @@ def sets_for(name, spec, **params):
     return [regularise(model, e, scale, spec) for e in LADDER]
 
 
-def q_ladder(sets, C1=4.0):
-    out = []
-    for cs in sets:
-        A = cs.matrix_at().reshape(-1, cs.n, cs.n)
-        mu = float(np.max(np.linalg.svd(A, compute_uv=False)))
-        out.append((assemble_a2(cs), build_q(cs, C1, mu)))
-    return out
+def q_ladder(sets):
+    return [(assemble_a2(cs), build_q(cs)) for cs in sets]
 
 
 def symbol_from(spec, fn, grad_fns=None):
@@ -145,15 +140,15 @@ class TestBuildQ:
     def test_free_closed_form(self, grid_1d):
         cs = sets_for("free", grid_1d)[0]
         xi = dual_xi(grid_1d)
-        q = build_q(cs, 4.0, 1.0)
+        q = build_q(cs)
         x = grid_1d.x_axis().reshape(-1, 1)
         z = np.asarray(xi[0]).reshape(1, -1)
-        expected = 2 * 4.0 * x * z / np.sqrt(1 + z**2)
+        expected = 2 * C1 * x * z / np.sqrt(1 + z**2)
         assert np.allclose(q.values, expected, atol=1e-10)
 
     def test_vanishes_at_zero_frequency(self, grid_1d):
         cs = sets_for("delta-potential", grid_1d)[0]
-        q = build_q(cs, 4.0, 1.0)
+        q = build_q(cs)
         zero = np.argmin(np.abs(np.asarray(dual_xi(grid_1d)[0])))
         assert np.max(np.abs(q.values[:, zero])) < 1e-12
 
@@ -169,7 +164,7 @@ class TestBuildF:
         assert np.allclose(f(ts), ts, rtol=1e-6)
 
     def test_bounded_limit(self):
-        f = FTable(1.0, 2, t_max=400.0)
+        f = FTable(1.0, 2)
         # f(inf) <= 10 + int <s>^{-2} ds = 10 + pi/2
         assert f(400.0) <= 10 + np.pi / 2 + 0.05
         assert f(400.0) >= 10.0
@@ -227,7 +222,7 @@ class TestBuildD:
     def setup_method(self):
         self.spec = make_grid(1, 32, 8.0)
         cs = sets_for("free", self.spec)[0]
-        self.q = build_q(cs, 4.0, 1.0)
+        self.q = build_q(cs)
         self.f = FTable(calibrate_K([self.q]), 2)
 
     def test_inner_region_is_rescaled_q(self):
@@ -270,9 +265,9 @@ class TestBuildD:
 
 class TestInequalities:
     def test_free_escape_margin(self, grid_1d):
-        pairs = q_ladder(sets_for("free", grid_1d), C1=1.0)
+        pairs = q_ladder(sets_for("free", grid_1d))
         for a2, q in pairs:
-            rep = check_escape(q, a2, 1.0)
+            rep = check_escape(q, a2)
             assert rep["C2"] <= 2.0
 
     def test_ultra_diagonal_constant_coefficients(self):
@@ -294,7 +289,7 @@ class TestInequalities:
         f = FTable(K, 2)
         gaps, stars = [], []
         for a2, q in pairs:
-            gaps.append(check_escape(q, a2, 4.0)["min_gap"])
+            gaps.append(check_escape(q, a2)["min_gap"])
             stars.append(check_doi(build_d(q, f), a2, 2)["min_margin"])
         assert all(np.isfinite(gaps)) and all(np.isfinite(stars))
         for vals in (gaps, stars):
@@ -311,8 +306,7 @@ class TestCheckMember:
     def _ladder(n, M, name, **params):
         spec = make_grid(n, M, 8.0)
         sets = sets_for(name, spec, **params)
-        qs = [build_q(cs, 4.0, float(np.sqrt(np.max(cs.abs_eigenvalues()))))
-              for cs in sets]
+        qs = [build_q(cs) for cs in sets]
         return spec, sets, qs, FTable(calibrate_K(qs), 2)
 
     # 1D M = 256 and 2D M = 16 both take 8 blocks of rows
@@ -325,9 +319,9 @@ class TestCheckMember:
         weight = _lift(1.0 / (1.0 + spec.x_norm_sq()))
         for cs, q in zip(sets, qs):
             a2, d = assemble_a2(cs), build_d(q, f)
-            want = {**check_escape(q, a2, 4.0), **check_doi(d, a2, 2)}
-            assert check_member(cs, q, f, 4.0, 2) == want
-            gap = poisson_bracket(a2, q).values - 4.0 * xi_abs
+            want = {**check_escape(q, a2), **check_doi(d, a2, 2)}
+            assert check_member(cs, q, f) == want
+            gap = poisson_bracket(a2, q).values - C1 * xi_abs
             margin = poisson_bracket(a2, d).values - weight * xi_abs
             assert want["min_gap"] == float(np.min(gap))
             assert want["min_margin"] == float(np.min(margin))
@@ -336,10 +330,10 @@ class TestCheckMember:
         # one (x, xi) array of 2D M = 16 is 512 KB; building a2 and d whole
         # and bracketing them peaked at 6.3 MB
         spec, sets, qs, f = self._ladder(2, 16, "ultra-diagonal")
-        check_member(sets[-1], qs[-1], f, 4.0, 2)
+        check_member(sets[-1], qs[-1], f)
         tracemalloc.start()
         try:
-            check_member(sets[-1], qs[-1], f, 4.0, 2)
+            check_member(sets[-1], qs[-1], f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -348,10 +342,10 @@ class TestCheckMember:
     def test_rejects_what_build_d_rejects_and_a_q_without_gradient(self):
         spec, sets, qs, f = self._ladder(1, 32, "free")
         with pytest.raises(SymbolError, match="FTable.K"):
-            check_member(sets[0], qs[0], FTable(f.K / 100.0, 2), 4.0, 2)
+            check_member(sets[0], qs[0], FTable(f.K / 100.0, 2))
         bare = SymbolGrid(spec, qs[0].values)
         with pytest.raises(SymbolError, match="build_q"):
-            check_member(sets[0], bare, f, 4.0, 2)
+            check_member(sets[0], bare, f)
 
 
 def _lift(arr):
@@ -373,7 +367,7 @@ def _reference_a2(cs):
     return SymbolGrid(spec, vals, grad_x=grads)
 
 
-def _reference_q(cs, C1, mu):
+def _reference_q(cs, mu):
     """q = C1 mu^2 <xi>^{-1} sum_j x_j d_xi_j a2 and its product-rule
     x-gradient, as loops of broadcast products."""
     spec, n = cs.spec, cs.n
@@ -438,12 +432,12 @@ class TestAgainstLoopReference:
             self._close(g, w)
 
     def test_ladder(self):
-        qs = [build_q(cs, 4.0, mu) for cs, mu in zip(self.sets, self.mus)]
+        qs = [build_q(cs) for cs in self.sets]
         f = FTable(calibrate_K(qs), 2)
         gaps, stars = [], []
         for cs, mu, q in zip(self.sets, self.mus, qs):
             a2, ref_a2 = assemble_a2(cs), _reference_a2(cs)
-            ref_q = _reference_q(cs, 4.0, mu)
+            ref_q = _reference_q(cs, mu)
             d, ref_d = build_d(q, f), _reference_d(ref_q, f)
             self._close_symbols(a2, ref_a2)
             self._close_symbols(q, ref_q)
@@ -452,7 +446,7 @@ class TestAgainstLoopReference:
                         poisson_bracket(ref_a2, ref_q).values)
             self._close(poisson_bracket(a2, d).values,
                         poisson_bracket(ref_a2, ref_d).values)
-            gaps.append(check_escape(q, a2, 4.0)["min_gap"])
+            gaps.append(check_escape(q, a2)["min_gap"])
             stars.append(check_doi(d, a2, 2)["C_star"])
         # the checks see more than the clamped zeros of the xi = 0 column
         assert all(g < 0.0 for g in gaps)

@@ -18,7 +18,7 @@ from vwslab.evolve import (LEVELS, RK4_IMAG_LIMIT, SAFETY, _Diagnostics, _Operat
 from vwslab.grid import (apply_lambda, fft, inverse, spectral_derivative,
                          weight_field)
 from vwslab.coeffs import enveloped_bump
-from vwslab.vwsnet import (COARSE, NetParams, _bumps, _h2_margin, _perturbed_set,
+from vwslab.vwsnet import (COARSE, NetParams, _bumps, _inertia, _perturbed_set,
                            delta_field, ladder, rough_field)
 
 
@@ -631,7 +631,12 @@ class TestSpectralNorms:
         else:
             assert stable_dt(cs) == pytest.approx(SAFETY * RK4_IMAG_LIMIT / rho,
                                                   rel=1e-14)
-        assert _h2_margin(cs) == pytest.approx(np.min(sv), rel=1e-14)
+        # the inertia of a(x) as eigvalsh counts it, on sets with no
+        # singular node
+        np.testing.assert_array_equal(
+            _inertia(cs).ravel(),
+            np.sum(np.linalg.eigvalsh(cs.matrix_at().reshape(-1, cs.n, cs.n)) < 0.0,
+                   axis=-1))
         np.testing.assert_allclose(np.sort(cs.abs_eigenvalues(), axis=1),
                                    np.sort(sv, axis=1), rtol=1e-14)
 

@@ -112,9 +112,7 @@ def test_negative_stride_is_rejected(stride):
 
 configs = st.fixed_dictionaries({}, optional={
     "experiment": st.fixed_dictionaries({}, optional={
-        "kind": st.sampled_from(cli.EXPERIMENT_KINDS),
-        "tolerances": st.dictionaries(st.sampled_from(["n_cap", "residual"]),
-                                      st.floats(0.1, 10.0))}),
+        "kind": st.sampled_from(cli.EXPERIMENT_KINDS)}),
     "evolution": st.fixed_dictionaries({}, optional={"T": st.floats(-1.0, 1.0),
                                                      "s": st.lists(st.floats(0, 2))}),
     "data": st.fixed_dictionaries({}, optional={"k": st.lists(st.integers(0, 4))}),
@@ -134,7 +132,7 @@ def test_parses_leave_the_defaults_unchanged(parses):
         except ConfigError:
             continue
         # a caller writing into its config must not reach the defaults
-        cfg["experiment"]["tolerances"]["n_cap"] = -1.0
+        cfg["experiment"]["q"] = -1
         cfg["evolution"]["s"].append(99.0)
         cfg["model"]["params"]["c1"] = 3.0
     assert cli._DEFAULTS == saved

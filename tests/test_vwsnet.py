@@ -511,11 +511,11 @@ class TestLevelProbe:
     2c-step result, when the two agree within TOL."""
 
     @staticmethod
-    def probs(T, dt=None):
+    def probs(T):
         spec = make_grid(1, 32, 8.0)
         cs = regularise(preset("smooth-consistency", n=1), 2**-4, ScaleFn("loglog"),
                         spec)
-        return [EvolutionProblem(cs, gaussian_field(spec), T=T, dt=dt)]
+        return [EvolutionProblem(cs, gaussian_field(spec), T=T)]
 
     @staticmethod
     def answers(gap_at):
@@ -531,8 +531,7 @@ class TestLevelProbe:
 
     def test_coarse_when_the_trial_agrees(self):
         answer, calls = self.answers({COARSE: (0.5 * TOL, 0.0)})
-        probe, kept = probe_levels(
-            0.5, self.probs(0.5), answer, NetParams(spec=make_grid(1, 32, 8.0)))
+        probe, kept = probe_levels(0.5, self.probs(0.5), answer)
         assert calls == [2 * COARSE, COARSE]
         assert kept == (2 * COARSE, f"result@{2 * COARSE}")
         assert probe == LevelProbe(0.5, COARSE, pytest.approx(0.5 * TOL))
@@ -541,8 +540,7 @@ class TestLevelProbe:
                              ids=["u(T)", "number"])
     def test_levels_when_any_part_of_the_trial_disagrees(self, rel):
         answer, calls = self.answers({COARSE: rel})
-        probe, kept = probe_levels(
-            0.5, self.probs(0.5), answer, NetParams(spec=make_grid(1, 32, 8.0)))
+        probe, kept = probe_levels(0.5, self.probs(0.5), answer)
         assert calls == [2 * COARSE, COARSE]
         assert kept is None
         assert probe == LevelProbe(0.5, LEVELS, pytest.approx(2.0 * TOL))
@@ -550,16 +548,14 @@ class TestLevelProbe:
     def test_zero_answers_agree(self):
         def answer(members, steps):
             return [(None, [np.zeros(3), 0.0])]
-        probe, _ = probe_levels(0.5, self.probs(0.5), answer,
-                                NetParams(spec=make_grid(1, 32, 8.0)))
+        probe, _ = probe_levels(0.5, self.probs(0.5), answer)
         assert (probe.levels, probe.gap) == (COARSE, 0.0)
 
     def test_trial_at_the_bound_count(self):
         # the bound forces c = 7 steps: the trial takes 14 and 7
         limit = stable_dt(self.probs(1.0)[0].cs)
         answer, calls = self.answers({})
-        probe, kept = probe_levels(0.5, self.probs(7 * limit), answer,
-                                   NetParams(spec=make_grid(1, 32, 8.0)))
+        probe, kept = probe_levels(0.5, self.probs(7 * limit), answer)
         assert calls == [14, 7]
         assert probe.levels == COARSE
         assert kept == (14, "result@14")
@@ -571,18 +567,29 @@ class TestLevelProbe:
             answer, calls = self.answers({})
             probs = self.probs(c * limit)
             assert evolve.shared_steps(probs, COARSE) == c
-            probe, kept = probe_levels(0.5, probs, answer,
-                                       NetParams(spec=make_grid(1, 32, 8.0)))
+            probe, kept = probe_levels(0.5, probs, answer)
             assert calls == [], c
             assert (probe, kept) == (LevelProbe(0.5, LEVELS, None), None), c
 
-    def test_no_probe_with_a_given_dt(self):
-        answer, calls = self.answers({})
-        params = NetParams(spec=make_grid(1, 32, 8.0), dt=0.01)
-        probe, kept = probe_levels(0.5, self.probs(0.5, dt=0.01), answer, params)
-        assert calls == [50]
-        assert kept == (50, "result@50")
-        assert probe == LevelProbe(None, None, None)
+    def test_no_probe_with_a_given_dt(self, monkeypatch, spec):
+        # march_ladder marches every member at the given dt, grouped by step
+        # count: the net's five members as one stack, and the classical
+        # problem once, in one lockstep with the five consistency members
+        marches = record_marches(monkeypatch)
+        params = NetParams(spec=spec, T=0.1, dt=0.01)
+        _, _, health = run_net(preset("delta-potential", n=1), gaussian_field(spec),
+                               params)
+        assert [len(ts) - 1 for ts in marches] == [10]
+        marches.clear()
+        cparams = replace(TestConsistencyRun.cparams(spec), dt=0.05)
+        fit = consistency_run(preset("smooth-consistency", n=1), gaussian_field(spec),
+                              cparams)
+        assert [len(ts) - 1 for ts in marches] == [10] * 6
+        for health, p in ((health, params), (fit.extra["health"], cparams)):
+            assert list(health) == list(p.eps_ladder)
+            for h in health.values():
+                assert h == {"dt": pytest.approx(p.dt, rel=1e-12), "steps": 10,
+                             "levels": None, "probe_eps": None, "probe_gap": None}
 
     def test_net_ladder_rejects_coarse(self):
         # negative control: on the net-1d-delta ladder the trapezoid
@@ -697,7 +704,7 @@ class TestSolveLadderStack:
     def test_instability_names_the_member(self, monkeypatch):
         # without stability bounds, one step of 50 of its bound blows up
         # the smooth-consistency member alone; it marches in the stack
-        # after the free probe
+        # after the free member of the smallest eps
         spec = make_grid(1, 64, np.pi)
         eps_ladder = (0.5, 0.25, 0.125)
         sets = {eps: regularise(preset("smooth-consistency" if eps == 0.25 else "free",
@@ -711,8 +718,9 @@ class TestSolveLadderStack:
         marches = record_marches(monkeypatch)
         with pytest.raises(Instability) as info:
             solve_ladder(members, params)
-        assert len(marches) == 2
-        assert (info.value.member, info.value.eps) == (1, 0.25)
+        # with a given dt nothing is probed: one stack, the smallest eps first
+        assert len(marches) == 1
+        assert (info.value.member, info.value.eps) == (2, 0.25)
         assert str(info.value).startswith("norm grew x")
         assert "for eps = 0.25;" in str(info.value)
 
