@@ -37,8 +37,8 @@ from .doi import C1, FTable, build_q, calibrate_K, check_member
 from .grid import Field, GridSpec, make_grid, plane_wave
 from .mollify import (Mollifier, ScaleFn, derivative_bound_probe,
                       sobolev_boost_probe)
-from .vwsnet import (FitReport, NetParams, consistency_run, delta_field,
-                     gaussian_field, ladder, moderateness_fit, rough_field,
+from .vwsnet import (FitReport, HypothesisFailure, NetParams, consistency_run,
+                     delta_field, gaussian_field, ladder, moderateness_fit, rough_field,
                      run_net, solve_ladder, uniqueness_probe, validate)
 
 
@@ -226,7 +226,10 @@ def _model(cfg):
     if "n" in params:
         raise ModelError("params.n is not a model parameter: grid.n sets "
                          "the dimension")
-    return preset(cfg["model"]["preset"], n=cfg["grid"]["n"], **params)
+    model = preset(cfg["model"]["preset"], n=cfg["grid"]["n"], **params)
+    if cfg["experiment"]["kind"] == "consistency" and not model.smooth:
+        raise ModelError("consistency requires a smooth-coefficient model")
+    return model
 
 
 #: data.kind -> the Cauchy data, built from (spec, config.data, config.seed)
@@ -263,9 +266,9 @@ def _net_params(cfg, spec: GridSpec) -> NetParams:
 
 def _run_validate_hypotheses(cfg, out: Path) -> dict:
     model = _model(cfg)
-    d = validate(model, ladder(model, _net_params(cfg, _grid(cfg)))).to_dict()
-    d["pass"] = d.pop("passed")
-    return d
+    report = validate(model, ladder(model, _net_params(cfg, _grid(cfg))))
+    d = report.to_dict()
+    return {"pass": d.pop("passed"), **d, "failures": report.failures()}
 
 
 def _run_doi_check(cfg, out: Path) -> dict:
@@ -458,6 +461,10 @@ def run(cfg: dict, out_dir: str | None = None, seed: int | None = None,
     crashed = False
     try:
         verdict = _PIPELINES[kind](cfg, out)
+    except HypothesisFailure as exc:
+        # a net that fails (H1)-(H5) is a failed verdict, as in validate-hypotheses
+        verdict = {"pass": False, "hypotheses": exc.report.to_dict(),
+                   "failures": exc.report.failures()}
     except Exception as exc:
         # a run that could not finish, apart from a verdict that ran and
         # failed; traceback is imported here, off the path of every run

@@ -260,12 +260,28 @@ class CoefficientSet:
         singular values."""
         return _abs_eigenvalues(self.matrix_at().reshape(-1, self.n, self.n))
 
+    def inertia(self) -> np.ndarray:
+        """The number of negative eigenvalues of a(x) at each node, -1 where it
+        is singular; with det a(x) > 0 in 2D both have the sign of a_11."""
+        a = self.a
+        det = a[0][0] if self.n == 1 else _det(a[0][0], a[0][1], a[1][1])
+        return np.where(det == 0.0, -1,
+                        np.where(det < 0.0, 1, np.where(a[0][0] < 0.0, 2, 0)))
+
 
 def _derivatives(a: list, spec: GridSpec) -> list:
-    """d[k][i][j], the spectral x_k-derivative of a[i][j]."""
-    n = spec.n
-    return [[[spectral_derivative(a[i][j], spec, k).real
-              for j in range(n)] for i in range(n)] for k in range(n)]
+    """d[k][i][j], the spectral x_k-derivative of a[i][j], taken once for
+    each distinct array: a built set holds a[i][j] and a[j][i] as one."""
+    arrays, out = {id(arr): arr for row in a for arr in row}, []
+    for k in range(spec.n):
+        d = {key: spectral_derivative(arr, spec, k).real for key, arr in arrays.items()}
+        out.append([[d[id(arr)] for arr in row] for row in a])
+    return out
+
+
+def _det(a, b, c):
+    """det [[a, b], [b, c]]."""
+    return a * c - b * b
 
 
 def _abs_eigenvalues(mats: np.ndarray) -> np.ndarray:
@@ -282,7 +298,7 @@ def _abs_eigenvalues(mats: np.ndarray) -> np.ndarray:
         return np.abs(mats[..., 0, :])
     a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
     big = np.abs(a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
-    small = np.divide(np.abs(a * c - b * b), big, out=np.zeros_like(big),
+    small = np.divide(np.abs(_det(a, b, c)), big, out=np.zeros_like(big),
                       where=big > 0.0)
     return np.stack([small, big], axis=-1)
 
@@ -459,7 +475,7 @@ def check_hypotheses(sets: list, nu: float, c0: float, N: int = 2) -> Hypothesis
         mu = float(np.max(mu_vals))
         mu_var = _variation(mu_vals)
 
-    w = (1.0 + spec.x_norm_sq()) ** (N / 2.0)
+    w = spec.x_bracket(N)
 
     # derived here and dropped, not kept as cs.da: a validated net is
     # marched next, and the march never reads da

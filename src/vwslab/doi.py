@@ -362,7 +362,7 @@ def _sup_over_x(q: SymbolGrid) -> float:
     array of the full (x, xi) size is made."""
     axes = tuple(range(q.n, 2 * q.n))
     peak = np.maximum(q.values.max(axis=axes), -q.values.min(axis=axes))
-    return float(np.max(peak / np.sqrt(1.0 + q.spec.x_norm_sq())))
+    return float(np.max(peak / q.spec.x_bracket()))
 
 
 def calibrate_K(qs: list) -> float:
@@ -417,7 +417,7 @@ def _d_rows(q: SymbolGrid, rows: slice, f: FTable) -> list:
     of r splits it: psi+ - psi- = sign(r) (psi+ + psi-).
     """
     qv = q.values[rows]
-    w = _lift(np.sqrt(1.0 + q.spec.x_norm_sq()))[rows]
+    w = _lift(q.spec.x_bracket())[rows]
     r = qv / w
     absr = np.abs(r)
     step = _STEP(absr / DELTA)
@@ -478,11 +478,6 @@ def _doi_report(min_margin: float) -> dict:
     }
 
 
-def _doi_weight(spec: GridSpec, N: int) -> np.ndarray:
-    """<x>^{-N}, lifted over the xi axes."""
-    return _lift((1.0 + spec.x_norm_sq()) ** (-N / 2.0))
-
-
 def check_escape(q: SymbolGrid, a2: SymbolGrid) -> dict:
     """Grid minimum of H_{a2} q - C1 |xi| (should exceed -C2)."""
     envelope = C1 * _xi_tables(q.spec).abs
@@ -491,7 +486,7 @@ def check_escape(q: SymbolGrid, a2: SymbolGrid) -> dict:
 
 def check_doi(d: SymbolGrid, a2: SymbolGrid, N: int) -> dict:
     """Grid maximum C* of <x>^{-N} |xi| - H_{a2} d (the Doi constant)."""
-    weight, xi_abs = _doi_weight(d.spec, N), _xi_tables(d.spec).abs
+    weight, xi_abs = _lift(d.spec.x_bracket(-N)), _xi_tables(d.spec).abs
     return _doi_report(_min_over_rows(a2, d, lambda rows: weight[rows] * xi_abs))
 
 
@@ -510,7 +505,7 @@ def check_member(cs: CoefficientSet, q: SymbolGrid, f: FTable) -> dict:
     _check_calibration(q, f)
     spec = cs.spec
     xi_abs = _xi_tables(spec).abs
-    escape, weight = C1 * xi_abs, _doi_weight(spec, f.N)
+    escape, weight = C1 * xi_abs, _lift(spec.x_bracket(-f.N))
     gaps, margins = [], []
     for rows in _row_blocks(spec):
         a2 = _a2_partials(cs, rows)

@@ -28,8 +28,9 @@ and array pass of one 16-level march (348 numpy FFT calls per run).
 lockstep, so uniqueness pairs and the consistency ladder are not stacked: a
 stack pays for the union of its members' variable coefficients (the base
 problem of a uniqueness pair would take the perturbed one's variable a_12,
-b and V), and uniq-2d-ultra with each pair stacked ran slower in-process
-(median of six runs on a 2-vCPU VM: 0.31 s against 0.29 s apart).
+b and V).  uniq-2d-ultra (2D, M=64) with each pair as one stack took 0.20 s
+against 0.18 s and 0.7 MB more peak RSS (medians of two batches of 8
+alternating fresh-process runs on 2 vCPUs, wall clock unscaled).
 
 The stepper is ETD-RK4 (exponential time differencing with RK4 stages;
 Cox & Matthews, J. Comput. Phys. 176 (2002), in the form of Kassam &
@@ -322,11 +323,6 @@ class NormSeries:
         return float(self.integral[s][-1])
 
 
-def _norm_weight(spec: GridSpec, s: float) -> np.ndarray:
-    """w with ||u||_s^2 = sum w |fft(u)|^2; forward() = fft / size up to a phase."""
-    return (2.0 * spec.L) ** spec.n / spec.size**2 * spec.kappa_bracket() ** (2.0 * s)
-
-
 class _Diagnostics:
     """Raw coefficients of a stack -> (problem, s, [||u||_s,
     ||<x>^{-N/2} Lambda^{s+1/2} u||_0^2]) for each s in s_list.
@@ -336,10 +332,9 @@ class _Diagnostics:
     """
 
     def __init__(self, spec: GridSpec, s_list, N: int):
-        bra = spec.kappa_bracket()
-        self.norm_weights = [_norm_weight(spec, s) for s in s_list]
-        self.lifts = [bra ** (s + 0.5) for s in s_list]
-        self.x_weight = spec.h**spec.n * (1.0 + spec.x_norm_sq()) ** (-N / 2.0)
+        self.norm_weights = [spec.sobolev_weight(s) for s in s_list]
+        self.lifts = [spec.kappa_bracket() ** (s + 0.5) for s in s_list]
+        self.x_weight = spec.h**spec.n * spec.x_bracket(-N)
         self.n, self.axes = spec.n, tuple(range(-spec.n, 0))
 
     def __call__(self, uh: np.ndarray) -> np.ndarray:
@@ -459,7 +454,7 @@ def sup_differences(ref: EvolutionProblem, others: list, s: float,
     _check_shared(probs)
     if steps is None:
         steps = shared_steps(probs)
-    weight, sq = _norm_weight(ref.cs.spec, s), np.zeros(len(others))
+    weight, sq = ref.cs.spec.sobolev_weight(s), np.zeros(len(others))
     for level in zip(*(_lockstep_member(k, p, steps) for k, p in enumerate(probs))):
         uh_ref = level[0][1]
         sq = np.maximum(sq, [np.sum(weight * np.abs(uh - uh_ref) ** 2)

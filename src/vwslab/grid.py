@@ -13,6 +13,11 @@ space and only needs the pair to invert each other.  They transform the
 trailing n spatial axes only, so a leading axis of a stack of fields rides
 along.
 
+``fft`` indexes nodes from x = -L, so against the e^{i kappa x} basis its
+coefficients carry exp(i kappa_k L) = (-1)^{k_1 + ... + k_n}, k the integer
+modes.  The phase table is that sign exactly, real and +-1, so ``forward``
+and ``inverse`` are the raw pair times one real table.
+
 Every array that depends on the grid alone (the meshes, |kappa|^2,
 <kappa>, |x|^2 and the transform phase) is built once per GridSpec and
 shared by all callers, so these arrays are read-only: derive new arrays
@@ -92,9 +97,18 @@ class GridSpec:
     def x_norm_sq(self) -> np.ndarray:
         return _tables(self).x_sq
 
+    def x_bracket(self, p: float = 1.0) -> np.ndarray:
+        """<x>^p = (1 + |x|^2)^{p/2} on the meshed nodes."""
+        return (1.0 + self.x_norm_sq()) ** (p / 2.0)
+
     def kappa_bracket(self) -> np.ndarray:
         """Japanese bracket <kappa> on the meshed dual lattice."""
         return _tables(self).bracket
+
+    def sobolev_weight(self, s: float) -> np.ndarray:
+        """w with ||u||_s^2 = sum w |fft(u)|^2: (2L)^n <kappa>^{2s} / size^2,
+        ``forward`` being fft / size times a sign."""
+        return (2.0 * self.L) ** self.n / self.size**2 * self.kappa_bracket() ** (2.0 * s)
 
 
 class _Tables(NamedTuple):
@@ -113,10 +127,10 @@ def _tables(spec: GridSpec) -> _Tables:
     x = tuple(np.meshgrid(*([spec.x_axis()] * spec.n), indexing="ij"))
     kappa = tuple(np.meshgrid(*([spec.kappa_axis()] * spec.n), indexing="ij"))
     kappa_sq = sum(km**2 for km in kappa)
-    # fft indexes nodes from x = -L, so raw coefficients pick up a factor
-    # exp(i*kappa_k*L) = (-1)^k per axis relative to the e^{i kappa x} basis.
+    sign = np.where(np.arange(spec.M) % 2, -1.0, 1.0)  # (-1)^k, k = j or j - M, M even
     tables = _Tables(x, kappa, kappa_sq, np.sqrt(1.0 + kappa_sq),
-                     sum(xm**2 for xm in x), np.exp(1j * spec.L * sum(kappa)))
+                     sum(xm**2 for xm in x),
+                     functools.reduce(np.multiply.outer, [sign] * spec.n))
     for arr in (*x, *kappa, *tables[2:]):
         arr.setflags(write=False)
     return tables
@@ -142,10 +156,6 @@ class Field:
 def make_grid(n: int, M: int, L: float) -> GridSpec:
     """Validated grid constructor."""
     return GridSpec(n, M, L)
-
-
-def _phase(spec: GridSpec) -> np.ndarray:
-    return _tables(spec).phase
 
 
 def fft(values: np.ndarray, n: int) -> np.ndarray:
@@ -178,12 +188,12 @@ def forward(u: Field | np.ndarray, spec: GridSpec | None = None) -> np.ndarray:
         spec, values = u.spec, u.values
     else:
         values = u
-    return fft(values, spec.n) / spec.size * _phase(spec)
+    return fft(values, spec.n) * (_tables(spec).phase / spec.size)
 
 
 def inverse(coeffs: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Inverse of :func:`forward`, returning grid values."""
-    return ifft(coeffs / _phase(spec) * spec.size, spec.n)
+    return ifft(coeffs * (_tables(spec).phase * spec.size), spec.n)
 
 
 def sobolev_norm(u: Field, s: float) -> float:
@@ -191,9 +201,8 @@ def sobolev_norm(u: Field, s: float) -> float:
 
     s = 0 reproduces the L^2 norm by Plancherel.
     """
-    uh = forward(u)
-    w = u.spec.kappa_bracket() ** (2.0 * s)
-    return float(np.sqrt((2.0 * u.spec.L) ** u.spec.n * np.sum(w * np.abs(uh) ** 2)))
+    power = np.abs(fft(u.values, u.spec.n)) ** 2
+    return float(np.sqrt(np.sum(u.spec.sobolev_weight(s) * power)))
 
 
 def apply_lambda(u: Field, s: float) -> Field:
@@ -205,8 +214,7 @@ def apply_lambda(u: Field, s: float) -> Field:
 
 def weight_field(u: Field, p: float) -> Field:
     """Pointwise multiplication by <x>^p on the fundamental domain."""
-    w = (1.0 + u.spec.x_norm_sq()) ** (p / 2.0)
-    return Field(u.spec, u.values * w)
+    return Field(u.spec, u.values * u.spec.x_bracket(p))
 
 
 def spectral_derivative(values: np.ndarray, spec: GridSpec, axis: int) -> np.ndarray:

@@ -129,12 +129,8 @@ def _scaling_probe(u: Field, scale: ScaleFn, eps_list, measure) -> dict:
 
 
 def derivative_bound_probe(u: Field, beta: tuple | int, scale: ScaleFn, eps_list):
-    """Sup-norm growth of d^beta (u * phi_omega) along an omega ladder.
-
-    Returns a dict with the per-omega sup norms, the fitted slope sigma of
-    log sup vs log omega, and the predicted floors -|beta| (bounded u) and
-    -|beta|+1 (Lipschitz u) from Young's inequality.
-    """
+    """Sup-norm growth of d^beta (u * phi_omega) along an omega ladder:
+    the per-omega sup norms and the fitted slope of log sup vs log omega."""
     if np.isscalar(beta):
         beta = (int(beta),)
     if len(beta) != u.spec.n or any(b < 0 for b in beta):
@@ -143,15 +139,11 @@ def derivative_bound_probe(u: Field, beta: tuple | int, scale: ScaleFn, eps_list
     def sup_of_derivative(v: Field) -> float:
         return float(np.max(np.abs(partial_derivative(v.values, v.spec, beta))))
 
-    order = float(sum(beta))
-    return {**_scaling_probe(u, scale, eps_list, sup_of_derivative),
-            "floor_bounded": -order, "floor_lipschitz": 1.0 - order}
+    return _scaling_probe(u, scale, eps_list, sup_of_derivative)
 
 
 def sobolev_boost_probe(u: Field, s: float, ell: int, scale: ScaleFn, eps_list):
-    """Slope of log ||u * phi_omega||_{s+ell} vs log omega; floor is -ell."""
+    """Slope of log ||u * phi_omega||_{s+ell} vs log omega."""
     if ell < 1:
         raise MollifyError("ell must be >= 1")
-    return {**_scaling_probe(u, scale, eps_list,
-                             lambda v: sobolev_norm(v, s + ell)),
-            "floor": -float(ell)}
+    return _scaling_probe(u, scale, eps_list, lambda v: sobolev_norm(v, s + ell))

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .coeffs import (CoefficientModel, CoefficientSet, HypothesisReport,
+from .coeffs import (CoefficientModel, CoefficientSet, Delta, HypothesisReport,
                      check_hypotheses, regularise, sample)
 from .evolve import (LEVELS, EvolutionProblem, shared_steps, solve_stack,
                      sup_differences)
@@ -78,9 +78,8 @@ def rough_field(spec: GridSpec, s: float, seed: int) -> Field:
 
 
 def delta_field(spec: GridSpec) -> Field:
-    """Grid realisation of the Dirac delta: flat coefficients (2L)^{-n}."""
-    coeffs = np.full(spec.shape, (2.0 * spec.L) ** (-spec.n), dtype=complex)
-    return Field(spec, inverse(coeffs, spec))
+    """Grid realisation of the Dirac delta, ``coeffs.Delta(1.0)``."""
+    return Field(spec, inverse(Delta(1.0).coefficients(spec), spec))
 
 
 def gaussian_field(spec: GridSpec, width: float = 1.0, amplitude: float = 1.0) -> Field:
@@ -90,10 +89,8 @@ def gaussian_field(spec: GridSpec, width: float = 1.0, amplitude: float = 1.0) -
 
 def bump_perturbation(spec: GridSpec, N: int, seed_shift: float = 0.0) -> np.ndarray:
     """Fixed smooth symmetric bump obeying the <x>^{-N} derivative envelope."""
-    r2 = spec.x_norm_sq()
-    x0 = spec.x_mesh()[0]
-    return ((1.0 + r2) ** (-N / 2.0) * np.exp(-r2 / 2.0)
-            * np.cos(x0 + seed_shift)).astype(float)
+    return (spec.x_bracket(-N) * np.exp(-spec.x_norm_sq() / 2.0)
+            * np.cos(spec.x_mesh()[0] + seed_shift)).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +330,6 @@ def _perturbed_set(cs: CoefficientSet, eps: float, q: int, bumps: dict) -> Coeff
                    V=cs.V + amp * bumps["V"])
 
 
-def _inertia(cs: CoefficientSet) -> np.ndarray:
-    """The number of negative eigenvalues of the symmetric 1 x 1 or 2 x 2
-    a(x) at every node, -1 where a(x) is singular; where det a(x) > 0 in
-    2D, both eigenvalues have the sign of a_11."""
-    a = cs.a
-    det = a[0][0] if cs.n == 1 else a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return np.where(det == 0.0, -1,
-                    np.where(det < 0.0, 1, np.where(a[0][0] < 0.0, 2, 0)))
-
-
 def _log_fit(eps, values) -> tuple:
     """Slope and residual of log values against log eps; (inf, 0) when every
     value is zero."""
@@ -366,8 +353,8 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
     # a(x) singular or of another inertia at some node (a singular base
     # fails the validation below)
     dropped = [eps for eps, m in members.items()
-               if np.any(_inertia(_perturbed_set(m["cs"], eps, q, bumps))
-                         != _inertia(m["cs"]))]
+               if np.any(_perturbed_set(m["cs"], eps, q, bumps).inertia()
+                         != m["cs"].inertia())]
     used = [float(eps) for eps in members if eps not in dropped]
     if len(used) < 4:
         raise NetError(f"fewer than 4 usable epsilons (dropped {dropped})")

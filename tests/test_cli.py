@@ -203,6 +203,15 @@ class TestConfigErrors:
         text = cfg_text(experiment={"kind": kind}, **override)
         self.assert_config_error(tmp_path, capsys, text, message)
 
+    @pytest.mark.parametrize("model", ["delta-potential", "jump-drift",
+                                       "elliptic-lipschitz"])
+    def test_consistency_needs_a_smooth_model(self, tmp_path, capsys, model):
+        # the classical problem is marched on the unmollified coefficients
+        text = cfg_text(experiment={"kind": "consistency"}, model={"preset": model})
+        self.assert_config_error(
+            tmp_path, capsys, text,
+            "config.model: consistency requires a smooth-coefficient model")
+
     @pytest.mark.parametrize("kind", ["net", "uniqueness"])
     def test_no_sobolev_order(self, tmp_path, capsys, kind):
         text = cfg_text(experiment={"kind": kind}, evolution={"s": []})
@@ -366,21 +375,37 @@ class TestRunReportContract:
     def test_hypothesis_failure_names_the_check(self, tmp_path):
         cfg = parse_config(json.dumps({"model": {"preset": "elliptic-lipschitz"}}),
                            kind="net")
-        assert run(cfg, out_dir=str(tmp_path)) == 3
-        error = json.loads((tmp_path / "report.json").read_text())["verdict"]["error"]
-        assert error == ("HypothesisFailure: coefficient model failed hypothesis "
-                         "validation: (H3) eps-variation 0.73 against 0.10")
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
+        assert verdict["failures"] == ["(H3) eps-variation 0.73 against 0.10"]
+        assert verdict["hypotheses"]["passed"] is False
+        assert "error" not in verdict
 
-    def test_uniqueness_on_an_invalid_net_exits_3(self, tmp_path):
+    def test_uniqueness_on_an_invalid_net_exits_1(self, tmp_path):
         # the net fails (H3), so no slope is fitted on it
         cfg = parse_config(json.dumps({"model": {"preset": "elliptic-lipschitz"}}),
                            kind="uniqueness")
-        assert run(cfg, out_dir=str(tmp_path)) == 3
+        assert run(cfg, out_dir=str(tmp_path)) == 1
         verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
         assert "slope" not in verdict
-        assert verdict["error"] == ("HypothesisFailure: coefficient model failed "
-                                    "hypothesis validation: (H3) eps-variation "
-                                    "0.73 against 0.10")
+        assert verdict["failures"] == ["(H3) eps-variation 0.73 against 0.10"]
+
+    @pytest.mark.parametrize("kind", ["validate-hypotheses", "net", "uniqueness"])
+    def test_failed_hypothesis_is_one_outcome(self, tmp_path, capsys, kind):
+        # a net that fails (H2) and (H3) is a verdict that ran and failed in
+        # every subcommand that validates it, with the same failed checks
+        cfg = parse_config(json.dumps({
+            "grid": {"n": 2, "M": 16, "L": 8},
+            "model": {"preset": "ultra-diagonal",
+                      "params": {"nu": 2.0, "width": 0.5}},
+            "evolution": {"T": 0.1}}), kind=kind)
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        assert f"{kind}: FAIL" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["all_pass"] is False
+        assert report["verdict"]["failures"] == [
+            "(H2) eps-variation of mu 0.662 against 0.05",
+            "(H3) eps-variation 0.573 against 0.10"]
 
     @pytest.mark.parametrize("c2, status", [(-0.05, 0), (-0.02, 3)])
     def test_uniqueness_drops_the_eps_whose_perturbation_breaks_h2(self, tmp_path,

@@ -266,8 +266,9 @@ class TestExponentShift:
         # the net-1d-delta ladder: the zero b is skipped, V takes three
         # derivatives per eps, and da one
         ("delta-potential", 1, 256, 40),
-        # b and V are zero: only the eight derivatives of da per eps remain
-        ("ultra-diagonal", 2, 64, 80)])
+        # b and V are zero: only da remains, six derivatives per eps, as
+        # a_12 and a_21 are one array
+        ("ultra-diagonal", 2, 64, 60)])
     def test_fft_calls(self, monkeypatch, name, n, M, calls):
         sets = ladder_sets(preset(name, n=n), make_grid(n, M, 8.0))
         count = []
@@ -280,8 +281,10 @@ class TestExponentShift:
 
 
 def test_da_is_the_spectral_derivative_of_a(grid_2d, loglog):
-    assert_da_is_the_derivative_of_a(
-        regularise(preset("ultra-diagonal"), 2**-4, loglog, grid_2d))
+    cs = regularise(preset("ultra-diagonal"), 2**-4, loglog, grid_2d)
+    assert_da_is_the_derivative_of_a(cs)
+    # a_12 and a_21 are one array, whose derivatives are taken once
+    assert all(cs.da[k][0][1] is cs.da[k][1][0] for k in range(2))
 
 
 class TestCustomModel:

@@ -18,8 +18,8 @@ from vwslab.evolve import (LEVELS, RK4_IMAG_LIMIT, SAFETY, _Diagnostics, _Operat
 from vwslab.grid import (apply_lambda, fft, inverse, spectral_derivative,
                          weight_field)
 from vwslab.coeffs import enveloped_bump
-from vwslab.vwsnet import (COARSE, NetParams, _bumps, _inertia, _perturbed_set,
-                           delta_field, ladder, rough_field)
+from vwslab.vwsnet import (COARSE, NetParams, _bumps, _perturbed_set, delta_field,
+                           ladder, rough_field)
 
 
 def preset_set(name, spec, eps=2**-4):
@@ -634,7 +634,7 @@ class TestSpectralNorms:
         # the inertia of a(x) as eigvalsh counts it, on sets with no
         # singular node
         np.testing.assert_array_equal(
-            _inertia(cs).ravel(),
+            cs.inertia().ravel(),
             np.sum(np.linalg.eigvalsh(cs.matrix_at().reshape(-1, cs.n, cs.n)) < 0.0,
                    axis=-1))
         np.testing.assert_allclose(np.sort(cs.abs_eigenvalues(), axis=1),

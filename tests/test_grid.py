@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_field
-from vwslab.grid import (Field, GridError, apply_lambda, fft, forward, ifft,
-                         inverse, make_grid, plane_wave, sobolev_norm,
+from vwslab.grid import (Field, GridError, _tables, apply_lambda, fft, forward,
+                         ifft, inverse, make_grid, plane_wave, sobolev_norm,
                          spectral_derivative, weight_field)
 
 
@@ -179,6 +179,21 @@ class TestGridTables:
         assert np.array_equal(spec.x_norm_sq(), sum(x**2 for x in xm))
 
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_weights_are_the_conventions(self, n):
+        # <x>^p = (1 + |x|^2)^(p/2), and the H^s norm of the forward
+        # coefficients, which sobolev_norm takes from the raw ones
+        spec = make_grid(n, 16, 3.0)
+        x2 = sum(x**2 for x in spec.x_mesh())
+        assert np.array_equal(spec.x_bracket(), np.sqrt(1.0 + x2))
+        assert np.array_equal(spec.x_bracket(-2), 1.0 / (1.0 + x2))
+        u = random_field(spec, seed=n)
+        for s in (-1.0, 0.0, 1.5):
+            want = np.sqrt((2.0 * spec.L) ** n * np.sum(
+                spec.kappa_bracket() ** (2.0 * s) * np.abs(forward(u)) ** 2))
+            assert sobolev_norm(u, s) == pytest.approx(want, rel=1e-13)
+
+
 class TestRawTransforms:
     @pytest.mark.parametrize("n", [1, 2])
     def test_raw_pair_is_numpy_fftn(self, n):
@@ -191,12 +206,20 @@ class TestRawTransforms:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_forward_is_raw_times_phase_over_size(self, n):
+        # the phase is (-1)^(k_1 + ... + k_n) exactly, a real table, and
+        # exp(i L sum kappa) to rounding
         spec = make_grid(n, 16, 3.0)
+        k = np.fft.fftfreq(16, d=1.0 / 16)
+        phase = _tables(spec).phase
+        assert phase.dtype == np.float64
+        assert np.array_equal(
+            phase, np.where(sum(np.meshgrid(*([k] * n), indexing="ij")) % 2, -1.0, 1.0))
+        assert np.allclose(phase, np.exp(1j * spec.L * sum(spec.kappa_mesh())),
+                           rtol=0.0, atol=1e-14)
         u = random_field(spec, seed=n + 2)
-        phase = np.exp(1j * spec.L * sum(spec.kappa_mesh()))
-        assert np.array_equal(forward(u), fft(u.values, n) / spec.size * phase)
+        assert np.array_equal(forward(u), fft(u.values, n) * phase / spec.size)
         c = forward(u)
-        assert np.array_equal(inverse(c, spec), ifft(c / phase * spec.size, n))
+        assert np.array_equal(inverse(c, spec), ifft(c * phase * spec.size, n))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_raw_pair_of_a_stack_is_row_by_row(self, n):

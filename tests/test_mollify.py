@@ -114,6 +114,7 @@ class TestDerivativeBoundProbe:
         u = Field(spec, np.sin(spec.x_axis()).astype(complex))
         pr = derivative_bound_probe(u, (2,), POWER1, DYADIC)
         assert abs(pr["slope"]) < 0.1
+        assert set(pr) == {"omegas", "norms", "slope", "residual"}
 
     def test_jump_first_derivative(self):
         spec = _fine_grid()
