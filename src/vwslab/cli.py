@@ -8,7 +8,7 @@ Defaults (applied by parse_config):
   scale       kind="loglog", k=1
   ladder      [2^-3, 2^-4, 2^-5, 2^-6, 2^-7]
   data        kind="gaussian", width=1.0 (> 0), amplitude=1.0
-  evolution   T=0.5, dt="auto", s=[0.0], N=2 (> 1)
+  evolution   T=0.5, dt="auto", s=[0.0]
   experiment  kind from the subcommand, q=3
   output      directory="out", stride=0 (no snapshots)
   seed        0
@@ -59,8 +59,7 @@ _SCHEMA = {
     "ladder": [(int, float)],
     "data": {"kind": str, "width": (int, float), "amplitude": (int, float),
              "k": [int], "s": (int, float)},
-    "evolution": {"T": (int, float), "dt": (int, float, str), "s": [(int, float)],
-                  "N": int},
+    "evolution": {"T": (int, float), "dt": (int, float, str), "s": [(int, float)]},
     "experiment": {"kind": str, "q": int},
     "output": {"directory": str, "stride": int},
     "seed": int,
@@ -74,7 +73,7 @@ _DEFAULTS = {
     "ladder": [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7],
     "data": {"kind": "gaussian", "width": 1.0, "amplitude": 1.0,
              "k": [1], "s": 0.0},
-    "evolution": {"T": 0.5, "dt": "auto", "s": [0.0], "N": 2},
+    "evolution": {"T": 0.5, "dt": "auto", "s": [0.0]},
     "experiment": {"kind": None, "q": 3},
     "output": {"directory": "out", "stride": 0},
     "seed": 0,
@@ -175,8 +174,6 @@ def parse_config(text: str, kind: str | None = None) -> dict:
         raise ConfigError("config.evolution.s needs at least one Sobolev order")
     if cfg["evolution"]["T"] <= 0:
         raise ConfigError("config.evolution.T must be positive")
-    if cfg["evolution"]["N"] <= 1:
-        raise ConfigError("config.evolution.N must exceed 1")
     if cfg["data"]["width"] <= 0:
         raise ConfigError("config.data.width must be positive")
     dt = cfg["evolution"]["dt"]
@@ -245,7 +242,8 @@ def _data(cfg, spec: GridSpec) -> Field:
     return _DATA[cfg["data"]["kind"]](spec, cfg["data"], cfg["seed"])
 
 
-def _net_params(cfg, spec: GridSpec) -> NetParams:
+def _net_params(cfg, spec: GridSpec, model) -> NetParams:
+    """The net of cfg; its <x>^{-N} smoothing weight is the model's."""
     ev = cfg["evolution"]
     dt = None if ev["dt"] == "auto" else float(ev["dt"])
     return NetParams(
@@ -255,7 +253,7 @@ def _net_params(cfg, spec: GridSpec) -> NetParams:
         T=float(ev["T"]),
         dt=dt,
         s_list=tuple(float(s) for s in ev["s"]),
-        N_weight=ev["N"],
+        N_weight=model.N,
         data_mollifier=_data_mollifier(cfg),
     )
 
@@ -266,19 +264,20 @@ def _net_params(cfg, spec: GridSpec) -> NetParams:
 
 def _run_validate_hypotheses(cfg, out: Path) -> dict:
     model = _model(cfg)
-    report = validate(model, ladder(model, _net_params(cfg, _grid(cfg))))
+    report = validate(model, ladder(model, _net_params(cfg, _grid(cfg), model)))
     d = report.to_dict()
     return {"pass": d.pop("passed"), **d, "failures": report.failures()}
 
 
 def _run_doi_check(cfg, out: Path) -> dict:
-    params = _net_params(cfg, _grid(cfg))
-    sets = [m["cs"] for m in ladder(_model(cfg), params).values()]
+    model = _model(cfg)
+    params = _net_params(cfg, _grid(cfg), model)
+    sets = [m["cs"] for m in ladder(model, params).values()]
     # K needs every q first, so the q symbols are held across the ladder;
     # check_member makes nothing else of their size
     qs = [build_q(cs) for cs in sets]
     K = calibrate_K(qs)
-    f = FTable(K, cfg["evolution"]["N"])
+    f = FTable(K, model.N)
     per_eps = [{"eps": eps, **check_member(cs, q, f)}
                for eps, cs, q in zip(cfg["ladder"], sets, qs)]
     c2s = [e["C2"] for e in per_eps]
@@ -324,9 +323,10 @@ def _write_snapshots(out: Path, eps: float, states, stride: int) -> None:
 def _run_solve(cfg, out: Path) -> dict:
     # the ladder's coefficients with the Cauchy data held fixed
     spec = _grid(cfg)
-    params = _net_params(cfg, spec)
+    model = _model(cfg)
+    params = _net_params(cfg, spec, model)
     stride = cfg["output"]["stride"]
-    members = ladder(_model(cfg), params)
+    members = ladder(model, params)
     u0 = _data(cfg, spec)
     for m in members.values():
         m["u0"] = u0
@@ -345,7 +345,7 @@ def _run_net(cfg, out: Path) -> dict:
     spec = _grid(cfg)
     model = _model(cfg)
     u0 = _data(cfg, spec)
-    params = _net_params(cfg, spec)
+    params = _net_params(cfg, spec, model)
     report, results, health = run_net(model, u0, params)
     for eps, res in results.items():
         _write_series(out, eps, res.series)
@@ -369,15 +369,15 @@ def _fit_verdict(fit: FitReport) -> dict:
 
 
 def _run_uniqueness(cfg, out: Path) -> dict:
-    spec = _grid(cfg)
-    return _fit_verdict(uniqueness_probe(_model(cfg), cfg["experiment"]["q"],
-                                         _data(cfg, spec), _net_params(cfg, spec)))
+    spec, model = _grid(cfg), _model(cfg)
+    return _fit_verdict(uniqueness_probe(model, cfg["experiment"]["q"], _data(cfg, spec),
+                                         _net_params(cfg, spec, model)))
 
 
 def _run_consistency(cfg, out: Path) -> dict:
-    spec = _grid(cfg)
-    return _fit_verdict(consistency_run(_model(cfg), _data(cfg, spec),
-                                        _net_params(cfg, spec)))
+    spec, model = _grid(cfg), _model(cfg)
+    return _fit_verdict(consistency_run(model, _data(cfg, spec),
+                                        _net_params(cfg, spec, model)))
 
 
 def _run_mollifier_bench(cfg, out: Path) -> dict:

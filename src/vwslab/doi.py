@@ -1,4 +1,4 @@
-"""Symbol-grid calculus: principal/subprincipal symbols, Poisson brackets,
+"""Symbol-grid calculus: the principal symbol, Poisson brackets,
 the escape function q, the order-zero symbol d, inequality checks, symbol
 seminorms, and a dense Kohn-Nirenberg quantizer for small grids.
 
@@ -14,13 +14,13 @@ differences, except that a2 carries its exact xi-gradient
 2 sum_i a_ij xi_i, which the bracket uses instead.
 
 With exact x-gradients every quantity the escape and Doi checks read is
-pointwise in x, so the checks run over blocks of rows of the first x axis,
-each of about _BLOCK (x, xi) points: ``check_member`` evaluates a2's
+pointwise in x, so ``check_member`` runs them over blocks of rows of the
+first x axis, each of about _BLOCK (x, xi) points: it evaluates a2's
 gradients, the rows of q, d and both brackets block by block and keeps
 each block's minima, so no array of the full (x, xi) size is made for a ladder
-member beside its q.  ``poisson_bracket`` is the same bracket kernel on
-the whole grid, and ``check_escape`` and ``check_doi`` are the checks'
-block reductions for symbols already built.
+member beside its q.  ``check_escape`` and ``check_doi`` are its reference:
+the same minima over the whole grid, of ``poisson_bracket``s of symbols
+already built.
 """
 
 from __future__ import annotations
@@ -185,14 +185,10 @@ def _bracket(a: _Partials, b: _Partials, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _same_grid(a: SymbolGrid, b: SymbolGrid) -> None:
-    if a.spec != b.spec:
-        raise SymbolError("poisson_bracket: symbol grids do not match")
-
-
 def poisson_bracket(a: SymbolGrid, b: SymbolGrid) -> SymbolGrid:
     """{a, b} = sum_j (d_xi_j a · d_x_j b - d_x_j a · d_xi_j b)."""
-    _same_grid(a, b)
+    if a.spec != b.spec:
+        raise SymbolError("poisson_bracket: symbol grids do not match")
     vals = np.empty(a.values.shape, dtype=np.result_type(a.values, b.values, float))
     return SymbolGrid(a.spec, _bracket(_partials(a), _partials(b), vals))
 
@@ -217,17 +213,6 @@ def _a2_partials(cs: CoefficientSet, rows: slice = slice(None)) -> _Partials:
     grad_xi = [_separable([2.0 * cs.a[i][j][rows] for i in range(n)], tables.mesh)
                for j in range(n)]
     return _Partials(grad_x, grad_xi)
-
-
-def assemble_a1(cs: CoefficientSet) -> SymbolGrid:
-    """Subprincipal symbol sum_ij (D_x_i a_ij)(x) xi_j with D = -i d/dx."""
-    spec, n = cs.spec, cs.spec.n
-    xi = _xi_tables(spec).mesh
-    vals = np.zeros(spec.shape * 2, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            vals = vals + _lift(-1j * cs.da[i][i][j]) * xi[j]
-    return SymbolGrid(spec, vals)
 
 
 #: the escape constant: H_{a2} q >= C1 |xi| - C2, with C1 in q itself
@@ -370,7 +355,7 @@ def calibrate_K(qs: list) -> float:
     return 1.1 * max((_sup_over_x(q) for q in qs), default=0.0)
 
 
-#: (x, xi) points per block of x-rows in build_d and the checks: small
+#: (x, xi) points per block of x-rows in check_member: small
 #: enough that a block's temporaries stay in cache and below glibc's mmap
 #: threshold, so that the allocator recycles them from its heap
 _BLOCK = 8192
@@ -395,17 +380,11 @@ def _check_calibration(q: SymbolGrid, f: FTable) -> None:
 def build_d(q: SymbolGrid, f: FTable) -> SymbolGrid:
     """Order-zero symbol (q/<x>) phi0 + (f(|q|) + 2 DELTA)(psi+ - psi-).
 
-    d and its x-gradient are pointwise in (x, xi), given q and its
-    x-gradient, so they are evaluated on blocks of rows of the first x axis.
+    d carries its x-gradient when q carries one.
     """
     _check_calibration(q, f)
-    parts = 1 + (q.n if q.grad_x is not None else 0)
-    out = [np.empty_like(q.values) for _ in range(parts)]
-    for rows in _row_blocks(q.spec):
-        for dst, src in zip(out, _d_rows(q, rows, f)):
-            dst[rows] = src
-    return SymbolGrid(q.spec, out[0],
-                      grad_x=out[1:] if q.grad_x is not None else None)
+    vals, *grads = _d_rows(q, slice(None), f)
+    return SymbolGrid(q.spec, vals, grad_x=grads or None)
 
 
 def _d_rows(q: SymbolGrid, rows: slice, f: FTable) -> list:
@@ -453,17 +432,6 @@ def _min_excess(a2: _Partials, b: _Partials, envelope: np.ndarray,
     return float(np.min(excess))
 
 
-def _min_over_rows(a2: SymbolGrid, b: SymbolGrid, envelope) -> float:
-    """Minimum of H_{a2} b - envelope(rows) over the grid, one block of
-    x-rows at a time; a NaN in any block gives NaN, as np.min does."""
-    _same_grid(a2, b)
-    dtype = np.result_type(a2.values, b.values, float)
-    return float(np.min([
-        _min_excess(_partials(a2, rows), _partials(b, rows), envelope(rows),
-                    np.empty(b.values[rows].shape, dtype))
-        for rows in _row_blocks(b.spec)]))
-
-
 def _escape_report(min_gap: float) -> dict:
     return {"min_gap": min_gap, "C2": max(0.0, -min_gap)}
 
@@ -480,14 +448,16 @@ def _doi_report(min_margin: float) -> dict:
 
 def check_escape(q: SymbolGrid, a2: SymbolGrid) -> dict:
     """Grid minimum of H_{a2} q - C1 |xi| (should exceed -C2)."""
-    envelope = C1 * _xi_tables(q.spec).abs
-    return _escape_report(_min_over_rows(a2, q, lambda rows: envelope))
+    excess = poisson_bracket(a2, q).values
+    excess -= C1 * _xi_tables(q.spec).abs
+    return _escape_report(float(np.min(excess)))
 
 
 def check_doi(d: SymbolGrid, a2: SymbolGrid, N: int) -> dict:
     """Grid maximum C* of <x>^{-N} |xi| - H_{a2} d (the Doi constant)."""
-    weight, xi_abs = _lift(d.spec.x_bracket(-N)), _xi_tables(d.spec).abs
-    return _doi_report(_min_over_rows(a2, d, lambda rows: weight[rows] * xi_abs))
+    excess = poisson_bracket(a2, d).values
+    excess -= _lift(d.spec.x_bracket(-N)) * _xi_tables(d.spec).abs
+    return _doi_report(float(np.min(excess)))
 
 
 def check_member(cs: CoefficientSet, q: SymbolGrid, f: FTable) -> dict:

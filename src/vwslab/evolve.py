@@ -61,7 +61,7 @@ import numpy as np
 
 from .coeffs import CoefficientSet, _abs_eigenvalues
 from .grid import Field, GridSpec, fft, ifft
-from .mollify import cumulative_trapezoid, fit_slope
+from .mollify import cumulative_trapezoid
 
 #: RK4 stability interval on the imaginary axis is about |z| <= 2.8; it
 #: bounds the remainder that the ETD-RK4 stages take explicitly
@@ -486,51 +486,3 @@ def dense_oracle(prob: EvolutionProblem) -> Field:
     out = expm(1j * prob.T * columns.reshape(size, size).T) @ prob.u0.values.ravel()
     return Field(spec, out.reshape(spec.shape))
 
-
-def smoothing_report(series_by_eps: dict, s: float, rhs_by_eps: dict,
-                     T: float) -> dict:
-    """Fit the a-priori smoothing estimate across an epsilon ladder.
-
-    series_by_eps maps eps -> (omega, NormSeries), whose integrands carry
-    their <x> weight already; rhs_by_eps maps eps -> ||u0||_s^2.
-    Returns fitted (C1, k1, C2) with the envelope
-    LHS <= C2 exp(C1 omega^{-k1} T) * RHS.
-    """
-    eps_sorted = sorted(series_by_eps, reverse=True)
-    lhs, rhs, omegas = [], [], []
-    for eps in eps_sorted:
-        omega, series = series_by_eps[eps]
-        value = series.sup_norm(s) ** 2 + series.final_integral(s)
-        base = rhs_by_eps[eps]
-        if base == 0.0 and value > 0.0:
-            raise EvolveError("RHS base is zero with nonzero LHS")
-        lhs.append(value)
-        rhs.append(base)
-        omegas.append(omega)
-    lhs, rhs, omegas = map(np.array, (lhs, rhs, omegas))
-    nonzero = rhs > 0
-    ratio = np.where(nonzero, lhs / np.where(nonzero, rhs, 1.0), 0.0)
-    out = {
-        "eps": list(eps_sorted),
-        "omega": omegas.tolist(),
-        "lhs": lhs.tolist(),
-        "rhs": rhs.tolist(),
-        "ratio": ratio.tolist(),
-    }
-    growth = np.log(np.maximum(ratio, 1e-300))
-    spread = np.max(omegas) / max(np.min(omegas), 1e-300)
-    if np.all(ratio == 0.0):
-        out.update(C1=0.0, k1=0.0, C2=1.0, residual=0.0, holds=True)
-        return out
-    if np.min(growth) > 0.0 and spread > 1.0 + 1e-9:
-        k1, resid = fit_slope(np.log(1.0 / omegas), np.log(growth))
-        k1 = max(0.0, k1)
-        C1 = float(np.exp(np.mean(np.log(growth) - k1 * np.log(1.0 / omegas))) / T)
-    else:
-        # exponent content not resolvable on this ladder: constants absorb it
-        k1, resid, C1 = 0.0, 0.0, float(max(np.mean(growth) / T, 1e-6))
-    envelope = np.exp(C1 * omegas ** (-k1) * T)
-    C2 = float(np.max(ratio / envelope)) * (1.0 + 1e-9)
-    holds = bool(np.all(lhs <= C2 * envelope * rhs * (1.0 + 1e-6)))
-    out.update(C1=C1, k1=float(k1), C2=C2, residual=float(resid), holds=holds)
-    return out

@@ -395,15 +395,14 @@ def _difference_answer(s: float):
 def consistency_run(model: CoefficientModel, u0: Field, params: NetParams) -> FitReport:
     """Compare the epsilon-net against the classical solution of the smooth
     problem; pass iff the error falls along the ladder and ends below
-    FINAL_ERROR.  The data mollifier must be of vanishing-moment type.
+    FINAL_ERROR.  The data mollifier must be of vanishing-moment type, and
+    the model smooth: ``coeffs.sample`` raises ModelError on any other.
 
     Each member is the pair (classical problem, its mollified problem),
     with the one classical problem in every pair, marched by
     ``march_ladder`` as a stack: after the probe, one ``sup_differences``
     lockstep for each step count takes the classical problem and every
     member of that count to T."""
-    if not model.smooth:
-        raise NetError("consistency requires a smooth-coefficient model")
     if params.data_mollifier.kind == "gaussian":
         raise NetError("consistency requires a vanishing-moment data mollifier")
     if len(params.eps_ladder) < 4:

@@ -1,4 +1,4 @@
-"""End-to-end acceptance suite: twelve property-based checks covering the
+"""End-to-end acceptance suite: eleven property-based checks covering the
 solver, the mollifier scaling laws, the symbol construction, and the
 epsilon-net verdicts at desk scale."""
 
@@ -10,13 +10,13 @@ from vwslab.coeffs import check_hypotheses, preset, regularise
 from vwslab.doi import (FTable, assemble_a2, build_d, build_q,
                         calibrate_K, check_doi, check_escape, energy_norm,
                         exp_symbol_operator)
-from vwslab.evolve import EvolutionProblem, dense_oracle, smoothing_report, solve
+from vwslab.evolve import EvolutionProblem, dense_oracle, solve
 from vwslab.grid import Field, inverse, make_grid, plane_wave, sobolev_norm
 from vwslab.mollify import (Mollifier, ScaleFn, derivative_bound_probe,
                             fit_slope, sobolev_boost_probe)
 from vwslab.vwsnet import (NetParams, consistency_run, delta_field,
-                           gaussian_field, moderateness_fit, rough_field,
-                           run_net, uniqueness_probe)
+                           gaussian_field, moderateness_fit, run_net,
+                           uniqueness_probe)
 
 LOGLOG = ScaleFn("loglog")
 POWER1 = ScaleFn("power", k=1.0)
@@ -242,20 +242,3 @@ def test_11_consistency():
     fit = consistency_run(flat, gaussian_field(spec), params)
     assert fit.slope == pytest.approx(4.0, abs=0.5)
 
-
-def test_12_smoothing_estimate():
-    spec = make_grid(1, 64, 8.0)
-    model = preset("delta-potential", n=1)
-    u0 = rough_field(spec, 0.0, seed=13)
-    series, rhs = {}, {}
-    for eps in LADDER:
-        cs = regularise(model, eps, LOGLOG, spec)
-        res = solve(EvolutionProblem(cs, u0, T=0.5, s_list=(0.0,),
-                                     N_weight=2))
-        series[eps] = (cs.omega, res.series)
-        rhs[eps] = sobolev_norm(u0, 0.0) ** 2
-    rep = smoothing_report(series, 0.0, rhs, 0.5)
-    assert rep["holds"]
-    assert all(np.isfinite(v) and v > 0.0 for v in rep["lhs"])
-    assert rep["C1"] > 0.0 and rep["C2"] > 0.0 and rep["k1"] >= 0.0
-    assert rep["residual"] < 0.5

@@ -12,7 +12,7 @@ import pytest
 import vwslab
 from vwslab import cli, evolve
 from vwslab.cli import ConfigError, main, parse_config, run
-from vwslab.doi import C1, build_q, calibrate_K
+from vwslab.doi import C1, FTable, build_q, calibrate_K, check_member
 from vwslab.evolve import LEVELS
 from vwslab.vwsnet import COARSE, TOL, ladder
 
@@ -193,8 +193,10 @@ class TestConfigErrors:
                                  f"{path} must be a finite number")
 
     @pytest.mark.parametrize("kind, override, message", [
-        ("doi-check", {"evolution": {"N": 1}}, "config.evolution.N must exceed 1"),
-        ("net", {"evolution": {"N": -3}}, "config.evolution.N must exceed 1"),
+        # the decay exponent N is the model's; evolution.N is no key
+        ("doi-check", {"evolution": {"N": 1}}, "unknown key config.evolution.N"),
+        ("net", {"model": {"preset": "free", "params": {"N": -3}}},
+         "config.model: weight exponent N must exceed 1"),
         ("net", {"data": {"width": 0}}, "config.data.width must be positive"),
         ("net", {"data": {"width": -1.0}}, "config.data.width must be positive"),
         ("consistency", {"mollifier": {"kind": "gaussian"}},
@@ -595,6 +597,26 @@ def test_doi_check_negative_ladder(tmp_path):
                                                   -0.20822995825919388]
 
 
+def test_doi_check_weighs_by_the_model_N(tmp_path):
+    # with c2 = -0.3 the Doi margins of eps <= 2^-5 are not clamped at 0 and
+    # move with f's exponent; at c2 = -1 they do not (only eps = 2^-7 is
+    # unclamped there, and its margin is the same for N = 2 and 3)
+    cfg = parse_config(json.dumps({
+        "grid": {"n": 2, "M": 16, "L": 8},
+        "model": {"preset": "ultra-diagonal",
+                  "params": {"nu": 2.0, "width": 0.5, "c2": -0.3, "N": 3}}}),
+        kind="doi-check")
+    assert run(cfg, out_dir=str(tmp_path)) == 1
+    per_eps = json.loads((tmp_path / "report.json").read_text())["verdict"]["per_eps"]
+    model = cli._model(cfg)
+    params = cli._net_params(cfg, cli._grid(cfg), model)
+    sets = [m["cs"] for m in ladder(model, params).values()]
+    qs = [build_q(cs) for cs in sets]
+    reports = {N: [{"eps": eps, **check_member(cs, q, FTable(calibrate_K(qs), N))}
+                   for eps, cs, q in zip(cfg["ladder"], sets, qs)] for N in (2, 3)}
+    assert per_eps == reports[3] != reports[2]
+
+
 def test_doi_check_builds_the_q_of_build_q(tmp_path):
     # the pipeline's q is doi.build_q's on the sets of vwsnet.ladder, the
     # q that the doi tests check
@@ -603,8 +625,9 @@ def test_doi_check_builds_the_q_of_build_q(tmp_path):
     cfg = parse_config(path.read_text(encoding="utf-8"), kind="doi-check")
     assert run(cfg, out_dir=str(tmp_path)) == 0
     verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
-    params = cli._net_params(cfg, cli._grid(cfg))
-    sets = [m["cs"] for m in ladder(cli._model(cfg), params).values()]
+    model = cli._model(cfg)
+    params = cli._net_params(cfg, cli._grid(cfg), model)
+    sets = [m["cs"] for m in ladder(model, params).values()]
     assert verdict["K"] == calibrate_K([build_q(cs) for cs in sets])
     assert verdict["C1"] == C1
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import LADDER, random_field
 from vwslab.coeffs import preset, regularise
 from vwslab.doi import (C1, DELTA, FTable, SmoothStep, SymbolError, SymbolGrid,
-                        assemble_a1, assemble_a2, build_d, build_q, calibrate_K,
+                        assemble_a2, build_d, build_q, calibrate_K,
                         check_doi, check_escape, check_member, dual_xi,
                         energy_norm, exp_symbol_operator, fd4, poisson_bracket,
                         quantize, symbol_seminorm)
@@ -58,26 +58,6 @@ class TestAssemble:
         xi1, xi2 = np.meshgrid(*dual_xi(spec), indexing="ij")
         expected = np.broadcast_to(xi1**2 - xi2**2, a2.values.shape)
         assert np.allclose(a2.values, expected, atol=1e-12)
-
-    def test_free_has_no_subprincipal_part(self, grid_1d):
-        cs = sets_for("free", grid_1d)[0]
-        a1 = assemble_a1(cs)
-        assert np.max(np.abs(a1.values)) < 1e-12
-
-    def test_sine_model_subprincipal(self):
-        from vwslab.coeffs import CoefficientModel, Pointwise
-        spec = make_grid(1, 32, np.pi)
-        model = CoefficientModel(
-            "sine", 1, np.eye(1),
-            perturb={(0, 0): Pointwise(lambda x: 0.1 * np.sin(x))},
-            smooth=True)
-        cs = regularise(model, 2**-4, ScaleFn("loglog"), spec)
-        a1 = assemble_a1(cs)
-        factor = np.exp(-cs.omega**2 / 2)
-        x = spec.x_axis().reshape(-1, 1)
-        xi = np.asarray(dual_xi(spec)[0]).reshape(1, -1)
-        expected = -1j * 0.1 * factor * np.cos(x) * xi
-        assert np.allclose(a1.values, expected, atol=1e-10)
 
 
 class TestPoissonBracket:

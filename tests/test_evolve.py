@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import LADDER, random_field, record_marches
+from conftest import random_field, record_marches
 from vwslab.coeffs import (CoefficientModel, Pointwise, preset, regularise,
                            sample)
 from vwslab.evolve import (EvolutionProblem, EvolveError, Instability,
                            apply_spatial, dense_oracle, march,
-                           smoothing_report, solve, solve_stack, stable_dt,
+                           solve, solve_stack, stable_dt,
                            step_rk4, sup_differences)
 from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
 from vwslab.mollify import ScaleFn
@@ -219,50 +219,6 @@ class TestDenseOracle:
                                 T=0.5)
         with pytest.raises(EvolveError):
             dense_oracle(prob)
-
-
-class TestSmoothingReport:
-    @staticmethod
-    def ladder_series(name, u0_seed=13, **params):
-        spec = make_grid(1, 64, 8.0)
-        model = preset(name, n=1, **params)
-        u0 = random_field(spec, u0_seed)
-        series, rhs = {}, {}
-        for eps in LADDER:
-            cs = regularise(model, eps, ScaleFn("loglog"), spec)
-            res = solve(EvolutionProblem(cs, u0, T=0.5,
-                                         s_list=(0.0,), N_weight=2))
-            series[eps] = (cs.omega, res.series)
-            rhs[eps] = sobolev_norm(u0, 0.0) ** 2
-        return series, rhs
-
-    def test_smooth_preset_has_flat_exponent(self):
-        series, rhs = self.ladder_series("smooth-consistency")
-        rep = smoothing_report(series, 0.0, rhs, 0.5)
-        assert rep["holds"]
-        assert rep["k1"] == pytest.approx(0.0, abs=0.3)
-        assert max(rep["ratio"]) < 50.0
-
-    def test_zero_data_is_trivially_bounded(self):
-        spec = make_grid(1, 32, 8.0)
-        cs = free_set(spec)
-        u0 = Field(spec, np.zeros(32, dtype=complex))
-        series, rhs = {}, {}
-        for eps in LADDER[:4]:
-            res = solve(EvolutionProblem(cs, u0, T=0.2,
-                                         s_list=(0.0,)))
-            series[eps] = (0.5, res.series)
-            rhs[eps] = 0.0
-        rep = smoothing_report(series, 0.0, rhs, 0.2)
-        assert rep["holds"]
-        assert rep["C2"] == 1.0
-
-    def test_delta_potential_gain_is_finite(self):
-        series, rhs = self.ladder_series("delta-potential")
-        rep = smoothing_report(series, 0.0, rhs, 0.5)
-        assert rep["holds"]
-        assert all(np.isfinite(v) and v > 0 for v in rep["lhs"])
-        assert rep["C1"] > 0 and rep["C2"] > 0 and rep["k1"] >= 0.0
 
 
 def _apply_spatial_per_axis(cs, vals):
