@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .coeffs import ModelError, preset
-from .doi import C1, FTable, build_q, calibrate_K, check_member
+from .doi import C1, FTable, calibrate_K, check_member
 from .grid import Field, GridSpec, make_grid, plane_wave
 from .mollify import (Mollifier, ScaleFn, derivative_bound_probe,
                       sobolev_boost_probe)
@@ -273,13 +273,13 @@ def _run_doi_check(cfg, out: Path) -> dict:
     model = _model(cfg)
     params = _net_params(cfg, _grid(cfg), model)
     sets = [m["cs"] for m in ladder(model, params).values()]
-    # K needs every q first, so the q symbols are held across the ladder;
-    # check_member makes nothing else of their size
-    qs = [build_q(cs) for cs in sets]
-    K = calibrate_K(qs)
+    # K needs every member's q first; calibrate_K and check_member each
+    # evaluate q a block of x-rows at a time, so only the coefficient sets
+    # are held across the ladder
+    K = calibrate_K(sets)
     f = FTable(K, model.N)
-    per_eps = [{"eps": eps, **check_member(cs, q, f)}
-               for eps, cs, q in zip(cfg["ladder"], sets, qs)]
+    per_eps = [{"eps": eps, **check_member(cs, f)}
+               for eps, cs in zip(cfg["ladder"], sets)]
     c2s = [e["C2"] for e in per_eps]
     cstars = [e["C_star"] for e in per_eps]
     def variation(vals):

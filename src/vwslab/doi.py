@@ -14,13 +14,15 @@ differences, except that a2 carries its exact xi-gradient
 2 sum_i a_ij xi_i, which the bracket uses instead.
 
 With exact x-gradients every quantity the escape and Doi checks read is
-pointwise in x, so ``check_member`` runs them over blocks of rows of the
-first x axis, each of about _BLOCK (x, xi) points: it evaluates a2's
-gradients, the rows of q, d and both brackets block by block and keeps
-each block's minima, so no array of the full (x, xi) size is made for a ladder
-member beside its q.  ``check_escape`` and ``check_doi`` are its reference:
-the same minima over the whole grid, of ``poisson_bracket``s of symbols
-already built.
+pointwise in x, and so is q, so both run over blocks of rows of the first x
+axis, each of about _BLOCK (x, xi) points.  ``calibrate_K`` evaluates q's
+values block by block and keeps each block's sup of |q|/<x>;
+``check_member`` evaluates q and its x-gradient, a2's gradients, d and both
+brackets block by block and keeps each block's minima.  So no array of the
+full (x, xi) size is made for a ladder member.  ``check_escape`` and
+``check_doi`` are the reference: the same minima over the whole grid, of
+``poisson_bracket``s of symbols already built by ``build_q``, ``build_d``
+and ``assemble_a2``.
 """
 
 from __future__ import annotations
@@ -159,19 +161,18 @@ class _Partials(NamedTuple):
     dxi: list
 
 
-def _partials(sym: SymbolGrid, rows: slice = slice(None)) -> _Partials:
-    """sym's partials on its x-rows `rows`: the exact gradients it carries;
-    else the spectral x-derivative, of the whole grid and then sliced, and
-    fd4 along the xi axes of the rows."""
+def _partials(sym: SymbolGrid) -> _Partials:
+    """sym's partials: the exact gradients it carries; else the spectral
+    x-derivative and fd4 along the xi axes."""
     spec, n = sym.spec, sym.n
     if sym.grad_x is not None:
-        dx = [g[rows] for g in sym.grad_x]
+        dx = sym.grad_x
     else:
         dx = [spectral_derivative(sym.values, spec, j) for j in range(n)]
-        dx = [(g.real if np.isrealobj(sym.values) else g)[rows] for g in dx]
+        dx = [g.real if np.isrealobj(sym.values) else g for g in dx]
     if sym.grad_xi is not None:
-        return _Partials(dx, [g[rows] for g in sym.grad_xi])
-    return _Partials(dx, [_dxi(sym.values[rows], spec, j) for j in range(n)])
+        return _Partials(dx, sym.grad_xi)
+    return _Partials(dx, [_dxi(sym.values, spec, j) for j in range(n)])
 
 
 def _bracket(a: _Partials, b: _Partials, out: np.ndarray) -> np.ndarray:
@@ -219,6 +220,11 @@ def _a2_partials(cs: CoefficientSet, rows: slice = slice(None)) -> _Partials:
 C1 = 4.0
 
 
+def _mu(cs: CoefficientSet) -> float:
+    """q's mu: mu^2 = max |lambda(a(x))| over the whole grid of cs."""
+    return float(np.sqrt(np.max(cs.abs_eigenvalues())))
+
+
 def build_q(cs: CoefficientSet) -> SymbolGrid:
     """Escape symbol C1 mu^2 <xi>^{-1} sum_j x_j d_xi_j a2, with mu^2 =
     max |lambda(a(x))| over the grid of cs, not (H2)'s
@@ -230,21 +236,30 @@ def build_q(cs: CoefficientSet) -> SymbolGrid:
     contributes d_xi_k a2 directly, the coefficients through their cached
     derivatives.
     """
+    vals, *grads = _q_rows(cs, slice(None), _mu(cs))
+    return SymbolGrid(cs.spec, vals, grad_x=grads)
+
+
+def _q_rows(cs: CoefficientSet, rows: slice, mu: float,
+            grad: bool = True) -> list:
+    """[q, d_x_1 q, ...] of ``build_q`` on the x-rows `rows`, or [q] alone
+    without grad; mu is the member's, taken over the whole grid."""
     spec, n = cs.spec, cs.spec.n
     tables = _xi_tables(spec)
-    x = spec.x_mesh()
-    two_a = [[2.0 * a for a in row] for row in cs.a]
-    vals = _separable([sum(x[j] * two_a[i][j] for j in range(n))
-                       for i in range(n)], tables.mesh)
-    grads = [_separable([two_a[i][k]
-                         + sum(x[j] * (2.0 * cs.da[k][i][j]) for j in range(n))
-                         for i in range(n)], tables.mesh)
-             for k in range(n)]
-    mu = float(np.sqrt(np.max(cs.abs_eigenvalues())))
+    x = [xm[rows] for xm in spec.x_mesh()]
+    two_a = [[2.0 * a[rows] for a in row] for row in cs.a]
+    out = [_separable([sum(x[j] * two_a[i][j] for j in range(n))
+                       for i in range(n)], tables.mesh)]
+    if grad:
+        out += [_separable([two_a[i][k]
+                            + sum(x[j] * (2.0 * cs.da[k][i][j][rows])
+                                  for j in range(n))
+                            for i in range(n)], tables.mesh)
+                for k in range(n)]
     weight = C1 * mu**2 / tables.bracket
-    for arr in (vals, *grads):
+    for arr in out:
         arr *= weight
-    return SymbolGrid(spec, vals, grad_x=grads)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +280,21 @@ class _UniformTable:
         self.dy = np.append(np.diff(ys), 0.0)
 
     def __call__(self, t):
-        # s is the fractional node index, worked on in place in one copy
+        return self.at(*self.locate(t))
+
+    def locate(self, t) -> tuple:
+        """(j, s): the node below t and the fraction of a step past it, s
+        worked on in place in one copy of t."""
         s = np.array(t, dtype=float)
         s -= self.x0
         s /= self.h
         np.clip(s, 0.0, len(self.ys) - 1.0, out=s)
         j = s.astype(np.intp)
         s -= j
+        return j, s
+
+    def at(self, j, s):
+        """The interpolant at locate's (j, s), written over s."""
         s *= self.dy[j]
         s += self.ys[j]
         return s
@@ -297,16 +320,22 @@ class FTable:
         self._lookup = _UniformTable(0.0, float(self.ts[1]), self.table)
 
     def lam(self, t: np.ndarray) -> np.ndarray:
-        # for t < 0 the clamp gives 1^{-N/2} = 1 exactly
+        # for t < 0 the clamp gives 1^{-N/2} = 1 exactly; the clamped copy
+        # is the one array made
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return (1.0 + t**2) ** (-self.N / 2.0)
+        t *= t
+        t += 1.0
+        t **= -self.N / 2.0
+        return t
 
     def __call__(self, t):
         return self._lookup(t)
 
     def derivative(self, t):
         """Exact integrand lambda(K^{-1} t - 10); f' on the table."""
-        return self.lam(np.asarray(t, dtype=float) / self.K - 10.0)
+        s = np.divide(t, self.K)
+        s -= 10.0
+        return self.lam(s)
 
 
 class SmoothStep:
@@ -334,6 +363,12 @@ class SmoothStep:
     def derivative(self, t):
         return self._bump(t)
 
+    def with_derivative(self, t) -> tuple:
+        """(step(t), step'(t)) from one node lookup: both tables have the
+        nodes 1 + k h."""
+        j, s = self._cdf.locate(t)
+        return self._cdf.at(j, s.copy()), self._bump.at(j, s)
+
 
 _STEP = SmoothStep()
 
@@ -342,20 +377,21 @@ _STEP = SmoothStep()
 DELTA = 0.1
 
 
+def _sup_ratio(values: np.ndarray, bracket: np.ndarray) -> float:
+    """max |values| / <x> for values on some x-rows and <x> on the same
+    rows, from the extremes over xi at each x, so that no array of the
+    values' size is made."""
+    axes = tuple(range(bracket.ndim, values.ndim))
+    peak = np.maximum(values.max(axis=axes), -values.min(axis=axes))
+    return float(np.max(peak / bracket))
+
+
 def _sup_over_x(q: SymbolGrid) -> float:
-    """sup |q| / <x>, from the extremes of q over xi at each x, so that no
-    array of the full (x, xi) size is made."""
-    axes = tuple(range(q.n, 2 * q.n))
-    peak = np.maximum(q.values.max(axis=axes), -q.values.min(axis=axes))
-    return float(np.max(peak / q.spec.x_bracket()))
+    """sup |q| / <x> over the whole grid."""
+    return _sup_ratio(q.values, q.spec.x_bracket())
 
 
-def calibrate_K(qs: list) -> float:
-    """K = 1.1 * sup |q| / <x>, maximised over a ladder of q symbols."""
-    return 1.1 * max((_sup_over_x(q) for q in qs), default=0.0)
-
-
-#: (x, xi) points per block of x-rows in check_member: small
+#: (x, xi) points per block of x-rows in calibrate_K and check_member: small
 #: enough that a block's temporaries stay in cache and below glibc's mmap
 #: threshold, so that the allocator recycles them from its heap
 _BLOCK = 8192
@@ -368,12 +404,22 @@ def _row_blocks(spec: GridSpec) -> list:
     return [slice(lo, lo + rows) for lo in range(0, spec.M, rows)]
 
 
-def _check_calibration(q: SymbolGrid, f: FTable) -> None:
+def calibrate_K(sets: list) -> float:
+    """K = 1.1 * sup |q| / <x>, maximised over the ``build_q`` symbols of a
+    ladder of coefficient sets.  Each q's values are made one block of
+    x-rows at a time, and only each block's sup is kept."""
+    def sup(cs):
+        mu, bracket = _mu(cs), cs.spec.x_bracket()
+        return max(_sup_ratio(_q_rows(cs, rows, mu, grad=False)[0], bracket[rows])
+                   for rows in _row_blocks(cs.spec))
+    return 1.1 * max((sup(cs) for cs in sets), default=0.0)
+
+
+def _check_calibration(sup_ratio: float, f: FTable, member: str = "") -> None:
     """f's table must cover |q| <= K <x>, for the whole of q."""
-    sup_ratio = _sup_over_x(q)
     if f.K < sup_ratio * (1.0 - 1e-12):
         raise SymbolError(
-            f"FTable.K = {f.K} below measured sup |q|/<x> = {sup_ratio}"
+            f"FTable.K = {f.K} below measured sup |q|/<x> = {sup_ratio}{member}"
         )
 
 
@@ -382,41 +428,57 @@ def build_d(q: SymbolGrid, f: FTable) -> SymbolGrid:
 
     d carries its x-gradient when q carries one.
     """
-    _check_calibration(q, f)
-    vals, *grads = _d_rows(q, slice(None), f)
+    _check_calibration(_sup_over_x(q), f)
+    vals, *grads = _d_rows(q.spec, slice(None), [q.values, *(q.grad_x or [])], f)
     return SymbolGrid(q.spec, vals, grad_x=grads or None)
 
 
-def _d_rows(q: SymbolGrid, rows: slice, f: FTable) -> list:
-    """[d, d_x_1 d, ...] on the x-rows `rows`, from q and its x-gradient
-    there; [d] alone when q carries no x-gradient.
+def _d_rows(spec: GridSpec, rows: slice, q_rows: list, f: FTable) -> list:
+    """[d, d_x_1 d, ...] on the x-rows `rows`, from [q, d_x_1 q, ...] on
+    them; [d] alone from [q] alone.
 
     psi+ and psi- have the disjoint supports r > DELTA and r < -DELTA, with
     r = q/<x>, so one smooth step of |r|/DELTA is psi+ + psi-, and the sign
-    of r splits it: psi+ - psi- = sign(r) (psi+ + psi-).
+    of r splits it: psi+ - psi- = sign(r) (psi+ + psi-).  Arrays are reused
+    once their last term is taken, so that few of the rows' size are live.
     """
-    qv = q.values[rows]
-    w = _lift(q.spec.x_bracket())[rows]
+    qv, *grad_q = q_rows
+    w = _lift(spec.x_bracket())[rows]
     r = qv / w
     absr = np.abs(r)
-    step = _STEP(absr / DELTA)
-    phi0 = 1.0 - step
+    step, dstep = _STEP.with_derivative(absr / DELTA)
     absq = np.abs(qv)
-    lift = f(absq) + 2.0 * DELTA
-    vals = r * phi0 + lift * np.copysign(step, r)
-    if q.grad_x is None:
-        return [vals]
-    # d(psi+ - psi-)/dr = d(psi+ + psi-)/d|r|, and d phi0/dr is -sign(r)
-    # times it, so r d phi0/dr = -|r| times it
-    dd_dr = phi0 + (lift - absr) * (_STEP.derivative(absr / DELTA) / DELTA)
+    lift = f(absq)
+    lift += 2.0 * DELTA
     # f(|q|) only enters where the cutoffs are active, away from q = 0,
     # where sign(q) (psi+ - psi-) = psi+ + psi-
-    dd_dq = f.derivative(absq) * step
+    dd_dq = np.multiply(f.derivative(absq), step, out=absq)
+    phi0 = 1.0 - step
+    vals = r * phi0
+    term = np.copysign(step, r, out=step)
+    term *= lift
+    vals += term
+    if not grad_q:
+        return [vals]
+    # d(psi+ - psi-)/dr = d(psi+ + psi-)/d|r|, and d phi0/dr is -sign(r)
+    # times it, so r d phi0/dr = -|r| times it: dd_dr is
+    # phi0 + (lift - |r|) dstep / DELTA
+    dstep /= DELTA
+    lift -= absr
+    lift *= dstep
+    dd_dr = np.add(phi0, lift, out=phi0)
     # d_x_k r = d_x_k q / <x> - r x_k / <x>^2, so d_x_k d is
     # (dd_dr / <x> + dd_dq) d_x_k q - dd_dr r x_k / <x>^2
-    per_q, per_x = dd_dr / w + dd_dq, dd_dr * r
-    return [vals] + [per_q * g[rows] - per_x * (_lift(x)[rows] / w**2)
-                     for g, x in zip(q.grad_x, q.spec.x_mesh())]
+    per_q = np.divide(dd_dr, w, out=lift)
+    per_q += dd_dq
+    per_x = np.multiply(dd_dr, r, out=r)
+    del absr, dstep, dd_dq
+    grads = []
+    for g, x in zip(grad_q, spec.x_mesh()):
+        grad = per_q * g
+        grad -= np.multiply(per_x, _lift(x)[rows] / w**2, out=term)
+        grads.append(grad)
+    return [vals, *grads]
 
 
 # ---------------------------------------------------------------------------
@@ -460,30 +522,41 @@ def check_doi(d: SymbolGrid, a2: SymbolGrid, N: int) -> dict:
     return _doi_report(float(np.min(excess)))
 
 
-def check_member(cs: CoefficientSet, q: SymbolGrid, f: FTable) -> dict:
-    """The escape and Doi checks of one ladder member: the reports of
-    ``check_escape(q, assemble_a2(cs))`` and
-    ``check_doi(build_d(q, f), assemble_a2(cs), f.N)``, to the bit.
+def _fd4_xi_partials(spec: GridSpec, sym_rows: list) -> _Partials:
+    """The partials of a symbol from [v, d_x_1 v, ...] on some x-rows: the
+    exact x-gradient given, and fd4 of v along the xi axes."""
+    v, *grad_x = sym_rows
+    return _Partials(grad_x, [_dxi(v, spec, j) for j in range(spec.n)])
 
-    q is the member's ``build_q`` symbol, with its x-gradient.  a2's
-    gradients (its values enter neither check), d and the two brackets are
-    evaluated on one block of x-rows at a time, and only each block's
-    minima are kept.
+
+def check_member(cs: CoefficientSet, f: FTable) -> dict:
+    """The escape and Doi checks of one ladder member: with q =
+    ``build_q(cs)``, the reports of ``check_escape(q, assemble_a2(cs))``
+    and ``check_doi(build_d(q, f), assemble_a2(cs), f.N)``, to the bit.
+
+    The rows of q and of its x-gradient, a2's gradients (its values enter
+    neither check), d and the two brackets are evaluated on one block of
+    x-rows at a time, and only each block's minima are kept, with its sup
+    |q|/<x>, which f's table must cover as in ``build_d``.
     """
-    if q.spec != cs.spec or q.grad_x is None:
-        raise SymbolError("check_member: q must be build_q's symbol of cs")
-    _check_calibration(q, f)
     spec = cs.spec
+    mu, bracket = _mu(cs), spec.x_bracket()
     xi_abs = _xi_tables(spec).abs
     escape, weight = C1 * xi_abs, _lift(spec.x_bracket(-f.N))
-    gaps, margins = [], []
+    sups, gaps, margins = [], [], []
+    # a block's arrays live on until the next block's replace them, so the
+    # top of the heap is never freed at once: glibc would hand a free top
+    # of over 128 KB back to the system, and fault it in again per block
     for rows in _row_blocks(spec):
+        q_rows = _q_rows(cs, rows, mu)
+        d_rows = _d_rows(spec, rows, q_rows, f)
         a2 = _a2_partials(cs, rows)
-        d, *grad_d = _d_rows(q, rows, f)
-        out = np.empty_like(d)
-        gaps.append(_min_excess(a2, _partials(q, rows), escape, out))
-        d_partials = _Partials(grad_d, [_dxi(d, spec, j) for j in range(spec.n)])
-        margins.append(_min_excess(a2, d_partials, weight[rows] * xi_abs, out))
+        out = np.empty_like(d_rows[0])
+        sups.append(_sup_ratio(q_rows[0], bracket[rows]))
+        gaps.append(_min_excess(a2, _fd4_xi_partials(spec, q_rows), escape, out))
+        margins.append(_min_excess(a2, _fd4_xi_partials(spec, d_rows),
+                                   weight[rows] * xi_abs, out))
+    _check_calibration(max(sups), f, f" for the member eps = {cs.eps!r}")
     return {**_escape_report(float(np.min(gaps))),
             **_doi_report(float(np.min(margins)))}
 

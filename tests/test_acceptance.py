@@ -153,11 +153,9 @@ def test_07_doi_inequalities():
     for name, n, M in (("free", 1, 64), ("ultra-diagonal", 2, 8)):
         spec = make_grid(n, M, 8.0)
         model = preset(name, n=n)
-        pairs = []
-        for eps in LADDER:
-            cs = regularise(model, eps, LOGLOG, spec)
-            pairs.append((assemble_a2(cs), build_q(cs)))
-        f = FTable(calibrate_K([q for _, q in pairs]), model.N)
+        sets = [regularise(model, eps, LOGLOG, spec) for eps in LADDER]
+        pairs = [(assemble_a2(cs), build_q(cs)) for cs in sets]
+        f = FTable(calibrate_K(sets), model.N)
         gaps, margins = [], []
         for a2, q in pairs:
             gaps.append(check_escape(q, a2)["min_gap"])
@@ -180,7 +178,7 @@ def test_08_energy_norm_equivalence():
     model = preset("delta-potential", n=1)
     sets = [regularise(model, e, LOGLOG, spec) for e in LADDER]
     qs = [build_q(cs) for cs in sets]
-    f = FTable(calibrate_K(qs), 2)
+    f = FTable(calibrate_K(sets), 2)
     rng = np.random.default_rng(17)
     omegas, c_eps = [], []
     for cs, q in zip(sets, qs):

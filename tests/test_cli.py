@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import vwslab
 from vwslab import cli, evolve
 from vwslab.cli import ConfigError, main, parse_config, run
-from vwslab.doi import C1, FTable, build_q, calibrate_K, check_member
+from vwslab.doi import C1, FTable, _sup_over_x, build_q, calibrate_K, check_member
 from vwslab.evolve import LEVELS
 from vwslab.vwsnet import COARSE, TOL, ladder
 
@@ -611,25 +612,44 @@ def test_doi_check_weighs_by_the_model_N(tmp_path):
     model = cli._model(cfg)
     params = cli._net_params(cfg, cli._grid(cfg), model)
     sets = [m["cs"] for m in ladder(model, params).values()]
-    qs = [build_q(cs) for cs in sets]
-    reports = {N: [{"eps": eps, **check_member(cs, q, FTable(calibrate_K(qs), N))}
-                   for eps, cs, q in zip(cfg["ladder"], sets, qs)] for N in (2, 3)}
+    reports = {N: [{"eps": eps, **check_member(cs, FTable(calibrate_K(sets), N))}
+                   for eps, cs in zip(cfg["ladder"], sets)] for N in (2, 3)}
     assert per_eps == reports[3] != reports[2]
 
 
-def test_doi_check_builds_the_q_of_build_q(tmp_path):
-    # the pipeline's q is doi.build_q's on the sets of vwsnet.ladder, the
-    # q that the doi tests check
+def _doi_ultra_config():
     path = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
             / "doi-2d-ultra.json")
-    cfg = parse_config(path.read_text(encoding="utf-8"), kind="doi-check")
+    return parse_config(path.read_text(encoding="utf-8"), kind="doi-check")
+
+
+def test_doi_check_builds_the_q_of_build_q(tmp_path):
+    # the pipeline's q, evaluated block by block, is doi.build_q's on the
+    # sets of vwsnet.ladder, the q that the doi tests check: K is that of
+    # the whole build_q symbols, to the bit
+    cfg = _doi_ultra_config()
     assert run(cfg, out_dir=str(tmp_path)) == 0
     verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
     model = cli._model(cfg)
     params = cli._net_params(cfg, cli._grid(cfg), model)
     sets = [m["cs"] for m in ladder(model, params).values()]
-    assert verdict["K"] == calibrate_K([build_q(cs) for cs in sets])
+    assert verdict["K"] == 1.1 * max(_sup_over_x(build_q(cs)) for cs in sets)
     assert verdict["C1"] == C1
+
+
+def test_doi_check_holds_no_ladder_of_symbols(tmp_path):
+    # one (x, xi) array of 2D M = 16 is 512 KB; holding the q of every
+    # member, values and x-gradient, for K's calibration peaked at 9.4 MiB,
+    # and evaluating q a block of x-rows at a time peaks at 1.6 MiB
+    cfg = _doi_ultra_config()
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    tracemalloc.start()
+    try:
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * cli._grid(cfg).size**2
 
 
 def test_import_loads_no_scipy(tmp_path):

@@ -6,10 +6,10 @@ import pytest
 from conftest import LADDER, random_field
 from vwslab.coeffs import preset, regularise
 from vwslab.doi import (C1, DELTA, FTable, SmoothStep, SymbolError, SymbolGrid,
-                        assemble_a2, build_d, build_q, calibrate_K,
-                        check_doi, check_escape, check_member, dual_xi,
-                        energy_norm, exp_symbol_operator, fd4, poisson_bracket,
-                        quantize, symbol_seminorm)
+                        _sup_over_x, assemble_a2, build_d, build_q,
+                        calibrate_K, check_doi, check_escape, check_member,
+                        dual_xi, energy_norm, exp_symbol_operator, fd4,
+                        poisson_bracket, quantize, symbol_seminorm)
 from vwslab.grid import Field, apply_lambda, make_grid, sobolev_norm
 from vwslab.mollify import ScaleFn, fit_slope
 
@@ -203,7 +203,7 @@ class TestBuildD:
         self.spec = make_grid(1, 32, 8.0)
         cs = sets_for("free", self.spec)[0]
         self.q = build_q(cs)
-        self.f = FTable(calibrate_K([self.q]), 2)
+        self.f = FTable(calibrate_K([cs]), 2)
 
     def test_inner_region_is_rescaled_q(self):
         d = build_d(self.q, self.f)
@@ -224,7 +224,7 @@ class TestBuildD:
         # q/<x> = 0.15 lies inside the transition of psi+, where d depends on
         # the cutoff width 0.1 itself
         q = symbol_from(self.spec, lambda x, xi: 0.15 * np.sqrt(1 + x**2) + 0 * xi)
-        f = FTable(calibrate_K([q]), 2)
+        f = FTable(1.1 * _sup_over_x(q), 2)
         plus = SmoothStep()(0.15 / 0.1)
         assert 0.0 < plus < 1.0
         expected = 0.15 * (1.0 - plus) + (f(np.abs(q.values)) + 0.2) * plus
@@ -252,8 +252,9 @@ class TestInequalities:
 
     def test_ultra_diagonal_constant_coefficients(self):
         spec = make_grid(2, 8, 8.0)
-        pairs = q_ladder(sets_for("ultra-diagonal", spec, nu=0.0, c0=0.0))
-        K = calibrate_K([q for _, q in pairs])
+        sets = sets_for("ultra-diagonal", spec, nu=0.0, c0=0.0)
+        pairs = q_ladder(sets)
+        K = calibrate_K(sets)
         f = FTable(K, 2)
         stars = []
         for a2, q in pairs:
@@ -264,8 +265,9 @@ class TestInequalities:
 
     def test_ultra_diagonal_ladder_stability(self):
         spec = make_grid(2, 8, 8.0)
-        pairs = q_ladder(sets_for("ultra-diagonal", spec))
-        K = calibrate_K([q for _, q in pairs])
+        sets = sets_for("ultra-diagonal", spec)
+        pairs = q_ladder(sets)
+        K = calibrate_K(sets)
         f = FTable(K, 2)
         gaps, stars = [], []
         for a2, q in pairs:
@@ -286,46 +288,56 @@ class TestCheckMember:
     def _ladder(n, M, name, **params):
         spec = make_grid(n, M, 8.0)
         sets = sets_for(name, spec, **params)
-        qs = [build_q(cs) for cs in sets]
-        return spec, sets, qs, FTable(calibrate_K(qs), 2)
+        return spec, sets, FTable(calibrate_K(sets), 2)
 
     # 1D M = 256 and 2D M = 16 both take 8 blocks of rows
     @pytest.mark.parametrize("n, M, name, params", [
         (1, 256, "delta-potential", {}),
         (2, 16, "ultra-diagonal", {"nu": 2.0, "width": 0.5})])
     def test_equals_the_checks_of_built_symbols(self, n, M, name, params):
-        spec, sets, qs, f = self._ladder(n, M, name, **params)
+        spec, sets, f = self._ladder(n, M, name, **params)
         xi_abs = np.sqrt(sum(z**2 for z in np.meshgrid(*dual_xi(spec), indexing="ij")))
         weight = _lift(1.0 / (1.0 + spec.x_norm_sq()))
-        for cs, q in zip(sets, qs):
-            a2, d = assemble_a2(cs), build_d(q, f)
+        for cs in sets:
+            a2, q = assemble_a2(cs), build_q(cs)
+            d = build_d(q, f)
             want = {**check_escape(q, a2), **check_doi(d, a2, 2)}
-            assert check_member(cs, q, f) == want
+            assert check_member(cs, f) == want
             gap = poisson_bracket(a2, q).values - C1 * xi_abs
             margin = poisson_bracket(a2, d).values - weight * xi_abs
             assert want["min_gap"] == float(np.min(gap))
             assert want["min_margin"] == float(np.min(margin))
 
-    def test_peak_memory_is_under_four_symbol_arrays(self):
+    # the same grids, and 2D M = 32, whose blocks are single rows
+    @pytest.mark.parametrize("n, M, name, params", [
+        (1, 256, "delta-potential", {}),
+        (2, 16, "ultra-diagonal", {"nu": 2.0, "width": 0.5}),
+        (2, 32, "ultra-diagonal", {})])
+    def test_calibrate_K_is_that_of_built_symbols(self, n, M, name, params):
+        sets = sets_for(name, make_grid(n, M, 8.0), **params)
+        assert calibrate_K(sets) == 1.1 * max(_sup_over_x(build_q(cs))
+                                               for cs in sets)
+
+    def test_peak_memory_is_under_three_symbol_arrays(self):
         # one (x, xi) array of 2D M = 16 is 512 KB; building a2 and d whole
-        # and bracketing them peaked at 6.3 MB
-        spec, sets, qs, f = self._ladder(2, 16, "ultra-diagonal")
-        check_member(sets[-1], qs[-1], f)
+        # and bracketing them peaked at 6.3 MB, and checking a member
+        # against a q built whole outside the call at 1.58 MiB; with q's
+        # rows built in the block loop the peak is 1.27 MiB
+        spec, sets, f = self._ladder(2, 16, "ultra-diagonal")
+        check_member(sets[-1], f)
         tracemalloc.start()
         try:
-            check_member(sets[-1], qs[-1], f)
+            check_member(sets[-1], f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * qs[-1].values.nbytes
+        assert peak <= 3 * 8 * spec.size**2
 
-    def test_rejects_what_build_d_rejects_and_a_q_without_gradient(self):
-        spec, sets, qs, f = self._ladder(1, 32, "free")
-        with pytest.raises(SymbolError, match="FTable.K"):
-            check_member(sets[0], qs[0], FTable(f.K / 100.0, 2))
-        bare = SymbolGrid(spec, qs[0].values)
-        with pytest.raises(SymbolError, match="build_q"):
-            check_member(sets[0], bare, f)
+    def test_rejects_a_miscalibrated_K_naming_the_member(self):
+        spec, sets, f = self._ladder(1, 32, "free")
+        with pytest.raises(SymbolError, match="FTable.K") as err:
+            check_member(sets[0], FTable(f.K / 100.0, 2))
+        assert f"eps = {sets[0].eps!r}" in str(err.value)
 
 
 def _lift(arr):
@@ -413,7 +425,7 @@ class TestAgainstLoopReference:
 
     def test_ladder(self):
         qs = [build_q(cs) for cs in self.sets]
-        f = FTable(calibrate_K(qs), 2)
+        f = FTable(calibrate_K(self.sets), 2)
         gaps, stars = [], []
         for cs, mu, q in zip(self.sets, self.mus, qs):
             a2, ref_a2 = assemble_a2(cs), _reference_a2(cs)
@@ -488,11 +500,11 @@ class TestSymbolSeminorm:
         assert slope == pytest.approx(-1.0, abs=0.3)
 
     def test_doi_symbol_class_growth(self, grid_1d):
-        pairs = q_ladder(sets_for("delta-potential", grid_1d))
-        K = calibrate_K([q for _, q in pairs])
-        f = FTable(K, 2)
+        sets = sets_for("delta-potential", grid_1d)
+        pairs = q_ladder(sets)
+        f = FTable(calibrate_K(sets), 2)
         s1, s2, omegas = [], [], []
-        for cs, (a2, q) in zip(sets_for("delta-potential", grid_1d), pairs):
+        for cs, (a2, q) in zip(sets, pairs):
             d = build_d(q, f)
             s1.append(symbol_seminorm(d, 0.0, 1))
             s2.append(symbol_seminorm(d, 0.0, 2))
@@ -538,8 +550,7 @@ class TestEnergyNorm:
         spec = make_grid(1, 32, 8.0)
         sets = sets_for("delta-potential", spec)
         pairs = q_ladder(sets)
-        K = calibrate_K([q for _, q in pairs])
-        f = FTable(K, 2)
+        f = FTable(calibrate_K(sets), 2)
         rng = np.random.default_rng(11)
         cs_omegas, c_eps = [], []
         for cs, (a2, q) in zip(sets, pairs):
