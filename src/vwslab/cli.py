@@ -49,52 +49,49 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing
 
-#: a type, a tuple of types, a nested section, or [types] for a list whose
-#: entries have those types
+#: a nested section, or a leaf (expected, default): the expected type is a
+#: type, a tuple of types, or [types] for a list whose entries have those
+#: types
 _SCHEMA = {
-    "grid": {"n": int, "M": int, "L": (int, float)},
-    "model": {"preset": str, "params": dict},
-    "mollifier": {"kind": str, "moment_order": int},
-    "scale": {"kind": str, "k": (int, float)},
-    "ladder": [(int, float)],
-    "data": {"kind": str, "width": (int, float), "amplitude": (int, float),
-             "k": [int], "s": (int, float)},
-    "evolution": {"T": (int, float), "dt": (int, float, str), "s": [(int, float)]},
-    "experiment": {"kind": str, "q": int},
-    "output": {"directory": str, "stride": int},
-    "seed": int,
+    "grid": {"n": (int, 1), "M": (int, 64), "L": ((int, float), 8.0)},
+    "model": {"preset": (str, "free"), "params": (dict, {})},
+    "mollifier": {"kind": (str, "gaussian"), "moment_order": (int, 4)},
+    "scale": {"kind": (str, "loglog"), "k": ((int, float), 1.0)},
+    "ladder": ([(int, float)], [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7]),
+    "data": {"kind": (str, "gaussian"), "width": ((int, float), 1.0),
+             "amplitude": ((int, float), 1.0), "k": ([int], [1]),
+             "s": ((int, float), 0.0)},
+    "evolution": {"T": ((int, float), 0.5), "dt": ((int, float, str), "auto"),
+                  "s": ([(int, float)], [0.0])},
+    "experiment": {"kind": (str, None), "q": (int, 3)},
+    "output": {"directory": (str, "out"), "stride": (int, 0)},
+    "seed": (int, 0),
 }
 
-_DEFAULTS = {
-    "grid": {"n": 1, "M": 64, "L": 8.0},
-    "model": {"preset": "free", "params": {}},
-    "mollifier": {"kind": "gaussian", "moment_order": 4},
-    "scale": {"kind": "loglog", "k": 1.0},
-    "ladder": [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7],
-    "data": {"kind": "gaussian", "width": 1.0, "amplitude": 1.0,
-             "k": [1], "s": 0.0},
-    "evolution": {"T": 0.5, "dt": "auto", "s": [0.0]},
-    "experiment": {"kind": None, "q": 3},
-    "output": {"directory": "out", "stride": 0},
-    "seed": 0,
-}
+
+def _defaults(schema: dict) -> dict:
+    return {key: _defaults(entry) if isinstance(entry, dict) else entry[1]
+            for key, entry in schema.items()}
+
+
+_DEFAULTS = _defaults(_SCHEMA)
 
 
 def _check_keys(section: dict, schema: dict, path: str) -> None:
     for key, value in section.items():
         if key not in schema:
             raise ConfigError(f"unknown key {path}.{key}")
-        expected = schema[key]
-        if isinstance(expected, dict):
+        entry = schema[key]
+        if isinstance(entry, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{path}.{key} must be an object")
-            _check_keys(value, expected, f"{path}.{key}")
-        elif isinstance(expected, list):
+            _check_keys(value, entry, f"{path}.{key}")
+        elif isinstance(entry[0], list):
             _check_type(value, list, f"{path}.{key}")
             for i, item in enumerate(value):
-                _check_type(item, expected[0], f"{path}.{key}[{i}]")
+                _check_type(item, entry[0][0], f"{path}.{key}[{i}]")
         else:
-            _check_type(value, expected, f"{path}.{key}")
+            _check_type(value, entry[0], f"{path}.{key}")
 
 
 def _check_type(value, expected, path: str) -> None:

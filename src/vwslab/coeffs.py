@@ -427,8 +427,10 @@ def _derivative_sups(vals: np.ndarray, spec: GridSpec) -> list:
 def _exponent_shift(sets, arrays_of):
     """Fit sup |d^beta field| ~ omega^{-(|beta| + N*)} for |beta| <= 3 and
     return (N*, residuals).  A field zero everywhere has every sup 0 and is
-    skipped."""
+    skipped, and a constant scale, which carries no slope, fits nothing."""
     omegas = np.array([cs.omega for cs in sets])
+    if np.max(omegas) / np.min(omegas) < 1.0 + 1e-9:
+        return 0.0, []
     shifts, residuals = [], []
     spec = sets[0].spec
     by_order = np.zeros((len(sets), 4))
@@ -439,10 +441,7 @@ def _exponent_shift(sets, arrays_of):
     for order, sups in enumerate(by_order.T):
         if np.max(sups) < 1e-14:
             continue
-        if np.max(omegas) / np.min(omegas) < 1.0 + 1e-9:
-            # degenerate ladder (constant scale): no slope information
-            continue
-        slope, resid = fit_slope(np.log(omegas), np.log(np.maximum(sups, 1e-300)))
+        slope, resid = fit_slope(omegas, sups)
         shifts.append(-slope - order)
         residuals.append(resid)
     if not shifts:

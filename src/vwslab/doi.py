@@ -161,18 +161,18 @@ class _Partials(NamedTuple):
     dxi: list
 
 
-def _partials(sym: SymbolGrid) -> _Partials:
-    """sym's partials: the exact gradients it carries; else the spectral
-    x-derivative and fd4 along the xi axes."""
-    spec, n = sym.spec, sym.n
-    if sym.grad_x is not None:
-        dx = sym.grad_x
-    else:
-        dx = [spectral_derivative(sym.values, spec, j) for j in range(n)]
-        dx = [g.real if np.isrealobj(sym.values) else g for g in dx]
-    if sym.grad_xi is not None:
-        return _Partials(dx, sym.grad_xi)
-    return _Partials(dx, [_dxi(sym.values, spec, j) for j in range(n)])
+def _partials(spec: GridSpec, values: np.ndarray, grad_x: list | None = None,
+              grad_xi: list | None = None) -> _Partials:
+    """The partials of a symbol from its values on the (x, xi) grid or on a
+    block of its x-rows: the exact gradients given; else the spectral
+    x-derivative, which needs the whole grid, and fd4 along the xi axes."""
+    n = spec.n
+    if grad_x is None:
+        grad_x = [spectral_derivative(values, spec, j) for j in range(n)]
+        grad_x = [g.real if np.isrealobj(values) else g for g in grad_x]
+    if grad_xi is None:
+        grad_xi = [_dxi(values, spec, j) for j in range(n)]
+    return _Partials(grad_x, grad_xi)
 
 
 def _bracket(a: _Partials, b: _Partials, out: np.ndarray) -> np.ndarray:
@@ -191,7 +191,8 @@ def poisson_bracket(a: SymbolGrid, b: SymbolGrid) -> SymbolGrid:
     if a.spec != b.spec:
         raise SymbolError("poisson_bracket: symbol grids do not match")
     vals = np.empty(a.values.shape, dtype=np.result_type(a.values, b.values, float))
-    return SymbolGrid(a.spec, _bracket(_partials(a), _partials(b), vals))
+    partials = [_partials(c.spec, c.values, c.grad_x, c.grad_xi) for c in (a, b)]
+    return SymbolGrid(a.spec, _bracket(*partials, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +523,6 @@ def check_doi(d: SymbolGrid, a2: SymbolGrid, N: int) -> dict:
     return _doi_report(float(np.min(excess)))
 
 
-def _fd4_xi_partials(spec: GridSpec, sym_rows: list) -> _Partials:
-    """The partials of a symbol from [v, d_x_1 v, ...] on some x-rows: the
-    exact x-gradient given, and fd4 of v along the xi axes."""
-    v, *grad_x = sym_rows
-    return _Partials(grad_x, [_dxi(v, spec, j) for j in range(spec.n)])
-
-
 def check_member(cs: CoefficientSet, f: FTable) -> dict:
     """The escape and Doi checks of one ladder member: with q =
     ``build_q(cs)``, the reports of ``check_escape(q, assemble_a2(cs))``
@@ -553,8 +547,9 @@ def check_member(cs: CoefficientSet, f: FTable) -> dict:
         a2 = _a2_partials(cs, rows)
         out = np.empty_like(d_rows[0])
         sups.append(_sup_ratio(q_rows[0], bracket[rows]))
-        gaps.append(_min_excess(a2, _fd4_xi_partials(spec, q_rows), escape, out))
-        margins.append(_min_excess(a2, _fd4_xi_partials(spec, d_rows),
+        gaps.append(_min_excess(a2, _partials(spec, q_rows[0], q_rows[1:]),
+                                escape, out))
+        margins.append(_min_excess(a2, _partials(spec, d_rows[0], d_rows[1:]),
                                    weight[rows] * xi_abs, out))
     _check_calibration(max(sups), f, f" for the member eps = {cs.eps!r}")
     return {**_escape_report(float(np.min(gaps))),

@@ -237,10 +237,8 @@ def partial_derivative(values: np.ndarray, spec: GridSpec, beta: tuple) -> np.nd
     return values
 
 
-def plane_wave(spec: GridSpec, k: tuple | int) -> Field:
+def plane_wave(spec: GridSpec, k: tuple) -> Field:
     """e^{i <kappa_k, x>} for integer mode numbers k (per axis)."""
-    if np.isscalar(k):
-        k = (k,)
     xm = spec.x_mesh()
     phase = sum(np.pi * ki / spec.L * x for ki, x in zip(k, xm))
     return Field(spec, np.exp(1j * phase))

@@ -93,11 +93,16 @@ def mollify(u: Field, m: Mollifier, omega: float) -> Field:
 
 
 def fit_slope(xs, ys) -> tuple[float, float]:
-    """Least-squares slope of ys against xs, with RMS residual."""
+    """Least-squares slope of log ys against log xs, the exponent p of
+    ys ~ xs^p, with the fit's RMS residual; (nan, nan) when some y <= 0,
+    since a zero has no logarithm and so carries no exponent."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) < 2:
         raise MollifyError("need at least two points for a slope fit")
+    if np.any(ys <= 0.0):
+        return float("nan"), float("nan")
+    xs, ys = np.log(xs), np.log(ys)
     coef = np.polyfit(xs, ys, 1)
     resid = ys - np.polyval(coef, xs)
     return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
@@ -110,8 +115,7 @@ def cumulative_trapezoid(xs, ys) -> np.ndarray:
 
 def _scaling_probe(u: Field, scale: ScaleFn, eps_list, measure) -> dict:
     """Mollify u with the gaussian at each omega(eps) of the ladder, measure
-    each result and fit log measure against log omega (slope 0 when the
-    values are flat)."""
+    each result and fit log measure against log omega."""
     eps_list = list(eps_list)
     if len(eps_list) < 4:
         raise MollifyError("need at least 4 epsilon values")
@@ -120,19 +124,14 @@ def _scaling_probe(u: Field, scale: ScaleFn, eps_list, measure) -> dict:
     omegas = np.array([scale_omega(scale, e) for e in eps_list])
     moll = Mollifier("gaussian")
     norms = np.array([measure(mollify(u, moll, om)) for om in omegas])
-    if np.max(norms) <= 0 or np.max(norms) / max(np.min(norms), 1e-300) < 1.0 + 1e-12:
-        slope, resid = 0.0, 0.0
-    else:
-        slope, resid = fit_slope(np.log(omegas), np.log(norms))
+    slope, resid = fit_slope(omegas, norms)
     return {"omegas": omegas.tolist(), "norms": norms.tolist(),
             "slope": slope, "residual": resid}
 
 
-def derivative_bound_probe(u: Field, beta: tuple | int, scale: ScaleFn, eps_list):
+def derivative_bound_probe(u: Field, beta: tuple, scale: ScaleFn, eps_list):
     """Sup-norm growth of d^beta (u * phi_omega) along an omega ladder:
     the per-omega sup norms and the fitted slope of log sup vs log omega."""
-    if np.isscalar(beta):
-        beta = (int(beta),)
     if len(beta) != u.spec.n or any(b < 0 for b in beta):
         raise MollifyError(f"bad multi-index {beta} for dimension {u.spec.n}")
 

@@ -290,12 +290,11 @@ def run_net(model: CoefficientModel, u0: Field, params: NetParams) -> tuple:
 def moderateness_fit(results: dict, s: float) -> FitReport:
     """Slope of log sup_t ||u_eps||_s against log(1/eps) over results, eps
     -> SolveResult; pass iff the exponent is at most N_CAP and the fit's
-    residual below RESIDUAL_CAP (polynomial moderateness)."""
+    residual below RESIDUAL_CAP (polynomial moderateness).  A zero sup
+    has no exponent: the slope is nan, and the fit fails."""
     eps = np.array(sorted(results, reverse=True))
     sups = np.array([results[e].series.sup_norm(s) for e in eps])
-    if np.max(sups) <= 0.0:
-        return FitReport(0.0, 0.0, True, N_CAP, {float(e): 0.0 for e in eps})
-    slope, resid = fit_slope(np.log(1.0 / eps), np.log(np.maximum(sups, 1e-300)))
+    slope, resid = fit_slope(1.0 / eps, sups)
     passed = bool(slope <= N_CAP and resid < RESIDUAL_CAP)
     return FitReport(slope, resid, passed, N_CAP,
                      {float(e): float(v) for e, v in zip(eps, sups)})
@@ -330,19 +329,13 @@ def _perturbed_set(cs: CoefficientSet, eps: float, q: int, bumps: dict) -> Coeff
                    V=cs.V + amp * bumps["V"])
 
 
-def _log_fit(eps, values) -> tuple:
-    """Slope and residual of log values against log eps; (inf, 0) when every
-    value is zero."""
-    if np.max(values) == 0.0:
-        return float("inf"), 0.0
-    return fit_slope(np.log(eps), np.log(np.maximum(values, 1e-300)))
-
-
 def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
                      params: NetParams) -> FitReport:
     """Negligible-in, negligible-out: solve the base and the eps^q-perturbed
     families and fit the difference-norm slope against log eps.  The base
-    net must pass (H1)-(H5), as in ``run_net``: HypothesisFailure if not."""
+    net must pass (H1)-(H5), as in ``run_net``: HypothesisFailure if not.
+    A difference that round-off zeroed has no exponent: the slope is nan,
+    and the probe fails."""
     if q < 1:
         raise NetError("perturbation order q must be >= 1")
     s = params.s_list[0]
@@ -367,7 +360,7 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
                 problem(_perturbed_set(m["cs"], eps, q, bumps), du, params)]
 
     values, health = march_ladder(used, pair, _difference_answer(s), params)
-    slope, resid = _log_fit(used, list(values.values()))
+    slope, resid = fit_slope(used, list(values.values()))
     return FitReport(slope, resid, bool(slope >= q - 0.5), q - 0.5, values,
                      extra={"dropped_eps": dropped, "health": health})
 
@@ -416,7 +409,7 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams) -> Fi
     errors = np.array(list(values.values()))
     decreasing = bool(np.all(np.diff(errors) < 0.0))
     final_ok = bool(errors[-1] < FINAL_ERROR)
-    slope, resid = _log_fit(params.eps_ladder, errors)
+    slope, resid = fit_slope(params.eps_ladder, errors)
     return FitReport(slope, resid, decreasing and final_ok, FINAL_ERROR, values,
                      extra={"monotone_decreasing": decreasing,
                             "final_error": float(errors[-1]),

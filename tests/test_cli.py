@@ -201,10 +201,23 @@ class TestConfigErrors:
         ("net", {"data": {"width": 0}}, "config.data.width must be positive"),
         ("net", {"data": {"width": -1.0}}, "config.data.width must be positive"),
         ("consistency", {"mollifier": {"kind": "gaussian"}},
-         "config.mollifier.kind: consistency needs vanishing-moment")])
+         "config.mollifier.kind: consistency needs vanishing-moment"),
+        ("net", {"evolution": {"dt": -1}}, "config.evolution.dt must be positive")])
     def test_out_of_range_value(self, tmp_path, capsys, kind, override, message):
         text = cfg_text(experiment={"kind": kind}, **override)
         self.assert_config_error(tmp_path, capsys, text, message)
+
+    def test_perturbation_order_below_one(self, tmp_path, capsys):
+        text = cfg_text(experiment={"kind": "uniqueness", "q": 0})
+        self.assert_config_error(tmp_path, capsys, text,
+                                 "config.experiment.q must be >= 1")
+
+    def test_root_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[]")
+        assert main(["net", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config root must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("model", ["delta-potential", "jump-drift",
                                        "elliptic-lipschitz"])
@@ -225,7 +238,8 @@ class TestConfigErrors:
         ({"evolution": {"s": [0.0, "1"]}}, "config.evolution.s[1] has wrong type str"),
         ({"data": {"kind": "plane-wave", "k": ["x"]}}, "config.data.k[0] has wrong type str"),
         ({"data": {"k": [1.5]}}, "config.data.k[0] has wrong type float"),
-        ({"ladder": 0.5}, "config.ladder has wrong type float")])
+        ({"ladder": 0.5}, "config.ladder has wrong type float"),
+        ({"grid": 3}, "config.grid must be an object")])
     def test_list_entry_of_wrong_type(self, tmp_path, capsys, override, message):
         self.assert_config_error(tmp_path, capsys, cfg_text(**override), message)
 
@@ -332,6 +346,34 @@ class TestToleranceDefaults:
         run(cfg, out_dir=str(tmp_path))
         verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
         assert verdict["bound"] == 1e-4
+
+
+class TestZeroRule:
+    """A value that round-off zeroed has no logarithm, so the fit has no
+    exponent: slope and residual are nan, and the verdict fails."""
+
+    @pytest.mark.parametrize("q, zeros", [(12, 3), (25, 5)])
+    def test_uniqueness_on_a_zeroed_difference_fails(self, tmp_path, q, zeros):
+        # eps^q bumps below round-off of u: the march gives a difference of
+        # exactly 0.0 on the smallest eps (at q = 12 the rest once fitted
+        # slope 286.95, and at q = 25 every value is 0.0)
+        cfg = parse_config(json.dumps({
+            "grid": {"n": 1, "M": 32, "L": 8}, "model": {"preset": "delta-potential"},
+            "evolution": {"T": 0.1}, "experiment": {"q": q}}), kind="uniqueness")
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
+        assert list(verdict["values"].values()).count(0.0) == zeros
+        assert verdict["slope"] == verdict["residual"] == "nan"
+
+    def test_net_on_zero_data_fails(self, tmp_path):
+        cfg = parse_config(cfg_text(experiment={"kind": "net"},
+                                    data={"amplitude": 0}, evolution={"T": 0.1}))
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        fit, = json.loads((tmp_path / "report.json").read_text())[
+            "verdict"]["moderateness"].values()
+        assert set(fit["values"].values()) == {0.0}
+        assert fit["slope"] == fit["residual"] == "nan"
+        assert fit["passed"] is False
 
 
 def test_close_epsilons_write_apart(tmp_path):

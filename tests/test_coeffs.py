@@ -241,7 +241,7 @@ def _exponent_shift_from_scratch(sets, arrays_of):
             for cs in sets])
         if np.max(sups) < 1e-14 or np.max(omegas) / np.min(omegas) < 1.0 + 1e-9:
             continue
-        slope, resid = fit_slope(np.log(omegas), np.log(np.maximum(sups, 1e-300)))
+        slope, resid = fit_slope(omegas, sups)
         shifts.append(-slope - order)
         residuals.append(resid)
     if not shifts:

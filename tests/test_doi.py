@@ -143,6 +143,19 @@ class TestBuildF:
         ts = np.linspace(0.0, 10.0, 11)
         assert np.allclose(f(ts), ts, rtol=1e-6)
 
+    @pytest.mark.parametrize("K", [1.0, 8.82, 15.27])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_identity_to_10K_then_below_t(self, K, N):
+        # lambda = 1 on t <= 10 K, so f(t) = t there, to 1 ulp; past 10 K
+        # lambda < 1 and f drops below t.  K = 1.1 sup |q|/<x> keeps |q|
+        # below 10 K wherever <x> <= 11, so on an L = 8 box (save the
+        # corners of a 2D one) d sees f(|q|) = |q|, whatever N is
+        f = FTable(K, N)
+        ts = np.linspace(0.0, 10.0 * K, 100001)
+        assert np.all(np.abs(f(ts) - ts) <= np.spacing(ts))
+        past = np.linspace(1.001 * 10.0 * K, f.t_max, 1001)
+        assert np.all(f(past) < past)
+
     def test_bounded_limit(self):
         f = FTable(1.0, 2)
         # f(inf) <= 10 + int <s>^{-2} ds = 10 + pi/2
@@ -496,7 +509,7 @@ class TestSymbolSeminorm:
             a2 = assemble_a2(cs)
             vals.append(symbol_seminorm(a2, 2.0, 2))
             omegas.append(cs.omega)
-        slope, _ = fit_slope(np.log(omegas), np.log(vals))
+        slope, _ = fit_slope(omegas, vals)
         assert slope == pytest.approx(-1.0, abs=0.3)
 
     def test_doi_symbol_class_growth(self, grid_1d):
@@ -509,8 +522,8 @@ class TestSymbolSeminorm:
             s1.append(symbol_seminorm(d, 0.0, 1))
             s2.append(symbol_seminorm(d, 0.0, 2))
             omegas.append(cs.omega)
-        slope1, _ = fit_slope(np.log(omegas), np.log(s1))
-        slope2, _ = fit_slope(np.log(omegas), np.log(s2))
+        slope1, _ = fit_slope(omegas, s1)
+        slope2, _ = fit_slope(omegas, s2)
         assert slope1 >= -0.3
         assert slope2 >= -1.0 - 0.3
 
@@ -564,6 +577,5 @@ class TestEnergyNorm:
                 worst = max(worst, r, 1.0 / r)
             c_eps.append(worst)
             cs_omegas.append(cs.omega)
-        _, resid = fit_slope(np.log(1.0 / np.array(cs_omegas)),
-                             np.log(c_eps))
+        _, resid = fit_slope(1.0 / np.array(cs_omegas), c_eps)
         assert resid < 0.5

@@ -90,7 +90,7 @@ class TestVanishingMoment:
         m = Mollifier("vanishing-moment", order=4)
         errs = [sobolev_norm(Field(spec, mollify(u, m, w).values - u.values), 0.0)
                 for w in DYADIC]
-        slope, _ = fit_slope(np.log(DYADIC), np.log(errs))
+        slope, _ = fit_slope(DYADIC, errs)
         assert slope == pytest.approx(4.0, abs=0.3)
 
     def test_gaussian_beats_moments_only_to_second_order(self):
@@ -100,8 +100,26 @@ class TestVanishingMoment:
         g = Mollifier("gaussian")
         errs = [sobolev_norm(Field(spec, mollify(u, g, w).values - u.values), 0.0)
                 for w in DYADIC]
-        slope, _ = fit_slope(np.log(DYADIC), np.log(errs))
+        slope, _ = fit_slope(DYADIC, errs)
         assert slope == pytest.approx(2.0, abs=0.3)
+
+
+class TestFitSlope:
+    def test_is_polyfit_of_the_logs(self):
+        # on positive data the fit is that of the logarithms, bit for bit
+        rng = np.random.default_rng(0)
+        xs, ys = DYADIC, 3.0 * np.array(DYADIC) ** -1.5 * rng.uniform(0.9, 1.1, 6)
+        lx, ly = np.log(xs), np.log(ys)
+        coef = np.polyfit(lx, ly, 1)
+        resid = float(np.sqrt(np.mean((ly - np.polyval(coef, lx)) ** 2)))
+        assert fit_slope(xs, ys) == (float(coef[0]), resid)
+
+    @pytest.mark.parametrize("ys", [[1.0, 0.5, 0.0, 0.25], [0.0] * 4,
+                                    [1.0, -0.5, 0.25, 0.125]])
+    def test_zero_has_no_exponent(self, ys):
+        # a zero has no logarithm, so no slope: nan, which every bound fails
+        slope, resid = fit_slope([1.0, 2.0, 4.0, 8.0], ys)
+        assert np.isnan(slope) and np.isnan(resid)
 
 
 def _fine_grid():
