@@ -1,17 +1,10 @@
 """Experiment runner: JSON configs in, JSON verdicts and CSV norm series out.
 
-Defaults (applied by parse_config):
-  grid        n=1, M=64, L=8
-  model       preset="free", params={}
-  mollifier   kind="gaussian", moment_order=4; consistency:
-              kind="vanishing-moment", and "gaussian" is rejected
-  scale       kind="loglog", k=1
-  ladder      [2^-3, 2^-4, 2^-5, 2^-6, 2^-7]
-  data        kind="gaussian", width=1.0 (> 0), amplitude=1.0
-  evolution   T=0.5, dt="auto", s=[0.0]
-  experiment  kind from the subcommand, q=3
-  output      directory="out", stride=0 (no snapshots)
-  seed        0
+A config is a JSON object of the sections listed below with their
+defaults; parse_config fills in every key a config leaves out.  The
+subcommand sets experiment.kind.  For consistency the mollifier kind
+defaults to "vanishing-moment", and "gaussian" is rejected; data.width must
+be positive; an output.stride of 0 writes no snapshots.
 
 mollifier-bench fits over its own omega ladder under its own scale: a
 config for it that sets scale or ladder is rejected.
@@ -75,6 +68,16 @@ def _defaults(schema: dict) -> dict:
 
 
 _DEFAULTS = _defaults(_SCHEMA)
+
+
+def _defaults_help(defaults: dict) -> str:
+    """The defaults block of ``vws --help``, one line per section."""
+    lines = ["Defaults (applied by parse_config):"]
+    for key, value in defaults.items():
+        text = (", ".join(f"{k}={json.dumps(v)}" for k, v in value.items())
+                if isinstance(value, dict) else json.dumps(value))
+        lines.append(f"  {key:<11} {text}")
+    return "\n".join(lines)
 
 
 def _check_keys(section: dict, schema: dict, path: str) -> None:
@@ -491,7 +494,7 @@ def run(cfg: dict, out_dir: str | None = None, seed: int | None = None,
 def main(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="vws",
-        description=__doc__,
+        description=f"{__doc__}\n{_defaults_help(_DEFAULTS)}",
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in EXPERIMENT_KINDS:

@@ -446,7 +446,8 @@ def _exponent_shift(sets, arrays_of):
         residuals.append(resid)
     if not shifts:
         return 0.0, []
-    return float(max(0.0, np.median(shifts))), residuals
+    # np.maximum keeps the nan of a field zero on some members only
+    return float(np.maximum(0.0, np.median(shifts))), residuals
 
 
 def check_hypotheses(sets: list, nu: float, c0: float, N: int = 2) -> HypothesisReport:

@@ -4,25 +4,26 @@ seminorms, and a dense Kohn-Nirenberg quantizer for small grids.
 
 Symbols live on the product of the spatial grid and its dual lattice,
 sorted ascending, so the GridSpec alone fixes a symbol grid.  a2, q and
-their x-gradients are sums of products f_r(x) g_r(xi), each built as one
-(rows x r) @ (r x M^n) matrix product over some or all x-rows.
-x-derivatives are spectral unless a symbol carries its exact x-gradient:
-symbols with explicit x_j or <x> factors are not periodic on the torus, so
-their builders attach chain-rule x-gradients, which the bracket uses in
-place of the spectral derivative.  xi-derivatives use 4th-order finite
-differences, except that a2 carries its exact xi-gradient
-2 sum_i a_ij xi_i, which the bracket uses instead.
+their x-gradients are sums of products f_r(x) g_r(xi).  The xi factors g_r
+are stacked once per grid; every set of x factors that shares them is one
+batch of a single (points x r) @ (r x M^n) matrix product, over some or
+all x-points.  The bracket takes a symbol's exact gradients where the symbol
+carries them.  a2, q and d carry both: a2's xi-gradient is
+2 sum_i a_ij xi_i, q's follows from its closed form, and d's from q's by the
+chain rule.  x_j and <x> factors are not periodic on the torus, so the
+x-gradients are chain-rule ones, not spectral.  A symbol without exact
+gradients gets the spectral x-derivative and 4th-order finite differences
+along xi; ``symbol_seminorm`` takes its higher xi-derivatives that way too.
 
-With exact x-gradients every quantity the escape and Doi checks read is
-pointwise in x, and so is q, so both run over blocks of rows of the first x
-axis, each of about _BLOCK (x, xi) points.  ``calibrate_K`` evaluates q's
-values block by block and keeps each block's sup of |q|/<x>;
-``check_member`` evaluates q and its x-gradient, a2's gradients, d and both
-brackets block by block and keeps each block's minima.  So no array of the
-full (x, xi) size is made for a ladder member.  ``check_escape`` and
-``check_doi`` are the reference: the same minima over the whole grid, of
-``poisson_bracket``s of symbols already built by ``build_q``, ``build_d``
-and ``assemble_a2``.
+With exact gradients every quantity the escape and Doi checks read is
+pointwise in x, and so is q, so both run over blocks of x-points, each of
+about _BLOCK (x, xi) points.  ``calibrate_K`` evaluates q's values block by
+block and keeps each block's sup of |q|/<x>; ``check_member`` evaluates q
+and its gradients, a2's gradients, d and both brackets block by block and
+keeps each block's minima.  So no array of the full (x, xi) size is made
+for a ladder member.  ``check_escape`` and ``check_doi`` are the reference:
+the same minima over the whole grid, of ``poisson_bracket``s of symbols
+already built by ``build_q``, ``build_d`` and ``assemble_a2``.
 """
 
 from __future__ import annotations
@@ -80,25 +81,27 @@ def dual_xi(spec: GridSpec) -> tuple:
 
 
 class _XiTables(NamedTuple):
-    step: float   # the spacing of the dual lattice
-    mesh: tuple
-    quads: tuple  # xi_i xi_j for (i, j) in row-major order
+    step: float         # the spacing of the dual lattice
+    mesh: np.ndarray    # xi_j at [j]
+    quads: np.ndarray   # xi_i xi_j at [n i + j]
     abs: np.ndarray
     bracket: np.ndarray
+    tilt: np.ndarray    # xi_j / <xi>^2 at [j]
 
 
 # Built once per GridSpec and shared, so read-only, as in grid._tables.
-# The arrays have the xi-grid shape; they broadcast over the (x, xi) grid
-# as they are, since numpy aligns them with its trailing (xi) axes.
+# The arrays have the xi-grid shape, stacked along a first axis for the
+# factor tables; they broadcast over the (x, xi) grid as they are, since
+# numpy aligns them with its trailing (xi) axes.
 @functools.lru_cache(maxsize=32)
 def _xi_tables(spec: GridSpec) -> _XiTables:
     axes = dual_xi(spec)
-    mesh = tuple(np.meshgrid(*axes, indexing="ij"))
-    quads = tuple(a * b for a in mesh for b in mesh)
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"))
+    quads = np.stack([a * b for a in mesh for b in mesh])
     sq = sum(a**2 for a in mesh)
     tables = _XiTables(float(axes[0][1] - axes[0][0]), mesh, quads,
-                       np.sqrt(sq), np.sqrt(1.0 + sq))
-    for arr in (*mesh, *quads, tables.abs, tables.bracket):
+                       np.sqrt(sq), np.sqrt(1.0 + sq), mesh / (1.0 + sq))
+    for arr in tables[1:]:
         arr.setflags(write=False)
     return tables
 
@@ -108,12 +111,14 @@ def _lift(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape + (1,) * arr.ndim)
 
 
-def _separable(fs: list, gs: list) -> np.ndarray:
-    """sum_r fs[r](x) gs[r](xi) on the (x, xi) grid, as one matrix product
-    of the stacked x-grid factors with the stacked xi-grid factors."""
-    left = np.stack([f.ravel() for f in fs], axis=1)
-    right = np.stack([g.ravel() for g in gs])
-    return (left @ right).reshape(fs[0].shape + gs[0].shape)
+def _separable(sets: list, table: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """[sum_r fs[r](x) table[r](xi) for fs in sets], stacked along a first
+    axis, on the x-points `rows` of the (x, xi) grid: one batched matrix
+    product of each set's stacked x factors with the xi factors, which the
+    table holds stacked already."""
+    left = np.array([[f[rows].ravel() for f in fs] for fs in sets])
+    out = left.transpose(0, 2, 1) @ table.reshape(len(table), -1)
+    return out.reshape((len(sets),) + sets[0][0][rows].shape + table.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +160,7 @@ def _dxi(values: np.ndarray, spec: GridSpec, axis: int) -> np.ndarray:
 
 class _Partials(NamedTuple):
     """First partials of a symbol on the (x, xi) grid or on a block of its
-    x-rows: dx[j] = d/dx_j and dxi[j] = d/dxi_j there."""
+    x-points: dx[j] = d/dx_j and dxi[j] = d/dxi_j there."""
 
     dx: list
     dxi: list
@@ -164,7 +169,7 @@ class _Partials(NamedTuple):
 def _partials(spec: GridSpec, values: np.ndarray, grad_x: list | None = None,
               grad_xi: list | None = None) -> _Partials:
     """The partials of a symbol from its values on the (x, xi) grid or on a
-    block of its x-rows: the exact gradients given; else the spectral
+    block of its x-points: the exact gradients given; else the spectral
     x-derivative, which needs the whole grid, and fd4 along the xi axes."""
     n = spec.n
     if grad_x is None:
@@ -177,7 +182,7 @@ def _partials(spec: GridSpec, values: np.ndarray, grad_x: list | None = None,
 
 def _bracket(a: _Partials, b: _Partials, out: np.ndarray) -> np.ndarray:
     """out = {a, b} = sum_j (d_xi_j a · d_x_j b - d_x_j a · d_xi_j b), on
-    the grid or block of rows that the partials cover."""
+    the grid or block of x-points that the partials cover."""
     out.fill(0.0)
     for a_dx, a_dxi, b_dx, b_dxi in zip(a.dx, a.dxi, b.dx, b.dxi):
         term = a_dxi * b_dx
@@ -202,19 +207,20 @@ def poisson_bracket(a: SymbolGrid, b: SymbolGrid) -> SymbolGrid:
 def assemble_a2(cs: CoefficientSet) -> SymbolGrid:
     """Principal symbol sum_ij a_ij(x) xi_i xi_j, with exact x-gradient and
     exact xi-gradient d_xi_j a2 = 2 sum_i a_ij xi_i."""
-    vals = _separable([a for row in cs.a for a in row], _xi_tables(cs.spec).quads)
-    return SymbolGrid(cs.spec, vals, *_a2_partials(cs))
-
-
-def _a2_partials(cs: CoefficientSet, rows: slice = slice(None)) -> _Partials:
-    """a2's exact x- and xi-gradients on the x-rows `rows`."""
-    n = cs.spec.n
     tables = _xi_tables(cs.spec)
-    grad_x = [_separable([a[rows] for row in cs.da[k] for a in row], tables.quads)
-              for k in range(n)]
-    grad_xi = [_separable([2.0 * cs.a[i][j][rows] for i in range(n)], tables.mesh)
-               for j in range(n)]
-    return _Partials(grad_x, grad_xi)
+    dx, dxi = _a2_factors(cs)
+    vals, *grad_x = _separable([[a for row in cs.a for a in row], *dx], tables.quads)
+    return SymbolGrid(cs.spec, vals, grad_x, list(_separable(dxi, tables.mesh)))
+
+
+def _a2_factors(cs: CoefficientSet) -> tuple:
+    """The x factors of a2's gradients: one set per x_k against the xi
+    quads for d_x_k a2, and one per xi_j against the xi mesh for
+    d_xi_j a2 = 2 sum_i a_ij xi_i."""
+    n = cs.spec.n
+    dx = [[a for row in cs.da[k] for a in row] for k in range(n)]
+    dxi = [[2.0 * cs.a[i][j] for i in range(n)] for j in range(n)]
+    return dx, dxi
 
 
 #: the escape constant: H_{a2} q >= C1 |xi| - C2, with C1 in q itself
@@ -231,36 +237,53 @@ def build_q(cs: CoefficientSet) -> SymbolGrid:
     max |lambda(a(x))| over the grid of cs, not (H2)'s
     mu = max(max |lambda|, 1 / min |lambda|).
 
-    With d_xi_j a2 = 2 sum_i a_ij xi_i this is C1 mu^2 <xi>^{-1} times
-    sum_i f_i(x) xi_i for f_i = 2 sum_j x_j a_ij.  Its x_k-gradient has the
-    same form with f_i = 2 (a_ik + sum_j x_j d_x_k a_ij): the x_k factor
+    With d_xi_j a2 = 2 sum_i a_ij xi_i this is w(xi) sum_i f_i(x) xi_i for
+    w = C1 mu^2 <xi>^{-1} and f_i = 2 sum_j x_j a_ij.  Its x_k-gradient has
+    the same form with f_i = 2 (a_ik + sum_j x_j d_x_k a_ij): the x_k factor
     contributes d_xi_k a2 directly, the coefficients through their cached
-    derivatives.
+    derivatives.  Its xi_j-gradient is w f_j - q xi_j / <xi>^2, since
+    d_xi_j <xi>^{-1} = -<xi>^{-1} xi_j / <xi>^2.
     """
-    vals, *grads = _q_rows(cs, slice(None), _mu(cs))
-    return SymbolGrid(cs.spec, vals, grad_x=grads)
+    n = cs.n
+    vals, *grads = _q_rows(cs.spec, _q_factors(cs), slice(None), _mu(cs))
+    return SymbolGrid(cs.spec, vals, grads[:n], grads[n:])
 
 
-def _q_rows(cs: CoefficientSet, rows: slice, mu: float,
-            grad: bool = True) -> list:
-    """[q, d_x_1 q, ...] of ``build_q`` on the x-rows `rows`, or [q] alone
-    without grad; mu is the member's, taken over the whole grid."""
+def _q_factors(cs: CoefficientSet, grad: bool = True) -> list:
+    """The x-factor sets of q against the xi mesh, before the weight w:
+    [f_1, ..., f_n] for q, then with grad one set per x_k for d_x_k q."""
     spec, n = cs.spec, cs.spec.n
-    tables = _xi_tables(spec)
-    x = [xm[rows] for xm in spec.x_mesh()]
-    two_a = [[2.0 * a[rows] for a in row] for row in cs.a]
-    out = [_separable([sum(x[j] * two_a[i][j] for j in range(n))
-                       for i in range(n)], tables.mesh)]
+    x = spec.x_mesh()
+    two_a = [[2.0 * a for a in row] for row in cs.a]
+    sets = [[sum(x[j] * two_a[i][j] for j in range(n)) for i in range(n)]]
     if grad:
-        out += [_separable([two_a[i][k]
-                            + sum(x[j] * (2.0 * cs.da[k][i][j][rows])
-                                  for j in range(n))
-                            for i in range(n)], tables.mesh)
-                for k in range(n)]
+        sets += [[two_a[i][k] + sum(x[j] * (2.0 * cs.da[k][i][j])
+                                    for j in range(n))
+                  for i in range(n)]
+                 for k in range(n)]
+    return sets
+
+
+def _q_rows(spec: GridSpec, sets: list, rows, mu: float,
+            extra: list = ()) -> list:
+    """[q, d_x_1 q, ..., d_x_n q, d_xi_1 q, ..., d_xi_n q] of ``build_q``
+    on the x-points `rows`, from the sets of ``_q_factors``; [q] alone from
+    q's set alone.  mu is the member's, taken over the whole grid.  The
+    x-factor sets `extra` share q's batched product on the xi mesh, and
+    their products follow q's rows."""
+    tables = _xi_tables(spec)
+    mesh = _separable(sets + list(extra), tables.mesh, rows)
     weight = C1 * mu**2 / tables.bracket
-    for arr in out:
-        arr *= weight
-    return out
+    q_rows = mesh[:len(sets)]
+    q_rows *= weight
+    out = list(q_rows)
+    if len(sets) > 1:
+        q = out[0]
+        for f, tilt in zip(sets[0], tables.tilt):
+            g = _lift(f[rows]) * weight
+            g -= q * tilt
+            out.append(g)
+    return out + list(mesh[len(sets):])
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +402,8 @@ DELTA = 0.1
 
 
 def _sup_ratio(values: np.ndarray, bracket: np.ndarray) -> float:
-    """max |values| / <x> for values on some x-rows and <x> on the same
-    rows, from the extremes over xi at each x, so that no array of the
+    """max |values| / <x> for values on some x-points and <x> on the same
+    points, from the extremes over xi at each x, so that no array of the
     values' size is made."""
     axes = tuple(range(bracket.ndim, values.ndim))
     peak = np.maximum(values.max(axis=axes), -values.min(axis=axes))
@@ -392,27 +415,38 @@ def _sup_over_x(q: SymbolGrid) -> float:
     return _sup_ratio(q.values, q.spec.x_bracket())
 
 
-#: (x, xi) points per block of x-rows in calibrate_K and check_member: small
+#: (x, xi) points per block of x-points in calibrate_K and check_member: small
 #: enough that a block's temporaries stay in cache and below glibc's mmap
 #: threshold, so that the allocator recycles them from its heap
 _BLOCK = 8192
 
 
-def _row_blocks(spec: GridSpec) -> list:
-    """Slices of the first x axis, each a block of about _BLOCK (x, xi)
-    points."""
-    rows = max(1, _BLOCK * spec.M // spec.size**2)
-    return [slice(lo, lo + rows) for lo in range(0, spec.M, rows)]
+def _x_blocks(spec: GridSpec) -> list:
+    """Blocks of x-points, each a tuple of slices of the leading x axes and
+    each of about _BLOCK (x, xi) points: whole rows of the first x axis
+    while one fits in a block, else pieces of one row along the next axis,
+    and so on, down to a single x-point."""
+    points = max(1, _BLOCK // spec.size)   # x-points per block
+    blocks = [()]
+    for axis in range(spec.n):
+        inner = spec.M ** (spec.n - 1 - axis)   # x-points per index of axis
+        # the last axis has inner = 1, so every loop returns
+        if points >= inner:
+            step = points // inner
+            return [b + (slice(lo, lo + step),) for b in blocks
+                    for lo in range(0, spec.M, step)]
+        blocks = [b + (slice(i, i + 1),) for b in blocks for i in range(spec.M)]
 
 
 def calibrate_K(sets: list) -> float:
     """K = 1.1 * sup |q| / <x>, maximised over the ``build_q`` symbols of a
     ladder of coefficient sets.  Each q's values are made one block of
-    x-rows at a time, and only each block's sup is kept."""
+    x-points at a time, and only each block's sup is kept."""
     def sup(cs):
         mu, bracket = _mu(cs), cs.spec.x_bracket()
-        return max(_sup_ratio(_q_rows(cs, rows, mu, grad=False)[0], bracket[rows])
-                   for rows in _row_blocks(cs.spec))
+        sets = _q_factors(cs, grad=False)
+        return max(_sup_ratio(_q_rows(cs.spec, sets, rows, mu)[0], bracket[rows])
+                   for rows in _x_blocks(cs.spec))
     return 1.1 * max((sup(cs) for cs in sets), default=0.0)
 
 
@@ -427,28 +461,31 @@ def _check_calibration(sup_ratio: float, f: FTable, member: str = "") -> None:
 def build_d(q: SymbolGrid, f: FTable) -> SymbolGrid:
     """Order-zero symbol (q/<x>) phi0 + (f(|q|) + 2 DELTA)(psi+ - psi-).
 
-    d carries its x-gradient when q carries one.
+    d carries an x- or xi-gradient when q carries one.
     """
     _check_calibration(_sup_over_x(q), f)
-    vals, *grads = _d_rows(q.spec, slice(None), [q.values, *(q.grad_x or [])], f)
-    return SymbolGrid(q.spec, vals, grad_x=grads or None)
+    # _d_rows writes d's gradients over the ones it is given
+    copies = [None if g is None else [a.copy() for a in g]
+              for g in (q.grad_x, q.grad_xi)]
+    return SymbolGrid(q.spec, *_d_rows(q.spec, slice(None), q.values, f, *copies))
 
 
-def _d_rows(spec: GridSpec, rows: slice, q_rows: list, f: FTable) -> list:
-    """[d, d_x_1 d, ...] on the x-rows `rows`, from [q, d_x_1 q, ...] on
-    them; [d] alone from [q] alone.
+def _d_rows(spec: GridSpec, rows, q: np.ndarray, f: FTable,
+            grad_x: list | None = None, grad_xi: list | None = None) -> tuple:
+    """(d, d's x-gradient, d's xi-gradient) on the x-points `rows`, from q
+    and whichever of its gradients are given there, each written over the
+    gradient of q it comes from; a gradient of q not given gives None.
 
     psi+ and psi- have the disjoint supports r > DELTA and r < -DELTA, with
     r = q/<x>, so one smooth step of |r|/DELTA is psi+ + psi-, and the sign
     of r splits it: psi+ - psi- = sign(r) (psi+ + psi-).  Arrays are reused
     once their last term is taken, so that few of the rows' size are live.
     """
-    qv, *grad_q = q_rows
     w = _lift(spec.x_bracket())[rows]
-    r = qv / w
+    r = q / w
     absr = np.abs(r)
     step, dstep = _STEP.with_derivative(absr / DELTA)
-    absq = np.abs(qv)
+    absq = np.abs(q)
     lift = f(absq)
     lift += 2.0 * DELTA
     # f(|q|) only enters where the cutoffs are active, away from q = 0,
@@ -459,8 +496,8 @@ def _d_rows(spec: GridSpec, rows: slice, q_rows: list, f: FTable) -> list:
     term = np.copysign(step, r, out=step)
     term *= lift
     vals += term
-    if not grad_q:
-        return [vals]
+    if grad_x is None and grad_xi is None:
+        return vals, None, None
     # d(psi+ - psi-)/dr = d(psi+ + psi-)/d|r|, and d phi0/dr is -sign(r)
     # times it, so r d phi0/dr = -|r| times it: dd_dr is
     # phi0 + (lift - |r|) dstep / DELTA
@@ -468,18 +505,20 @@ def _d_rows(spec: GridSpec, rows: slice, q_rows: list, f: FTable) -> list:
     lift -= absr
     lift *= dstep
     dd_dr = np.add(phi0, lift, out=phi0)
-    # d_x_k r = d_x_k q / <x> - r x_k / <x>^2, so d_x_k d is
-    # (dd_dr / <x> + dd_dq) d_x_k q - dd_dr r x_k / <x>^2
+    # d depends on xi through q alone, and on x through q and r = q / <x>:
+    # d_xi_k d = per_q d_xi_k q with per_q = dd_dr / <x> + dd_dq, and, as
+    # d_x_k r = d_x_k q / <x> - r x_k / <x>^2, d_x_k d is
+    # per_q d_x_k q - dd_dr r x_k / <x>^2
     per_q = np.divide(dd_dr, w, out=lift)
     per_q += dd_dq
     per_x = np.multiply(dd_dr, r, out=r)
     del absr, dstep, dd_dq
-    grads = []
-    for g, x in zip(grad_q, spec.x_mesh()):
-        grad = per_q * g
-        grad -= np.multiply(per_x, _lift(x)[rows] / w**2, out=term)
-        grads.append(grad)
-    return [vals, *grads]
+    for g in grad_xi or ():
+        g *= per_q
+    for g, x in zip(grad_x or (), spec.x_mesh()):
+        g *= per_q
+        g -= np.multiply(per_x, _lift(x)[rows] / w**2, out=term)
+    return vals, grad_x, grad_xi
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +527,7 @@ def _d_rows(spec: GridSpec, rows: slice, q_rows: list, f: FTable) -> list:
 
 def _min_excess(a2: _Partials, b: _Partials, envelope: np.ndarray,
                 out: np.ndarray) -> float:
-    """Minimum of H_{a2} b - envelope over a block of rows, with out, of the
+    """Minimum of H_{a2} b - envelope over a block of x-points, with out, of the
     block's shape, as the work array."""
     excess = _bracket(a2, b, out)
     excess -= envelope
@@ -528,29 +567,34 @@ def check_member(cs: CoefficientSet, f: FTable) -> dict:
     ``build_q(cs)``, the reports of ``check_escape(q, assemble_a2(cs))``
     and ``check_doi(build_d(q, f), assemble_a2(cs), f.N)``, to the bit.
 
-    The rows of q and of its x-gradient, a2's gradients (its values enter
-    neither check), d and the two brackets are evaluated on one block of
-    x-rows at a time, and only each block's minima are kept, with its sup
-    |q|/<x>, which f's table must cover as in ``build_d``.
+    q and its gradients, a2's gradients (its values enter neither check), d
+    and the two brackets are evaluated on one block of x-points at a time,
+    and only each block's minima are kept, with its sup |q|/<x>, which f's
+    table must cover as in ``build_d``.  q, its x-gradient and a2's
+    xi-gradient are one batched product on the xi mesh, and a2's x-gradient
+    one on the xi quads.
     """
-    spec = cs.spec
+    spec, n = cs.spec, cs.spec.n
     mu, bracket = _mu(cs), spec.x_bracket()
-    xi_abs = _xi_tables(spec).abs
-    escape, weight = C1 * xi_abs, _lift(spec.x_bracket(-f.N))
+    tables = _xi_tables(spec)
+    escape, weight = C1 * tables.abs, _lift(spec.x_bracket(-f.N))
+    q_sets, (a2_dx, a2_dxi) = _q_factors(cs), _a2_factors(cs)
     sups, gaps, margins = [], [], []
-    # a block's arrays live on until the next block's replace them, so the
-    # top of the heap is never freed at once: glibc would hand a free top
-    # of over 128 KB back to the system, and fault it in again per block
-    for rows in _row_blocks(spec):
-        q_rows = _q_rows(cs, rows, mu)
-        d_rows = _d_rows(spec, rows, q_rows, f)
-        a2 = _a2_partials(cs, rows)
-        out = np.empty_like(d_rows[0])
-        sups.append(_sup_ratio(q_rows[0], bracket[rows]))
-        gaps.append(_min_excess(a2, _partials(spec, q_rows[0], q_rows[1:]),
-                                escape, out))
-        margins.append(_min_excess(a2, _partials(spec, d_rows[0], d_rows[1:]),
-                                   weight[rows] * xi_abs, out))
+    # q, its partials, a2's and out live on until the next block's replace
+    # them, so the top of the heap is never freed at once: glibc would hand
+    # a large free top back to the system, and fault it in again per block
+    for rows in _x_blocks(spec):
+        q, *rows_of = _q_rows(spec, q_sets, rows, mu, extra=a2_dxi)
+        dq = _Partials(rows_of[:n], rows_of[n:2 * n])
+        a2 = _Partials(list(_separable(a2_dx, tables.quads, rows)),
+                       rows_of[2 * n:])
+        out = np.empty_like(q)
+        sups.append(_sup_ratio(q, bracket[rows]))
+        gaps.append(_min_excess(a2, dq, escape, out))
+        # with the gap taken, d's gradients replace q's in dq; d's values
+        # enter no check
+        _d_rows(spec, rows, q, f, *dq)
+        margins.append(_min_excess(a2, dq, weight[rows] * tables.abs, out))
     _check_calibration(max(sups), f, f" for the member eps = {cs.eps!r}")
     return {**_escape_report(float(np.min(gaps))),
             **_doi_report(float(np.min(margins)))}

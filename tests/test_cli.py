@@ -657,6 +657,10 @@ def test_doi_check_weighs_by_the_model_N(tmp_path):
     reports = {N: [{"eps": eps, **check_member(cs, FTable(calibrate_K(sets), N))}
                    for eps, cs in zip(cfg["ladder"], sets)] for N in (2, 3)}
     assert per_eps == reports[3] != reports[2]
+    # d's exact xi-gradient: fd4 of d read -0.9529582984558007 and
+    # -3.2034220982747894 at eps = 2^-6 and 2^-7
+    assert [e["min_margin"] for e in per_eps][3:] == [-0.21944768008199386,
+                                                      -0.6295509838898735]
 
 
 def _doi_ultra_config():
@@ -717,6 +721,17 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 class TestMain:
+    def test_help_lists_every_default_of_the_schema(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        block = lines[lines.index("Defaults (applied by parse_config):") + 1:]
+        assert [line.split()[0] for line in block[:len(cli._SCHEMA)]] == list(cli._SCHEMA)
+        assert "  grid        n=1, M=64, L=8.0" in block
+        assert ("  data        kind=\"gaussian\", width=1.0, amplitude=1.0, "
+                "k=[1], s=0.0") in block
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(cfg_text(moolifier={}))

@@ -127,6 +127,16 @@ class TestCheckHypotheses:
         # sup|d(omega^{-1} phi(x/omega))| = omega^{-2} sup|phi'|, so N2 = 1
         assert rep.potential_exponent_N2 == pytest.approx(1.0, abs=0.2)
 
+    def test_exponent_of_a_field_zero_on_some_members_is_nan(self, grid_1d):
+        # V zeroed at eps = 2^-3 only: sup |d^beta V| = 0 there has no
+        # logarithm, so every order's fit is nan, and so is N2, not 0.0
+        sets = ladder_sets(preset("delta-potential", n=1), grid_1d)
+        sets[0].V = np.zeros_like(sets[0].V)
+        rep = check_hypotheses(sets, nu=0.05, c0=0.05, N=2)
+        assert np.isnan(rep.potential_exponent_N2)
+        assert len(rep.fit_residuals["potential"]) == 4
+        assert all(np.isnan(r) for r in rep.fit_residuals["potential"])
+
     def test_jump_drift_passes(self, grid_1d):
         rep = check_hypotheses(ladder_sets(preset("jump-drift", n=1), grid_1d),
                                nu=0.05, c0=0.05, N=2)
@@ -246,7 +256,7 @@ def _exponent_shift_from_scratch(sets, arrays_of):
         residuals.append(resid)
     if not shifts:
         return 0.0, []
-    return float(max(0.0, np.median(shifts))), residuals
+    return float(np.maximum(0.0, np.median(shifts))), residuals
 
 
 class TestExponentShift:

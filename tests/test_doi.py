@@ -301,27 +301,35 @@ class TestCheckMember:
     def _ladder(n, M, name, **params):
         spec = make_grid(n, M, 8.0)
         sets = sets_for(name, spec, **params)
-        return spec, sets, FTable(calibrate_K(sets), 2)
+        return spec, sets, FTable(calibrate_K(sets), params.get("N", 2))
 
-    # 1D M = 256 and 2D M = 16 both take 8 blocks of rows
+    # 1D M = 256 and 2D M = 16 both take 8 blocks of rows, 2D M = 32 takes
+    # 128 blocks of 8 x-points; on the c2 = -0.3, N = 3 ladder no Doi
+    # margin is clamped at the xi = 0 column
     @pytest.mark.parametrize("n, M, name, params", [
         (1, 256, "delta-potential", {}),
-        (2, 16, "ultra-diagonal", {"nu": 2.0, "width": 0.5})])
+        (2, 16, "ultra-diagonal", {"nu": 2.0, "width": 0.5}),
+        (2, 16, "ultra-diagonal", {"nu": 2.0, "width": 0.5, "c2": -0.3, "N": 3}),
+        (2, 32, "ultra-diagonal", {})])
     def test_equals_the_checks_of_built_symbols(self, n, M, name, params):
         spec, sets, f = self._ladder(n, M, name, **params)
         xi_abs = np.sqrt(sum(z**2 for z in np.meshgrid(*dual_xi(spec), indexing="ij")))
-        weight = _lift(1.0 / (1.0 + spec.x_norm_sq()))
+        weight = _lift((1.0 + spec.x_norm_sq()) ** (-f.N / 2.0))
+        margins = []
         for cs in sets:
             a2, q = assemble_a2(cs), build_q(cs)
             d = build_d(q, f)
-            want = {**check_escape(q, a2), **check_doi(d, a2, 2)}
+            want = {**check_escape(q, a2), **check_doi(d, a2, f.N)}
             assert check_member(cs, f) == want
             gap = poisson_bracket(a2, q).values - C1 * xi_abs
             margin = poisson_bracket(a2, d).values - weight * xi_abs
             assert want["min_gap"] == float(np.min(gap))
             assert want["min_margin"] == float(np.min(margin))
+            margins.append(want["min_margin"])
+        if params.get("c2") == -0.3:
+            assert all(m < 0.0 for m in margins)
 
-    # the same grids, and 2D M = 32, whose blocks are single rows
+    # the same grids, and 2D M = 32, whose blocks are pieces of single rows
     @pytest.mark.parametrize("n, M, name, params", [
         (1, 256, "delta-potential", {}),
         (2, 16, "ultra-diagonal", {"nu": 2.0, "width": 0.5}),
@@ -373,25 +381,35 @@ def _reference_a2(cs):
 
 
 def _reference_q(cs, mu):
-    """q = C1 mu^2 <xi>^{-1} sum_j x_j d_xi_j a2 and its product-rule
-    x-gradient, as loops of broadcast products."""
+    """q = C1 mu^2 <xi>^{-1} sum_j x_j d_xi_j a2, its product-rule
+    x-gradient and its xi-gradient, as loops of broadcast products: the
+    xi-gradient takes the xi-Hessian d_xi_k d_xi_j a2 = 2 a_jk and
+    d_xi_k <xi>^{-1} = -xi_k <xi>^{-3}."""
     spec, n = cs.spec, cs.n
     xi = np.meshgrid(*dual_xi(spec), indexing="ij")
     x = [_lift(a) for a in spec.x_mesh()]
-    scale = C1 * mu**2 / np.sqrt(1.0 + sum(z**2 for z in xi))
+    bra = np.sqrt(1.0 + sum(z**2 for z in xi))
+    scale = C1 * mu**2 / bra
 
     def dxi_a2(j, a):
         return sum(2.0 * _lift(a[i][j]) * xi[i] for i in range(n))
 
-    vals = scale * sum(x[j] * dxi_a2(j, cs.a) for j in range(n))
+    sum_x_dxi_a2 = sum(x[j] * dxi_a2(j, cs.a) for j in range(n))
+    vals = scale * sum_x_dxi_a2
     grads = [scale * (dxi_a2(k, cs.a)
                       + sum(x[j] * dxi_a2(j, cs.da[k]) for j in range(n)))
              for k in range(n)]
-    return SymbolGrid(spec, vals, grad_x=grads)
+    grads_xi = []
+    for k in range(n):
+        hess = sum(x[j] * 2.0 * _lift(cs.a[j][k]) for j in range(n))
+        grads_xi.append(scale * hess
+                        - C1 * mu**2 * xi[k] / bra**3 * sum_x_dxi_a2)
+    return SymbolGrid(spec, vals, grad_x=grads, grad_xi=grads_xi)
 
 
 def _reference_d(q, f):
-    """d with np.interp lookups and psi+ and psi- evaluated one by one."""
+    """d with np.interp lookups and psi+ and psi- evaluated one by one, and
+    its gradients by the chain rule through r = q/<x> and |q|."""
     step = SmoothStep()
 
     def psi(t):
@@ -413,13 +431,16 @@ def _reference_d(q, f):
     for k, x in enumerate(q.spec.x_mesh()):
         dr = (q.grad_x[k] * w - q.values * _lift(x) / w) / w**2
         grads.append(dd_dr * dr + dd_dq * q.grad_x[k])
-    return SymbolGrid(q.spec, r * phi0 + lift * (plus - minus), grad_x=grads)
+    grads_xi = [dd_dr * g / w + dd_dq * g for g in q.grad_xi]
+    return SymbolGrid(q.spec, r * phi0 + lift * (plus - minus), grad_x=grads,
+                      grad_xi=grads_xi)
 
 
 class TestAgainstLoopReference:
-    """The matrix-product builders, the analytic d_xi a2 and the direct
-    table lookups agree with loops of broadcast products, fd4 on a2 and
-    np.interp, on a ladder whose escape gap and Doi constant are not zero."""
+    """The batched matrix-product builders, the attached xi-gradients and
+    the direct table lookups agree with loops of broadcast products, fd4 on
+    a2 and np.interp, on a ladder whose escape gap and Doi constant are not
+    zero."""
 
     def setup_method(self):
         spec = make_grid(2, 16, 8.0)
@@ -435,6 +456,9 @@ class TestAgainstLoopReference:
         self._close(got.values, want.values)
         for g, w in zip(got.grad_x, want.grad_x, strict=True):
             self._close(g, w)
+        if want.grad_xi is not None:   # the reference a2 carries none
+            for g, w in zip(got.grad_xi, want.grad_xi, strict=True):
+                self._close(g, w)
 
     def test_ladder(self):
         qs = [build_q(cs) for cs in self.sets]
@@ -470,6 +494,81 @@ class TestAgainstLoopReference:
             self._close(a2.grad_xi[j], want)
             self._close(np.take(a2.grad_xi[j], edges, axis=n + j),
                         np.take(want, edges, axis=n + j))
+
+
+class TestExactXiGradients:
+    """The xi-gradients that q and d carry are those of their closed forms:
+    central differences with step 1e-5 of q's closed form, and of d as
+    build_d evaluates it from that q, agree with them to 1e-8."""
+
+    H = 1e-5
+
+    @staticmethod
+    def _close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+    def _central(self, fn, n, k):
+        """d/dxi_k of fn(shift), fn evaluated on the lattice shifted by
+        shift, by a central difference."""
+        e = np.zeros(n)
+        e[k] = self.H
+        return (fn(e) - fn(-e)) / (2.0 * self.H)
+
+    @staticmethod
+    def _q(cs, shift):
+        """q = C1 mu^2 <xi>^{-1} sum_ij 2 x_j a_ij(x) xi_i on the dual
+        lattice shifted by shift."""
+        spec, n = cs.spec, cs.n
+        xi = [z + h for z, h in zip(np.meshgrid(*dual_xi(spec), indexing="ij"), shift)]
+        x = [_lift(a) for a in spec.x_mesh()]
+        mu2 = float(np.max(cs.abs_eigenvalues()))
+        total = sum(2.0 * x[j] * _lift(cs.a[i][j]) * xi[i]
+                    for i in range(n) for j in range(n))
+        return C1 * mu2 * total / np.sqrt(1.0 + sum(z**2 for z in xi))
+
+    def test_q_and_d_of_a_ladder_member(self):
+        # the eps = 2^-7 member of the ladder whose Doi margins fd4 misread
+        spec = make_grid(2, 16, 8.0)
+        sets = sets_for("ultra-diagonal", spec, nu=2.0, width=0.5, c2=-0.3, N=3)
+        cs, f = sets[-1], FTable(calibrate_K(sets), 3)
+        q = build_q(cs)
+        d = build_d(q, f)
+        self._close(self._q(cs, np.zeros(2)), q.values)
+
+        def d_of(shift):
+            return build_d(SymbolGrid(spec, self._q(cs, shift)), f).values
+
+        # d's tables are piecewise linear, so their slopes are the chain
+        # rule's derivatives only off the cutoff band DELTA < |r| < 2 DELTA
+        # and where f(|q|) = |q|, below 10 K
+        absr = np.abs(q.values) / _lift(np.sqrt(1.0 + spec.x_norm_sq()))
+        off_band = ((absr < 0.99 * DELTA)
+                    | ((absr > 2.02 * DELTA) & (np.abs(q.values) < 10.0 * f.K)))
+        assert 0.5 < np.mean(off_band) < 1.0
+        for k in range(2):
+            self._close(q.grad_xi[k], self._central(lambda h: self._q(cs, h), 2, k))
+            self._close(d.grad_xi[k][off_band], self._central(d_of, 2, k)[off_band])
+
+    def test_d_in_the_cutoff_band(self):
+        # q = r0 <x> (1 + xi / 100) puts r = q/<x> at r0 on the xi = 0
+        # column, and r0 / DELTA at the middle of a cell of the smooth
+        # step's table, where its slope is the interpolated bump
+        spec = make_grid(1, 32, 8.0)
+        r0 = DELTA * (1.5 + 0.5 / 4000.0)
+        w = np.sqrt(1.0 + spec.x_norm_sq())
+
+        def q_of(shift):
+            return symbol_from(spec, lambda x, xi: r0 * np.sqrt(1.0 + x**2)
+                               * (1.0 + (xi + shift[0]) / 100.0))
+
+        q = q_of(np.zeros(1))
+        q.grad_xi = [np.broadcast_to(_lift(r0 * w / 100.0), q.values.shape).copy()]
+        f = FTable(1.1 * _sup_over_x(q), 2)
+        d = build_d(q, f)
+        zero = np.argmin(np.abs(dual_xi(spec)[0]))
+        assert 0.0 < SmoothStep().derivative(r0 / DELTA)
+        want = self._central(lambda h: build_d(q_of(h), f).values, 1, 0)
+        self._close(d.grad_xi[0][:, zero], want[:, zero])
 
 
 class TestSymbolSeminorm:
