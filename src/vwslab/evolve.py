@@ -23,14 +23,32 @@ Which marches are stacked: ``vwsnet.march_ladder`` marches the members of
 a ``net`` or ``solve`` ladder after its probe as one stack for each step
 count among them, the probe member too when the probe keeps no result of
 it, so on net-1d-delta (1D, M=256) all five members share every transform
-and array pass of one 16-level march (348 numpy FFT calls per run).
+and array pass of one 16-level march (348 numpy FFT calls per run: its
+only remainder is V, one field each way per right-hand side).
 ``sup_differences`` marches each problem as its own stack of one, in
 lockstep, so uniqueness pairs and the consistency ladder are not stacked: a
 stack pays for the union of its members' variable coefficients (the base
 problem of a uniqueness pair would take the perturbed one's variable a_12,
-b and V).  uniq-2d-ultra (2D, M=64) with each pair as one stack took 0.20 s
-against 0.18 s and 0.7 MB more peak RSS (medians of two batches of 8
-alternating fresh-process runs on 2 vCPUs, wall clock unscaled).
+b and V).  Measured on uniq-2d-ultra (2D, M=64): perfbench host-scaled
+run_s and peak RSS, three alternating runs each, and the minor page faults
+of one call in a fresh process:
+
+    march                                   run_s (s)     peak RSS  faults
+    a stack per problem, no step buffers    0.111-0.113   36.9 MB   3,700
+    a pair per stack, no step buffers       0.117-0.119   37.6 MB   7,000
+    a stack per problem, step buffers       0.089         38.1 MB   4,950
+    a pair per stack, step buffers          0.097-0.104   38.5 MB   5,770
+    the 4 pairs after the probe as two
+    stacks of 4 problems, step buffers      0.091         48.0 MB   5,450
+
+A pair's stack of two 64 x 64 complex fields is 128 KB, glibc's mmap
+threshold, so each temporary of a step without buffers was memory that
+glibc gave back to the OS when it was freed and faulted in again for the
+next: with its mapping and trimming off (MALLOC_MMAP_THRESHOLD_ and
+MALLOC_TRIM_THRESHOLD_ at 1e9) one call takes 1,400 faults, and 1,225 a
+stack per problem.  A march's step buffers are new pages too, hence 4,950
+(1,427 with trimming off).  With step buffers a pair per stack still pays
+for the union, and stacking the ladder is no faster and holds 10 MB more.
 
 The stepper is ETD-RK4 (exponential time differencing with RK4 stages;
 Cox & Matthews, J. Comput. Phys. 176 (2002), in the form of Kassam &
@@ -166,11 +184,12 @@ class _Operator:
 
     Built once per stack.  The grid means of each member's coefficients make
     its symbol sum mean(a_ij) kappa_i kappa_j + sum mean(b_k) kappa_k + mean(V);
-    the remainders take one inverse per needed D_j u, one forward per row i
-    with a variable a_ij and one forward shared by the variable b_k and V.
-    An entry variable in any member has a remainder in all, zero where it is
-    constant; the zero terms add exactly, so each member gets the numbers of
-    a stack of its own.
+    the remainders take one inverse transform of the stack of every needed
+    D_j u, and of u when V is variable, and one forward transform of the
+    stack of the sums: one per row i with a variable a_ij, and one of the
+    variable b_k and V.  An entry variable in any member has a remainder in
+    all, zero where it is constant; the zero terms add exactly, so each
+    member gets the numbers of a stack of its own.
     """
 
     def __init__(self, sets: list):
@@ -179,16 +198,18 @@ class _Operator:
         self.eps = [cs.eps for cs in sets]
 
         def split(arrs):
-            # (means shaped to broadcast over the stack, stacked remainders or None)
+            # (means shaped to broadcast over the stack, stacked remainders or
+            # None); the remainders, like the kappa factors below, are stored
+            # complex, as numpy would cast them on every product
             parts = [_split(arr) for arr in arrs]
             means = np.reshape([c for c, _ in parts], (len(parts),) + (1,) * n)
             if all(r is None for _, r in parts):
                 return means, None
             return means, np.stack([np.zeros(spec.shape) if r is None else r
-                                    for _, r in parts])
+                                    for _, r in parts], dtype=complex)
 
         symbol = np.zeros((len(sets),) + spec.shape)
-        self.rows = []  # (kappa_i, [(j, remainder of a_ij)]) for each row with one
+        rows = []  # (i, [(j, remainder of a_ij)]) for each row with one
         for i in range(n):
             variable = []
             for j in range(n):
@@ -197,35 +218,69 @@ class _Operator:
                 if r is not None:
                     variable.append((j, r))
             if variable:
-                self.rows.append((km[i], variable))
-        self.drift = []  # (k, remainder of b_k) for each variable b_k
+                rows.append((i, variable))
+        lower = []  # (k, remainder of b_k) for each variable b_k
         for k in range(n):
             c, r = split([cs.b[k] for cs in sets])
             symbol = symbol + c * km[k]
             if r is not None:
-                self.drift.append((k, r))
-        c, self.V = split([cs.V for cs in sets])
+                lower.append((k, r))
+        c, V = split([cs.V for cs in sets])
         self.symbol = symbol + c
-        needed = {j for _, row in self.rows for j, _ in row}
-        needed |= {k for k, _ in self.drift}
-        self.kappa = [(j, km[j]) for j in sorted(needed)]
+        # the inverse stack: kappa_j u_hat for each needed j, then u_hat when
+        # V is variable; a sum is [(slot in that stack, remainder)]
+        needed = sorted({j for _, row in rows for j, _ in row} | {k for k, _ in lower})
+        kc = [k.astype(complex) for k in km]
+        self.kappa = [kc[j] for j in needed]
+        self.with_u = V is not None
+        slot = {j: m for m, j in enumerate(needed)}
+        lower = [(slot[k], r) for k, r in lower]
+        if V is not None:
+            lower.insert(0, (len(needed), V))
+        # the forward stack: (kappa_i, sum) for each variable row, then
+        # (None, sum) of the variable b_k and V
+        self.sums = [(kc[i], [(slot[j], r) for j, r in row]) for i, row in rows]
+        if lower:
+            self.sums.append((None, lower))
 
-    def remainder(self, uh: np.ndarray) -> np.ndarray:
-        """The variable part alone: (A + B + V) u minus the symbol term."""
-        n = self.n
-        du = {j: ifft(kj * uh, n) for j, kj in self.kappa}
-        out = np.zeros_like(uh)
-        for ki, row in self.rows:
-            out += ki * fft(sum(r * du[j] for j, r in row), n)
-        if self.drift or self.V is not None:
-            lower = 0.0 if self.V is None else self.V * ifft(uh, n)
-            for k, rk in self.drift:
-                lower = lower + rk * du[k]
-            out += fft(lower, n)
+    def workspace(self, shape: tuple) -> tuple:
+        """(inverse stack, forward stack, product): the buffers of
+        ``remainder`` for u_hat of the given shape."""
+        back = len(self.kappa) + self.with_u
+        return (np.empty((back,) + shape, complex),
+                np.empty((len(self.sums),) + shape, complex),
+                np.empty(shape, complex))
+
+    def remainder(self, uh: np.ndarray, out: np.ndarray, work: tuple) -> np.ndarray:
+        """Write the variable part alone, (A + B + V) u minus the symbol
+        term, to out, which may be uh; work is a ``workspace`` of uh's
+        shape.
+
+        Every product keeps the operand order of r * D_j u, kappa_i * F and
+        their sums left to right: a swapped complex product can round
+        differently.
+        """
+        back, ahead, prod = work
+        for du, kj in zip(back, self.kappa):
+            np.multiply(kj, uh, out=du)
+        if self.with_u:
+            back[-1] = uh
+        out[...] = 0.0  # uh is read no more
+        if not self.sums:
+            return out
+        ifft(back, self.n, out=back)
+        for acc, (_, ((m, r), *rest)) in zip(ahead, self.sums):
+            np.multiply(r, back[m], out=acc)
+            for m, r in rest:
+                acc += np.multiply(r, back[m], out=prod)
+        fft(ahead, self.n, out=ahead)
+        for (ki, _), f in zip(self.sums, ahead):
+            out += f if ki is None else np.multiply(ki, f, out=prod)
         return out
 
     def __call__(self, uh: np.ndarray) -> np.ndarray:
-        return self.symbol * uh + self.remainder(uh)
+        return self.symbol * uh + self.remainder(uh, np.empty_like(uh),
+                                                 self.workspace(uh.shape))
 
 
 def apply_spatial(cs: CoefficientSet, u: Field | np.ndarray) -> np.ndarray:
@@ -236,8 +291,9 @@ def apply_spatial(cs: CoefficientSet, u: Field | np.ndarray) -> np.ndarray:
     return ifft(_Operator([cs])(fft(vals[None], n)), n)[0]
 
 
-def _phi(z: np.ndarray, last: int = 3) -> list:
-    """[phi_1(z), ..., phi_last(z)], phi_k(z) = sum_m z^m / (m + k)!.
+def _phi(z: np.ndarray, ez: np.ndarray, last: int = 3) -> list:
+    """[phi_1(z), ..., phi_last(z)], phi_k(z) = sum_m z^m / (m + k)!, given
+    ez = e^z.
 
     Closed forms phi_k = (phi_{k-1} - 1/(k-1)!) / z, phi_0 = e^z, where
     |z| >= 0.2, so rounding grows by at most 1/|z|^3 = 125; a ten-term
@@ -246,7 +302,7 @@ def _phi(z: np.ndarray, last: int = 3) -> list:
     """
     small = np.abs(z) < 0.2
     w, zs = np.where(small, 1.0, z), z[small]
-    out, p = [], np.exp(w)
+    out, p = [], ez  # the closed form at the small entries is overwritten
     for k in range(1, last + 1):
         p = (p - 1.0 / math.factorial(k - 1)) / w
         series = np.zeros_like(zs)
@@ -264,32 +320,51 @@ class _Step:
 
     du/dt = c u + F(u) with c = i Lambda the mean symbol and
     F = i remainder u, autonomous; e^{ch}, e^{ch/2} and the phi-function
-    weights are built once per step length.
+    weights are built once per step length, and so are the buffers of the
+    stages, their right-hand sides and the operator's transforms, which
+    every step reuses.  Only the new state is a fresh array, so a state
+    that ``march`` yields outlives the next steps.
+
+    The stages are Kassam & Trefethen's expressions, E2 u + Q Fu and so on,
+    written into the buffers with their operand order: a complex product
+    with its operands swapped can round differently.
     """
 
     def __init__(self, op: _Operator, h: float):
         self.op, self.h = op, h
         z = 1j * h * op.symbol
         self.E, self.E2 = np.exp(z), np.exp(z / 2.0)
-        self.Q = h / 2.0 * _phi(z / 2.0, last=1)[0]
-        p1, p2, p3 = _phi(z)
+        self.Q = h / 2.0 * _phi(z / 2.0, self.E2, last=1)[0]
+        p1, p2, p3 = _phi(z, self.E)
         self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
         self.f2 = 2.0 * h * (p2 - 2.0 * p3)
         self.f3 = h * (4.0 * p3 - p2)
+        shape = op.symbol.shape
+        self.work = op.workspace(shape)
+        self.stages = np.empty((4,) + shape, complex)
 
-    def _F(self, v: np.ndarray) -> np.ndarray:
-        return 1j * self.op.remainder(v)
+    def _F(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = i remainder(v); out may be v."""
+        return np.multiply(1j, self.op.remainder(v, out, self.work), out=out)
 
     def __call__(self, uh: np.ndarray, t: float) -> np.ndarray:
         h, E2, Q = self.h, self.E2, self.Q
-        Fu = self._F(uh)
-        a = E2 * uh + Q * Fu
-        Fa = self._F(a)
-        b = E2 * uh + Q * Fa
-        Fb = self._F(b)
-        c = E2 * a + Q * (2.0 * Fb - Fu)
-        Fc = self._F(c)
-        new = self.E * uh + self.f1 * Fu + self.f2 * (Fa + Fb) + self.f3 * Fc
+        # a, then c, is built in the buffer of F(c), and b in that of F(b);
+        # products go to the operator's, which is free between its calls
+        Fu, Fa, Fb, Fc = self.stages
+        a, b, prod = Fc, Fb, self.work[2]
+        self._F(uh, Fu)
+        np.add(np.multiply(E2, uh, out=a), np.multiply(Q, Fu, out=prod), out=a)
+        self._F(a, Fa)
+        np.add(np.multiply(E2, uh, out=b), np.multiply(Q, Fa, out=prod), out=b)
+        self._F(b, Fb)
+        np.subtract(np.multiply(2.0, Fb, out=prod), Fu, out=prod)
+        c = np.add(np.multiply(E2, a, out=a), np.multiply(Q, prod, out=prod), out=a)
+        self._F(c, Fc)
+        new = self.E * uh
+        new += np.multiply(self.f1, Fu, out=prod)
+        new += np.multiply(self.f2, np.add(Fa, Fb, out=prod), out=prod)
+        new += np.multiply(self.f3, Fc, out=prod)
         # by Parseval the coefficient norms have the ratio of the value
         # norms; each member is checked against its own norm
         for p, (u0, u1) in enumerate(zip(uh, new)):

@@ -158,25 +158,27 @@ def make_grid(n: int, M: int, L: float) -> GridSpec:
     return GridSpec(n, M, L)
 
 
-def fft(values: np.ndarray, n: int) -> np.ndarray:
+def fft(values: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Raw discrete Fourier coefficients of grid values over their trailing
     n axes: no 1/size, no phase.  Leading axes are a stack of fields, each
-    transformed as it would be alone.
+    transformed as it would be alone.  Given ``out``, a complex array of
+    values' shape, the coefficients are written there; it may be values
+    itself.
 
     ``ifft`` inverts it exactly.  ``forward`` and ``inverse`` are these two
     with the normalisation and the phase of the e^{i kappa x} basis applied.
     """
     # the same numbers as fftn, which also takes the last axis first, without
-    # its per-call set-up
-    out = np.fft.fft(values)
-    return out if n == 1 else np.fft.fft(out, axis=-2)
+    # its per-call set-up; the second axis is transformed in place
+    out = np.fft.fft(values, out=out)
+    return out if n == 1 else np.fft.fft(out, axis=-2, out=out)
 
 
-def ifft(coeffs: np.ndarray, n: int) -> np.ndarray:
+def ifft(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Grid values of raw coefficients over their trailing n axes, the
-    inverse of :func:`fft`."""
-    out = np.fft.ifft(coeffs)
-    return out if n == 1 else np.fft.ifft(out, axis=-2)
+    inverse of :func:`fft`, written to ``out`` as in :func:`fft`."""
+    out = np.fft.ifft(coeffs, out=out)
+    return out if n == 1 else np.fft.ifft(out, axis=-2, out=out)
 
 
 def forward(u: Field | np.ndarray, spec: GridSpec | None = None) -> np.ndarray:

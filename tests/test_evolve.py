@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -235,13 +237,17 @@ def _apply_spatial_per_axis(cs, vals):
 
 
 def _counting(monkeypatch, module, names):
-    calls = {"n": 0}
+    """Count the transforms of `names`, grid.fft and grid.ifft as bound in
+    module: calls["n"] is the number of fields transformed, the product of
+    the leading axes, and calls[name] the number of calls."""
+    calls = {"n": 0, **dict.fromkeys(names, 0)}
     for name in names:
         fn = getattr(module, name)
 
-        def counted(*args, _fn=fn, **kwargs):
-            calls["n"] += 1
-            return _fn(*args, **kwargs)
+        def counted(values, n, *args, _fn=fn, _name=name, **kwargs):
+            calls["n"] += int(np.prod(values.shape[:values.ndim - n]))
+            calls[_name] += 1
+            return _fn(values, n, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     return calls
@@ -399,15 +405,16 @@ class TestPhi:
     # on the imaginary axis where the mean symbol puts it and off it
     Z = np.concatenate([1j * np.linspace(-3.0, 3.0, 601),
                         np.linspace(-2.0, 0.5, 51) + 0.1j])
+    EZ = np.exp(Z)
 
     def test_against_expm(self):
-        for got, want in zip(evolve._phi(self.Z), _phi_table(self.Z)[1:]):
+        for got, want in zip(evolve._phi(self.Z, self.EZ), _phi_table(self.Z)[1:]):
             assert np.max(np.abs(got - want) / np.abs(want)) < 2e-13
 
     def test_phi_1_alone_is_the_first_of_three(self):
-        assert np.array_equal(evolve._phi(self.Z, last=1)[0],
-                              evolve._phi(self.Z)[0])
-        assert len(evolve._phi(self.Z, last=1)) == 1
+        assert np.array_equal(evolve._phi(self.Z, self.EZ, last=1)[0],
+                              evolve._phi(self.Z, self.EZ)[0])
+        assert len(evolve._phi(self.Z, self.EZ, last=1)) == 1
 
 
 def _physical_rk4(prob, steps):
@@ -542,6 +549,8 @@ class TestCoefficientMarch:
         calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
         op(uh)
         assert calls["n"] == ffts
+        # the fields of each way go as one stack
+        assert calls["fft"] <= 1 and calls["ifft"] <= 1
 
     def test_solve_transforms_no_step_to_the_grid(self, monkeypatch):
         spec = make_grid(1, 32, np.pi)
@@ -853,3 +862,175 @@ class TestSupDifferences:
         with pytest.raises(EvolveError):
             sup_differences(ref, [EvolutionProblem(others[0].cs, others[0].u0,
                                                    T=0.2)], 0.0)
+
+
+def _fresh_fft(values, n):
+    """``grid.fft`` with a fresh array for each axis, not ``out=``."""
+    out = np.fft.fft(values)
+    return out if n == 1 else np.fft.fft(out, axis=-2)
+
+
+def _fresh_ifft(coeffs, n):
+    out = np.fft.ifft(coeffs)
+    return out if n == 1 else np.fft.ifft(out, axis=-2)
+
+
+class _ExpressionOperator:
+    """``_Operator`` in expression form, a fresh array for every product
+    and one transform for each field: the reference for the bits of the
+    buffered one."""
+
+    def __init__(self, sets):
+        spec, n = sets[0].spec, sets[0].n
+        self.n, km = n, spec.kappa_mesh()
+
+        def split(arrs):
+            parts = [evolve._split(arr) for arr in arrs]
+            means = np.reshape([c for c, _ in parts], (len(parts),) + (1,) * n)
+            if all(r is None for _, r in parts):
+                return means, None
+            return means, np.stack([np.zeros(spec.shape) if r is None else r
+                                    for _, r in parts])
+
+        symbol = np.zeros((len(sets),) + spec.shape)
+        self.rows = []
+        for i in range(n):
+            variable = []
+            for j in range(n):
+                c, r = split([cs.a[i][j] for cs in sets])
+                symbol = symbol + c * km[i] * km[j]
+                if r is not None:
+                    variable.append((j, r))
+            if variable:
+                self.rows.append((km[i], variable))
+        self.drift = []
+        for k in range(n):
+            c, r = split([cs.b[k] for cs in sets])
+            symbol = symbol + c * km[k]
+            if r is not None:
+                self.drift.append((k, r))
+        c, self.V = split([cs.V for cs in sets])
+        self.symbol = symbol + c
+        needed = {j for _, row in self.rows for j, _ in row}
+        needed |= {k for k, _ in self.drift}
+        self.kappa = [(j, km[j]) for j in sorted(needed)]
+
+    def remainder(self, uh):
+        n = self.n
+        du = {j: _fresh_ifft(kj * uh, n) for j, kj in self.kappa}
+        out = np.zeros_like(uh)
+        for ki, row in self.rows:
+            out += ki * _fresh_fft(sum(r * du[j] for j, r in row), n)
+        if self.drift or self.V is not None:
+            lower = 0.0 if self.V is None else self.V * _fresh_ifft(uh, n)
+            for k, rk in self.drift:
+                lower = lower + rk * du[k]
+            out += _fresh_fft(lower, n)
+        return out
+
+
+def _expression_phi(z, last=3):
+    """``evolve._phi`` with its own e^z."""
+    small = np.abs(z) < 0.2
+    w, zs = np.where(small, 1.0, z), z[small]
+    out, p = [], np.exp(w)
+    for k in range(1, last + 1):
+        p = (p - 1.0 / math.factorial(k - 1)) / w
+        series = np.zeros_like(zs)
+        for m in range(9, -1, -1):
+            series = series * zs + 1.0 / math.factorial(m + k)
+        phi = p.copy()
+        phi[small] = series
+        out.append(phi)
+    return out
+
+
+class _ExpressionStep:
+    """``_Step`` in expression form, with four exponentials for its tables."""
+
+    def __init__(self, op, h):
+        self.op = op
+        z = 1j * h * op.symbol
+        self.E, self.E2 = np.exp(z), np.exp(z / 2.0)
+        self.Q = h / 2.0 * _expression_phi(z / 2.0, last=1)[0]
+        p1, p2, p3 = _expression_phi(z)
+        self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
+        self.f2 = 2.0 * h * (p2 - 2.0 * p3)
+        self.f3 = h * (4.0 * p3 - p2)
+
+    def _F(self, v):
+        return 1j * self.op.remainder(v)
+
+    def __call__(self, uh):
+        E2, Q = self.E2, self.Q
+        Fu = self._F(uh)
+        a = E2 * uh + Q * Fu
+        Fa = self._F(a)
+        b = E2 * uh + Q * Fa
+        Fb = self._F(b)
+        c = E2 * a + Q * (2.0 * Fb - Fu)
+        Fc = self._F(c)
+        return self.E * uh + self.f1 * Fu + self.f2 * (Fa + Fb) + self.f3 * Fc
+
+
+def _every_entry_variable():
+    """A 2D ultra-diagonal problem perturbed by bumps, so that every a_ij,
+    b_k and V varies on the grid."""
+    _, (prob,) = _perturbed_pair(make_grid(2, 16, 8.0), "ultra-diagonal")
+    cs = prob.cs
+    assert all(evolve._constant(arr) is None
+               for arr in [*cs.a[0], *cs.a[1], *cs.b, cs.V])
+    return [prob]
+
+
+def _preset_problem(name, n):
+    spec = make_grid(n, 64 if n == 1 else 16, 8.0)
+    return [EvolutionProblem(preset_set(name, spec), random_field(spec, seed=50), T=0.1)]
+
+
+BUFFER_CASES = {f"{name}-{n}d": partial(_preset_problem, name, n)
+                for name, n in SPECTRAL_CASES}
+BUFFER_CASES["stack-of-3-2d"] = partial(_stack_case, "ultra-diagonal-2d")
+BUFFER_CASES["every-entry-variable-2d"] = _every_entry_variable
+
+
+class TestBufferedStep:
+    """The march writes every stage, product and transform into buffers
+    built once per march; it gives the bits of the expression form."""
+
+    @pytest.mark.parametrize("case", sorted(BUFFER_CASES))
+    def test_remainder_matches_expression_form(self, case):
+        probs = BUFFER_CASES[case]()
+        sets = [p.cs for p in probs]
+        op, ref = _Operator(sets), _ExpressionOperator(sets)
+        uh = _fresh_fft(np.stack([p.u0.values for p in probs]), sets[0].n)
+        want = ref.remainder(uh)
+        work = op.workspace(uh.shape)
+        assert np.array_equal(op.remainder(uh, np.empty_like(uh), work), want)
+        assert np.array_equal(op(uh), ref.symbol * uh + want)
+        # the output may be the input
+        assert np.array_equal(op.remainder(uh.copy(), uh, work), want)
+
+    @pytest.mark.parametrize("case", sorted(BUFFER_CASES))
+    def test_march_matches_expression_form(self, case):
+        probs = BUFFER_CASES[case]()
+        steps = 6
+        step = _ExpressionStep(_ExpressionOperator([p.cs for p in probs]),
+                               probs[0].T / steps)
+        want = _fresh_fft(np.stack([p.u0.values for p in probs]), probs[0].cs.n)
+        levels = 0
+        for _, uh in march(probs, steps):
+            assert np.array_equal(uh, want), levels
+            want, levels = step(want), levels + 1
+        assert levels == steps + 1
+
+    def test_a_yielded_state_outlives_the_next_steps(self):
+        # solve_stack and sup_differences keep the last level a march yields
+        probs = BUFFER_CASES["every-entry-variable-2d"]()
+        levels = march(probs, 4)
+        _, first = next(levels)
+        _, second = next(levels)
+        kept = first.copy(), second.copy()
+        for _ in levels:
+            pass
+        assert np.array_equal(first, kept[0]) and np.array_equal(second, kept[1])
