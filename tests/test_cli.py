@@ -698,14 +698,20 @@ def test_doi_check_holds_no_ladder_of_symbols(tmp_path):
     assert peak <= 4 * 8 * cli._grid(cfg).size**2
 
 
-def test_import_loads_no_scipy(tmp_path):
+def test_import_loads_no_scipy_and_no_numpy_ma(tmp_path):
     # scipy.linalg doubles the resident set; only the dense oracle, which
-    # the tests alone call, may import it.  Each benchmark workload is run
-    # after the import, in the same interpreter.
+    # the tests alone call, may import it.  numpy.ma costs about 20 ms to
+    # import, and np.median imports it on its first call.  Each benchmark
+    # workload, and a 1D delta-potential hypothesis check, whose V reaches
+    # the median of the exponent fit, is run after the import, in the same
+    # interpreter.
     src = Path(vwslab.__file__).resolve().parents[1]
     workloads = sorted((Path(__file__).resolve().parents[1] / "perfbench"
                         / "workloads").glob("*.json"))
     assert workloads
+    hypotheses = tmp_path / "hypotheses.json"
+    hypotheses.write_text(json.dumps({"model": {"preset": "delta-potential"},
+                                      "experiment": {"kind": "validate-hypotheses"}}))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -713,8 +719,9 @@ def test_import_loads_no_scipy(tmp_path):
             "for i, path in enumerate(sys.argv[1:]):\n"
             "    cfg = cli.parse_config(pathlib.Path(path).read_text())\n"
             "    assert cli.run(cfg, out_dir=str(i)) == 0, path\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code, *map(str, workloads)],
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m.split('.')[:2] == ['numpy', 'ma']))")
+    out = subprocess.run([sys.executable, "-c", code, *map(str, workloads), str(hypotheses)],
                          env=env, cwd=tmp_path, check=True, capture_output=True,
                          text=True).stdout
     assert out.splitlines()[-1] == "[]"

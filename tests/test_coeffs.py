@@ -290,6 +290,29 @@ class TestExponentShift:
         assert len(count) == calls
 
 
+class TestMedian:
+    """coeffs._median is np.median, bit for bit, without numpy.ma."""
+
+    @pytest.mark.parametrize("values", [
+        [0.3], [2.1, -0.4], [0.1, 0.7, 0.2], [1.0000000000000002, 3.3, -1.7, 0.1],
+        [0.1, 0.2, 0.3, 0.4, 0.5], [-0.0, 0.0], [5.0, 5.0, 5.0, 5.0, 5.0, 5.0]])
+    def test_equals_np_median(self, values):
+        assert coeffs._median(values) == float(np.median(values))
+
+    def test_equals_np_median_on_random_lists(self):
+        rng = np.random.default_rng(0)
+        for size in range(1, 7):
+            for values in rng.normal(0.0, 3.0, (200, size)):
+                assert coeffs._median(list(values)) == float(np.median(values))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values", [
+        [np.nan], [0.5, np.nan], [np.nan, 0.5, 1.0], [0.2, 0.1, 0.4, np.nan]])
+    def test_nan_gives_nan(self, values):
+        assert np.isnan(coeffs._median(values))
+        assert np.isnan(np.median(values))
+
+
 def test_da_is_the_spectral_derivative_of_a(grid_2d, loglog):
     cs = regularise(preset("ultra-diagonal"), 2**-4, loglog, grid_2d)
     assert_da_is_the_derivative_of_a(cs)
