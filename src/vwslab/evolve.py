@@ -19,12 +19,13 @@ Lambda = sum mean(a_ij) kappa_i kappa_j + sum mean(b_k) kappa_k + mean(V),
 and only the remainders go through transforms.  ``apply_spatial`` is the
 whole operator between one forward and one inverse transform.
 
-Which marches are stacked: ``vwsnet.march_ladder`` marches the members of
-a ``net`` or ``solve`` ladder after its probe as one stack for each step
-count among them, the probe member too when the probe keeps no result of
-it, so on net-1d-delta (1D, M=256) all five members share every transform
-and array pass of one 16-level march (348 numpy FFT calls per run: its
-only remainder is V, one field each way per right-hand side).
+Which marches are stacked: after its probe, ``vwsnet.march_ladder`` gives
+the built members of every ladder to one answer call for each step count
+among them, the probe member too when the probe keeps no result of it.
+A ``net`` or ``solve`` ladder marches each call's members as one stack, so
+on net-1d-delta (1D, M=256) all five members share every transform and
+array pass of one 16-level march (348 numpy FFT calls per run: its only
+remainder is V, one field each way per right-hand side).
 ``sup_differences`` marches each problem as its own stack of one, in
 lockstep, so uniqueness pairs and the consistency ladder are not stacked: a
 stack pays for the union of its members' variable coefficients (the base

@@ -1,9 +1,11 @@
 """Epsilon-net orchestration: moderateness, negligibility/uniqueness, and
 classical-consistency verdicts for the regularised Cauchy problems.
 
-``ladder`` builds the members of a net, and ``march_ladder``, the ladder
-driver of every pipeline, marches them, giving each member's result and
-march health keyed by eps, in ladder order.
+``ladder`` builds the members of a net, each pipeline builds every
+member's problems from them, and ``march_ladder``, the ladder driver of
+every pipeline, marches them: the smallest eps is probed, then the others
+go to one answer call for each step count, giving each member's result
+and march health keyed by eps, in ladder order.
 
 Each ladder without a given dt chooses its level count once, in
 ``probe_levels``: its smallest eps marches at 2c steps and at c, c = 4 =
@@ -29,6 +31,7 @@ level times, and with delta data four intervals miss them by 16%.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -226,59 +229,42 @@ def _solve_answer(record_states: bool):
     return answer
 
 
-def march_ladder(ladder_eps: list, build, answer, params: NetParams,
-                 stack: bool = False) -> tuple:
-    """(results, health), each a dict keyed by the eps of a ladder in its
-    order, at the level count that ``probe_levels`` chooses on the last,
-    smallest eps, which is built and probed first; with ``params.dt`` set
-    nothing is probed, and every member marches at that dt.  ``build(eps)``
-    gives a member's problems and ``answer`` is that of ``probe_levels``.
-    When the probe keeps no result of its member, that member marches
-    first of the others.  With ``stack`` the marched members go to
-    ``answer`` together, one call for each step count among them, so all
-    of them are built before the first is marched; else one by one, each
-    built when it is marched.  Uniqueness goes one by one: its pairs hold
-    no common problem to share a march, and building all of them first
-    cost 1.1 MB more peak RSS on uniq-2d-ultra (39.2 against 38.1 MB),
-    though run_s fell from 0.089-0.092 s to 0.083-0.086 s."""
-    *rest, last = ladder_eps
-    results, health = dict.fromkeys(ladder_eps), dict.fromkeys(ladder_eps)
-    probs = build(last)
+def march_ladder(members: dict, answer, params: NetParams) -> tuple:
+    """(results, health), each a dict keyed by the eps of ``members``, a
+    ladder's eps -> that member's problems, all built, in ladder order.
+    ``answer`` is that of ``probe_levels``, which chooses the level count
+    on the last, smallest eps; with ``params.dt`` set nothing is probed,
+    and every member marches at that dt.  The members left to march go to
+    ``answer`` in one call for each step count among them, the probe
+    member first of its count when the probe keeps no result of it.
+    Holding every member from the start costs uniq-2d-ultra 1.3 MB of
+    peak RSS against building each pair when it was marched (39.44
+    against 38.15 MB), for a run_s no better (0.089 against 0.088 s, the
+    medians of 10 alternating pairs)."""
+    *rest, last = members
+    results, health = dict.fromkeys(members), dict.fromkeys(members)
     probe, kept = ((LevelProbe(None, None, None), None) if params.dt is not None
-                   else probe_levels(last, probs, answer))
-    groups = {}  # step count -> {eps: problems}
-
-    def record(members, steps):
-        for eps, (result, _) in zip(members, answer(members, steps)):
-            results[eps], health[eps] = result, probe.health(params.T, steps)
-
-    def enqueue(eps, probs):
-        steps = shared_steps(probs, probe.levels)
-        if stack:
-            groups.setdefault(steps, {})[eps] = probs
-        else:
-            record({eps: probs}, steps)
-
+                   else probe_levels(last, members[last], answer))
     if kept is None:
-        enqueue(last, probs)
+        rest.insert(0, last)
     else:
         steps, results[last] = kept
         health[last] = probe.health(params.T, steps)
-    del probs  # done with, unless a stack holds them
+    groups = {}  # step count -> {eps: problems}
     for eps in rest:
-        enqueue(eps, build(eps))
-    for steps, members in groups.items():
-        record(members, steps)
+        groups.setdefault(shared_steps(members[eps], probe.levels), {})[eps] = members[eps]
+    for steps, group in groups.items():
+        for eps, (result, _) in zip(group, answer(group, steps)):
+            results[eps], health[eps] = result, probe.health(params.T, steps)
     return results, health
 
 
 def solve_ladder(members: dict, params: NetParams, record_states: bool = False) -> tuple:
     """``march_ladder`` over the members of ``ladder``, one problem each,
     stacked: (SolveResults, health) keyed by eps."""
-    def build(eps):
-        return [problem(members[eps]["cs"], members[eps]["u0"], params)]
-    return march_ladder(list(members), build, _solve_answer(record_states), params,
-                        stack=True)
+    return march_ladder({eps: [problem(m["cs"], m["u0"], params)]
+                         for eps, m in members.items()},
+                        _solve_answer(record_states), params)
 
 
 def run_net(model: CoefficientModel, u0: Field, params: NetParams) -> tuple:
@@ -343,24 +329,24 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
     spec = params.spec
     bumps = _bumps(spec, model.N)
     members = ladder(model, params, u0)
+    perturbed = {eps: _perturbed_set(m["cs"], eps, q, bumps)
+                 for eps, m in members.items()}
     # shrink eps_0: drop the eps whose perturbation breaks (H2), leaving
     # a(x) singular or of another inertia at some node (a singular base
     # fails the validation below)
     dropped = [eps for eps, m in members.items()
-               if np.any(_perturbed_set(m["cs"], eps, q, bumps).inertia()
-                         != m["cs"].inertia())]
+               if np.any(perturbed[eps].inertia() != m["cs"].inertia())]
     used = [float(eps) for eps in members if eps not in dropped]
     if len(used) < 4:
         raise NetError(f"fewer than 4 usable epsilons (dropped {dropped})")
     _require_valid(model, members)
-
-    def pair(eps):
+    pairs = {}
+    for eps in used:
         m = members[eps]
         du = Field(spec, m["u0"].values + eps**q * bumps["u0"])
-        return [problem(m["cs"], m["u0"], params),
-                problem(_perturbed_set(m["cs"], eps, q, bumps), du, params)]
-
-    values, health = march_ladder(used, pair, _difference_answer(s), params)
+        pairs[eps] = [problem(m["cs"], m["u0"], params),
+                      problem(perturbed[eps], du, params)]
+    values, health = march_ladder(pairs, _difference_answer(s), params)
     slope, resid = fit_slope(used, list(values.values()))
     return FitReport(slope, resid, bool(slope >= q - 0.5), q - 0.5, values,
                      extra={"dropped_eps": dropped, "health": health})
@@ -369,16 +355,17 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
 def _difference_answer(s: float):
     """``probe_levels``'s answer for members of two problems each, a
     reference and the one compared with it: sup_t ||u - u_ref||_s, both
-    u(T), and that difference.  The members of one call hold the same
-    reference problem, which marches once, in one ``sup_differences``
-    lockstep with every member's compared problem."""
+    u(T), and that difference, in member order.  Each run of consecutive
+    members that hold the same reference problem marches it once, in one
+    ``sup_differences`` lockstep with every compared problem of the run."""
     def answer(members, steps):
-        pairs = list(members.values())
-        ref = pairs[0][0]
-        if any(r is not ref for r, _ in pairs):
-            raise NetError("members marched in one lockstep must hold one reference problem")
-        diffs, (final_ref, *finals) = sup_differences(ref, [p for _, p in pairs], s, steps)
-        return [(d, [final_ref, f, d]) for d, f in zip(diffs, finals)]
+        out = []
+        for _, run in groupby(members.values(), key=lambda pair: id(pair[0])):
+            run = list(run)
+            diffs, (final_ref, *finals) = sup_differences(
+                run[0][0], [p for _, p in run], s, steps)
+            out += [(d, [final_ref, f, d]) for d, f in zip(diffs, finals)]
+        return out
     return answer
 
 
@@ -394,9 +381,9 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams) -> Fi
 
     Each member is the pair (classical problem, its mollified problem),
     with the one classical problem in every pair, marched by
-    ``march_ladder`` as a stack: after the probe, one ``sup_differences``
-    lockstep for each step count takes the classical problem and every
-    member of that count to T."""
+    ``march_ladder``: after the probe, one ``sup_differences`` lockstep for
+    each step count takes the classical problem and every member of that
+    count to T."""
     if params.data_mollifier.kind == "gaussian":
         raise NetError("consistency requires a vanishing-moment data mollifier")
     if len(params.eps_ladder) < 4:
@@ -404,9 +391,7 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams) -> Fi
     classical = problem(sample(model, params.spec), u0, params)
     pairs = {float(eps): [classical, problem(m["cs"], m["u0"], params)]
              for eps, m in ladder(model, params, u0).items()}
-    values, health = march_ladder(list(pairs), pairs.get,
-                                  _difference_answer(params.s_list[0]), params,
-                                  stack=True)
+    values, health = march_ladder(pairs, _difference_answer(params.s_list[0]), params)
     errors = np.array(list(values.values()))
     decreasing = bool(np.all(np.diff(errors) < 0.0))
     final_ok = bool(errors[-1] < FINAL_ERROR)

@@ -326,15 +326,32 @@ class TestDifferenceAnswer:
                     regularise(model, eps, ScaleFn("power", k=1.0), spec), u0, T=0.1)]
                 for eps in (0.25, 0.125)}
 
-    def test_members_with_different_references_raise(self, monkeypatch, spec):
+    def test_each_run_of_one_reference_is_one_lockstep(self, monkeypatch, spec):
+        # references A, A and B: a lockstep of A and two compared problems,
+        # then one of B and the third
         pairs = self.pairs(spec)
         ref = pairs[0.125][0]
-        # an equal problem, but not the one the other member holds
-        pairs[0.125][0] = EvolutionProblem(ref.cs, ref.u0, T=ref.T)
+        # an equal problem, but not the one the other members hold
+        pairs[0.0625] = [EvolutionProblem(ref.cs, ref.u0, T=ref.T), EvolutionProblem(
+            regularise(preset("smooth-consistency", n=1), 0.0625,
+                       ScaleFn("power", k=1.0), spec), ref.u0, T=ref.T)]
+        answer = vwsnet._difference_answer(1.0)
+        locksteps, real = [], vwsnet.sup_differences
+        monkeypatch.setattr(vwsnet, "sup_differences",
+                            lambda ref, others, *a: locksteps.append(1 + len(others))
+                            or real(ref, others, *a))
         marches = record_marches(monkeypatch)
-        with pytest.raises(NetError, match="one reference problem"):
-            vwsnet._difference_answer(0.0)(pairs, 4)
-        assert marches == []
+        got = answer(pairs, 4)
+        assert locksteps == [3, 2]
+        assert len(marches) == 5
+        assert len(got) == len(pairs)
+        for (diff, compared), pair in zip(got, pairs.values()):
+            (want_diff, want_compared), = answer({0.5: pair}, 4)
+            assert diff == want_diff
+            for a, b in zip(compared, want_compared):
+                assert np.array_equal(a, b)
+        # the three differ, so matching each pair alone checks member order
+        assert len({d for d, _ in got}) == 3
 
     def test_shared_reference_answers_each_pair_alone(self, monkeypatch, spec):
         pairs = self.pairs(spec)
@@ -412,11 +429,12 @@ class TestComparedProblemsStep:
         health = fit.extra["health"]
         probe = health[min(health)]
         assert probe["probe_gap"] is not None
-        # the probe's problems at 2c and at c steps; then the uniqueness
-        # pairs one by one, the probe's first as it keeps no result, or the
-        # classical problem with the four other consistency members at once
+        # the probe's problems at 2c and at c steps; then for each step
+        # count the uniqueness pairs of that count, each its own lockstep,
+        # the probe's first as it keeps no result, or the classical problem
+        # with the four other consistency members at once
         (levels, sizes, counts, steps), = [{
-            "uniqueness": (LEVELS, [2] * 7, [8, 4, 16, 17, 16, 16, 16],
+            "uniqueness": (LEVELS, [2] * 7, [8, 4, 16, 16, 16, 16, 17],
                            [17, 16, 16, 16, 16]),
             "consistency": (COARSE, [2, 2, group - 1], [14, 7, 7],
                             [7, 7, 7, 7, 14]),
@@ -468,8 +486,8 @@ class TestComparedProblemsStep:
         assert levels == (COARSE if gap <= TOL else LEVELS)
         kept = levels == COARSE
         if kind == "uniqueness":
-            # each pair is built when it is marched, the probe's first
-            probe, *rest = [limits[k:k + group] for k in range(0, len(limits), group)]
+            # every pair is built before the probe, in ladder order
+            *rest, probe = [limits[k:k + group] for k in range(0, len(limits), group)]
             if not kept:
                 rest = [probe] + rest
         else:
@@ -673,6 +691,68 @@ class TestLevelProbe:
         assert got.values.keys() == conv.values.keys()
         for eps, want in conv.values.items():
             assert got.values[eps] == pytest.approx(want, rel=2e-3), eps
+
+
+class TestMarchLadder:
+    """``march_ladder`` probes the last member, then calls its answer once
+    for each step count among the members marched, a rejected probe member
+    first of its count."""
+
+    #: eps -> {levels: that member's step count}; None is a given dt
+    COUNTS = {0.5: {COARSE: 4, LEVELS: 16, None: 10},
+              0.25: {COARSE: 5, LEVELS: 20, None: 10},
+              0.125: {COARSE: 4, LEVELS: 16, None: 10},
+              0.0625: {COARSE: 4, LEVELS: 16, None: 10}}
+
+    @pytest.fixture
+    def ladder_run(self, monkeypatch, spec):
+        """march_ladder over members whose step counts are COUNTS, with an
+        answer whose u(T) moves by `gap` relative at the COARSE count;
+        returns (results, health, [(eps marched, steps)] per call)."""
+        monkeypatch.setattr(vwsnet, "shared_steps",
+                            lambda probs, levels=None: probs[0][levels])
+
+        def run(gap, dt=None):
+            calls = []
+
+            def answer(members, steps):
+                calls.append((list(members), steps))
+                final = np.array([3.0, 4.0]) * (1.0 + (gap if steps == COARSE else 0.0))
+                return [(f"{eps}@{steps}", [final]) for eps in members]
+
+            params = NetParams(spec=spec, eps_ladder=tuple(self.COUNTS), T=1.0, dt=dt)
+            members = {eps: [counts] for eps, counts in self.COUNTS.items()}
+            return (*vwsnet.march_ladder(members, answer, params), calls)
+        return run
+
+    def test_rejected_probe_member_goes_first_of_its_count(self, ladder_run):
+        results, health, calls = ladder_run(2.0 * TOL)
+        assert calls == [([0.0625], 2 * COARSE), ([0.0625], COARSE),
+                         ([0.0625, 0.5, 0.125], 16), ([0.25], 20)]
+        assert list(results) == list(health) == list(self.COUNTS)
+        assert results == {eps: f"{eps}@{c[LEVELS]}" for eps, c in self.COUNTS.items()}
+        assert [(h["levels"], h["steps"]) for h in health.values()] == [
+            (LEVELS, 16), (LEVELS, 20), (LEVELS, 16), (LEVELS, 16)]
+        assert {h["probe_eps"] for h in health.values()} == {0.0625}
+
+    def test_kept_probe_result_is_not_marched_again(self, ladder_run):
+        results, health, calls = ladder_run(0.0)
+        assert calls == [([0.0625], 2 * COARSE), ([0.0625], COARSE),
+                         ([0.5, 0.125], 4), ([0.25], 5)]
+        assert list(results) == list(health) == list(self.COUNTS)
+        assert results == {0.5: "0.5@4", 0.25: "0.25@5", 0.125: "0.125@4",
+                           0.0625: f"0.0625@{2 * COARSE}"}
+        assert [(h["levels"], h["steps"]) for h in health.values()] == [
+            (COARSE, 4), (COARSE, 5), (COARSE, 4), (COARSE, 2 * COARSE)]
+
+    def test_no_probe_with_a_given_dt(self, ladder_run):
+        # one call, the smallest eps first, as a probe member without a
+        # kept result
+        results, health, calls = ladder_run(0.0, dt=0.1)
+        assert calls == [([0.0625, 0.5, 0.25, 0.125], 10)]
+        assert list(results) == list(health) == list(self.COUNTS)
+        assert all(h == {"dt": 0.1, "steps": 10, "levels": None, "probe_eps": None,
+                         "probe_gap": None} for h in health.values())
 
 
 class TestSolveLadderStack:
