@@ -19,11 +19,14 @@ With exact gradients every quantity the escape and Doi checks read is
 pointwise in x, and so is q, so both run over blocks of x-points, each of
 about _BLOCK (x, xi) points.  ``calibrate_K`` evaluates q's values block by
 block and keeps each block's sup of |q|/<x>; ``check_member`` evaluates q
-and its gradients, a2's gradients, d and both brackets block by block and
-keeps each block's minima.  So no array of the full (x, xi) size is made
-for a ladder member.  ``check_escape`` and ``check_doi`` are the reference:
-the same minima over the whole grid, of ``poisson_bracket``s of symbols
-already built by ``build_q``, ``build_d`` and ``assemble_a2``.
+and its gradients, a2's gradients, d's gradients and both brackets block by
+block and keeps each block's minima.  So no array of the full (x, xi) size
+is made for a ladder member.  d's gradients read the smooth step's and f's
+tables only on the band of q/<x> where the step varies, and lam only where
+|q| > 10 K; ``build_d`` reads them at every point, to the same bits.
+``check_escape`` and ``check_doi`` are the reference: the same minima over
+the whole grid, of ``poisson_bracket``s of symbols already built by
+``build_q``, ``build_d`` and ``assemble_a2``.
 """
 
 from __future__ import annotations
@@ -290,6 +293,17 @@ def _q_rows(spec: GridSpec, sets: list, rows, mu: float,
 # the monotone function f and the smooth step
 
 
+def _edge(pred, x: float) -> float:
+    """The least double at which pred holds, for pred false and then true
+    along the doubles, walked to from x, which lies a few doubles away."""
+    x = float(x)
+    while pred(x):
+        x = float(np.nextafter(x, -np.inf))
+    while not pred(x):
+        x = float(np.nextafter(x, np.inf))
+    return x
+
+
 class _UniformTable:
     """Piecewise-linear interpolant of ys on the nodes x0 + k h, held at
     ys[0] left of them and at ys[-1] right of them.
@@ -342,6 +356,8 @@ class FTable:
         self.t_max = float(self.ts[-1])
         self.table = cumulative_trapezoid(self.ts, self.lam(self.ts / K - 10.0))
         self._lookup = _UniformTable(0.0, float(self.ts[1]), self.table)
+        #: f'(t) is exactly 1 for t < t_far, where t / K - 10 <= 0
+        self.t_far = _edge(lambda t: self._excess(t) > 0.0, 10.0 * K)
 
     def lam(self, t: np.ndarray) -> np.ndarray:
         # for t < 0 the clamp gives 1^{-N/2} = 1 exactly; the clamped copy
@@ -357,9 +373,12 @@ class FTable:
 
     def derivative(self, t):
         """Exact integrand lambda(K^{-1} t - 10); f' on the table."""
+        return self.lam(self._excess(t))
+
+    def _excess(self, t):
         s = np.divide(t, self.K)
         s -= 10.0
-        return self.lam(s)
+        return s
 
 
 class SmoothStep:
@@ -399,6 +418,19 @@ _STEP = SmoothStep()
 
 #: width of the cutoffs psi+- and phi0 in the order-zero symbol d
 DELTA = 0.1
+
+
+def _step_node(abs_r: float) -> tuple:
+    """locate's (j, s) for the step of |r| / DELTA, as build_d places it."""
+    j, s = _STEP._cdf.locate(np.divide(abs_r, DELTA))
+    return int(j), float(s)
+
+
+# The step of |r| / DELTA and its derivative are the tables' first entries,
+# 0 and 0, for |r| < _R_IN, where locate puts |r| / DELTA on the first node,
+# and their last, 1 and 0, for |r| >= _R_TOP, on the last node
+_R_IN = _edge(lambda a: _step_node(a) != (0, 0.0), DELTA)
+_R_TOP = _edge(lambda a: _step_node(a)[0] == len(_STEP.cdf) - 1, 2.0 * DELTA)
 
 
 def _sup_ratio(values: np.ndarray, bracket: np.ndarray) -> float:
@@ -461,31 +493,24 @@ def _check_calibration(sup_ratio: float, f: FTable, member: str = "") -> None:
 def build_d(q: SymbolGrid, f: FTable) -> SymbolGrid:
     """Order-zero symbol (q/<x>) phi0 + (f(|q|) + 2 DELTA)(psi+ - psi-).
 
-    d carries an x- or xi-gradient when q carries one.
-    """
-    _check_calibration(_sup_over_x(q), f)
-    # _d_rows writes d's gradients over the ones it is given
-    copies = [None if g is None else [a.copy() for a in g]
-              for g in (q.grad_x, q.grad_xi)]
-    return SymbolGrid(q.spec, *_d_rows(q.spec, slice(None), q.values, f, *copies))
-
-
-def _d_rows(spec: GridSpec, rows, q: np.ndarray, f: FTable,
-            grad_x: list | None = None, grad_xi: list | None = None) -> tuple:
-    """(d, d's x-gradient, d's xi-gradient) on the x-points `rows`, from q
-    and whichever of its gradients are given there, each written over the
-    gradient of q it comes from; a gradient of q not given gives None.
+    d carries an x- or xi-gradient when q carries one.  This is the
+    reference form, with every table read at every point; check_member
+    takes d's gradients from ``_d_rows`` to the bit.
 
     psi+ and psi- have the disjoint supports r > DELTA and r < -DELTA, with
     r = q/<x>, so one smooth step of |r|/DELTA is psi+ + psi-, and the sign
     of r splits it: psi+ - psi- = sign(r) (psi+ + psi-).  Arrays are reused
-    once their last term is taken, so that few of the rows' size are live.
+    once their last term is taken, so that few of the grid's size are live.
     """
-    w = _lift(spec.x_bracket())[rows]
-    r = q / w
+    _check_calibration(_sup_over_x(q), f)
+    spec = q.spec
+    grad_x, grad_xi = [None if g is None else [a.copy() for a in g]
+                       for g in (q.grad_x, q.grad_xi)]
+    w = _lift(spec.x_bracket())
+    r = q.values / w
     absr = np.abs(r)
     step, dstep = _STEP.with_derivative(absr / DELTA)
-    absq = np.abs(q)
+    absq = np.abs(q.values)
     lift = f(absq)
     lift += 2.0 * DELTA
     # f(|q|) only enters where the cutoffs are active, away from q = 0,
@@ -497,7 +522,7 @@ def _d_rows(spec: GridSpec, rows, q: np.ndarray, f: FTable,
     term *= lift
     vals += term
     if grad_x is None and grad_xi is None:
-        return vals, None, None
+        return SymbolGrid(spec, vals)
     # d(psi+ - psi-)/dr = d(psi+ + psi-)/d|r|, and d phi0/dr is -sign(r)
     # times it, so r d phi0/dr = -|r| times it: dd_dr is
     # phi0 + (lift - |r|) dstep / DELTA
@@ -517,8 +542,63 @@ def _d_rows(spec: GridSpec, rows, q: np.ndarray, f: FTable,
         g *= per_q
     for g, x in zip(grad_x or (), spec.x_mesh()):
         g *= per_q
-        g -= np.multiply(per_x, _lift(x)[rows] / w**2, out=term)
-    return vals, grad_x, grad_xi
+        g -= np.multiply(per_x, _lift(x) / w**2, out=term)
+    return SymbolGrid(spec, vals, grad_x, grad_xi)
+
+
+def _d_rows(spec: GridSpec, rows, q: np.ndarray, f: FTable,
+            grad_x: list, grad_xi: list) -> None:
+    """d's x- and xi-gradients on the x-points `rows`, from q and q's
+    gradients there, each written over the gradient of q it comes from;
+    ``build_d``'s to the bit.  d's values are not made.
+
+    Each table is read only where it varies.  The smooth step of |r|/DELTA
+    varies on the band _R_IN <= |r| < _R_TOP, and f(|q|) and the term
+    (f(|q|) + 2 DELTA - |r|) step' / DELTA of dd_dr enter only there.
+    f'(|q|) differs from 1 only where |q| >= t_far, and enters only where
+    the step is not 0.  Below the band step and step' are 0, so dd_dr is 1,
+    dd_dq is +0 and per_q is 1/<x>; above it they are 1 and 0, so dd_dr is
+    +0 and per_q is f'(|q|).  In both, per_x = dd_dr r is r times 1 or +0.
+    """
+    w = _lift(spec.x_bracket())[rows]
+    r = q / w
+    abs_r = np.abs(r)
+    top = abs_r >= _R_TOP
+    inside = np.flatnonzero((abs_r >= _R_IN) & ~top)
+    abs_q = np.abs(q)
+    far = np.flatnonzero(abs_q >= f.t_far)
+    # per_q off the band: 1/<x> below it, f'(|q|) on top, 1 but where far
+    per_q = np.empty_like(q)
+    per_q[...] = 1.0 / w
+    np.copyto(per_q, 1.0, where=top)
+    ends = far[np.take(top, far)]
+    np.put(per_q, ends, f.derivative(np.take(abs_q, ends)))
+    # on the band, build_d's arithmetic on the band's points alone
+    r_in, q_in = np.take(r, inside), np.take(abs_q, inside)
+    r_abs = np.abs(r_in)
+    step, dstep = _STEP.with_derivative(r_abs / DELTA)
+    lift = f(q_in)
+    lift += 2.0 * DELTA
+    dd_dq = np.ones_like(q_in)
+    hit = q_in >= f.t_far
+    dd_dq[hit] = f.derivative(q_in[hit])
+    dd_dq *= step
+    phi0 = 1.0 - step
+    dstep /= DELTA
+    lift -= r_abs
+    lift *= dstep
+    dd_dr = np.add(phi0, lift, out=phi0)
+    per_q_in = np.divide(dd_dr, np.take(w, inside // spec.size), out=lift)
+    per_q_in += dd_dq
+    np.put(per_q, inside, per_q_in)
+    per_x = np.multiply(r, 0.0, out=r, where=top)
+    np.put(per_x, inside, dd_dr * r_in)
+    # abs_r is free: the work array of the x-gradients' last term
+    for g in grad_xi:
+        g *= per_q
+    for g, x in zip(grad_x, spec.x_mesh()):
+        g *= per_q
+        g -= np.multiply(per_x, _lift(x)[rows] / w**2, out=abs_r)
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +647,15 @@ def check_member(cs: CoefficientSet, f: FTable) -> dict:
     ``build_q(cs)``, the reports of ``check_escape(q, assemble_a2(cs))``
     and ``check_doi(build_d(q, f), assemble_a2(cs), f.N)``, to the bit.
 
-    q and its gradients, a2's gradients (its values enter neither check), d
-    and the two brackets are evaluated on one block of x-points at a time,
-    and only each block's minima are kept, with its sup |q|/<x>, which f's
-    table must cover as in ``build_d``.  q, its x-gradient and a2's
-    xi-gradient are one batched product on the xi mesh, and a2's x-gradient
-    one on the xi quads.
+    q and its gradients, a2's gradients (its values enter neither check), d's
+    gradients (its values enter no check either) and the two brackets are
+    evaluated on one block of x-points at a time, and only each block's
+    minima are kept, with its sup |q|/<x>, which f's table must cover as in
+    ``build_d``.  q, its x-gradient and a2's xi-gradient are one batched
+    product on the xi mesh, and a2's x-gradient one on the xi quads.
+    ``_d_rows`` reads the step's and f's tables, and lam, only on the
+    points of a block where they vary, about 0.5% of them on the
+    ``doi-2d-ultra`` ladder.
     """
     spec, n = cs.spec, cs.spec.n
     mu, bracket = _mu(cs), spec.x_bracket()
@@ -591,8 +674,7 @@ def check_member(cs: CoefficientSet, f: FTable) -> dict:
         out = np.empty_like(q)
         sups.append(_sup_ratio(q, bracket[rows]))
         gaps.append(_min_excess(a2, dq, escape, out))
-        # with the gap taken, d's gradients replace q's in dq; d's values
-        # enter no check
+        # with the gap taken, d's gradients replace q's in dq
         _d_rows(spec, rows, q, f, *dq)
         margins.append(_min_excess(a2, dq, weight[rows] * tables.abs, out))
     _check_calibration(max(sups), f, f" for the member eps = {cs.eps!r}")

@@ -138,7 +138,8 @@ class EvolutionProblem:
         self.dt_bound = limit / SAFETY
         if self.dt > self.dt_bound * (1.0 + 1e-9):
             raise EvolveError(
-                f"dt = {self.dt} exceeds stability bound {self.dt_bound}")
+                f"dt = {self.dt} exceeds stability bound {self.dt_bound} "
+                f"for eps = {self.cs.eps!r}")
 
 
 def _constant(arr: np.ndarray):

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import LADDER, random_field
 from vwslab.coeffs import preset, regularise
+from vwslab import doi
 from vwslab.doi import (C1, DELTA, FTable, SmoothStep, SymbolError, SymbolGrid,
-                        _sup_over_x, assemble_a2, build_d, build_q,
+                        _R_IN, _R_TOP, _STEP, _d_rows, _sup_over_x,
+                        _x_blocks, assemble_a2, build_d, build_q,
                         calibrate_K, check_doi, check_escape, check_member,
                         dual_xi, energy_norm, exp_symbol_operator, fd4,
                         poisson_bracket, quantize, symbol_seminorm)
@@ -359,6 +361,105 @@ class TestCheckMember:
         with pytest.raises(SymbolError, match="FTable.K") as err:
             check_member(sets[0], FTable(f.K / 100.0, 2))
         assert f"eps = {sets[0].eps!r}" in str(err.value)
+
+
+def _same_bits(got, want):
+    """Equal to the bit, zeros' signs included."""
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+class TestDRows:
+    """_d_rows reads the step and f tables on the band of |r| where the step
+    varies, and lam where |q| >= t_far, yet gives build_d's gradients, which
+    read them at every point, to the bit."""
+
+    def test_the_edges_are_where_the_tables_stop_varying(self):
+        below, above = np.nextafter(_R_IN, 0.0), np.nextafter(_R_TOP, 0.0)
+        step, dstep = _STEP.with_derivative(np.array([0.0, below, _R_TOP, 1.0]) / DELTA)
+        assert np.array_equal(step, [0.0, 0.0, 1.0, 1.0])
+        assert np.array_equal(dstep, np.zeros(4))
+        # locate puts |r| / DELTA = 1 on the first node and 2 on the last
+        assert DELTA < _R_IN and above < 2.0 * DELTA <= _R_TOP
+        assert [_STEP._cdf.locate(a / DELTA)[0] for a in (_R_IN, above)] == [0, 3999]
+        assert _STEP._cdf.locate(below / DELTA) == (0, 0.0)
+        assert _STEP._cdf.locate(_R_IN / DELTA)[1] > 0.0
+        f = FTable(0.5, 2)
+        assert f.derivative(np.nextafter(f.t_far, 0.0)) == 1.0
+        assert f._excess(f.t_far) > 0.0 >= f._excess(np.nextafter(f.t_far, 0.0))
+
+    @staticmethod
+    def _edge_symbol(K):
+        """q on 2D M = 16, L = 32 with |q|/<x> < K, its gradients random
+        with zeros of both signs.  At x = 0, where <x> = 1 and r = q, q takes
+        the band's edges: |r|/DELTA exactly 1 and 2, the doubles either side
+        of _R_IN and _R_TOP, two inner nodes and q = +-0.  At x-points with
+        <x> = 11.4, 17.9 and 40.0, |q| takes t_far and the double below it,
+        which put r on top of the band, in it and below it."""
+        spec = make_grid(2, 16, 32.0)
+        rng = np.random.default_rng(11)
+        shape = spec.shape * 2
+        w = np.sqrt(1.0 + spec.x_norm_sq())
+        q = rng.uniform(-K, K, shape) * _lift(w)
+        edges = [DELTA, 2.0 * DELTA, _R_IN, np.nextafter(_R_IN, 0.0), _R_TOP,
+                 np.nextafter(_R_TOP, 0.0), DELTA * (1.0 + _STEP.u[1]),
+                 DELTA * (1.0 + _STEP.u[-2]), 0.0]
+        assert w[8, 8] == 1.0
+        q[8, 8].flat[:2 * len(edges)] = edges + [-e for e in edges]
+        t_far = FTable(K, 2).t_far
+        for point in [(10, 10), (12, 10), (0, 2)]:
+            q[point].flat[:3] = [t_far, np.nextafter(t_far, 0.0), -t_far]
+        grads = [rng.standard_normal(shape) for _ in range(4)]
+        for g in grads:
+            g.flat[::97] = 0.0
+            g.flat[1::97] = -0.0
+        return spec, SymbolGrid(spec, q, grads[:2], grads[2:])
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_equals_build_d_at_the_edges(self, N):
+        K = 0.25
+        spec, q = self._edge_symbol(K)
+        f = FTable(K, N)
+        # f' < 1 at points on top of the band, in it and below it
+        abs_r = np.abs(q.values / _lift(np.sqrt(1.0 + spec.x_norm_sq())))
+        far = np.abs(q.values) >= f.t_far
+        band = (abs_r >= _R_IN) & (abs_r < _R_TOP)
+        for where in (abs_r >= _R_TOP, band, abs_r < _R_IN):
+            assert np.any(far & where)
+        d = build_d(q, f)
+        blocks = _x_blocks(spec)
+        assert len(blocks) == 8
+        for rows in blocks:
+            grad_x = [g[rows].copy() for g in q.grad_x]
+            grad_xi = [g[rows].copy() for g in q.grad_xi]
+            _d_rows(spec, rows, q.values[rows], f, grad_x, grad_xi)
+            for got, want in zip(grad_x + grad_xi, d.grad_x + d.grad_xi):
+                assert _same_bits(got, want[rows])
+
+    def test_the_tables_are_read_on_few_points(self, monkeypatch):
+        # on the doi-2d-ultra ladder the step varies on about 0.45% of the
+        # points, and f' < 1 on 76 of 327,680
+        spec = make_grid(2, 16, 8.0)
+        sets = sets_for("ultra-diagonal", spec)
+        f = FTable(calibrate_K(sets), 2)
+        sizes = {"at": [], "lam": []}
+        at, lam = doi._UniformTable.at, FTable.lam
+
+        def record(name, method):
+            def call(self, *args):
+                sizes[name].append(np.size(args[-1]))
+                return method(self, *args)
+            return call
+
+        monkeypatch.setattr(doi._UniformTable, "at", record("at", at))
+        monkeypatch.setattr(FTable, "lam", record("lam", lam))
+        for cs in sets:
+            check_member(cs, f)
+        assert spec.size**2 // len(_x_blocks(spec)) == doi._BLOCK
+        for name in ("at", "lam"):
+            assert sizes[name] and max(sizes[name]) < 0.05 * doi._BLOCK
+        far = sum(int(np.sum(np.abs(build_q(cs).values) > 10.0 * f.K)) for cs in sets)
+        assert far >= 1 and sum(sizes["lam"]) >= 1
 
 
 def _lift(arr):
