@@ -311,11 +311,11 @@ def _write_series(out: Path, eps: float, series) -> None:
                             f"{series.integral[s][i]:.12g}"])
 
 
-def _write_snapshots(out: Path, eps: float, states, stride: int) -> None:
-    if stride <= 0 or states is None:
+def _write_snapshots(out: Path, eps: float, states) -> None:
+    """The recorded states, each a list of [re, im] per node."""
+    if states is None:
         return
-    snaps = [[ [float(z.real), float(z.imag)] for z in np.ravel(u)]
-             for u in states[::stride]]
+    snaps = [np.ravel(u).view(float).reshape(-1, 2).tolist() for u in states]
     (out / f"snapshots-eps-{eps!r}.json").write_text(
         json.dumps(snaps), encoding="utf-8")
 
@@ -325,16 +325,15 @@ def _run_solve(cfg, out: Path) -> dict:
     spec = _grid(cfg)
     model = _model(cfg)
     params = _net_params(cfg, spec, model)
-    stride = cfg["output"]["stride"]
     members = ladder(model, params)
     u0 = _data(cfg, spec)
     for m in members.values():
         m["u0"] = u0
-    results, health = solve_ladder(members, params, stride > 0)
+    results, health = solve_ladder(members, params, cfg["output"]["stride"])
     sups = {}
     for eps, res in results.items():
         _write_series(out, eps, res.series)
-        _write_snapshots(out, eps, res.states, stride)
+        _write_snapshots(out, eps, res.states)
         sups[str(eps)] = {str(s): res.series.sup_norm(s)
                           for s in res.series.norms}
     finite = all(np.isfinite(v) for per in sups.values() for v in per.values())

@@ -3,7 +3,8 @@
 The first-order form is du/dt = i(A u + B u + V u) with
 A u = sum_ij D_i(a_ij (D_j u)), B u = sum_k b_k (D_k u), V u = V u and
 D = -i d/dx computed spectrally.  The system is homogeneous: a problem is
-its coefficients and its Cauchy data.
+its coefficients, its Cauchy data and its horizon T.  ``shared_steps`` owns
+the step rule, and the consumers of the march choose what they measure.
 
 ``march``, the one time loop, works on the raw FFT coefficients
 u_hat = ``grid.fft(u)`` of a stack of problems that share grid, T and step
@@ -24,8 +25,8 @@ the built members of every ladder to one answer call for each step count
 among them, the probe member too when the probe keeps no result of it.
 A ``net`` or ``solve`` ladder marches each call's members as one stack, so
 on net-1d-delta (1D, M=256) all five members share every transform and
-array pass of one 16-level march (348 numpy FFT calls per run: its only
-remainder is V, one field each way per right-hand side).
+array pass of one 16-level march (317 numpy FFT calls per run: one field
+each way per right-hand side for its V, one inverse a level for all s).
 ``sup_differences`` marches each problem as its own stack of one, in
 lockstep, so uniqueness pairs and the consistency ladder are not stacked: a
 stack pays for the union of its members' variable coefficients (the base
@@ -57,11 +58,11 @@ Trefethen, SIAM J. Sci. Comput. 26 (2005)).  The flow of the mean symbol,
 e^{i Lambda h}, is applied exactly through its phi-function tables, so the
 step is no longer tied to the stiff constant part: ``stable_dt`` bounds it
 by the RK4 imaginary-axis limit over rho of the remainder alone, and is
-infinite when there is no remainder.  The default step is
-min(T / LEVELS, stable_dt).  LEVELS = 16 is the smallest power of two that
-keeps u(T) and the smoothing integrals of every member of the net-1d-delta
-benchmark ladder (1D, M=256, L=8, delta-potential, delta data, T=0.125)
-within 2e-3 of a 2048-step march.  Worst relative errors on that ladder:
+infinite when there is no remainder.  The default step, ``shared_steps``',
+is min(T / LEVELS, stable_dt).  LEVELS = 16 is the smallest power of two
+that keeps u(T) and the smoothing integrals of every member of the
+net-1d-delta benchmark ladder (1D, M=256, L=8, delta-potential, delta
+data, T=0.125) within 2e-3 of a 2048-step march.  Worst relative errors:
 
     step                      steps   u(T)     int s=0   int s=1
     RK4 at its bound            141   0.57     0.26      0.53
@@ -116,30 +117,20 @@ class Instability(EvolveError):
 
 @dataclass
 class EvolutionProblem:
+    """The Cauchy problem du/dt = i(A + B + V) u, u(0) = u0, on [0, T]."""
+
     cs: CoefficientSet
     u0: Field
     T: float = 1.0
-    dt: float | None = None
-    s_list: tuple = (0.0,)
-    N_weight: int = 2
     #: the un-safetied step bound, stable_dt / SAFETY (inf: no remainder)
     dt_bound: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.T <= 0:
             raise EvolveError("horizon T must be positive")
-        if self.dt is not None and not self.dt > 0:
-            raise EvolveError(f"time step dt must be positive, got {self.dt}")
         if self.u0.spec != self.cs.spec:
             raise EvolveError("initial data grid does not match coefficients")
-        limit = stable_dt(self.cs)
-        if self.dt is None:
-            self.dt = min(self.T / LEVELS, limit)
-        self.dt_bound = limit / SAFETY
-        if self.dt > self.dt_bound * (1.0 + 1e-9):
-            raise EvolveError(
-                f"dt = {self.dt} exceeds stability bound {self.dt_bound} "
-                f"for eps = {self.cs.eps!r}")
+        self.dt_bound = stable_dt(self.cs) / SAFETY
 
 
 def _constant(arr: np.ndarray):
@@ -404,22 +395,23 @@ class _Diagnostics:
     """Raw coefficients of a stack -> (problem, s, [||u||_s,
     ||<x>^{-N/2} Lambda^{s+1/2} u||_0^2]) for each s in s_list.
 
-    The norm needs no transform; each integrand takes one inverse of the
-    stack, and its L^2 norm is taken by Plancherel on the grid values.
+    The norm needs no transform; the integrands of all s take one inverse of
+    the stacked lifts of u, each L^2 norm by Plancherel on its grid values.
     """
 
     def __init__(self, spec: GridSpec, s_list, N: int):
         self.norm_weights = [spec.sobolev_weight(s) for s in s_list]
-        self.lifts = [spec.kappa_bracket() ** (s + 0.5) for s in s_list]
+        self.lifts = np.stack([spec.kappa_bracket() ** (s + 0.5) for s in s_list])
         self.x_weight = spec.h**spec.n * spec.x_bracket(-N)
         self.n, self.axes = spec.n, tuple(range(-spec.n, 0))
 
     def __call__(self, uh: np.ndarray) -> np.ndarray:
         power = np.abs(uh) ** 2
+        lifted = ifft(uh[:, None] * self.lifts, self.n)
         out = np.empty((len(uh), len(self.lifts), 2))
-        for k, (w, lift) in enumerate(zip(self.norm_weights, self.lifts)):
+        for k, w in enumerate(self.norm_weights):
             out[:, k, 0] = np.sqrt(np.sum(w * power, axis=self.axes))
-            out[:, k, 1] = np.sum(self.x_weight * np.abs(ifft(uh * lift, self.n)) ** 2,
+            out[:, k, 1] = np.sum(self.x_weight * np.abs(lifted[:, k]) ** 2,
                                   axis=self.axes)
         return out
 
@@ -431,19 +423,23 @@ class SolveResult:
     states: list | None = None
 
 
-def shared_steps(probs: list, levels: int | None = None) -> int:
+def shared_steps(probs: list, levels: int = LEVELS, dt: float | None = None) -> int:
     """The number of equal steps that march problems with one horizon T in
-    lockstep: round(T/dt) at their smallest dt, or, given ``levels``, at
-    min(T / levels, their smallest stable_dt); one more if the steps then
-    exceed their smallest bound."""
-    T = probs[0].T
-    if levels is None:
-        dt = min(p.dt for p in probs)
-    else:
-        dt = min(T / levels, SAFETY * min(p.dt_bound for p in probs))
+    lockstep: round(T/dt) at a given dt, else at min(T / levels, their
+    smallest stable_dt); one more if the steps then exceed their smallest
+    bound.  EvolveError names the first problem whose bound a dt exceeds."""
+    T, bound = probs[0].T, min(p.dt_bound for p in probs)
+    if dt is None:
+        dt = min(T / levels, SAFETY * bound)
+    elif not dt > 0:
+        raise EvolveError(f"time step dt must be positive, got {dt}")
+    for k, p in enumerate(probs):
+        if dt > p.dt_bound * (1.0 + 1e-9):
+            raise EvolveError(f"dt = {dt} exceeds stability bound {p.dt_bound} of "
+                              f"problem {k} of {len(probs)} for eps = {p.cs.eps!r}")
     steps = max(1, int(round(T / dt)))
     # round() can go past the bound
-    return steps + 1 if T / steps > min(p.dt_bound for p in probs) else steps
+    return steps + 1 if T / steps > bound else steps
 
 
 def _check_shared(probs: list) -> None:
@@ -469,42 +465,40 @@ def march(probs: list, steps: int | None = None):
         yield t, uh
 
 
-def solve_stack(probs: list, record_states: bool = False,
-                steps: int | None = None) -> list:
+def solve_stack(probs: list, s_list: tuple = (0.0,), N_weight: int = 2,
+                stride: int = 0, steps: int | None = None) -> list:
     """``solve`` of each problem, in one march of them all as a stack: they
-    share grid, T, s_list and N_weight and march `steps` equal steps, by
-    default ``shared_steps(probs)``.  Each SolveResult has the numbers of
-    its problem solved alone."""
-    first = probs[0]
-    if any(p.s_list != first.s_list or p.N_weight != first.N_weight for p in probs):
-        raise EvolveError("stacked problems must share s_list and N_weight")
-    spec = first.cs.spec
-    diagnose = _Diagnostics(spec, first.s_list, first.N_weight)
+    share grid and T and march `steps` equal steps, by default
+    ``shared_steps(probs)``.  Each SolveResult has the numbers of its
+    problem solved alone, and with stride > 0 the grid values of levels 0,
+    stride, 2 stride, ..."""
+    spec = probs[0].cs.spec
+    diagnose = _Diagnostics(spec, s_list, N_weight)
     ts, rows, states = [], [], []
-    for t, uh in march(probs, steps):
+    for level, (t, uh) in enumerate(march(probs, steps)):
         ts.append(t)
         rows.append(diagnose(uh))
-        if record_states:
+        if stride and level % stride == 0:
             states.append(ifft(uh, spec.n))
     ts = np.array(ts)
     rows = np.array(rows)  # (level, problem, s, [norm, integrand])
     finals = ifft(uh, spec.n)
     results = []
     for p, final in enumerate(finals):
-        norms = {s: rows[:, p, i, 0] for i, s in enumerate(first.s_list)}
-        integrand = {s: rows[:, p, i, 1] for i, s in enumerate(first.s_list)}
+        norms = {s: rows[:, p, i, 0] for i, s in enumerate(s_list)}
+        integrand = {s: rows[:, p, i, 1] for i, s in enumerate(s_list)}
         integral = {s: cumulative_trapezoid(ts, v) for s, v in integrand.items()}
         results.append(SolveResult(Field(spec, final),
                                    NormSeries(ts, norms, integrand, integral),
-                                   [u[p] for u in states] if record_states else None))
+                                   [u[p] for u in states] if stride else None))
     return results
 
 
-def solve(prob: EvolutionProblem, record_states: bool = False,
-          steps: int | None = None) -> SolveResult:
+def solve(prob: EvolutionProblem, s_list: tuple = (0.0,), N_weight: int = 2,
+          stride: int = 0, steps: int | None = None) -> SolveResult:
     """March to T in `steps` equal steps, by default ``shared_steps([prob])``,
     recording norms at every step: ``solve_stack`` of a stack of one."""
-    return solve_stack([prob], record_states, steps)[0]
+    return solve_stack([prob], s_list, N_weight, stride, steps)[0]
 
 
 def _lockstep_member(k: int, prob: EvolutionProblem, steps: int):

@@ -2,10 +2,11 @@
 classical-consistency verdicts for the regularised Cauchy problems.
 
 ``ladder`` builds the members of a net, each pipeline builds every
-member's problems from them, and ``march_ladder``, the ladder driver of
-every pipeline, marches them: the smallest eps is probed, then the others
-go to one answer call for each step count, giving each member's result
-and march health keyed by eps, in ladder order.
+member's Cauchy problems from them, and ``march_ladder``, the ladder driver
+of every pipeline, marches them with the net's step rule and diagnostics:
+the smallest eps is probed, then the others go to one answer call for each
+step count, giving each member's result and march health keyed by eps, in
+ladder order.
 
 Each ladder without a given dt chooses its level count once, in
 ``probe_levels``: its smallest eps marches at 2c steps and at c, c = 4 =
@@ -161,12 +162,6 @@ def _require_valid(model: CoefficientModel, members: dict) -> HypothesisReport:
     return report
 
 
-def problem(cs: CoefficientSet, u0: Field, params: NetParams) -> EvolutionProblem:
-    """The Cauchy problem of one member, marched as ``params`` set out."""
-    return EvolutionProblem(cs, u0, T=params.T, dt=params.dt,
-                            s_list=params.s_list, N_weight=params.N_weight)
-
-
 @dataclass
 class LevelProbe:
     """The level count of a ladder, chosen on its smallest-eps member."""
@@ -215,13 +210,13 @@ def probe_levels(eps: float, probs: list, answer) -> tuple:
     return LevelProbe(eps, COARSE, gap), (2 * coarse, result)
 
 
-def _solve_answer(record_states: bool):
+def _solve_answer(params: NetParams, stride: int):
     """``probe_levels``'s answer for members of one problem each, marched as
-    one stack: each SolveResult, u(T), and the sup norm and final smoothing
-    integral for each s."""
+    one stack with the diagnostics of ``params``: each SolveResult, u(T),
+    and the sup norm and final smoothing integral for each s."""
     def answer(members, steps):
         results = solve_stack([probs[0] for probs in members.values()],
-                              record_states, steps)
+                              params.s_list, params.N_weight, stride, steps)
         return [(res, [res.final.values,
                        *(f(s) for f in (res.series.sup_norm, res.series.final_integral)
                          for s in res.series.norms)])
@@ -234,7 +229,8 @@ def march_ladder(members: dict, answer, params: NetParams) -> tuple:
     ladder's eps -> that member's problems, all built, in ladder order.
     ``answer`` is that of ``probe_levels``, which chooses the level count
     on the last, smallest eps; with ``params.dt`` set nothing is probed,
-    and every member marches at that dt.  The members left to march go to
+    and every member marches at that dt, checked by ``shared_steps`` in
+    ladder order.  The members left to march go to
     ``answer`` in one call for each step count among them, the probe
     member first of its count when the probe keeps no result of it.
     Holding every member from the start costs uniq-2d-ultra 1.3 MB of
@@ -245,6 +241,8 @@ def march_ladder(members: dict, answer, params: NetParams) -> tuple:
     results, health = dict.fromkeys(members), dict.fromkeys(members)
     probe, kept = ((LevelProbe(None, None, None), None) if params.dt is not None
                    else probe_levels(last, members[last], answer))
+    counts = {eps: shared_steps(probs, probe.levels, params.dt)
+              for eps, probs in members.items()}
     if kept is None:
         rest.insert(0, last)
     else:
@@ -252,19 +250,19 @@ def march_ladder(members: dict, answer, params: NetParams) -> tuple:
         health[last] = probe.health(params.T, steps)
     groups = {}  # step count -> {eps: problems}
     for eps in rest:
-        groups.setdefault(shared_steps(members[eps], probe.levels), {})[eps] = members[eps]
+        groups.setdefault(counts[eps], {})[eps] = members[eps]
     for steps, group in groups.items():
         for eps, (result, _) in zip(group, answer(group, steps)):
             results[eps], health[eps] = result, probe.health(params.T, steps)
     return results, health
 
 
-def solve_ladder(members: dict, params: NetParams, record_states: bool = False) -> tuple:
+def solve_ladder(members: dict, params: NetParams, stride: int = 0) -> tuple:
     """``march_ladder`` over the members of ``ladder``, one problem each,
     stacked: (SolveResults, health) keyed by eps."""
-    return march_ladder({eps: [problem(m["cs"], m["u0"], params)]
+    return march_ladder({eps: [EvolutionProblem(m["cs"], m["u0"], params.T)]
                          for eps, m in members.items()},
-                        _solve_answer(record_states), params)
+                        _solve_answer(params, stride), params)
 
 
 def run_net(model: CoefficientModel, u0: Field, params: NetParams) -> tuple:
@@ -344,8 +342,8 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
     for eps in used:
         m = members[eps]
         du = Field(spec, m["u0"].values + eps**q * bumps["u0"])
-        pairs[eps] = [problem(m["cs"], m["u0"], params),
-                      problem(perturbed[eps], du, params)]
+        pairs[eps] = [EvolutionProblem(m["cs"], m["u0"], params.T),
+                      EvolutionProblem(perturbed[eps], du, params.T)]
     values, health = march_ladder(pairs, _difference_answer(s), params)
     slope, resid = fit_slope(used, list(values.values()))
     return FitReport(slope, resid, bool(slope >= q - 0.5), q - 0.5, values,
@@ -388,8 +386,8 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams) -> Fi
         raise NetError("consistency requires a vanishing-moment data mollifier")
     if len(params.eps_ladder) < 4:
         raise NetError("consistency needs at least 4 epsilon values")
-    classical = problem(sample(model, params.spec), u0, params)
-    pairs = {float(eps): [classical, problem(m["cs"], m["u0"], params)]
+    classical = EvolutionProblem(sample(model, params.spec), u0, params.T)
+    pairs = {float(eps): [classical, EvolutionProblem(m["cs"], m["u0"], params.T)]
              for eps, m in ladder(model, params, u0).items()}
     values, health = march_ladder(pairs, _difference_answer(params.s_list[0]), params)
     errors = np.array(list(values.values()))

@@ -38,6 +38,14 @@ def random_field(spec, seed=0):
     return Field(spec, vals)
 
 
+def solve_at(prob, dt, **kwargs):
+    """``evolve.solve`` of prob in the step count that ``shared_steps``
+    gives the step dt, which it checks against the problem's bound."""
+    from vwslab.evolve import shared_steps, solve
+
+    return solve(prob, steps=shared_steps([prob], dt=dt), **kwargs)
+
+
 def assert_da_is_the_derivative_of_a(cs):
     """cs.da[k][i][j] is the spectral x_k-derivative of cs.a[i][j], exactly."""
     from vwslab.grid import spectral_derivative

@@ -5,12 +5,12 @@ epsilon-net verdicts at desk scale."""
 import numpy as np
 import pytest
 
-from conftest import LADDER, random_field
+from conftest import LADDER, random_field, solve_at
 from vwslab.coeffs import check_hypotheses, preset, regularise
 from vwslab.doi import (FTable, assemble_a2, build_d, build_q,
                         calibrate_K, check_doi, check_escape, energy_norm,
                         exp_symbol_operator)
-from vwslab.evolve import EvolutionProblem, dense_oracle, solve
+from vwslab.evolve import EvolutionProblem, dense_oracle
 from vwslab.grid import Field, inverse, make_grid, plane_wave, sobolev_norm
 from vwslab.mollify import (Mollifier, ScaleFn, derivative_bound_probe,
                             fit_slope, sobolev_boost_probe)
@@ -48,7 +48,7 @@ def test_01_plane_wave_exactness():
 
     def error(k, dt):
         u0 = plane_wave(spec, (k,))
-        res = solve(EvolutionProblem(cs, u0, T=1.0, dt=dt))
+        res = solve_at(EvolutionProblem(cs, u0, T=1.0), dt)
         exact = Field(spec, np.exp(1j * k**2 * 1.0) * u0.values)
         return rel_gap(res.final, exact)
 
@@ -59,10 +59,10 @@ def test_01_plane_wave_exactness():
     spec = make_grid(1, 16, 8.0)
     cs = fixed_set("jump-drift", spec)
     u0 = random_field(spec, seed=5)
-    exact = dense_oracle(EvolutionProblem(cs, u0, T=1.0, dt=1e-3))
+    exact = dense_oracle(EvolutionProblem(cs, u0, T=1.0))
 
     def drift_error(dt):
-        res = solve(EvolutionProblem(cs, u0, T=1.0, dt=dt))
+        res = solve_at(EvolutionProblem(cs, u0, T=1.0), dt)
         return rel_gap(res.final, exact)
 
     ratio = drift_error(0.05) / drift_error(0.025)
@@ -74,12 +74,12 @@ def test_02_ultrahyperbolic_dispersion():
     cs = fixed_set("ultra-diagonal", spec, nu=0.0, c0=0.0)
 
     u0 = plane_wave(spec, (2, 1))
-    res = solve(EvolutionProblem(cs, u0, T=1.0, dt=1e-3))
+    res = solve_at(EvolutionProblem(cs, u0, T=1.0), 1e-3)
     exact = Field(spec, np.exp(1j * (2**2 - 1**2) * 1.0) * u0.values)
     assert rel_gap(res.final, exact) < 1e-8
 
     null = plane_wave(spec, (1, 1))
-    res = solve(EvolutionProblem(cs, null, T=1.0, dt=1e-3))
+    res = solve_at(EvolutionProblem(cs, null, T=1.0), 1e-3)
     assert rel_gap(res.final, null) < 1e-9
 
 
@@ -90,8 +90,8 @@ def test_03_oracle_equivalence():
     for name, n in cases:
         spec = make_grid(n, 16 if n == 1 else 8, 8.0)
         prob = EvolutionProblem(fixed_set(name, spec),
-                                random_field(spec, seed=5), T=0.5, dt=1e-3)
-        gap = rel_gap(solve(prob).final, dense_oracle(prob))
+                                random_field(spec, seed=5), T=0.5)
+        gap = rel_gap(solve_at(prob, 1e-3).final, dense_oracle(prob))
         assert gap < 1e-5, f"{name}: oracle gap {gap}"
 
 
@@ -100,8 +100,8 @@ def test_04_l2_conservation():
     for name, seed in (("free", 2), ("delta-potential", 3)):
         spec = make_grid(1, 64, 8.0)
         u0 = localised_data(spec, seed)
-        res = solve(EvolutionProblem(fixed_set(name, spec, eps=2**-5), u0,
-                                     T=1.0, dt=1e-3))
+        res = solve_at(EvolutionProblem(fixed_set(name, spec, eps=2**-5), u0,
+                                        T=1.0), 1e-3)
         norms = res.series.norms[0.0]
         ref = sobolev_norm(u0, 0.0)
         assert np.max(np.abs(norms - ref)) / ref < 1e-7

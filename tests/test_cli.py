@@ -485,14 +485,14 @@ class TestRunReportContract:
         assert "traceback" in report["verdict"]
 
     def test_dt_above_the_bound_names_the_eps(self, tmp_path):
-        # the CI crash config: the first member of the default ladder is the
-        # first problem built, and its bound is the one named
+        # the CI crash config: the step rule checks the members in ladder
+        # order, so the base problem of the first member's pair is named
         cfg = parse_config('{"model": {"preset": "delta-potential"}, '
                            '"evolution": {"dt": 20.0}}', kind="uniqueness")
         assert run(cfg, out_dir=str(tmp_path)) == 3
         error = json.loads((tmp_path / "report.json").read_text())["verdict"]["error"]
         assert error.startswith("EvolveError: dt = 20.0 exceeds stability bound ")
-        assert error.endswith(f" for eps = {cfg['ladder'][0]!r}")
+        assert error.endswith(f" of problem 0 of 2 for eps = {cfg['ladder'][0]!r}")
         assert cfg["ladder"][0] == 0.125
 
     def test_instability_gives_exit_3(self, tmp_path, monkeypatch):

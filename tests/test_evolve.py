@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import random_field, record_marches
+from conftest import random_field, record_marches, solve_at
 from vwslab.coeffs import (CoefficientModel, Pointwise, preset, regularise,
                            sample)
 from vwslab.evolve import (EvolutionProblem, EvolveError, Instability,
@@ -63,24 +63,25 @@ class TestStepRK4:
     def test_zero_stays_zero(self):
         spec = make_grid(1, 16, np.pi)
         cs = free_set(spec)
-        prob = EvolutionProblem(cs, Field(spec, np.zeros(16, dtype=complex)),
-                                T=1.0, dt=1e-2)
-        out = step_rk4(prob.u0, 0.0, prob.dt, prob)
+        prob = EvolutionProblem(cs, Field(spec, np.zeros(16, dtype=complex)), T=1.0)
+        out = step_rk4(prob.u0, 0.0, 1e-2, prob)
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_instability_detected(self):
         spec = make_grid(1, 64, np.pi)
         cs = preset_set("smooth-consistency", spec)
-        prob = EvolutionProblem(cs, random_field(spec, seed=1), T=1.0, dt=None)
+        prob = EvolutionProblem(cs, random_field(spec, seed=1), T=1.0)
         with pytest.raises(Instability):
             step_rk4(prob.u0, 0.0, 50 * stable_dt(cs), prob)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01], ids=["zero", "negative"])
     def test_problem_rejects_non_positive_dt(self, dt):
+        # the step rule, shared_steps, checks a given dt
         spec = make_grid(1, 32, np.pi)
         cs = regularise(preset("delta-potential"), 2**-4, ScaleFn("loglog"), spec)
+        prob = EvolutionProblem(cs, random_field(spec, seed=1), T=0.1)
         with pytest.raises(EvolveError, match="must be positive"):
-            EvolutionProblem(cs, random_field(spec, seed=1), T=0.1, dt=dt)
+            shared_steps([prob], dt=dt)
 
     def test_problem_rejects_data_on_another_grid(self):
         spec, other = make_grid(1, 32, np.pi), make_grid(1, 32, 8.0)
@@ -91,9 +92,12 @@ class TestStepRK4:
         # the free flow has no remainder and no bound
         spec = make_grid(1, 64, np.pi)
         cs = preset_set("smooth-consistency", spec)
-        with pytest.raises(EvolveError):
-            EvolutionProblem(cs, random_field(spec, seed=1), T=1.0,
-                             dt=10 * stable_dt(cs))
+        prob = EvolutionProblem(cs, random_field(spec, seed=1), T=1.0)
+        dt = 10 * stable_dt(cs)
+        with pytest.raises(EvolveError) as info:
+            shared_steps([prob], dt=dt)
+        assert str(info.value) == (f"dt = {dt} exceeds stability bound {prob.dt_bound} "
+                                   f"of problem 0 of 1 for eps = {cs.eps!r}")
 
     def test_fourth_order_convergence(self):
         # the step is exact on the free flow, so the order shows only where
@@ -103,11 +107,10 @@ class TestStepRK4:
         for name in ("jump-drift", "delta-potential", "smooth-consistency",
                      "elliptic-lipschitz"):
             cs = preset_set(name, spec)
-            exact = dense_oracle(EvolutionProblem(cs, u0, T=1.0, dt=1e-3)).values
+            exact = dense_oracle(EvolutionProblem(cs, u0, T=1.0)).values
 
             def err(dt):
-                prob = EvolutionProblem(cs, u0, T=1.0, dt=dt)
-                res = solve(prob)
+                res = solve_at(EvolutionProblem(cs, u0, T=1.0), dt)
                 return np.max(np.abs(res.final.values - exact))
 
             ratio = err(0.05) / err(0.025)
@@ -129,7 +132,7 @@ class TestSolve:
         spec = make_grid(1, 64, 8.0)
         cs = free_set(spec)
         u0 = self.localised_data(spec, seed=2)
-        res = solve(EvolutionProblem(cs, u0, T=1.0, dt=1e-3))
+        res = solve_at(EvolutionProblem(cs, u0, T=1.0), 1e-3)
         norms = res.series.norms[0.0]
         ref = sobolev_norm(u0, 0.0)
         assert np.max(np.abs(norms - ref)) / ref < 1e-8
@@ -138,7 +141,7 @@ class TestSolve:
         spec = make_grid(1, 64, 8.0)
         cs = regularise(preset("delta-potential", n=1), 2**-5, ScaleFn("loglog"), spec)
         u0 = self.localised_data(spec, seed=3)
-        res = solve(EvolutionProblem(cs, u0, T=1.0, dt=1e-3))
+        res = solve_at(EvolutionProblem(cs, u0, T=1.0), 1e-3)
         norms = res.series.norms[0.0]
         ref = sobolev_norm(u0, 0.0)
         assert np.max(np.abs(norms - ref)) / ref < 1e-8
@@ -148,18 +151,18 @@ class TestSolve:
         cs = regularise(preset("jump-drift", n=1), 2**-4, ScaleFn("loglog"), spec)
         ua, ub = random_field(spec, seed=4), random_field(spec, seed=5)
         dt = stable_dt(cs)
-        ra = solve(EvolutionProblem(cs, ua, T=0.5, dt=dt)).final.values
-        rb = solve(EvolutionProblem(cs, ub, T=0.5, dt=dt)).final.values
+        ra = solve_at(EvolutionProblem(cs, ua, T=0.5), dt).final.values
+        rb = solve_at(EvolutionProblem(cs, ub, T=0.5), dt).final.values
         both = Field(spec, ua.values + ub.values)
-        rc = solve(EvolutionProblem(cs, both, T=0.5, dt=dt)).final.values
+        rc = solve_at(EvolutionProblem(cs, both, T=0.5), dt).final.values
         scale = np.max(np.abs(rc))
         assert np.max(np.abs(rc - ra - rb)) / scale < 1e-10
 
     def test_time_stamps_and_norm_series(self):
         spec = make_grid(1, 32, 8.0)
         cs = free_set(spec)
-        res = solve(EvolutionProblem(cs, random_field(spec, seed=8),
-                                     T=0.5, s_list=(0.0, 1.0)))
+        res = solve(EvolutionProblem(cs, random_field(spec, seed=8), T=0.5),
+                    s_list=(0.0, 1.0))
         t = res.series.t
         assert t[0] == 0.0 and t[-1] == pytest.approx(0.5)
         assert np.all(np.diff(t) > 0)
@@ -171,8 +174,8 @@ class TestSolve:
         from scipy.integrate import cumulative_trapezoid
 
         spec = make_grid(1, 32, 8.0)
-        res = solve(EvolutionProblem(free_set(spec), random_field(spec, seed=8),
-                                     T=0.5, s_list=(0.0, 1.0)))
+        res = solve(EvolutionProblem(free_set(spec), random_field(spec, seed=8), T=0.5),
+                    s_list=(0.0, 1.0))
         for s, v in res.series.integrand.items():
             ref = np.concatenate([[0.0], cumulative_trapezoid(v, res.series.t)])
             assert np.array_equal(res.series.integral[s], ref)
@@ -201,7 +204,7 @@ class TestDenseOracle:
         cs = free_set(spec)
         k = 2
         u0 = plane_wave(spec, (k,))
-        prob = EvolutionProblem(cs, u0, T=0.7, dt=1e-2)
+        prob = EvolutionProblem(cs, u0, T=0.7)
         out = dense_oracle(prob)
         exact = u0.values * np.exp(1j * k**2 * 0.7)
         assert np.max(np.abs(out.values - exact)) < 1e-10
@@ -210,7 +213,7 @@ class TestDenseOracle:
         spec = make_grid(1, 16, 8.0)
         cs = regularise(preset("delta-potential", n=1), 2**-4, ScaleFn("loglog"), spec)
         u0 = random_field(spec, seed=9)
-        prob = EvolutionProblem(cs, u0, T=1.0, dt=1e-2)
+        prob = EvolutionProblem(cs, u0, T=1.0)
         out = dense_oracle(prob)
         assert sobolev_norm(out, 0.0) == pytest.approx(
             sobolev_norm(u0, 0.0), rel=1e-12)
@@ -298,7 +301,8 @@ class TestOneTransformPaths:
         uh = fft(random_field(spec, seed=3).values[None], spec.n)
         calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
         diagnose(uh)
-        assert calls["n"] == len(s_list)
+        # one inverse of the stack of every order's lifted field
+        assert (calls["fft"], calls["ifft"], calls["n"]) == (0, 1, len(s_list))
 
 
 class TestStepCount:
@@ -307,33 +311,79 @@ class TestStepCount:
         cs = preset_set("smooth-consistency", spec)
         limit = stable_dt(cs)
         # T/dt = 1.12 rounds to one step of 1.12 times the bound
-        prob = EvolutionProblem(cs, random_field(spec, seed=5), T=1.4 * limit,
-                                dt=limit / SAFETY)
-        ts = solve(prob).series.t
+        prob = EvolutionProblem(cs, random_field(spec, seed=5), T=1.4 * limit)
+        ts = solve_at(prob, limit / SAFETY).series.t
         assert len(ts) == 3
         assert np.max(np.diff(ts)) <= prob.dt_bound
 
     def test_rounding_down_within_bound_keeps_count(self):
         spec = make_grid(1, 32, np.pi)
         cs = preset_set("smooth-consistency", spec)
-        prob = EvolutionProblem(cs, random_field(spec, seed=5),
-                                T=3.02 * stable_dt(cs), dt=stable_dt(cs))
-        assert len(solve(prob).series.t) == 4
+        prob = EvolutionProblem(cs, random_field(spec, seed=5), T=3.02 * stable_dt(cs))
+        assert len(solve_at(prob, stable_dt(cs)).series.t) == 4
+
+
+class TestStepRule:
+    """``shared_steps`` owns the step rule of a march: the default count,
+    and the check of a given dt against the bound of each problem."""
+
+    def test_given_dt_names_the_problem_of_a_uniqueness_pair(self):
+        # a dt between the bounds of the base and the perturbed problem
+        spec, model, eps = make_grid(1, 32, 8.0), preset("delta-potential", n=1), 2**-3
+        cs = regularise(model, eps, ScaleFn("loglog"), spec)
+        u0 = delta_field(spec)
+        base, pert = (EvolutionProblem(c, u0, T=1.0)
+                      for c in (cs, _perturbed_set(cs, eps, 1, _bumps(spec, model.N))))
+        assert pert.dt_bound < base.dt_bound
+        dt = 0.5 * (pert.dt_bound + base.dt_bound)
+        shared_steps([base], dt=dt)
+        with pytest.raises(EvolveError) as info:
+            shared_steps([base, pert], dt=dt)
+        assert str(info.value) == (f"dt = {dt} exceeds stability bound {pert.dt_bound} "
+                                   f"of problem 1 of 2 for eps = {eps!r}")
+
+    def test_given_dt_names_the_classical_problem(self):
+        # a consistency member holds the classical problem first
+        ref, (member, _) = _classical_and_mollified(make_grid(1, 64, 8.0))
+        dt = 2.0 * max(ref.dt_bound, member.dt_bound)
+        with pytest.raises(EvolveError) as info:
+            shared_steps([ref, member], dt=dt)
+        assert str(info.value) == (f"dt = {dt} exceeds stability bound {ref.dt_bound} "
+                                   "of problem 0 of 2 for eps = 0.0")
+
+    @pytest.mark.parametrize("case", ["delta-potential-1d", "ultra-diagonal-2d",
+                                      "mixed-1d"])
+    def test_default_count_is_that_of_the_smallest_default_step(self, case):
+        # each problem's default step, min(T / LEVELS, stable_dt), and the
+        # count of the smallest, one more if it exceeds a bound; at T = 4
+        # the bounds of the mixed case set the count
+        for T in (None, 4.0):
+            probs = _stack_case(case)
+            if T is not None:
+                probs = [EvolutionProblem(p.cs, p.u0, T=T) for p in probs]
+            T = probs[0].T
+            dt = min(min(T / LEVELS, stable_dt(p.cs)) for p in probs)
+            steps = max(1, int(round(T / dt)))
+            if T / steps > min(p.dt_bound for p in probs):
+                steps += 1
+            assert shared_steps(probs) == steps
 
 
 class TestDefaultStep:
-    """The default step is min(T/LEVELS, stable_dt); at it the march keeps
-    unitary flows unitary and the net-1d-delta ladder converged."""
+    """The default step of ``shared_steps`` is min(T/LEVELS, stable_dt); at
+    it the march keeps unitary flows unitary and the net-1d-delta ladder
+    converged."""
 
     def test_levels_or_the_bound(self):
         spec = make_grid(1, 32, 8.0)
         cs = preset_set("smooth-consistency", spec)
         limit = stable_dt(cs)
-        for T, dt in ((0.5, 0.5 / LEVELS), (100 * limit, limit)):
+        for T, steps in ((0.5, LEVELS), (100 * limit, 100)):
             prob = EvolutionProblem(cs, random_field(spec, seed=5), T=T)
-            assert prob.dt == dt
-        assert EvolutionProblem(free_set(spec), random_field(spec, seed=5),
-                                T=0.5).dt == 0.5 / LEVELS
+            assert shared_steps([prob]) == steps
+        free = EvolutionProblem(free_set(spec), random_field(spec, seed=5), T=0.5)
+        assert free.dt_bound == np.inf
+        assert shared_steps([free]) == LEVELS
 
     def test_shared_steps_at_a_level_count(self):
         # T / levels where the bound allows it, else the bound's count
@@ -344,9 +394,10 @@ class TestDefaultStep:
             assert shared_steps([EvolutionProblem(cs, u0, T=0.5)], levels) == levels
             prob = EvolutionProblem(cs, u0, T=100 * limit)
             assert shared_steps([prob], levels) == shared_steps([prob]) == 100
-        # a given dt sets the count without levels, and levels replace it
-        prob = EvolutionProblem(cs, u0, T=0.5, dt=0.01)
-        assert (shared_steps([prob]), shared_steps([prob], COARSE)) == (50, COARSE)
+        # a given dt sets the count, whatever the levels
+        prob = EvolutionProblem(cs, u0, T=0.5)
+        assert shared_steps([prob], dt=0.01) == shared_steps([prob], COARSE, 0.01) == 50
+        assert shared_steps([prob], COARSE) == COARSE
 
     def test_solve_takes_a_step_count(self):
         spec = make_grid(1, 32, 8.0)
@@ -375,9 +426,9 @@ class TestDefaultStep:
         params = NetParams(spec=spec, T=0.125, s_list=(0.0, 1.0))
         members = ladder(preset("delta-potential", n=1), params, delta_field(spec))
         for eps, m in members.items():
-            got, conv = (solve(EvolutionProblem(m["cs"], m["u0"], T=params.T, dt=dt,
-                                                s_list=params.s_list))
-                         for dt in (None, params.T / 2048))
+            prob = EvolutionProblem(m["cs"], m["u0"], T=params.T)
+            got = solve(prob, params.s_list)
+            conv = solve_at(prob, params.T / 2048, s_list=params.s_list)
             assert len(got.series.t) == LEVELS + 1
             assert len(conv.series.t) == 2049
             gap = np.linalg.norm(got.final.values - conv.final.values)
@@ -488,9 +539,8 @@ class TestCoefficientMarch:
         spec, name = MARCH_CASES[case]
         cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
         s_list, N = (0.0, 1.0), 2
-        prob = EvolutionProblem(cs, random_field(spec, seed=20),
-                                T=0.1, s_list=s_list, N_weight=N)
-        res = solve(prob, record_states=True)
+        prob = EvolutionProblem(cs, random_field(spec, seed=20), T=0.1)
+        res = solve(prob, s_list, N, stride=1)
         ref = _physical_rk4(prob, len(res.series.t) - 1)
         _close(res.final.values, ref[-1])
         assert len(res.states) == len(ref)
@@ -511,7 +561,7 @@ class TestCoefficientMarch:
         spec, name = MARCH_CASES["jump-drift-1d"]
         cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
         prob = EvolutionProblem(cs, random_field(spec, seed=22), T=0.03)
-        res = solve(prob, record_states=True)
+        res = solve(prob, stride=1)
         t, dt = res.series.t, np.diff(res.series.t)
         u = prob.u0
         for k in range(len(dt)):
@@ -554,8 +604,7 @@ class TestCoefficientMarch:
 
     def test_solve_transforms_no_step_to_the_grid(self, monkeypatch):
         spec = make_grid(1, 32, np.pi)
-        prob = EvolutionProblem(free_set(spec), random_field(spec, seed=3),
-                                T=0.5, s_list=(0.0,))
+        prob = EvolutionProblem(free_set(spec), random_field(spec, seed=3), T=0.5)
         calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
         steps = len(solve(prob).series.t) - 1
         # u0 in, one integrand per diagnostics row, the final state out
@@ -623,8 +672,7 @@ def _reference_sup_differences(ref, others, s, dt):
     """Each problem solved on its own at step dt, keeping every state, and
     the H^s norm of every difference."""
     def states(p):
-        return solve(EvolutionProblem(p.cs, p.u0, T=p.T, dt=dt),
-                     record_states=True).states
+        return solve_at(p, dt, stride=1).states
 
     base = states(ref)
     out = []
@@ -705,15 +753,19 @@ def _assert_same_result(got, want):
             assert np.array_equal(x, y)
 
 
+#: the Sobolev orders of the net-1d-delta workload, which the stack cases
+#: are solved at
+STACK_S = (0.0, 1.0)
+
+
 def _stack_case(case):
-    """Problems of one grid and T that differ in coefficients and data, with
-    the s list of the net-1d-delta workload."""
+    """Problems of one grid and T that differ in coefficients and data."""
     if case == "delta-potential-1d":
         # the net-1d-delta ladder on a smaller grid
         spec = make_grid(1, 64, 8.0)
-        params = NetParams(spec=spec, T=0.125, s_list=(0.0, 1.0))
+        params = NetParams(spec=spec, T=0.125)
         members = ladder(preset("delta-potential", n=1), params, delta_field(spec))
-        return [EvolutionProblem(m["cs"], m["u0"], T=params.T, s_list=params.s_list)
+        return [EvolutionProblem(m["cs"], m["u0"], T=params.T)
                 for m in members.values()]
     if case == "ultra-diagonal-2d":
         spec = make_grid(2, 16, 8.0)
@@ -724,8 +776,7 @@ def _stack_case(case):
         spec = make_grid(1, 64, 8.0)
         sets = [preset_set(name, spec) for name in
                 ("free", "delta-potential", "jump-drift", "smooth-consistency")]
-    return [EvolutionProblem(cs, random_field(spec, seed=40 + k), T=0.1,
-                             s_list=(0.0, 1.0))
+    return [EvolutionProblem(cs, random_field(spec, seed=40 + k), T=0.1)
             for k, cs in enumerate(sets)]
 
 
@@ -733,16 +784,28 @@ class TestSolveStack:
     """A stack marches each member as it would march alone: the same
     numbers bit for bit."""
 
-    @pytest.mark.parametrize("record_states", [False, True], ids=["norms", "states"])
+    @pytest.mark.parametrize("stride", [0, 1, 3], ids=["norms", "states", "strided"])
     @pytest.mark.parametrize("case", ["delta-potential-1d", "ultra-diagonal-2d",
                                       "mixed-1d"])
-    def test_matches_one_by_one(self, case, record_states):
+    def test_matches_one_by_one(self, case, stride):
         probs = _stack_case(case)
         steps = shared_steps(probs)
-        got = solve_stack(probs, record_states, steps)
+        got = solve_stack(probs, STACK_S, 2, stride, steps)
         assert len(got) == len(probs)
         for prob, res in zip(probs, got):
-            _assert_same_result(res, solve(prob, record_states, steps))
+            _assert_same_result(res, solve(prob, STACK_S, 2, stride, steps))
+
+    def test_records_every_stride_th_level(self):
+        # levels 0, stride, 2 stride, ... of the states that stride 1 keeps
+        probs = _stack_case("mixed-1d")
+        every = solve_stack(probs, stride=1)
+        assert len(every[0].states) == shared_steps(probs) + 1
+        for stride in (2, 3, LEVELS, LEVELS + 1):
+            for res, full in zip(solve_stack(probs, stride=stride), every):
+                assert len(res.states) == len(full.states[::stride])
+                for x, y in zip(res.states, full.states[::stride]):
+                    assert np.array_equal(x, y)
+        assert all(res.states is None for res in solve_stack(probs))
 
     def test_one_march_for_the_stack(self, monkeypatch):
         probs = _stack_case("mixed-1d")
@@ -753,19 +816,16 @@ class TestSolveStack:
     def test_default_steps_are_shared(self):
         # the smallest default step of the members sets the count of all: at
         # T = 4 the jump-drift bound takes more than LEVELS steps
-        probs = [EvolutionProblem(p.cs, p.u0, T=4.0, s_list=p.s_list)
-                 for p in _stack_case("mixed-1d")]
+        probs = [EvolutionProblem(p.cs, p.u0, T=4.0) for p in _stack_case("mixed-1d")]
         got = solve_stack(probs)
         assert {len(res.series.t) - 1 for res in got} == {shared_steps(probs)}
         assert shared_steps(probs) > min(shared_steps([p]) for p in probs)
 
-    @pytest.mark.parametrize("change", [{"T": 0.2}, {"s_list": (0.0,)},
-                                        {"N_weight": 4}])
+    @pytest.mark.parametrize("change", [{"T": 0.2}])
     def test_rejects_members_that_differ(self, change):
         probs = _stack_case("mixed-1d")[:2]
         p = probs[1]
-        probs[1] = EvolutionProblem(p.cs, p.u0, **{
-            "T": p.T, "s_list": p.s_list, "N_weight": p.N_weight, **change})
+        probs[1] = EvolutionProblem(p.cs, p.u0, **{"T": p.T, **change})
         with pytest.raises(EvolveError):
             solve_stack(probs)
 
@@ -800,27 +860,27 @@ class TestSupDifferences:
     @pytest.mark.parametrize("case", sorted(SUP_CASES))
     def test_matches_state_histories(self, case, s):
         ref, others = SUP_CASES[case]()
-        dt = min(p.dt for p in [ref, *others])
+        dt = ref.T / shared_steps([ref, *others])
         got, _ = sup_differences(ref, others, s)
         want = _reference_sup_differences(ref, others, s, dt)
         assert all(w > 0 for w in want)
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_problems_share_the_step_count(self, monkeypatch):
-        # T = 1.3 dt: alone, the base problem takes one step and the
-        # perturbed one, whose bound is smaller, takes two
+        # T = 1.3 dt: at step dt, alone, the base problem takes one step and
+        # the perturbed one, whose bound is smaller, takes two; both march
+        # the two of their shared count
         spec, model, eps = make_grid(1, 32, 8.0), preset("delta-potential", n=1), 2**-3
         cs = regularise(model, eps, ScaleFn("loglog"), spec)
         cs_p = _perturbed_set(cs, eps, 1, _bumps(spec, model.N))
         dt = min(stable_dt(cs), stable_dt(cs_p))
         u0 = delta_field(spec)
-        alone = [len(solve(EvolutionProblem(c, u0, T=1.3 * dt, dt=dt)).series.t)
-                 for c in (cs, cs_p)]
+        base, pert = (EvolutionProblem(c, u0, T=1.3 * dt) for c in (cs, cs_p))
+        alone = [len(solve_at(p, dt).series.t) for p in (base, pert)]
         assert alone == [2, 3]
-        base, pert = (EvolutionProblem(c, u0, T=1.3 * dt, dt=dt) for c in (cs, cs_p))
         want = _reference_sup_differences(base, [pert], 1.0, 0.65 * dt)
         marches = record_marches(monkeypatch)
-        got, _ = sup_differences(base, [pert], 1.0)
+        got, _ = sup_differences(base, [pert], 1.0, shared_steps([base, pert], dt=dt))
         assert len(marches) == 2
         assert marches[0] == marches[1]
         assert len(marches[0]) == 3

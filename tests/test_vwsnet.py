@@ -18,7 +18,7 @@ from vwslab.vwsnet import (COARSE, TOL, HypothesisFailure, NetError, NetParams,
                            LevelProbe, _bumps, _perturbed_set,
                            bump_perturbation, consistency_run, delta_field,
                            gaussian_field, ladder, moderateness_fit,
-                           problem, probe_levels, rough_field, run_net,
+                           probe_levels, rough_field, run_net,
                            solve_ladder, uniqueness_probe, validate)
 
 
@@ -166,7 +166,7 @@ class TestModeratenessFit:
         for eps in LADDER:
             cs = regularise(model, eps, ScaleFn("loglog"), spec)
             u0 = Field(spec, eps**q * base.values)
-            results[eps] = solve(EvolutionProblem(cs, u0, T=0.25, s_list=(0.0,)))
+            results[eps] = solve(EvolutionProblem(cs, u0, T=0.25))
         fit = moderateness_fit(results, 0.0)
         assert fit.slope == pytest.approx(-q, abs=0.05)
 
@@ -640,8 +640,9 @@ class TestLevelProbe:
         results, health = solve_ladder(members, params)
         last = params.eps_ladder[-1]
         assert (health[last]["levels"], health[last]["steps"]) == (LEVELS, LEVELS)
-        alone = solve(problem(members[last]["cs"], members[last]["u0"], params),
-                      steps=LEVELS)
+        m = members[last]
+        alone = solve(EvolutionProblem(m["cs"], m["u0"], params.T),
+                      params.s_list, params.N_weight, steps=LEVELS)
         assert np.array_equal(results[last].final.values, alone.final.values)
         for s in params.s_list:
             assert np.array_equal(results[last].series.norms[s], alone.series.norms[s])
@@ -710,7 +711,7 @@ class TestMarchLadder:
         answer whose u(T) moves by `gap` relative at the COARSE count;
         returns (results, health, [(eps marched, steps)] per call)."""
         monkeypatch.setattr(vwsnet, "shared_steps",
-                            lambda probs, levels=None: probs[0][levels])
+                            lambda probs, levels=LEVELS, dt=None: probs[0][levels])
 
         def run(gap, dt=None):
             calls = []
@@ -774,8 +775,9 @@ class TestSolveLadderStack:
         assert [len(ts) - 1 for ts in marches] == [25, 16, 19, 23]
         monkeypatch.undo()
         for eps, res in results.items():
-            alone = solve(problem(members[eps]["cs"], members[eps]["u0"], params),
-                          steps=health[eps]["steps"])
+            m = members[eps]
+            alone = solve(EvolutionProblem(m["cs"], m["u0"], params.T),
+                          params.s_list, params.N_weight, steps=health[eps]["steps"])
             assert np.array_equal(res.final.values, alone.final.values)
             for s in params.s_list:
                 assert np.array_equal(res.series.norms[s], alone.series.norms[s])
