@@ -4,7 +4,8 @@ A config is a JSON object of the sections listed below with their
 defaults; parse_config fills in every key a config leaves out.  The
 subcommand sets experiment.kind.  For consistency the mollifier kind
 defaults to "vanishing-moment", and "gaussian" is rejected; data.width must
-be positive; an output.stride of 0 writes no snapshots.
+be positive; vws solve writes each state of levels 0, k, 2k, ... with its
+t for an output.stride k > 0, and none for 0.
 
 mollifier-bench fits over its own omega ladder under its own scale: a
 config for it that sets scale or ladder is rejected.
@@ -311,11 +312,12 @@ def _write_series(out: Path, eps: float, series) -> None:
                             f"{series.integral[s][i]:.12g}"])
 
 
-def _write_snapshots(out: Path, eps: float, states) -> None:
-    """The recorded states, each a list of [re, im] per node."""
-    if states is None:
+def _write_snapshots(out: Path, eps: float, res, stride: int) -> None:
+    """The recorded states, each its t and a list of [re, im] per node."""
+    if res.states is None:
         return
-    snaps = [np.ravel(u).view(float).reshape(-1, 2).tolist() for u in states]
+    snaps = [{"t": t, "values": np.ravel(u).view(float).reshape(-1, 2).tolist()}
+             for t, u in zip(res.series.t[::stride].tolist(), res.states)]
     (out / f"snapshots-eps-{eps!r}.json").write_text(
         json.dumps(snaps), encoding="utf-8")
 
@@ -333,7 +335,7 @@ def _run_solve(cfg, out: Path) -> dict:
     sups = {}
     for eps, res in results.items():
         _write_series(out, eps, res.series)
-        _write_snapshots(out, eps, res.states)
+        _write_snapshots(out, eps, res, cfg["output"]["stride"])
         sups[str(eps)] = {str(s): res.series.sup_norm(s)
                           for s in res.series.norms}
     finite = all(np.isfinite(v) for per in sups.values() for v in per.values())

@@ -178,7 +178,7 @@ def preset(name: str, **params) -> CoefficientModel:
             perturb = {(0, 0): enveloped_bump(N, nu, width),
                        (1, 1): enveloped_bump(N, nu, width)}
         return CoefficientModel("ultra-diagonal", 2, np.diag([c1, c2]),
-                                perturb=perturb, N=N, nu=nu, c0=c0)
+                                perturb=perturb, N=N, nu=nu, c0=c0, smooth=True)
 
     if name == "elliptic-lipschitz":
         _reject_extra(params)

@@ -21,9 +21,9 @@ and only the remainders go through transforms.  ``apply_spatial`` is the
 whole operator between one forward and one inverse transform.
 
 Which marches are stacked: after its probe, ``vwsnet.march_ladder`` gives
-the built members of every ladder to one answer call for each step count
-among them, the probe member too when the probe keeps no result of it.
-A ``net`` or ``solve`` ladder marches each call's members as one stack, so
+the built members of every ladder to one answer call at the ladder's one
+step count, the probe member too when the probe keeps no result of it.
+A ``net`` or ``solve`` ladder marches that call's members as one stack, so
 on net-1d-delta (1D, M=256) all five members share every transform and
 array pass of one 16-level march (317 numpy FFT calls per run: one field
 each way per right-hand side for its V, one inverse a level for all s).

@@ -4,22 +4,23 @@ classical-consistency verdicts for the regularised Cauchy problems.
 ``ladder`` builds the members of a net, each pipeline builds every
 member's Cauchy problems from them, and ``march_ladder``, the ladder driver
 of every pipeline, marches them with the net's step rule and diagnostics:
-the smallest eps is probed, then the others go to one answer call for each
-step count, giving each member's result and march health keyed by eps, in
-ladder order.
+the smallest eps is probed, then the others go to one answer call at the
+ladder's one step count, so that members are compared at common times,
+giving each member's result and march health keyed by eps, in ladder order.
 
 Each ladder without a given dt chooses its level count once, in
-``probe_levels``: its smallest eps marches at 2c steps and at c, c = 4 =
-COARSE levels unless the remainder bound asks for more, and the other
-members take COARSE levels when u(T) and the reported numbers of the two
-agree within TOL = 1e-3 relative.  The probe member then keeps its 2c-step
-result; else every member, the probe's included, marches at
-``evolve.LEVELS``.  ETD-RK4 is of 4th order, so the c-vs-2c gap estimates
-the c-step error: against 256 levels it understates the 4-level error of
-u(T) by at most 1.55x on the net-1d-delta ladder (at eps = 2^-7) and 1.07x
-on uniq-2d-ultra, which keeps an accepted ladder inside the 2e-3 to which
-LEVELS keeps the net-1d-delta ladder of a 2048-step march.  The 4-vs-8 gap
-of the smallest eps on the benchmark ladders:
+``probe_levels``: its smallest eps marches at 2c steps and at c, c the
+ladder's count at COARSE = 4 levels, and the ladder takes COARSE levels
+when u(T) and the reported numbers of the two agree within TOL = 1e-3
+relative.  The probe member then keeps its c-step result; else every
+member, the probe's included, marches at ``evolve.LEVELS``.  ETD-RK4 is of
+4th order, so the c-vs-2c gap of the roughest member estimates its c-step
+error and bounds that of every member it accepts: against 256 levels it
+understates the 4-level error of u(T) by at most 1.55x on the net-1d-delta
+ladder (at eps = 2^-7) and 1.07x on uniq-2d-ultra, which keeps an accepted
+ladder inside the 2e-3 to which LEVELS keeps the net-1d-delta ladder of a
+2048-step march.  The 4-vs-8 gap of the smallest eps on the benchmark
+ladders:
 
     ladder          u(T)     reported numbers       levels
     uniq-2d-ultra   7.9e-8   2.6e-7 sup difference  COARSE
@@ -171,7 +172,7 @@ class LevelProbe:
     gap: float | None     # the c-vs-2c gap; None if not measured
 
     def health(self, T: float, steps: int) -> dict:
-        """dt and step count of one member's march, and the probe."""
+        """dt and step count of the ladder's march, and the probe."""
         return {"dt": T / steps, "steps": steps, "levels": self.levels,
                 "probe_eps": self.eps, "probe_gap": self.gap}
 
@@ -182,32 +183,42 @@ def _relative_gap(fine, coarse) -> float:
     return float(diff / size) if size > 0 else (0.0 if diff == 0 else np.inf)
 
 
-def probe_levels(eps: float, probs: list, answer) -> tuple:
-    """Choose the level count of a ladder on its smallest-eps member.
+def _ladder_steps(members: dict, levels: int | None, dt: float | None = None) -> int:
+    """The largest ``shared_steps`` of the members, in ladder order, so
+    that a dt too large names the first problem it exceeds."""
+    return max(shared_steps(probs, levels, dt) for probs in members.values())
+
+
+def probe_levels(members: dict, answer) -> tuple:
+    """Choose the level count of a ladder, eps -> that member's problems in
+    ladder order, on its last, smallest-eps member.
 
     ``answer(members, steps)`` marches members, a dict eps -> the member's
     problems, in `steps` equal steps, the problems of each in lockstep, and
     returns for each member in order (result, compared): its result, and
     u(T) of each of its problems followed by the numbers it reports.
 
-    With c = ``shared_steps(probs, COARSE)``, the member marches in 2c
+    With c the ladder's count at COARSE levels, the member marches in 2c
     steps and then in c steps of twice the length, unless 2c reaches the
-    LEVELS count.  The ladder takes COARSE levels if every u(T) (in L^2)
-    and every number of the two answers agree within TOL relative, else
-    LEVELS.
+    ladder's LEVELS count.  The ladder takes COARSE levels if every u(T)
+    (in L^2) and every number of the two answers agree within TOL
+    relative, else LEVELS.
 
-    Returns (LevelProbe, kept).  kept is (2c, the member's result at 2c)
-    when the ladder takes COARSE; else it is None, and the member marches
+    Returns (LevelProbe, kept).  kept is {eps: the member's c-step result}
+    when the ladder takes COARSE; else it is empty, and the member marches
     at LEVELS with the others.
     """
-    coarse = shared_steps(probs, COARSE)
-    if 2 * coarse >= shared_steps(probs, LEVELS):
-        return LevelProbe(eps, LEVELS, None), None
-    (result, fine), = answer({eps: probs}, 2 * coarse)
-    gap = max(map(_relative_gap, fine, answer({eps: probs}, coarse)[0][1]))
+    *_, eps = members
+    coarse = _ladder_steps(members, COARSE)
+    if 2 * coarse >= _ladder_steps(members, LEVELS):
+        return LevelProbe(eps, LEVELS, None), {}
+    trial = {eps: members[eps]}
+    (_, fine), = answer(trial, 2 * coarse)
+    (result, compared), = answer(trial, coarse)
+    gap = max(map(_relative_gap, fine, compared))
     if gap > TOL:
-        return LevelProbe(eps, LEVELS, gap), None
-    return LevelProbe(eps, COARSE, gap), (2 * coarse, result)
+        return LevelProbe(eps, LEVELS, gap), {}
+    return LevelProbe(eps, COARSE, gap), {eps: result}
 
 
 def _solve_answer(params: NetParams, stride: int):
@@ -228,33 +239,19 @@ def march_ladder(members: dict, answer, params: NetParams) -> tuple:
     """(results, health), each a dict keyed by the eps of ``members``, a
     ladder's eps -> that member's problems, all built, in ladder order.
     ``answer`` is that of ``probe_levels``, which chooses the level count
-    on the last, smallest eps; with ``params.dt`` set nothing is probed,
-    and every member marches at that dt, checked by ``shared_steps`` in
-    ladder order.  The members left to march go to
-    ``answer`` in one call for each step count among them, the probe
-    member first of its count when the probe keeps no result of it.
-    Holding every member from the start costs uniq-2d-ultra 1.3 MB of
-    peak RSS against building each pair when it was marched (39.44
-    against 38.15 MB), for a run_s no better (0.089 against 0.088 s, the
-    medians of 10 alternating pairs)."""
-    *rest, last = members
-    results, health = dict.fromkeys(members), dict.fromkeys(members)
-    probe, kept = ((LevelProbe(None, None, None), None) if params.dt is not None
-                   else probe_levels(last, members[last], answer))
-    counts = {eps: shared_steps(probs, probe.levels, params.dt)
-              for eps, probs in members.items()}
-    if kept is None:
-        rest.insert(0, last)
-    else:
-        steps, results[last] = kept
-        health[last] = probe.health(params.T, steps)
-    groups = {}  # step count -> {eps: problems}
-    for eps in rest:
-        groups.setdefault(counts[eps], {})[eps] = members[eps]
-    for steps, group in groups.items():
-        for eps, (result, _) in zip(group, answer(group, steps)):
-            results[eps], health[eps] = result, probe.health(params.T, steps)
-    return results, health
+    on the last, smallest eps; with ``params.dt`` set nothing is probed.
+    The ladder marches one step count, the largest of its members' at
+    that level count or dt: every member the probe kept no result of goes
+    to ``answer`` in one call, in ladder order, so an Instability in the
+    stack of a net or solve ladder names the member's place in the ladder."""
+    probe, kept = ((LevelProbe(None, None, None), {}) if params.dt is not None
+                   else probe_levels(members, answer))
+    steps = _ladder_steps(members, probe.levels, params.dt)
+    rest = {eps: probs for eps, probs in members.items() if eps not in kept}
+    results = {eps: result for eps, (result, _) in
+               zip(rest, answer(rest, steps) if rest else ())}
+    results.update(kept)  # the probe member, last in ladder order
+    return results, {eps: probe.health(params.T, steps) for eps in members}
 
 
 def solve_ladder(members: dict, params: NetParams, stride: int = 0) -> tuple:
@@ -379,9 +376,9 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams) -> Fi
 
     Each member is the pair (classical problem, its mollified problem),
     with the one classical problem in every pair, marched by
-    ``march_ladder``: after the probe, one ``sup_differences`` lockstep for
-    each step count takes the classical problem and every member of that
-    count to T."""
+    ``march_ladder``: after the probe, one ``sup_differences`` lockstep at
+    the ladder's step count takes the classical problem and every member
+    the probe kept no result of to T."""
     if params.data_mollifier.kind == "gaussian":
         raise NetError("consistency requires a vanishing-moment data mollifier")
     if len(params.eps_ladder) < 4:

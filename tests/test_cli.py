@@ -307,11 +307,32 @@ class TestRunSolve:
         assert np.ptp(norms) < 1e-8
 
     def test_snapshots_written(self, outcome):
+        # 200 steps of 1e-3 at stride 50: levels 0, 50, ..., 200
         snaps = json.loads(
             (outcome[1] / "snapshots-eps-0.25.json").read_text())
-        assert len(snaps) >= 2
-        assert len(snaps[0]) == 32
-        assert len(snaps[0][0]) == 2
+        assert [snap["t"] for snap in snaps] == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2],
+                                                             rel=1e-12)
+        assert all(set(snap) == {"t", "values"} for snap in snaps)
+        assert len(snaps[0]["values"]) == 32
+        assert len(snaps[0]["values"][0]) == 2
+
+
+def test_snapshots_share_their_times(tmp_path):
+    # a ladder that takes COARSE levels: the probe member keeps its c-step
+    # trial, so every member marches 4 steps and at stride 2 writes the
+    # states at t = 0, T/2 and T
+    cfg = parse_config(json.dumps({"model": {"preset": "free"},
+                                   "data": {"kind": "plane-wave", "k": [1]},
+                                   "output": {"stride": 2}}), kind="solve")
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    health = json.loads((tmp_path / "report.json").read_text())["verdict"]["health"]
+    assert {(h["levels"], h["steps"]) for h in health.values()} == {(COARSE, COARSE)}
+    T = cfg["evolution"]["T"]
+    paths = sorted(tmp_path.glob("snapshots-eps-*.json"))
+    assert len(paths) == len(cfg["ladder"])
+    for path in paths:
+        snaps = json.loads(path.read_text())
+        assert [snap["t"] for snap in snaps] == [0.0, T / 2, T], path.name
 
 
 def test_solve_holds_the_data_fixed(tmp_path):
@@ -326,6 +347,31 @@ def test_solve_holds_the_data_fixed(tmp_path):
             starts.append([r for r in csv.DictReader(fh) if float(r["t"]) == 0.0])
     assert len(starts) == len(cfg["ladder"])
     assert starts[0] and all(rows == starts[0] for rows in starts)
+
+
+_ULTRA = {"grid": {"n": 2, "M": 32, "L": 8}, "scale": {"kind": "power", "k": 1}}
+
+
+@pytest.mark.parametrize("cfg, status, levels", [
+    ({**_ULTRA, "model": {"preset": "ultra-diagonal", "params": {"nu": 0.3}}}, 0, LEVELS),
+    ({**_ULTRA, "model": {"preset": "ultra-diagonal",
+                          "params": {"nu": 0.3, "c2": -0.5}}}, 0, COARSE),
+    ({"model": {"preset": "delta-potential"}}, 2, None)],
+    ids=["ultra-diagonal", "ultra-diagonal-c2", "delta-potential"])
+def test_consistency_on_the_ultrahyperbolic_class(tmp_path, cfg, status, levels):
+    # ultra-diagonal perturbs a11 and a22 by the C_b^inf enveloped bump, so
+    # its classical problem is marched, and with the power k = 1 scale the
+    # error falls as eps^2; a delta potential has no classical problem
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["consistency", str(path), "--out", str(tmp_path / "out")]) == status
+    if status:
+        return
+    verdict = json.loads((tmp_path / "out" / "report.json").read_text())["verdict"]
+    assert verdict["pass"] is True
+    assert verdict["slope"] == pytest.approx(2.0, abs=0.01)
+    assert {(h["levels"], h["steps"]) for h in verdict["health"].values()} == {
+        (levels, levels)}
 
 
 class TestToleranceDefaults:
@@ -506,8 +552,8 @@ class TestRunReportContract:
         assert verdict["pass"] is False
         assert verdict["error"].startswith("Instability: norm grew x")
         assert "in one step at t = 0" in verdict["error"]
-        # the smallest eps, marched first, blows up first
-        assert f"for eps = {cfg['ladder'][-1]!r};" in verdict["error"]
+        # the largest eps, marched first in ladder order, blows up first
+        assert f"for eps = {cfg['ladder'][0]!r};" in verdict["error"]
         assert verdict["traceback"].splitlines()[-1].startswith(
             "vwslab.evolve.Instability: norm grew x")
 
@@ -544,8 +590,8 @@ class TestRunReportContract:
     def test_compared_report_holds_each_march(self, tmp_path, kind, model, dt):
         # the loglog consistency verdict fails on this grid; the report
         # still holds the marches.  With dt "auto" both ladders take COARSE
-        # levels, and the smallest eps, the probe, keeps its trial at twice
-        # that.
+        # levels, and the smallest eps, the probe, keeps its trial at that
+        # count.
         cfg = parse_config(cfg_text(experiment={"kind": kind}, model={"preset": model},
                                     evolution={"T": 0.5, "dt": dt}))
         run(cfg, out_dir=str(tmp_path))
@@ -553,12 +599,8 @@ class TestRunReportContract:
         assert "error" not in verdict
         assert set(verdict["health"]) == {str(eps) for eps in cfg["ladder"]}
         assert "health" not in verdict["extra"]
-        probe = str(cfg["ladder"][-1])
-        for eps, h in verdict["health"].items():
-            if dt != "auto":
-                assert h["steps"] == 50
-            else:
-                assert h["steps"] == (2 * COARSE if eps == probe else COARSE)
+        for h in verdict["health"].values():
+            assert h["steps"] == (50 if dt != "auto" else COARSE)
             assert h["dt"] * h["steps"] == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("kind, model, data, T, levels", [
@@ -577,13 +619,13 @@ class TestRunReportContract:
         health = json.loads((tmp_path / "report.json").read_text())["verdict"]["health"]
         probe = cfg["ladder"][-1]
         assert set(health) == {str(eps) for eps in cfg["ladder"]}
-        for eps, h in health.items():
+        for h in health.values():
             assert set(h) == {"dt", "steps", "levels", "probe_eps", "probe_gap"}
             assert (h["levels"], h["probe_eps"]) == (levels, probe)
             assert (h["probe_gap"] <= TOL) == (levels == COARSE)
-            # a ladder at COARSE levels keeps the probe's 2 * COARSE trial
-            kept = float(eps) == probe and levels == COARSE
-            assert h["steps"] == (2 * COARSE if kept else levels)
+            # one count per ladder: a ladder at COARSE levels keeps the
+            # probe's COARSE trial
+            assert h["steps"] == levels
 
     def test_given_dt_reports_no_probe(self, tmp_path):
         cfg = parse_config(cfg_text(experiment={"kind": "net"},

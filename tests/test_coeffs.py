@@ -35,6 +35,8 @@ class TestPreset:
         model = preset("ultra-diagonal")
         assert model.n == 2
         assert np.allclose(model.C, np.diag([1.0, -1.0]))
+        # its perturbation is the C_b^inf enveloped bump
+        assert model.smooth
 
     def test_weight_exponent_must_exceed_one(self):
         with pytest.raises(ModelError):

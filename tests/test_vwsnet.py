@@ -422,25 +422,27 @@ class TestComparedProblemsStep:
     @pytest.mark.parametrize("kind, group", [("uniqueness", 2),
                                              ("consistency", 6)])
     def test_health_is_the_lockstep_march(self, monkeypatch, spec, kind, group):
-        # at T = 2 the eps = 2^-3 perturbed problem's bound sets its step,
-        # and the consistency probe takes its bound's count, 7, and 14
+        # at T = 2 the eps = 2^-3 perturbed problem's bound sets the
+        # uniqueness ladder's count, 17 at COARSE levels as at LEVELS, so
+        # nothing is probed; the consistency ladder's bound sets its COARSE
+        # count, 7, and its probe marches 14 and 7
         marches = record_marches(monkeypatch)
         fit = self.cases(spec)[kind](NetParams(spec=spec, T=2.0))
         health = fit.extra["health"]
         probe = health[min(health)]
-        assert probe["probe_gap"] is not None
-        # the probe's problems at 2c and at c steps; then for each step
-        # count the uniqueness pairs of that count, each its own lockstep,
-        # the probe's first as it keeps no result, or the classical problem
-        # with the four other consistency members at once
+        # the probe's problems at 2c and at c steps, if probed; then at the
+        # ladder's one count the uniqueness pairs, each its own lockstep,
+        # or the classical problem with the four other consistency members
+        # at once
         (levels, sizes, counts, steps), = [{
-            "uniqueness": (LEVELS, [2] * 7, [8, 4, 16, 16, 16, 16, 17],
-                           [17, 16, 16, 16, 16]),
-            "consistency": (COARSE, [2, 2, group - 1], [14, 7, 7],
-                            [7, 7, 7, 7, 14]),
+            "uniqueness": (LEVELS, [2] * 5, [17] * 5, [17] * 5),
+            "consistency": (COARSE, [2, 2, group - 1], [14, 7, 7], [7] * 5),
         }[kind]]
         assert probe["levels"] == levels
-        assert (probe["probe_gap"] <= TOL) == (levels == COARSE)
+        if kind == "uniqueness":
+            assert probe["probe_gap"] is None
+        else:
+            assert probe["probe_gap"] <= TOL
         assert sum(sizes) == len(marches)
         starts = np.cumsum([0] + sizes)
         groups = [marches[a:b] for a, b in zip(starts, starts[1:])]
@@ -526,14 +528,21 @@ def _delta_net_params():
 
 class TestLevelProbe:
     """``probe_levels`` marches the smallest eps at 2c and at c steps, c the
-    COARSE count, and gives the ladder COARSE levels, the member keeping its
-    2c-step result, when the two agree within TOL."""
+    ladder's COARSE count, and gives the ladder COARSE levels, the member
+    keeping its c-step result, when the two agree within TOL."""
 
     @staticmethod
     def probs(T):
         spec = make_grid(1, 32, 8.0)
         cs = regularise(preset("smooth-consistency", n=1), 2**-4, ScaleFn("loglog"),
                         spec)
+        return [EvolutionProblem(cs, gaussian_field(spec), T=T)]
+
+    @staticmethod
+    def free_probs(T):
+        """A member without remainder, whose bound is infinite."""
+        spec = make_grid(1, 32, 8.0)
+        cs = regularise(preset("free", n=1), 2**-5, ScaleFn("loglog"), spec)
         return [EvolutionProblem(cs, gaussian_field(spec), T=T)]
 
     @staticmethod
@@ -550,34 +559,45 @@ class TestLevelProbe:
 
     def test_coarse_when_the_trial_agrees(self):
         answer, calls = self.answers({COARSE: (0.5 * TOL, 0.0)})
-        probe, kept = probe_levels(0.5, self.probs(0.5), answer)
+        probe, kept = probe_levels({0.5: self.probs(0.5)}, answer)
         assert calls == [2 * COARSE, COARSE]
-        assert kept == (2 * COARSE, f"result@{2 * COARSE}")
+        assert kept == {0.5: f"result@{COARSE}"}
         assert probe == LevelProbe(0.5, COARSE, pytest.approx(0.5 * TOL))
 
     @pytest.mark.parametrize("rel", [(2.0 * TOL, 0.0), (0.0, 2.0 * TOL)],
                              ids=["u(T)", "number"])
     def test_levels_when_any_part_of_the_trial_disagrees(self, rel):
         answer, calls = self.answers({COARSE: rel})
-        probe, kept = probe_levels(0.5, self.probs(0.5), answer)
+        probe, kept = probe_levels({0.5: self.probs(0.5)}, answer)
         assert calls == [2 * COARSE, COARSE]
-        assert kept is None
+        assert kept == {}
         assert probe == LevelProbe(0.5, LEVELS, pytest.approx(2.0 * TOL))
 
     def test_zero_answers_agree(self):
         def answer(members, steps):
             return [(None, [np.zeros(3), 0.0])]
-        probe, _ = probe_levels(0.5, self.probs(0.5), answer)
+        probe, _ = probe_levels({0.5: self.probs(0.5)}, answer)
         assert (probe.levels, probe.gap) == (COARSE, 0.0)
 
     def test_trial_at_the_bound_count(self):
         # the bound forces c = 7 steps: the trial takes 14 and 7
         limit = stable_dt(self.probs(1.0)[0].cs)
         answer, calls = self.answers({})
-        probe, kept = probe_levels(0.5, self.probs(7 * limit), answer)
+        probe, kept = probe_levels({0.5: self.probs(7 * limit)}, answer)
         assert calls == [14, 7]
         assert probe.levels == COARSE
-        assert kept == (14, "result@14")
+        assert kept == {0.5: "result@7"}
+
+    def test_trial_at_the_ladder_count(self):
+        # the bound of the larger eps forces the ladder's c = 7 steps: the
+        # probe member, whose own count is COARSE, takes 14 and 7
+        T = 7 * stable_dt(self.probs(1.0)[0].cs)
+        members = {0.5: self.probs(T), 0.25: self.free_probs(T)}
+        assert evolve.shared_steps(members[0.25], COARSE) == COARSE
+        answer, calls = self.answers({})
+        probe, kept = probe_levels(members, answer)
+        assert calls == [14, 7]
+        assert (probe, kept) == (LevelProbe(0.25, COARSE, 0.0), {0.25: "result@7"})
 
     def test_no_trial_where_the_bound_forces_levels(self):
         # the bound forces c steps, and 2c reaches the LEVELS count
@@ -586,14 +606,14 @@ class TestLevelProbe:
             answer, calls = self.answers({})
             probs = self.probs(c * limit)
             assert evolve.shared_steps(probs, COARSE) == c
-            probe, kept = probe_levels(0.5, probs, answer)
+            probe, kept = probe_levels({0.5: probs}, answer)
             assert calls == [], c
-            assert (probe, kept) == (LevelProbe(0.5, LEVELS, None), None), c
+            assert (probe, kept) == (LevelProbe(0.5, LEVELS, None), {}), c
 
     def test_no_probe_with_a_given_dt(self, monkeypatch, spec):
-        # march_ladder marches every member at the given dt, grouped by step
-        # count: the net's five members as one stack, and the classical
-        # problem once, in one lockstep with the five consistency members
+        # march_ladder marches every member at the given dt in one call: the
+        # net's five members as one stack, and the classical problem once,
+        # in one lockstep with the five consistency members
         marches = record_marches(monkeypatch)
         params = NetParams(spec=spec, T=0.1, dt=0.01)
         _, _, health = run_net(preset("delta-potential", n=1), gaussian_field(spec),
@@ -666,9 +686,9 @@ class TestLevelProbe:
         sizes = _record_stack_sizes(monkeypatch)
         with pytest.raises(Instability) as info:
             solve_ladder(members, params)
-        # the probe member is the first of the stack of three
+        # the probe member is the last of the stack of three, in ladder order
         assert sizes == [3]
-        assert (info.value.member, info.value.eps) == (0, 0.125)
+        assert (info.value.member, info.value.eps) == (2, 0.125)
         assert "for eps = 0.125;" in str(info.value)
 
     @pytest.mark.parametrize("name", ["uniq-2d-reduced", "delta-potential-1d"])
@@ -695,21 +715,23 @@ class TestLevelProbe:
 
 
 class TestMarchLadder:
-    """``march_ladder`` probes the last member, then calls its answer once
-    for each step count among the members marched, a rejected probe member
-    first of its count."""
+    """``march_ladder`` probes the last member, then calls its answer once,
+    in ladder order, for every member the probe kept no result of, at the
+    ladder's count: the largest of its members'."""
 
     #: eps -> {levels: that member's step count}; None is a given dt
     COUNTS = {0.5: {COARSE: 4, LEVELS: 16, None: 10},
-              0.25: {COARSE: 5, LEVELS: 20, None: 10},
+              0.25: {COARSE: 5, LEVELS: 20, None: 11},
               0.125: {COARSE: 4, LEVELS: 16, None: 10},
               0.0625: {COARSE: 4, LEVELS: 16, None: 10}}
+    #: the ladder's counts
+    STEPS = {COARSE: 5, LEVELS: 20, None: 11}
 
     @pytest.fixture
     def ladder_run(self, monkeypatch, spec):
         """march_ladder over members whose step counts are COUNTS, with an
-        answer whose u(T) moves by `gap` relative at the COARSE count;
-        returns (results, health, [(eps marched, steps)] per call)."""
+        answer whose u(T) moves by `gap` relative at the ladder's COARSE
+        count; returns (results, health, [(eps marched, steps)] per call)."""
         monkeypatch.setattr(vwsnet, "shared_steps",
                             lambda probs, levels=LEVELS, dt=None: probs[0][levels])
 
@@ -718,7 +740,8 @@ class TestMarchLadder:
 
             def answer(members, steps):
                 calls.append((list(members), steps))
-                final = np.array([3.0, 4.0]) * (1.0 + (gap if steps == COARSE else 0.0))
+                coarse = steps == self.STEPS[COARSE]
+                final = np.array([3.0, 4.0]) * (1.0 + (gap if coarse else 0.0))
                 return [(f"{eps}@{steps}", [final]) for eps in members]
 
             params = NetParams(spec=spec, eps_ladder=tuple(self.COUNTS), T=1.0, dt=dt)
@@ -726,53 +749,52 @@ class TestMarchLadder:
             return (*vwsnet.march_ladder(members, answer, params), calls)
         return run
 
-    def test_rejected_probe_member_goes_first_of_its_count(self, ladder_run):
+    def test_rejected_probe_member_marches_in_ladder_order(self, ladder_run):
         results, health, calls = ladder_run(2.0 * TOL)
-        assert calls == [([0.0625], 2 * COARSE), ([0.0625], COARSE),
-                         ([0.0625, 0.5, 0.125], 16), ([0.25], 20)]
+        assert calls == [([0.0625], 10), ([0.0625], 5),
+                         ([0.5, 0.25, 0.125, 0.0625], 20)]
         assert list(results) == list(health) == list(self.COUNTS)
-        assert results == {eps: f"{eps}@{c[LEVELS]}" for eps, c in self.COUNTS.items()}
-        assert [(h["levels"], h["steps"]) for h in health.values()] == [
-            (LEVELS, 16), (LEVELS, 20), (LEVELS, 16), (LEVELS, 16)]
+        assert results == {eps: f"{eps}@20" for eps in self.COUNTS}
+        assert [(h["levels"], h["steps"]) for h in health.values()] == [(LEVELS, 20)] * 4
         assert {h["probe_eps"] for h in health.values()} == {0.0625}
 
     def test_kept_probe_result_is_not_marched_again(self, ladder_run):
         results, health, calls = ladder_run(0.0)
-        assert calls == [([0.0625], 2 * COARSE), ([0.0625], COARSE),
-                         ([0.5, 0.125], 4), ([0.25], 5)]
+        assert calls == [([0.0625], 10), ([0.0625], 5), ([0.5, 0.25, 0.125], 5)]
         assert list(results) == list(health) == list(self.COUNTS)
-        assert results == {0.5: "0.5@4", 0.25: "0.25@5", 0.125: "0.125@4",
-                           0.0625: f"0.0625@{2 * COARSE}"}
-        assert [(h["levels"], h["steps"]) for h in health.values()] == [
-            (COARSE, 4), (COARSE, 5), (COARSE, 4), (COARSE, 2 * COARSE)]
+        assert results == {eps: f"{eps}@5" for eps in self.COUNTS}
+        assert [(h["levels"], h["steps"]) for h in health.values()] == [(COARSE, 5)] * 4
 
     def test_no_probe_with_a_given_dt(self, ladder_run):
-        # one call, the smallest eps first, as a probe member without a
-        # kept result
+        # one call in ladder order, at the largest count of the given dt
         results, health, calls = ladder_run(0.0, dt=0.1)
-        assert calls == [([0.0625, 0.5, 0.25, 0.125], 10)]
+        assert calls == [([0.5, 0.25, 0.125, 0.0625], 11)]
         assert list(results) == list(health) == list(self.COUNTS)
-        assert all(h == {"dt": 0.1, "steps": 10, "levels": None, "probe_eps": None,
+        assert all(h == {"dt": 1.0 / 11, "steps": 11, "levels": None, "probe_eps": None,
                          "probe_gap": None} for h in health.values())
 
 
 class TestSolveLadderStack:
-    """``solve_ladder`` marches the members after the probe as one stack
-    for each step count among them."""
+    """``solve_ladder`` marches the members after the probe as one stack,
+    at the ladder's one step count."""
 
-    def test_members_keep_their_step_counts(self, monkeypatch):
+    def test_members_march_the_ladders_count(self, monkeypatch):
         # at T = 100 the remainder bounds of the delta-potential ladder,
-        # 6.7 down to 3.9, give its members 16, 16, 19, 23 and 25 steps
+        # 6.7 down to 3.9, would give its members 16, 16, 19, 23 and 25
+        # steps; the ladder marches the largest, and the probe member's
+        # bound skips the trial
         spec = make_grid(1, 32, 8.0)
         params = NetParams(spec=spec, T=100.0)
         members = ladder(preset("delta-potential", n=1), params, gaussian_field(spec))
+        assert [evolve.shared_steps([EvolutionProblem(m["cs"], m["u0"], params.T)])
+                for m in members.values()] == [16, 16, 19, 23, 25]
         marches = record_marches(monkeypatch)
+        sizes = _record_stack_sizes(monkeypatch)
         results, health = solve_ladder(members, params)
         assert list(results) == list(health) == list(members)
-        assert [h["steps"] for h in health.values()] == [16, 16, 19, 23, 25]
-        # one stack for each step count, the first that of the probe
-        # member, whose bound skips the trial
-        assert [len(ts) - 1 for ts in marches] == [25, 16, 19, 23]
+        assert [h["steps"] for h in health.values()] == [25] * 5
+        assert [len(ts) - 1 for ts in marches] == [25]
+        assert sizes == [5]
         monkeypatch.undo()
         for eps, res in results.items():
             m = members[eps]
@@ -784,10 +806,24 @@ class TestSolveLadderStack:
                 assert np.array_equal(res.series.integral[s],
                                       alone.series.integral[s])
 
+    def test_one_member_ladder_is_its_probe(self, monkeypatch, spec):
+        # a ladder of one eps that takes COARSE levels keeps the probe's
+        # c-step result and marches nothing more
+        params = NetParams(spec=spec, eps_ladder=(0.5,), T=0.1)
+        members = ladder(preset("smooth-consistency", n=1), params, gaussian_field(spec))
+        marches = record_marches(monkeypatch)
+        results, health = solve_ladder(members, params)
+        assert [len(ts) - 1 for ts in marches] == [2 * COARSE, COARSE]
+        assert (health[0.5]["levels"], health[0.5]["steps"]) == (COARSE, COARSE)
+        monkeypatch.undo()
+        m = members[0.5]
+        alone = solve(EvolutionProblem(m["cs"], m["u0"], params.T), steps=COARSE)
+        assert np.array_equal(results[0.5].final.values, alone.final.values)
+
     def test_instability_names_the_member(self, monkeypatch):
         # without stability bounds, one step of 50 of its bound blows up
-        # the smooth-consistency member alone; it marches in the stack
-        # after the free member of the smallest eps
+        # the smooth-consistency member alone; it marches second in the
+        # stack, its place in the ladder
         spec = make_grid(1, 64, np.pi)
         eps_ladder = (0.5, 0.25, 0.125)
         sets = {eps: regularise(preset("smooth-consistency" if eps == 0.25 else "free",
@@ -801,9 +837,9 @@ class TestSolveLadderStack:
         marches = record_marches(monkeypatch)
         with pytest.raises(Instability) as info:
             solve_ladder(members, params)
-        # with a given dt nothing is probed: one stack, the smallest eps first
+        # with a given dt nothing is probed: one stack, in ladder order
         assert len(marches) == 1
-        assert (info.value.member, info.value.eps) == (2, 0.25)
+        assert (info.value.member, info.value.eps) == (1, 0.25)
         assert str(info.value).startswith("norm grew x")
         assert "for eps = 0.25;" in str(info.value)
 
