@@ -5,7 +5,9 @@ defaults; parse_config fills in every key a config leaves out.  The
 subcommand sets experiment.kind.  For consistency the mollifier kind
 defaults to "vanishing-moment", and "gaussian" is rejected; data.width must
 be positive; vws solve writes each state of levels 0, k, 2k, ... with its
-t for an output.stride k > 0, and none for 0.
+t for an output.stride k > 0, and none for 0.  net and solve report every
+order of evolution.s; uniqueness and consistency judge only the first,
+params.s_list[0].  model.params takes only its preset's parameters.
 
 mollifier-bench fits over its own omega ladder under its own scale: a
 config for it that sets scale or ladder is rejected.
@@ -243,8 +245,8 @@ def _data(cfg, spec: GridSpec) -> Field:
     return _DATA[cfg["data"]["kind"]](spec, cfg["data"], cfg["seed"])
 
 
-def _net_params(cfg, spec: GridSpec, model) -> NetParams:
-    """The net of cfg; its <x>^{-N} smoothing weight is the model's."""
+def _net_params(cfg, spec: GridSpec) -> NetParams:
+    """The net of cfg."""
     ev = cfg["evolution"]
     dt = None if ev["dt"] == "auto" else float(ev["dt"])
     return NetParams(
@@ -254,7 +256,6 @@ def _net_params(cfg, spec: GridSpec, model) -> NetParams:
         T=float(ev["T"]),
         dt=dt,
         s_list=tuple(float(s) for s in ev["s"]),
-        N_weight=model.N,
         data_mollifier=_data_mollifier(cfg),
     )
 
@@ -265,14 +266,14 @@ def _net_params(cfg, spec: GridSpec, model) -> NetParams:
 
 def _run_validate_hypotheses(cfg, out: Path) -> dict:
     model = _model(cfg)
-    report = validate(model, ladder(model, _net_params(cfg, _grid(cfg), model)))
+    report = validate(model, ladder(model, _net_params(cfg, _grid(cfg))))
     d = report.to_dict()
     return {"pass": d.pop("passed"), **d, "failures": report.failures()}
 
 
 def _run_doi_check(cfg, out: Path) -> dict:
     model = _model(cfg)
-    params = _net_params(cfg, _grid(cfg), model)
+    params = _net_params(cfg, _grid(cfg))
     sets = [m["cs"] for m in ladder(model, params).values()]
     # K needs every member's q first; calibrate_K and check_member each
     # evaluate q a block of x-rows at a time, so only the coefficient sets
@@ -326,7 +327,7 @@ def _run_solve(cfg, out: Path) -> dict:
     # the ladder's coefficients with the Cauchy data held fixed
     spec = _grid(cfg)
     model = _model(cfg)
-    params = _net_params(cfg, spec, model)
+    params = _net_params(cfg, spec)
     members = ladder(model, params)
     u0 = _data(cfg, spec)
     for m in members.values():
@@ -346,7 +347,7 @@ def _run_net(cfg, out: Path) -> dict:
     spec = _grid(cfg)
     model = _model(cfg)
     u0 = _data(cfg, spec)
-    params = _net_params(cfg, spec, model)
+    params = _net_params(cfg, spec)
     report, results, health = run_net(model, u0, params)
     for eps, res in results.items():
         _write_series(out, eps, res.series)
@@ -372,13 +373,13 @@ def _fit_verdict(fit: FitReport) -> dict:
 def _run_uniqueness(cfg, out: Path) -> dict:
     spec, model = _grid(cfg), _model(cfg)
     return _fit_verdict(uniqueness_probe(model, cfg["experiment"]["q"], _data(cfg, spec),
-                                         _net_params(cfg, spec, model)))
+                                         _net_params(cfg, spec)))
 
 
 def _run_consistency(cfg, out: Path) -> dict:
     spec, model = _grid(cfg), _model(cfg)
     return _fit_verdict(consistency_run(model, _data(cfg, spec),
-                                        _net_params(cfg, spec, model)))
+                                        _net_params(cfg, spec)))
 
 
 def _run_mollifier_bench(cfg, out: Path) -> dict:

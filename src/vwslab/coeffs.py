@@ -9,6 +9,7 @@ carry no quadrature error.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -19,16 +20,6 @@ from .mollify import Mollifier, ScaleFn, fit_slope, scale_omega
 
 class ModelError(ValueError):
     pass
-
-
-PRESETS = (
-    "free",
-    "ultra-diagonal",
-    "elliptic-lipschitz",
-    "delta-potential",
-    "jump-drift",
-    "smooth-consistency",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -147,75 +138,77 @@ class CoefficientModel:
                 self.perturb[(j, i)] = self.perturb[(i, j)]
 
 
-def preset(name: str, **params) -> CoefficientModel:
-    """Construct one of the named coefficient models."""
-    if name not in PRESETS:
-        raise ModelError(f"unknown preset {name!r}; choose from {PRESETS}")
-    n = int(params.pop("n", 2 if name == "ultra-diagonal" else 1))
-    N = int(params.pop("N", 2))
-    nu = float(params.pop("nu", 0.05))
-    c0 = float(params.pop("c0", 0.05))
+def _free(n=1, N=2, c1=1.0):
+    return CoefficientModel("free", n, c1 * np.eye(n), N=N, nu=0.0, c0=0.0,
+                            smooth=True)
 
-    if name == "free":
-        c1 = float(params.pop("c1", 1.0))
-        _reject_extra(params)
-        return CoefficientModel("free", n, c1 * np.eye(n), N=N, nu=0.0, c0=0.0,
-                                smooth=True)
 
-    if name == "ultra-diagonal":
-        c1 = float(params.pop("c1", 1.0))
-        c2 = float(params.pop("c2", -1.0))
-        width = float(params.pop("width", 5.0))
-        _reject_extra(params)
-        if n != 2:
-            raise ModelError(f"ultra-diagonal is two-dimensional, got n={n}")
-        if c1 <= 0:
-            raise ModelError("ultra-diagonal requires c1 > 0")
-        if c2 == 0:
-            raise ModelError("ultra-diagonal requires c2 != 0")
-        perturb = {}
-        if nu > 0:
-            perturb = {(0, 0): enveloped_bump(N, nu, width),
-                       (1, 1): enveloped_bump(N, nu, width)}
-        return CoefficientModel("ultra-diagonal", 2, np.diag([c1, c2]),
-                                perturb=perturb, N=N, nu=nu, c0=c0, smooth=True)
+def _ultra_diagonal(n=2, N=2, nu=0.05, c0=0.05, c1=1.0, c2=-1.0, width=5.0):
+    if n != 2:
+        raise ModelError(f"ultra-diagonal is two-dimensional, got n={n}")
+    if c1 <= 0:
+        raise ModelError("ultra-diagonal requires c1 > 0")
+    if c2 == 0:
+        raise ModelError("ultra-diagonal requires c2 != 0")
+    perturb = {(i, i): enveloped_bump(N, nu, width) for i in range(2)} if nu > 0 else {}
+    return CoefficientModel("ultra-diagonal", 2, np.diag([c1, c2]),
+                            perturb=perturb, N=N, nu=nu, c0=c0, smooth=True)
 
-    if name == "elliptic-lipschitz":
-        _reject_extra(params)
-        perturb = {(0, 0): enveloped_lipschitz(N, nu)} if nu > 0 else {}
-        return CoefficientModel("elliptic-lipschitz", n, np.eye(n),
-                                perturb=perturb, N=N, nu=nu, c0=0.0)
 
-    if name == "delta-potential":
-        strength = float(params.pop("strength", 1.0))
-        _reject_extra(params)
-        return CoefficientModel("delta-potential", n, np.eye(n),
-                                potential=Delta(strength), N=N, nu=0.0, c0=0.0)
+def _elliptic_lipschitz(n=1, N=2, nu=0.05):
+    perturb = {(0, 0): enveloped_lipschitz(N, nu)} if nu > 0 else {}
+    return CoefficientModel("elliptic-lipschitz", n, np.eye(n),
+                            perturb=perturb, N=N, nu=nu, c0=0.0)
 
-    if name == "jump-drift":
-        _reject_extra(params)
-        drift_re = {0: SquareWave()}
-        drift_im = {0: enveloped_bump(N, c0)} if c0 > 0 else {}
-        return CoefficientModel("jump-drift", n, np.eye(n),
-                                drift_re=drift_re, drift_im=drift_im,
-                                N=N, nu=0.0, c0=c0)
 
-    # smooth-consistency: every entry C_b^inf with the <x>^{-N} envelopes;
-    # wide profiles keep the mollified derivative sups epsilon-stable
-    width = float(params.pop("width", 2.5))
+def _delta_potential(n=1, N=2, strength=1.0):
+    return CoefficientModel("delta-potential", n, np.eye(n),
+                            potential=Delta(strength), N=N, nu=0.0, c0=0.0)
+
+
+def _jump_drift(n=1, N=2, c0=0.05):
+    drift_im = {0: enveloped_bump(N, c0)} if c0 > 0 else {}
+    return CoefficientModel("jump-drift", n, np.eye(n),
+                            drift_re={0: SquareWave()}, drift_im=drift_im,
+                            N=N, nu=0.0, c0=c0)
+
+
+def _smooth_consistency(n=1, N=2, nu=0.05, c0=0.05, width=2.5, v_amplitude=0.5):
+    # every entry C_b^inf with the <x>^{-N} envelopes; wide profiles keep
+    # the mollified derivative sups epsilon-stable
     perturb = {(i, i): enveloped_bump(N, nu, width) for i in range(n)} \
         if nu > 0 else {}
     drift_im = {0: enveloped_bump(N, c0, width)} if c0 > 0 else {}
-    pot = enveloped_bump(N, float(params.pop("v_amplitude", 0.5)), width)
-    _reject_extra(params)
     return CoefficientModel("smooth-consistency", n, np.eye(n),
                             perturb=perturb, drift_im=drift_im,
-                            potential=pot, N=N, nu=nu, c0=c0, smooth=True)
+                            potential=enveloped_bump(N, v_amplitude, width),
+                            N=N, nu=nu, c0=c0, smooth=True)
 
 
-def _reject_extra(params):
-    if params:
-        raise ModelError(f"unknown model parameters: {sorted(params)}")
+#: preset name -> its builder, whose keyword parameters and their defaults
+#: are the preset's parameters
+_BUILDERS = {
+    "free": _free,
+    "ultra-diagonal": _ultra_diagonal,
+    "elliptic-lipschitz": _elliptic_lipschitz,
+    "delta-potential": _delta_potential,
+    "jump-drift": _jump_drift,
+    "smooth-consistency": _smooth_consistency,
+}
+PRESETS = tuple(_BUILDERS)
+
+
+def preset(name: str, **params) -> CoefficientModel:
+    """Construct one of the named coefficient models from the parameters
+    of its builder: n and N as int, every other one as float."""
+    if name not in _BUILDERS:
+        raise ModelError(f"unknown preset {name!r}; choose from {PRESETS}")
+    builder = _BUILDERS[name]
+    extra = sorted(set(params) - set(inspect.signature(builder).parameters))
+    if extra:
+        raise ModelError(f"unknown model parameters: {extra}")
+    return builder(**{key: int(value) if key in ("n", "N") else float(value)
+                      for key, value in params.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +219,10 @@ def _reject_extra(params):
 class CoefficientSet:
     """Grid realisation of the epsilon-regularised coefficients.
 
-    a[i][j] are real arrays, b[k] complex arrays, V a real array.
-    da[k][i][j], the spectral x_k-derivative of a[i][j], is derived from a
-    on first read and kept.
+    a[i][j] are real arrays, b[k] complex arrays, V a real array, and N the
+    model's decay exponent, the weight of (H3), (H4) and the smoothing
+    integrand.  da[k][i][j], the spectral x_k-derivative of a[i][j], is
+    derived from a on first read and kept.
     """
 
     spec: GridSpec
@@ -237,6 +231,7 @@ class CoefficientSet:
     a: list
     b: list
     V: np.ndarray
+    N: int
 
     @property
     def n(self) -> int:
@@ -344,7 +339,8 @@ def _build_set(model, eps, omega, spec) -> CoefficientSet:
         if k in model.drift_im:
             vals = vals + 1j * realise(model.drift_im[k]).real
         b.append(vals)
-    return CoefficientSet(spec, eps, omega, a, b, realise(model.potential).real)
+    return CoefficientSet(spec, eps, omega, a, b, realise(model.potential).real,
+                          model.N)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +465,9 @@ def _median(values) -> float:
     return float((ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
-def check_hypotheses(sets: list, nu: float, c0: float, N: int = 2) -> HypothesisReport:
-    """Validate (H1)-(H5) numerically on an epsilon ladder of CoefficientSets.
+def check_hypotheses(sets: list, nu: float, c0: float) -> HypothesisReport:
+    """Validate (H1)-(H5) numerically on an epsilon ladder of CoefficientSets,
+    with the weight <x>^N of their model's N.
 
     mu is the (H2) ellipticity/ultrahyperbolicity constant: the least mu
     with mu^{-1} <= |lambda| <= mu for every eigenvalue lambda of a(x),
@@ -479,7 +476,7 @@ def check_hypotheses(sets: list, nu: float, c0: float, N: int = 2) -> Hypothesis
     """
     if len(sets) < 4:
         raise ModelError("need at least 4 epsilon values in the ladder")
-    spec = sets[0].spec
+    spec, N = sets[0].spec, sets[0].N
     n = spec.n
 
     h1 = all(

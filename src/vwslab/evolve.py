@@ -4,11 +4,12 @@ The first-order form is du/dt = i(A u + B u + V u) with
 A u = sum_ij D_i(a_ij (D_j u)), B u = sum_k b_k (D_k u), V u = V u and
 D = -i d/dx computed spectrally.  The system is homogeneous: a problem is
 its coefficients, its Cauchy data and its horizon T.  ``shared_steps`` owns
-the step rule, and the consumers of the march choose what they measure.
+the step rule, and the consumers of the march choose what they measure,
+with the smoothing weight <x>^{-N/2} of the N that the coefficients carry.
 
 ``march``, the one time loop, works on the raw FFT coefficients
-u_hat = ``grid.fft(u)`` of a stack of problems that share grid, T and step
-count, with a leading problem axis on u_hat, on the operator's symbol and
+u_hat = ``grid.fft(u)`` of a stack of problems that share grid, T, N and
+step count, with a leading problem axis on u_hat, on the operator's symbol and
 remainders, on the step's tables and on the diagnostics; each member gets
 the numbers it would get marched alone, bit for bit.  ``solve_stack``,
 ``solve`` (a stack of one) and ``sup_differences`` consume it and form grid
@@ -393,7 +394,8 @@ class NormSeries:
 
 class _Diagnostics:
     """Raw coefficients of a stack -> (problem, s, [||u||_s,
-    ||<x>^{-N/2} Lambda^{s+1/2} u||_0^2]) for each s in s_list.
+    ||<x>^{-N/2} Lambda^{s+1/2} u||_0^2]) for each s in s_list, N the
+    decay exponent of the stack's coefficient sets.
 
     The norm needs no transform; the integrands of all s take one inverse of
     the stacked lifts of u, each L^2 norm by Plancherel on its grid values.
@@ -443,9 +445,8 @@ def shared_steps(probs: list, levels: int = LEVELS, dt: float | None = None) -> 
 
 
 def _check_shared(probs: list) -> None:
-    first = probs[0]
-    if any(p.T != first.T or p.cs.spec != first.cs.spec for p in probs):
-        raise EvolveError("marched problems must share the grid and T")
+    if len({(p.T, p.cs.spec, p.cs.N) for p in probs}) > 1:
+        raise EvolveError("marched problems must share the grid, T and the model's N")
 
 
 def march(probs: list, steps: int | None = None):
@@ -465,15 +466,15 @@ def march(probs: list, steps: int | None = None):
         yield t, uh
 
 
-def solve_stack(probs: list, s_list: tuple = (0.0,), N_weight: int = 2,
-                stride: int = 0, steps: int | None = None) -> list:
+def solve_stack(probs: list, s_list: tuple = (0.0,), stride: int = 0,
+                steps: int | None = None) -> list:
     """``solve`` of each problem, in one march of them all as a stack: they
-    share grid and T and march `steps` equal steps, by default
-    ``shared_steps(probs)``.  Each SolveResult has the numbers of its
-    problem solved alone, and with stride > 0 the grid values of levels 0,
-    stride, 2 stride, ..."""
+    share grid, T and their coefficients' N, the smoothing weight, and march
+    `steps` equal steps, by default ``shared_steps(probs)``.  Each
+    SolveResult has the numbers of its problem solved alone, and with
+    stride > 0 the grid values of levels 0, stride, 2 stride, ..."""
     spec = probs[0].cs.spec
-    diagnose = _Diagnostics(spec, s_list, N_weight)
+    diagnose = _Diagnostics(spec, s_list, probs[0].cs.N)
     ts, rows, states = [], [], []
     for level, (t, uh) in enumerate(march(probs, steps)):
         ts.append(t)
@@ -494,11 +495,12 @@ def solve_stack(probs: list, s_list: tuple = (0.0,), N_weight: int = 2,
     return results
 
 
-def solve(prob: EvolutionProblem, s_list: tuple = (0.0,), N_weight: int = 2,
-          stride: int = 0, steps: int | None = None) -> SolveResult:
+def solve(prob: EvolutionProblem, s_list: tuple = (0.0,), stride: int = 0,
+          steps: int | None = None) -> SolveResult:
     """March to T in `steps` equal steps, by default ``shared_steps([prob])``,
-    recording norms at every step: ``solve_stack`` of a stack of one."""
-    return solve_stack([prob], s_list, N_weight, stride, steps)[0]
+    recording norms and the smoothing integrand, weighted by the N of
+    prob.cs, at every step: ``solve_stack`` of a stack of one."""
+    return solve_stack([prob], s_list, stride, steps)[0]
 
 
 def _lockstep_member(k: int, prob: EvolutionProblem, steps: int):

@@ -110,7 +110,6 @@ class NetParams:
     T: float = 0.5
     dt: float | None = None      # None: the default step, smallest of compared ones
     s_list: tuple = (0.0,)
-    N_weight: int = 2
     data_mollifier: Mollifier = field(default_factory=Mollifier)
 
     def __post_init__(self):
@@ -151,8 +150,7 @@ def ladder(model: CoefficientModel, params: NetParams, u0: Field | None = None) 
 def validate(model: CoefficientModel, members: dict) -> HypothesisReport:
     """(H1)-(H5) on the ladder's coefficient sets, nu and c0 floored at 0.05."""
     return check_hypotheses([m["cs"] for m in members.values()],
-                            nu=max(model.nu, 0.05), c0=max(model.c0, 0.05),
-                            N=model.N)
+                            nu=max(model.nu, 0.05), c0=max(model.c0, 0.05))
 
 
 def _require_valid(model: CoefficientModel, members: dict) -> HypothesisReport:
@@ -223,11 +221,11 @@ def probe_levels(members: dict, answer) -> tuple:
 
 def _solve_answer(params: NetParams, stride: int):
     """``probe_levels``'s answer for members of one problem each, marched as
-    one stack with the diagnostics of ``params``: each SolveResult, u(T),
+    one stack with the Sobolev orders of ``params``: each SolveResult, u(T),
     and the sup norm and final smoothing integral for each s."""
     def answer(members, steps):
         results = solve_stack([probs[0] for probs in members.values()],
-                              params.s_list, params.N_weight, stride, steps)
+                              params.s_list, stride, steps)
         return [(res, [res.final.values,
                        *(f(s) for f in (res.series.sup_norm, res.series.final_integral)
                          for s in res.series.norms)])

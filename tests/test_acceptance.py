@@ -133,7 +133,7 @@ def test_06_hypothesis_validation():
     c1, c2 = 1.0, -1.0
     model = preset("ultra-diagonal", c1=c1, c2=c2)
     sets = [regularise(model, e, LOGLOG, spec) for e in LADDER]
-    report = check_hypotheses(sets, nu=model.nu, c0=model.c0, N=model.N)
+    report = check_hypotheses(sets, nu=model.nu, c0=model.c0)
     assert report.passed
 
     lo = min(c1, abs(c2)) / 2.0

@@ -145,7 +145,9 @@ class TestConfigErrors:
         ({"preset": "free", "params": {"frobnicate": 2}},
          "unknown model parameters: ['frobnicate']"),
         # cfg_text's grid has n = 1
-        ({"preset": "ultra-diagonal"}, "ultra-diagonal is two-dimensional, got n=1")])
+        ({"preset": "ultra-diagonal"}, "ultra-diagonal is two-dimensional, got n=1"),
+        # free has no perturbation: a report would record a nu it never used
+        ({"preset": "free", "params": {"nu": 0.3}}, "unknown model parameters: ['nu']")])
     def test_unknown_preset_or_model_parameter(self, tmp_path, capsys, model,
                                                message):
         self.assert_config_error(tmp_path, capsys, cfg_text(model=model),
@@ -705,7 +707,7 @@ def test_doi_check_weighs_by_the_model_N(tmp_path):
     assert run(cfg, out_dir=str(tmp_path)) == 1
     per_eps = json.loads((tmp_path / "report.json").read_text())["verdict"]["per_eps"]
     model = cli._model(cfg)
-    params = cli._net_params(cfg, cli._grid(cfg), model)
+    params = cli._net_params(cfg, cli._grid(cfg))
     sets = [m["cs"] for m in ladder(model, params).values()]
     reports = {N: [{"eps": eps, **check_member(cs, FTable(calibrate_K(sets), N))}
                    for eps, cs in zip(cfg["ladder"], sets)] for N in (2, 3)}
@@ -730,7 +732,7 @@ def test_doi_check_builds_the_q_of_build_q(tmp_path):
     assert run(cfg, out_dir=str(tmp_path)) == 0
     verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
     model = cli._model(cfg)
-    params = cli._net_params(cfg, cli._grid(cfg), model)
+    params = cli._net_params(cfg, cli._grid(cfg))
     sets = [m["cs"] for m in ladder(model, params).values()]
     assert verdict["K"] == 1.1 * max(_sup_over_x(build_q(cs)) for cs in sets)
     assert verdict["C1"] == C1

@@ -1,3 +1,6 @@
+import inspect
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,52 @@ class TestPreset:
         model = preset("free", n=2)
         assert np.allclose(model.C, np.eye(2))
         assert model.smooth
+
+    # the parameters these presets once took and dropped unread
+    @pytest.mark.parametrize("name, ignored", [
+        ("free", "nu"), ("free", "c0"), ("delta-potential", "nu"),
+        ("delta-potential", "c0"), ("elliptic-lipschitz", "c0"), ("jump-drift", "nu")])
+    def test_rejects_a_parameter_it_does_not_read(self, name, ignored):
+        with pytest.raises(ModelError, match=re.escape(
+                f"unknown model parameters: ['{ignored}']")):
+            preset(name, **{ignored: 0.3})
+
+    @pytest.mark.parametrize("name", coeffs.PRESETS)
+    def test_every_parameter_is_read(self, name):
+        # each parameter off its default changes the model or its set
+        base = _built(preset(name))
+        for key, param in _parameters(name).items():
+            if (name, key) == ("ultra-diagonal", "n"):
+                with pytest.raises(ModelError, match="two-dimensional"):
+                    preset(name, n=3)
+                continue
+            value = param.default + (1 if key in ("n", "N") else 0.25)
+            assert _built(preset(name, **{key: value})) != base, key
+
+    def test_parameters_are_converted(self):
+        model = preset("jump-drift", n=1.0, N=3.0, c0=1)
+        assert (type(model.n), type(model.N), type(model.c0)) == (int, int, float)
+
+    def test_readme_lists_each_presets_parameters(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        for name in coeffs.PRESETS:
+            defaults = ", ".join(f"`{key}` {param.default!r}"
+                                 for key, param in _parameters(name).items())
+            assert f"| `{name}` | {defaults} |" in readme, name
+
+
+def _parameters(name):
+    """The parameters of a preset: those of its builder."""
+    return inspect.signature(coeffs._BUILDERS[name]).parameters
+
+
+def _built(model):
+    """What a run reads of a model: its scalars and matrix, and the N and
+    arrays of its set at eps = 2^-4."""
+    cs = regularise(model, 2**-4, ScaleFn("loglog"), make_grid(model.n, 16, 8.0))
+    arrays = [*(arr for row in cs.a for arr in row), *cs.b, cs.V]
+    return (model.n, model.N, model.nu, model.c0, model.C.tolist(), cs.N,
+            [arr.tobytes() for arr in arrays])
 
 
 class TestRegularise:
@@ -103,10 +152,25 @@ class TestSquareWave:
 
 
 class TestCheckHypotheses:
+    # the weight of (H3) and (H4) is the sets' N, not a default of 2
+    @pytest.mark.parametrize("name, n", [("ultra-diagonal", 2),
+                                         ("smooth-consistency", 1)])
+    def test_weight_is_the_model_N(self, grid_1d, grid_2d, name, n):
+        spec = grid_1d if n == 1 else grid_2d
+        sets = ladder_sets(preset(name, n=n, N=3), spec)
+        rep = check_hypotheses(sets, nu=0.05, c0=0.05)
+        w = spec.x_bracket(3)
+        assert rep.h3_weighted_sup == [
+            max(float(np.max(w * np.abs(d))) for dk in cs.da for row in dk for d in row)
+            for cs in sets]
+        assert rep.h4_weighted_im_sup == [
+            max(float(np.max(w * np.abs(bk.imag))) for bk in cs.b) for cs in sets]
+        assert rep.h3_weighted_sup != check_hypotheses(
+            [replace(cs, N=2) for cs in sets], nu=0.05, c0=0.05).h3_weighted_sup
+
     def test_ultra_diagonal_band(self, grid_2d):
         model = preset("ultra-diagonal")
-        rep = check_hypotheses(ladder_sets(model, grid_2d), nu=0.05, c0=0.05,
-                               N=2)
+        rep = check_hypotheses(ladder_sets(model, grid_2d), nu=0.05, c0=0.05)
         assert rep.passed
         assert rep.h1_symmetric
         # ratios live in [1/mu, mu] which must sit inside the paper band
@@ -116,7 +180,7 @@ class TestCheckHypotheses:
 
     def test_ultra_diagonal_h3_stable(self, grid_2d):
         sets = ladder_sets(preset("ultra-diagonal"), grid_2d)
-        rep = check_hypotheses(sets, nu=0.05, c0=0.05, N=2)
+        rep = check_hypotheses(sets, nu=0.05, c0=0.05)
         assert rep.h3_variation < 0.10
         assert max(rep.h3_weighted_sup) <= rep.h3_bound
         # the (H3) derivatives are not kept on the sets as da: a validated
@@ -125,7 +189,7 @@ class TestCheckHypotheses:
 
     def test_delta_potential_exponent(self, grid_1d):
         rep = check_hypotheses(ladder_sets(preset("delta-potential", n=1),
-                                           grid_1d), nu=0.05, c0=0.05, N=2)
+                                           grid_1d), nu=0.05, c0=0.05)
         # sup|d(omega^{-1} phi(x/omega))| = omega^{-2} sup|phi'|, so N2 = 1
         assert rep.potential_exponent_N2 == pytest.approx(1.0, abs=0.2)
 
@@ -134,21 +198,21 @@ class TestCheckHypotheses:
         # logarithm, so every order's fit is nan, and so is N2, not 0.0
         sets = ladder_sets(preset("delta-potential", n=1), grid_1d)
         sets[0].V = np.zeros_like(sets[0].V)
-        rep = check_hypotheses(sets, nu=0.05, c0=0.05, N=2)
+        rep = check_hypotheses(sets, nu=0.05, c0=0.05)
         assert np.isnan(rep.potential_exponent_N2)
         assert len(rep.fit_residuals["potential"]) == 4
         assert all(np.isnan(r) for r in rep.fit_residuals["potential"])
 
     def test_jump_drift_passes(self, grid_1d):
         rep = check_hypotheses(ladder_sets(preset("jump-drift", n=1), grid_1d),
-                               nu=0.05, c0=0.05, N=2)
+                               nu=0.05, c0=0.05)
         assert rep.h1_symmetric
         assert max(rep.h4_weighted_im_sup) <= rep.h4_bound
 
     def test_needs_four_sets(self, grid_1d, gaussian, loglog):
         sets = ladder_sets(preset("free", n=1), grid_1d)[:3]
         with pytest.raises(ModelError):
-            check_hypotheses(sets, nu=0.05, c0=0.05, N=2)
+            check_hypotheses(sets, nu=0.05, c0=0.05)
 
     @pytest.mark.parametrize("C", [[[2.0, 0.3], [0.3, -1.0]],   # max |lambda| rules
                                    [[0.4, 0.1], [0.1, -1.0]]])  # 1/min |lambda| rules
@@ -156,7 +220,7 @@ class TestCheckHypotheses:
         # a non-diagonal a: its eigenvectors lie off the coordinate axes
         model = CoefficientModel("tilted", 2, np.array(C))
         rep = check_hypotheses(ladder_sets(model, make_grid(2, 8, 8.0)),
-                               nu=0.05, c0=0.05, N=2)
+                               nu=0.05, c0=0.05)
         lam = np.abs(np.linalg.eigvalsh(np.array(C)))
         mu = max(lam.max(), 1.0 / lam.min())
         assert rep.mu == pytest.approx(mu, rel=1e-12)
@@ -172,7 +236,7 @@ class TestCheckHypotheses:
                  CoefficientModel("h4-control", 1, np.eye(1), drift_im={0: bump}))
         sets = ladder_sets(model, grid_1d)
         for small, passed in ((0.05, False), (0.5, True)):
-            rep = check_hypotheses(sets, nu=small, c0=small, N=2)
+            rep = check_hypotheses(sets, nu=small, c0=small)
             sup, bound = ((rep.h3_weighted_sup, rep.h3_bound) if slot == "h3"
                           else (rep.h4_weighted_im_sup, rep.h4_bound))
             assert bound == 2 * small
@@ -183,7 +247,7 @@ class TestCheckHypotheses:
         # a_22 = 0: no mu bounds |lambda| from below
         model = CoefficientModel("degenerate", 2, np.diag([1.0, 0.0]))
         rep = check_hypotheses(ladder_sets(model, make_grid(2, 8, 8.0)),
-                               nu=0.05, c0=0.05, N=2)
+                               nu=0.05, c0=0.05)
         assert rep.mu == np.inf
         assert not rep.passed
 
@@ -270,9 +334,9 @@ class TestExponentShift:
         ("ultra-diagonal", 2), ("jump-drift", 2), ("smooth-consistency", 2)])
     def test_report_is_bit_identical(self, monkeypatch, grid_1d, grid_2d, name, n):
         sets = ladder_sets(preset(name, n=n), grid_1d if n == 1 else grid_2d)
-        got = check_hypotheses(sets, nu=0.05, c0=0.05, N=2).to_dict()
+        got = check_hypotheses(sets, nu=0.05, c0=0.05).to_dict()
         monkeypatch.setattr(coeffs, "_exponent_shift", _exponent_shift_from_scratch)
-        assert got == check_hypotheses(sets, nu=0.05, c0=0.05, N=2).to_dict()
+        assert got == check_hypotheses(sets, nu=0.05, c0=0.05).to_dict()
 
     @pytest.mark.parametrize("name, n, M, calls", [
         # the net-1d-delta ladder: the zero b is skipped, V takes three
@@ -288,7 +352,7 @@ class TestExponentShift:
             real = getattr(np.fft, fn)
             monkeypatch.setattr(np.fft, fn, lambda *a, real=real, **k:
                                 count.append(1) or real(*a, **k))
-        check_hypotheses(sets, nu=0.05, c0=0.05, N=2)
+        check_hypotheses(sets, nu=0.05, c0=0.05)
         assert len(count) == calls
 
 

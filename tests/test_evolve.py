@@ -534,13 +534,18 @@ def _off_diagonal_model(perturbed):
 
 
 class TestCoefficientMarch:
-    @pytest.mark.parametrize("case", sorted(MARCH_CASES))
-    def test_solve_matches_physical_rk4(self, case):
+    # the smoothing weight <x>^{-N/2} is the model's: a march that fell
+    # back to N = 2 would miss the reference at N = 3
+    @pytest.mark.parametrize("case, N", [
+        pytest.param(case, N, id=case if N == 2 else f"{case}-N{N}")
+        for case in sorted(MARCH_CASES) for N in (2, 3)])
+    def test_solve_matches_physical_rk4(self, case, N):
         spec, name = MARCH_CASES[case]
-        cs = regularise(preset(name), 2**-4, ScaleFn("loglog"), spec)
-        s_list, N = (0.0, 1.0), 2
+        model = preset(name, N=N)
+        cs = regularise(model, 2**-4, ScaleFn("loglog"), spec)
+        s_list = (0.0, 1.0)
         prob = EvolutionProblem(cs, random_field(spec, seed=20), T=0.1)
-        res = solve(prob, s_list, N, stride=1)
+        res = solve(prob, s_list, stride=1)
         ref = _physical_rk4(prob, len(res.series.t) - 1)
         _close(res.final.values, ref[-1])
         assert len(res.states) == len(ref)
@@ -553,7 +558,7 @@ class TestCoefficientMarch:
                 rtol=1e-12)
             np.testing.assert_allclose(
                 res.series.integrand[s],
-                [sobolev_norm(weight_field(apply_lambda(f, s + 0.5), -N / 2.0),
+                [sobolev_norm(weight_field(apply_lambda(f, s + 0.5), -model.N / 2.0),
                               0.0) ** 2 for f in fields],
                 rtol=1e-12)
 
@@ -790,10 +795,10 @@ class TestSolveStack:
     def test_matches_one_by_one(self, case, stride):
         probs = _stack_case(case)
         steps = shared_steps(probs)
-        got = solve_stack(probs, STACK_S, 2, stride, steps)
+        got = solve_stack(probs, STACK_S, stride, steps)
         assert len(got) == len(probs)
         for prob, res in zip(probs, got):
-            _assert_same_result(res, solve(prob, STACK_S, 2, stride, steps))
+            _assert_same_result(res, solve(prob, STACK_S, stride, steps))
 
     def test_records_every_stride_th_level(self):
         # levels 0, stride, 2 stride, ... of the states that stride 1 keeps
@@ -821,12 +826,15 @@ class TestSolveStack:
         assert {len(res.series.t) - 1 for res in got} == {shared_steps(probs)}
         assert shared_steps(probs) > min(shared_steps([p]) for p in probs)
 
-    @pytest.mark.parametrize("change", [{"T": 0.2}])
+    # a stack has one smoothing weight: members of models of another N
+    # do not share it
+    @pytest.mark.parametrize("change", [{"T": 0.2}, {"N": 3}])
     def test_rejects_members_that_differ(self, change):
         probs = _stack_case("mixed-1d")[:2]
         p = probs[1]
-        probs[1] = EvolutionProblem(p.cs, p.u0, **{"T": p.T, **change})
-        with pytest.raises(EvolveError):
+        probs[1] = EvolutionProblem(replace(p.cs, N=change.get("N", p.cs.N)), p.u0,
+                                    change.get("T", p.T))
+        with pytest.raises(EvolveError, match="must share the grid, T and"):
             solve_stack(probs)
 
     def test_instability_of_one_member(self):

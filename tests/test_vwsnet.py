@@ -111,7 +111,7 @@ class TestLadder:
         members = ladder(model, self.lparams(spec))
         report = validate(model, members)
         direct = check_hypotheses([m["cs"] for m in members.values()],
-                                  nu=0.05, c0=0.05, N=model.N)
+                                  nu=0.05, c0=0.05)
         assert report.to_dict() == direct.to_dict()
         assert report.h3_bound == report.h4_bound == pytest.approx(0.1)
 
@@ -133,6 +133,14 @@ class TestRunNet:
         with pytest.raises(HypothesisFailure) as info:
             run_net(bad, gaussian_field(params2d.spec), params2d)
         assert not info.value.report.passed
+
+    def test_smoothing_weight_is_the_model_N(self, spec):
+        # (H3)/(H4) and the smoothing integral weigh by one N, the model's;
+        # at <x>^{-2/2} the eps = 2^-7 integral read 2.8791363191750228
+        model = preset("delta-potential", n=1, N=3)
+        report, results, _ = run_net(model, delta_field(spec), NetParams(spec))
+        assert report.passed
+        assert results[2**-7].series.final_integral(0.0) == 2.124011333057136
 
     def test_omega_recorded_per_member(self, spec, params):
         members = ladder(preset("free", n=1), params, gaussian_field(spec))
@@ -662,7 +670,7 @@ class TestLevelProbe:
         assert (health[last]["levels"], health[last]["steps"]) == (LEVELS, LEVELS)
         m = members[last]
         alone = solve(EvolutionProblem(m["cs"], m["u0"], params.T),
-                      params.s_list, params.N_weight, steps=LEVELS)
+                      params.s_list, steps=LEVELS)
         assert np.array_equal(results[last].final.values, alone.final.values)
         for s in params.s_list:
             assert np.array_equal(results[last].series.norms[s], alone.series.norms[s])
@@ -799,7 +807,7 @@ class TestSolveLadderStack:
         for eps, res in results.items():
             m = members[eps]
             alone = solve(EvolutionProblem(m["cs"], m["u0"], params.T),
-                          params.s_list, params.N_weight, steps=health[eps]["steps"])
+                          params.s_list, steps=health[eps]["steps"])
             assert np.array_equal(res.final.values, alone.final.values)
             for s in params.s_list:
                 assert np.array_equal(res.series.norms[s], alone.series.norms[s])
