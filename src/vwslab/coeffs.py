@@ -200,15 +200,21 @@ PRESETS = tuple(_BUILDERS)
 
 def preset(name: str, **params) -> CoefficientModel:
     """Construct one of the named coefficient models from the parameters
-    of its builder: n and N as int, every other one as float."""
+    of its builder: n and N as int, every other one as float.  A
+    fractional n or N is an error, not truncated."""
     if name not in _BUILDERS:
         raise ModelError(f"unknown preset {name!r}; choose from {PRESETS}")
     builder = _BUILDERS[name]
     extra = sorted(set(params) - set(inspect.signature(builder).parameters))
     if extra:
         raise ModelError(f"unknown model parameters: {extra}")
-    return builder(**{key: int(value) if key in ("n", "N") else float(value)
-                      for key, value in params.items()})
+    params = {key: float(value) for key, value in params.items()}
+    for key in ("n", "N"):
+        if key in params:
+            if not params[key].is_integer():
+                raise ModelError(f"{key} must be an integer, got {params[key]:g}")
+            params[key] = int(params[key])
+    return builder(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,14 @@ class TestConfigErrors:
         self.assert_config_error(tmp_path, capsys, cfg_text(model=model),
                                  f"config.model: {message}")
 
+    def test_fractional_weight_exponent(self, tmp_path, capsys):
+        # int() truncated it: this net ran at N = 2 and reported N = 2.5
+        text = json.dumps({"grid": {"n": 1, "M": 64, "L": 8},
+                           "model": {"preset": "delta-potential", "params": {"N": 2.5}},
+                           "evolution": {"T": 0.125}, "experiment": {"kind": "net"}})
+        self.assert_config_error(tmp_path, capsys, text,
+                                 "config.model: N must be an integer, got 2.5")
+
     def test_model_dimension_parameter(self, tmp_path, capsys):
         text = cfg_text(model={"preset": "free", "params": {"n": 2}})
         self.assert_config_error(tmp_path, capsys, text,
@@ -194,6 +202,16 @@ class TestConfigErrors:
         # Python's json reads NaN, Infinity and -Infinity
         self.assert_config_error(tmp_path, capsys, cfg_text(**override),
                                  f"{path} must be a finite number")
+
+    @pytest.mark.parametrize("override, section", [
+        ({"model": {"preset": "delta-potential", "params": {"strength": 10**400}}},
+         "config.model"),
+        ({"grid": {"n": 1, "M": 32, "L": 10**400}}, "config.grid")])
+    def test_integer_past_the_float_range(self, tmp_path, capsys, override, section):
+        # json reads any integer, and float() of one past 1.8e308 raised an
+        # OverflowError out of parse_config
+        self.assert_config_error(tmp_path, capsys, cfg_text(**override),
+                                 f"{section}: int too large to convert to float")
 
     @pytest.mark.parametrize("kind, override, message", [
         # the decay exponent N is the model's; evolution.N is no key
@@ -780,6 +798,51 @@ def test_import_loads_no_scipy_and_no_numpy_ma(tmp_path):
                          env=env, cwd=tmp_path, check=True, capture_output=True,
                          text=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+_CALLS = [
+    ("net", _WORKLOADS / "net-1d-delta.json"),
+    ("uniqueness", _WORKLOADS / "uniq-2d-ultra.json"),
+    ("doi-check", _WORKLOADS / "doi-2d-ultra.json"),
+    ("solve", {"grid": {"n": 1, "M": 32, "L": 8}, "model": {"preset": "delta-potential"},
+               "ladder": [0.5], "evolution": {"T": 0.1}}),
+    ("consistency", {"grid": {"n": 1, "M": 32, "L": 8},
+                     "model": {"preset": "smooth-consistency"},
+                     "scale": {"kind": "power", "k": 1}, "evolution": {"T": 0.1}}),
+    ("validate-hypotheses", {"grid": {"n": 1, "M": 32, "L": 8},
+                             "model": {"preset": "delta-potential"}}),
+    ("mollifier-bench", {"grid": {"n": 1, "M": 1024, "L": 1}})]
+
+
+@pytest.mark.parametrize("kind, config", _CALLS, ids=[kind for kind, _ in _CALLS])
+def test_a_call_loads_only_the_layers_it_runs(tmp_path, kind, config):
+    # doi is the largest module to compile and argparse is read by main()
+    # alone: importing vwslab.cli loads neither, parse_config loads doi for
+    # doi-check only, so that its compile is set-up, and run loads nothing
+    # more.  One fresh interpreter per subcommand.
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+    else:
+        path = config
+    src = Path(vwslab.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import json, sys, pathlib, vwslab.cli as cli\n"
+            "def loaded():\n"
+            "    return sorted({'argparse', 'vwslab.doi'} & set(sys.modules))\n"
+            "stages = [loaded()]\n"
+            "cfg = cli.parse_config(pathlib.Path(sys.argv[1]).read_text(), kind=sys.argv[2])\n"
+            "stages.append(loaded())\n"
+            "status = cli.run(cfg, out_dir='out')\n"
+            "print(json.dumps([status, stages + [loaded()]]))")
+    out = subprocess.run([sys.executable, "-c", code, str(path), kind],
+                         env=env, cwd=tmp_path, check=True, capture_output=True,
+                         text=True).stdout
+    layers = ["vwslab.doi"] if kind == "doi-check" else []
+    assert json.loads(out.splitlines()[-1]) == [0, [[], layers, layers]]
 
 
 class TestMain:

@@ -74,6 +74,14 @@ class TestPreset:
     def test_parameters_are_converted(self):
         model = preset("jump-drift", n=1.0, N=3.0, c0=1)
         assert (type(model.n), type(model.N), type(model.c0)) == (int, int, float)
+        assert (model.n, model.N) == (1, 3)
+
+    @pytest.mark.parametrize("key, value", [("N", 2.5), ("N", float("inf")),
+                                            ("n", 1.5)])
+    def test_rejects_a_fractional_n_or_N(self, key, value):
+        # int() would truncate it, and a report record the value it was given
+        with pytest.raises(ModelError, match=f"{key} must be an integer"):
+            preset("delta-potential", **{"n": 1, key: value})
 
     def test_readme_lists_each_presets_parameters(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
