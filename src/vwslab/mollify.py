@@ -95,17 +95,30 @@ def mollify(u: Field, m: Mollifier, omega: float) -> Field:
 def fit_slope(xs, ys) -> tuple[float, float]:
     """Least-squares slope of log ys against log xs, the exponent p of
     ys ~ xs^p, with the fit's RMS residual; (nan, nan) when some y <= 0,
-    since a zero has no logarithm and so carries no exponent."""
+    since a zero has no logarithm and so carries no exponent, or when
+    some y is not finite.  MollifyError unless xs and ys have one length
+    and xs holds at least two distinct values.
+
+    The line is the closed form on the centred logs, slope = sum dx dy /
+    sum dx^2, whose slope agrees with ``np.polyfit``'s to a few ulp.
+    polyfit is LAPACK's least squares, whose first call in a process faults
+    in about 1 MB of library pages; no ``vws`` pipeline calls LAPACK.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if len(xs) < 2:
-        raise MollifyError("need at least two points for a slope fit")
-    if np.any(ys <= 0.0):
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise MollifyError(f"xs and ys must be 1D of one length, got "
+                           f"{xs.shape} and {ys.shape}")
+    if len(xs) < 2 or np.all(xs == xs[0]):  # np.unique would import numpy.ma
+        raise MollifyError("need at least two distinct x values for a slope fit")
+    if not np.all(np.isfinite(ys) & (ys > 0.0)):
         return float("nan"), float("nan")
-    xs, ys = np.log(xs), np.log(ys)
-    coef = np.polyfit(xs, ys, 1)
-    resid = ys - np.polyval(coef, xs)
-    return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
+    dx, dy = np.log(xs), np.log(ys)
+    dx -= dx.mean()
+    dy -= dy.mean()
+    slope = np.sum(dx * dy) / np.sum(dx * dx)
+    resid = dy - slope * dx
+    return float(slope), float(np.sqrt(np.mean(resid**2)))
 
 
 def cumulative_trapezoid(xs, ys) -> np.ndarray:

@@ -39,8 +39,8 @@ import numpy as np
 
 from .coeffs import (CoefficientModel, CoefficientSet, Delta, HypothesisReport,
                      check_hypotheses, regularise, sample)
-from .evolve import (LEVELS, EvolutionProblem, shared_steps, solve_stack,
-                     sup_differences)
+from .evolve import (LEVELS, EvolutionProblem, Instability, shared_steps,
+                     solve_stack, sup_differences)
 from .grid import Field, GridSpec, inverse
 from .mollify import Mollifier, ScaleFn, fit_slope, mollify
 
@@ -193,8 +193,9 @@ def probe_levels(members: dict, answer) -> tuple:
 
     ``answer(members, steps)`` marches members, a dict eps -> the member's
     problems, in `steps` equal steps, the problems of each in lockstep, and
-    returns for each member in order (result, compared): its result, and
-    u(T) of each of its problems followed by the numbers it reports.
+    returns an iterable, read once, of (result, compared) for each member in
+    order: its result, and u(T) of each of its problems followed by the
+    numbers it reports.
 
     With c the ladder's count at COARSE levels, the member marches in 2c
     steps and then in c steps of twice the length, unless 2c reaches the
@@ -219,13 +220,20 @@ def probe_levels(members: dict, answer) -> tuple:
     return LevelProbe(eps, COARSE, gap), {eps: result}
 
 
-def _solve_answer(params: NetParams, stride: int):
+def _solve_answer(params: NetParams, stride: int, ladder: list):
     """``probe_levels``'s answer for members of one problem each, marched as
     one stack with the Sobolev orders of ``params``: each SolveResult, u(T),
-    and the sup norm and final smoothing integral for each s."""
+    and the sup norm and final smoothing integral for each s.  An
+    Instability names the member's place in ``ladder``, the eps of the
+    whole ladder in order, not in the stack marched: a probe trial marches
+    a stack of one."""
     def answer(members, steps):
-        results = solve_stack([probs[0] for probs in members.values()],
-                              params.s_list, stride, steps)
+        try:
+            results = solve_stack([probs[0] for probs in members.values()],
+                                  params.s_list, stride, steps)
+        except Instability as exc:
+            exc.member = ladder.index([*members][exc.member])
+            raise
         return [(res, [res.final.values,
                        *(f(s) for f in (res.series.sup_norm, res.series.final_integral)
                          for s in res.series.norms)])
@@ -240,8 +248,7 @@ def march_ladder(members: dict, answer, params: NetParams) -> tuple:
     on the last, smallest eps; with ``params.dt`` set nothing is probed.
     The ladder marches one step count, the largest of its members' at
     that level count or dt: every member the probe kept no result of goes
-    to ``answer`` in one call, in ladder order, so an Instability in the
-    stack of a net or solve ladder names the member's place in the ladder."""
+    to ``answer`` in one call, in ladder order."""
     probe, kept = ((LevelProbe(None, None, None), {}) if params.dt is not None
                    else probe_levels(members, answer))
     steps = _ladder_steps(members, probe.levels, params.dt)
@@ -257,7 +264,7 @@ def solve_ladder(members: dict, params: NetParams, stride: int = 0) -> tuple:
     stacked: (SolveResults, health) keyed by eps."""
     return march_ladder({eps: [EvolutionProblem(m["cs"], m["u0"], params.T)]
                          for eps, m in members.items()},
-                        _solve_answer(params, stride), params)
+                        _solve_answer(params, stride, [*members]), params)
 
 
 def run_net(model: CoefficientModel, u0: Field, params: NetParams) -> tuple:
@@ -339,6 +346,7 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
         du = Field(spec, m["u0"].values + eps**q * bumps["u0"])
         pairs[eps] = [EvolutionProblem(m["cs"], m["u0"], params.T),
                       EvolutionProblem(perturbed[eps], du, params.T)]
+    del bumps, perturbed  # the pairs hold every array the march reads
     values, health = march_ladder(pairs, _difference_answer(s), params)
     slope, resid = fit_slope(used, list(values.values()))
     return FitReport(slope, resid, bool(slope >= q - 0.5), q - 0.5, values,
@@ -350,15 +358,18 @@ def _difference_answer(s: float):
     reference and the one compared with it: sup_t ||u - u_ref||_s, both
     u(T), and that difference, in member order.  Each run of consecutive
     members that hold the same reference problem marches it once, in one
-    ``sup_differences`` lockstep with every compared problem of the run."""
+    ``sup_differences`` lockstep with every compared problem of the run.
+    The numbers of a run are yielded before the next run marches, so a
+    consumer that reads each member once holds no finished run's u(T)."""
+    def run_numbers(run, steps):
+        diffs, (final_ref, *finals) = sup_differences(
+            run[0][0], [p for _, p in run], s, steps)
+        for d, f in zip(diffs, finals):
+            yield d, [final_ref, f, d]
+
     def answer(members, steps):
-        out = []
         for _, run in groupby(members.values(), key=lambda pair: id(pair[0])):
-            run = list(run)
-            diffs, (final_ref, *finals) = sup_differences(
-                run[0][0], [p for _, p in run], s, steps)
-            out += [(d, [final_ref, f, d]) for d, f in zip(diffs, finals)]
-        return out
+            yield from run_numbers(list(run), steps)
     return answer
 
 

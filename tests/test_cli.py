@@ -845,6 +845,34 @@ def test_a_call_loads_only_the_layers_it_runs(tmp_path, kind, config):
     assert json.loads(out.splitlines()[-1]) == [0, [[], layers, layers]]
 
 
+def test_no_pipeline_calls_lapack(tmp_path, monkeypatch):
+    # the first LAPACK call of a process faults in about 1 MB of library
+    # pages.  Every numpy.linalg routine that calls LAPACK, np.polyfit's
+    # least squares included, goes through a gufunc of _umath_linalg: each
+    # raises here while the three workloads and CI's consistency config run
+    from numpy.linalg import _umath_linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pipeline called LAPACK")
+
+    kernels = [name for name in dir(_umath_linalg)
+               if isinstance(getattr(_umath_linalg, name), np.ufunc)]
+    assert {"lstsq", "svd_f", "eigh_lo", "det", "solve", "inv"} <= set(kernels)
+    for name in kernels:
+        monkeypatch.setattr(_umath_linalg, name, refuse)
+    with pytest.raises(AssertionError, match="LAPACK"):
+        np.polyfit([1.0, 2.0, 3.0], [1.0, 3.0, 2.0], 1)
+    consistency = tmp_path / "consistency.json"
+    consistency.write_text(json.dumps({"model": {"preset": "smooth-consistency"},
+                                       "scale": {"kind": "power", "k": 1}}))
+    for i, (kind, path) in enumerate([("net", _WORKLOADS / "net-1d-delta.json"),
+                                      ("uniqueness", _WORKLOADS / "uniq-2d-ultra.json"),
+                                      ("doi-check", _WORKLOADS / "doi-2d-ultra.json"),
+                                      ("consistency", consistency)]):
+        cfg = parse_config(path.read_text(), kind=kind)
+        assert run(cfg, out_dir=str(tmp_path / str(i))) == 0, kind
+
+
 class TestMain:
     def test_help_lists_every_default_of_the_schema(self, capsys):
         with pytest.raises(SystemExit) as exc:

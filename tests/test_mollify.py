@@ -105,19 +105,45 @@ class TestVanishingMoment:
 
 
 class TestFitSlope:
-    def test_is_polyfit_of_the_logs(self):
-        # on positive data the fit is that of the logarithms, bit for bit
+    def test_agrees_with_polyfit_of_the_logs(self):
+        # on positive data the closed form is the least-squares line of the
+        # logarithms: LAPACK's, through polyfit, to 1e-12 relative
         rng = np.random.default_rng(0)
-        xs, ys = DYADIC, 3.0 * np.array(DYADIC) ** -1.5 * rng.uniform(0.9, 1.1, 6)
-        lx, ly = np.log(xs), np.log(ys)
-        coef = np.polyfit(lx, ly, 1)
-        resid = float(np.sqrt(np.mean((ly - np.polyval(coef, lx)) ** 2)))
-        assert fit_slope(xs, ys) == (float(coef[0]), resid)
+        for size in (2, 3, 5, 6, 9, 17):
+            xs = np.sort(rng.uniform(1e-3, 1.0, size))[::-1]
+            ys = 3.0 * xs ** rng.uniform(-4.0, 4.0) * rng.uniform(0.5, 1.5, size)
+            lx, ly = np.log(xs), np.log(ys)
+            coef = np.polyfit(lx, ly, 1)
+            resid = np.sqrt(np.mean((ly - np.polyval(coef, lx)) ** 2))
+            slope, r = fit_slope(xs, ys)
+            assert slope == pytest.approx(coef[0], rel=1e-12, abs=0.0)
+            if size > 2:  # two points leave a residual of round-off alone
+                assert r == pytest.approx(resid, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [-1.5, 0.0, 2.0, 3.25])
+    def test_power_law_is_fitted_exactly(self, p):
+        slope, resid = fit_slope(DYADIC, 3.0 * np.array(DYADIC) ** p)
+        assert slope == pytest.approx(p, rel=0.0, abs=1e-14)
+        assert 0.0 <= resid < 1e-14
+
+    @pytest.mark.parametrize("xs, ys", [([1.0, 2.0, 4.0], [1.0, 2.0]),
+                                        ([1.0], [1.0]),
+                                        ([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
+                                        ([[1.0, 2.0]], [[1.0, 2.0]])])
+    def test_needs_two_distinct_xs_and_a_y_each(self, xs, ys):
+        # a constant x carries no slope: polyfit gave a RankWarning and 0.573
+        # for the third case, and the closed form would divide 0 by 0
+        with pytest.raises(MollifyError):
+            fit_slope(xs, ys)
 
     @pytest.mark.parametrize("ys", [[1.0, 0.5, 0.0, 0.25], [0.0] * 4,
-                                    [1.0, -0.5, 0.25, 0.125]])
+                                    [1.0, -0.5, 0.25, 0.125],
+                                    [1.0, np.nan, 0.25, 0.125],
+                                    [1.0, np.inf, 0.25, 0.125],
+                                    [1.0, -np.inf, 0.25, 0.125]])
     def test_zero_has_no_exponent(self, ys):
-        # a zero has no logarithm, so no slope: nan, which every bound fails
+        # a zero has no logarithm, so no slope: nan, which every bound fails;
+        # so has a y that is not finite
         slope, resid = fit_slope([1.0, 2.0, 4.0, 8.0], ys)
         assert np.isnan(slope) and np.isnan(resid)
 

@@ -349,7 +349,7 @@ class TestDifferenceAnswer:
                             lambda ref, others, *a: locksteps.append(1 + len(others))
                             or real(ref, others, *a))
         marches = record_marches(monkeypatch)
-        got = answer(pairs, 4)
+        got = list(answer(pairs, 4))
         assert locksteps == [3, 2]
         assert len(marches) == 5
         assert len(got) == len(pairs)
@@ -365,7 +365,7 @@ class TestDifferenceAnswer:
         pairs = self.pairs(spec)
         answer = vwsnet._difference_answer(1.0)
         marches = record_marches(monkeypatch)
-        got = answer(pairs, 4)
+        got = list(answer(pairs, 4))
         assert len(marches) == 3
         for (diff, compared), pair in zip(got, pairs.values()):
             (want_diff, want_compared), = answer({0.5: pair}, 4)
@@ -698,6 +698,27 @@ class TestLevelProbe:
         assert sizes == [3]
         assert (info.value.member, info.value.eps) == (2, 0.125)
         assert "for eps = 0.125;" in str(info.value)
+
+    def test_instability_in_the_probe_trial_names_the_ladder_place(self, monkeypatch):
+        # without stability bounds the smooth-consistency probe member
+        # survives its 2c-step trial and blows up in the first step of its
+        # c-step one, T / 4, 50 times its true bound; both trials are stacks
+        # of one, and it is still member 2 of the ladder
+        spec = make_grid(1, 64, np.pi)
+        eps_ladder = (0.5, 0.25, 0.125)
+        sets = {eps: regularise(preset("smooth-consistency" if eps == 0.125 else "free",
+                                       n=1), eps, ScaleFn("loglog"), spec)
+                for eps in eps_ladder}
+        T = 200 * stable_dt(sets[0.125])
+        monkeypatch.setattr(evolve, "stable_dt", lambda cs: np.inf)
+        members = {eps: {"cs": cs, "u0": random_field(spec, seed=1)}
+                   for eps, cs in sets.items()}
+        params = NetParams(spec=spec, eps_ladder=eps_ladder, T=T)
+        sizes = _record_stack_sizes(monkeypatch)
+        with pytest.raises(Instability) as info:
+            solve_ladder(members, params)
+        assert sizes == [1, 1]
+        assert (info.value.member, info.value.eps, info.value.t) == (2, 0.125, 0.0)
 
     @pytest.mark.parametrize("name", ["uniq-2d-reduced", "delta-potential-1d"])
     def test_uniqueness_matches_a_converged_march(self, name):
