@@ -21,9 +21,11 @@ about _BLOCK (x, xi) points.  ``calibrate_K`` evaluates q's values block by
 block and keeps each block's sup of |q|/<x>; ``check_member`` evaluates q
 and its gradients, a2's gradients, d's gradients and both brackets block by
 block and keeps each block's minima.  So no array of the full (x, xi) size
-is made for a ladder member.  d's gradients read the smooth step's and f's
-tables only on the band of q/<x> where the step varies, and lam only where
-|q| > 10 K; ``build_d`` reads them at every point, to the same bits.
+is made for a ladder member, and the arrays of a block are those of one
+workspace per grid, which every block, member and call reuses.  d's
+gradients read the smooth step's and f's tables only on the band of q/<x>
+where the step varies, and lam only where |q| > 10 K; ``build_d`` reads
+them at every point, to the same bits.
 ``check_escape`` and ``check_doi`` are the reference: the same minima over
 the whole grid, of ``poisson_bracket``s of symbols already built by
 ``build_q``, ``build_d`` and ``assemble_a2``.
@@ -114,13 +116,19 @@ def _lift(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape + (1,) * arr.ndim)
 
 
-def _separable(sets: list, table: np.ndarray, rows=slice(None)) -> np.ndarray:
+def _separable(sets: list, table: np.ndarray, rows=slice(None),
+               out: np.ndarray | None = None) -> np.ndarray:
     """[sum_r fs[r](x) table[r](xi) for fs in sets], stacked along a first
     axis, on the x-points `rows` of the (x, xi) grid: one batched matrix
     product of each set's stacked x factors with the xi factors, which the
-    table holds stacked already."""
+    table holds stacked already.  Given out, a contiguous stack of at least
+    len(sets) arrays of the result's shape, the products are written into
+    its first len(sets); else a fresh stack is made."""
     left = np.array([[f[rows].ravel() for f in fs] for fs in sets])
-    out = left.transpose(0, 2, 1) @ table.reshape(len(table), -1)
+    if out is not None:
+        out = out[:len(sets)].reshape(len(sets), left.shape[2], -1)
+    out = np.matmul(left.transpose(0, 2, 1), table.reshape(len(table), -1),
+                    out=out)
     return out.reshape((len(sets),) + sets[0][0][rows].shape + table.shape[1:])
 
 
@@ -183,12 +191,14 @@ def _partials(spec: GridSpec, values: np.ndarray, grad_x: list | None = None,
     return _Partials(grad_x, grad_xi)
 
 
-def _bracket(a: _Partials, b: _Partials, out: np.ndarray) -> np.ndarray:
+def _bracket(a: _Partials, b: _Partials, out: np.ndarray,
+             work: np.ndarray | None = None) -> np.ndarray:
     """out = {a, b} = sum_j (d_xi_j a · d_x_j b - d_x_j a · d_xi_j b), on
-    the grid or block of x-points that the partials cover."""
+    the grid or block of x-points that the partials cover; each term is
+    made in work, of out's shape, when it is given."""
     out.fill(0.0)
     for a_dx, a_dxi, b_dx, b_dxi in zip(a.dx, a.dxi, b.dx, b.dxi):
-        term = a_dxi * b_dx
+        term = np.multiply(a_dxi, b_dx, out=work)
         out += term
         out -= np.multiply(a_dx, b_dxi, out=term)
     return out
@@ -268,23 +278,26 @@ def _q_factors(cs: CoefficientSet, grad: bool = True) -> list:
 
 
 def _q_rows(spec: GridSpec, sets: list, rows, mu: float,
-            extra: list = ()) -> list:
+            extra: list = (), ws: tuple | None = None) -> list:
     """[q, d_x_1 q, ..., d_x_n q, d_xi_1 q, ..., d_xi_n q] of ``build_q``
     on the x-points `rows`, from the sets of ``_q_factors``; [q] alone from
     q's set alone.  mu is the member's, taken over the whole grid.  The
     x-factor sets `extra` share q's batched product on the xi mesh, and
-    their products follow q's rows."""
+    their products follow q's rows.  Given the block workspace ws, the rows
+    are views of its buffers, and its first work array is overwritten;
+    else they are fresh arrays."""
     tables = _xi_tables(spec)
-    mesh = _separable(sets + list(extra), tables.mesh, rows)
+    mesh, _, grads, work = ws or (None, None, [None] * spec.n, [None])
+    mesh = _separable(sets + list(extra), tables.mesh, rows, mesh)
     weight = C1 * mu**2 / tables.bracket
     q_rows = mesh[:len(sets)]
     q_rows *= weight
     out = list(q_rows)
     if len(sets) > 1:
         q = out[0]
-        for f, tilt in zip(sets[0], tables.tilt):
-            g = _lift(f[rows]) * weight
-            g -= q * tilt
+        for f, tilt, g in zip(sets[0], tables.tilt, grads):
+            g = np.multiply(_lift(f[rows]), weight, out=g)
+            g -= np.multiply(q, tilt, out=work[0])
             out.append(g)
     return out + list(mesh[len(sets):])
 
@@ -447,9 +460,9 @@ def _sup_over_x(q: SymbolGrid) -> float:
     return _sup_ratio(q.values, q.spec.x_bracket())
 
 
-#: (x, xi) points per block of x-points in calibrate_K and check_member: small
-#: enough that a block's temporaries stay in cache and below glibc's mmap
-#: threshold, so that the allocator recycles them from its heap
+#: (x, xi) points per block of x-points in calibrate_K and check_member,
+#: small enough that a block's arrays stay in cache; they live in the grid's
+#: block workspace (``_workspace``), so no block allocates one
 _BLOCK = 8192
 
 
@@ -470,14 +483,48 @@ def _x_blocks(spec: GridSpec) -> list:
         blocks = [b + (slice(i, i + 1),) for b in blocks for i in range(spec.M)]
 
 
+def _aligned(shape: tuple) -> np.ndarray:
+    """An empty float array of the shape whose data starts on a 64-byte
+    cache line; malloc aligns only to 16 bytes."""
+    size = int(np.prod(shape))
+    buf = np.empty(size + 8)
+    start = -buf.__array_interface__["data"][0] % 64 // 8
+    return buf[start:start + size].reshape(shape)
+
+
+# Built once per GridSpec, as _xi_tables is, and written by every block of
+# calibrate_K and check_member: nothing they return is a view of it, and no
+# two calls on one grid may run at once, as from two threads.  M is a power
+# of two, so every block of _x_blocks has the first one's shape.  The arrays
+# live on, so glibc never hands their pages back to the system to fault them
+# in again.  Apart from the two stacks each holds about _BLOCK doubles,
+# 64 KiB, below glibc's mmap threshold, so it comes from heap pages that the
+# set-up has faulted in already.  Each starts on a cache line: at malloc's
+# 16-byte offsets, which turn on the heap's layout, a warm check_member on
+# 2D M = 16 ran about 10% slower (2-vCPU Xeon, numpy 2.4).
+@functools.lru_cache(maxsize=4)
+def _workspace(spec: GridSpec) -> tuple:
+    """(mesh, quads, grad_xi, work): arrays of a block's (x, xi) shape.  The
+    stacks mesh and quads take the products on the xi mesh (q, d_x q,
+    d_xi a2) and on the xi quads (d_x a2); the lists grad_xi take d_xi q,
+    then d_xi d, and work the bracket's out and term and _d_rows' three."""
+    n = spec.n
+    shape = spec.x_norm_sq()[_x_blocks(spec)[0]].shape + spec.shape
+    blocks = [_aligned(shape) for _ in range(n + 3)]
+    return (_aligned((2 * n + 1,) + shape), _aligned((n,) + shape),
+            blocks[:n], blocks[n:])
+
+
 def calibrate_K(sets: list) -> float:
     """K = 1.1 * sup |q| / <x>, maximised over the ``build_q`` symbols of a
     ladder of coefficient sets.  Each q's values are made one block of
-    x-points at a time, and only each block's sup is kept."""
+    x-points at a time, in the first array of the block workspace, and only
+    each block's sup is kept."""
     def sup(cs):
         mu, bracket = _mu(cs), cs.spec.x_bracket()
-        sets = _q_factors(cs, grad=False)
-        return max(_sup_ratio(_q_rows(cs.spec, sets, rows, mu)[0], bracket[rows])
+        sets, ws = _q_factors(cs, grad=False), _workspace(cs.spec)
+        return max(_sup_ratio(_q_rows(cs.spec, sets, rows, mu, ws=ws)[0],
+                              bracket[rows])
                    for rows in _x_blocks(cs.spec))
     return 1.1 * max((sup(cs) for cs in sets), default=0.0)
 
@@ -547,10 +594,11 @@ def build_d(q: SymbolGrid, f: FTable) -> SymbolGrid:
 
 
 def _d_rows(spec: GridSpec, rows, q: np.ndarray, f: FTable,
-            grad_x: list, grad_xi: list) -> None:
+            grad_x: list, grad_xi: list, work: list) -> None:
     """d's x- and xi-gradients on the x-points `rows`, from q and q's
     gradients there, each written over the gradient of q it comes from;
-    ``build_d``'s to the bit.  d's values are not made.
+    ``build_d``'s to the bit.  d's values are not made.  The block's
+    temporaries are made in work, three arrays of q's shape.
 
     Each table is read only where it varies.  The smooth step of |r|/DELTA
     varies on the band _R_IN <= |r| < _R_TOP, and f(|q|) and the term
@@ -561,20 +609,22 @@ def _d_rows(spec: GridSpec, rows, q: np.ndarray, f: FTable,
     +0 and per_q is f'(|q|).  In both, per_x = dd_dr r is r times 1 or +0.
     """
     w = _lift(spec.x_bracket())[rows]
-    r = q / w
-    abs_r = np.abs(r)
+    r = np.divide(q, w, out=work[0])
+    abs_r = np.abs(r, out=work[1])
     top = abs_r >= _R_TOP
     inside = np.flatnonzero((abs_r >= _R_IN) & ~top)
-    abs_q = np.abs(q)
+    abs_q = np.abs(q, out=work[2])
     far = np.flatnonzero(abs_q >= f.t_far)
-    # per_q off the band: 1/<x> below it, f'(|q|) on top, 1 but where far
-    per_q = np.empty_like(q)
+    ends = far[np.take(top, far)]
+    r_in, q_in = np.take(r, inside), np.take(abs_q, inside)
+    q_ends = np.take(abs_q, ends)
+    # per_q off the band, over abs_q: 1/<x> below it, f'(|q|) on top, 1 but
+    # where far
+    per_q = abs_q
     per_q[...] = 1.0 / w
     np.copyto(per_q, 1.0, where=top)
-    ends = far[np.take(top, far)]
-    np.put(per_q, ends, f.derivative(np.take(abs_q, ends)))
+    np.put(per_q, ends, f.derivative(q_ends))
     # on the band, build_d's arithmetic on the band's points alone
-    r_in, q_in = np.take(r, inside), np.take(abs_q, inside)
     r_abs = np.abs(r_in)
     step, dstep = _STEP.with_derivative(r_abs / DELTA)
     lift = f(q_in)
@@ -606,10 +656,10 @@ def _d_rows(spec: GridSpec, rows, q: np.ndarray, f: FTable,
 
 
 def _min_excess(a2: _Partials, b: _Partials, envelope: np.ndarray,
-                out: np.ndarray) -> float:
-    """Minimum of H_{a2} b - envelope over a block of x-points, with out, of the
-    block's shape, as the work array."""
-    excess = _bracket(a2, b, out)
+                out: np.ndarray, work: np.ndarray) -> float:
+    """Minimum of H_{a2} b - envelope over a block of x-points, with out and
+    work, of the block's shape, as the bracket's arrays."""
+    excess = _bracket(a2, b, out, work)
     excess -= envelope
     return float(np.min(excess))
 
@@ -663,20 +713,24 @@ def check_member(cs: CoefficientSet, f: FTable) -> dict:
     escape, weight = C1 * tables.abs, _lift(spec.x_bracket(-f.N))
     q_sets, (a2_dx, a2_dxi) = _q_factors(cs), _a2_factors(cs)
     sups, gaps, margins = [], [], []
-    # q, its partials, a2's and out live on until the next block's replace
-    # them, so the top of the heap is never freed at once: glibc would hand
-    # a large free top back to the system, and fault it in again per block
+    # every (x, xi) array of a block is one of the grid's workspace, which
+    # lives on: no block or member frees one, so glibc hands none of their
+    # pages back to the system, to fault them in again for the next
+    ws = _workspace(spec)
+    _, quads, _, work = ws
+    out, term = work[:2]
     for rows in _x_blocks(spec):
-        q, *rows_of = _q_rows(spec, q_sets, rows, mu, extra=a2_dxi)
+        q, *rows_of = _q_rows(spec, q_sets, rows, mu, extra=a2_dxi, ws=ws)
         dq = _Partials(rows_of[:n], rows_of[n:2 * n])
-        a2 = _Partials(list(_separable(a2_dx, tables.quads, rows)),
+        a2 = _Partials(list(_separable(a2_dx, tables.quads, rows, quads)),
                        rows_of[2 * n:])
-        out = np.empty_like(q)
         sups.append(_sup_ratio(q, bracket[rows]))
-        gaps.append(_min_excess(a2, dq, escape, out))
-        # with the gap taken, d's gradients replace q's in dq
-        _d_rows(spec, rows, q, f, *dq)
-        margins.append(_min_excess(a2, dq, weight[rows] * tables.abs, out))
+        gaps.append(_min_excess(a2, dq, escape, out, term))
+        # with the gap taken, d's gradients replace q's in dq, and q's array
+        # takes the Doi envelope
+        _d_rows(spec, rows, q, f, *dq, work)
+        envelope = np.multiply(weight[rows], tables.abs, out=q)
+        margins.append(_min_excess(a2, dq, envelope, out, term))
     _check_calibration(max(sups), f, f" for the member eps = {cs.eps!r}")
     return {**_escape_report(float(np.min(gaps))),
             **_doi_report(float(np.min(margins)))}

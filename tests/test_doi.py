@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -306,13 +307,15 @@ class TestCheckMember:
         return spec, sets, FTable(calibrate_K(sets), params.get("N", 2))
 
     # 1D M = 256 and 2D M = 16 both take 8 blocks of rows, 2D M = 32 takes
-    # 128 blocks of 8 x-points; on the c2 = -0.3, N = 3 ladder no Doi
-    # margin is clamped at the xi = 0 column
+    # 128 blocks of 8 x-points; on the c2 = -0.3, N = 3 ladders no minimum
+    # is clamped at the xi = 0 column, where the default ultra-diagonal
+    # ladders have every minimum, 0.0
     @pytest.mark.parametrize("n, M, name, params", [
         (1, 256, "delta-potential", {}),
         (2, 16, "ultra-diagonal", {"nu": 2.0, "width": 0.5}),
         (2, 16, "ultra-diagonal", {"nu": 2.0, "width": 0.5, "c2": -0.3, "N": 3}),
-        (2, 32, "ultra-diagonal", {})])
+        (2, 32, "ultra-diagonal", {}),
+        (2, 32, "ultra-diagonal", {"nu": 2.0, "width": 0.5, "c2": -0.3, "N": 3})])
     def test_equals_the_checks_of_built_symbols(self, n, M, name, params):
         spec, sets, f = self._ladder(n, M, name, **params)
         xi_abs = np.sqrt(sum(z**2 for z in np.meshgrid(*dual_xi(spec), indexing="ij")))
@@ -356,11 +359,99 @@ class TestCheckMember:
             tracemalloc.stop()
         assert peak <= 3 * 8 * spec.size**2
 
+    def test_a_warm_call_allocates_less_than_four_blocks(self):
+        # the block arrays live in the grid's workspace, so a warm call
+        # allocates only x-sized factors, masks and numpy's own buffers:
+        # 165 KiB with numpy 2.4, a block being 64 KiB; the bound is that
+        # plus 25%.  Every block made its own arrays at 1,253 KiB.
+        spec, sets, f = self._ladder(2, 16, "ultra-diagonal")
+        check_member(sets[-1], f)
+        tracemalloc.start()
+        try:
+            check_member(sets[-1], f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 206 * 1024
+
     def test_rejects_a_miscalibrated_K_naming_the_member(self):
         spec, sets, f = self._ladder(1, 32, "free")
         with pytest.raises(SymbolError, match="FTable.K") as err:
             check_member(sets[0], FTable(f.K / 100.0, 2))
         assert f"eps = {sets[0].eps!r}" in str(err.value)
+
+
+def _workspace_arrays(spec):
+    mesh, quads, grad_xi, work = doi._workspace(spec)
+    return [*mesh, *quads, *grad_xi, *work]
+
+
+class TestBlockWorkspace:
+    """calibrate_K and check_member make every array of an (x, xi) block in
+    the grid's one workspace, which every block, member and call reuses:
+    no call reads what an earlier one left there, and no symbol built whole
+    shares an array with it."""
+
+    # 1D M = 64 is one block, which has the shape of a symbol built whole;
+    # 1D M = 256 and 2D M = 16 take 8 blocks of rows, 2D M = 32 128 pieces
+    # of single rows; on the c2 = -0.3, N = 3 ladders no minimum is clamped
+    # at the xi = 0 column
+    GRIDS = [(1, 64, "delta-potential", {}),
+             (1, 256, "delta-potential", {}),
+             (2, 16, "ultra-diagonal", {"nu": 2.0, "width": 0.5, "c2": -0.3, "N": 3}),
+             (2, 32, "ultra-diagonal", {"nu": 2.0, "width": 0.5, "c2": -0.3, "N": 3})]
+
+    @pytest.fixture(scope="class")
+    def ladders(self):
+        """Per grid: the ladder, its FTable, and the reports in ladder order
+        from a new workspace, as reprs, which tell every bit of a float."""
+        doi._workspace.cache_clear()
+        out = []
+        for n, M, name, params in self.GRIDS:
+            sets = sets_for(name, make_grid(n, M, 8.0), **params)
+            f = FTable(calibrate_K(sets), params.get("N", 2))
+            out.append((sets, f, [repr(check_member(cs, f)) for cs in sets]))
+        return out
+
+    @pytest.mark.parametrize("n, M", [(1, 8), (1, 256), (1, 4096), (2, 8),
+                                      (2, 16), (2, 32), (2, 128)])
+    def test_every_block_has_the_workspace_shape(self, n, M):
+        spec = make_grid(n, M, 8.0)
+        shapes = {spec.x_norm_sq()[rows].shape + spec.shape
+                  for rows in _x_blocks(spec)}
+        assert shapes == {a.shape for a in _workspace_arrays(spec)}
+        assert len(shapes) == 1
+
+    def test_the_reports_do_not_depend_on_the_order(self, ladders):
+        for sets, f, want in ladders:
+            assert [repr(check_member(cs, f)) for cs in sets[::-1]] == want[::-1]
+        for i in range(len(LADDER)):
+            for sets, f, want in ladders:
+                assert calibrate_K(sets) == f.K
+                assert repr(check_member(sets[i], f)) == want[i]
+
+    def test_a_poisoned_workspace_changes_nothing(self, ladders):
+        # every array a block reads is written in that block first
+        for sets, f, want in ladders:
+            for cs, report in zip(sets, want):
+                for a in _workspace_arrays(cs.spec):
+                    a.fill(np.nan)
+                assert repr(check_member(cs, f)) == report
+            for a in _workspace_arrays(sets[0].spec):
+                a.fill(np.nan)
+            assert calibrate_K(sets) == f.K
+
+    def test_symbols_built_whole_are_left_alone(self, ladders):
+        for sets, f, want in ladders:
+            q = build_q(sets[-1])
+            symbols = [q, build_d(q, f), assemble_a2(sets[-1])]
+            arrays = [a for s in symbols for a in [s.values, *s.grad_x, *s.grad_xi]]
+            before = [hashlib.sha256(a).digest() for a in arrays]
+            assert calibrate_K(sets) == f.K
+            assert [repr(check_member(cs, f)) for cs in sets] == want
+            assert [hashlib.sha256(a).digest() for a in arrays] == before
+            ws = _workspace_arrays(sets[0].spec)
+            assert not any(np.may_share_memory(a, b) for a in arrays for b in ws)
 
 
 def _same_bits(got, want):
@@ -432,7 +523,8 @@ class TestDRows:
         for rows in blocks:
             grad_x = [g[rows].copy() for g in q.grad_x]
             grad_xi = [g[rows].copy() for g in q.grad_xi]
-            _d_rows(spec, rows, q.values[rows], f, grad_x, grad_xi)
+            work = [np.empty_like(grad_x[0]) for _ in range(3)]
+            _d_rows(spec, rows, q.values[rows], f, grad_x, grad_xi, work)
             for got, want in zip(grad_x + grad_xi, d.grad_x + d.grad_xi):
                 assert _same_bits(got, want[rows])
 
