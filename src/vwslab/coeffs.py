@@ -229,6 +229,11 @@ class CoefficientSet:
     model's decay exponent, the weight of (H3), (H4) and the smoothing
     integrand.  da[k][i][j], the spectral x_k-derivative of a[i][j], is
     derived from a on first read and kept.
+
+    An entry that is constant on the grid (an unperturbed C_ij, a b_k
+    without drift, the ``Zero`` potential) is a read-only zero-stride view
+    of its one value (``np.broadcast_to``), so it stores no grid of copies:
+    derive new arrays from the entries instead of writing into them.
     """
 
     spec: GridSpec
@@ -327,26 +332,30 @@ def _build_set(model, eps, omega, spec) -> CoefficientSet:
     n = model.n
 
     def realise(comp: Component) -> np.ndarray:
-        return inverse(comp.coefficients(spec) * mult, spec)
+        return inverse(comp.coefficients(spec) * mult, spec).real
+
+    def constant(value) -> np.ndarray:
+        return np.broadcast_to(value, spec.shape)
 
     a = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            vals = np.full(spec.shape, model.C[i, j], dtype=float)
+            vals = constant(model.C[i, j])
             if (i, j) in model.perturb:
-                vals = vals + realise(model.perturb[(i, j)]).real
-            a[i][j] = vals
-            a[j][i] = vals  # same array: (H1) symmetry exact by construction
+                vals = vals + realise(model.perturb[(i, j)])
+            a[i][j] = a[j][i] = vals  # one array: (H1) symmetry exact by construction
     b = []
     for k in range(n):
-        vals = np.zeros(spec.shape, dtype=complex)
+        vals = constant(0j)
         if k in model.drift_re:
-            vals = vals + realise(model.drift_re[k]).real
+            vals = vals + realise(model.drift_re[k])
         if k in model.drift_im:
-            vals = vals + 1j * realise(model.drift_im[k]).real
+            vals = vals + 1j * realise(model.drift_im[k])
         b.append(vals)
-    return CoefficientSet(spec, eps, omega, a, b, realise(model.potential).real,
-                          model.N)
+    # a copy, so that V does not keep the complex transform it is taken from
+    V = (constant(0.0) if isinstance(model.potential, Zero)
+         else realise(model.potential).copy())
+    return CoefficientSet(spec, eps, omega, a, b, V, model.N)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Time evolution of the regularised problems and a dense matrix oracle.
+"""Time evolution of the regularised problems.
 
 The first-order form is du/dt = i(A u + B u + V u) with
 A u = sum_ij D_i(a_ij (D_j u)), B u = sum_k b_k (D_k u), V u = V u and
@@ -33,8 +33,10 @@ lockstep, so uniqueness pairs and the consistency ladder are not stacked: a
 stack pays for the union of its members' variable coefficients (the base
 problem of a uniqueness pair would take the perturbed one's variable a_12,
 b and V).  Measured on uniq-2d-ultra (2D, M=64): perfbench host-scaled
-run_s and peak RSS, three alternating runs each, and the minor page faults
-of one call in a fresh process:
+run_s and peak RSS, three alternating runs each (the last row: the median
+of ten), and the minor page faults of one call in a fresh process; the
+first five rows predate the zero-stride constant coefficients of
+``coeffs``:
 
     march                                   run_s (s)     peak RSS  faults
     a stack per problem, no step buffers    0.111-0.113   36.9 MB   3,700
@@ -43,15 +45,19 @@ of one call in a fresh process:
     a pair per stack, step buffers          0.097-0.104   38.5 MB   5,770
     the 4 pairs after the probe as two
     stacks of 4 problems, step buffers      0.091         48.0 MB   5,450
+    a stack per problem, one scratch        0.079         36.2 MB   1,620
 
 A pair's stack of two 64 x 64 complex fields is 128 KB, glibc's mmap
 threshold, so each temporary of a step without buffers was memory that
 glibc gave back to the OS when it was freed and faulted in again for the
-next: with its mapping and trimming off (MALLOC_MMAP_THRESHOLD_ and
-MALLOC_TRIM_THRESHOLD_ at 1e9) one call takes 1,400 faults, and 1,225 a
-stack per problem.  A march's step buffers are new pages too, hence 4,950
-(1,427 with trimming off).  With step buffers a pair per stack still pays
-for the union, and stacking the ladder is no faster and holds 10 MB more.
+next, and step buffers of each march's own were new pages for every
+march.  Now every march of one stack shape writes its stages, transforms
+and products into that shape's one scratch (``_scratch``), built on its
+first march and kept: a step writes each buffer before it reads it and
+leaves nothing there that a later step needs, so the interleaved marches
+of a lockstep share it too, and only a step's new state is a fresh array.
+With step buffers a pair per stack still pays for the union, and stacking
+the ladder is no faster and holds 10 MB more.
 
 The stepper is ETD-RK4 (exponential time differencing with RK4 stages;
 Cox & Matthews, J. Comput. Phys. 176 (2002), in the form of Kassam &
@@ -75,6 +81,7 @@ that choice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -172,6 +179,29 @@ def stable_dt(cs: CoefficientSet) -> float:
     return SAFETY * RK4_IMAG_LIMIT / rho if rho > 0 else np.inf
 
 
+@functools.lru_cache(maxsize=4)
+def _complex_kappa(spec: GridSpec) -> tuple:
+    """The kappa meshes of spec, stored complex: built once per grid and
+    read-only, as ``GridSpec.kappa_mesh`` is."""
+    kc = tuple(k.astype(complex) for k in spec.kappa_mesh())
+    for k in kc:
+        k.setflags(write=False)
+    return kc
+
+
+@functools.lru_cache(maxsize=4)
+def _scratch(shape: tuple) -> tuple:
+    """(stages, inverse stack, forward stack, product) for u_hat of a stack
+    shape (problems, *grid): the four stage fields of ``_Step``, n + 1 =
+    len(shape) fields each way, the most an ``_Operator`` transforms, and
+    one product.  Every march of that shape writes into it, both members of
+    a ``sup_differences`` lockstep included: a step writes each buffer
+    before it reads it and needs nothing in it after it returns."""
+    fields = (len(shape),) + shape
+    return (np.empty((4,) + shape, complex), np.empty(fields, complex),
+            np.empty(fields, complex), np.empty(shape, complex))
+
+
 class _Operator:
     """Raw coefficients u_hat (``grid.fft``) -> raw coefficients of (A + B + V) u,
     for a stack of problems on one grid: u_hat has a leading problem axis.
@@ -190,17 +220,23 @@ class _Operator:
         spec, n = sets[0].spec, sets[0].n
         self.n, km = n, spec.kappa_mesh()
         self.eps = [cs.eps for cs in sets]
+        memo = {}
 
         def split(arrs):
             # (means shaped to broadcast over the stack, stacked remainders or
             # None); the remainders, like the kappa factors below, are stored
-            # complex, as numpy would cast them on every product
-            parts = [_split(arr) for arr in arrs]
-            means = np.reshape([c for c, _ in parts], (len(parts),) + (1,) * n)
-            if all(r is None for _, r in parts):
-                return means, None
-            return means, np.stack([np.zeros(spec.shape) if r is None else r
-                                    for _, r in parts], dtype=complex)
+            # complex, as numpy would cast them on every product.  Keyed on
+            # the arrays' identities: a built set holds a_ij and a_ji as one
+            # array, so the pair is split and stacked once
+            key = tuple(map(id, arrs))
+            if key not in memo:
+                parts = [_split(arr) for arr in arrs]
+                means = np.reshape([c for c, _ in parts], (len(parts),) + (1,) * n)
+                memo[key] = means, (
+                    None if all(r is None for _, r in parts) else
+                    np.stack([np.zeros(spec.shape) if r is None else r
+                              for _, r in parts], dtype=complex))
+            return memo[key]
 
         symbol = np.zeros((len(sets),) + spec.shape)
         rows = []  # (i, [(j, remainder of a_ij)]) for each row with one
@@ -224,7 +260,7 @@ class _Operator:
         # the inverse stack: kappa_j u_hat for each needed j, then u_hat when
         # V is variable; a sum is [(slot in that stack, remainder)]
         needed = sorted({j for _, row in rows for j, _ in row} | {k for k, _ in lower})
-        kc = [k.astype(complex) for k in km]
+        kc = _complex_kappa(spec)
         self.kappa = [kc[j] for j in needed]
         self.with_u = V is not None
         slot = {j: m for m, j in enumerate(needed)}
@@ -239,11 +275,10 @@ class _Operator:
 
     def workspace(self, shape: tuple) -> tuple:
         """(inverse stack, forward stack, product): the buffers of
-        ``remainder`` for u_hat of the given shape."""
-        back = len(self.kappa) + self.with_u
-        return (np.empty((back,) + shape, complex),
-                np.empty((len(self.sums),) + shape, complex),
-                np.empty(shape, complex))
+        ``remainder`` for u_hat of the given shape, views of its
+        ``_scratch``."""
+        _, back, ahead, prod = _scratch(shape)
+        return back[:len(self.kappa) + self.with_u], ahead[:len(self.sums)], prod
 
     def remainder(self, uh: np.ndarray, out: np.ndarray, work: tuple) -> np.ndarray:
         """Write the variable part alone, (A + B + V) u minus the symbol
@@ -314,10 +349,11 @@ class _Step:
 
     du/dt = c u + F(u) with c = i Lambda the mean symbol and
     F = i remainder u, autonomous; e^{ch}, e^{ch/2} and the phi-function
-    weights are built once per step length, and so are the buffers of the
-    stages, their right-hand sides and the operator's transforms, which
-    every step reuses.  Only the new state is a fresh array, so a state
-    that ``march`` yields outlives the next steps.
+    weights are built once per step length.  The stages, their right-hand
+    sides and the operator's transforms are written into the ``_scratch``
+    of the stack's shape, which every step of every march of that shape
+    reuses.  Only the new state is a fresh array, so a state that
+    ``march`` yields outlives the next steps.
 
     The stages are Kassam & Trefethen's expressions, E2 u + Q Fu and so on,
     written into the buffers with their operand order: a complex product
@@ -334,8 +370,7 @@ class _Step:
         self.f2 = 2.0 * h * (p2 - 2.0 * p3)
         self.f3 = h * (4.0 * p3 - p2)
         shape = op.symbol.shape
-        self.work = op.workspace(shape)
-        self.stages = np.empty((4,) + shape, complex)
+        self.work, self.stages = op.workspace(shape), _scratch(shape)[0]
 
     def _F(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = i remainder(v); out may be v."""
@@ -533,29 +568,3 @@ def sup_differences(ref: EvolutionProblem, others: list, s: float,
         sq = np.maximum(sq, [np.sum(weight * np.abs(uh - uh_ref) ** 2)
                              for _, uh in level[1:]])
     return np.sqrt(sq).tolist(), [uh for _, uh in level]
-
-
-def dense_oracle(prob: EvolutionProblem) -> Field:
-    """Exact-in-time solution of the semi-discrete system via the dense
-    generator matrix G; independent of the time stepper.
-
-    u(T) is expm(T i G) u0, with scipy's scaling-and-squaring ``expm``
-    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009)), imported here
-    so that no pipeline loads scipy.
-    """
-    spec = prob.cs.spec
-    if spec.n == 1 and spec.M > 32:
-        raise EvolveError("dense oracle limited to M <= 32 in 1D")
-    if spec.n == 2 and spec.M > 8:
-        raise EvolveError("dense oracle limited to M <= 8 in 2D")
-
-    from scipy.linalg import expm
-
-    size, n = spec.size, spec.n
-    # G applied to every unit vector at once, a stack that the operator of
-    # the one problem broadcasts over; row j of the stack is column j of G
-    basis = np.eye(size, dtype=complex).reshape((size,) + spec.shape)
-    columns = ifft(_Operator([prob.cs])(fft(basis, n)), n)
-    out = expm(1j * prob.T * columns.reshape(size, size).T) @ prob.u0.values.ravel()
-    return Field(spec, out.reshape(spec.shape))
-

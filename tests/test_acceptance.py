@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import LADDER, random_field, solve_at
+from oracle import dense_oracle
 from vwslab.coeffs import check_hypotheses, preset, regularise
 from vwslab.doi import (FTable, assemble_a2, build_d, build_q,
                         calibrate_K, check_doi, check_escape, energy_norm,
                         exp_symbol_operator)
-from vwslab.evolve import EvolutionProblem, dense_oracle
+from vwslab.evolve import EvolutionProblem
 from vwslab.grid import Field, inverse, make_grid, plane_wave, sobolev_norm
 from vwslab.mollify import (Mollifier, ScaleFn, derivative_bound_probe,
                             fit_slope, sobolev_boost_probe)

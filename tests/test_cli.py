@@ -773,7 +773,7 @@ def test_doi_check_holds_no_ladder_of_symbols(tmp_path):
 
 def test_import_loads_no_scipy_and_no_numpy_ma(tmp_path):
     # scipy.linalg doubles the resident set; only the dense oracle, which
-    # the tests alone call, may import it.  numpy.ma costs about 20 ms to
+    # lives with the tests (oracle.py), may import it.  numpy.ma costs about 20 ms to
     # import, and np.median imports it on its first call.  Each benchmark
     # workload, and a 1D delta-potential hypothesis check, whose V reaches
     # the median of the exponent fit, is run after the import, in the same

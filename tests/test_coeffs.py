@@ -117,6 +117,36 @@ class TestRegularise:
         cs = regularise(model, 2**-4, loglog, grid_2d)
         assert cs.a[0][1] is cs.a[1][0]
 
+    @pytest.mark.parametrize("name, n", [("free", 1), ("ultra-diagonal", 2),
+                                         ("delta-potential", 1)])
+    def test_constant_entries_are_read_only_broadcasts(self, name, n, loglog):
+        spec = make_grid(n, 32, 8.0)
+        model = preset(name, n=n)
+        cs = regularise(model, 2**-4, loglog, spec)
+        constant = [(cs.a[i][j], model.C[i, j]) for i in range(n) for j in range(n)
+                    if (i, j) not in model.perturb]
+        constant += [(bk, 0j) for bk in cs.b]
+        if name != "delta-potential":
+            constant.append((cs.V, 0.0))
+        for arr, value in constant:
+            assert arr.strides == (0,) * n and not arr.flags.writeable
+            want = np.full(spec.shape, value)
+            assert arr.dtype == want.dtype and np.array_equal(arr, want)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+
+    @pytest.mark.parametrize("name", ["delta-potential", "smooth-consistency"])
+    def test_a_variable_V_owns_its_data(self, name, grid_1d, loglog):
+        # V is the real part of a complex transform: a copy of it, which
+        # does not keep the transform alive
+        model = preset(name, n=1)
+        for cs in [regularise(model, 2**-4, loglog, grid_1d)] + (
+                [sample(model, grid_1d)] if model.smooth else []):
+            assert cs.V.base is None and cs.V.flags.owndata
+            assert cs.V.flags.writeable and cs.V.dtype == float
+
     def test_dimension_mismatch(self, grid_1d, loglog):
         with pytest.raises(ModelError):
             regularise(preset("ultra-diagonal"), 0.1, loglog, grid_1d)

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import random_field, record_marches, solve_at
+from conftest import LADDER, random_field, record_marches, solve_at
+from oracle import dense_oracle
 from vwslab.coeffs import (CoefficientModel, Pointwise, preset, regularise,
                            sample)
 from vwslab.evolve import (EvolutionProblem, EvolveError, Instability,
-                           apply_spatial, dense_oracle, march,
+                           apply_spatial, march,
                            solve, solve_stack, stable_dt,
                            step_rk4, sup_differences)
 from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
@@ -1092,6 +1094,17 @@ class TestBufferedStep:
             want, levels = step(want), levels + 1
         assert levels == steps + 1
 
+    def test_a_symmetric_pair_is_split_once(self):
+        # a built set holds a_12 and a_21 as one array: the operator keeps
+        # one remainder of the pair, alone and in a stack with a set whose
+        # a_12 is constant
+        base, (perturbed,) = _perturbed_pair(make_grid(2, 16, 8.0), "ultra-diagonal")
+        for sets in ([perturbed.cs], [base.cs, perturbed.cs]):
+            sums = _Operator(sets).sums
+            (_, row0), (_, row1), _ = sums
+            assert row0[1][1] is row1[0][1]
+            assert len({id(r) for _, row in sums for _, r in row}) == 6
+
     def test_a_yielded_state_outlives_the_next_steps(self):
         # solve_stack and sup_differences keep the last level a march yields
         probs = BUFFER_CASES["every-entry-variable-2d"]()
@@ -1102,3 +1115,96 @@ class TestBufferedStep:
         for _ in levels:
             pass
         assert np.array_equal(first, kept[0]) and np.array_equal(second, kept[1])
+
+
+def _poison_scratch(shape):
+    for buffer in evolve._scratch(shape):
+        buffer.fill(np.nan)
+
+
+def _scratch_cases():
+    """A 1D M = 256 stack of 5 members, each with a variable a, b and V,
+    and a 2D M = 64 stack of one whose every entry is variable: each fills
+    every slot of its scratch."""
+    spec = make_grid(1, 256, 8.0)
+    one_d = [EvolutionProblem(preset_set("smooth-consistency", spec, eps),
+                              random_field(spec, seed=60 + k), T=0.1)
+             for k, eps in enumerate(LADDER)]
+    _, two_d = _perturbed_pair(make_grid(2, 64, 8.0), "ultra-diagonal")
+    return {"1d-stack-of-5": one_d, "2d-stack-of-1": two_d}
+
+
+class TestSharedScratch:
+    """Every march of one stack shape writes its stages, transforms and
+    products into that shape's one ``_scratch``: a step writes each buffer
+    before it reads it and leaves nothing there that a later step needs."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _scratch_cases()
+
+    @pytest.mark.parametrize("case", ["1d-stack-of-5", "2d-stack-of-1"])
+    def test_a_poisoned_scratch_changes_no_number(self, cases, case):
+        probs = cases[case]
+        shape = (len(probs),) + probs[0].cs.spec.shape
+        evolve._scratch.cache_clear()
+        want = solve_stack(probs, (0.0, 1.0), stride=2, steps=4)
+        _poison_scratch(shape)
+        got = solve_stack(probs, (0.0, 1.0), stride=2, steps=4)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.final.values, w.final.values)
+            assert all(np.array_equal(a, b) for a, b in zip(g.states, w.states))
+            for s in (0.0, 1.0):
+                assert np.array_equal(g.series.norms[s], w.series.norms[s])
+                assert np.array_equal(g.series.integrand[s], w.series.integrand[s])
+
+    @pytest.mark.parametrize("case", ["1d-stack-of-5", "2d-stack-of-1"])
+    def test_poison_between_the_steps_changes_no_state(self, cases, case):
+        probs = cases[case]
+        shape = (len(probs),) + probs[0].cs.spec.shape
+        want = [uh.copy() for _, uh in march(probs, 4)]
+        for level, (_, uh) in enumerate(march(probs, 4)):
+            assert np.array_equal(uh, want[level])
+            _poison_scratch(shape)
+
+    def test_marches_of_one_shape_share_it(self):
+        base, (perturbed,) = _perturbed_pair(make_grid(2, 16, 8.0), "ultra-diagonal")
+        steps = [evolve._Step(evolve._Operator([p.cs]), 0.01) for p in (base, perturbed)]
+        scratch = evolve._scratch((1, 16, 16))
+        for step in steps:
+            assert step.stages is scratch[0] and step.work[2] is scratch[3]
+            assert all(np.shares_memory(view, whole)
+                       for view, whole in zip(step.work[:2], scratch[1:3]))
+        # the base problem's a_12, b and V are constant: its transform
+        # stacks take fewer slots than those of its perturbed partner
+        assert [len(v) for v in steps[0].work[:2]] == [2, 2]
+        assert [len(v) for v in steps[1].work[:2]] == [3, 3]
+
+    def test_a_lockstep_gives_each_problem_its_own_march(self):
+        # base and partner transform stacks of different sizes in one
+        # scratch, one step after the other
+        base, (perturbed,) = _perturbed_pair(make_grid(2, 64, 8.0), "ultra-diagonal")
+        alone = [[uh[0].copy() for _, uh in march([p], 4)] for p in (base, perturbed)]
+        diffs, finals = sup_differences(base, [perturbed], 0.0, steps=4)
+        assert np.array_equal(finals[0], alone[0][-1])
+        assert np.array_equal(finals[1], alone[1][-1])
+        weight = base.cs.spec.sobolev_weight(0.0)
+        sq = max(np.sum(weight * np.abs(u - r) ** 2) for r, u in zip(*alone))
+        assert diffs == [np.sqrt(sq)]
+
+    def test_a_warm_march_allocates_no_scratch(self, cases):
+        # with the scratch built, a march of a 2D M = 64 problem allocates
+        # its operator, its step's tables and the states: 1,156 KiB with
+        # numpy 2.4, 18 fields of 64 KiB; the bound is that plus 25%.  Each
+        # march that built its own buffers peaked at 1,988 KiB.
+        probs = cases["2d-stack-of-1"]
+        for _ in march(probs, 4):
+            pass
+        tracemalloc.start()
+        try:
+            for _ in march(probs, 4):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1445 * 1024
