@@ -12,8 +12,10 @@ params.s_list[0].  model.params takes only its preset's parameters.
 mollifier-bench fits over its own omega ladder under its own scale: a
 config for it that sets scale or ladder is rejected.
 
-Only doi-check loads the Doi symbol layer, doi; parse_config imports it, so
-that report.json's wall_seconds times the experiment and not the import.
+Only doi-check loads the Doi symbol layer, doi, and only solve, net,
+uniqueness and consistency load the march layer, evolve (``_LAYERS``);
+parse_config imports them, so that report.json's wall_seconds times the
+experiment and not the import.
 """
 
 from __future__ import annotations
@@ -437,7 +439,8 @@ EXPERIMENT_KINDS = tuple(_PIPELINES)
 #: experiment.kind -> the layer modules its pipeline runs beyond those
 #: imported above.  parse_config imports them, so that their compile counts
 #: to a call's set-up, not to the run that report.json times.
-_LAYERS = {"doi-check": ("doi",)}
+_LAYERS = {"doi-check": ("doi",), "solve": ("evolve",), "net": ("evolve",),
+           "uniqueness": ("evolve",), "consistency": ("evolve",)}
 
 
 def _jsonable(obj):

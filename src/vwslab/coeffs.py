@@ -8,9 +8,10 @@ carry no quadrature error.
 
 from __future__ import annotations
 
+import copy
 import functools
 import inspect
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,7 +103,6 @@ def enveloped_lipschitz(N: int, amplitude: float):
 # models
 
 
-@dataclass
 class CoefficientModel:
     """Closed-form description of the operator coefficients.
 
@@ -111,31 +111,28 @@ class CoefficientModel:
     potential generates V.
     """
 
-    name: str
-    n: int
-    C: np.ndarray
-    perturb: dict = field(default_factory=dict)
-    drift_re: dict = field(default_factory=dict)
-    drift_im: dict = field(default_factory=dict)
-    potential: Component = field(default_factory=Zero)
-    N: int = 2
-    nu: float = 0.05
-    c0: float = 0.05
-    smooth: bool = False
-
-    def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=float)
-        if self.C.shape != (self.n, self.n):
+    def __init__(self, name: str, n: int, C, perturb: dict | None = None,
+                 drift_re: dict | None = None, drift_im: dict | None = None,
+                 potential: Component | None = None, N: int = 2,
+                 nu: float = 0.05, c0: float = 0.05, smooth: bool = False):
+        self.name, self.n = name, n
+        self.C = np.asarray(C, dtype=float)
+        if self.C.shape != (n, n):
             raise ModelError("constant matrix shape must be n x n")
         if not np.allclose(self.C, self.C.T):
             raise ModelError("constant matrix must be symmetric")
-        if self.N <= 1:
+        if N <= 1:
             raise ModelError("weight exponent N must exceed 1")
-        if self.nu < 0 or self.c0 < 0:
+        if nu < 0 or c0 < 0:
             raise ModelError("smallness constants must be nonnegative")
+        self.perturb = {} if perturb is None else perturb
         for (i, j) in list(self.perturb):
             if (j, i) not in self.perturb and i != j:
                 self.perturb[(j, i)] = self.perturb[(i, j)]
+        self.drift_re = {} if drift_re is None else drift_re
+        self.drift_im = {} if drift_im is None else drift_im
+        self.potential = Zero() if potential is None else potential
+        self.N, self.nu, self.c0, self.smooth = N, nu, c0, smooth
 
 
 def _free(n=1, N=2, c1=1.0):
@@ -221,7 +218,6 @@ def preset(name: str, **params) -> CoefficientModel:
 # regularisation
 
 
-@dataclass
 class CoefficientSet:
     """Grid realisation of the epsilon-regularised coefficients.
 
@@ -236,13 +232,10 @@ class CoefficientSet:
     derive new arrays from the entries instead of writing into them.
     """
 
-    spec: GridSpec
-    eps: float
-    omega: float
-    a: list
-    b: list
-    V: np.ndarray
-    N: int
+    def __init__(self, spec: GridSpec, eps: float, omega: float, a: list, b: list,
+                 V: np.ndarray, N: int):
+        self.spec, self.eps, self.omega = spec, eps, omega
+        self.a, self.b, self.V, self.N = a, b, V, N
 
     @property
     def n(self) -> int:
@@ -362,10 +355,7 @@ def _build_set(model, eps, omega, spec) -> CoefficientSet:
 # hypothesis validation
 
 
-@dataclass
-class HypothesisReport:
-    #: that no check failed
-    passed: bool = field(init=False)
+class HypothesisReport(NamedTuple):
     h1_symmetric: bool
     mu: float
     mu_values: list
@@ -380,11 +370,15 @@ class HypothesisReport:
     fit_residuals: dict
     notes: str = ""
 
-    def __post_init__(self):
-        self.passed = not self.failures()
+    @property
+    def passed(self) -> bool:
+        """That no check failed."""
+        return not self.failures()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields and "passed", as a deep copy: mutating it leaves the
+        report unchanged."""
+        return {"passed": self.passed, **copy.deepcopy(self._asdict())}
 
     def failures(self) -> list:
         """Each failed check, with its value and its bound."""

@@ -34,7 +34,6 @@ the whole grid, of ``poisson_bracket``s of symbols already built by
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +52,6 @@ class SymbolError(ValueError):
 # symbol grids
 
 
-@dataclass
 class SymbolGrid:
     """Sampled function on the (x, xi) product grid of spec.
 
@@ -62,17 +60,14 @@ class SymbolGrid:
     xi-gradient.
     """
 
-    spec: GridSpec
-    values: np.ndarray = field(repr=False)
-    grad_x: list | None = field(default=None, repr=False)
-    grad_xi: list | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        expected = self.spec.shape * 2
-        if self.values.shape != expected:
-            raise SymbolError(f"symbol shape {self.values.shape}, expected {expected}")
-        if not np.all(np.isfinite(self.values)):
+    def __init__(self, spec: GridSpec, values: np.ndarray, grad_x: list | None = None,
+                 grad_xi: list | None = None):
+        expected = spec.shape * 2
+        if values.shape != expected:
+            raise SymbolError(f"symbol shape {values.shape}, expected {expected}")
+        if not np.all(np.isfinite(values)):
             raise SymbolError("symbol contains non-finite entries")
+        self.spec, self.values, self.grad_x, self.grad_xi = spec, values, grad_x, grad_xi
 
     @property
     def n(self) -> int:

@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,22 +123,20 @@ class Instability(EvolveError):
                 "generator likely under-resolved")
 
 
-@dataclass
 class EvolutionProblem:
-    """The Cauchy problem du/dt = i(A + B + V) u, u(0) = u0, on [0, T]."""
+    """The Cauchy problem du/dt = i(A + B + V) u, u(0) = u0, on [0, T].
 
-    cs: CoefficientSet
-    u0: Field
-    T: float = 1.0
-    #: the un-safetied step bound, stable_dt / SAFETY (inf: no remainder)
-    dt_bound: float = field(init=False, repr=False)
+    dt_bound is the un-safetied step bound, stable_dt / SAFETY (inf: no
+    remainder).
+    """
 
-    def __post_init__(self):
-        if self.T <= 0:
+    def __init__(self, cs: CoefficientSet, u0: Field, T: float = 1.0):
+        if T <= 0:
             raise EvolveError("horizon T must be positive")
-        if self.u0.spec != self.cs.spec:
+        if u0.spec != cs.spec:
             raise EvolveError("initial data grid does not match coefficients")
-        self.dt_bound = stable_dt(self.cs) / SAFETY
+        self.cs, self.u0, self.T = cs, u0, T
+        self.dt_bound = stable_dt(cs) / SAFETY
 
 
 def _constant(arr: np.ndarray):
@@ -411,8 +409,7 @@ def step_rk4(u: Field, t: float, dt: float, prob: EvolutionProblem) -> Field:
     return Field(u.spec, ifft(step(fft(u.values[None], n), t), n)[0])
 
 
-@dataclass
-class NormSeries:
+class NormSeries(NamedTuple):
     """Per-step Sobolev norms and the smoothing-integrand time series."""
 
     t: np.ndarray
@@ -453,8 +450,7 @@ class _Diagnostics:
         return out
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     final: Field
     series: NormSeries
     states: list | None = None

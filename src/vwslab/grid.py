@@ -27,7 +27,6 @@ from them instead of writing into them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -41,26 +40,27 @@ def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple("_GridSpec", [("n", int), ("M", int), ("L", float)])):
     """Periodic grid on [-L, L)^n.
 
     n : spatial dimension (1 or 2)
     M : points per axis, power of two, >= 8
     L : half-length of the fundamental domain
+
+    The tuple (n, M, L): immutable, and equal and hashed by value, so that
+    the tables of a grid are cached on it.
     """
 
-    n: int
-    M: int
-    L: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n not in (1, 2):
-            raise GridError(f"dimension must be 1 or 2, got {self.n}")
-        if not _is_power_of_two(self.M) or self.M < 8:
-            raise GridError(f"M must be a power of two >= 8, got {self.M}")
-        if not (self.L > 0):
-            raise GridError(f"L must be positive, got {self.L}")
+    def __new__(cls, n: int, M: int, L: float):
+        if n not in (1, 2):
+            raise GridError(f"dimension must be 1 or 2, got {n}")
+        if not _is_power_of_two(M) or M < 8:
+            raise GridError(f"M must be a power of two >= 8, got {M}")
+        if not (L > 0):
+            raise GridError(f"L must be positive, got {L}")
+        return super().__new__(cls, n, M, L)
 
     @property
     def h(self) -> float:
@@ -136,18 +136,15 @@ def _tables(spec: GridSpec) -> _Tables:
     return tables
 
 
-@dataclass
 class Field:
     """Complex-valued grid function on a GridSpec."""
 
-    spec: GridSpec
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.spec.shape:
+    def __init__(self, spec: GridSpec, values):
+        self.spec = spec
+        self.values = np.asarray(values, dtype=complex)
+        if self.values.shape != spec.shape:
             raise GridError(
-                f"field shape {self.values.shape} does not match grid {self.spec.shape}"
+                f"field shape {self.values.shape} does not match grid {spec.shape}"
             )
         if not np.all(np.isfinite(self.values)):
             raise GridError("field contains non-finite entries")

@@ -8,7 +8,6 @@ which is exact on the torus and keeps the slope fits quadrature-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ class MollifyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Mollifier:
     """Unit-mass profile with closed-form Fourier transform.
 
@@ -32,14 +30,12 @@ class Mollifier:
     moments of order 1 .. order-1 vanish and phi_hat(xi) - 1 = O(|xi|^order).
     """
 
-    kind: str = "gaussian"
-    order: int = 4
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "vanishing-moment"):
-            raise MollifyError(f"unknown mollifier kind {self.kind!r}")
-        if self.kind == "vanishing-moment" and (self.order < 2 or self.order % 2):
+    def __init__(self, kind: str = "gaussian", order: int = 4):
+        if kind not in ("gaussian", "vanishing-moment"):
+            raise MollifyError(f"unknown mollifier kind {kind!r}")
+        if kind == "vanishing-moment" and (order < 2 or order % 2):
             raise MollifyError("vanishing-moment order must be a positive even integer")
+        self.kind, self.order = kind, order
 
     def hat(self, xi_sq: np.ndarray) -> np.ndarray:
         """phi_hat as a function of |xi|^2."""
@@ -52,7 +48,6 @@ class Mollifier:
         return q * np.exp(-xi_sq / 2.0)
 
 
-@dataclass(frozen=True)
 class ScaleFn:
     """Regularising scale omega(epsilon).
 
@@ -61,14 +56,12 @@ class ScaleFn:
     kind "power": eps^k.
     """
 
-    kind: str = "loglog"
-    k: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("loglog", "power"):
-            raise MollifyError(f"unknown scale kind {self.kind!r}")
-        if self.kind == "power" and self.k <= 0:
+    def __init__(self, kind: str = "loglog", k: float = 1.0):
+        if kind not in ("loglog", "power"):
+            raise MollifyError(f"unknown scale kind {kind!r}")
+        if kind == "power" and k <= 0:
             raise MollifyError("power scale needs k > 0")
+        self.kind, self.k = kind, k
 
 
 def scale_omega(scale: ScaleFn, eps: float) -> float:

@@ -28,19 +28,23 @@ ladders:
 
 net-1d-delta takes LEVELS: its smoothing integrals are trapezoids over the
 level times, and with delta data four intervals miss them by 16%.
+
+The march layer, ``evolve``, is imported inside the functions that march,
+so that ``vws doi-check`` and ``vws validate-hypotheses``, which build
+ladders but march none, do not compile it; ``cli`` imports it at parse
+time for the subcommands that march.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+import copy
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
 from .coeffs import (CoefficientModel, CoefficientSet, Delta, HypothesisReport,
                      check_hypotheses, regularise, sample)
-from .evolve import (LEVELS, EvolutionProblem, Instability, shared_steps,
-                     solve_stack, sup_differences)
 from .grid import Field, GridSpec, inverse
 from .mollify import Mollifier, ScaleFn, fit_slope, mollify
 
@@ -102,37 +106,42 @@ def bump_perturbation(spec: GridSpec, N: int, seed_shift: float = 0.0) -> np.nda
 # nets
 
 
-@dataclass
 class NetParams:
-    spec: GridSpec
-    eps_ladder: tuple = (2**-3, 2**-4, 2**-5, 2**-6, 2**-7)
-    scale: ScaleFn = field(default_factory=ScaleFn)
-    T: float = 0.5
-    dt: float | None = None      # None: the default step, smallest of compared ones
-    s_list: tuple = (0.0,)
-    data_mollifier: Mollifier = field(default_factory=Mollifier)
+    """A net's grid, eps ladder and scale, horizon, step (dt None: the
+    default step, smallest of compared ones), Sobolev orders and data
+    mollifier; scale and data_mollifier default to ``ScaleFn()`` and
+    ``Mollifier()``."""
 
-    def __post_init__(self):
-        eps = list(self.eps_ladder)
+    def __init__(self, spec: GridSpec,
+                 eps_ladder: tuple = (2**-3, 2**-4, 2**-5, 2**-6, 2**-7),
+                 scale: ScaleFn | None = None, T: float = 0.5,
+                 dt: float | None = None, s_list: tuple = (0.0,),
+                 data_mollifier: Mollifier | None = None):
+        eps = list(eps_ladder)
         if not eps:
             raise NetError("epsilon ladder is empty")
         if any(not (0.0 < e <= 1.0) for e in eps):
             raise NetError("epsilon values must lie in (0, 1]")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise NetError("epsilon ladder must be strictly decreasing")
+        self.spec, self.eps_ladder, self.T, self.dt, self.s_list = (
+            spec, eps_ladder, T, dt, s_list)
+        self.scale = ScaleFn() if scale is None else scale
+        self.data_mollifier = Mollifier() if data_mollifier is None else data_mollifier
 
 
-@dataclass
 class FitReport:
-    slope: float
-    residual: float
-    passed: bool
-    bound: float
-    values: dict
-    extra: dict = field(default_factory=dict)
+    """A verdict's exponent fit: slope and residual, whether it passed
+    against bound, the fitted values by eps, and extra numbers."""
+
+    def __init__(self, slope: float, residual: float, passed: bool, bound: float,
+                 values: dict, extra: dict | None = None):
+        self.slope, self.residual, self.passed, self.bound = slope, residual, passed, bound
+        self.values, self.extra = values, {} if extra is None else extra
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a deep copy: mutating it leaves the report unchanged."""
+        return copy.deepcopy(vars(self))
 
 
 def ladder(model: CoefficientModel, params: NetParams, u0: Field | None = None) -> dict:
@@ -161,8 +170,7 @@ def _require_valid(model: CoefficientModel, members: dict) -> HypothesisReport:
     return report
 
 
-@dataclass
-class LevelProbe:
+class LevelProbe(NamedTuple):
     """The level count of a ladder, chosen on its smallest-eps member."""
 
     eps: float | None     # None: an explicit dt, and no probe
@@ -184,6 +192,8 @@ def _relative_gap(fine, coarse) -> float:
 def _ladder_steps(members: dict, levels: int | None, dt: float | None = None) -> int:
     """The largest ``shared_steps`` of the members, in ladder order, so
     that a dt too large names the first problem it exceeds."""
+    from .evolve import shared_steps
+
     return max(shared_steps(probs, levels, dt) for probs in members.values())
 
 
@@ -207,6 +217,8 @@ def probe_levels(members: dict, answer) -> tuple:
     when the ladder takes COARSE; else it is empty, and the member marches
     at LEVELS with the others.
     """
+    from .evolve import LEVELS
+
     *_, eps = members
     coarse = _ladder_steps(members, COARSE)
     if 2 * coarse >= _ladder_steps(members, LEVELS):
@@ -227,6 +239,8 @@ def _solve_answer(params: NetParams, stride: int, ladder: list):
     Instability names the member's place in ``ladder``, the eps of the
     whole ladder in order, not in the stack marched: a probe trial marches
     a stack of one."""
+    from .evolve import Instability, solve_stack
+
     def answer(members, steps):
         try:
             results = solve_stack([probs[0] for probs in members.values()],
@@ -262,6 +276,8 @@ def march_ladder(members: dict, answer, params: NetParams) -> tuple:
 def solve_ladder(members: dict, params: NetParams, stride: int = 0) -> tuple:
     """``march_ladder`` over the members of ``ladder``, one problem each,
     stacked: (SolveResults, health) keyed by eps."""
+    from .evolve import EvolutionProblem
+
     return march_ladder({eps: [EvolutionProblem(m["cs"], m["u0"], params.T)]
                          for eps, m in members.items()},
                         _solve_answer(params, stride, [*members]), params)
@@ -312,8 +328,9 @@ def _perturbed_set(cs: CoefficientSet, eps: float, q: int, bumps: dict) -> Coeff
     for i in range(n):
         for j in range(i, n):
             a[i][j] = a[j][i] = cs.a[i][j] + amp * bumps["a", i, j]
-    return replace(cs, a=a, b=[cs.b[k] + amp * bumps["b", k] for k in range(n)],
-                   V=cs.V + amp * bumps["V"])
+    return CoefficientSet(cs.spec, cs.eps, cs.omega, a,
+                          [cs.b[k] + amp * bumps["b", k] for k in range(n)],
+                          cs.V + amp * bumps["V"], cs.N)
 
 
 def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
@@ -323,6 +340,8 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
     net must pass (H1)-(H5), as in ``run_net``: HypothesisFailure if not.
     A difference that round-off zeroed has no exponent: the slope is nan,
     and the probe fails."""
+    from .evolve import EvolutionProblem
+
     if q < 1:
         raise NetError("perturbation order q must be >= 1")
     s = params.s_list[0]
@@ -362,6 +381,8 @@ def _difference_answer(s: float):
     The numbers of a run are yielded before the next run marches, so a
     consumer that reads each member once holds no finished run's u(T)."""
     def run_numbers(run, steps):
+        from .evolve import sup_differences
+
         diffs, (final_ref, *finals) = sup_differences(
             run[0][0], [p for _, p in run], s, steps)
         for d, f in zip(diffs, finals):
@@ -388,6 +409,8 @@ def consistency_run(model: CoefficientModel, u0: Field, params: NetParams) -> Fi
     ``march_ladder``: after the probe, one ``sup_differences`` lockstep at
     the ladder's step count takes the classical problem and every member
     the probe kept no result of to T."""
+    from .evolve import EvolutionProblem
+
     if params.data_mollifier.kind == "gaussian":
         raise NetError("consistency requires a vanishing-moment data mollifier")
     if len(params.eps_ladder) < 4:

@@ -15,7 +15,7 @@ from vwslab import cli, evolve
 from vwslab.cli import ConfigError, main, parse_config, run
 from vwslab.doi import C1, FTable, _sup_over_x, build_q, calibrate_K, check_member
 from vwslab.evolve import LEVELS
-from vwslab.vwsnet import COARSE, TOL, ladder
+from vwslab.vwsnet import COARSE, TOL, FitReport, ladder
 
 
 def cfg_text(**overrides) -> str:
@@ -817,10 +817,13 @@ _CALLS = [
 
 @pytest.mark.parametrize("kind, config", _CALLS, ids=[kind for kind, _ in _CALLS])
 def test_a_call_loads_only_the_layers_it_runs(tmp_path, kind, config):
-    # doi is the largest module to compile and argparse is read by main()
-    # alone: importing vwslab.cli loads neither, parse_config loads doi for
-    # doi-check only, so that its compile is set-up, and run loads nothing
-    # more.  One fresh interpreter per subcommand.
+    # doi and evolve are the largest modules to compile, argparse is read by
+    # main() alone, and no record class is a dataclass, whose code generation
+    # every import would pay for: importing vwslab.cli loads none of them.
+    # parse_config loads doi for doi-check only, and evolve for the four
+    # subcommands that march, so that the compile is set-up; run loads
+    # nothing more, and dataclasses never.  One fresh interpreter per
+    # subcommand.
     if isinstance(config, dict):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -832,7 +835,8 @@ def test_a_call_loads_only_the_layers_it_runs(tmp_path, kind, config):
                filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = ("import json, sys, pathlib, vwslab.cli as cli\n"
             "def loaded():\n"
-            "    return sorted({'argparse', 'vwslab.doi'} & set(sys.modules))\n"
+            "    return sorted({'argparse', 'dataclasses', 'vwslab.doi', 'vwslab.evolve'}\n"
+            "                  & set(sys.modules))\n"
             "stages = [loaded()]\n"
             "cfg = cli.parse_config(pathlib.Path(sys.argv[1]).read_text(), kind=sys.argv[2])\n"
             "stages.append(loaded())\n"
@@ -841,8 +845,30 @@ def test_a_call_loads_only_the_layers_it_runs(tmp_path, kind, config):
     out = subprocess.run([sys.executable, "-c", code, str(path), kind],
                          env=env, cwd=tmp_path, check=True, capture_output=True,
                          text=True).stdout
-    layers = ["vwslab.doi"] if kind == "doi-check" else []
+    layers = {"doi-check": ["vwslab.doi"], "solve": ["vwslab.evolve"],
+              "net": ["vwslab.evolve"], "uniqueness": ["vwslab.evolve"],
+              "consistency": ["vwslab.evolve"]}.get(kind, [])
     assert json.loads(out.splitlines()[-1]) == [0, [[], layers, layers]]
+
+
+def test_fit_verdict_leaves_its_report_whole():
+    # to_dict is a deep copy: the verdict takes the health out of its copy
+    # of extra, and no change to the verdict reaches the report
+    health = {0.5: {"dt": 0.1, "steps": 1}}
+    fit = FitReport(2.0, 0.1, True, 1.5, {0.5: 1e-3},
+                    extra={"dropped_eps": [], "health": health})
+    want = {"slope": 2.0, "residual": 0.1, "passed": True, "bound": 1.5,
+            "values": {0.5: 1e-3},
+            "extra": {"dropped_eps": [], "health": {0.5: {"dt": 0.1, "steps": 1}}}}
+    assert fit.to_dict() == want
+    verdict = cli._fit_verdict(fit)
+    assert verdict["pass"] is True and "passed" not in verdict
+    assert verdict["health"] == health and "health" not in verdict["extra"]
+    assert fit.extra["health"] is health
+    verdict["health"][0.5]["steps"] = 7
+    verdict["values"][0.5] = 0.0
+    verdict["extra"]["dropped_eps"].append(0.25)
+    assert fit.to_dict() == want
 
 
 def test_no_pipeline_calls_lapack(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
+import copy
 import inspect
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +8,8 @@ import pytest
 
 from conftest import LADDER, assert_da_is_the_derivative_of_a
 from vwslab import cli, coeffs
-from vwslab.coeffs import (CoefficientModel, Delta, ModelError, Pointwise,
-                           SquareWave, _multi_indices, check_hypotheses,
+from vwslab.coeffs import (CoefficientModel, CoefficientSet, Delta, ModelError,
+                           Pointwise, SquareWave, _multi_indices, check_hypotheses,
                            enveloped_bump, preset, regularise, sample)
 from vwslab.grid import forward, inverse, make_grid, partial_derivative
 from vwslab.mollify import ScaleFn, fit_slope
@@ -204,7 +204,26 @@ class TestCheckHypotheses:
         assert rep.h4_weighted_im_sup == [
             max(float(np.max(w * np.abs(bk.imag))) for bk in cs.b) for cs in sets]
         assert rep.h3_weighted_sup != check_hypotheses(
-            [replace(cs, N=2) for cs in sets], nu=0.05, c0=0.05).h3_weighted_sup
+            [CoefficientSet(cs.spec, cs.eps, cs.omega, cs.a, cs.b, cs.V, 2) for cs in sets],
+            nu=0.05, c0=0.05).h3_weighted_sup
+
+    # passed is derived from failures(), and to_dict is a deep copy: no
+    # change to the dict reaches the report
+    @pytest.mark.parametrize("bound, passed", [(0.05, True), (0.0, False)])
+    def test_passed_is_a_bool_and_the_dict_a_copy(self, grid_2d, bound, passed):
+        rep = check_hypotheses(ladder_sets(preset("ultra-diagonal"), grid_2d),
+                               nu=bound, c0=bound)
+        assert rep.passed is passed
+        assert (rep.failures() == []) is passed
+        got = rep.to_dict()
+        assert got["passed"] is passed
+        assert set(got) == {"passed", *rep._fields}
+        want = copy.deepcopy(got)
+        got["mu_values"].append(0.0)
+        got["h3_weighted_sup"][0] = 0.0
+        got["fit_residuals"]["potential"].append(0.0)
+        got["fit_residuals"]["drift"] = None
+        assert rep.to_dict() == want
 
     def test_ultra_diagonal_band(self, grid_2d):
         model = preset("ultra-diagonal")

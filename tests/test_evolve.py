@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -8,8 +7,8 @@ import pytest
 
 from conftest import LADDER, random_field, record_marches, solve_at
 from oracle import dense_oracle
-from vwslab.coeffs import (CoefficientModel, Pointwise, preset, regularise,
-                           sample)
+from vwslab.coeffs import (CoefficientModel, CoefficientSet, Pointwise, preset,
+                           regularise, sample)
 from vwslab.evolve import (EvolutionProblem, EvolveError, Instability,
                            apply_spatial, march,
                            solve, solve_stack, stable_dt,
@@ -483,8 +482,9 @@ def _physical_rk4(prob, steps):
     b = [bk.mean() for bk in cs.b]
     lam = (sum(a[i][j] * km[i] * km[j] for i in range(n) for j in range(n))
            + sum(b[k] * km[k] for k in range(n)) + cs.V.mean())
-    rest = replace(cs, a=[[cs.a[i][j] - a[i][j] for j in range(n)] for i in range(n)],
-                   b=[cs.b[k] - b[k] for k in range(n)], V=cs.V - cs.V.mean())
+    rest = CoefficientSet(spec, cs.eps, cs.omega,
+                          [[cs.a[i][j] - a[i][j] for j in range(n)] for i in range(n)],
+                          [cs.b[k] - b[k] for k in range(n)], cs.V - cs.V.mean(), cs.N)
 
     def mult(m, v):
         return inverse(m * forward(v, spec), spec)
@@ -834,8 +834,9 @@ class TestSolveStack:
     def test_rejects_members_that_differ(self, change):
         probs = _stack_case("mixed-1d")[:2]
         p = probs[1]
-        probs[1] = EvolutionProblem(replace(p.cs, N=change.get("N", p.cs.N)), p.u0,
-                                    change.get("T", p.T))
+        cs = CoefficientSet(p.cs.spec, p.cs.eps, p.cs.omega, p.cs.a, p.cs.b, p.cs.V,
+                            change.get("N", p.cs.N))
+        probs[1] = EvolutionProblem(cs, p.u0, change.get("T", p.T))
         with pytest.raises(EvolveError, match="must share the grid, T and"):
             solve_stack(probs)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_field
-from vwslab.grid import (Field, GridError, _tables, apply_lambda, fft, forward,
-                         ifft, inverse, make_grid, plane_wave, sobolev_norm,
+from vwslab.grid import (Field, GridError, GridSpec, _tables, apply_lambda, fft,
+                         forward, ifft, inverse, make_grid, plane_wave, sobolev_norm,
                          spectral_derivative, weight_field)
 
 
@@ -32,6 +32,30 @@ class TestMakeGrid:
     def test_minimum_points(self):
         with pytest.raises(GridError):
             make_grid(1, 4, 1.0)
+
+    # the grid caches key on the spec, so equal grids must be one key
+    def test_spec_is_an_immutable_value(self):
+        a, b = GridSpec(2, 16, 4.0), make_grid(2, 16, 4.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != GridSpec(2, 16, 8.0) and a != GridSpec(1, 16, 4.0)
+        assert len({a, b, GridSpec(2, 32, 4.0)}) == 2
+        assert repr(a) == "GridSpec(n=2, M=16, L=4.0)"
+        with pytest.raises(AttributeError):
+            a.M = 32
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert (a.n, a.M, a.L) == (2, 16, 4.0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((3, 16, 1.0), "dimension must be 1 or 2, got 3"),
+        ((1, 12, 1.0), "M must be a power of two >= 8, got 12"),
+        ((1, 4, 1.0), "M must be a power of two >= 8, got 4"),
+        ((1, 16, 0.0), "L must be positive, got 0.0"),
+        ((1, 16, float("nan")), "L must be positive, got nan")])
+    @pytest.mark.parametrize("build", [GridSpec, make_grid])
+    def test_every_check_at_each_entry(self, build, args, message):
+        with pytest.raises(GridError, match=f"^{message}$"):
+            build(*args)
 
 
 class TestField:

@@ -30,6 +30,16 @@ class TestScaleOmega:
         with pytest.raises(MollifyError):
             scale_omega(ScaleFn("loglog"), 1.5)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Mollifier("bad"), "unknown mollifier kind 'bad'"),
+        (lambda: Mollifier("vanishing-moment", order=3),
+         "vanishing-moment order must be a positive even integer"),
+        (lambda: ScaleFn("bad"), "unknown scale kind 'bad'"),
+        (lambda: ScaleFn("power", k=0), "power scale needs k > 0")])
+    def test_constructors_check_their_kind(self, build, message):
+        with pytest.raises(MollifyError, match=f"^{message}$"):
+            build()
+
     def test_decreasing_in_eps(self):
         scale = ScaleFn("loglog")
         omegas = [scale_omega(scale, e) for e in DYADIC]

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from dataclasses import replace
-
 from conftest import (LADDER, assert_da_is_the_derivative_of_a, random_field,
                       record_marches)
 import vwslab
@@ -344,8 +342,8 @@ class TestDifferenceAnswer:
             regularise(preset("smooth-consistency", n=1), 0.0625,
                        ScaleFn("power", k=1.0), spec), ref.u0, T=ref.T)]
         answer = vwsnet._difference_answer(1.0)
-        locksteps, real = [], vwsnet.sup_differences
-        monkeypatch.setattr(vwsnet, "sup_differences",
+        locksteps, real = [], evolve.sup_differences
+        monkeypatch.setattr(evolve, "sup_differences",
                             lambda ref, others, *a: locksteps.append(1 + len(others))
                             or real(ref, others, *a))
         marches = record_marches(monkeypatch)
@@ -400,8 +398,8 @@ class TestComparedProblemsStep:
                 preset("delta-potential", n=1), 1, delta_field(spec), p),
             "consistency": lambda p: consistency_run(
                 preset("smooth-consistency", n=1), gaussian_field(spec),
-                replace(p, data_mollifier=cparams.data_mollifier,
-                        scale=cparams.scale)),
+                NetParams(p.spec, p.eps_ladder, cparams.scale, p.T, p.dt, p.s_list,
+                          cparams.data_mollifier)),
         }
 
     @pytest.mark.parametrize("kind, problems", [("uniqueness", 10),
@@ -628,7 +626,9 @@ class TestLevelProbe:
                                params)
         assert [len(ts) - 1 for ts in marches] == [10]
         marches.clear()
-        cparams = replace(TestConsistencyRun.cparams(spec), dt=0.05)
+        c = TestConsistencyRun.cparams(spec)
+        cparams = NetParams(c.spec, c.eps_ladder, c.scale, c.T, 0.05, c.s_list,
+                            c.data_mollifier)
         fit = consistency_run(preset("smooth-consistency", n=1), gaussian_field(spec),
                               cparams)
         assert [len(ts) - 1 for ts in marches] == [10] * 6
@@ -735,7 +735,9 @@ class TestLevelProbe:
         params = NetParams(spec=spec, **params)
         u0 = gaussian_field(spec)
         got = uniqueness_probe(model, 3, u0, params)
-        conv = uniqueness_probe(model, 3, u0, replace(params, dt=params.T / 256))
+        conv = uniqueness_probe(model, 3, u0, NetParams(
+            spec, params.eps_ladder, params.scale, params.T, params.T / 256,
+            params.s_list, params.data_mollifier))
         assert {h["levels"] for h in got.extra["health"].values()} == {COARSE}
         assert {h["steps"] for h in conv.extra["health"].values()} == {256}
         assert got.values.keys() == conv.values.keys()
@@ -761,7 +763,7 @@ class TestMarchLadder:
         """march_ladder over members whose step counts are COUNTS, with an
         answer whose u(T) moves by `gap` relative at the ladder's COARSE
         count; returns (results, health, [(eps marched, steps)] per call)."""
-        monkeypatch.setattr(vwsnet, "shared_steps",
+        monkeypatch.setattr(evolve, "shared_steps",
                             lambda probs, levels=LEVELS, dt=None: probs[0][levels])
 
         def run(gap, dt=None):
