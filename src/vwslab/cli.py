@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .coeffs import ModelError, preset
-from .grid import Field, GridSpec, make_grid, plane_wave
+from .grid import Field, GridSpec, plane_wave
 from .mollify import (Mollifier, ScaleFn, derivative_bound_probe,
                       sobolev_boost_probe)
 from .vwsnet import (FitReport, HypothesisFailure, NetParams, consistency_run,
@@ -216,7 +216,7 @@ def parse_config(text: str, kind: str | None = None) -> dict:
 
 def _grid(cfg) -> GridSpec:
     g = cfg["grid"]
-    return make_grid(g["n"], g["M"], float(g["L"]))
+    return GridSpec(g["n"], g["M"], float(g["L"]))
 
 
 def _scale(cfg) -> ScaleFn:
@@ -374,7 +374,7 @@ def _run_net(cfg, out: Path) -> dict:
 
 
 def _fit_verdict(fit: FitReport) -> dict:
-    """A fit as a verdict: "passed" becomes "pass", and the per-eps march
+    """A fit as a verdict: "passed" becomes "pass", and the ladder's march
     health moves from its extra to the top, where the net has it."""
     d = fit.to_dict()
     d["pass"] = d.pop("passed")

@@ -27,6 +27,7 @@ from them instead of writing into them.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +46,7 @@ class GridSpec(NamedTuple("_GridSpec", [("n", int), ("M", int), ("L", float)])):
 
     n : spatial dimension (1 or 2)
     M : points per axis, power of two, >= 8
-    L : half-length of the fundamental domain
+    L : half-length of the fundamental domain, positive and finite
 
     The tuple (n, M, L): immutable, and equal and hashed by value, so that
     the tables of a grid are cached on it.
@@ -60,6 +61,8 @@ class GridSpec(NamedTuple("_GridSpec", [("n", int), ("M", int), ("L", float)])):
             raise GridError(f"M must be a power of two >= 8, got {M}")
         if not (L > 0):
             raise GridError(f"L must be positive, got {L}")
+        if not math.isfinite(L):
+            raise GridError(f"L must be finite, got {L}")
         return super().__new__(cls, n, M, L)
 
     @property
@@ -148,11 +151,6 @@ class Field:
             )
         if not np.all(np.isfinite(self.values)):
             raise GridError("field contains non-finite entries")
-
-
-def make_grid(n: int, M: int, L: float) -> GridSpec:
-    """Validated grid constructor."""
-    return GridSpec(n, M, L)
 
 
 def fft(values: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -6,7 +6,7 @@ member's Cauchy problems from them, and ``march_ladder``, the ladder driver
 of every pipeline, marches them with the net's step rule and diagnostics:
 the smallest eps is probed, then the others go to one answer call at the
 ladder's one step count, so that members are compared at common times,
-giving each member's result and march health keyed by eps, in ladder order.
+giving each member's result by eps, in ladder order, and the ladder's health.
 
 Each ladder without a given dt chooses its level count once, in
 ``probe_levels``: its smallest eps marches at 2c steps and at c, c the
@@ -256,8 +256,9 @@ def _solve_answer(params: NetParams, stride: int, ladder: list):
 
 
 def march_ladder(members: dict, answer, params: NetParams) -> tuple:
-    """(results, health), each a dict keyed by the eps of ``members``, a
-    ladder's eps -> that member's problems, all built, in ladder order.
+    """(results, health): results keyed by the eps of ``members``, a
+    ladder's eps -> that member's problems, all built, in ladder order, and
+    health the ladder's record, ``LevelProbe.health`` of its probe.
     ``answer`` is that of ``probe_levels``, which chooses the level count
     on the last, smallest eps; with ``params.dt`` set nothing is probed.
     The ladder marches one step count, the largest of its members' at
@@ -270,12 +271,12 @@ def march_ladder(members: dict, answer, params: NetParams) -> tuple:
     results = {eps: result for eps, (result, _) in
                zip(rest, answer(rest, steps) if rest else ())}
     results.update(kept)  # the probe member, last in ladder order
-    return results, {eps: probe.health(params.T, steps) for eps in members}
+    return results, probe.health(params.T, steps)
 
 
 def solve_ladder(members: dict, params: NetParams, stride: int = 0) -> tuple:
     """``march_ladder`` over the members of ``ladder``, one problem each,
-    stacked: (SolveResults, health) keyed by eps."""
+    stacked: (SolveResults keyed by eps, the ladder's health)."""
     from .evolve import EvolutionProblem
 
     return march_ladder({eps: [EvolutionProblem(m["cs"], m["u0"], params.T)]
@@ -285,7 +286,7 @@ def solve_ladder(members: dict, params: NetParams, stride: int = 0) -> tuple:
 
 def run_net(model: CoefficientModel, u0: Field, params: NetParams) -> tuple:
     """Regularise, validate and solve every epsilon on the ladder:
-    (HypothesisReport, SolveResults, health), the last two keyed by eps."""
+    (HypothesisReport, SolveResults keyed by eps, the ladder's health)."""
     members = ladder(model, params, u0)
     return (_require_valid(model, members), *solve_ladder(members, params))
 

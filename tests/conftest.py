@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vwslab.grid import Field, make_grid
+from vwslab.grid import Field, GridSpec
 from vwslab.mollify import Mollifier, ScaleFn
 
 LADDER = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
@@ -9,17 +9,17 @@ LADDER = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
 
 @pytest.fixture(scope="session")
 def grid_1d():
-    return make_grid(1, 64, 8.0)
+    return GridSpec(1, 64, 8.0)
 
 
 @pytest.fixture(scope="session")
 def grid_1d_pi():
-    return make_grid(1, 16, np.pi)
+    return GridSpec(1, 16, np.pi)
 
 
 @pytest.fixture(scope="session")
 def grid_2d():
-    return make_grid(2, 32, 8.0)
+    return GridSpec(2, 32, 8.0)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from vwslab.doi import (FTable, assemble_a2, build_d, build_q,
                         calibrate_K, check_doi, check_escape, energy_norm,
                         exp_symbol_operator)
 from vwslab.evolve import EvolutionProblem
-from vwslab.grid import Field, inverse, make_grid, plane_wave, sobolev_norm
+from vwslab.grid import Field, GridSpec, inverse, plane_wave, sobolev_norm
 from vwslab.mollify import (Mollifier, ScaleFn, derivative_bound_probe,
                             fit_slope, sobolev_boost_probe)
 from vwslab.vwsnet import (NetParams, consistency_run, delta_field,
@@ -44,7 +44,7 @@ def localised_data(spec, seed):
 
 
 def test_01_plane_wave_exactness():
-    spec = make_grid(1, 64, np.pi)
+    spec = GridSpec(1, 64, np.pi)
     cs = fixed_set("free", spec)
 
     def error(k, dt):
@@ -57,7 +57,7 @@ def test_01_plane_wave_exactness():
         assert error(k, 1e-3) < 1e-8
 
     # the step is exact on the free flow, so the order shows on a drift
-    spec = make_grid(1, 16, 8.0)
+    spec = GridSpec(1, 16, 8.0)
     cs = fixed_set("jump-drift", spec)
     u0 = random_field(spec, seed=5)
     exact = dense_oracle(EvolutionProblem(cs, u0, T=1.0))
@@ -71,7 +71,7 @@ def test_01_plane_wave_exactness():
 
 
 def test_02_ultrahyperbolic_dispersion():
-    spec = make_grid(2, 32, np.pi)
+    spec = GridSpec(2, 32, np.pi)
     cs = fixed_set("ultra-diagonal", spec, nu=0.0, c0=0.0)
 
     u0 = plane_wave(spec, (2, 1))
@@ -89,7 +89,7 @@ def test_03_oracle_equivalence():
              ("jump-drift", 1), ("smooth-consistency", 1),
              ("ultra-diagonal", 2)]
     for name, n in cases:
-        spec = make_grid(n, 16 if n == 1 else 8, 8.0)
+        spec = GridSpec(n, 16 if n == 1 else 8, 8.0)
         prob = EvolutionProblem(fixed_set(name, spec),
                                 random_field(spec, seed=5), T=0.5)
         gap = rel_gap(solve_at(prob, 1e-3).final, dense_oracle(prob))
@@ -99,7 +99,7 @@ def test_03_oracle_equivalence():
 def test_04_l2_conservation():
     # drift-free models with real potential evolve unitarily
     for name, seed in (("free", 2), ("delta-potential", 3)):
-        spec = make_grid(1, 64, 8.0)
+        spec = GridSpec(1, 64, 8.0)
         u0 = localised_data(spec, seed)
         res = solve_at(EvolutionProblem(fixed_set(name, spec, eps=2**-5), u0,
                                         T=1.0), 1e-3)
@@ -109,7 +109,7 @@ def test_04_l2_conservation():
 
 
 def test_05_mollifier_scaling_laws():
-    spec = make_grid(1, 2048, np.pi)
+    spec = GridSpec(1, 2048, np.pi)
     x = spec.x_axis()
 
     jump = Field(spec, np.where(np.sin(x) >= 0, 1.0, -1.0).astype(complex))
@@ -122,7 +122,7 @@ def test_05_mollifier_scaling_laws():
 
     # the 2D delta sits exactly on the H^{-1} borderline, so the boost
     # attains the -ell prediction
-    spec2 = make_grid(2, 512, np.pi)
+    spec2 = GridSpec(2, 512, np.pi)
     delta = delta_field(spec2)
     for ell in (1, 2):
         pr = sobolev_boost_probe(delta, -1.0, ell, POWER1, DYADIC)
@@ -130,7 +130,7 @@ def test_05_mollifier_scaling_laws():
 
 
 def test_06_hypothesis_validation():
-    spec = make_grid(2, 32, 8.0)
+    spec = GridSpec(2, 32, 8.0)
     c1, c2 = 1.0, -1.0
     model = preset("ultra-diagonal", c1=c1, c2=c2)
     sets = [regularise(model, e, LOGLOG, spec) for e in LADDER]
@@ -152,7 +152,7 @@ def test_06_hypothesis_validation():
 
 def test_07_doi_inequalities():
     for name, n, M in (("free", 1, 64), ("ultra-diagonal", 2, 8)):
-        spec = make_grid(n, M, 8.0)
+        spec = GridSpec(n, M, 8.0)
         model = preset(name, n=n)
         sets = [regularise(model, eps, LOGLOG, spec) for eps in LADDER]
         pairs = [(assemble_a2(cs), build_q(cs)) for cs in sets]
@@ -175,7 +175,7 @@ def test_07_doi_inequalities():
 
 
 def test_08_energy_norm_equivalence():
-    spec = make_grid(1, 32, 8.0)
+    spec = GridSpec(1, 32, 8.0)
     model = preset("delta-potential", n=1)
     sets = [regularise(model, e, LOGLOG, spec) for e in LADDER]
     qs = [build_q(cs) for cs in sets]
@@ -199,7 +199,7 @@ def test_08_energy_norm_equivalence():
 
 
 def test_09_moderateness():
-    spec = make_grid(1, 64, 8.0)
+    spec = GridSpec(1, 64, 8.0)
     params = NetParams(spec=spec, T=0.5)
 
     _, results, _ = run_net(preset("delta-potential", n=1), delta_field(spec), params)
@@ -215,7 +215,7 @@ def test_09_moderateness():
 
 
 def test_10_uniqueness():
-    spec = make_grid(1, 64, 8.0)
+    spec = GridSpec(1, 64, 8.0)
     params = NetParams(spec=spec, T=0.5)
     for name, u0 in (("free", gaussian_field(spec)),
                      ("delta-potential", delta_field(spec))):
@@ -225,7 +225,7 @@ def test_10_uniqueness():
 
 
 def test_11_consistency():
-    spec = make_grid(1, 64, 8.0)
+    spec = GridSpec(1, 64, 8.0)
     params = NetParams(spec=spec, T=0.5, scale=POWER1,
                        data_mollifier=Mollifier("vanishing-moment", order=4))
 

@@ -10,12 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import record_marches
 import vwslab
-from vwslab import cli, evolve
+from vwslab import cli, evolve, vwsnet
 from vwslab.cli import ConfigError, main, parse_config, run
 from vwslab.doi import C1, FTable, _sup_over_x, build_q, calibrate_K, check_member
 from vwslab.evolve import LEVELS
 from vwslab.vwsnet import COARSE, TOL, FitReport, ladder
+
+
+#: the keys of a ladder's march record, ``verdict.health``
+HEALTH_KEYS = {"dt", "steps", "levels", "probe_eps", "probe_gap"}
 
 
 def cfg_text(**overrides) -> str:
@@ -337,6 +342,40 @@ class TestRunSolve:
         assert len(snaps[0]["values"][0]) == 2
 
 
+@pytest.mark.parametrize("kind, cfg", [
+    ("solve", {"model": {"preset": "delta-potential"}}),
+    ("net", {"model": {"preset": "delta-potential"}, "data": {"kind": "delta"}}),
+    ("consistency", {"model": {"preset": "smooth-consistency"},
+                     "scale": {"kind": "power", "k": 1}}),
+    # (H2) drops eps = 2^-3, and the four eps left march as one ladder
+    ("uniqueness", {"grid": {"n": 2, "M": 16, "L": 8},
+                    "model": {"preset": "ultra-diagonal",
+                              "params": {"c2": -0.05, "nu": 0, "c0": 0}},
+                    "evolution": {"T": 0.1}, "experiment": {"q": 1}})],
+    ids=["solve", "net", "consistency", "uniqueness-h2"])
+def test_health_is_the_ladders_one_record(tmp_path, monkeypatch, kind, cfg):
+    # one record per ladder, written once: the LevelProbe that march_ladder
+    # chose, at the step count of the ladder's march, the last one
+    probes, real = [], vwsnet.probe_levels
+
+    def probing(members, answer):
+        probes.append(real(members, answer))
+        return probes[-1]
+
+    monkeypatch.setattr(vwsnet, "probe_levels", probing)
+    marches = record_marches(monkeypatch)
+    cfg = parse_config(json.dumps(cfg), kind=kind)
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
+    (probe, _), = probes
+    want = probe.health(cfg["evolution"]["T"], len(marches[-1]) - 1)
+    assert set(verdict["health"]) == HEALTH_KEYS
+    assert verdict["health"] == json.loads(json.dumps(want))
+    assert probe.eps == cfg["ladder"][-1]
+    if kind == "uniqueness":
+        assert verdict["extra"]["dropped_eps"] == [0.125]
+
+
 def test_snapshots_share_their_times(tmp_path):
     # a ladder that takes COARSE levels: the probe member keeps its c-step
     # trial, so every member marches 4 steps and at stride 2 writes the
@@ -346,7 +385,7 @@ def test_snapshots_share_their_times(tmp_path):
                                    "output": {"stride": 2}}), kind="solve")
     assert run(cfg, out_dir=str(tmp_path)) == 0
     health = json.loads((tmp_path / "report.json").read_text())["verdict"]["health"]
-    assert {(h["levels"], h["steps"]) for h in health.values()} == {(COARSE, COARSE)}
+    assert (health["levels"], health["steps"]) == (COARSE, COARSE)
     T = cfg["evolution"]["T"]
     paths = sorted(tmp_path.glob("snapshots-eps-*.json"))
     assert len(paths) == len(cfg["ladder"])
@@ -390,8 +429,7 @@ def test_consistency_on_the_ultrahyperbolic_class(tmp_path, cfg, status, levels)
     verdict = json.loads((tmp_path / "out" / "report.json").read_text())["verdict"]
     assert verdict["pass"] is True
     assert verdict["slope"] == pytest.approx(2.0, abs=0.01)
-    assert {(h["levels"], h["steps"]) for h in verdict["health"].values()} == {
-        (levels, levels)}
+    assert (verdict["health"]["levels"], verdict["health"]["steps"]) == (levels, levels)
 
 
 class TestToleranceDefaults:
@@ -533,7 +571,8 @@ class TestRunReportContract:
         verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
         if status == 0:
             assert verdict["extra"]["dropped_eps"] == [0.125]
-            assert set(verdict["health"]) == {str(e) for e in cfg["ladder"][1:]}
+            assert set(verdict["values"]) == {str(e) for e in cfg["ladder"][1:]}
+            assert set(verdict["health"]) == HEALTH_KEYS
         else:
             assert verdict["error"] == ("NetError: fewer than 4 usable epsilons "
                                         "(dropped [0.125, 0.0625, 0.03125])")
@@ -598,10 +637,9 @@ class TestRunReportContract:
             "evolution": {"T": 0.125, "s": [0.0, 1.0]}, "experiment": {"kind": "net"}}))
         assert run(cfg, out_dir=str(tmp_path)) == 0
         health = json.loads((tmp_path / "report.json").read_text())["verdict"]["health"]
-        assert set(health) == {str(eps) for eps in cfg["ladder"]}
-        for h in health.values():
-            assert h["steps"] == 16
-            assert h["dt"] == pytest.approx(0.125 / 16, rel=1e-15)
+        assert set(health) == HEALTH_KEYS
+        assert health["steps"] == 16
+        assert health["dt"] == pytest.approx(0.125 / 16, rel=1e-15)
 
     @pytest.mark.parametrize("kind, model, dt", [
         ("uniqueness", "delta-potential", "auto"),
@@ -617,11 +655,11 @@ class TestRunReportContract:
         run(cfg, out_dir=str(tmp_path))
         verdict = json.loads((tmp_path / "report.json").read_text())["verdict"]
         assert "error" not in verdict
-        assert set(verdict["health"]) == {str(eps) for eps in cfg["ladder"]}
+        h = verdict["health"]
+        assert set(h) == HEALTH_KEYS
         assert "health" not in verdict["extra"]
-        for h in verdict["health"].values():
-            assert h["steps"] == (50 if dt != "auto" else COARSE)
-            assert h["dt"] * h["steps"] == pytest.approx(0.5, rel=1e-12)
+        assert h["steps"] == (50 if dt != "auto" else COARSE)
+        assert h["dt"] * h["steps"] == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("kind, model, data, T, levels", [
         ("solve", "smooth-consistency", "gaussian", 0.1, COARSE),
@@ -636,25 +674,21 @@ class TestRunReportContract:
         cfg = parse_config(cfg_text(experiment={"kind": kind}, model={"preset": model},
                                     data={"kind": data}, evolution={"T": T}))
         run(cfg, out_dir=str(tmp_path))
-        health = json.loads((tmp_path / "report.json").read_text())["verdict"]["health"]
-        probe = cfg["ladder"][-1]
-        assert set(health) == {str(eps) for eps in cfg["ladder"]}
-        for h in health.values():
-            assert set(h) == {"dt", "steps", "levels", "probe_eps", "probe_gap"}
-            assert (h["levels"], h["probe_eps"]) == (levels, probe)
-            assert (h["probe_gap"] <= TOL) == (levels == COARSE)
-            # one count per ladder: a ladder at COARSE levels keeps the
-            # probe's COARSE trial
-            assert h["steps"] == levels
+        h = json.loads((tmp_path / "report.json").read_text())["verdict"]["health"]
+        assert set(h) == HEALTH_KEYS
+        assert (h["levels"], h["probe_eps"]) == (levels, cfg["ladder"][-1])
+        assert (h["probe_gap"] <= TOL) == (levels == COARSE)
+        # one count per ladder: a ladder at COARSE levels keeps the
+        # probe's COARSE trial
+        assert h["steps"] == levels
 
     def test_given_dt_reports_no_probe(self, tmp_path):
         cfg = parse_config(cfg_text(experiment={"kind": "net"},
                                     evolution={"T": 0.5, "dt": 0.01}))
         assert run(cfg, out_dir=str(tmp_path)) == 0
         health = json.loads((tmp_path / "report.json").read_text())["verdict"]["health"]
-        for h in health.values():
-            assert h == {"dt": pytest.approx(0.01, rel=1e-12), "steps": 50,
-                         "levels": None, "probe_eps": None, "probe_gap": None}
+        assert health == {"dt": pytest.approx(0.01, rel=1e-12), "steps": 50,
+                          "levels": None, "probe_eps": None, "probe_gap": None}
 
     def test_deterministic_reports(self, tmp_path):
         cfg = parse_config(cfg_text(
@@ -854,18 +888,18 @@ def test_a_call_loads_only_the_layers_it_runs(tmp_path, kind, config):
 def test_fit_verdict_leaves_its_report_whole():
     # to_dict is a deep copy: the verdict takes the health out of its copy
     # of extra, and no change to the verdict reaches the report
-    health = {0.5: {"dt": 0.1, "steps": 1}}
+    health = {"dt": 0.1, "steps": 1}
     fit = FitReport(2.0, 0.1, True, 1.5, {0.5: 1e-3},
                     extra={"dropped_eps": [], "health": health})
     want = {"slope": 2.0, "residual": 0.1, "passed": True, "bound": 1.5,
             "values": {0.5: 1e-3},
-            "extra": {"dropped_eps": [], "health": {0.5: {"dt": 0.1, "steps": 1}}}}
+            "extra": {"dropped_eps": [], "health": {"dt": 0.1, "steps": 1}}}
     assert fit.to_dict() == want
     verdict = cli._fit_verdict(fit)
     assert verdict["pass"] is True and "passed" not in verdict
     assert verdict["health"] == health and "health" not in verdict["extra"]
     assert fit.extra["health"] is health
-    verdict["health"][0.5]["steps"] = 7
+    verdict["health"]["steps"] = 7
     verdict["values"][0.5] = 0.0
     verdict["extra"]["dropped_eps"].append(0.25)
     assert fit.to_dict() == want

@@ -11,7 +11,7 @@ from vwslab import cli, coeffs
 from vwslab.coeffs import (CoefficientModel, CoefficientSet, Delta, ModelError,
                            Pointwise, SquareWave, _multi_indices, check_hypotheses,
                            enveloped_bump, preset, regularise, sample)
-from vwslab.grid import forward, inverse, make_grid, partial_derivative
+from vwslab.grid import GridSpec, forward, inverse, partial_derivative
 from vwslab.mollify import ScaleFn, fit_slope
 from vwslab.vwsnet import _bumps, _perturbed_set
 
@@ -99,7 +99,7 @@ def _parameters(name):
 def _built(model):
     """What a run reads of a model: its scalars and matrix, and the N and
     arrays of its set at eps = 2^-4."""
-    cs = regularise(model, 2**-4, ScaleFn("loglog"), make_grid(model.n, 16, 8.0))
+    cs = regularise(model, 2**-4, ScaleFn("loglog"), GridSpec(model.n, 16, 8.0))
     arrays = [*(arr for row in cs.a for arr in row), *cs.b, cs.V]
     return (model.n, model.N, model.nu, model.c0, model.C.tolist(), cs.N,
             [arr.tobytes() for arr in arrays])
@@ -120,7 +120,7 @@ class TestRegularise:
     @pytest.mark.parametrize("name, n", [("free", 1), ("ultra-diagonal", 2),
                                          ("delta-potential", 1)])
     def test_constant_entries_are_read_only_broadcasts(self, name, n, loglog):
-        spec = make_grid(n, 32, 8.0)
+        spec = GridSpec(n, 32, 8.0)
         model = preset(name, n=n)
         cs = regularise(model, 2**-4, loglog, spec)
         constant = [(cs.a[i][j], model.C[i, j]) for i in range(n) for j in range(n)
@@ -276,7 +276,7 @@ class TestCheckHypotheses:
     def test_mu_is_the_eigenvalue_bound(self, C):
         # a non-diagonal a: its eigenvectors lie off the coordinate axes
         model = CoefficientModel("tilted", 2, np.array(C))
-        rep = check_hypotheses(ladder_sets(model, make_grid(2, 8, 8.0)),
+        rep = check_hypotheses(ladder_sets(model, GridSpec(2, 8, 8.0)),
                                nu=0.05, c0=0.05)
         lam = np.abs(np.linalg.eigvalsh(np.array(C)))
         mu = max(lam.max(), 1.0 / lam.min())
@@ -303,7 +303,7 @@ class TestCheckHypotheses:
     def test_singular_a_fails_h2(self):
         # a_22 = 0: no mu bounds |lambda| from below
         model = CoefficientModel("degenerate", 2, np.diag([1.0, 0.0]))
-        rep = check_hypotheses(ladder_sets(model, make_grid(2, 8, 8.0)),
+        rep = check_hypotheses(ladder_sets(model, GridSpec(2, 8, 8.0)),
                                nu=0.05, c0=0.05)
         assert rep.mu == np.inf
         assert not rep.passed
@@ -323,7 +323,7 @@ class TestAbsEigenvalues:
 
     @pytest.mark.parametrize("M", [64, 16], ids=["uniq-2d-ultra", "doi-2d-ultra"])
     def test_benchmark_ladders(self, M):
-        spec = make_grid(2, M, 8.0)
+        spec = GridSpec(2, M, 8.0)
         bumps = _bumps(spec, 2)
         for cs in ladder_sets(preset("ultra-diagonal"), spec):
             self.check(cs)
@@ -332,7 +332,7 @@ class TestAbsEigenvalues:
 
     @pytest.mark.parametrize("c2", [1e-8, -1e-8])
     def test_near_degenerate(self, c2):
-        for cs in ladder_sets(preset("ultra-diagonal", c2=c2), make_grid(2, 16, 8.0)):
+        for cs in ladder_sets(preset("ultra-diagonal", c2=c2), GridSpec(2, 16, 8.0)):
             self.check(cs)
 
     def test_one_dimension(self, grid_1d):
@@ -343,7 +343,7 @@ class TestAbsEigenvalues:
 
     def test_singular_is_exactly_zero(self):
         cs = sample(CoefficientModel("degenerate", 2, np.diag([1.0, 0.0]), smooth=True),
-                    make_grid(2, 8, 8.0))
+                    GridSpec(2, 8, 8.0))
         self.check(cs)
         assert np.all(np.min(cs.abs_eigenvalues(), axis=1) == 0.0)
 
@@ -403,7 +403,7 @@ class TestExponentShift:
         # a_12 and a_21 are one array
         ("ultra-diagonal", 2, 64, 60)])
     def test_fft_calls(self, monkeypatch, name, n, M, calls):
-        sets = ladder_sets(preset(name, n=n), make_grid(n, M, 8.0))
+        sets = ladder_sets(preset(name, n=n), GridSpec(n, M, 8.0))
         count = []
         for fn in ("fft", "ifft"):
             real = getattr(np.fft, fn)

@@ -13,7 +13,7 @@ from vwslab.doi import (C1, DELTA, FTable, SmoothStep, SymbolError, SymbolGrid,
                         calibrate_K, check_doi, check_escape, check_member,
                         dual_xi, energy_norm, exp_symbol_operator, fd4,
                         poisson_bracket, quantize, symbol_seminorm)
-from vwslab.grid import Field, apply_lambda, make_grid, sobolev_norm
+from vwslab.grid import Field, GridSpec, apply_lambda, sobolev_norm
 from vwslab.mollify import ScaleFn, fit_slope
 
 
@@ -55,7 +55,7 @@ class TestAssemble:
                            atol=1e-12)
 
     def test_ultra_diagonal_signature(self):
-        spec = make_grid(2, 16, 8.0)
+        spec = GridSpec(2, 16, 8.0)
         cs = sets_for("ultra-diagonal", spec, nu=0.0, c0=0.0)[0]
         a2 = assemble_a2(cs)
         xi1, xi2 = np.meshgrid(*dual_xi(spec), indexing="ij")
@@ -216,7 +216,7 @@ class TestTableLookups:
 
 class TestBuildD:
     def setup_method(self):
-        self.spec = make_grid(1, 32, 8.0)
+        self.spec = GridSpec(1, 32, 8.0)
         cs = sets_for("free", self.spec)[0]
         self.q = build_q(cs)
         self.f = FTable(calibrate_K([cs]), 2)
@@ -267,7 +267,7 @@ class TestInequalities:
             assert rep["C2"] <= 2.0
 
     def test_ultra_diagonal_constant_coefficients(self):
-        spec = make_grid(2, 8, 8.0)
+        spec = GridSpec(2, 8, 8.0)
         sets = sets_for("ultra-diagonal", spec, nu=0.0, c0=0.0)
         pairs = q_ladder(sets)
         K = calibrate_K(sets)
@@ -280,7 +280,7 @@ class TestInequalities:
         assert np.ptp(stars) < 1e-12
 
     def test_ultra_diagonal_ladder_stability(self):
-        spec = make_grid(2, 8, 8.0)
+        spec = GridSpec(2, 8, 8.0)
         sets = sets_for("ultra-diagonal", spec)
         pairs = q_ladder(sets)
         K = calibrate_K(sets)
@@ -302,7 +302,7 @@ class TestCheckMember:
 
     @staticmethod
     def _ladder(n, M, name, **params):
-        spec = make_grid(n, M, 8.0)
+        spec = GridSpec(n, M, 8.0)
         sets = sets_for(name, spec, **params)
         return spec, sets, FTable(calibrate_K(sets), params.get("N", 2))
 
@@ -340,7 +340,7 @@ class TestCheckMember:
         (2, 16, "ultra-diagonal", {"nu": 2.0, "width": 0.5}),
         (2, 32, "ultra-diagonal", {})])
     def test_calibrate_K_is_that_of_built_symbols(self, n, M, name, params):
-        sets = sets_for(name, make_grid(n, M, 8.0), **params)
+        sets = sets_for(name, GridSpec(n, M, 8.0), **params)
         assert calibrate_K(sets) == 1.1 * max(_sup_over_x(build_q(cs))
                                                for cs in sets)
 
@@ -408,7 +408,7 @@ class TestBlockWorkspace:
         doi._workspace.cache_clear()
         out = []
         for n, M, name, params in self.GRIDS:
-            sets = sets_for(name, make_grid(n, M, 8.0), **params)
+            sets = sets_for(name, GridSpec(n, M, 8.0), **params)
             f = FTable(calibrate_K(sets), params.get("N", 2))
             out.append((sets, f, [repr(check_member(cs, f)) for cs in sets]))
         return out
@@ -416,7 +416,7 @@ class TestBlockWorkspace:
     @pytest.mark.parametrize("n, M", [(1, 8), (1, 256), (1, 4096), (2, 8),
                                       (2, 16), (2, 32), (2, 128)])
     def test_every_block_has_the_workspace_shape(self, n, M):
-        spec = make_grid(n, M, 8.0)
+        spec = GridSpec(n, M, 8.0)
         shapes = {spec.x_norm_sq()[rows].shape + spec.shape
                   for rows in _x_blocks(spec)}
         assert shapes == {a.shape for a in _workspace_arrays(spec)}
@@ -487,7 +487,7 @@ class TestDRows:
         of _R_IN and _R_TOP, two inner nodes and q = +-0.  At x-points with
         <x> = 11.4, 17.9 and 40.0, |q| takes t_far and the double below it,
         which put r on top of the band, in it and below it."""
-        spec = make_grid(2, 16, 32.0)
+        spec = GridSpec(2, 16, 32.0)
         rng = np.random.default_rng(11)
         shape = spec.shape * 2
         w = np.sqrt(1.0 + spec.x_norm_sq())
@@ -531,7 +531,7 @@ class TestDRows:
     def test_the_tables_are_read_on_few_points(self, monkeypatch):
         # on the doi-2d-ultra ladder the step varies on about 0.45% of the
         # points, and f' < 1 on 76 of 327,680
-        spec = make_grid(2, 16, 8.0)
+        spec = GridSpec(2, 16, 8.0)
         sets = sets_for("ultra-diagonal", spec)
         f = FTable(calibrate_K(sets), 2)
         sizes = {"at": [], "lam": []}
@@ -636,7 +636,7 @@ class TestAgainstLoopReference:
     zero."""
 
     def setup_method(self):
-        spec = make_grid(2, 16, 8.0)
+        spec = GridSpec(2, 16, 8.0)
         self.sets = sets_for("ultra-diagonal", spec, nu=2.0, width=0.5)
         self.mus = [float(np.sqrt(np.max(cs.abs_eigenvalues())))
                     for cs in self.sets]
@@ -678,7 +678,7 @@ class TestAgainstLoopReference:
                                             (2, 16, "ultra-diagonal")])
     def test_xi_gradient_of_a2_is_fd4_of_its_values(self, n, M, name):
         # fd4 is exact on quadratics, its one-sided edge stencils included
-        spec = make_grid(n, M, 8.0)
+        spec = GridSpec(n, M, 8.0)
         a2 = assemble_a2(sets_for(name, spec)[-1])
         h = float(np.diff(dual_xi(spec)[0])[0])
         edges = [0, 1, M - 2, M - 1]
@@ -721,7 +721,7 @@ class TestExactXiGradients:
 
     def test_q_and_d_of_a_ladder_member(self):
         # the eps = 2^-7 member of the ladder whose Doi margins fd4 misread
-        spec = make_grid(2, 16, 8.0)
+        spec = GridSpec(2, 16, 8.0)
         sets = sets_for("ultra-diagonal", spec, nu=2.0, width=0.5, c2=-0.3, N=3)
         cs, f = sets[-1], FTable(calibrate_K(sets), 3)
         q = build_q(cs)
@@ -746,7 +746,7 @@ class TestExactXiGradients:
         # q = r0 <x> (1 + xi / 100) puts r = q/<x> at r0 on the xi = 0
         # column, and r0 / DELTA at the middle of a cell of the smooth
         # step's table, where its slope is the interpolated bump
-        spec = make_grid(1, 32, 8.0)
+        spec = GridSpec(1, 32, 8.0)
         r0 = DELTA * (1.5 + 0.5 / 4000.0)
         w = np.sqrt(1.0 + spec.x_norm_sq())
 
@@ -783,7 +783,7 @@ class TestSymbolSeminorm:
     def test_first_x_derivative_is_the_attached_gradient(self):
         # zero values with a constant attached gradient: only the gradient,
         # taken on the axis of beta, gives the order-1 seminorm
-        spec = make_grid(2, 8, 8.0)
+        spec = GridSpec(2, 8, 8.0)
         zero = np.zeros(spec.shape * 2)
         a = SymbolGrid(spec, zero, grad_x=[zero + 1.5, zero - 2.5])
         assert symbol_seminorm(a, 0.0, 1) == 2.5
@@ -792,7 +792,7 @@ class TestSymbolSeminorm:
         # second x-derivative of a mollified Lipschitz coefficient grows
         # like omega^{-1}; the k=2, m=2 seminorm inherits that rate once
         # the singular term dominates the O(1) background
-        spec = make_grid(1, 512, 8.0)
+        spec = GridSpec(1, 512, 8.0)
         model = preset("elliptic-lipschitz", n=1, nu=0.4)
         scale = ScaleFn("power", k=1.0)
         vals, omegas = [], []
@@ -844,7 +844,7 @@ class TestQuantize:
         assert np.allclose(op @ u.values.ravel(), expected.ravel(), atol=1e-10)
 
     def test_size_limit(self):
-        spec = make_grid(1, 128, 8.0)
+        spec = GridSpec(1, 128, 8.0)
         a = symbol_from(spec, lambda x, xi: 1.0 + 0.0 * x + 0.0 * xi)
         with pytest.raises(SymbolError):
             quantize(a)
@@ -852,7 +852,7 @@ class TestQuantize:
 
 class TestEnergyNorm:
     def test_sandwich_on_ladder(self):
-        spec = make_grid(1, 32, 8.0)
+        spec = GridSpec(1, 32, 8.0)
         sets = sets_for("delta-potential", spec)
         pairs = q_ladder(sets)
         f = FTable(calibrate_K(sets), 2)

@@ -13,7 +13,7 @@ from vwslab.evolve import (EvolutionProblem, EvolveError, Instability,
                            apply_spatial, march,
                            solve, solve_stack, stable_dt,
                            step_rk4, sup_differences)
-from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
+from vwslab.grid import Field, GridSpec, forward, plane_wave, sobolev_norm
 from vwslab.mollify import ScaleFn
 from vwslab import evolve
 from vwslab.evolve import (LEVELS, RK4_IMAG_LIMIT, SAFETY, _Diagnostics, _Operator,
@@ -35,13 +35,13 @@ def free_set(spec):
 
 class TestApplySpatial:
     def test_free_plane_wave_eigenvalue(self):
-        spec = make_grid(1, 16, np.pi)
+        spec = GridSpec(1, 16, np.pi)
         u = plane_wave(spec, (1,))
         out = apply_spatial(free_set(spec), u)
         assert np.allclose(out, u.values, atol=1e-12)
 
     def test_ultra_diagonal_null_direction(self):
-        spec = make_grid(2, 16, np.pi)
+        spec = GridSpec(2, 16, np.pi)
         cs = regularise(preset("ultra-diagonal", nu=0.0, c0=0.0), 2**-4,
                         ScaleFn("loglog"), spec)
         u = plane_wave(spec, (1, 1))
@@ -49,7 +49,7 @@ class TestApplySpatial:
         assert np.max(np.abs(out)) < 1e-12
 
     def test_constant_potential_adds_linearly(self):
-        spec = make_grid(1, 32, np.pi)
+        spec = GridSpec(1, 32, np.pi)
         model = CoefficientModel("shifted", 1, np.eye(1),
                                  potential=Pointwise(lambda x: 3.0 + 0 * x),
                                  smooth=True)
@@ -62,14 +62,14 @@ class TestApplySpatial:
 
 class TestStepRK4:
     def test_zero_stays_zero(self):
-        spec = make_grid(1, 16, np.pi)
+        spec = GridSpec(1, 16, np.pi)
         cs = free_set(spec)
         prob = EvolutionProblem(cs, Field(spec, np.zeros(16, dtype=complex)), T=1.0)
         out = step_rk4(prob.u0, 0.0, 1e-2, prob)
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_instability_detected(self):
-        spec = make_grid(1, 64, np.pi)
+        spec = GridSpec(1, 64, np.pi)
         cs = preset_set("smooth-consistency", spec)
         prob = EvolutionProblem(cs, random_field(spec, seed=1), T=1.0)
         with pytest.raises(Instability):
@@ -78,20 +78,20 @@ class TestStepRK4:
     @pytest.mark.parametrize("dt", [0.0, -0.01], ids=["zero", "negative"])
     def test_problem_rejects_non_positive_dt(self, dt):
         # the step rule, shared_steps, checks a given dt
-        spec = make_grid(1, 32, np.pi)
+        spec = GridSpec(1, 32, np.pi)
         cs = regularise(preset("delta-potential"), 2**-4, ScaleFn("loglog"), spec)
         prob = EvolutionProblem(cs, random_field(spec, seed=1), T=0.1)
         with pytest.raises(EvolveError, match="must be positive"):
             shared_steps([prob], dt=dt)
 
     def test_problem_rejects_data_on_another_grid(self):
-        spec, other = make_grid(1, 32, np.pi), make_grid(1, 32, 8.0)
+        spec, other = GridSpec(1, 32, np.pi), GridSpec(1, 32, 8.0)
         with pytest.raises(EvolveError, match="initial data grid does not match"):
             EvolutionProblem(free_set(spec), random_field(other, seed=2), T=0.1)
 
     def test_problem_rejects_unstable_dt(self):
         # the free flow has no remainder and no bound
-        spec = make_grid(1, 64, np.pi)
+        spec = GridSpec(1, 64, np.pi)
         cs = preset_set("smooth-consistency", spec)
         prob = EvolutionProblem(cs, random_field(spec, seed=1), T=1.0)
         dt = 10 * stable_dt(cs)
@@ -103,7 +103,7 @@ class TestStepRK4:
     def test_fourth_order_convergence(self):
         # the step is exact on the free flow, so the order shows only where
         # the coefficients leave a remainder
-        spec = make_grid(1, 16, 8.0)
+        spec = GridSpec(1, 16, 8.0)
         u0 = random_field(spec, seed=5)
         for name in ("jump-drift", "delta-potential", "smooth-consistency",
                      "elliptic-lipschitz"):
@@ -130,7 +130,7 @@ class TestSolve:
         return Field(spec, inverse(coeffs, spec))
 
     def test_free_l2_conservation(self):
-        spec = make_grid(1, 64, 8.0)
+        spec = GridSpec(1, 64, 8.0)
         cs = free_set(spec)
         u0 = self.localised_data(spec, seed=2)
         res = solve_at(EvolutionProblem(cs, u0, T=1.0), 1e-3)
@@ -139,7 +139,7 @@ class TestSolve:
         assert np.max(np.abs(norms - ref)) / ref < 1e-8
 
     def test_delta_potential_l2_conservation(self):
-        spec = make_grid(1, 64, 8.0)
+        spec = GridSpec(1, 64, 8.0)
         cs = regularise(preset("delta-potential", n=1), 2**-5, ScaleFn("loglog"), spec)
         u0 = self.localised_data(spec, seed=3)
         res = solve_at(EvolutionProblem(cs, u0, T=1.0), 1e-3)
@@ -148,7 +148,7 @@ class TestSolve:
         assert np.max(np.abs(norms - ref)) / ref < 1e-8
 
     def test_linearity_in_data(self):
-        spec = make_grid(1, 32, 8.0)
+        spec = GridSpec(1, 32, 8.0)
         cs = regularise(preset("jump-drift", n=1), 2**-4, ScaleFn("loglog"), spec)
         ua, ub = random_field(spec, seed=4), random_field(spec, seed=5)
         dt = stable_dt(cs)
@@ -160,7 +160,7 @@ class TestSolve:
         assert np.max(np.abs(rc - ra - rb)) / scale < 1e-10
 
     def test_time_stamps_and_norm_series(self):
-        spec = make_grid(1, 32, 8.0)
+        spec = GridSpec(1, 32, 8.0)
         cs = free_set(spec)
         res = solve(EvolutionProblem(cs, random_field(spec, seed=8), T=0.5),
                     s_list=(0.0, 1.0))
@@ -174,7 +174,7 @@ class TestSolve:
     def test_integral_matches_scipy_trapezoid(self):
         from scipy.integrate import cumulative_trapezoid
 
-        spec = make_grid(1, 32, 8.0)
+        spec = GridSpec(1, 32, 8.0)
         res = solve(EvolutionProblem(free_set(spec), random_field(spec, seed=8), T=0.5),
                     s_list=(0.0, 1.0))
         for s, v in res.series.integrand.items():
@@ -192,7 +192,7 @@ class TestSolve:
 
         outs = {}
         for M in (64, 128):
-            spec = make_grid(1, M, 8.0)
+            spec = GridSpec(1, M, 8.0)
             cs = regularise(model(), 2**-4, ScaleFn("loglog"), spec)
             u = plane_wave(spec, (5,))
             outs[M] = apply_spatial(cs, u)
@@ -201,7 +201,7 @@ class TestSolve:
 
 class TestDenseOracle:
     def test_free_matches_closed_form(self):
-        spec = make_grid(1, 16, np.pi)
+        spec = GridSpec(1, 16, np.pi)
         cs = free_set(spec)
         k = 2
         u0 = plane_wave(spec, (k,))
@@ -211,7 +211,7 @@ class TestDenseOracle:
         assert np.max(np.abs(out.values - exact)) < 1e-10
 
     def test_unitary_preservation(self):
-        spec = make_grid(1, 16, 8.0)
+        spec = GridSpec(1, 16, 8.0)
         cs = regularise(preset("delta-potential", n=1), 2**-4, ScaleFn("loglog"), spec)
         u0 = random_field(spec, seed=9)
         prob = EvolutionProblem(cs, u0, T=1.0)
@@ -220,7 +220,7 @@ class TestDenseOracle:
             sobolev_norm(u0, 0.0), rel=1e-12)
 
     def test_size_limit(self):
-        spec = make_grid(1, 64, 8.0)
+        spec = GridSpec(1, 64, 8.0)
         prob = EvolutionProblem(free_set(spec), random_field(spec, seed=12),
                                 T=0.5)
         with pytest.raises(EvolveError):
@@ -258,9 +258,9 @@ def _counting(monkeypatch, module, names):
 
 
 CASES = {
-    "ultra-diagonal-2d": (make_grid(2, 32, 8.0), "ultra-diagonal"),
-    "delta-potential-1d": (make_grid(1, 128, 8.0), "delta-potential"),
-    "jump-drift-1d": (make_grid(1, 128, 8.0), "jump-drift"),
+    "ultra-diagonal-2d": (GridSpec(2, 32, 8.0), "ultra-diagonal"),
+    "delta-potential-1d": (GridSpec(1, 128, 8.0), "delta-potential"),
+    "jump-drift-1d": (GridSpec(1, 128, 8.0), "jump-drift"),
 }
 
 
@@ -277,7 +277,7 @@ class TestOneTransformPaths:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("N", [0, 2, 4])
     def test_diagnostics_match_reference(self, n, N):
-        spec = make_grid(n, 32, 6.0)
+        spec = GridSpec(n, 32, 6.0)
         u = rough_field(spec, 0.0, seed=n + N)
         s_list = (-0.5, 0.0, 1.0, 2.0)
         rows = _Diagnostics(spec, s_list, N)(fft(u.values[None], n))[0]
@@ -289,7 +289,7 @@ class TestOneTransformPaths:
 
     @pytest.mark.parametrize("n, ffts", [(1, 2), (2, 2)])
     def test_apply_spatial_fft_budget(self, monkeypatch, n, ffts):
-        spec = make_grid(n, 16, np.pi)
+        spec = GridSpec(n, 16, np.pi)
         cs = free_set(spec)
         calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
         apply_spatial(cs, random_field(spec, seed=2))
@@ -297,7 +297,7 @@ class TestOneTransformPaths:
 
     @pytest.mark.parametrize("s_list", [(0.0,), (0.0, 1.0), (-0.5, 0.0, 1.0, 2.0)])
     def test_diagnostics_fft_budget(self, monkeypatch, s_list):
-        spec = make_grid(2, 16, np.pi)
+        spec = GridSpec(2, 16, np.pi)
         diagnose = _Diagnostics(spec, s_list, 2)
         uh = fft(random_field(spec, seed=3).values[None], spec.n)
         calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
@@ -308,7 +308,7 @@ class TestOneTransformPaths:
 
 class TestStepCount:
     def test_rounding_down_never_exceeds_bound(self):
-        spec = make_grid(1, 32, np.pi)
+        spec = GridSpec(1, 32, np.pi)
         cs = preset_set("smooth-consistency", spec)
         limit = stable_dt(cs)
         # T/dt = 1.12 rounds to one step of 1.12 times the bound
@@ -318,7 +318,7 @@ class TestStepCount:
         assert np.max(np.diff(ts)) <= prob.dt_bound
 
     def test_rounding_down_within_bound_keeps_count(self):
-        spec = make_grid(1, 32, np.pi)
+        spec = GridSpec(1, 32, np.pi)
         cs = preset_set("smooth-consistency", spec)
         prob = EvolutionProblem(cs, random_field(spec, seed=5), T=3.02 * stable_dt(cs))
         assert len(solve_at(prob, stable_dt(cs)).series.t) == 4
@@ -330,7 +330,7 @@ class TestStepRule:
 
     def test_given_dt_names_the_problem_of_a_uniqueness_pair(self):
         # a dt between the bounds of the base and the perturbed problem
-        spec, model, eps = make_grid(1, 32, 8.0), preset("delta-potential", n=1), 2**-3
+        spec, model, eps = GridSpec(1, 32, 8.0), preset("delta-potential", n=1), 2**-3
         cs = regularise(model, eps, ScaleFn("loglog"), spec)
         u0 = delta_field(spec)
         base, pert = (EvolutionProblem(c, u0, T=1.0)
@@ -345,7 +345,7 @@ class TestStepRule:
 
     def test_given_dt_names_the_classical_problem(self):
         # a consistency member holds the classical problem first
-        ref, (member, _) = _classical_and_mollified(make_grid(1, 64, 8.0))
+        ref, (member, _) = _classical_and_mollified(GridSpec(1, 64, 8.0))
         dt = 2.0 * max(ref.dt_bound, member.dt_bound)
         with pytest.raises(EvolveError) as info:
             shared_steps([ref, member], dt=dt)
@@ -376,7 +376,7 @@ class TestDefaultStep:
     converged."""
 
     def test_levels_or_the_bound(self):
-        spec = make_grid(1, 32, 8.0)
+        spec = GridSpec(1, 32, 8.0)
         cs = preset_set("smooth-consistency", spec)
         limit = stable_dt(cs)
         for T, steps in ((0.5, LEVELS), (100 * limit, 100)):
@@ -388,7 +388,7 @@ class TestDefaultStep:
 
     def test_shared_steps_at_a_level_count(self):
         # T / levels where the bound allows it, else the bound's count
-        spec = make_grid(1, 32, 8.0)
+        spec = GridSpec(1, 32, 8.0)
         cs = preset_set("smooth-consistency", spec)
         u0, limit = random_field(spec, seed=5), stable_dt(cs)
         for levels in (COARSE, LEVELS):
@@ -401,7 +401,7 @@ class TestDefaultStep:
         assert shared_steps([prob], COARSE) == COARSE
 
     def test_solve_takes_a_step_count(self):
-        spec = make_grid(1, 32, 8.0)
+        spec = GridSpec(1, 32, 8.0)
         prob = EvolutionProblem(preset_set("smooth-consistency", spec),
                                 random_field(spec, seed=5), T=0.5)
         got = solve(prob, steps=COARSE)
@@ -413,7 +413,7 @@ class TestDefaultStep:
     @pytest.mark.parametrize("data", ["delta", "rough"])
     @pytest.mark.parametrize("name", ["free", "delta-potential"])
     def test_l2_conserved(self, name, data):
-        spec = make_grid(1, 256, 8.0)
+        spec = GridSpec(1, 256, 8.0)
         u0 = delta_field(spec) if data == "delta" else rough_field(spec, 0.0, seed=1)
         for eps in (2**-3, 2**-5, 2**-7):
             res = solve(EvolutionProblem(preset_set(name, spec, eps), u0, T=0.125))
@@ -423,7 +423,7 @@ class TestDefaultStep:
     def test_net_ladder_matches_a_converged_march(self):
         # the net-1d-delta benchmark ladder: u(T) and the smoothing
         # integrals of every member against 2048 steps
-        spec = make_grid(1, 256, 8.0)
+        spec = GridSpec(1, 256, 8.0)
         params = NetParams(spec=spec, T=0.125, s_list=(0.0, 1.0))
         members = ladder(preset("delta-potential", n=1), params, delta_field(spec))
         for eps, m in members.items():
@@ -516,10 +516,10 @@ def _close(got, want):
 
 
 MARCH_CASES = {
-    "delta-potential-1d": (make_grid(1, 64, 8.0), "delta-potential"),
-    "jump-drift-1d": (make_grid(1, 64, 8.0), "jump-drift"),
-    "smooth-consistency-1d": (make_grid(1, 64, 8.0), "smooth-consistency"),
-    "ultra-diagonal-2d": (make_grid(2, 16, 8.0), "ultra-diagonal"),
+    "delta-potential-1d": (GridSpec(1, 64, 8.0), "delta-potential"),
+    "jump-drift-1d": (GridSpec(1, 64, 8.0), "jump-drift"),
+    "smooth-consistency-1d": (GridSpec(1, 64, 8.0), "smooth-consistency"),
+    "ultra-diagonal-2d": (GridSpec(2, 16, 8.0), "ultra-diagonal"),
 }
 
 
@@ -578,13 +578,13 @@ class TestCoefficientMarch:
     @pytest.mark.parametrize("perturbed", [False, True],
                              ids=["constant", "mixed"])
     def test_off_diagonal_matches_per_axis_form(self, perturbed):
-        spec = make_grid(2, 32, 8.0)
+        spec = GridSpec(2, 32, 8.0)
         cs = regularise(_off_diagonal_model(perturbed), 2**-5, ScaleFn("loglog"), spec)
         u = rough_field(spec, 0.0, seed=6)
         _close(apply_spatial(cs, u), _apply_spatial_per_axis(cs, u.values))
 
     def test_constant_drift_and_potential_enter_the_symbol(self, monkeypatch):
-        spec = make_grid(2, 32, 8.0)
+        spec = GridSpec(2, 32, 8.0)
         cs = regularise(_off_diagonal_model(False), 2**-5, ScaleFn("loglog"), spec)
         cs.b = [np.full(spec.shape, 0.2 + 0.1j), np.full(spec.shape, -0.4j)]
         cs.V = np.full(spec.shape, 0.7)
@@ -600,7 +600,7 @@ class TestCoefficientMarch:
         ("jump-drift", 1, 2), ("smooth-consistency", 1, 4),
         ("ultra-diagonal", 2, 4)])
     def test_rhs_fft_budget(self, monkeypatch, name, n, ffts):
-        spec = make_grid(n, 16, np.pi)
+        spec = GridSpec(n, 16, np.pi)
         cs = regularise(preset(name, n=n), 2**-4, ScaleFn("loglog"), spec)
         op, uh = _Operator([cs]), fft(random_field(spec, seed=2).values[None], n)
         calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
@@ -610,7 +610,7 @@ class TestCoefficientMarch:
         assert calls["fft"] <= 1 and calls["ifft"] <= 1
 
     def test_solve_transforms_no_step_to_the_grid(self, monkeypatch):
-        spec = make_grid(1, 32, np.pi)
+        spec = GridSpec(1, 32, np.pi)
         prob = EvolutionProblem(free_set(spec), random_field(spec, seed=3), T=0.5)
         calls = _counting(monkeypatch, evolve, ("fft", "ifft"))
         steps = len(solve(prob).series.t) - 1
@@ -663,12 +663,12 @@ class TestSpectralNorms:
 
     @pytest.mark.parametrize("name, n", SPECTRAL_CASES)
     def test_presets_match_svd(self, name, n):
-        spec = make_grid(n, 32, 8.0)
+        spec = GridSpec(n, 32, 8.0)
         self.check(regularise(preset(name, n=n), 2**-4, ScaleFn("loglog"), spec))
 
     @pytest.mark.parametrize("model", ["off-diagonal", "ultra-diagonal"])
     def test_perturbed_sets_match_svd(self, model):
-        spec = make_grid(2, 32, 8.0)
+        spec = GridSpec(2, 32, 8.0)
         m = (_off_diagonal_model(True) if model == "off-diagonal"
              else preset(model))
         cs = regularise(m, 2**-2, ScaleFn("loglog"), spec)
@@ -714,11 +714,11 @@ def _classical_and_mollified(spec):
 
 
 SUP_CASES = {
-    "delta-potential-1d": lambda: _perturbed_pair(make_grid(1, 64, 8.0),
+    "delta-potential-1d": lambda: _perturbed_pair(GridSpec(1, 64, 8.0),
                                                   "delta-potential"),
-    "ultra-diagonal-2d": lambda: _perturbed_pair(make_grid(2, 16, 8.0),
+    "ultra-diagonal-2d": lambda: _perturbed_pair(GridSpec(2, 16, 8.0),
                                                  "ultra-diagonal"),
-    "smooth-consistency-1d": lambda: _classical_and_mollified(make_grid(1, 64, 8.0)),
+    "smooth-consistency-1d": lambda: _classical_and_mollified(GridSpec(1, 64, 8.0)),
 }
 
 
@@ -735,7 +735,7 @@ class TestMarch:
             _close(evolve.ifft(uh, spec.n)[0], want)
 
     def test_given_step_count(self):
-        spec = make_grid(1, 32, np.pi)
+        spec = GridSpec(1, 32, np.pi)
         prob = EvolutionProblem(free_set(spec), random_field(spec, seed=26),
                                 T=0.5)
         steps = len(list(march([prob]))) - 1 + 3
@@ -769,18 +769,18 @@ def _stack_case(case):
     """Problems of one grid and T that differ in coefficients and data."""
     if case == "delta-potential-1d":
         # the net-1d-delta ladder on a smaller grid
-        spec = make_grid(1, 64, 8.0)
+        spec = GridSpec(1, 64, 8.0)
         params = NetParams(spec=spec, T=0.125)
         members = ladder(preset("delta-potential", n=1), params, delta_field(spec))
         return [EvolutionProblem(m["cs"], m["u0"], T=params.T)
                 for m in members.values()]
     if case == "ultra-diagonal-2d":
-        spec = make_grid(2, 16, 8.0)
+        spec = GridSpec(2, 16, 8.0)
         sets = [preset_set("ultra-diagonal", spec, eps) for eps in (2**-3, 2**-5, 2**-7)]
     else:
         # members that differ in which coefficients are constant: none, V,
         # b or a_11 variable
-        spec = make_grid(1, 64, 8.0)
+        spec = GridSpec(1, 64, 8.0)
         sets = [preset_set(name, spec) for name in
                 ("free", "delta-potential", "jump-drift", "smooth-consistency")]
     return [EvolutionProblem(cs, random_field(spec, seed=40 + k), T=0.1)
@@ -845,7 +845,7 @@ class TestSolveStack:
         # member alone; the free members are exact at any step, and their
         # norms, a million times larger, would hide its growth from a check
         # of the whole stack
-        spec = make_grid(1, 64, np.pi)
+        spec = GridSpec(1, 64, np.pi)
         cs = preset_set("smooth-consistency", spec)
         T = 50 * stable_dt(cs)
         big = Field(spec, 1e6 * random_field(spec, seed=1).values)
@@ -881,7 +881,7 @@ class TestSupDifferences:
         # T = 1.3 dt: at step dt, alone, the base problem takes one step and
         # the perturbed one, whose bound is smaller, takes two; both march
         # the two of their shared count
-        spec, model, eps = make_grid(1, 32, 8.0), preset("delta-potential", n=1), 2**-3
+        spec, model, eps = GridSpec(1, 32, 8.0), preset("delta-potential", n=1), 2**-3
         cs = regularise(model, eps, ScaleFn("loglog"), spec)
         cs_p = _perturbed_set(cs, eps, 1, _bumps(spec, model.N))
         dt = min(stable_dt(cs), stable_dt(cs_p))
@@ -1047,7 +1047,7 @@ class _ExpressionStep:
 def _every_entry_variable():
     """A 2D ultra-diagonal problem perturbed by bumps, so that every a_ij,
     b_k and V varies on the grid."""
-    _, (prob,) = _perturbed_pair(make_grid(2, 16, 8.0), "ultra-diagonal")
+    _, (prob,) = _perturbed_pair(GridSpec(2, 16, 8.0), "ultra-diagonal")
     cs = prob.cs
     assert all(evolve._constant(arr) is None
                for arr in [*cs.a[0], *cs.a[1], *cs.b, cs.V])
@@ -1055,7 +1055,7 @@ def _every_entry_variable():
 
 
 def _preset_problem(name, n):
-    spec = make_grid(n, 64 if n == 1 else 16, 8.0)
+    spec = GridSpec(n, 64 if n == 1 else 16, 8.0)
     return [EvolutionProblem(preset_set(name, spec), random_field(spec, seed=50), T=0.1)]
 
 
@@ -1099,7 +1099,7 @@ class TestBufferedStep:
         # a built set holds a_12 and a_21 as one array: the operator keeps
         # one remainder of the pair, alone and in a stack with a set whose
         # a_12 is constant
-        base, (perturbed,) = _perturbed_pair(make_grid(2, 16, 8.0), "ultra-diagonal")
+        base, (perturbed,) = _perturbed_pair(GridSpec(2, 16, 8.0), "ultra-diagonal")
         for sets in ([perturbed.cs], [base.cs, perturbed.cs]):
             sums = _Operator(sets).sums
             (_, row0), (_, row1), _ = sums
@@ -1127,11 +1127,11 @@ def _scratch_cases():
     """A 1D M = 256 stack of 5 members, each with a variable a, b and V,
     and a 2D M = 64 stack of one whose every entry is variable: each fills
     every slot of its scratch."""
-    spec = make_grid(1, 256, 8.0)
+    spec = GridSpec(1, 256, 8.0)
     one_d = [EvolutionProblem(preset_set("smooth-consistency", spec, eps),
                               random_field(spec, seed=60 + k), T=0.1)
              for k, eps in enumerate(LADDER)]
-    _, two_d = _perturbed_pair(make_grid(2, 64, 8.0), "ultra-diagonal")
+    _, two_d = _perturbed_pair(GridSpec(2, 64, 8.0), "ultra-diagonal")
     return {"1d-stack-of-5": one_d, "2d-stack-of-1": two_d}
 
 
@@ -1169,7 +1169,7 @@ class TestSharedScratch:
             _poison_scratch(shape)
 
     def test_marches_of_one_shape_share_it(self):
-        base, (perturbed,) = _perturbed_pair(make_grid(2, 16, 8.0), "ultra-diagonal")
+        base, (perturbed,) = _perturbed_pair(GridSpec(2, 16, 8.0), "ultra-diagonal")
         steps = [evolve._Step(evolve._Operator([p.cs]), 0.01) for p in (base, perturbed)]
         scratch = evolve._scratch((1, 16, 16))
         for step in steps:
@@ -1184,7 +1184,7 @@ class TestSharedScratch:
     def test_a_lockstep_gives_each_problem_its_own_march(self):
         # base and partner transform stacks of different sizes in one
         # scratch, one step after the other
-        base, (perturbed,) = _perturbed_pair(make_grid(2, 64, 8.0), "ultra-diagonal")
+        base, (perturbed,) = _perturbed_pair(GridSpec(2, 64, 8.0), "ultra-diagonal")
         alone = [[uh[0].copy() for _, uh in march([p], 4)] for p in (base, perturbed)]
         diffs, finals = sup_differences(base, [perturbed], 0.0, steps=4)
         assert np.array_equal(finals[0], alone[0][-1])

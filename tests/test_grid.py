@@ -3,39 +3,39 @@ import pytest
 
 from conftest import random_field
 from vwslab.grid import (Field, GridError, GridSpec, _tables, apply_lambda, fft,
-                         forward, ifft, inverse, make_grid, plane_wave, sobolev_norm,
+                         forward, ifft, inverse, plane_wave, sobolev_norm,
                          spectral_derivative, weight_field)
 
 
 class TestMakeGrid:
     def test_unit_lattice_when_L_is_pi(self):
-        spec = make_grid(1, 16, np.pi)
+        spec = GridSpec(1, 16, np.pi)
         assert spec.h == pytest.approx(2 * np.pi / 16)
         assert sorted(spec.kappa_axis().round(12)) == list(range(-8, 8))
 
     def test_2d_node_count_and_kappa_step(self):
-        spec = make_grid(2, 32, 8.0)
+        spec = GridSpec(2, 32, 8.0)
         assert spec.size == 1024
         kappas = np.sort(spec.kappa_axis())
         assert np.allclose(np.diff(kappas), np.pi / 8)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(GridError):
-            make_grid(1, 12, np.pi)
+            GridSpec(1, 12, np.pi)
 
     def test_rejects_bad_dimension_and_length(self):
         with pytest.raises(GridError):
-            make_grid(3, 16, 1.0)
+            GridSpec(3, 16, 1.0)
         with pytest.raises(GridError):
-            make_grid(1, 16, 0.0)
+            GridSpec(1, 16, 0.0)
 
     def test_minimum_points(self):
         with pytest.raises(GridError):
-            make_grid(1, 4, 1.0)
+            GridSpec(1, 4, 1.0)
 
     # the grid caches key on the spec, so equal grids must be one key
     def test_spec_is_an_immutable_value(self):
-        a, b = GridSpec(2, 16, 4.0), make_grid(2, 16, 4.0)
+        a, b = GridSpec(2, 16, 4.0), GridSpec(2, 16, 4.0)
         assert a == b and hash(a) == hash(b)
         assert a != GridSpec(2, 16, 8.0) and a != GridSpec(1, 16, 4.0)
         assert len({a, b, GridSpec(2, 32, 4.0)}) == 2
@@ -51,8 +51,10 @@ class TestMakeGrid:
         ((1, 12, 1.0), "M must be a power of two >= 8, got 12"),
         ((1, 4, 1.0), "M must be a power of two >= 8, got 4"),
         ((1, 16, 0.0), "L must be positive, got 0.0"),
-        ((1, 16, float("nan")), "L must be positive, got nan")])
-    @pytest.mark.parametrize("build", [GridSpec, make_grid])
+        ((1, 16, float("nan")), "L must be positive, got nan"),
+        # an infinite L would pass as positive, and every node would be nan
+        ((1, 64, float("inf")), "L must be finite, got inf")])
+    @pytest.mark.parametrize("build", [GridSpec])
     def test_every_check_at_each_entry(self, build, args, message):
         with pytest.raises(GridError, match=f"^{message}$"):
             build(*args)
@@ -159,7 +161,7 @@ class TestWeightField:
 
 
 def test_spectral_derivative_of_sine():
-    spec = make_grid(1, 64, np.pi)
+    spec = GridSpec(1, 64, np.pi)
     x = spec.x_axis()
     du = spectral_derivative(np.sin(2 * x).astype(complex), spec, 0)
     assert np.allclose(du, 2 * np.cos(2 * x), atol=1e-12)
@@ -167,7 +169,7 @@ def test_spectral_derivative_of_sine():
 
 class TestGridTables:
     def test_equal_specs_share_arrays(self):
-        a, b = make_grid(2, 16, 4.0), make_grid(2, 16, 4.0)
+        a, b = GridSpec(2, 16, 4.0), GridSpec(2, 16, 4.0)
         assert a is not b
         assert all(x is y for x, y in zip(a.kappa_mesh(), b.kappa_mesh()))
         assert all(x is y for x, y in zip(a.x_mesh(), b.x_mesh()))
@@ -180,7 +182,7 @@ class TestGridTables:
         lambda s: s.x_norm_sq(), lambda s: s.x_mesh()[0],
         lambda s: s.kappa_sq()])
     def test_tables_are_read_only(self, table):
-        arr = table(make_grid(2, 16, 4.0))
+        arr = table(GridSpec(2, 16, 4.0))
         with pytest.raises(ValueError):
             arr[0] = 1.0
         with pytest.raises(ValueError):
@@ -188,7 +190,7 @@ class TestGridTables:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tables_equal_fresh_build(self, n):
-        spec = make_grid(n, 32, 5.0)
+        spec = GridSpec(n, 32, 5.0)
         h = 2.0 * 5.0 / 32
         ka = 2.0 * np.pi * np.fft.fftfreq(32, d=h)
         km = np.meshgrid(*([ka] * n), indexing="ij")
@@ -207,7 +209,7 @@ class TestGridTables:
     def test_weights_are_the_conventions(self, n):
         # <x>^p = (1 + |x|^2)^(p/2), and the H^s norm of the forward
         # coefficients, which sobolev_norm takes from the raw ones
-        spec = make_grid(n, 16, 3.0)
+        spec = GridSpec(n, 16, 3.0)
         x2 = sum(x**2 for x in spec.x_mesh())
         assert np.array_equal(spec.x_bracket(), np.sqrt(1.0 + x2))
         assert np.array_equal(spec.x_bracket(-2), 1.0 / (1.0 + x2))
@@ -221,7 +223,7 @@ class TestGridTables:
 class TestRawTransforms:
     @pytest.mark.parametrize("n", [1, 2])
     def test_raw_pair_is_numpy_fftn(self, n):
-        spec = make_grid(n, 16, 3.0)
+        spec = GridSpec(n, 16, 3.0)
         u = random_field(spec, seed=n)
         uh = fft(u.values, n)
         assert np.array_equal(uh, np.fft.fftn(u.values))
@@ -232,7 +234,7 @@ class TestRawTransforms:
     def test_forward_is_raw_times_phase_over_size(self, n):
         # the phase is (-1)^(k_1 + ... + k_n) exactly, a real table, and
         # exp(i L sum kappa) to rounding
-        spec = make_grid(n, 16, 3.0)
+        spec = GridSpec(n, 16, 3.0)
         k = np.fft.fftfreq(16, d=1.0 / 16)
         phase = _tables(spec).phase
         assert phase.dtype == np.float64
@@ -249,7 +251,7 @@ class TestRawTransforms:
     def test_raw_pair_of_a_stack_is_row_by_row(self, n):
         # a leading axis is a stack of fields: a (P, M) stack of 1D fields
         # is not taken for one 2D field
-        spec = make_grid(n, 16, 3.0)
+        spec = GridSpec(n, 16, 3.0)
         stack = np.stack([random_field(spec, seed=k).values for k in range(3)])
         for pair in ((fft, ifft), (ifft, fft)):
             first = pair[0](stack, n)

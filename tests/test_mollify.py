@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vwslab.grid import Field, forward, make_grid, plane_wave, sobolev_norm
+from vwslab.grid import Field, GridSpec, forward, plane_wave, sobolev_norm
 from vwslab.mollify import (LOGLOG_CLAMP, Mollifier, MollifyError, ScaleFn,
                             derivative_bound_probe, fit_slope, mollify,
                             scale_omega, sobolev_boost_probe)
@@ -53,7 +53,7 @@ class TestMollify:
         assert np.allclose(out.values, 1.0, atol=1e-13)
 
     def test_single_mode_factor(self, gaussian):
-        spec = make_grid(1, 16, np.pi)
+        spec = GridSpec(1, 16, np.pi)
         u = plane_wave(spec, (1,))
         out = mollify(u, gaussian, 1.0)
         assert np.allclose(out.values, np.exp(-0.5) * u.values, atol=1e-12)
@@ -94,7 +94,7 @@ class TestVanishingMoment:
         assert np.all(defect / xi**4 < 0.2)
 
     def test_moment_order_slope(self):
-        spec = make_grid(1, 256, 8.0)
+        spec = GridSpec(1, 256, 8.0)
         x = spec.x_axis()
         u = Field(spec, np.exp(-(x**2) / 2).astype(complex))
         m = Mollifier("vanishing-moment", order=4)
@@ -104,7 +104,7 @@ class TestVanishingMoment:
         assert slope == pytest.approx(4.0, abs=0.3)
 
     def test_gaussian_beats_moments_only_to_second_order(self):
-        spec = make_grid(1, 256, 8.0)
+        spec = GridSpec(1, 256, 8.0)
         x = spec.x_axis()
         u = Field(spec, np.exp(-(x**2) / 2).astype(complex))
         g = Mollifier("gaussian")
@@ -159,12 +159,12 @@ class TestFitSlope:
 
 
 def _fine_grid():
-    return make_grid(1, 2048, np.pi)
+    return GridSpec(1, 2048, np.pi)
 
 
 class TestDerivativeBoundProbe:
     def test_smooth_input_flat(self):
-        spec = make_grid(1, 128, np.pi)
+        spec = GridSpec(1, 128, np.pi)
         u = Field(spec, np.sin(spec.x_axis()).astype(complex))
         pr = derivative_bound_probe(u, (2,), POWER1, DYADIC)
         assert abs(pr["slope"]) < 0.1
@@ -209,7 +209,7 @@ class TestDerivativeBoundProbe:
 
 class TestSobolevBoostProbe:
     def test_smooth_input_flat(self):
-        spec = make_grid(1, 128, np.pi)
+        spec = GridSpec(1, 128, np.pi)
         u = Field(spec, np.sin(spec.x_axis()).astype(complex))
         pr = sobolev_boost_probe(u, 0.0, 2, POWER1, DYADIC)
         assert abs(pr["slope"]) < 0.1
@@ -229,7 +229,7 @@ class TestSobolevBoostProbe:
     def test_delta_2d_attains_floor(self):
         # in 2D the delta is exactly borderline for s = -1, so the fitted
         # slope meets the -ell prediction
-        spec = make_grid(2, 512, np.pi)
+        spec = GridSpec(2, 512, np.pi)
         u = delta_field(spec)
         for ell in (1, 2):
             pr = sobolev_boost_probe(u, -1.0, ell, POWER1, DYADIC)

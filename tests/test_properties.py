@@ -12,12 +12,12 @@ from hypothesis.extra import numpy as hnp
 
 from vwslab import cli
 from vwslab.cli import ConfigError, parse_config
-from vwslab.grid import Field, fft, forward, ifft, inverse, make_grid
+from vwslab.grid import Field, GridSpec, fft, forward, ifft, inverse
 from vwslab.mollify import Mollifier, mollify
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
 
-grids = st.builds(make_grid, n=st.sampled_from([1, 2]), M=st.sampled_from([8, 16, 32]),
+grids = st.builds(GridSpec, n=st.sampled_from([1, 2]), M=st.sampled_from([8, 16, 32]),
                   L=st.floats(0.5, 20.0))
 complex_values = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
                                     allow_infinity=False)

@@ -9,7 +9,7 @@ from vwslab.coeffs import (ModelError, check_hypotheses, preset, regularise,
                            sample)
 from vwslab.evolve import (LEVELS, EvolutionProblem, EvolveError, Instability,
                            solve, stable_dt)
-from vwslab.grid import Field, make_grid, sobolev_norm, spectral_derivative
+from vwslab.grid import Field, GridSpec, sobolev_norm, spectral_derivative
 from vwslab.mollify import Mollifier, ScaleFn, mollify, scale_omega
 from vwslab import vwsnet
 from vwslab.vwsnet import (COARSE, TOL, HypothesisFailure, NetError, NetParams,
@@ -22,7 +22,7 @@ from vwslab.vwsnet import (COARSE, TOL, HypothesisFailure, NetError, NetParams,
 
 @pytest.fixture(scope="module")
 def spec():
-    return make_grid(1, 64, 8.0)
+    return GridSpec(1, 64, 8.0)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,8 @@ class TestRunNet:
         report, results, health = run_net(preset("smooth-consistency", n=1),
                                           gaussian_field(spec), params)
         assert report.passed
-        assert list(results) == list(health) == list(LADDER)
+        assert list(results) == list(LADDER)
+        assert health["probe_eps"] == LADDER[-1]
         sups = [results[e].series.sup_norm(0.0) for e in LADDER]
         assert all(np.isfinite(v) for v in sups)
         assert np.ptp(sups) / np.mean(sups) < 0.05
@@ -127,7 +128,7 @@ class TestRunNet:
     def test_hypothesis_failure_raised_with_report(self, spec, params):
         # narrow sharp bumps destabilise the (H3) sup across the ladder
         bad = preset("ultra-diagonal", nu=0.8, width=0.3)
-        params2d = NetParams(spec=make_grid(2, 16, 8.0), T=0.1)
+        params2d = NetParams(spec=GridSpec(2, 16, 8.0), T=0.1)
         with pytest.raises(HypothesisFailure) as info:
             run_net(bad, gaussian_field(params2d.spec), params2d)
         assert not info.value.report.passed
@@ -229,7 +230,7 @@ class TestUniquenessProbe:
     def test_fixed_coefficient_perturbation_fails(self, monkeypatch):
         # negative control: the coefficient bumps at amplitude 0.05 on every
         # eps, not eps^q, are not negligible, and the difference stays O(1)
-        spec = make_grid(2, 16, 8.0)
+        spec = GridSpec(2, 16, 8.0)
         params = NetParams(spec=spec, T=0.25)
 
         def fit():
@@ -248,7 +249,7 @@ class TestUniquenessProbe:
         assert fixed.slope == pytest.approx(0.0, abs=0.02)
 
     def test_perturbed_set_adds_each_slot_bump(self):
-        spec = make_grid(2, 16, 8.0)
+        spec = GridSpec(2, 16, 8.0)
         cs = regularise(preset("ultra-diagonal"), 2**-2, ScaleFn("loglog"), spec)
         cs_p = _perturbed_set(cs, 0.5, 2, _bumps(spec, 2))
         for got, base, shift in ((cs_p.a[0][0], cs.a[0][0], 0.0),
@@ -260,7 +261,7 @@ class TestUniquenessProbe:
             np.testing.assert_array_equal(got, base + 0.25 * bump_perturbation(spec, 2, shift))
 
     def test_perturbed_set_derives_da_from_its_own_a(self):
-        spec = make_grid(2, 16, 8.0)
+        spec = GridSpec(2, 16, 8.0)
         cs = regularise(preset("ultra-diagonal"), 2**-2, ScaleFn("loglog"), spec)
         cs.da  # a derivative of the base set must not leak into the copy
         assert_da_is_the_derivative_of_a(_perturbed_set(cs, 0.5, 2, _bumps(spec, 2)))
@@ -277,7 +278,7 @@ class TestUniquenessProbe:
         for module in vars(vwslab).values():
             if hasattr(module, "spectral_derivative"):
                 monkeypatch.setattr(module, "spectral_derivative", counting)
-        spec = make_grid(2, 16, 8.0)
+        spec = GridSpec(2, 16, 8.0)
         model, params = preset("ultra-diagonal"), NetParams(spec=spec, T=0.05)
         assert validate(model, ladder(model, params)).passed
         validating = len(calls)
@@ -435,28 +436,27 @@ class TestComparedProblemsStep:
         marches = record_marches(monkeypatch)
         fit = self.cases(spec)[kind](NetParams(spec=spec, T=2.0))
         health = fit.extra["health"]
-        probe = health[min(health)]
         # the probe's problems at 2c and at c steps, if probed; then at the
         # ladder's one count the uniqueness pairs, each its own lockstep,
         # or the classical problem with the four other consistency members
         # at once
         (levels, sizes, counts, steps), = [{
-            "uniqueness": (LEVELS, [2] * 5, [17] * 5, [17] * 5),
-            "consistency": (COARSE, [2, 2, group - 1], [14, 7, 7], [7] * 5),
+            "uniqueness": (LEVELS, [2] * 5, [17] * 5, 17),
+            "consistency": (COARSE, [2, 2, group - 1], [14, 7, 7], 7),
         }[kind]]
-        assert probe["levels"] == levels
+        assert health["levels"] == levels
         if kind == "uniqueness":
-            assert probe["probe_gap"] is None
+            assert health["probe_gap"] is None
         else:
-            assert probe["probe_gap"] <= TOL
+            assert health["probe_gap"] <= TOL
         assert sum(sizes) == len(marches)
         starts = np.cumsum([0] + sizes)
         groups = [marches[a:b] for a, b in zip(starts, starts[1:])]
         for lockstep in groups:
             assert all(ts == lockstep[0] for ts in lockstep)
         assert [len(g[0]) - 1 for g in groups] == counts
-        assert [h["steps"] for h in health.values()] == steps
-        assert {h["dt"] * h["steps"] for h in health.values()} == {2.0}
+        assert health["steps"] == steps
+        assert health["dt"] * health["steps"] == 2.0
 
     @pytest.mark.parametrize("kind", ["uniqueness", "consistency"])
     def test_rejected_probe_member_marches_with_the_others(self, monkeypatch,
@@ -469,7 +469,7 @@ class TestComparedProblemsStep:
         T = 0.1
         fit = self.cases(spec)[kind](NetParams(spec=spec, T=T))
         health = fit.extra["health"]
-        assert [(h["levels"], h["steps"]) for h in health.values()] == [(LEVELS, LEVELS)] * 5
+        assert (health["levels"], health["steps"]) == (LEVELS, LEVELS)
         rest = [LEVELS] * 10 if kind == "uniqueness" else [LEVELS] * 6
         assert [len(ts) - 1 for ts in marches] == [2 * COARSE] * 2 + [COARSE] * 2 + rest
         monkeypatch.undo()
@@ -489,8 +489,7 @@ class TestComparedProblemsStep:
         T = 0.1
         fit = self.cases(spec)[kind](NetParams(spec=spec, T=T))
         limits = [limit for _, limit in calls]
-        (levels, gap), = {(h["levels"], h["probe_gap"])
-                          for h in fit.extra["health"].values()}
+        levels, gap = fit.extra["health"]["levels"], fit.extra["health"]["probe_gap"]
         assert levels == (COARSE if gap <= TOL else LEVELS)
         kept = levels == COARSE
         if kind == "uniqueness":
@@ -529,7 +528,7 @@ def _record_stack_sizes(monkeypatch):
 
 def _delta_net_params():
     """The net-1d-delta benchmark ladder."""
-    return NetParams(spec=make_grid(1, 256, 8.0), T=0.125, s_list=(0.0, 1.0))
+    return NetParams(spec=GridSpec(1, 256, 8.0), T=0.125, s_list=(0.0, 1.0))
 
 
 class TestLevelProbe:
@@ -539,7 +538,7 @@ class TestLevelProbe:
 
     @staticmethod
     def probs(T):
-        spec = make_grid(1, 32, 8.0)
+        spec = GridSpec(1, 32, 8.0)
         cs = regularise(preset("smooth-consistency", n=1), 2**-4, ScaleFn("loglog"),
                         spec)
         return [EvolutionProblem(cs, gaussian_field(spec), T=T)]
@@ -547,7 +546,7 @@ class TestLevelProbe:
     @staticmethod
     def free_probs(T):
         """A member without remainder, whose bound is infinite."""
-        spec = make_grid(1, 32, 8.0)
+        spec = GridSpec(1, 32, 8.0)
         cs = regularise(preset("free", n=1), 2**-5, ScaleFn("loglog"), spec)
         return [EvolutionProblem(cs, gaussian_field(spec), T=T)]
 
@@ -633,10 +632,8 @@ class TestLevelProbe:
                               cparams)
         assert [len(ts) - 1 for ts in marches] == [10] * 6
         for health, p in ((health, params), (fit.extra["health"], cparams)):
-            assert list(health) == list(p.eps_ladder)
-            for h in health.values():
-                assert h == {"dt": pytest.approx(p.dt, rel=1e-12), "steps": 10,
-                             "levels": None, "probe_eps": None, "probe_gap": None}
+            assert health == {"dt": pytest.approx(p.dt, rel=1e-12), "steps": 10,
+                              "levels": None, "probe_eps": None, "probe_gap": None}
 
     def test_net_ladder_rejects_coarse(self):
         # negative control: on the net-1d-delta ladder the trapezoid
@@ -644,10 +641,9 @@ class TestLevelProbe:
         params = _delta_net_params()
         u0 = delta_field(params.spec)
         _, _, health = run_net(preset("delta-potential", n=1), u0, params)
-        for h in health.values():
-            assert (h["levels"], h["steps"]) == (LEVELS, LEVELS)
-            assert h["probe_eps"] == params.eps_ladder[-1]
-            assert h["probe_gap"] > 10 * TOL
+        assert (health["levels"], health["steps"]) == (LEVELS, LEVELS)
+        assert health["probe_eps"] == params.eps_ladder[-1]
+        assert health["probe_gap"] > 10 * TOL
 
     def test_net_ladder_marches_each_member_once(self, monkeypatch):
         # the probe's two trial marches, which reject COARSE, then one march
@@ -667,7 +663,7 @@ class TestLevelProbe:
                          delta_field(params.spec))
         results, health = solve_ladder(members, params)
         last = params.eps_ladder[-1]
-        assert (health[last]["levels"], health[last]["steps"]) == (LEVELS, LEVELS)
+        assert (health["levels"], health["steps"]) == (LEVELS, LEVELS)
         m = members[last]
         alone = solve(EvolutionProblem(m["cs"], m["u0"], params.T),
                       params.s_list, steps=LEVELS)
@@ -681,7 +677,7 @@ class TestLevelProbe:
         # a stability bound patched to T / 8 makes c = 8, so nothing is
         # probed and the smooth-consistency probe member marches straight in
         # the stack, at 50 times its true bound a step, and blows up there
-        spec = make_grid(1, 64, np.pi)
+        spec = GridSpec(1, 64, np.pi)
         eps_ladder = (0.5, 0.25, 0.125)
         sets = {eps: regularise(preset("smooth-consistency" if eps == 0.125 else "free",
                                        n=1), eps, ScaleFn("loglog"), spec)
@@ -704,7 +700,7 @@ class TestLevelProbe:
         # survives its 2c-step trial and blows up in the first step of its
         # c-step one, T / 4, 50 times its true bound; both trials are stacks
         # of one, and it is still member 2 of the ladder
-        spec = make_grid(1, 64, np.pi)
+        spec = GridSpec(1, 64, np.pi)
         eps_ladder = (0.5, 0.25, 0.125)
         sets = {eps: regularise(preset("smooth-consistency" if eps == 0.125 else "free",
                                        n=1), eps, ScaleFn("loglog"), spec)
@@ -726,10 +722,10 @@ class TestLevelProbe:
         # levels; both ladders take COARSE
         spec, model, params = {
             # uniq-2d-ultra at M = 32
-            "uniq-2d-reduced": (make_grid(2, 32, 8.0), preset("ultra-diagonal"),
+            "uniq-2d-reduced": (GridSpec(2, 32, 8.0), preset("ultra-diagonal"),
                                 {"T": 0.25}),
             # the 1D uniqueness config of the CLI tests
-            "delta-potential-1d": (make_grid(1, 32, 8.0), preset("delta-potential", n=1),
+            "delta-potential-1d": (GridSpec(1, 32, 8.0), preset("delta-potential", n=1),
                                    {"T": 0.5, "eps_ladder": (0.5, 0.25, 0.125, 0.0625)}),
         }[name]
         params = NetParams(spec=spec, **params)
@@ -738,8 +734,8 @@ class TestLevelProbe:
         conv = uniqueness_probe(model, 3, u0, NetParams(
             spec, params.eps_ladder, params.scale, params.T, params.T / 256,
             params.s_list, params.data_mollifier))
-        assert {h["levels"] for h in got.extra["health"].values()} == {COARSE}
-        assert {h["steps"] for h in conv.extra["health"].values()} == {256}
+        assert got.extra["health"]["levels"] == COARSE
+        assert conv.extra["health"]["steps"] == 256
         assert got.values.keys() == conv.values.keys()
         for eps, want in conv.values.items():
             assert got.values[eps] == pytest.approx(want, rel=2e-3), eps
@@ -784,25 +780,25 @@ class TestMarchLadder:
         results, health, calls = ladder_run(2.0 * TOL)
         assert calls == [([0.0625], 10), ([0.0625], 5),
                          ([0.5, 0.25, 0.125, 0.0625], 20)]
-        assert list(results) == list(health) == list(self.COUNTS)
+        assert list(results) == list(self.COUNTS)
         assert results == {eps: f"{eps}@20" for eps in self.COUNTS}
-        assert [(h["levels"], h["steps"]) for h in health.values()] == [(LEVELS, 20)] * 4
-        assert {h["probe_eps"] for h in health.values()} == {0.0625}
+        assert (health["levels"], health["steps"]) == (LEVELS, 20)
+        assert health["probe_eps"] == 0.0625
 
     def test_kept_probe_result_is_not_marched_again(self, ladder_run):
         results, health, calls = ladder_run(0.0)
         assert calls == [([0.0625], 10), ([0.0625], 5), ([0.5, 0.25, 0.125], 5)]
-        assert list(results) == list(health) == list(self.COUNTS)
+        assert list(results) == list(self.COUNTS)
         assert results == {eps: f"{eps}@5" for eps in self.COUNTS}
-        assert [(h["levels"], h["steps"]) for h in health.values()] == [(COARSE, 5)] * 4
+        assert (health["levels"], health["steps"]) == (COARSE, 5)
 
     def test_no_probe_with_a_given_dt(self, ladder_run):
         # one call in ladder order, at the largest count of the given dt
         results, health, calls = ladder_run(0.0, dt=0.1)
         assert calls == [([0.5, 0.25, 0.125, 0.0625], 11)]
-        assert list(results) == list(health) == list(self.COUNTS)
-        assert all(h == {"dt": 1.0 / 11, "steps": 11, "levels": None, "probe_eps": None,
-                         "probe_gap": None} for h in health.values())
+        assert list(results) == list(self.COUNTS)
+        assert health == {"dt": 1.0 / 11, "steps": 11, "levels": None, "probe_eps": None,
+                          "probe_gap": None}
 
 
 class TestSolveLadderStack:
@@ -814,7 +810,7 @@ class TestSolveLadderStack:
         # 6.7 down to 3.9, would give its members 16, 16, 19, 23 and 25
         # steps; the ladder marches the largest, and the probe member's
         # bound skips the trial
-        spec = make_grid(1, 32, 8.0)
+        spec = GridSpec(1, 32, 8.0)
         params = NetParams(spec=spec, T=100.0)
         members = ladder(preset("delta-potential", n=1), params, gaussian_field(spec))
         assert [evolve.shared_steps([EvolutionProblem(m["cs"], m["u0"], params.T)])
@@ -822,15 +818,15 @@ class TestSolveLadderStack:
         marches = record_marches(monkeypatch)
         sizes = _record_stack_sizes(monkeypatch)
         results, health = solve_ladder(members, params)
-        assert list(results) == list(health) == list(members)
-        assert [h["steps"] for h in health.values()] == [25] * 5
+        assert list(results) == list(members)
+        assert health["steps"] == 25
         assert [len(ts) - 1 for ts in marches] == [25]
         assert sizes == [5]
         monkeypatch.undo()
         for eps, res in results.items():
             m = members[eps]
             alone = solve(EvolutionProblem(m["cs"], m["u0"], params.T),
-                          params.s_list, steps=health[eps]["steps"])
+                          params.s_list, steps=health["steps"])
             assert np.array_equal(res.final.values, alone.final.values)
             for s in params.s_list:
                 assert np.array_equal(res.series.norms[s], alone.series.norms[s])
@@ -845,7 +841,7 @@ class TestSolveLadderStack:
         marches = record_marches(monkeypatch)
         results, health = solve_ladder(members, params)
         assert [len(ts) - 1 for ts in marches] == [2 * COARSE, COARSE]
-        assert (health[0.5]["levels"], health[0.5]["steps"]) == (COARSE, COARSE)
+        assert (health["levels"], health["steps"]) == (COARSE, COARSE)
         monkeypatch.undo()
         m = members[0.5]
         alone = solve(EvolutionProblem(m["cs"], m["u0"], params.T), steps=COARSE)
@@ -855,7 +851,7 @@ class TestSolveLadderStack:
         # without stability bounds, one step of 50 of its bound blows up
         # the smooth-consistency member alone; it marches second in the
         # stack, its place in the ladder
-        spec = make_grid(1, 64, np.pi)
+        spec = GridSpec(1, 64, np.pi)
         eps_ladder = (0.5, 0.25, 0.125)
         sets = {eps: regularise(preset("smooth-consistency" if eps == 0.25 else "free",
                                        n=1), eps, ScaleFn("loglog"), spec)
