@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -41,12 +42,19 @@ def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
+def _is_a(value, kind) -> bool:
+    """value is a number of kind (``numbers.Integral`` or ``Real``), numpy
+    scalars included, and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 class GridSpec(NamedTuple("_GridSpec", [("n", int), ("M", int), ("L", float)])):
     """Periodic grid on [-L, L)^n.
 
-    n : spatial dimension (1 or 2)
-    M : points per axis, power of two, >= 8
-    L : half-length of the fundamental domain, positive and finite
+    n : spatial dimension (1 or 2), an integer
+    M : points per axis, an integer power of two, >= 8
+    L : half-length of the fundamental domain, a real number, positive and
+        finite
 
     The tuple (n, M, L): immutable, and equal and hashed by value, so that
     the tables of a grid are cached on it.
@@ -55,10 +63,12 @@ class GridSpec(NamedTuple("_GridSpec", [("n", int), ("M", int), ("L", float)])):
     __slots__ = ()
 
     def __new__(cls, n: int, M: int, L: float):
-        if n not in (1, 2):
-            raise GridError(f"dimension must be 1 or 2, got {n}")
-        if not _is_power_of_two(M) or M < 8:
-            raise GridError(f"M must be a power of two >= 8, got {M}")
+        if not _is_a(n, numbers.Integral) or n not in (1, 2):
+            raise GridError(f"dimension must be 1 or 2, got {n!r}")
+        if not _is_a(M, numbers.Integral) or not _is_power_of_two(M) or M < 8:
+            raise GridError(f"M must be a power of two >= 8, got {M!r}")
+        if not _is_a(L, numbers.Real):
+            raise GridError(f"L must be a real number, got {L!r}")
         if not (L > 0):
             raise GridError(f"L must be positive, got {L}")
         if not math.isfinite(L):

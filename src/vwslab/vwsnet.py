@@ -7,6 +7,8 @@ of every pipeline, marches them with the net's step rule and diagnostics:
 the smallest eps is probed, then the others go to one answer call at the
 ladder's one step count, so that members are compared at common times,
 giving each member's result by eps, in ladder order, and the ladder's health.
+A uniqueness pair's perturbed problem exists only while ``uniqueness_probe``
+checks, bounds or marches it, one at a time.
 
 Each ladder without a given dt chooses its level count once, in
 ``probe_levels``: its smallest eps marches at 2c steps and at c, c the
@@ -257,8 +259,9 @@ def _solve_answer(params: NetParams, stride: int, ladder: list):
 
 def march_ladder(members: dict, answer, params: NetParams) -> tuple:
     """(results, health): results keyed by the eps of ``members``, a
-    ladder's eps -> that member's problems, all built, in ladder order, and
-    health the ladder's record, ``LevelProbe.health`` of its probe.
+    ladder's eps -> that member's problems, each with its bound, in ladder
+    order, and health the ladder's record, ``LevelProbe.health`` of its
+    probe.
     ``answer`` is that of ``probe_levels``, which chooses the level count
     on the last, smallest eps; with ``params.dt`` set nothing is probed.
     The ladder marches one step count, the largest of its members' at
@@ -334,13 +337,34 @@ def _perturbed_set(cs: CoefficientSet, eps: float, q: int, bumps: dict) -> Coeff
                           cs.V + amp * bumps["V"], cs.N)
 
 
+class _Partner:
+    """The eps^q-perturbed problem of a uniqueness pair as ``evolve`` reads
+    it: cs and u0 are those of the one perturbed problem that ``built``
+    holds, built on the first read after another eps's, and dt_bound is
+    measured once, as ``EvolutionProblem`` measures it."""
+
+    def __init__(self, eps: float, T: float, built):
+        from .evolve import SAFETY, stable_dt
+
+        self.eps, self.T, self.built = eps, T, built
+        self.dt_bound = stable_dt(self.cs) / SAFETY
+
+    cs = property(lambda self: self.built(self.eps)[0])
+    u0 = property(lambda self: self.built(self.eps)[1])
+
+
 def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
                      params: NetParams) -> FitReport:
     """Negligible-in, negligible-out: solve the base and the eps^q-perturbed
     families and fit the difference-norm slope against log eps.  The base
     net must pass (H1)-(H5), as in ``run_net``: HypothesisFailure if not.
     A difference that round-off zeroed has no exponent: the slope is nan,
-    and the probe fails."""
+    and the probe fails.
+
+    One perturbed problem exists at a time: each eps's is built for its
+    (H2) check, for its bound and when its pair's lockstep starts, and is
+    dropped when another's is built, so the probe's pair marches both
+    trials on one build."""
     from .evolve import EvolutionProblem
 
     if q < 1:
@@ -349,24 +373,30 @@ def uniqueness_probe(model: CoefficientModel, q: int, u0: Field,
     spec = params.spec
     bumps = _bumps(spec, model.N)
     members = ladder(model, params, u0)
-    perturbed = {eps: _perturbed_set(m["cs"], eps, q, bumps)
-                 for eps, m in members.items()}
     # shrink eps_0: drop the eps whose perturbation breaks (H2), leaving
     # a(x) singular or of another inertia at some node (a singular base
     # fails the validation below)
-    dropped = [eps for eps, m in members.items()
-               if np.any(perturbed[eps].inertia() != m["cs"].inertia())]
+    dropped = [eps for eps, m in members.items() if np.any(
+        _perturbed_set(m["cs"], eps, q, bumps).inertia() != m["cs"].inertia())]
     used = [float(eps) for eps in members if eps not in dropped]
     if len(used) < 4:
         raise NetError(f"fewer than 4 usable epsilons (dropped {dropped})")
     _require_valid(model, members)
+    held = {}  # eps -> (set, data) of the one perturbed problem built
+
+    def built(eps):
+        if eps not in held:
+            held.clear()
+            m = members[eps]
+            held[eps] = (_perturbed_set(m["cs"], eps, q, bumps),
+                         Field(spec, m["u0"].values + eps**q * bumps["u0"]))
+        return held[eps]
+
     pairs = {}
     for eps in used:
         m = members[eps]
-        du = Field(spec, m["u0"].values + eps**q * bumps["u0"])
         pairs[eps] = [EvolutionProblem(m["cs"], m["u0"], params.T),
-                      EvolutionProblem(perturbed[eps], du, params.T)]
-    del bumps, perturbed  # the pairs hold every array the march reads
+                      _Partner(eps, params.T, built)]
     values, health = march_ladder(pairs, _difference_answer(s), params)
     slope, resid = fit_slope(used, list(values.values()))
     return FitReport(slope, resid, bool(slope >= q - 0.5), q - 0.5, values,

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -53,11 +55,28 @@ class TestMakeGrid:
         ((1, 16, 0.0), "L must be positive, got 0.0"),
         ((1, 16, float("nan")), "L must be positive, got nan"),
         # an infinite L would pass as positive, and every node would be nan
-        ((1, 64, float("inf")), "L must be finite, got inf")])
+        ((1, 64, float("inf")), "L must be finite, got inf"),
+        # n and M are integers and L a real number, though 1.0 == True == 1
+        ((1, 64.0, 8.0), "M must be a power of two >= 8, got 64.0"),
+        ((1.0, 64, 8.0), "dimension must be 1 or 2, got 1.0"),
+        ((True, 64, 8.0), "dimension must be 1 or 2, got True"),
+        ((1, 64, "8"), "L must be a real number, got '8'"),
+        ((1, 64, True), "L must be a real number, got True"),
+        ((1, 64, 8j), "L must be a real number, got 8j")])
     @pytest.mark.parametrize("build", [GridSpec])
     def test_every_check_at_each_entry(self, build, args, message):
         with pytest.raises(GridError, match=f"^{message}$"):
             build(*args)
+
+    @pytest.mark.parametrize("args", [
+        (np.int64(1), np.int32(64), 8), (1, np.uint16(64), np.float32(8.0)),
+        (2, 16, Fraction(17, 2)), (2, 16, np.int64(8))])
+    def test_accepts_numpy_integers_and_every_real_L(self, args):
+        n, M, L = args
+        spec, plain = GridSpec(*args), GridSpec(int(n), int(M), float(L))
+        # one grid, so one key of the grid caches
+        assert spec == plain and hash(spec) == hash(plain)
+        assert spec.h == plain.h and spec.shape == plain.shape
 
 
 class TestField:

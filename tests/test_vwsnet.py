@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,32 @@ class TestUniquenessProbe:
         assert not fixed.passed
         assert fixed.slope == pytest.approx(0.0, abs=0.02)
 
+    def test_one_perturbed_problem_at_a_time(self, monkeypatch):
+        # when a march builds its operator, at most the probe's pair and the
+        # pair being marched hold a perturbed set, not every pair of the ladder
+        sets, real = [], vwsnet._perturbed_set
+
+        def recorded(*args):
+            cs = real(*args)
+            sets.append(weakref.ref(cs))
+            return cs
+
+        monkeypatch.setattr(vwsnet, "_perturbed_set", recorded)
+        live, Operator = [], evolve._Operator
+
+        def counted(stack):
+            live.append(sum(ref() is not None for ref in sets))
+            return Operator(stack)
+
+        monkeypatch.setattr(evolve, "_Operator", counted)
+        spec = GridSpec(2, 16, 8.0)
+        fit = uniqueness_probe(preset("ultra-diagonal"), 3, gaussian_field(spec),
+                               NetParams(spec=spec, T=0.25))
+        # the probe's two trials and the four other pairs, two problems each
+        assert fit.extra["health"]["levels"] == COARSE
+        assert len(live) == 2 * (2 + 4)
+        assert max(live) <= 2
+
     def test_perturbed_set_adds_each_slot_bump(self):
         spec = GridSpec(2, 16, 8.0)
         cs = regularise(preset("ultra-diagonal"), 2**-2, ScaleFn("loglog"), spec)
@@ -493,7 +521,7 @@ class TestComparedProblemsStep:
         assert levels == (COARSE if gap <= TOL else LEVELS)
         kept = levels == COARSE
         if kind == "uniqueness":
-            # every pair is built before the probe, in ladder order
+            # every pair's bounds are measured before the probe, in ladder order
             *rest, probe = [limits[k:k + group] for k in range(0, len(limits), group)]
             if not kept:
                 rest = [probe] + rest
